@@ -43,7 +43,7 @@ bench: build
 
 # Reduced bench under a hard timeout: the experiments that exercise the
 # emulator throughput path (scalability), end-to-end patched-binary
-# emulation (figure4), the sharded-rewriter jobs-invariance sweep
+# emulation (figure4), the chunked-rewriter jobs-invariance sweep
 # (parallel), the allocator micro-benchmark against its linear-scan
 # baseline (iset), and the rewriting-service throughput/caching run
 # (serve), and the incremental plan-cache cold-vs-warm series

@@ -850,17 +850,20 @@ let parallel_json : Json.t option ref = ref None
 let bench_parallel () =
   heading
     "Domain-parallel rewriting: jobs-invariance and intra-binary scaling";
+  (* The parallel tactic search runs over content-defined chunks; without
+     chunking the whole text is one chunk and there is nothing to spread
+     across domains. *)
+  let chunking = Chunker.default in
+  let chunked options = { options with Rewriter.chunking = Some chunking } in
   (* Part 1: across the whole Table 1 corpus, jobs=4 must produce the
-     same bytes as jobs=1 and pass the independent verifier. A small
-     shard span forces real sharding even on the scaled-down suite
-     binaries (their text would otherwise fit one 64 KiB shard). *)
-  let shard_span = 4096 in
-  printf "corpus determinism (shard_span=%d): jobs=4 vs jobs=1@." shard_span;
+     same bytes as jobs=1 and pass the independent verifier. *)
+  printf "corpus determinism (chunking %a): jobs=4 vs jobs=1@."
+    Chunker.pp_params chunking;
   let checked =
     par_map
       (fun (row : Suite.row) ->
         let elf = Codegen.generate row.Suite.profile in
-        let options = { (options_for row) with Rewriter.shard_span } in
+        let options = chunked (options_for row) in
         let rewrite jobs =
           Rewriter.run ~options ~jobs ?disasm_from:(disasm_from_of elf) elf
             ~select:Frontend.select_jumps
@@ -879,26 +882,27 @@ let bench_parallel () =
   in
   let corpus_rows =
     List.map
-      (fun (name, shards, identical) ->
+      (fun (name, chunks, identical) ->
         record_row "parallel"
           [ ("binary", Json.Str name);
-            ("shards", Json.Int shards);
+            ("chunks", Json.Int chunks);
             ("identical", Json.Bool identical) ];
-        printf "  %-12s %4d shards  %s@." name shards
+        printf "  %-12s %4d chunks  %s@." name chunks
           (if identical then "identical" else "DIFFERS");
         if not identical then
           failwith (name ^ ": jobs=4 output differs from jobs=1");
         Json.Obj
           [ ("binary", Json.Str name);
-            ("shards", Json.Int shards);
+            ("chunks", Json.Int chunks);
             ("identical", Json.Bool identical) ])
       checked
   in
-  (* Part 2: one large binary, default 64 KiB shards, jobs ∈ {1,2,4}.
-     The quantity under test is the tactic_search span — decode and
-     serialization scale separately — but end-to-end wall time is
-     recorded too. Runs are sequential (never fanned with par_map) so
-     each sweep point has the machine to itself. *)
+  (* Part 2: one large binary, chunked, jobs ∈ {1,2,4}, beside the
+     whole-text (one chunk, serial) search it competes with. The quantity
+     under test is the tactic_search span — decode and serialization
+     scale separately — but end-to-end wall time is recorded too. Runs
+     are sequential (never fanned with par_map) so each sweep point has
+     the machine to itself. *)
   let functions = if !smoke then 1000 else 4000 in
   let prof =
     { Codegen.default_profile with
@@ -906,38 +910,31 @@ let bench_parallel () =
   in
   let elf = Codegen.generate prof in
   let text, _ = Frontend.disassemble elf in
-  let measure ?options jobs =
+  let measure options jobs =
     let obs = Obs.aggregator () in
     let t0 = Unix.gettimeofday () in
     let r =
-      Rewriter.run ?options ~obs ~jobs elf ~select:Frontend.select_jumps
+      Rewriter.run ~options ~obs ~jobs elf ~select:Frontend.select_jumps
         ~template:(fun _ -> Trampoline.Empty)
     in
     let wall = Unix.gettimeofday () -. t0 in
     let search = Obs.Agg.span_total (Obs.agg obs) "tactic_search" in
     (r, wall, search)
   in
-  (* The un-sharded serial algorithm (one shard spans the whole text) is
-     the overhead baseline: sharded jobs=1 minus this is the cost of
-     arena striping and the fixup pass. *)
-  let _, _, serial_search =
-    measure
-      ~options:
-        { Rewriter.default_options with Rewriter.shard_span = text.Frontend.size }
-      1
-  in
-  let r1, wall1, search1 = measure 1 in
+  let _, _, whole_search = measure Rewriter.default_options 1 in
+  let options = chunked Rewriter.default_options in
+  let r1, wall1, search1 = measure options 1 in
   let reference = Elf_file.to_bytes r1.Rewriter.output in
   let cores = Domain.recommended_domain_count () in
-  printf "@.intra-binary scaling (%d KB text, %d shards, %d cores):@."
+  printf "@.intra-binary scaling (%d KB text, %d chunks, %d cores):@."
     (text.Frontend.size / 1024) r1.Rewriter.shards cores;
-  printf "  serial (1 shard) search: %.3fs@." serial_search;
+  printf "  whole-text (1 chunk) search: %.3fs@." whole_search;
   printf "  %5s %12s %12s %9s@." "jobs" "search s" "total s" "speedup";
   let sweep =
     List.map
       (fun jobs ->
         let r, wall, search =
-          if jobs = 1 then (r1, wall1, search1) else measure jobs
+          if jobs = 1 then (r1, wall1, search1) else measure options jobs
         in
         if not (Bytes.equal (Elf_file.to_bytes r.Rewriter.output) reference)
         then failwith (Printf.sprintf "jobs=%d differs on the sweep binary" jobs);
@@ -954,38 +951,26 @@ let bench_parallel () =
                 setup %.4fs)@."
           jobs search wall speedup r.Rewriter.shards r.Rewriter.steals
           r.Rewriter.setup_s;
-        (jobs, wall, search, speedup, r.Rewriter.steals, r.Rewriter.setup_s,
-         r.Rewriter.shards))
+        Json.Obj
+          [ ("jobs", Json.Int jobs);
+            ("search_s", Json.Float search);
+            ("wall_s", Json.Float wall);
+            ("search_speedup", Json.Float speedup);
+            ("chunks", Json.Int r.Rewriter.shards);
+            ("steal_count", Json.Int r.Rewriter.steals);
+            ("setup_s", Json.Float r.Rewriter.setup_s) ])
       [ 1; 2; 4 ]
-  in
-  let speedup_at_4 =
-    List.fold_left
-      (fun acc (jobs, _, _, s, _, _, _) -> if jobs = 4 then s else acc)
-      0.0 sweep
   in
   parallel_json :=
     Some
       (Json.Obj
-         [ ("shard_span", Json.Int shard_span);
+         [ ("chunking", Json.Str (Format.asprintf "%a" Chunker.pp_params chunking));
            ("corpus", Json.List corpus_rows);
            ("cores", Json.Int cores);
            ("sweep_text_kb", Json.Int (text.Frontend.size / 1024));
-           ("sweep_shards", Json.Int r1.Rewriter.shards);
-           ("serial_search_s", Json.Float serial_search);
-           ("sweep",
-            Json.List
-              (List.map
-                 (fun (jobs, wall, search, speedup, steals, setup, chunks) ->
-                   Json.Obj
-                     [ ("jobs", Json.Int jobs);
-                       ("search_s", Json.Float search);
-                       ("wall_s", Json.Float wall);
-                       ("search_speedup", Json.Float speedup);
-                       ("chunks", Json.Int chunks);
-                       ("steal_count", Json.Int steals);
-                       ("setup_s", Json.Float setup) ])
-                 sweep));
-           ("search_speedup_at_4", Json.Float speedup_at_4) ])
+           ("sweep_chunks", Json.Int r1.Rewriter.shards);
+           ("whole_text_search_s", Json.Float whole_search);
+           ("sweep", Json.List sweep) ])
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection campaign (DESIGN.md §11)                            *)
@@ -1618,19 +1603,24 @@ let bench_tool () =
         Rewriter.tactics =
           { Tactics.default_options with Tactics.b0_fallback = true };
         reserve_below_base = f.Adversary.profile.Codegen.shared_object;
-        shard_span = 4096;
         keep_ranges = holes }
     in
-    let run j = Tool.run ~options ~jobs:j ?frontend elf rules in
-    let res = run 1 in
-    let res4 = run 4 in
+    let run options j = Tool.run ~options ~jobs:j ?frontend elf rules in
+    let res = run options 1 in
     let r = res.Tool.rewrite in
     let rt = res.Tool.runtime in
+    (* The identity leg splits the family's text into small chunks, so
+       jobs 4 runs the parallel search against jobs 1's. *)
     let jobs_identical =
+      let chunked =
+        { options with Rewriter.chunking = Some E9_check.Fuzz.small_chunking }
+      in
+      let c1 = (run chunked 1).Tool.rewrite
+      and c4 = (run chunked 4).Tool.rewrite in
       Bytes.equal
-        (Elf_file.to_bytes r.Rewriter.output)
-        (Elf_file.to_bytes res4.Tool.rewrite.Rewriter.output)
-      && r.Rewriter.stats = res4.Tool.rewrite.Rewriter.stats
+        (Elf_file.to_bytes c1.Rewriter.output)
+        (Elf_file.to_bytes c4.Rewriter.output)
+      && c1.Rewriter.stats = c4.Rewriter.stats
     in
     let static_err =
       match

@@ -160,9 +160,11 @@ let patch_cmd =
       value
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domains for the parallel tactic search and chunked decode \
-                (default: \\$E9_JOBS, else 1). Output bytes are identical \
-                for every $(docv).")
+          ~doc:"Domains for the chunked decode and, with \
+                $(b,--plan-cache) (content-defined chunks), the parallel \
+                tactic search (default: \\$E9_JOBS, else 1); otherwise the \
+                search is one serial pass over the whole text. Output bytes \
+                are identical for every $(docv).")
   in
   let inject =
     Arg.(
@@ -172,8 +174,10 @@ let patch_cmd =
           ~doc:"Deterministic fault injection (testing): comma-separated \
                 rules $(b,site@N) (fire on the Nth occurrence, 0-based), \
                 $(b,site@N+) (from the Nth on) or $(b,site%N) (every Nth); \
-                sites: alloc, b0alloc, decode, shard, trace, write. E.g. \
-                'alloc\\@3,write\\@0'.")
+                sites: alloc, b0alloc, decode, shard, trace, write. The \
+                $(b,shard) site keys on the chunk index; a rewrite without \
+                $(b,--plan-cache) is chunk 0, so $(b,shard@0) aborts it. \
+                E.g. 'alloc@3,write@0'.")
   in
   let plan_cache =
     Arg.(
@@ -207,7 +211,6 @@ let patch_cmd =
         grouping = not no_grouping;
         reserve_below_base = shared;
         loader = (if stub then Rewriter.Stub else Rewriter.Table);
-        shard_span = Rewriter.default_options.Rewriter.shard_span;
         keep_ranges = [];
         chunking =
           (if plan_cache <> None then Some Chunker.default else None) }
@@ -353,9 +356,9 @@ let tool_cmd =
       value
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domains for the parallel tactic search (default: \
-                \\$E9_JOBS, else 1). Output bytes are identical for \
-                every $(docv).")
+          ~doc:"Domains for the chunked decode (default: \\$E9_JOBS, \
+                else 1); the tactic search is one serial pass over the \
+                whole text. Output bytes are identical for every $(docv).")
   in
   let check =
     Arg.(
@@ -727,9 +730,11 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domains per rewrite inside a session (default 1: the daemon \
+          ~doc:"Domains per rewrite inside a session: the chunked decode, \
+                and the tactic search of sessions with the \"plan\" option \
+                (content-defined chunks). Default 1: the daemon \
                 parallelizes across sessions; output bytes never depend on \
-                this).")
+                this.")
   in
   let domains =
     Arg.(

@@ -105,12 +105,16 @@ let prepare case =
   in
   (elf, disasm_from, select)
 
-let rewrite ?jobs ?jitter ?shard_span case =
+(* Fuzz-sized texts are a few KiB, so shrink the chunking well below the
+   production default to get several chunks per binary. *)
+let small_chunking = { Chunker.min_size = 256; avg_bits = 9; max_size = 2048 }
+
+let rewrite ?jobs ?jitter ?chunking case =
   let elf, disasm_from, select = prepare case in
   let options =
-    match shard_span with
+    match chunking with
     | None -> case.options
-    | Some shard_span -> { case.options with Rewriter.shard_span }
+    | Some c -> { case.options with Rewriter.chunking = Some c }
   in
   let r =
     Rewriter.run ~options ?jobs ?jitter ?disasm_from elf ~select
@@ -206,7 +210,7 @@ let property ?(count = 50) ?(name = "rewrite is byte-accounted and trace-equival
       | Ok _ -> true
       | Error msg -> QCheck2.Test.fail_reportf "%s" msg)
 
-let steal_property ?(count = 15) ?(jobs = [ 2; 4; 7 ]) ?(shard_span = 2048)
+let steal_property ?(count = 15) ?(jobs = [ 2; 4; 7 ])
     ?(name = "rewrite output is identical for every steal schedule") () =
   let gen =
     QCheck2.Gen.pair gen_case
@@ -216,7 +220,7 @@ let steal_property ?(count = 15) ?(jobs = [ 2; 4; 7 ]) ?(shard_span = 2048)
     Printf.sprintf "%s | jitter shard@%d,shard%%%d" (case_to_string case) off k
   in
   QCheck2.Test.make ~count ~name ~print gen (fun (case, (k, off)) ->
-      let _, _, r1 = rewrite ~jobs:1 ~shard_span case in
+      let _, _, r1 = rewrite ~jobs:1 ~chunking:small_chunking case in
       let reference = Elf_file.to_bytes r1.Rewriter.output in
       List.for_all
         (fun n ->
@@ -238,7 +242,7 @@ let steal_property ?(count = 15) ?(jobs = [ 2; 4; 7 ]) ?(shard_span = 2048)
                 ignore (Sys.opaque_identity i)
               done
           in
-          let _, _, rn = rewrite ~jobs:n ~jitter ~shard_span case in
+          let _, _, rn = rewrite ~jobs:n ~jitter ~chunking:small_chunking case in
           if
             not (Bytes.equal (Elf_file.to_bytes rn.Rewriter.output) reference)
           then
@@ -258,9 +262,6 @@ let incremental_property ?(count = 10) ?(jobs = [ 1; 4 ])
     ?(name = "incremental (plan-replay) rewrite is byte-identical to cold") ()
     =
   let module Plan = E9_core.Plan in
-  (* Fuzz-sized texts are a few KiB, so shrink the chunking well below
-     the production default to get several chunks per binary. *)
-  let chunking = { Chunker.min_size = 256; avg_bits = 9; max_size = 2048 } in
   let gen =
     QCheck2.Gen.pair gen_case
       (QCheck2.Gen.pair (QCheck2.Gen.float_bound_inclusive 1.0)
@@ -272,7 +273,7 @@ let incremental_property ?(count = 10) ?(jobs = [ 1; 4 ])
   QCheck2.Test.make ~count ~name ~print gen
     (fun (case, (edit_frac, edit_budget)) ->
       let elf, disasm_from, select = prepare case in
-      let options = { case.options with Rewriter.chunking = Some chunking } in
+      let options = { case.options with Rewriter.chunking = Some small_chunking } in
       let plan_of table =
         { Plan.store = Plan.table_store table;
           spec_key =
@@ -333,26 +334,26 @@ let incremental_property ?(count = 10) ?(jobs = [ 1; 4 ])
           else true)
         jobs)
 
-let jobs_property ?(count = 25) ?(jobs = [ 2; 4; 7 ]) ?(shard_span = 2048)
+let jobs_property ?(count = 25) ?(jobs = [ 2; 4; 7 ])
     ?(name = "rewrite output is identical for every domain count") () =
   QCheck2.Test.make ~count ~name ~print:case_to_string gen_case (fun case ->
-      let elf, disasm_from, r1 = rewrite ~jobs:1 ~shard_span case in
-      (* The small span forces multiple shards even on fuzz-sized
-         binaries, so jobs=1 exercises the sharded algorithm too; check
-         it against the independent verifier, not just against itself. *)
+      let elf, disasm_from, r1 = rewrite ~jobs:1 ~chunking:small_chunking case in
+      (* The small chunks split even fuzz-sized binaries, so jobs=1
+         exercises the multi-chunk algorithm too; check it against the
+         independent verifier, not just against itself. *)
       (match Static.verify ?disasm_from ~original:elf r1.Rewriter.output with
       | Ok _ -> ()
       | Error e ->
-          QCheck2.Test.fail_reportf "sharded rewrite (%d shards): %a"
+          QCheck2.Test.fail_reportf "chunked rewrite (%d chunks): %a"
             r1.Rewriter.shards Static.pp_error e);
       let reference = Elf_file.to_bytes r1.Rewriter.output in
       List.for_all
         (fun n ->
-          let _, _, rn = rewrite ~jobs:n ~shard_span case in
+          let _, _, rn = rewrite ~jobs:n ~chunking:small_chunking case in
           if not (Bytes.equal (Elf_file.to_bytes rn.Rewriter.output) reference)
           then
             QCheck2.Test.fail_reportf
-              "jobs=%d output bytes differ from jobs=1 (%d shards)" n
+              "jobs=%d output bytes differ from jobs=1 (%d chunks)" n
               rn.Rewriter.shards
           else if rn.Rewriter.stats <> r1.Rewriter.stats then
             QCheck2.Test.fail_reportf "jobs=%d stats differ from jobs=1" n

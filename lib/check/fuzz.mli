@@ -35,16 +35,21 @@ val prepare :
     round trip. *)
 val run_case : case -> (Static.report * Trace.stats, string) result
 
-(** [rewrite ?jobs ?jitter ?shard_span case] is the generate → rewrite
+(** Content-defined chunking small enough (256 B min, 512 B average,
+    2 KiB max) to split fuzz-sized texts into several chunks, so the
+    parallel search path is exercised on them. *)
+val small_chunking : Chunker.params
+
+(** [rewrite ?jobs ?jitter ?chunking case] is the generate → rewrite
     half alone, returning the input binary, the disassembly start it
     used, and the full rewrite result — the hook for determinism and
     scaling tests that need to compare outputs across [jobs] values,
     steal schedules ([jitter] is passed to {!E9_core.Rewriter.run}) or
-    shard spans. *)
+    chunkings ([chunking] overrides the case's own). *)
 val rewrite :
   ?jobs:int ->
   ?jitter:(int -> unit) ->
-  ?shard_span:int ->
+  ?chunking:Chunker.params ->
   case ->
   Elf_file.t * int option * E9_core.Rewriter.result
 
@@ -84,13 +89,12 @@ val incremental_property :
 
 (** Jobs-determinism property: rewriting with every domain count in
     [jobs] (default [2; 4; 7]) produces output bytes, stats and
-    patched-site lists identical to [jobs = 1], under a [shard_span]
-    (default 2048) small enough to force multiple shards on fuzz-sized
-    binaries; the sharded output must also pass {!Static.verify}. *)
+    patched-site lists identical to [jobs = 1], under
+    {!small_chunking}, which splits fuzz-sized binaries into several
+    chunks; the chunked output must also pass {!Static.verify}. *)
 val jobs_property :
   ?count:int ->
   ?jobs:int list ->
-  ?shard_span:int ->
   ?name:string ->
   unit ->
   QCheck2.Test.t
@@ -100,11 +104,10 @@ val jobs_property :
     [Shard]-site fault record decides which chunks the claiming worker
     stalls on, skewing completion order and provoking steals), output
     bytes and the absorbed {!E9_core.Layout} occupancy are identical to
-    the [jobs = 1] rewrite. *)
+    the [jobs = 1] rewrite, under {!small_chunking}. *)
 val steal_property :
   ?count:int ->
   ?jobs:int list ->
-  ?shard_span:int ->
   ?name:string ->
   unit ->
   QCheck2.Test.t

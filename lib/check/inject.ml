@@ -34,8 +34,8 @@ let gen_rule =
         let* off = int_bound 20_000 in
         return (Fault.At off)
     | Fault.Shard ->
-        (* Shard keys are small indices; [From 0] would kill shard 0 of
-           every sharded rewrite, which is fine too. *)
+        (* Shard keys are small chunk indices; [From 0] would kill chunk
+           0 of every rewrite, which is fine too. *)
         oneof
           [ map (fun k -> Fault.At k) (int_bound 8);
             map (fun k -> Fault.From k) (int_bound 4);
@@ -59,9 +59,9 @@ let gen_fcase =
   let* schedule = gen_schedule in
   return { case; schedule }
 
-(* Force sharding on fuzz-sized binaries so shard faults and the
+(* Split fuzz-sized binaries into several chunks so shard faults and the
    fork/merge fault accounting are actually exercised. *)
-let shard_span = 2048
+let chunking = Some Fuzz.small_chunking
 
 type outcome =
   | Full  (** rewrite + static verification OK, no site failed *)
@@ -85,7 +85,7 @@ let same_outcome a b =
    of the pipeline, not as fault outcomes. *)
 let run_leg ?(jobs = 1) f =
   let elf, disasm_from, select = Fuzz.prepare f.case in
-  let options = { f.case.Fuzz.options with Rewriter.shard_span } in
+  let options = { f.case.Fuzz.options with Rewriter.chunking } in
   let fault = Fault.create f.schedule in
   match
     Rewriter.run ~options ~fault ~jobs ?disasm_from elf ~select
@@ -114,7 +114,7 @@ let run_b0_exhaustion_leg case =
   let elf, disasm_from, select = Fuzz.prepare case in
   let options =
     { case.Fuzz.options with
-      Rewriter.shard_span;
+      Rewriter.chunking;
       tactics = { case.Fuzz.options.Rewriter.tactics with
                   Tactics.b0_fallback = true } }
   in

@@ -1,59 +1,37 @@
 module Iset = E9_bits.Iset
 
-(* Shard arenas (DESIGN.md §10): when the rewriter splits the text into
-   independently patched shards, each shard's arena may only place
-   trampolines inside the 64 KiB address stripes it owns, so concurrent
-   searches can never hand two shards overlapping extents — without any
-   locking and without materializing the foreign stripes as occupied
-   intervals. Ownership rotates pseudorandomly per row of [count]
-   consecutive stripes: every row contains each owner exactly once (so the
-   next owned stripe is always < 2·count stripes away), while the rotation
-   decorrelates ownership from the power-of-two strides of joint-pun
-   probes (a plain [index mod count] would starve shards whenever
-   [stride / stripe_size] shares a factor with [count]). *)
-(* Two ownership schemes share the stripe machinery:
-   - [Modular]: the PR 4 fixed-span geometry — ownership rotates per row
-     of [count] consecutive stripes, keyed by the shard ordinal.
-   - [Range]: the plan-cache geometry (DESIGN.md §14) — a content-defined
-     chunk covering text offsets [r_lo, r_hi) of a [total]-byte text owns
-     exactly the stripes whose scrambled image lands inside its own
-     range. Ownership is a function of the chunk's {e own} coordinates
-     (and the text size), never of the chunk count or ordinal, so a
-     revision that splits or merges chunks elsewhere leaves this chunk's
-     stripe set — and therefore its cached trampoline placements —
-     intact. Chunks partition the text, so the scheme partitions the
-     stripes: disjointness holds without any arena seeing the others. *)
-type stripe =
-  | Modular of { index : int; count : int }
-  | Range of { r_lo : int; r_hi : int; total : int }
+(* Chunk arenas (DESIGN.md §10/§14): when the rewriter splits the text
+   into content-defined chunks searched in parallel, each chunk's arena
+   may only place trampolines inside the address stripes it owns, so
+   concurrent searches can never hand two chunks overlapping extents —
+   without any locking and without materializing the foreign stripes as
+   occupied intervals. The chunk covering text offsets [r_lo, r_hi) of a
+   [total]-byte text owns exactly the stripes whose scrambled image lands
+   inside its own range. Ownership is a function of the chunk's {e own}
+   coordinates (and the text size), never of the chunk count or ordinal,
+   so a revision that splits or merges chunks elsewhere leaves this
+   chunk's stripe set — and therefore its cached trampoline placements —
+   intact. Chunks partition the text, so the scheme partitions the
+   stripes: disjointness holds without any arena seeing the others. *)
+type stripe = { r_lo : int; r_hi : int; total : int }
 
 (* One page per stripe: any pun window of a page or more (two or fewer
    fixed displacement bytes) contains stripes of every owner, so the
-   narrow-window tactics keep working inside shard arenas instead of
-   escalating; and a stripe never splits a loader page between shards. *)
+   narrow-window tactics keep working inside chunk arenas instead of
+   escalating; and a stripe never splits a loader page between chunks. *)
 let stripe_bits = 12
 let stripe_size = 1 lsl stripe_bits
 
-let row_mix r =
-  (* Knuth-style multiplicative mix; the constant fits in 62-bit ints. *)
-  ((r * 0x2545F4914F6CDD1D) land max_int) lsr 20
-
-let stripe_owner ~count i =
-  if count <= 1 then 0 else ((i + row_mix (i / count)) mod count + count) mod count
-
-(* [Range] ownership: stripe [i] maps to a pseudorandom text offset; the
-   chunk whose range contains that offset owns the stripe. The same
-   multiplicative scramble as [row_mix] spreads each chunk's stripes
-   uniformly over the whole trampoline address space (every chunk needs
-   reachable stripes in every window class). *)
+(* Stripe [i] maps to a pseudorandom text offset; the chunk whose range
+   contains that offset owns the stripe. The Knuth-style multiplicative
+   scramble (the constant fits in 62-bit ints) spreads each chunk's
+   stripes uniformly over the whole trampoline address space — every
+   chunk needs reachable stripes in every window class. *)
 let range_image ~total i = ((i * 0x2545F4914F6CDD1D) land max_int) mod total
 
-let owns st i =
-  match st with
-  | Modular { index; count } -> stripe_owner ~count i = index
-  | Range { r_lo; r_hi; total } ->
-      let o = range_image ~total i in
-      o >= r_lo && o < r_hi
+let owns { r_lo; r_hi; total } i =
+  let o = range_image ~total i in
+  o >= r_lo && o < r_hi
 
 (* Next-fit cursors: one remembered resume point per window-span class
    (quarter-log2 of [hi - lo]: each class covers a 4-octave span band, so
@@ -70,9 +48,9 @@ let cursor_classes = 64
    into distinct reject reasons (and a deferral decision) instead of
    blaming every failure on allocator contention:
    - [Dead_window]: the create-time occupancy (guards + segments) alone
-     already blocks every position, so NO allocator, serial or sharded,
-     could ever serve the window. Identical for every shard and jobs
-     value, since the base set is shared.
+     already blocks every position, so NO allocator, whole-text or
+     chunk, could ever serve the window. Identical for every chunk and
+     jobs value, since the base set is shared.
    - [Foreign_stripe]: the merged occupancy has room but the extent falls
      in stripes this arena does not own — retrying against the absorbed
      layout after the join can succeed.
@@ -82,7 +60,7 @@ type denial = No_denial | Dead_window | Foreign_stripe | Conflict
 type t = {
   base : Iset.t;
       (* create-time occupancy, never mutated afterwards; shared (not
-         copied) across every shard arena *)
+         copied) across every chunk arena *)
   occupied : Iset.t;
   trampolines : Iset.t;  (* subset of [occupied]: what we allocated *)
   stripe : stripe option;
@@ -142,30 +120,23 @@ let create ?(reserve_below_base = false) ?(block_size = 4096) (elf : Elf_file.t)
     stripe_rotations = 0;
     last_denial = No_denial }
 
-let shard_with t stripe =
+let shard_range t ~lo ~hi ~total =
+  if lo < 0 || hi <= lo || hi > total || total <= 0 then
+    invalid_arg "Layout.shard_range";
   (* Both snapshots are O(1): the interval tree is persistent, so the
      arena holds the parent's occupancy as an immutable shared prefix and
      its own allocations as a private delta of tree paths. *)
   { base = t.base;
     occupied = Iset.copy t.occupied;
     trampolines = Iset.create ();
-    stripe;
+    stripe =
+      (if hi - lo >= total then None else Some { r_lo = lo; r_hi = hi; total });
     cursors = Array.make cursor_classes min_int;
     cursor_hits = 0;
     cursor_misses = 0;
     resume_stripe = min_int;
     stripe_rotations = 0;
     last_denial = No_denial }
-
-let shard t ~index ~count =
-  if index < 0 || index >= count then invalid_arg "Layout.shard";
-  shard_with t (if count <= 1 then None else Some (Modular { index; count }))
-
-let shard_range t ~lo ~hi ~total =
-  if lo < 0 || hi <= lo || hi > total || total <= 0 then
-    invalid_arg "Layout.shard_range";
-  shard_with t
-    (if hi - lo >= total then None else Some (Range { r_lo = lo; r_hi = hi; total }))
 
 let absorb ~dst src =
   Iset.iter src.trampolines (fun ~lo ~hi ->
@@ -184,26 +155,19 @@ let last_denial t = t.last_denial
 (* Stripe-constrained searches                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Start address of the lowest owned stripe after stripe [i]. Under
-   [Modular] the per-row rotation guarantees one within 2·count stripes;
-   under [Range] the expected gap is [total / (r_hi - r_lo)] stripes, and
-   a fixed scan cap (16 GiB of stripe space — beyond any ±2 GiB window)
-   turns the pathological tail into a deterministic "exhausted" answer
-   instead of an unbounded walk. *)
+(* Start address of the lowest owned stripe after stripe [i]. The
+   expected gap is [total / (r_hi - r_lo)] stripes; a fixed scan cap
+   (16 GiB of stripe space — beyond any ±2 GiB window) turns the
+   pathological tail into a deterministic "exhausted" answer instead of
+   an unbounded walk. *)
 let next_own_stripe st i =
-  match st with
-  | Modular _ ->
-      let j = ref (i + 1) in
-      while not (owns st !j) do incr j done;
-      !j lsl stripe_bits
-  | Range _ ->
-      let cap = 1 lsl 22 in
-      let rec go j n =
-        if n > cap then max_int lsr 1
-        else if owns st j then j lsl stripe_bits
-        else go (j + 1) (n + 1)
-      in
-      go (i + 1) 0
+  let cap = 1 lsl 22 in
+  let rec go j n =
+    if n > cap then max_int lsr 1
+    else if owns st j then j lsl stripe_bits
+    else go (j + 1) (n + 1)
+  in
+  go (i + 1) 0
 
 let range_owned st ~addr ~size =
   let last = (addr + size - 1) asr stripe_bits in
@@ -216,7 +180,7 @@ let range_owned st ~addr ~size =
    and exhausted stripes wholesale. [lo] is advanced to an owned stripe
    {e before} each interval search: a window that contains no owned
    stripe at all — the common case for narrow pun windows under many
-   shards — costs only the arithmetic, never a map lookup. *)
+   chunks — costs only the arithmetic, never a map lookup. *)
 let find_owned st ~size ~hi find ~lo =
   if size > stripe_size then None
   else begin

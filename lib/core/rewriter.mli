@@ -19,7 +19,7 @@
 type loader_mode = Table | Stub
 
 (** The rewrite was refused or aborted with the input intact: a stub-mode
-    loader-home collision detected before mutation, or an injected shard
+    loader-home collision detected before mutation, or an injected chunk
     fault. Callers see either a complete, verified rewrite or this —
     never a half-patched binary (DESIGN.md §11, outcome (c)). *)
 exception Error of string
@@ -32,11 +32,6 @@ type options = {
       (** shared-object mode: the dynamic linker owns the space below the
           load base (paper §5.1) *)
   loader : loader_mode;
-  shard_span : int;
-      (** text bytes per parallel shard (default 64 KiB; clamped to at
-          least [4 * Tactics.max_reach]). Shard geometry depends only on
-          the text size and this span — never on the domain count — so
-          the rewritten bytes are identical for every [jobs] value. *)
   keep_ranges : (int * int) list;
       (** [(addr, len)] byte ranges of the text that must survive the
           rewrite untouched — mid-text data islands, hand-excluded
@@ -47,16 +42,17 @@ type options = {
           domain exactly like ordinary locks, so jobs-invariance is
           preserved. Default [[]]. *)
   chunking : Chunker.params option;
-      (** [Some p] replaces the fixed-span shard geometry with
-          content-defined chunks ({!Chunker.boundaries} under [p]): each
-          chunk is one parallel task, allocating from the stripes mapped
-          to its own text range ({!Layout.shard_range}). Geometry is
-          still a function of the text alone — never of [jobs] — so
-          byte-identity across worker counts is preserved; and because a
-          chunk's boundaries and stripe ownership depend only on its own
-          bytes and coordinates, its rewrite plan can be cached and
-          replayed across revisions of the binary (the [plan] argument
-          to {!run}). Default [None]. *)
+      (** The text decomposition. [None] (the default) rewrites the whole
+          text as one chunk: the paper's serial S1 pass. [Some p] splits
+          it into content-defined chunks ({!Chunker.boundaries} under
+          [p]), each one parallel task allocating from the stripes mapped
+          to its own text range ({!Layout.shard_range}). Geometry is a
+          function of the text alone — never of [jobs] — so byte-identity
+          across worker counts is preserved; and because a chunk's
+          boundaries and stripe ownership depend only on its own bytes
+          and coordinates, its rewrite plan can be cached and replayed
+          across revisions of the binary (the [plan] argument to
+          {!run}). *)
 }
 
 val default_options : options
@@ -81,8 +77,8 @@ type result = {
   patched_sites : (int * Stats.tactic) list;
       (** per-site outcome, in descending address order *)
   shards : int;
-      (** parallel chunks the text was split into (the work-stealing
-          scheduler's task count; 1 = plain serial rewrite) *)
+      (** chunks the text was split into (the work-stealing scheduler's
+          task count; 1 = plain serial rewrite) *)
   steals : int;
       (** chunks executed by a worker other than their home worker —
           scheduler telemetry only, never an input to any decision *)
@@ -118,28 +114,32 @@ type result = {
     fault-injection capability through the pipeline: [Decode] rules
     truncate the disassembly (partial instrumentation), [Alloc] /
     [B0_alloc] rules starve the tactics (degradation to B0 or per-site
-    failure), [Shard] rules abort a shard task (typed {!Error}). Under
-    domain parallelism the record is forked per shard and merged back in
-    canonical order, so injected faults preserve jobs-invariance.
+    failure), [Shard] rules abort a chunk task (typed {!Error}). The
+    record is forked per chunk and merged back in canonical order, so
+    injected faults preserve jobs-invariance.
 
     [jobs] sets the worker count for the parallel tactic search and the
     chunked decode (default: the [E9_JOBS] environment variable, else 1);
     the spawned domain count is additionally capped at
     [Domain.recommended_domain_count ()], since oversubscribed domains
     pay minor-GC synchronization without buying parallelism. The text is
-    sharded into [options.shard_span]-byte chunks drained by a
+    decomposed into chunks — the whole text as one, or
+    [options.chunking]'s content-defined chunks — drained by a
     work-stealing scheduler ({!E9_bits.Pool.map_stealing}); each chunk
-    runs the full S1 search over its interior sites against a
-    stripe-partitioned private arena (stripe ownership belongs to the
-    chunk index, not the executing worker), and sites within
-    {!Tactics.max_reach} of a chunk's top edge — plus interior sites
-    deferred as stripe-starved ({!Tactics.patch_deferrable}) — are
+    runs the full S1 search over its interior sites against a private
+    arena owning the stripes mapped to the chunk's text range (stripe
+    ownership belongs to the chunk, not the executing worker), and sites
+    within {!Tactics.max_reach} of an inner chunk edge — plus interior
+    sites deferred as stripe-starved ({!Tactics.patch_deferrable}) — are
     patched in a serial fixup pass over the merged state, in canonical
-    descending address order. Chunk geometry never depends on [jobs],
-    per-chunk results merge in fixed chunk order, and the deferred set
-    depends only on deterministic per-arena state, so output bytes,
-    stats and patched-site lists are identical for every [jobs] value
-    and every steal schedule.
+    descending address order. With one chunk the arena is unstriped,
+    nothing is deferred and the fixup pass is empty, so the rewrite is
+    the plain serial S1 pass and [jobs] only spreads the decode.
+    Chunk geometry never depends on [jobs], per-chunk results merge in
+    fixed chunk order, and the deferred set depends only on
+    deterministic per-arena state, so output bytes, stats and
+    patched-site lists are identical for every [jobs] value and every
+    steal schedule.
 
     [jitter i] (default: nothing) runs in the claiming worker just
     before chunk [i] executes — a test hook for skewing steal schedules

@@ -352,6 +352,28 @@ let of_bytes bytes =
           shoff
     else min (Buf.length img) shoff
   in
+  (* A string table laid out as [to_bytes] lays it out — after every
+     segment's and section's file bytes, followed only by alignment
+     padding up to the header table — is regenerated too: cut it, so
+     [of_bytes] and [to_bytes] reach a fixed point instead of carrying one
+     more stale table per round trip. *)
+  let content_len =
+    match List.nth_opt raw_sections shstrndx with
+    | Some (_, st)
+      when shstrndx > 0
+           && (st.offset + st.size + 7) / 8 * 8 = content_len
+           && st.offset >= phoff + (phnum * phent_size)
+           && List.for_all
+                (fun s -> s.filesz = 0 || s.offset + s.filesz <= st.offset)
+                segments
+           && List.for_all
+                (fun s ->
+                  s.sh_type = 0 || s.sh_type = 8
+                  || s.offset + s.size <= st.offset)
+                sections ->
+        st.offset
+    | _ -> content_len
+  in
   let data = Buf.of_bytes (Buf.sub img ~pos:0 ~len:content_len) in
   { etype; entry; segments; sections; data }
 

@@ -78,9 +78,8 @@ val find_section : t -> string -> section option
 
 (** [copy t] is an independent clone of [t]: edits to either file image do
     not affect the other. One content blit — much cheaper than the
-    [of_bytes (to_bytes t)] round trip (no header re-emission or re-parse,
-    and the clone's image does not accumulate the serialized header
-    block's string table). *)
+    [of_bytes (to_bytes t)] round trip (no header re-emission or
+    re-parse). *)
 val copy : t -> t
 
 (** [serialized_size t] is [Bytes.length (to_bytes t)] without
@@ -114,8 +113,14 @@ val to_bytes_stripped : t -> bytes
     bugs ([Invalid_argument] escaping the byte accessors). *)
 exception Malformed of string
 
-(** [of_bytes b] parses a serialized image. Raises {!Malformed} on
-    anything that is not a structurally valid little-endian ELF64 file. *)
+(** [of_bytes b] parses a serialized image. The content ends where the
+    section header table starts, or, when the section-name string table
+    lies past every segment's and section's bytes with only alignment
+    padding after it (the layout {!to_bytes} emits), where that table
+    starts: both are regenerated on serialization, so [of_bytes (to_bytes
+    t)] keeps [t]'s content length and round trips reach a fixed point.
+    Raises {!Malformed} on anything that is not a structurally valid
+    little-endian ELF64 file. *)
 val of_bytes : bytes -> t
 
 (** A file write failed part-way; the temp file has been removed and no

@@ -18,7 +18,8 @@ type site =
   | Alloc      (** jump-tactic [Layout] queries (alloc/probe/alloc_at) *)
   | B0_alloc   (** the B0 fallback's own trampoline allocation *)
   | Decode     (** disassembly: truncate the site list at a text offset *)
-  | Shard      (** raise inside a shard task mid-[Pool.map] *)
+  | Shard      (** raise inside a chunk task mid-[Pool.map], keyed on
+                   the chunk index (an unchunked rewrite is chunk 0) *)
   | Trace      (** trace-sink (ndjson) write errors *)
   | Write      (** ELF serialization short-writes *)
   | Rpc_accept (** daemon: drop a just-accepted connection (DESIGN.md §13) *)

@@ -189,8 +189,7 @@ let do_options t params =
     (fun (key, _) ->
       match key with
       | "granularity" | "grouping" | "shared" | "loader" | "b0_fallback"
-      | "t1" | "t2" | "t3" | "shard_span" | "disasm_from" | "jobs"
-      | "plan" -> ()
+      | "t1" | "t2" | "t3" | "disasm_from" | "jobs" | "plan" -> ()
       | other -> bad "unknown option %s" other)
     fields;
   let o = t.opts in
@@ -218,18 +217,11 @@ let do_options t params =
     | Some m when m >= 1 -> m
     | Some m -> bad "granularity must be >= 1, not %d" m
   in
-  let shard_span =
-    match int_param params "shard_span" with
-    | None -> o.Rewriter.shard_span
-    | Some s when s >= 1 -> s
-    | Some s -> bad "shard_span must be >= 1, not %d" s
-  in
   t.opts <-
     { o with
       Rewriter.tactics = !tactics;
       loader;
       granularity;
-      shard_span;
       grouping =
         Option.value (bool_param params "grouping") ~default:o.Rewriter.grouping;
       reserve_below_base =

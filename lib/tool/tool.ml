@@ -285,7 +285,9 @@ let inject elf =
          memsz = Bytes.length code;
          align = page }
        ~content:code);
-  { augmented = elf;
+  (* As its file reads back (real header bytes), so outputs rewritten
+     from this image verify against the [--emit-augmented] file too. *)
+  { augmented = Elf_file.of_bytes (Elf_file.to_bytes elf);
     data_base;
     scratch = data_base;
     counter_cell;

@@ -85,8 +85,10 @@ val spec_key : rule list -> text_base:int -> lo:int -> len:int -> string
 
 type runtime = {
   augmented : Elf_file.t;
-      (** input copy plus the two injected pages; the rewrite input, and
-          the [original] to verify the output against *)
+      (** input copy plus the two injected pages, exactly as the file
+          [tool --emit-augmented] writes ([Elf_file.to_bytes augmented])
+          parses back; the rewrite input, and the [original] to verify
+          the output against (in memory or as that file) *)
   data_base : int;  (** read-write page: scratch, cells, private stack *)
   scratch : int;  (** 8-byte register-save slot (= [data_base]) *)
   counter_cell : int;  (** the [counter] function's accumulator *)
@@ -128,7 +130,8 @@ type result = {
 }
 
 (** [run ?options ?obs ?jobs ?plan ?disasm_from elf rules] injects the
-    runtime and rewrites: every rule-selected instruction is diverted to
+    runtime and rewrites [runtime.augmented]: every rule-selected
+    instruction is diverted to
     its patch's trampoline. [elf] is not mutated. The injection is a pure
     function of the input segments, so output bytes stay identical for
     every [jobs] value. Raises {!Error} on an empty rule list or an

@@ -210,10 +210,8 @@ let test_inject_campaign_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 let prop_fuzz = Fuzz.property ~count:25 ()
-let prop_jobs = Fuzz.jobs_property ~count:15 ~jobs:[ 2; 4; 7 ] ~shard_span:2048 ()
-
-let prop_steal =
-  Fuzz.steal_property ~count:8 ~jobs:[ 2; 4; 7 ] ~shard_span:2048 ()
+let prop_jobs = Fuzz.jobs_property ~count:15 ~jobs:[ 2; 4; 7 ] ()
+let prop_steal = Fuzz.steal_property ~count:8 ~jobs:[ 2; 4; 7 ] ()
 let prop_incremental = Fuzz.incremental_property ~count:8 ~jobs:[ 1; 4 ] ()
 let prop_inject = Inject.property ~count:15 ()
 

@@ -217,21 +217,24 @@ let test_layout_block_rounding () =
   check_bool "inside rounded block" true
     (Layout.probe layout ~size:16 ~lo:0x402000 ~hi:0x43ffff = None)
 
-(* Shard arenas partition the address space into ownership stripes:
-   allocations from different shards of the same parent can never
+(* Chunk arenas partition the address space into ownership stripes:
+   allocations from the arenas of chunks partitioning the text can never
    overlap, whatever windows they use, and absorbing the arenas back
    recovers every extent in the parent. *)
 let test_layout_shard_disjoint_and_absorb () =
   let parent = Layout.create (mini_elf ()) in
-  let count = 3 in
-  let arenas = List.init count (fun index -> Layout.shard parent ~index ~count) in
+  let total = 3 * 4096 in
+  let ranges = [ (0, 1000); (1000, 4096); (4096, total) ] in
+  let arenas =
+    List.map (fun (lo, hi) -> Layout.shard_range parent ~lo ~hi ~total) ranges
+  in
   let allocs =
     List.concat_map
       (fun arena ->
         List.init 40 (fun _ ->
             match Layout.alloc arena ~size:48 ~lo:0x500000 ~hi:0xfff_ffff with
             | Some a -> (a, 48)
-            | None -> Alcotest.fail "shard arena allocation failed"))
+            | None -> Alcotest.fail "chunk arena allocation failed"))
       arenas
   in
   ignore
@@ -242,21 +245,32 @@ let test_layout_shard_disjoint_and_absorb () =
        min_int
        (List.sort compare allocs));
   List.iter (fun arena -> Layout.absorb ~dst:parent arena) arenas;
-  check_int "all trampoline bytes absorbed" (count * 40 * 48)
+  check_int "all trampoline bytes absorbed" (List.length ranges * 40 * 48)
     (Layout.trampoline_bytes parent);
   List.iter
     (fun (a, size) ->
       check_bool "absorbed extent occupied in parent" false
         (Layout.is_free parent ~addr:a ~size))
-    allocs
+    allocs;
+  (* A chunk spanning the whole text owns every stripe: its arena places
+     exactly where the parent itself would. *)
+  let whole = Layout.shard_range parent ~lo:0 ~hi:total ~total in
+  check_bool "whole-text arena is unstriped" true
+    (Layout.probe whole ~size:48 ~lo:0x500000 ~hi:0xfff_ffff
+    = Layout.probe parent ~size:48 ~lo:0x500000 ~hi:0xfff_ffff)
 
 let test_layout_shard_invalid_index () =
   let parent = Layout.create (mini_elf ()) in
-  check_bool "bad index raises" true
-    (try
-       ignore (Layout.shard parent ~index:3 ~count:3);
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun (lo, hi, total) ->
+      check_bool
+        (Printf.sprintf "range [%d, %d) of %d raises" lo hi total)
+        true
+        (try
+           ignore (Layout.shard_range parent ~lo ~hi ~total);
+           false
+         with Invalid_argument _ -> true))
+    [ (-1, 10, 100); (10, 10, 100); (50, 101, 100); (0, 0, 0) ]
 
 (* The next-fit cursor must only move placements, never change whether a
    window allocates: a window first-fit can satisfy still succeeds, and an
@@ -942,12 +956,15 @@ let test_b0_exhaustion_without_fallback_accounts () =
       Alcotest.failf "accounted output rejected: %a" E9_check.Static.pp_error e
 
 let test_shard_fault_typed_no_partial () =
-  (* Outcome (c): a shard domain dying mid-Pool.map surfaces as a typed
+  (* Outcome (c): a chunk task dying mid-Pool.map surfaces as a typed
      Rewriter.Error, identically for every jobs value, and the input is
      untouched. *)
   let elf = Codegen.generate (profile ~seed:64L ()) in
   let snapshot = Elf_file.to_bytes elf in
-  let options = { Rewriter.default_options with Rewriter.shard_span = 2048 } in
+  let options =
+    { Rewriter.default_options with
+      Rewriter.chunking = Some E9_check.Fuzz.small_chunking }
+  in
   let messages =
     List.map
       (fun jobs ->

@@ -67,6 +67,20 @@ let test_sections_roundtrip () =
         (Bytes.to_string (Elf_file.section_bytes parsed s))
   | None -> Alcotest.fail "missing .text"
 
+(* The generated string table is regenerated on every serialization, so
+   parsing cuts it: a second round trip reproduces the first file. *)
+let test_roundtrip_fixed_point () =
+  let elf = mk_exec () in
+  ignore
+    (Elf_file.add_section elf ~name:".text" ~addr:0x400000 ~sh_type:1
+       ~sh_flags:6 ~content:(Bytes.of_string "abc"));
+  let once = Elf_file.to_bytes elf in
+  let parsed = Elf_file.of_bytes once in
+  Alcotest.(check int) "content length kept"
+    (Buf.length elf.Elf_file.data) (Buf.length parsed.Elf_file.data);
+  Alcotest.(check bool) "second file identical" true
+    (Bytes.equal once (Elf_file.to_bytes parsed))
+
 let test_segment_at () =
   let elf = mk_exec () in
   (match Elf_file.segment_at elf 0x400001 with
@@ -347,6 +361,8 @@ let suites =
           test_roundtrip_segment_content;
         Alcotest.test_case "alignment congruence" `Quick
           test_segment_alignment_congruence;
+        Alcotest.test_case "roundtrip fixed point" `Quick
+          test_roundtrip_fixed_point;
         Alcotest.test_case "sections roundtrip" `Quick test_sections_roundtrip;
         Alcotest.test_case "segment_at" `Quick test_segment_at;
         Alcotest.test_case "bss memsz" `Quick test_bss_memsz;

@@ -504,6 +504,23 @@ let test_options_partition_cache () =
   in
   check_int "unknown option" Proto.invalid_params (error_code (List.hd rs))
 
+(* The text is one chunk unless the "plan" option turns on
+   content-defined chunking, so there is no shard size to set: the
+   removed shard-span key is refused like any other unknown option. *)
+let test_removed_span_option_refused () =
+  let key = String.concat "_" [ "shard"; "span" ] in
+  let rs, _ =
+    Harness.run_session (Server.create ())
+      [ Harness.request ~id:1 "options" [ (key, Json.Int 4096) ] ]
+  in
+  let line = List.hd rs in
+  check_int "shard-span option refused" Proto.invalid_params (error_code line);
+  let message =
+    Option.bind (Json.member "error" (jparse line)) (Json.member "message")
+  in
+  check_bool "named as an unknown option" true
+    (message = Some (Json.Str ("unknown option " ^ key)))
+
 (* The chunk-plan tier end to end: a plan-enabled emit captures per-chunk
    plans; a [delta] revision of the same binary replays the unchanged
    chunks, and the warm output is byte-identical to a cold plan-enabled
@@ -1180,6 +1197,8 @@ let suites =
           test_flush_forces_recompute;
         Alcotest.test_case "options partition the cache" `Quick
           test_options_partition_cache;
+        Alcotest.test_case "shard-span option refused" `Quick
+          test_removed_span_option_refused;
         Alcotest.test_case "plan tier: emit + delta replay" `Quick
           test_plan_emit_and_delta;
         Alcotest.test_case "delta error paths" `Quick test_delta_errors;

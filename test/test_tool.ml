@@ -14,6 +14,7 @@ module Machine = E9_emu.Machine
 module Cpu = E9_emu.Cpu
 module Insn = E9_x86.Insn
 module Reg = E9_x86.Reg
+module Buf = E9_bits.Buf
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -207,10 +208,35 @@ let test_first_match_wins () =
 let test_jobs_invariance () =
   let elf = Lazy.force elf in
   let rules = [ Tool.rule_of ~m:"all" ~p:"print" () ] in
+  (* Small chunks, so jobs 4 runs the parallel search. *)
+  let options =
+    { Rewriter.default_options with
+      Rewriter.chunking = Some E9_check.Fuzz.small_chunking }
+  in
   let b jobs =
-    Elf_file.to_bytes (Tool.run ~jobs elf rules).Tool.rewrite.Rewriter.output
+    Elf_file.to_bytes
+      (Tool.run ~options ~jobs elf rules).Tool.rewrite.Rewriter.output
   in
   check_bool "jobs 1 vs 4 byte-identical" true (Bytes.equal (b 1) (b 4))
+
+(* [tool --emit-augmented AUG -o OUT] then [check AUG OUT]: the output
+   must verify against the augmented file as written, not only against
+   the in-memory image. *)
+let test_emitted_augmented_verifies () =
+  let elf =
+    Codegen.generate
+      { Codegen.default_profile with Codegen.functions = 60; iterations = 2 }
+  in
+  let r = Tool.run elf [ Tool.rule_of ~m:"jumps" ~p:"count" () ] in
+  let aug = Elf_file.to_bytes r.Tool.runtime.Tool.augmented in
+  let out = Elf_file.to_bytes r.Tool.rewrite.Rewriter.output in
+  check_bool "emitted file parses back to the rewrite input" true
+    (Bytes.equal
+       (Buf.contents (Elf_file.of_bytes aug).Elf_file.data)
+       (Buf.contents r.Tool.runtime.Tool.augmented.Elf_file.data));
+  match Static.verify ~original:(Elf_file.of_bytes aug) (Elf_file.of_bytes out) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "check AUG OUT: %a" Static.pp_error e
 
 (* ------------------------------------------------------------------ *)
 (* Fragment identity (plan-cache soundness)                            *)
@@ -293,7 +319,9 @@ let suites =
         Alcotest.test_case "naked call" `Quick test_call_naked;
         Alcotest.test_case "unknown fn refused" `Quick test_unknown_fn_refused;
         Alcotest.test_case "first match wins" `Quick test_first_match_wins;
-        Alcotest.test_case "jobs invariance" `Quick test_jobs_invariance ] );
+        Alcotest.test_case "jobs invariance" `Quick test_jobs_invariance;
+        Alcotest.test_case "emitted augmented file verifies" `Quick
+          test_emitted_augmented_verifies ] );
     ( "tool.fragment",
       [ QCheck_alcotest.to_alcotest prop_fragment_sound;
         Alcotest.test_case "spec key stability" `Quick test_spec_key_stability ]
