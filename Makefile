@@ -27,7 +27,7 @@ SERVE_JOBS ?= 1
 BENCH_JOBS ?=
 BENCH_JOBS_FLAG = $(if $(BENCH_JOBS),--jobs $(BENCH_JOBS))
 
-.PHONY: all build test bench bench-smoke fuzz-smoke fault-smoke robust-smoke serve-smoke incremental-smoke tool-smoke fmt clean
+.PHONY: all build test digest-check bench bench-smoke fuzz-smoke fault-smoke robust-smoke serve-smoke incremental-smoke tool-smoke fmt clean
 
 all: build
 
@@ -36,6 +36,11 @@ build:
 
 test: build
 	$(DUNE) runtest
+
+# Output-byte contract: rerun test/digests.exe at jobs 1 and 4 against the
+# pinned test/digests.txt and name every entry that moved.
+digest-check: build
+	sh test/digest_check.sh _build/default/test/digests.exe test/digests.txt
 
 # Full evaluation run: every table/figure, all sizes. Minutes, not for CI.
 bench: build

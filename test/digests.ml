@@ -1,7 +1,8 @@
 (* Pinned output digests: the FNV-64 of the serialized output of every
    rewrite over a fixed input set — the Table 1 corpus rows (A1 and A2),
    the adversarial robustness families and the first fuzz cases of the
-   fixed-seed campaign. Any refactor of the rewriter must leave these
+   fixed-seed campaign — plus the patch-language outputs: tool rewrites
+   of the tool-smoke pairs and emits served by the daemon. Any refactor of the rewriter must leave these
    bytes alone; test/digests.txt holds the expected lines and a runtest
    rule diffs this program's output against it at several domain counts.
    It calls only entry points older than itself, so the same source
@@ -18,13 +19,17 @@ module Rewriter = E9_core.Rewriter
 module Tactics = E9_core.Tactics
 module Trampoline = E9_core.Trampoline
 module Fuzz = E9_check.Fuzz
+module Tool = E9_tool.Tool
+module Json = E9_obs.Json
+module Server = E9_rpc.Server
+module Harness = E9_rpc.Harness
+module Proto = E9_rpc.Proto
 
 let fuzz_seed = 42
 let fuzz_cases = 20
 
-let digest (r : Rewriter.result) =
-  let b = Elf_file.to_bytes r.Rewriter.output in
-  E9_bits.Fnv.hex b ~pos:0 ~len:(Bytes.length b)
+let digest_bytes b = E9_bits.Fnv.hex b ~pos:0 ~len:(Bytes.length b)
+let digest (r : Rewriter.result) = digest_bytes (Elf_file.to_bytes r.Rewriter.output)
 
 let text_size elf =
   match Frontend.find_text elf with Some t -> t.Frontend.size | None -> 0
@@ -107,6 +112,71 @@ let fuzz ~jobs =
         Printf.printf "fuzz/%02d skipped\n%!" i
   done
 
+(* The tool-smoke input ([generate --functions 40 --iterations 80
+   --seed 7]), as the CLI reads it back from the file. *)
+let smoke_input =
+  lazy
+    (Elf_file.of_bytes
+       (Elf_file.to_bytes
+          (Codegen.generate
+             { Codegen.default_profile with
+               Codegen.seed = 7L; functions = 40; iterations = 80 })))
+
+(* [tool -M m -P p] on the smoke input: the tool-smoke pairs plus a
+   naked call. *)
+let tool ~jobs =
+  let elf = Lazy.force smoke_input in
+  List.iter
+    (fun (m, p) ->
+      let res = Tool.run ~jobs elf [ Tool.rule_of ~m ~p () ] in
+      line (Printf.sprintf "tool/%s|%s" m p) res.Tool.runtime.Tool.augmented
+        res.Tool.rewrite)
+    [ ("jumps", "print"); ("all", "count"); ("returns", "trap");
+      ("heap-writes", "lowfat"); ("mnemonic mov and op[0].type == reg", "empty");
+      ("calls", "call:clean record(addr,size,3)");
+      ("returns", "call:naked counter()") ]
+
+(* Emits served by the daemon for one session's messages (after loading
+   the smoke input), driven through the in-process transport. *)
+let served ~jobs =
+  let elf = Lazy.force smoke_input in
+  let raw = Elf_file.to_bytes elf in
+  let serve name msgs =
+    let server = Server.create ~jobs () in
+    let conn = Server.connect server in
+    let load =
+      Harness.request ~id:1 "binary" [ ("data", Json.Str (Proto.hex_of_bytes raw)) ]
+    in
+    let emit = Harness.request ~id:99 "emit" [ ("data", Json.Bool true) ] in
+    let outs =
+      List.concat_map
+        (fun l -> fst (Server.feed conn l))
+        ((load :: List.mapi (fun i (meth, params) -> Harness.request ~id:(i + 2) meth params) msgs)
+        @ [ emit ])
+    in
+    Server.close_conn conn;
+    let data =
+      match Json.of_string (List.nth outs (List.length outs - 1)) with
+      | Ok j -> (
+          match Option.bind (Json.member "result" j) (Json.member "data") with
+          | Some (Json.Str hex) -> Result.to_option (Proto.bytes_of_hex hex)
+          | _ -> None)
+      | Error _ -> None
+    in
+    match data with
+    | Some b ->
+        Printf.printf "served/%s text=%d %s\n%!" name (text_size elf)
+          (digest_bytes b)
+    | None -> Printf.printf "served/%s refused\n%!" name
+  in
+  List.iter
+    (fun spec -> serve ("patch " ^ spec) [ ("patch", [ ("spec", Json.Str ("patch " ^ spec)) ]) ])
+    [ "jumps with counter"; "heap-writes with lowfat"; "heap-writes with empty" ];
+  serve "selector jumps+counter"
+    [ ("patch", [ ("selector", Json.Str "jumps"); ("trampoline", Json.Str "counter") ]) ];
+  serve "tool jumps|count"
+    [ ("tool", [ ("match", Json.Str "jumps"); ("patch", Json.Str "count") ]) ]
+
 let () =
   let jobs =
     match Sys.argv with
@@ -117,4 +187,6 @@ let () =
   in
   corpus ~jobs;
   robust ~jobs;
-  fuzz ~jobs
+  fuzz ~jobs;
+  tool ~jobs;
+  served ~jobs
