@@ -14,7 +14,6 @@ module Rewriter = E9_core.Rewriter
 module Plan = E9_core.Plan
 module Tactics = E9_core.Tactics
 module Stats = E9_core.Stats
-module Trampoline = E9_core.Trampoline
 module Lowfat = E9_lowfat.Lowfat
 module Patchspec = E9_spec.Patchspec
 module Tool = E9_tool.Tool
@@ -70,19 +69,6 @@ let setup_logs =
 (* patch                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let select_of = function
-  | "jumps" -> Frontend.select_jumps
-  | "heap-writes" -> Frontend.select_heap_writes
-  | "all" ->
-      fun s -> Frontend.select_jumps s || Frontend.select_heap_writes s
-  | other -> failwith ("unknown selector: " ^ other)
-
-let template_of = function
-  | "empty" -> Trampoline.Empty
-  | "counter" -> Trampoline.Counter
-  | "lowfat" -> Trampoline.Lowfat_check
-  | other -> failwith ("unknown template: " ^ other)
-
 let patch_cmd =
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT") in
   let output =
@@ -91,16 +77,25 @@ let patch_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"OUTPUT" ~doc:"Patched binary path.")
   in
+  (* --select S --template T is the one-rule spec [patch S with T]. *)
   let select =
     Arg.(
       value
-      & opt (enum [ ("jumps", "jumps"); ("heap-writes", "heap-writes"); ("all", "all") ]) "jumps"
+      & opt
+          (enum
+             [ ("jumps", Patchspec.Jumps); ("heap-writes", Patchspec.Heap_writes);
+               ("all", Patchspec.Or (Patchspec.Jumps, Patchspec.Heap_writes)) ])
+          Patchspec.Jumps
       & info [ "select" ] ~doc:"Patch locations: jumps (A1), heap-writes (A2), or all.")
   in
   let template =
     Arg.(
       value
-      & opt (enum [ ("empty", "empty"); ("counter", "counter"); ("lowfat", "lowfat") ]) "empty"
+      & opt
+          (enum
+             [ ("empty", Patchspec.Empty); ("counter", Patchspec.Count);
+               ("lowfat", Patchspec.Lowfat) ])
+          Patchspec.Empty
       & info [ "template" ]
           ~doc:"Trampoline payload: empty, counter, or lowfat (redzone checks).")
   in
@@ -218,7 +213,7 @@ let patch_cmd =
     let spec =
       match (spec_arg, spec_file) with
       | Some _, Some _ -> failwith "--spec and --spec-file are exclusive"
-      | Some src, None -> Some (Patchspec.parse src)
+      | Some src, None -> Patchspec.parse src
       | None, Some path ->
           let ic = open_in path in
           let src =
@@ -226,15 +221,10 @@ let patch_cmd =
               ~finally:(fun () -> close_in ic)
               (fun () -> really_input_string ic (in_channel_length ic))
           in
-          Some (Patchspec.parse src)
-      | None, None -> None
+          Patchspec.parse src
+      | None, None -> [ { Patchspec.selector = select; patch = template } ]
     in
-    let select_name = select and template_name = template in
-    let select, template =
-      match spec with
-      | Some spec -> Patchspec.to_rewriter_args spec
-      | None -> (select_of select, fun _ -> template_of template)
-    in
+    let select, template = Tool.lower spec in
     let plan_table = Option.map Plan.load_table plan_cache in
     let plan =
       Option.map
@@ -244,19 +234,8 @@ let patch_cmd =
             | Some t -> t.Frontend.base
             | None -> 0
           in
-          (* Spec identity per chunk: for a parsed spec, the canonical
-             syntax of the rules that may match in the chunk's address
-             range; for the builtin selectors, their names (address-free,
-             so the whole-spec key is already per-chunk exact). *)
-          let spec_key ~lo ~len =
-            match spec with
-            | Some s ->
-                Patchspec.fragment_key
-                  (Patchspec.fragment_for_range s ~lo:(text_base + lo)
-                     ~hi:(text_base + lo + len))
-            | None -> Printf.sprintf "sel=%s;tpl=%s" select_name template_name
-          in
-          { Plan.store = Plan.table_store table; spec_key })
+          { Plan.store = Plan.table_store table;
+            spec_key = Patchspec.spec_key spec ~text_base })
         plan_table
     in
     let obs =

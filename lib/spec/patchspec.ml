@@ -1,6 +1,7 @@
 module Insn = E9_x86.Insn
 module Reg = E9_x86.Reg
 module Classify = E9_x86.Classify
+module Trampoline = E9_core.Trampoline
 
 type cmp = [ `Ge | `Le | `Eq | `Lt | `Gt | `Ne ]
 type op_kind = [ `Reg | `Imm | `Mem ]
@@ -31,8 +32,19 @@ type selector =
   | Or of selector * selector
   | Not of selector
 
-type template = Empty | Counter | Lowfat
-type rule = { selector : selector; template : template }
+type patch =
+  | Print
+  | Count
+  | Trap
+  | Empty
+  | Lowfat
+  | Call of {
+      mode : Trampoline.call_mode;
+      fn : string;
+      args : Trampoline.call_arg list;
+    }
+
+type rule = { selector : selector; patch : patch }
 type t = rule list
 
 exception Parse_error of { line : int; col : int; message : string }
@@ -51,6 +63,7 @@ type token =
   | DOT
   | OP of string  (* >=, <=, =, <, >, != *)
   | SEP  (* newline or ; — rule separator *)
+  | PATCH of string  (* the raw text of a [with] clause *)
   | EOF
 
 type lexed = { tok : token; tline : int; tcol : int }
@@ -137,7 +150,24 @@ let lex source =
       while !i < n && is_ident_char source.[!i] do
         advance ()
       done;
-      push (KW (String.sub source start (!i - start))) tline tcol
+      let word = String.sub source start (!i - start) in
+      push (KW word) tline tcol;
+      (* A [with] clause is a patch in the [-P] language, whose call
+         syntax ([call:clean f(addr, 3)]) is not made of selector tokens:
+         take its text raw, up to the end of the rule. *)
+      if word = "with" then begin
+        while !i < n && (source.[!i] = ' ' || source.[!i] = '\t') do
+          advance ()
+        done;
+        let pline = !line and pcol = !col and start = !i in
+        while
+          !i < n && not (List.mem source.[!i] [ '\n'; ';'; '#' ])
+        do
+          advance ()
+        done;
+        let text = String.trim (String.sub source start (!i - start)) in
+        push (PATCH text) pline pcol
+      end
     end
     else err (Printf.sprintf "unexpected character %C" c)
   done;
@@ -311,21 +341,105 @@ and parse_atom ps =
   | KW other -> fail t (Printf.sprintf "unknown selector '%s'" other)
   | _ -> fail t "expected a selector"
 
-let parse_template ps =
-  let t = next ps in
-  match t.tok with
-  | KW "empty" -> Empty
-  | KW "counter" -> Counter
-  | KW "lowfat" -> Lowfat
-  | KW other -> fail t (Printf.sprintf "unknown template '%s'" other)
-  | _ -> fail t "expected a template"
+(* ------------------------------------------------------------------ *)
+(* Patches (the [-P] language)                                         *)
+(* ------------------------------------------------------------------ *)
+
+let strip_reg_name s =
+  if String.length s > 0 && s.[0] = '%' then String.sub s 1 (String.length s - 1)
+  else s
+
+(* [src] is the text of one patch; errors are reported at [line]/[col],
+   where the text starts. *)
+let parse_patch_at ~line ~col src =
+  let errf fmt =
+    Printf.ksprintf (fun message -> raise (Parse_error { line; col; message })) fmt
+  in
+  let parse_arg src =
+    match String.trim src with
+    | "" -> errf "empty call argument"
+    | "asm" -> Trampoline.Arg_asm
+    | "addr" -> Trampoline.Arg_addr
+    | "instr" -> Trampoline.Arg_instr
+    | "size" -> Trampoline.Arg_size
+    | s -> (
+        match Reg.of_name (strip_reg_name s) with
+        | Some r -> Trampoline.Arg_reg r
+        | None -> (
+            match int_of_string_opt s with
+            | Some v -> Trampoline.Arg_int v
+            | None ->
+                errf
+                  "bad call argument %S (asm|addr|instr|size, a register, or \
+                   an integer)"
+                  s))
+  in
+  (* call[:clean|:naked] NAME(ARG,...) — parentheses optional when the
+     argument list is empty. *)
+  let parse_call src =
+    let mode, rest =
+      if String.length src > 0 && src.[0] = ':' then
+        let rest = String.sub src 1 (String.length src - 1) in
+        if String.length rest >= 5 && String.sub rest 0 5 = "clean" then
+          (Trampoline.Clean, String.sub rest 5 (String.length rest - 5))
+        else if String.length rest >= 5 && String.sub rest 0 5 = "naked" then
+          (Trampoline.Naked, String.sub rest 5 (String.length rest - 5))
+        else errf "bad call mode (call:clean or call:naked)"
+      else (Trampoline.Clean, src)
+    in
+    let rest = String.trim rest in
+    if rest = "" then errf "call needs a function name";
+    match String.index_opt rest '(' with
+    | None -> Call { mode; fn = rest; args = [] }
+    | Some i ->
+        let fn = String.trim (String.sub rest 0 i) in
+        if fn = "" then errf "call needs a function name";
+        let after = String.sub rest (i + 1) (String.length rest - i - 1) in
+        let close =
+          match String.rindex_opt after ')' with
+          | Some j
+            when String.trim
+                   (String.sub after (j + 1) (String.length after - j - 1))
+                 = "" ->
+              j
+          | _ -> errf "unbalanced parentheses in call patch %S" rest
+        in
+        let args =
+          match String.trim (String.sub after 0 close) with
+          | "" -> []
+          | s -> List.map parse_arg (String.split_on_char ',' s)
+        in
+        if List.length args > 6 then
+          errf "call takes at most 6 arguments (the System V registers)";
+        Call { mode; fn; args }
+  in
+  match String.trim src with
+  | "print" -> Print
+  (* [counter] is the patch-spec spelling of [count]; both are published. *)
+  | "count" | "counter" -> Count
+  | "trap" -> Trap
+  | "empty" -> Empty
+  | "lowfat" -> Lowfat
+  | s when String.length s >= 4 && String.sub s 0 4 = "call" ->
+      parse_call (String.sub s 4 (String.length s - 4))
+  | "" -> errf "expected a patch"
+  | s ->
+      errf
+        "unknown patch %S (print|count|trap|empty|lowfat|call[:clean|:naked] \
+         FN(ARGS))"
+        s
+
+let parse_patch src = parse_patch_at ~line:1 ~col:1 src
 
 let parse_rule ps =
   expect_kw ps "patch";
   let selector = parse_sel ps in
   expect_kw ps "with";
-  let template = parse_template ps in
-  { selector; template }
+  let t = next ps in
+  match t.tok with
+  | PATCH src ->
+      { selector; patch = parse_patch_at ~line:t.tline ~col:t.tcol src }
+  | _ -> fail t "expected a patch"
 
 let parse source =
   let ps = { toks = lex source } in
@@ -476,20 +590,10 @@ let rec selects sel (site : Frontend.site) =
   | Or (a, b) -> selects a site || selects b site
   | Not a -> not (selects a site)
 
-let template_for spec site =
+let patch_for spec site =
   List.find_map
-    (fun r -> if selects r.selector site then Some r.template else None)
+    (fun r -> if selects r.selector site then Some r.patch else None)
     spec
-
-let to_rewriter_args spec =
-  let select site = template_for spec site <> None in
-  let template site =
-    match template_for spec site with
-    | Some Empty | None -> E9_core.Trampoline.Empty
-    | Some Counter -> E9_core.Trampoline.Counter
-    | Some Lowfat -> E9_core.Trampoline.Lowfat_check
-  in
-  (select, template)
 
 (* ------------------------------------------------------------------ *)
 (* Range fragments (plan-cache keys)                                   *)
@@ -498,7 +602,7 @@ let to_rewriter_args spec =
 (* Conservative "may this selector match some site with an address in
    [lo, hi)?": only [Addr_cmp] constrains the address; everything else —
    including any [Not] — may. A rule whose selector provably cannot
-   match in the range can be dropped without changing [template_for] for
+   match in the range can be dropped without changing [patch_for] for
    any site in the range (first match wins, and the dropped rule never
    was the first match there). For [And] the conjunction of the two
    independent answers is still conservative: any site matching both
@@ -519,8 +623,6 @@ let rec may_match_in ~lo ~hi = function
   | Target_cmp _ | Op_type _ | Op_reg _ | Op_imm_cmp _ | Reg_used _
   | Defined _ | Not _ ->
       true
-
-let selector_may_match_in sel ~lo ~hi = may_match_in ~lo ~hi sel
 
 let fragment_for_range spec ~lo ~hi =
   List.filter (fun r -> may_match_in ~lo ~hi r.selector) spec
@@ -580,19 +682,37 @@ let rec pp_sel ppf = function
 
 let pp_selector = pp_sel
 
-let pp_template ppf = function
+let arg_str = function
+  | Trampoline.Arg_int v -> string_of_int v
+  | Trampoline.Arg_addr -> "addr"
+  | Trampoline.Arg_size -> "size"
+  | Trampoline.Arg_asm -> "asm"
+  | Trampoline.Arg_instr -> "instr"
+  | Trampoline.Arg_reg r -> reg_str r
+
+let pp_patch ppf = function
+  | Print -> Format.pp_print_string ppf "print"
+  | Count -> Format.pp_print_string ppf "count"
+  | Trap -> Format.pp_print_string ppf "trap"
   | Empty -> Format.pp_print_string ppf "empty"
-  | Counter -> Format.pp_print_string ppf "counter"
   | Lowfat -> Format.pp_print_string ppf "lowfat"
+  | Call { mode; fn; args } ->
+      Format.fprintf ppf "call:%s %s(%s)"
+        (match mode with Trampoline.Clean -> "clean" | Trampoline.Naked -> "naked")
+        fn
+        (String.concat "," (List.map arg_str args))
 
 let pp ppf spec =
   List.iter
     (fun r ->
-      Format.fprintf ppf "patch %a with %a@." pp_sel r.selector pp_template
-        r.template)
+      Format.fprintf ppf "patch %a with %a@." pp_sel r.selector pp_patch r.patch)
     spec
 
 (* Canonical concrete syntax (fully parenthesized by [pp_sel]) is a
    stable, injective encoding of the fragment's semantics — exactly what
    a plan key needs. *)
 let fragment_key spec = Format.asprintf "%a" pp spec
+
+let spec_key spec ~text_base ~lo ~len =
+  fragment_key
+    (fragment_for_range spec ~lo:(text_base + lo) ~hi:(text_base + lo + len))

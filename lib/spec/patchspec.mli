@@ -1,6 +1,10 @@
-(** The patch-specification language — the role E9Tool's command language
-    plays for the real E9Patch: declarative selection of patch locations
-    and the instrumentation applied to each.
+(** The patch language — the role E9Tool's command language plays for
+    the real E9Patch: declarative selection of patch locations and the
+    instrumentation applied to each. One vocabulary serves both front
+    doors: a patch spec (this module's {!parse}, the CLI's [patch] and
+    the daemon's [patch] method) and the tool's [-M MATCH -P PATCH]
+    pairs ({!E9_tool.Tool}); both are lists of {!rule}s lowered onto the
+    rewriter by {!E9_tool.Tool.lower}.
 
     A spec is a sequence of rules, first match wins:
 
@@ -9,7 +13,7 @@
     patch jumps and size >= 5 with counter
     patch heap-writes with lowfat
     patch address 0x400026 with empty
-    patch addr >= 0x400000 and addr < 0x401000 with counter
+    patch addr >= 0x400000 and addr < 0x401000 with count
     patch op[0].type == mem and not uses rsp with empty
     patch calls and defined(target) and target >= 0x400800 with counter
     v}
@@ -23,9 +27,9 @@
     [defined(op\[i\].reg|imm|mem)]; combined with [and], [or], [not] and
     parentheses ([or] binds loosest). [CMP] is one of [>= <= == != < >]
     ([=] is accepted for [==]); [address <int>] abbreviates
-    [addr == <int>]. Templates: [empty], [counter], [lowfat]. [#]
-    comments run to end of line; rules are separated by newlines or
-    [;]. *)
+    [addr == <int>]. The [with] clause is a patch in the [-P] language
+    ({!parse_patch}), running to the end of the rule. [#] comments run
+    to end of line; rules are separated by newlines or [;]. *)
 
 type cmp = [ `Ge | `Le | `Eq | `Lt | `Gt | `Ne ]
 type op_kind = [ `Reg | `Imm | `Mem ]
@@ -58,9 +62,30 @@ type selector =
   | Or of selector * selector
   | Not of selector
 
-type template = Empty | Counter | Lowfat
+(** What a matched site gets: the builtins [print] (per-site
+    ["0xADDR: disasm"] line on the instrumentation log), [count]
+    (per-site counters; [counter] is accepted as a synonym), [trap]
+    (SIGTRAP-style event), [empty], [lowfat] (heap-write redzone check —
+    pair it with a heap-write selector), or a call trampoline
+    [call\[:clean|:naked\] FN(ARG,...)] with up to 6 static arguments,
+    each [asm] | [addr] | [instr] | [size] | a register name | an integer
+    literal. [FN] is a function of the injected runtime or an absolute
+    address. [print] and [call] need the injected runtime
+    ({!E9_tool.Tool.inject}); the runtime also decides how [lowfat]
+    lowers. *)
+type patch =
+  | Print
+  | Count
+  | Trap
+  | Empty
+  | Lowfat
+  | Call of {
+      mode : E9_core.Trampoline.call_mode;
+      fn : string;  (** injected stdlib name or absolute hex address *)
+      args : E9_core.Trampoline.call_arg list;
+    }
 
-type rule = { selector : selector; template : template }
+type rule = { selector : selector; patch : patch }
 type t = rule list
 
 (** Parse errors carry the 1-based line and column of the offending
@@ -74,17 +99,15 @@ val parse : string -> t
     tool frontend's [-M] argument). Raises {!Parse_error}. *)
 val parse_selector : string -> selector
 
+(** [parse_patch source] parses one patch (the tool frontend's [-P]
+    argument and a spec's [with] clause). Raises {!Parse_error}. *)
+val parse_patch : string -> patch
+
 (** [selects sel site] — does the selector match this instruction? *)
 val selects : selector -> Frontend.site -> bool
 
-(** [template_for spec site] — the first matching rule's template. *)
-val template_for : t -> Frontend.site -> template option
-
-(** [to_rewriter_args spec] — the [select]/[template] pair to hand to
-    {!E9_core.Rewriter.run}. *)
-val to_rewriter_args :
-  t ->
-  (Frontend.site -> bool) * (Frontend.site -> E9_core.Trampoline.template)
+(** [patch_for spec site] — the first matching rule's patch. *)
+val patch_for : t -> Frontend.site -> patch option
 
 (** [pp] prints a spec back in concrete syntax (parse ∘ pp = id up to
     formatting). *)
@@ -94,24 +117,27 @@ val pp : Format.formatter -> t -> unit
     (parse_selector ∘ pp_selector = id). *)
 val pp_selector : Format.formatter -> selector -> unit
 
+(** [pp_patch] prints one patch in concrete syntax
+    (parse_patch ∘ pp_patch = id). *)
+val pp_patch : Format.formatter -> patch -> unit
+
 (** {1 Range fragments} — the spec identity half of the incremental plan
-    cache key (DESIGN.md §14). *)
+    cache key (DESIGN.md §14), for specs and tool rules alike. *)
 
 (** [fragment_for_range spec ~lo ~hi] drops every rule that provably
     cannot match any site whose address lies in [lo, hi) (only
     [Addr_cmp] selectors bound the address; the analysis is conservative
     — [not], mnemonics, sizes, operand attributes all "may match").
     Sound under first-match-wins: for every site in the range,
-    [template_for] on the fragment equals [template_for] on the full
-    spec. *)
+    [patch_for] on the fragment equals [patch_for] on the full spec. *)
 val fragment_for_range : t -> lo:int -> hi:int -> t
 
-(** [selector_may_match_in sel ~lo ~hi] is the underlying conservative
-    test, exposed for frontends (the tool) that pair these selectors
-    with their own patch actions. *)
-val selector_may_match_in : selector -> lo:int -> hi:int -> bool
-
 (** [fragment_key spec] is a stable, injective textual encoding of the
-    fragment's semantics (canonical concrete syntax), for use as the
-    [spec_key] in {!E9_core.Plan.config}. *)
+    fragment's semantics (canonical concrete syntax). *)
 val fragment_key : t -> string
+
+(** [spec_key spec ~text_base ~lo ~len] is the per-chunk fragment key
+    for {!E9_core.Plan.config}: the {!fragment_key} of the rules that may
+    match in the chunk ([lo]/[len] are text-relative, as the plan layer
+    passes them). *)
+val spec_key : t -> text_base:int -> lo:int -> len:int -> string

@@ -13,7 +13,7 @@ let errf fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 (* The patch language                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type patch =
+type patch = Spec.patch =
   | Print
   | Count
   | Trap
@@ -25,82 +25,11 @@ type patch =
       args : Trampoline.call_arg list;
     }
 
-type rule = { selector : Spec.selector; patch : patch }
-
-let strip_reg_name s =
-  if String.length s > 0 && s.[0] = '%' then String.sub s 1 (String.length s - 1)
-  else s
-
-let parse_arg src =
-  let s = String.trim src in
-  match s with
-  | "" -> errf "empty call argument"
-  | "asm" -> Trampoline.Arg_asm
-  | "addr" -> Trampoline.Arg_addr
-  | "instr" -> Trampoline.Arg_instr
-  | "size" -> Trampoline.Arg_size
-  | _ -> (
-      match Reg.of_name (strip_reg_name s) with
-      | Some r -> Trampoline.Arg_reg r
-      | None -> (
-          match int_of_string_opt s with
-          | Some v -> Trampoline.Arg_int v
-          | None ->
-              errf
-                "bad call argument %S (asm|addr|instr|size, a register, or \
-                 an integer)"
-                s))
-
-let split_args src =
-  let s = String.trim src in
-  if s = "" then []
-  else List.map parse_arg (String.split_on_char ',' s)
-
-let parse_call src =
-  (* call[:clean|:naked] NAME(ARG,...) — parentheses optional when the
-     argument list is empty. *)
-  let mode, rest =
-    if String.length src > 0 && src.[0] = ':' then
-      let rest = String.sub src 1 (String.length src - 1) in
-      if String.length rest >= 5 && String.sub rest 0 5 = "clean" then
-        (Trampoline.Clean, String.sub rest 5 (String.length rest - 5))
-      else if String.length rest >= 5 && String.sub rest 0 5 = "naked" then
-        (Trampoline.Naked, String.sub rest 5 (String.length rest - 5))
-      else errf "bad call mode (call:clean or call:naked)"
-    else (Trampoline.Clean, src)
-  in
-  let rest = String.trim rest in
-  if rest = "" then errf "call needs a function name";
-  match String.index_opt rest '(' with
-  | None -> Call { mode; fn = rest; args = [] }
-  | Some i ->
-      let fn = String.trim (String.sub rest 0 i) in
-      if fn = "" then errf "call needs a function name";
-      let after = String.sub rest (i + 1) (String.length rest - i - 1) in
-      let close =
-        match String.rindex_opt after ')' with
-        | Some j when String.trim (String.sub after (j + 1) (String.length after - j - 1)) = "" -> j
-        | _ -> errf "unbalanced parentheses in call patch %S" rest
-      in
-      let args = split_args (String.sub after 0 close) in
-      if List.length args > 6 then
-        errf "call takes at most 6 arguments (the System V registers)";
-      Call { mode; fn; args }
+type rule = Spec.rule = { selector : Spec.selector; patch : patch }
 
 let parse_patch src =
-  match String.trim src with
-  | "print" -> Print
-  | "count" -> Count
-  | "trap" -> Trap
-  | "empty" -> Empty
-  | "lowfat" -> Lowfat
-  | s when String.length s >= 4 && String.sub s 0 4 = "call" ->
-      parse_call (String.sub s 4 (String.length s - 4))
-  | s ->
-      errf
-        "unknown patch %S (print|count|trap|empty|lowfat|call[:clean|:naked] \
-         FN(ARGS))"
-        s
+  try Spec.parse_patch src
+  with Spec.Parse_error { message; _ } -> raise (Error message)
 
 (* ------------------------------------------------------------------ *)
 (* The match language                                                   *)
@@ -170,50 +99,6 @@ let parse_match ?(read_file = default_read_file) src =
 
 let rule_of ?read_file ~m ~p () =
   { selector = parse_match ?read_file m; patch = parse_patch p }
-
-(* ------------------------------------------------------------------ *)
-(* Fragment identity (the plan-cache spec key, DESIGN.md §14)           *)
-(* ------------------------------------------------------------------ *)
-
-let arg_key = function
-  | Trampoline.Arg_int v -> string_of_int v
-  | Trampoline.Arg_addr -> "addr"
-  | Trampoline.Arg_size -> "size"
-  | Trampoline.Arg_asm -> "asm"
-  | Trampoline.Arg_instr -> "instr"
-  | Trampoline.Arg_reg r -> strip_reg_name (Reg.name64 r)
-
-let patch_key = function
-  | Print -> "print"
-  | Count -> "count"
-  | Trap -> "trap"
-  | Empty -> "empty"
-  | Lowfat -> "lowfat"
-  | Call { mode; fn; args } ->
-      Printf.sprintf "call:%s %s(%s)"
-        (match mode with Trampoline.Clean -> "clean" | Trampoline.Naked -> "naked")
-        fn
-        (String.concat "," (List.map arg_key args))
-
-let fragment_for_range rules ~lo ~hi =
-  (* Sound under first-match-wins for exactly the reason
-     [Patchspec.fragment_for_range] is: a dropped rule provably matches no
-     site in [lo, hi), so for every in-range site the surviving rules keep
-     their relative order and the first match is unchanged. *)
-  List.filter (fun r -> Spec.selector_may_match_in r.selector ~lo ~hi) rules
-
-let fragment_key rules =
-  String.concat ";"
-    (List.map
-       (fun r ->
-         Printf.sprintf "%s=>%s"
-           (Format.asprintf "%a" Spec.pp_selector r.selector)
-           (patch_key r.patch))
-       rules)
-
-let spec_key rules ~text_base ~lo ~len =
-  fragment_key
-    (fragment_for_range rules ~lo:(text_base + lo) ~hi:(text_base + lo + len))
 
 (* ------------------------------------------------------------------ *)
 (* The injected instrumentation runtime                                 *)
@@ -311,33 +196,49 @@ let resolve_fn rt fn =
 (* Lowering to rewriter arguments                                       *)
 (* ------------------------------------------------------------------ *)
 
-let template_of rt patch (site : Frontend.site) =
-  match patch with
-  | Empty -> Trampoline.Empty
-  | Count -> Trampoline.Counter
-  | Trap -> Trampoline.Trap
-  | Lowfat -> Trampoline.Lowfat_check_scratch rt.scratch
-  | Print ->
-      Trampoline.Print
-        { text =
-            Printf.sprintf "0x%x: %s" site.Frontend.addr
-              (Insn.to_string site.Frontend.insn);
-          scratch = rt.scratch }
-  | Call { mode; fn; args } ->
-      Trampoline.Call
-        { target = resolve_fn rt fn;
-          mode;
-          args;
-          scratch = rt.scratch;
-          stack_top = rt.stack_top }
+(* The one lowering of a patch. Without a runtime (a plain patch spec)
+   [lowfat] pushes its scratch register on the guest stack; with one it
+   parks it in the runtime's scratch slot, which keeps the guest stack
+   trace-transparent. [print] and [call] need the runtime's log, cells
+   and private stack, so they are refused without one — here, before any
+   site is lowered. *)
+let template_of ?runtime patch =
+  match (patch, runtime) with
+  | Empty, _ -> fun _ -> Trampoline.Empty
+  | Count, _ -> fun _ -> Trampoline.Counter
+  | Trap, _ -> fun _ -> Trampoline.Trap
+  | Lowfat, None -> fun _ -> Trampoline.Lowfat_check
+  | Lowfat, Some rt -> fun _ -> Trampoline.Lowfat_check_scratch rt.scratch
+  | (Print | Call _), None ->
+      errf "patch '%s' needs the instrumentation runtime (use tool, not patch)"
+        (Format.asprintf "%a" Spec.pp_patch patch)
+  | Print, Some rt ->
+      fun (site : Frontend.site) ->
+        Trampoline.Print
+          { text =
+              Printf.sprintf "0x%x: %s" site.Frontend.addr
+                (Insn.to_string site.Frontend.insn);
+            scratch = rt.scratch }
+  | Call { mode; fn; args }, Some rt ->
+      fun _ ->
+        Trampoline.Call
+          { target = resolve_fn rt fn;
+            mode;
+            args;
+            scratch = rt.scratch;
+            stack_top = rt.stack_top }
 
-let to_rewriter_args rt rules =
-  let first site = List.find_opt (fun r -> Spec.selects r.selector site) rules in
-  ( (fun site -> first site <> None),
+let lower ?runtime rules =
+  List.iter
+    (fun r -> ignore (template_of ?runtime r.patch : Frontend.site -> _))
+    rules;
+  ( (fun site -> Spec.patch_for rules site <> None),
     fun site ->
-      match first site with
-      | Some r -> template_of rt r.patch site
+      match Spec.patch_for rules site with
+      | Some p -> template_of ?runtime p site
       | None -> Trampoline.Empty )
+
+let to_rewriter_args rt rules = lower ~runtime:rt rules
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)

@@ -9,17 +9,15 @@
     line is [LO,HI] (hex or decimal, [#] comments): instructions whose
     address falls in any such half-open range are excluded from the match.
 
-    A {e patch} is one of the builtins [print] (per-site
-    ["0xADDR: disasm"] line on the instrumentation log), [count]
-    (per-site counters), [trap] (SIGTRAP-style event), [empty], [lowfat]
-    (heap-write redzone check — pair it with a heap-write matcher), or a
-    call trampoline [call\[:clean|:naked\] FN(ARG,...)] with the
-    documented argument-passing ABI: up to 6 static arguments loaded into
-    the System V registers, each [asm] | [addr] | [instr] | [size] | a
-    register name | an integer literal. [FN] is an injected stdlib
+    A {e patch} is a word of the one patch language
+    ({!E9_spec.Patchspec.patch}): [print], [count], [trap], [empty],
+    [lowfat], or a call trampoline [call\[:clean|:naked\] FN(ARG,...)]
+    with the documented argument-passing ABI: up to 6 static arguments
+    loaded into the System V registers. [FN] is an injected stdlib
     function ([counter], [record]) or an absolute hex address. [clean]
     (the default) brackets the call with RFLAGS + caller-saved save and
-    restore on an instrumentation-private stack; [naked] is bare.
+    restore on an instrumentation-private stack; [naked] is bare. A patch
+    spec's [with] clause takes the same words.
 
     Rules are first-match-wins, exactly like a patch spec.
 
@@ -37,7 +35,7 @@ exception Error of string
 
 (** {1 The patch language} *)
 
-type patch =
+type patch = E9_spec.Patchspec.patch =
   | Print
   | Count
   | Trap
@@ -49,9 +47,13 @@ type patch =
       args : E9_core.Trampoline.call_arg list;
     }
 
-type rule = { selector : E9_spec.Patchspec.selector; patch : patch }
+type rule = E9_spec.Patchspec.rule = {
+  selector : E9_spec.Patchspec.selector;
+  patch : patch;
+}
 
-(** [parse_patch src] parses a [-P] argument. Raises {!Error}. *)
+(** [parse_patch src] parses a [-P] argument
+    ({!E9_spec.Patchspec.parse_patch}). Raises {!Error}. *)
 val parse_patch : string -> patch
 
 (** [parse_match ?read_file src] parses a [-M] argument: [;]-separated
@@ -64,22 +66,6 @@ val parse_match :
 
 (** [rule_of ?read_file ~m ~p ()] is one parsed [-M m -P p] pair. *)
 val rule_of : ?read_file:(string -> string) -> m:string -> p:string -> unit -> rule
-
-(** {1 Fragment identity} — the plan-cache spec key (DESIGN.md §14). *)
-
-(** [fragment_for_range rules ~lo ~hi] drops rules that provably cannot
-    match any site in [lo, hi) ({!E9_spec.Patchspec.selector_may_match_in});
-    sound under first-match-wins. *)
-val fragment_for_range : rule list -> lo:int -> hi:int -> rule list
-
-(** [fragment_key rules] is a stable, injective encoding of the rules'
-    semantics (canonical selector syntax plus a canonical patch key). *)
-val fragment_key : rule list -> string
-
-(** [spec_key rules ~text_base ~lo ~len] is the per-chunk fragment key for
-    {!E9_core.Plan.config} ([lo]/[len] are text-relative, as the plan
-    layer passes them). *)
-val spec_key : rule list -> text_base:int -> lo:int -> len:int -> string
 
 (** {1 The injected instrumentation runtime} *)
 
@@ -111,10 +97,23 @@ type runtime = {
     automatically. *)
 val inject : Elf_file.t -> runtime
 
-(** [to_rewriter_args rt rules] compiles the rules against an injected
-    runtime: the first-match-wins select/template pair for
-    {!E9_core.Rewriter.run}. Raises {!Error} if a call patch names an
-    unknown function. *)
+(** {1 Lowering} *)
+
+(** [lower ?runtime rules] compiles first-match-wins rules into the
+    select/template pair for {!E9_core.Rewriter.run}. Without a runtime
+    (a plain patch spec) [lowfat] lowers to
+    {!E9_core.Trampoline.Lowfat_check}; with one, to the trace-transparent
+    [Lowfat_check_scratch] on the runtime's scratch slot, and [print] and
+    [call] patches lower against the runtime's pages. Raises {!Error} —
+    before returning — if a rule is [print] or [call] and there is no
+    runtime, and (at lowering time) if a call patch names an unknown
+    function. *)
+val lower :
+  ?runtime:runtime ->
+  rule list ->
+  (Frontend.site -> bool) * (Frontend.site -> E9_core.Trampoline.template)
+
+(** [to_rewriter_args rt rules] is [lower ~runtime:rt rules]. *)
 val to_rewriter_args :
   runtime ->
   rule list ->

@@ -242,64 +242,75 @@ let test_emitted_augmented_verifies () =
 (* Fragment identity (plan-cache soundness)                            *)
 (* ------------------------------------------------------------------ *)
 
-let first_patch rules s =
-  List.find_opt (fun r -> Spec.selects r.Tool.selector s) rules
-  |> Option.map (fun r -> r.Tool.patch)
-
+(* The incremental plan cache keys each chunk by the rules that can reach
+   it (DESIGN.md §14), one analysis for spec and tool rules alike.
+   Soundness is: for every site whose address lies in the chunk, the
+   first matching patch on the fragment agrees with the full rule list —
+   whatever mix of address-range guards, negations and attribute
+   selectors the rules use, under every patch word. *)
 let gen_rules =
   let open QCheck2.Gen in
-  let m_of (cls, lo, hi) =
-    Printf.sprintf "%s and addr >= 0x%x and addr < 0x%x" cls lo hi
+  let gen_patch =
+    oneofl
+      [ Spec.Print; Spec.Count; Spec.Trap; Spec.Empty; Spec.Lowfat;
+        Tool.parse_patch "call:clean record(addr,size,3)";
+        Tool.parse_patch "call:naked counter()" ]
   in
-  let gen_rule =
-    let* cls = oneofl [ "jumps"; "calls"; "returns"; "all" ] in
-    let* lo = map (fun k -> 0x400000 + (k * 8)) (int_bound 256) in
+  let gen_selector =
+    (* Random attribute trees, half of them guarded by an address range. *)
+    let* sel = Test_spec.gen_selector in
+    let* lo = map (fun k -> 0x400000 + (k * 8)) (int_bound 0x400) in
     let* span = map (fun k -> (k + 1) * 8) (int_bound 128) in
-    let* ranged = bool in
-    let* p = oneofl [ "print"; "count"; "trap"; "empty" ] in
-    return
-      (Tool.rule_of ~m:(if ranged then m_of (cls, lo, lo + span) else cls) ~p ())
+    oneofl
+      [ sel;
+        Spec.And (sel, Spec.And (Spec.Addr_cmp (`Ge, lo), Spec.Addr_cmp (`Lt, lo + span))) ]
   in
-  list_size QCheck2.Gen.(int_range 1 5) gen_rule
+  list_size (int_range 1 5)
+    (map2 (fun selector patch -> { Spec.selector; patch }) gen_selector gen_patch)
 
 let prop_fragment_sound =
-  QCheck2.Test.make ~count:200
+  QCheck2.Test.make ~count:300
     ~name:"fragment_for_range preserves first-match for in-range sites"
     ~print:(fun (rules, lo, span) ->
-      Printf.sprintf "[%s] lo=0x%x span=%d" (Tool.fragment_key rules) lo span)
+      Printf.sprintf "[%s] lo=0x%x span=%d" (Spec.fragment_key rules) lo span)
     QCheck2.Gen.(
       tup3 gen_rules
-        (map (fun k -> 0x400000 + (k * 8)) (int_bound 256))
+        (map (fun k -> 0x400000 + (k * 8)) (int_bound 0x400))
         (map (fun k -> (k + 1) * 8) (int_bound 128)))
     (fun (rules, lo, span) ->
       let hi = lo + span in
-      let frag = Tool.fragment_for_range rules ~lo ~hi in
+      let frag = Spec.fragment_for_range rules ~lo ~hi in
       let sites =
         List.concat_map
           (fun addr ->
             [ site ~addr (Insn.Jmp 0); site ~addr (Insn.Call 0);
-              site ~addr Insn.Ret ])
+              site ~addr Insn.Ret;
+              site ~addr
+                (Insn.Mov
+                   ( Insn.Q,
+                     Insn.Mem (Insn.mem ~base:Reg.RBX ()),
+                     Insn.Reg Reg.RAX )) ])
           (List.init (span / 8) (fun i -> lo + (i * 8)))
       in
-      List.for_all (fun s -> first_patch frag s = first_patch rules s) sites)
+      List.for_all (fun s -> Spec.patch_for frag s = Spec.patch_for rules s) sites)
 
 let test_spec_key_stability () =
   let rules =
     [ Tool.rule_of ~m:"jumps" ~p:"call:clean record(addr,size,3)" ();
       Tool.rule_of ~m:"all" ~p:"count" () ]
   in
-  let k = Tool.spec_key rules ~text_base:0x400000 ~lo:0 ~len:0x1000 in
+  let k = Spec.spec_key rules ~text_base:0x400000 ~lo:0 ~len:0x1000 in
   check_str "deterministic" k
-    (Tool.spec_key rules ~text_base:0x400000 ~lo:0 ~len:0x1000);
+    (Spec.spec_key rules ~text_base:0x400000 ~lo:0 ~len:0x1000);
   let other = [ Tool.rule_of ~m:"jumps" ~p:"count" () ] in
   check_bool "different rules, different key" true
-    (k <> Tool.spec_key other ~text_base:0x400000 ~lo:0 ~len:0x1000);
+    (k <> Spec.spec_key other ~text_base:0x400000 ~lo:0 ~len:0x1000);
   (* The key covers patch semantics, not just selectors: same matcher,
      different call args must not collide. *)
   let v1 = [ Tool.rule_of ~m:"jumps" ~p:"call counter()" () ] in
   let v2 = [ Tool.rule_of ~m:"jumps" ~p:"call:naked counter()" () ] in
   check_bool "call mode reaches the key" true
-    (Tool.fragment_key v1 <> Tool.fragment_key v2)
+    (Spec.fragment_key v1 <> Spec.fragment_key v2)
 
 let suites =
   [ ( "tool.parse",
