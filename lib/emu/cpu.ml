@@ -89,9 +89,8 @@ type state = {
   output : Buffer.t;
   files : (int, bytes Lazy.t) Hashtbl.t;  (* open file descriptors (mmap source) *)
   ring : int array;  (* recent RIP trace for fault diagnostics *)
-  icache : (int, Decode.decoded) Hashtbl.t;
   bcache : (int, block) Hashtbl.t;
-  (* Space.generation the caches were filled under; a mismatch means
+  (* Space.generation the block cache was filled under; a mismatch means
      executable memory changed and every cached decode is suspect. *)
   mutable cache_gen : int;
   mutable block_hits : int;
@@ -583,30 +582,20 @@ let exec st (d : Decode.decoded) =
       raise (Stop (Fault (here, Printf.sprintf "undecodable byte 0x%02x" b)))
 
 (* ------------------------------------------------------------------ *)
-(* Decoded-code caches and their invalidation                          *)
+(* The decoded-code cache and its invalidation                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Both caches (per-instruction and superblock) are valid only while
-   [Space.generation] is unchanged: a guest write to an executable page, or
-   a syscall that remaps one, must flush them or stale code would run
-   silently. The check is one load and compare. *)
+(* The superblock cache is valid only while [Space.generation] is
+   unchanged: a guest write to an executable page, or a syscall that
+   remaps one, must flush it or stale code would run silently. The check
+   is one load and compare. *)
 let check_code_gen st =
   let g = Space.generation st.space in
   if g <> st.cache_gen then begin
-    Hashtbl.reset st.icache;
     Hashtbl.reset st.bcache;
     st.cache_gen <- g;
     st.block_invalidations <- st.block_invalidations + 1
   end
-
-let decode_at st addr =
-  match Hashtbl.find_opt st.icache addr with
-  | Some d -> d
-  | None ->
-      let window = Space.fetch_window st.space addr in
-      let d = Decode.decode window 0 in
-      Hashtbl.replace st.icache addr d;
-      d
 
 (* Instructions that may set RIP to anything other than the next address
    terminate a superblock. [Int] hostcalls and [Syscall] fall through
@@ -708,7 +697,6 @@ let run ?(config = default_config) ?(files = []) ?tracer space ~entry
       output = Buffer.create 256;
       files = file_table;
       ring = Array.make 32 (-1);
-      icache = Hashtbl.create 4096;
       bcache = Hashtbl.create 1024;
       cache_gen = Space.generation space;
       block_hits = 0;
@@ -728,9 +716,10 @@ let run ?(config = default_config) ?(files = []) ?tracer space ~entry
         let b = block_at st st.rip in
         if st.insns + Array.length b.code <= config.fuel then exec_block st b
         else begin
-          (* Not enough fuel for the whole block: single-step so that fuel
-             exhaustion lands on the exact instruction count. *)
-          let d = decode_at st st.rip in
+          (* Not enough fuel for the whole block: single-step its first
+             instruction so that fuel exhaustion lands on the exact
+             instruction count. *)
+          let d = b.code.(0) in
           st.ring.(st.insns land 31) <- st.rip;
           st.insns <- st.insns + 1;
           st.cycles <- st.cycles + 1;

@@ -410,11 +410,33 @@ let test_neg_sets_flags () =
 (* Self-modifying code                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Place [f: movabs rbx, 1; f_end: ret] after [asm]'s code and load it
+   all into one read-write-execute segment, so the guest can rewrite
+   [f]'s immediate. *)
+let writable_code_elf asm ~f ~f_end =
+  Asm.place asm f;
+  Asm.ins asm (Insn.Movabs (Reg.RBX, 1L));
+  Asm.place asm f_end;
+  Asm.ins asm Insn.Ret;
+  let code = Asm.assemble asm in
+  let elf = Elf_file.create ~etype:Elf_file.Exec ~entry:base in
+  ignore
+    (Elf_file.add_segment elf
+       { Elf_file.ptype = Elf_file.Load;
+         prot = { Elf_file.r = true; w = true; x = true };
+         vaddr = base;
+         offset = 0;
+         filesz = 0;
+         memsz = Bytes.length code;
+         align = 4096 }
+       ~content:code);
+  elf
+
 let test_self_modifying_code () =
   (* Call f (movabs rbx, 1; ret), overwrite the immediate in place, call f
      again: the second call must see the new immediate. This is the
-     stale-icache hazard — both the per-instruction decode cache and the
-     superblock cache hold f's old body when the store lands. *)
+     stale-icache hazard — the superblock cache holds f's old body when
+     the store lands. *)
   let asm = Asm.create ~base in
   let f = Asm.fresh_label asm "f" in
   let f_end = Asm.fresh_label asm "f_end" in
@@ -433,23 +455,7 @@ let test_self_modifying_code () =
   (* rbx = 11; combine: 1*16 + 11 = 27 *)
   Asm.ins asm (Insn.Alu (Insn.Add, Insn.Q, Insn.Reg Reg.RBX, Insn.Reg Reg.RCX));
   exit_rbx asm;
-  Asm.place asm f;
-  Asm.ins asm (Insn.Movabs (Reg.RBX, 1L));
-  Asm.place asm f_end;
-  Asm.ins asm Insn.Ret;
-  let code = Asm.assemble asm in
-  let elf = Elf_file.create ~etype:Elf_file.Exec ~entry:base in
-  ignore
-    (Elf_file.add_segment elf
-       { Elf_file.ptype = Elf_file.Load;
-         prot = { Elf_file.r = true; w = true; x = true };
-         vaddr = base;
-         offset = 0;
-         filesz = 0;
-         memsz = Bytes.length code;
-         align = 4096 }
-       ~content:code);
-  let r = run_elf elf in
+  let r = run_elf (writable_code_elf asm ~f ~f_end) in
   check_exit 27 r;
   Alcotest.(check bool) "cache was rebuilt after the store" true
     (r.Cpu.block_misses >= 2);
@@ -574,7 +580,39 @@ let test_fuel_exhaustion () =
   let config = { Cpu.default_config with Cpu.fuel = 1000 } in
   let r = run_elf ~config (elf_of_asm asm) in
   Alcotest.(check bool) "out of fuel" true (r.Cpu.outcome = Cpu.Out_of_fuel);
-  Alcotest.(check int) "ran exactly fuel" 1000 r.Cpu.insns
+  Alcotest.(check int) "ran exactly fuel" 1000 r.Cpu.insns;
+  (* Fuel that runs out inside a block rebuilt after a self-modifying
+     store: call f, rewrite f's immediate (flushing the block cache), call
+     f again, then spin. The fuel tail single-steps the first instruction
+     of the freshly fetched block, so every limit retires exactly [fuel]
+     instructions. *)
+  let asm = Asm.create ~base in
+  let f = Asm.fresh_label asm "f" and f_end = Asm.fresh_label asm "f_end" in
+  let spin = Asm.fresh_label asm "spin" in
+  Asm.call asm f;
+  Asm.lea_label asm Reg.RDI f_end;
+  Asm.ins asm (Insn.Alu (Insn.Sub, Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 8));
+  Asm.ins asm
+    (Insn.Mov (Insn.B, Insn.Mem (Insn.mem ~base:Reg.RDI ()), Insn.Imm 11));
+  Asm.call asm f;
+  Asm.place asm spin;
+  for _ = 1 to 6 do
+    Asm.ins asm (Insn.Inc (Insn.Q, Insn.Reg Reg.RBX))
+  done;
+  Asm.jmp asm spin;
+  let elf = writable_code_elf asm ~f ~f_end in
+  for fuel = 1 to 40 do
+    let r = run_elf ~config:{ Cpu.default_config with Cpu.fuel } elf in
+    Alcotest.(check bool)
+      (Printf.sprintf "fuel %d: out of fuel" fuel)
+      true (r.Cpu.outcome = Cpu.Out_of_fuel);
+    Alcotest.(check int) (Printf.sprintf "fuel %d: exact insns" fuel) fuel
+      r.Cpu.insns;
+    if fuel >= 7 then
+      Alcotest.(check bool)
+        (Printf.sprintf "fuel %d: the store flushed the cache" fuel)
+        true (r.Cpu.block_invalidations >= 1)
+  done
 
 let test_fault_reported () =
   let asm = Asm.create ~base in
