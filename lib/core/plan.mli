@@ -66,7 +66,8 @@ type store = { find : string -> chunk option; add : string -> chunk -> unit }
     caller's [select] or [template] behaviour could change for any site
     in text range [lo, lo+len): the rewriter cannot hash closures, so
     spec identity is the caller's responsibility
-    ({!Patchspec.fragment_key} derives it for parsed specs). Replay
+    ({!Patchspec.spec_key} derives it for rule lists, spec and tool
+    alike). Replay
     additionally validates the recorded interior-site set against the
     live selection, so a wrong [spec_key] degrades to a fallback for
     selection changes — but a template change with an unchanged key

@@ -3,7 +3,10 @@
     Takes an ELF binary, a patch-location selector, and a trampoline
     template; produces a patched ELF in which every selected instruction is
     diverted to a trampoline by one of the tactics B1/B2/T1/T2/T3 (or the
-    optional B0 fallback), under the reverse-order strategy S1.
+    optional B0 fallback), under the reverse-order strategy S1. The
+    rewriter is policy-free: callers with patch rules (a spec, [-M/-P]
+    pairs) get the [select]/[template] pair from the one lowering,
+    {!E9_tool.Tool.lower}.
 
     ELF discipline: existing bytes are patched strictly in place; the
     trampoline blob, mapping table and trap table are appended. No existing
@@ -149,7 +152,8 @@ type result = {
     [plan] (with [options.chunking = Some _]) activates the incremental
     plan cache (DESIGN.md §14): every chunk's key — content hash,
     coordinates, options signature, text geometry, segment occupancy,
-    sweep start, and the caller's [spec_key] fragment — is looked up in
+    sweep start, and the caller's [spec_key] fragment (for rule lists,
+    {!E9_spec.Patchspec.spec_key}) — is looked up in
     [plan.store]; a hit that validates against the live decode and
     selection replays its recorded decode, trampolines, text edits,
     locks and verdicts straight into the merge (skipping decode and

@@ -18,8 +18,7 @@
     Execution is driven by a superblock cache: straight-line runs of
     decoded instructions (ending at the first control transfer) are cached
     by entry address and replayed as a tight array loop with one cache
-    lookup and one fuel check per block. The cache — and the legacy
-    per-instruction decode cache backing it — is invalidated whenever
+    lookup and one fuel check per block. The cache is invalidated whenever
     {!E9_vm.Space.generation} advances, i.e. whenever executable memory is
     written or remapped, so self-modifying code executes correctly
     (DESIGN.md §7). *)

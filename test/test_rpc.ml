@@ -719,6 +719,93 @@ let test_trampoline_alias () =
     (emit_data r.(3));
   check_int "unknown template refused" Proto.invalid_params (error_code r.(4))
 
+(* The selector of a {selector, trampoline} pair is one selector
+   expression, never spliced into spec text: a selector carrying its own
+   [with] clause and a second rule is refused, and the session goes on. *)
+let test_selector_not_spliced () =
+  let raw = Lazy.force raw in
+  let server = Server.create () in
+  let rs, alive =
+    Harness.run_session server
+      [ Harness.request ~id:1 "binary"
+          [ ("data", Json.Str (Proto.hex_of_bytes raw)) ];
+        Harness.request ~id:2 "patch"
+          [ ("selector", Json.Str "jumps with lowfat; patch all");
+            ("trampoline", Json.Str "empty") ];
+        Harness.request ~id:3 "patch"
+          [ ("selector", Json.Str "jumps"); ("trampoline", Json.Str "empty") ];
+        Harness.request ~id:4 "emit" [ ("data", Json.Bool true) ] ]
+  in
+  check_bool "alive" true alive;
+  let r = Array.of_list rs in
+  check_int "smuggled rule refused" Proto.spec_error (error_code r.(1));
+  check_bool "only the clean pair was added" true
+    (field (result_of r.(2)) "rules" = Json.Int 1);
+  check_str "and it serves"
+    (Proto.hex_of_bytes (Harness.reference raw))
+    (emit_data r.(3))
+
+(* Patch specs have no instrumentation runtime: [print] and [call] are
+   refused when the rule arrives, typed, and the session goes on. *)
+let test_runtime_patch_refused () =
+  let raw = Lazy.force raw in
+  let server = Server.create () in
+  let rs, alive =
+    Harness.run_session server
+      ([ Harness.request ~id:1 "patch"
+           [ ("spec", Json.Str "patch jumps with print") ];
+         Harness.request ~id:2 "patch"
+           [ ("selector", Json.Str "calls");
+             ("trampoline", Json.Str "call counter()") ] ]
+      @ Harness.script raw)
+  in
+  check_bool "alive" true alive;
+  let r = Array.of_list rs in
+  check_int "print refused typed" Proto.spec_error (error_code r.(0));
+  check_int "call refused typed" Proto.spec_error (error_code r.(1));
+  check_str "session still serves"
+    (Proto.hex_of_bytes (Harness.reference raw))
+    (emit_data r.(4))
+
+(* A runtime-free rule set is one rewrite whichever door it comes in by:
+   the CLI's --select/--template rule lowered by [Tool.lower], the RPC
+   spec, the RPC selector/trampoline pair and [Harness.reference] give
+   identical bytes. *)
+let test_front_doors_agree () =
+  let raw = Lazy.force raw in
+  let module Spec = E9_spec.Patchspec in
+  List.iter
+    (fun (selector, sel_src, patch, word) ->
+      let name = Printf.sprintf "%s with %s" sel_src word in
+      let spec = Printf.sprintf "patch %s with %s" sel_src word in
+      let cli =
+        let select, template = E9_tool.Tool.lower [ { Spec.selector; patch } ] in
+        Elf_file.to_bytes
+          (E9_core.Rewriter.run (Elf_file.of_bytes raw) ~select ~template)
+            .E9_core.Rewriter.output
+      in
+      let served params =
+        let rs, _ =
+          Harness.run_session (Server.create ())
+            [ Harness.request ~id:1 "binary"
+                [ ("data", Json.Str (Proto.hex_of_bytes raw)) ];
+              Harness.request ~id:2 "patch" params;
+              Harness.request ~id:3 "emit" [ ("data", Json.Bool true) ] ]
+        in
+        emit_data (List.nth rs 2)
+      in
+      let reference = Proto.hex_of_bytes (Harness.reference ~spec raw) in
+      check_str (name ^ ": CLI rule") reference (Proto.hex_of_bytes cli);
+      check_str (name ^ ": RPC spec") reference
+        (served [ ("spec", Json.Str spec) ]);
+      check_str (name ^ ": RPC selector/trampoline") reference
+        (served
+           [ ("selector", Json.Str sel_src); ("trampoline", Json.Str word) ]))
+    [ (Spec.Jumps, "jumps", Spec.Count, "counter");
+      (Spec.Heap_writes, "heap-writes", Spec.Lowfat, "lowfat");
+      (Spec.Or (Spec.Jumps, Spec.Heap_writes), "jumps or heap-writes",
+       Spec.Empty, "empty") ]
+
 (* The tool vocabulary (DESIGN.md §15) over the wire: -M/-P pairs ride
    the [tool] method, emit routes through the injected-runtime path, and
    the result is verified against the augmented input before it leaves
@@ -1207,6 +1294,12 @@ let suites =
         Alcotest.test_case "spec parse error recovers" `Quick
           test_spec_parse_error_recovers;
         Alcotest.test_case "trampoline aliases" `Quick test_trampoline_alias;
+        Alcotest.test_case "selector is not spliced into a spec" `Quick
+          test_selector_not_spliced;
+        Alcotest.test_case "runtime patches refused in specs" `Quick
+          test_runtime_patch_refused;
+        Alcotest.test_case "front doors agree on bytes" `Quick
+          test_front_doors_agree;
         Alcotest.test_case "tool vocabulary round-trip" `Quick
           test_tool_session;
         Alcotest.test_case "tool error paths + exclusivity" `Quick
