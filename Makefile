@@ -27,7 +27,7 @@ SERVE_JOBS ?= 1
 BENCH_JOBS ?=
 BENCH_JOBS_FLAG = $(if $(BENCH_JOBS),--jobs $(BENCH_JOBS))
 
-.PHONY: all build test digest-check bench bench-smoke fuzz-smoke fault-smoke robust-smoke serve-smoke incremental-smoke tool-smoke fmt clean
+.PHONY: all build test digest-check bench bench-smoke fuzz-smoke fault-smoke robust-smoke serve-smoke incremental-smoke plan-cache-smoke tool-smoke fmt clean
 
 all: build
 
@@ -113,6 +113,29 @@ incremental-smoke: build
 	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bench/main.exe -- --smoke $(BENCH_JOBS_FLAG) incremental | tee incremental_output.txt
 	grep -q 'identical' incremental_output.txt
 	! grep -q 'DIFFERS\|FAIL' incremental_output.txt
+
+# Plan-cache smoke (DESIGN.md §14.4): the CLI's --plan-cache entry point
+# under both oracles. A generated input is patched cold (no plan file yet)
+# and then warm (replaying the saved plans); the two outputs must be
+# byte-identical, the warm run must report plan hits, and the warm output
+# must pass the static verifier and the trace oracle (check --dynamic). A
+# third run with an unwritable plan file must still write the same output
+# and only report the lost cache. CI runs this under BENCH_JOBS=1 and
+# BENCH_JOBS=4.
+plan-cache-smoke: build
+	rm -rf plan-cache-smoke && mkdir -p plan-cache-smoke
+	$(DUNE) exec bin/e9patch_cli.exe -- generate -o plan-cache-smoke/input.elf --functions 40 --iterations 80 --seed 7
+	{ for run in cold warm; do \
+	  echo "=== $$run"; \
+	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- patch plan-cache-smoke/input.elf -o plan-cache-smoke/$$run.elf --select jumps --template empty --plan-cache plan-cache-smoke/plans.bin $(BENCH_JOBS_FLAG); \
+	done; } 2>&1 | tee plan_cache_output.txt
+	cmp plan-cache-smoke/cold.elf plan-cache-smoke/warm.elf
+	awk '/^=== warm/ { w = 1 } w && /^plan cache: [1-9][0-9]* hits/ { f = 1 } END { exit !f }' plan_cache_output.txt
+	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- patch plan-cache-smoke/input.elf -o plan-cache-smoke/lost.elf --select jumps --template empty --plan-cache plan-cache-smoke/missing/plans.bin $(BENCH_JOBS_FLAG) | tee -a plan_cache_output.txt
+	grep -q '(patched binary is intact)' plan_cache_output.txt
+	cmp plan-cache-smoke/cold.elf plan-cache-smoke/lost.elf
+	$(DUNE) exec bin/e9patch_cli.exe -- check --dynamic plan-cache-smoke/input.elf plan-cache-smoke/warm.elf | tee -a plan_cache_output.txt
+	grep -q 'dynamic: OK' plan_cache_output.txt
 
 # Tool-frontend smoke (DESIGN.md §15): one matcher x patch pair per
 # builtin (print, count, trap, empty, lowfat) plus a three-argument clean

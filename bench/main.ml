@@ -1440,8 +1440,9 @@ let bench_incremental () =
     { Rewriter.default_options with
       Rewriter.chunking = Some Chunker.default }
   in
-  let plan_of table =
-    { Plan.store = Plan.table_store table;
+  let fresh_store () = E9_core.Cache.create ~capacity:Plan.capacity () in
+  let plan_of store =
+    { Plan.store;
       (* select/template are fixed for the whole experiment, so a
          constant fragment key is exact. *)
       spec_key = (fun ~lo:_ ~len:_ -> "bench:jumps/empty") }
@@ -1455,7 +1456,7 @@ let bench_incremental () =
     in
     (r, Unix.gettimeofday () -. t0)
   in
-  let warm_table = Plan.create_table () in
+  let warm_store = fresh_store () in
   printf "  %3s %9s %9s %9s  %5s %5s %5s  %s@." "rev" "cold s" "warm s"
     "speedup" "hit" "miss" "conf" "bytes";
   let cold_total = ref 0.0 and warm_total = ref 0.0 in
@@ -1465,8 +1466,8 @@ let bench_incremental () =
     List.mapi
       (fun rev bytes ->
         let elf = Elf_file.of_bytes bytes in
-        let cold, cold_s = rewrite ~plan:(plan_of (Plan.create_table ())) elf in
-        let warm, warm_s = rewrite ~plan:(plan_of warm_table) elf in
+        let cold, cold_s = rewrite ~plan:(plan_of (fresh_store ())) elf in
+        let warm, warm_s = rewrite ~plan:(plan_of warm_store) elf in
         let identical =
           Bytes.equal
             (Elf_file.to_bytes cold.Rewriter.output)

@@ -179,12 +179,17 @@ let patch_cmd =
       value
       & opt (some string) None
       & info [ "plan-cache" ] ~docv:"FILE"
-          ~doc:"Incremental rewriting: split the text into content-defined \
+          ~doc:
+            (Printf.sprintf
+               "Incremental rewriting: split the text into content-defined \
                 chunks, replay cached per-chunk rewrite plans from $(docv) \
                 for unchanged chunks, search the changed ones live, and \
                 save the updated plans back. Output bytes are identical to \
                 a cold rewrite; repeat rewrites of a lightly edited binary \
-                cost O(changed bytes). Created on first use.")
+                cost O(changed bytes). Created on first use; keeps the %d \
+                most recently used chunk plans. A plan file that cannot be \
+                written is reported and does not fail the rewrite."
+               Plan.capacity))
   in
   let run () input output select template granularity no_grouping shared b0
       no_t1 no_t2 no_t3 stub spec_arg spec_file trace jobs inject plan_cache =
@@ -225,18 +230,17 @@ let patch_cmd =
       | None, None -> [ { Patchspec.selector = select; patch = template } ]
     in
     let select, template = Tool.lower spec in
-    let plan_table = Option.map Plan.load_table plan_cache in
+    let plan_store = Option.map Plan.load plan_cache in
     let plan =
       Option.map
-        (fun table ->
+        (fun store ->
           let text_base =
             match Frontend.find_text elf with
             | Some t -> t.Frontend.base
             | None -> 0
           in
-          { Plan.store = Plan.table_store table;
-            spec_key = Patchspec.spec_key spec ~text_base })
-        plan_table
+          { Plan.store; spec_key = Patchspec.spec_key spec ~text_base })
+        plan_store
     in
     let obs =
       match trace with Some _ -> Obs.ring () | None -> Obs.null
@@ -244,17 +248,22 @@ let patch_cmd =
     let r =
       Rewriter.run ~options ~obs ~fault ?jobs ?plan elf ~select ~template
     in
-    (match (plan_table, plan_cache) with
-    | Some table, Some file ->
-        Plan.save_table table file;
-        printf
-          "plan cache: %d hits, %d misses, %d conflicts; %d plans -> %s@."
-          r.Rewriter.plan_hits r.Rewriter.plan_misses
-          r.Rewriter.plan_conflicts (Plan.table_size table) file
-    | _ -> ());
     Elf_file.write_file
       ~fault:(fun () -> Fault.fires fault Fault.Write)
       r.Rewriter.output output;
+    (match (plan_store, plan_cache) with
+    | Some store, Some file -> (
+        match Plan.save store file with
+        | () ->
+            printf
+              "plan cache: %d hits, %d misses, %d conflicts; %d plans -> %s@."
+              r.Rewriter.plan_hits r.Rewriter.plan_misses
+              r.Rewriter.plan_conflicts (E9_core.Cache.stats store).entries file
+        | exception Sys_error m ->
+            (* A lost plan cache must not lose the rewrite: the output is
+               already written, and a cache may always start cold. *)
+            printf "plan cache: %s (patched binary is intact)@." m)
+    | _ -> ());
     printf "%a@." Stats.pp r.Rewriter.stats;
     printf "size: %d -> %d bytes (%.1f%%); %d trampoline bytes; %d mappings@."
       r.Rewriter.input_size r.Rewriter.output_size (Rewriter.size_pct r)
@@ -739,7 +748,7 @@ let serve_cmd =
   in
   let plan_capacity =
     Arg.(
-      value & opt int 1024
+      value & opt int Plan.capacity
       & info [ "plan-capacity" ] ~docv:"N"
           ~doc:"Entries in the chunk-granular plan cache (sessions opt in \
                 with the \"plan\" option; one entry per text chunk, so this \

@@ -2,7 +2,7 @@
     content-defined chunker.
 
     The 64-bit FNV-1a constants are shared with the RPC cache keys
-    (lib/rpc/cache.ml delegates here) so a chunk hash printed in a plan
+    (lib/core/cache.ml delegates here) so a chunk hash printed in a plan
     key and a binary hash printed in a result key come from the same
     function family and collide only as FNV collides. *)
 

@@ -262,6 +262,7 @@ let incremental_property ?(count = 10) ?(jobs = [ 1; 4 ])
     ?(name = "incremental (plan-replay) rewrite is byte-identical to cold") ()
     =
   let module Plan = E9_core.Plan in
+  let fresh_store () = E9_core.Cache.create ~capacity:Plan.capacity () in
   let gen =
     QCheck2.Gen.pair gen_case
       (QCheck2.Gen.pair (QCheck2.Gen.float_bound_inclusive 1.0)
@@ -274,8 +275,8 @@ let incremental_property ?(count = 10) ?(jobs = [ 1; 4 ])
     (fun (case, (edit_frac, edit_budget)) ->
       let elf, disasm_from, select = prepare case in
       let options = { case.options with Rewriter.chunking = Some small_chunking } in
-      let plan_of table =
-        { Plan.store = Plan.table_store table;
+      let plan_of store =
+        { Plan.store;
           spec_key =
             (fun ~lo:_ ~len:_ ->
               if case.select_writes then "fuzz:writes" else "fuzz:jumps") }
@@ -288,8 +289,8 @@ let incremental_property ?(count = 10) ?(jobs = [ 1; 4 ])
          revision: one contiguous run of decoded instructions replaced by
          NOPs (boundary-preserving, so it stays a valid sweep input). A
          zero budget degenerates to the all-hit replay of the same bytes. *)
-      let warm_table = Plan.create_table () in
-      ignore (rewrite ~plan:(plan_of warm_table) elf);
+      let warm_store = fresh_store () in
+      ignore (rewrite ~plan:(plan_of warm_store) elf);
       let revision =
         let b = Elf_file.to_bytes elf in
         let text, sites = Frontend.disassemble ?from:disasm_from elf in
@@ -315,11 +316,11 @@ let incremental_property ?(count = 10) ?(jobs = [ 1; 4 ])
         end
       in
       let elf' = Elf_file.of_bytes revision in
-      let cold = rewrite ~plan:(plan_of (Plan.create_table ())) elf' in
+      let cold = rewrite ~plan:(plan_of (fresh_store ())) elf' in
       let reference = Elf_file.to_bytes cold.Rewriter.output in
       List.for_all
         (fun n ->
-          let warm = rewrite ~jobs:n ~plan:(plan_of warm_table) elf' in
+          let warm = rewrite ~jobs:n ~plan:(plan_of warm_store) elf' in
           if
             not
               (Bytes.equal (Elf_file.to_bytes warm.Rewriter.output) reference)

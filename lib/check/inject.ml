@@ -165,11 +165,12 @@ let run_write_leg f (r : Rewriter.result) =
         cleanup ();
         Error "write leg: Io_error but a file exists at the destination"
       end
-      else if Sys.file_exists (path ^ ".tmp") then begin
-        Sys.remove (path ^ ".tmp");
-        Error "write leg: Io_error left a temp file behind"
-      end
-      else Ok (if !fired then 1 else 0)
+      else (
+        match E9_bits.Atomic_file.leftovers path with
+        | [] -> Ok (if !fired then 1 else 0)
+        | tmps ->
+            List.iter Sys.remove tmps;
+            Error "write leg: Io_error left a temp file behind")
   | () -> (
       match Elf_file.read_file path with
       | exception Elf_file.Malformed m ->

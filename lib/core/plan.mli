@@ -54,13 +54,8 @@ type chunk = {
   c_dead : (int * int) list;  (** absolute dead-byte ranges *)
 }
 
-(** Storage interface; implementations must be safe to call from
-    concurrent domains (chunk tasks run under the work-stealing pool).
-    [lib/rpc] backs this with its LRU + generation-flush cache; the CLI
-    with a file-persisted table. *)
-type store = { find : string -> chunk option; add : string -> chunk -> unit }
-
-(** Everything {!Rewriter.run} needs to consult a plan store.
+(** Everything {!Rewriter.run} needs to consult a plan store. Chunk
+    tasks on concurrent domains share [store]; {!Cache} is mutex-guarded.
 
     [spec_key ~lo ~len] must return a string that changes whenever the
     caller's [select] or [template] behaviour could change for any site
@@ -73,7 +68,13 @@ type store = { find : string -> chunk option; add : string -> chunk -> unit }
     selection changes — but a template change with an unchanged key
     would replay stale trampoline bytes, caught only by the emit-time
     verifier. *)
-type config = { store : store; spec_key : lo:int -> len:int -> string }
+type config = { store : chunk Cache.t; spec_key : lo:int -> len:int -> string }
+
+(** Default plan-store capacity, in chunks: the daemon's plan tier
+    ([serve --plan-capacity]) and the CLI's [--plan-cache] file. At
+    {!Chunker.default} (about 4 KiB per chunk) it covers about 4 MiB of
+    text; a plan evicted past it only costs a live search. *)
+val capacity : int
 
 (** [key ~hash ~addr ~len ~env] builds the store key for one chunk:
     content hash, absolute coordinates, and an environment string that
@@ -92,21 +93,19 @@ val diff : pristine:bytes -> current:bytes -> lo:int -> len:int -> (int * string
 (** [apply_diff buf ~lo d] writes the recorded runs back at [lo]. *)
 val apply_diff : E9_bits.Buf.t -> lo:int -> (int * string) list -> unit
 
-(** {1 In-memory store} — mutex-guarded table for the CLI's
-    file-persisted plan cache and for tests. *)
+(** {1 File backing} — the CLI's [--plan-cache] file.
 
-type table
+    The plan store is a {!Cache}; the file holds its current entries in
+    LRU order behind a header pinning the format and the OCaml version,
+    and an MD5 of the Marshal payload. The format is private to one build
+    of this binary. *)
 
-val create_table : unit -> table
-val table_store : table -> store
-val table_size : table -> int
-val table_items : table -> (string * chunk) list
-val table_load : table -> (string * chunk) list -> unit
+(** [save store file] writes [store]'s entries atomically. Raises
+    [Sys_error] if the file cannot be written. *)
+val save : chunk Cache.t -> string -> unit
 
-(** File persistence for [--plan-cache]: Marshal behind a magic/version
-    header. The format is private to one build of this binary — a
-    mismatched or corrupt file loads as an empty table (a cache may
-    always start cold), never an error. *)
-
-val save_table : table -> string -> unit
-val load_table : string -> table
+(** [load file] — a fresh store of {!capacity} entries holding [file]'s
+    plans, with their recency order. A missing, foreign-version, corrupt
+    or truncated file loads as an empty store (a cache may always start
+    cold), never an error. *)
+val load : string -> chunk Cache.t

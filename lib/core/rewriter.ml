@@ -251,7 +251,7 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
                     ~env:(env_base ^ "|spec=" ^ cfg.Plan.spec_key ~lo ~len:sz))
                 gb
             in
-            let found = Array.map (fun k -> cfg.Plan.store.find k) keys in
+            let found = Array.map (Cache.find cfg.Plan.store) keys in
             (* Decode, replaying unchanged chunks' recorded site lists. The
                probe only answers when the stored plan was recorded over
                the same bytes (the key's content hash) at the same sweep
@@ -558,7 +558,7 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
                      [nchunks - 1 - i]. *)
                   let k = nchunks - 1 - i in
                   let clo, csz = g.g_bounds.(k) in
-                  cfg.Plan.store.add g.g_keys.(k)
+                  Cache.add cfg.Plan.store g.g_keys.(k)
                     { Plan.c_lo = clo;
                       c_len = csz;
                       c_entry = g.g_entries.(k);

@@ -482,30 +482,11 @@ let to_ndjson t =
 
 exception Sink_error of string
 
-(* Atomic: the trace lands under its final name only once fully written,
-   so a sink failure (real or injected) never leaves a truncated trace
-   masquerading as a complete one. *)
-let write_ndjson ?(fault = fun () -> false) t path =
-  let tmp = path ^ ".tmp" in
-  let write () =
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let s = to_ndjson t in
-        if fault () then begin
-          (* Simulated short write: half the payload, then the error a
-             full disk or yanked volume would produce. *)
-          output_string oc (String.sub s 0 (String.length s / 2));
-          raise (Sys_error (path ^ ": injected trace-sink write error"))
-        end;
-        output_string oc s);
-    Sys.rename tmp path
-  in
-  try write ()
-  with Sys_error m ->
-    if Sys.file_exists tmp then Sys.remove tmp;
-    raise (Sink_error m)
+(* Atomic: a sink failure (real or injected) never leaves a truncated
+   trace masquerading as a complete one. *)
+let write_ndjson ?fault t path =
+  try E9_bits.Atomic_file.write ?fault path (to_ndjson t)
+  with Sys_error m -> raise (Sink_error m)
 
 let validate_ndjson s =
   let lines =

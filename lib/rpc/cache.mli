@@ -1,60 +1,3 @@
-(** Content-addressed cache for the rewriting service (DESIGN.md §13).
-
-    The daemon keeps two of these: a {e decode} cache mapping
-    [(binary hash, sweep start)] to the frontend's site list, and a
-    {e result} cache mapping
-    [(binary hash, spec hash, options signature hash)] to serialized
-    output bytes. Keys are derived from content only — never from file
-    names or session identity — so two sessions feeding the same bytes
-    share entries and a hit is byte-identical to recomputing by
-    construction.
-
-    Invalidation follows the PR 1 generation-counter discipline: [flush]
-    bumps a generation stamped into every entry; stale entries are
-    treated as misses and dropped lazily on the next lookup, so a flush
-    is O(1) and never pauses in-flight sessions. Eviction is LRU over a
-    bounded entry count. All operations are mutex-guarded — sessions on
-    different domains share one cache. *)
-
-type 'a t
-
-(** [create ?capacity ()] — [capacity] bounds live entries (default 64);
-    inserting past it evicts the least recently used entry. *)
-val create : ?capacity:int -> unit -> 'a t
-
-(** [find t key] — [Some v] on hit; counts hit/miss. A stale-generation
-    entry is dropped and reported as a miss. *)
-val find : 'a t -> string -> 'a option
-
-(** [add t key v] stamps [v] with the current generation. Re-adding an
-    existing key replaces the entry. *)
-val add : 'a t -> string -> 'a -> unit
-
-(** [flush t] bumps the generation: every current entry becomes stale.
-    Returns the new generation. *)
-val flush : 'a t -> int
-
-type stats = {
-  hits : int;
-  misses : int;
-  entries : int;  (** live (current-generation) entries *)
-  insertions : int;
-  evictions : int;  (** LRU evictions + lazy stale drops *)
-  generation : int;
-}
-
-val stats : 'a t -> stats
-
-(** Hits over lookups; 0 when nothing was looked up. *)
-val hit_rate : stats -> float
-
-val stats_json : stats -> E9_obs.Json.t
-
-(** {1 Hashing} — FNV-1a 64-bit, rendered as 16 hex digits. Not
-    cryptographic: keys come from trusted local content, and a collision
-    costs a wrong cache hit on adversarially crafted twins, which the
-    mandatory post-rewrite verification then rejects. *)
-
-val fnv1a64 : bytes -> string
-
-val fnv1a64_string : string -> string
+include module type of struct
+  include E9_core.Cache
+end

@@ -310,25 +310,6 @@ let do_tool t params =
 (* emit                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Atomic bytes writer: the cache-hit path serves raw bytes with the same
-   temp+rename discipline Elf_file.write_file gives parsed images. *)
-let write_bytes_atomic bytes path =
-  let dir = Filename.dirname path in
-  match Filename.temp_file ~temp_dir:dir ".e9rpc" ".tmp" with
-  | exception Sys_error m -> raise (Elf_file.Io_error m)
-  | tmp -> (
-      match
-        let oc = open_out_bin tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_bytes oc bytes);
-        Sys.rename tmp path
-      with
-      | () -> ()
-      | exception Sys_error m ->
-          (try Sys.remove tmp with Sys_error _ -> ());
-          raise (Elf_file.Io_error m))
-
 let stats_json (s : Stats.t) =
   Json.Obj
     [ ("b0", Json.Int s.Stats.b0); ("b1", Json.Int s.Stats.b1);
@@ -391,9 +372,7 @@ let do_emit t params =
                 | None -> 0
               in
               Some
-                { E9_core.Plan.store =
-                    { E9_core.Plan.find = Cache.find t.ctx.plan_cache;
-                      add = Cache.add t.ctx.plan_cache };
+                { E9_core.Plan.store = t.ctx.plan_cache;
                   spec_key = Patchspec.spec_key rules ~text_base }
           | _ -> None
         in
@@ -452,7 +431,9 @@ let do_emit t params =
         (entry, "miss")
   in
   (match filename with
-  | Some path -> write_bytes_atomic entry.bytes path
+  | Some path -> (
+      try E9_bits.Atomic_file.write path (Bytes.unsafe_to_string entry.bytes)
+      with Sys_error m -> raise (Elf_file.Io_error m))
   | None -> ());
   (* Reset the per-binary state; options and named trampolines are
      connection-level and survive. *)

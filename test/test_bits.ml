@@ -1,9 +1,11 @@
-(* Tests for the E9_bits substrate: buffers, interval sets, RNG. *)
+(* Tests for the E9_bits substrate: buffers, interval sets, RNG, atomic
+   file writes. *)
 
 module Buf = E9_bits.Buf
 module Iset = E9_bits.Iset
 module Rng = E9_bits.Rng
 module Pool = E9_bits.Pool
+module Atomic_file = E9_bits.Atomic_file
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -568,6 +570,47 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
+(* ------------------------------------------------------------------ *)
+(* Atomic_file                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let with_target f =
+  let path = Filename.temp_file "e9atomic" ".out" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove (path :: Atomic_file.leftovers path))
+    (fun () -> f path)
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+let test_atomic_file_mode_and_fault () =
+  with_target @@ fun path ->
+  Atomic_file.write path "first";
+  let umask = Unix.umask 0 in
+  ignore (Unix.umask umask);
+  check_int "mode is 0o666 minus umask" (0o666 land lnot umask)
+    ((Unix.stat path).Unix.st_perm);
+  (match Atomic_file.write ~fault:(fun () -> true) path "second" with
+  | () -> Alcotest.fail "expected Sys_error"
+  | exception Sys_error _ -> ());
+  check_bool "a failed write leaves the old file" true (read path = "first");
+  check_bool "and no temp file" true (Atomic_file.leftovers path = [])
+
+(* Writers of one destination on several domains never share a temp
+   file: the destination always holds one complete payload. *)
+let test_atomic_file_concurrent_writers () =
+  with_target @@ fun path ->
+  let payload w = String.make 65536 (Char.chr (Char.code 'a' + w)) in
+  let writer w () =
+    for _ = 1 to 25 do
+      Atomic_file.write path (payload w)
+    done
+  in
+  Array.init 4 (fun w -> Domain.spawn (writer w)) |> Array.iter Domain.join;
+  check_bool "one complete payload" true
+    (List.mem (read path) (List.init 4 payload));
+  check_bool "no temp files" true (Atomic_file.leftovers path = [])
+
 let suites =
   [ ( "bits.buf",
       [ Alcotest.test_case "roundtrip widths" `Quick test_buf_roundtrip_widths;
@@ -624,4 +667,9 @@ let suites =
         Alcotest.test_case "split" `Quick test_rng_split_independent;
         Alcotest.test_case "deterministic across domains" `Quick
           test_rng_deterministic_across_domains;
-        Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutation ] ) ]
+        Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutation ] );
+    ( "bits.atomic_file",
+      [ Alcotest.test_case "mode, failed write keeps the old file" `Quick
+          test_atomic_file_mode_and_fault;
+        Alcotest.test_case "concurrent writers of one path" `Quick
+          test_atomic_file_concurrent_writers ] ) ]

@@ -1331,10 +1331,11 @@ let suites =
         ] ) ]
 
 (* ------------------------------------------------------------------ *)
-(* Plan table: persistence and text diffs (DESIGN.md §14)              *)
+(* Plan store: file backing and text diffs (DESIGN.md §14)             *)
 (* ------------------------------------------------------------------ *)
 
 module Plan = E9_core.Plan
+module Cache = E9_core.Cache
 
 let sample_chunk =
   { Plan.c_lo = 0x40; c_len = 0x1000; c_entry = 0x42; c_exit = 0x1040;
@@ -1347,48 +1348,95 @@ let sample_chunk =
     c_diff = [ (0x10, "\xe9\x00\x00\x00\x00") ];
     c_locks = [ (0x401055, 2) ]; c_dead = [ (0x401060, 3) ] }
 
-let test_plan_table_round_trip () =
-  let t = Plan.create_table () in
-  let store = Plan.table_store t in
-  let k = Plan.key ~hash:"deadbeef" ~addr:0x401040 ~len:0x1000 ~env:"env" in
-  store.Plan.add k sample_chunk;
-  store.Plan.add "other" { sample_chunk with Plan.c_lo = 0x2000 };
-  check_int "two entries" 2 (Plan.table_size t);
+let entries store = (Cache.stats store).Cache.entries
+
+let with_plan_file f =
   let path = Filename.temp_file "e9plan" ".bin" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      Plan.save_table t path;
-      let t' = Plan.load_table path in
-      check_int "reloaded size" 2 (Plan.table_size t');
-      check_bool "reloaded items identical" true
-        (List.sort compare (Plan.table_items t')
-        = List.sort compare (Plan.table_items t));
-      match (Plan.table_store t').Plan.find k with
-      | Some c -> check_bool "chunk survives the round trip" true (c = sample_chunk)
-      | None -> Alcotest.fail "keyed chunk missing after reload")
+    (fun () -> f path)
 
-(* A cache may always start cold: missing, truncated, or wrong-magic
-   files load as an empty table, never an error. *)
+let test_plan_table_round_trip () =
+  let t = Cache.create ~capacity:Plan.capacity () in
+  let k = Plan.key ~hash:"deadbeef" ~addr:0x401040 ~len:0x1000 ~env:"env" in
+  Cache.add t k sample_chunk;
+  Cache.add t "other" { sample_chunk with Plan.c_lo = 0x2000 };
+  check_int "two entries" 2 (entries t);
+  with_plan_file @@ fun path ->
+  Plan.save t path;
+  check_bool "no temp file left" true (E9_bits.Atomic_file.leftovers path = []);
+  let t' = Plan.load path in
+  check_int "reloaded size" 2 (entries t');
+  check_bool "reloaded items identical, in LRU order" true
+    (Cache.items t' = Cache.items t);
+  match Cache.find t' k with
+  | Some c -> check_bool "chunk survives the round trip" true (c = sample_chunk)
+  | None -> Alcotest.fail "keyed chunk missing after reload"
+
+(* The store is bounded: past capacity the least recently used plans are
+   evicted, and a save/load cycle keeps both the survivors and their
+   recency order, so the file never outgrows the in-memory bound. *)
+let test_plan_lru_survives_save_load () =
+  let capacity = 8 in
+  let t = Cache.create ~capacity () in
+  let key i = Printf.sprintf "k%02d" i in
+  for i = 0 to 11 do
+    Cache.add t (key i) { sample_chunk with Plan.c_lo = i }
+  done;
+  (* Touch k05: it becomes the most recent, so k04 is the oldest left. *)
+  check_bool "k05 hit" true (Cache.find t (key 5) <> None);
+  Cache.add t (key 12) { sample_chunk with Plan.c_lo = 12 };
+  let expected = List.map key [ 6; 7; 8; 9; 10; 11; 5; 12 ] in
+  check_bool "exactly the most recent [capacity] keys, oldest first" true
+    (List.map fst (Cache.items t) = expected);
+  with_plan_file @@ fun path ->
+  Plan.save t path;
+  let t' = Plan.load path in
+  check_bool "survivors and their order reload" true
+    (List.map fst (Cache.items t') = expected);
+  check_bool "values reload" true (Cache.items t' = Cache.items t)
+
+(* A cache may always start cold: missing, truncated, foreign-version or
+   corrupted files load as an empty store, never an error — and never as
+   altered plans, which [patch --plan-cache] would emit unverified. *)
 let test_plan_table_corrupt_loads_empty () =
-  check_int "missing file" 0
-    (Plan.table_size (Plan.load_table "/nonexistent/e9plan.bin"));
-  let path = Filename.temp_file "e9plan" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "not a plan cache";
-      close_out oc;
-      check_int "wrong magic" 0 (Plan.table_size (Plan.load_table path));
-      let t = Plan.create_table () in
-      (Plan.table_store t).Plan.add "k" sample_chunk;
-      Plan.save_table t path;
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      let oc = open_out_bin path in
-      output_string oc (String.sub full 0 (String.length full / 2));
-      close_out oc;
-      check_int "truncated payload" 0 (Plan.table_size (Plan.load_table path)))
+  check_int "missing file" 0 (entries (Plan.load "/nonexistent/e9plan.bin"));
+  with_plan_file @@ fun path ->
+  let write s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+  write "not a plan cache";
+  check_int "wrong magic" 0 (entries (Plan.load path));
+  let t = Cache.create () in
+  Cache.add t "k" sample_chunk;
+  Plan.save t path;
+  let full = In_channel.with_open_bin path In_channel.input_all in
+  check_int "sound file loads" 1 (entries (Plan.load path));
+  let replace ~sub ~by =
+    let n = String.length sub in
+    let rec at i = if String.sub full i n = sub then i else at (i + 1) in
+    let i = at 0 in
+    String.concat ""
+      [ String.sub full 0 i; by;
+        String.sub full (i + n) (String.length full - i - n) ]
+  in
+  write (String.sub full 0 (String.length full / 2));
+  check_int "truncated payload" 0 (entries (Plan.load path));
+  (* Same length, one byte of the chunk's recorded text edit flipped:
+     Marshal alone reads this back as a different, valid chunk. *)
+  write (replace ~sub:"\xe9\x00\x00\x00\x00" ~by:"\xe8\x00\x00\x00\x00");
+  check_int "payload byte flip" 0 (entries (Plan.load path));
+  let foreign =
+    String.map (fun c -> if c = '.' then '_' else c) Sys.ocaml_version
+  in
+  write (replace ~sub:Sys.ocaml_version ~by:foreign);
+  check_int "foreign OCaml version" 0 (entries (Plan.load path))
+
+(* Pins the Marshal layout of [Plan.chunk]: a changed record (or a
+   changed type inside it) moves this digest. When it moves, bump
+   [Plan.magic] so old plan files load empty, then re-pin. *)
+let test_plan_marshal_golden () =
+  Alcotest.(check string) "Marshal digest of sample_chunk"
+    "907d406e06f4b5890dca3634c9919d23"
+    (Digest.to_hex (Digest.string (Marshal.to_string sample_chunk [])))
 
 let test_plan_diff_round_trip () =
   let pristine = Bytes.init 256 (fun i -> Char.chr (i land 0xff)) in
@@ -1421,6 +1469,10 @@ let suites =
             test_plan_table_round_trip;
           Alcotest.test_case "corrupt cache loads empty" `Quick
             test_plan_table_corrupt_loads_empty;
+          Alcotest.test_case "LRU order survives save/load" `Quick
+            test_plan_lru_survives_save_load;
+          Alcotest.test_case "chunk Marshal layout golden" `Quick
+            test_plan_marshal_golden;
           Alcotest.test_case "diff/apply_diff round trip" `Quick
             test_plan_diff_round_trip
         ] ) ]

@@ -152,7 +152,7 @@ let test_fault_events_and_sink_error () =
   | () -> Alcotest.fail "expected Sink_error"
   | exception Obs.Sink_error _ -> ());
   check_bool "no file" false (Sys.file_exists path);
-  check_bool "no temp left" false (Sys.file_exists (path ^ ".tmp"));
+  check_bool "no temp left" true (E9_bits.Atomic_file.leftovers path = []);
   (* And the same sink succeeds cleanly afterwards with a valid trace. *)
   Obs.write_ndjson obs path;
   let contents = In_channel.with_open_text path In_channel.input_all in
