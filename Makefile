@@ -38,9 +38,11 @@ test: build
 	$(DUNE) runtest
 
 # Output-byte contract: rerun test/digests.exe at jobs 1 and 4 against the
-# pinned test/digests.txt and name every entry that moved.
+# pinned test/digests.txt, and its --verify mode against the pinned
+# verifier reports in test/verify_digests.txt, and name every entry that
+# moved.
 digest-check: build
-	sh test/digest_check.sh _build/default/test/digests.exe test/digests.txt
+	sh test/digest_check.sh _build/default/test/digests.exe test/digests.txt test/verify_digests.txt
 
 # Full evaluation run: every table/figure, all sizes. Minutes, not for CI.
 bench: build

@@ -1,15 +1,23 @@
 #!/bin/sh
 # Diff the pinned output digests (test/digests.txt) against fresh runs of
-# the digests program at one domain and at four, naming every entry that
-# moved, appeared or disappeared. Exits non-zero if any did.
+# the digests program at one domain and at four, and, given a third
+# argument, the pinned verifier reports (test/verify_digests.txt)
+# against a fresh `digests.exe --verify`, naming every entry that moved,
+# appeared or disappeared. Exits non-zero if any did.
 # Usage: digest_check.sh PATH/TO/digests.exe PATH/TO/digests.txt
+#          [PATH/TO/verify_digests.txt]
 set -eu
 exe=$1
 pinned=$2
+verify_pinned=${3:-}
 status=0
-for jobs in 1 4; do
-  if ! "$exe" --jobs "$jobs" | awk -v jobs="$jobs" '
-    # Each line is "NAME text=N DIGEST" (or "NAME skipped"/"NAME refused");
+# compare LABEL PINNED ARGS...: run the program with ARGS, diff by name.
+compare() {
+  label=$1
+  file=$2
+  shift 2
+  "$exe" "$@" | awk -v label="$label" '
+    # Each line is "NAME FIELD DIGEST" (or "NAME skipped"/"NAME refused");
     # the name may contain spaces, so it is everything before the last
     # two fields.
     function key(line,   n, f) {
@@ -18,14 +26,22 @@ for jobs in 1 4; do
     }
     NR == FNR { want[key($0)] = $0; next }
     { k = key($0); got[k] = 1
-      if (!(k in want)) { print "jobs " jobs ": new      " $0; bad = 1 }
-      else if (want[k] != $0) { print "jobs " jobs ": moved    " k ": " want[k] " -> " $0; bad = 1 } }
-    END { for (k in want) if (!(k in got)) { print "jobs " jobs ": missing  " want[k]; bad = 1 }
-          exit bad }' "$pinned" -; then
-    status=1
-  fi
+      if (!(k in want)) { print label ": new      " $0; bad = 1 }
+      else if (want[k] != $0) { print label ": moved    " k ": " want[k] " -> " $0; bad = 1 } }
+    END { for (k in want) if (!(k in got)) { print label ": missing  " want[k]; bad = 1 }
+          exit bad }' "$file" -
+}
+for jobs in 1 4; do
+  compare "jobs $jobs" "$pinned" --jobs "$jobs" || status=1
 done
 if [ "$status" = 0 ]; then
   echo "digest-check: $(wc -l < "$pinned") entries unchanged at jobs 1 and 4"
+fi
+if [ -n "$verify_pinned" ]; then
+  if compare "verify" "$verify_pinned" --verify; then
+    echo "digest-check: $(wc -l < "$verify_pinned") verifier reports unchanged"
+  else
+    status=1
+  fi
 fi
 exit "$status"

@@ -9,8 +9,18 @@
    also builds in an earlier checkout: diffing the two outputs shows
    exactly which digests a change moved.
 
-   Usage: digests.exe --jobs N
-   Prints one line per rewrite: NAME text=TEXT_BYTES DIGEST. *)
+   With --verify it instead runs the static verifier on every rewrite,
+   with the disassembly start and holes that rewrite used, and pins its
+   report: test/verify_digests.txt holds those lines. A verifier change
+   that must not move a verdict keeps that file unchanged.
+
+   Usage: digests.exe --jobs N | --verify
+   Prints one line per rewrite: NAME text=TEXT_BYTES DIGEST, or with
+   --verify: verify/NAME CHANGED/DIVERSIONS/SHORTS/TRAPS/TRAMPOLINES
+   DIGEST, where DIGEST is the FNV-64 of the report's classification
+   printed as one ADDR:CLASS line per changed byte; a rejected pair
+   prints verify/NAME rejected ADDR:DIGEST, hashing the error's
+   reason. *)
 
 module Codegen = E9_workload.Codegen
 module Suite = E9_workload.Suite
@@ -24,18 +34,47 @@ module Json = E9_obs.Json
 module Server = E9_rpc.Server
 module Harness = E9_rpc.Harness
 module Proto = E9_rpc.Proto
+module Static = E9_check.Static
+module Fnv = E9_bits.Fnv
 
 let fuzz_seed = 42
 let fuzz_cases = 20
 
-let digest_bytes b = E9_bits.Fnv.hex b ~pos:0 ~len:(Bytes.length b)
-let digest (r : Rewriter.result) = digest_bytes (Elf_file.to_bytes r.Rewriter.output)
+(* Set by --verify: print the verifier's report instead of the bytes. *)
+let verify_mode = ref false
+
+let digest_bytes b = Fnv.hex b ~pos:0 ~len:(Bytes.length b)
 
 let text_size elf =
   match Frontend.find_text elf with Some t -> t.Frontend.size | None -> 0
 
-let line name elf r =
-  Printf.printf "%s text=%d %s\n%!" name (text_size elf) (digest r)
+let verify_line name ?disasm_from ?holes ~original out =
+  match Static.verify ?disasm_from ?holes ~original out with
+  | Ok r ->
+      let b = Buffer.create 4096 in
+      List.iter
+        (fun (a, c) -> Printf.bprintf b "0x%x:%s\n" a (Static.class_name c))
+        r.Static.classified;
+      Printf.printf "verify/%s %d/%d/%d/%d/%d %s\n%!" name
+        r.Static.changed_bytes r.Static.diversions r.Static.short_jumps
+        r.Static.traps r.Static.trampolines_checked
+        (Fnv.to_hex (Fnv.hash64_string (Buffer.contents b)))
+  | Error e ->
+      Printf.printf "verify/%s rejected 0x%x:%s\n%!" name e.Static.addr
+        (Fnv.to_hex (Fnv.hash64_string e.Static.reason))
+
+(* One pinned rewrite of [original] into [out]; [disasm_from] and
+   [holes] are what the rewrite itself used. *)
+let line name ?disasm_from ?holes original out =
+  if !verify_mode then verify_line name ?disasm_from ?holes ~original out
+  else
+    Printf.printf "%s text=%d %s\n%!" name (text_size original)
+      (digest_bytes (Elf_file.to_bytes out))
+
+(* A case with no rewrite to pin ([skipped], [refused]). *)
+let missing name what =
+  Printf.printf "%s%s %s\n%!" (if !verify_mode then "verify/" else "") name
+    what
 
 let rewrite ~jobs ?options ?disasm_from ?frontend elf ~select =
   Rewriter.run ?options ~jobs ?disasm_from ?frontend elf ~select
@@ -61,8 +100,8 @@ let corpus ~jobs =
         (fun (tag, select) ->
           line
             (Printf.sprintf "corpus/%s/%s" p.Codegen.name tag)
-            elf
-            (rewrite ~jobs ~options ?disasm_from elf ~select))
+            ?disasm_from elf
+            (rewrite ~jobs ~options ?disasm_from elf ~select).Rewriter.output)
         [ ("a1", Frontend.select_jumps); ("a2", Frontend.select_heap_writes) ])
     Suite.rows
 
@@ -96,8 +135,8 @@ let robust ~jobs =
         | Adversary.Jumps -> Frontend.select_jumps
         | Adversary.Heap_writes -> Frontend.select_heap_writes
       in
-      line ("robust/" ^ f.Adversary.name) elf
-        (rewrite ~jobs ~options ?frontend elf ~select))
+      line ("robust/" ^ f.Adversary.name) ~holes elf
+        (rewrite ~jobs ~options ?frontend elf ~select).Rewriter.output)
     Adversary.families
 
 (* The fuzz campaign's case stream (the fuzz-smoke seed); cases whose
@@ -107,9 +146,9 @@ let fuzz ~jobs =
   for i = 1 to fuzz_cases do
     let case = QCheck2.Gen.generate1 ~rand Fuzz.gen_case in
     match Fuzz.rewrite ~jobs case with
-    | elf, _, r -> line (Printf.sprintf "fuzz/%02d" i) elf r
-    | exception Codegen.Error _ ->
-        Printf.printf "fuzz/%02d skipped\n%!" i
+    | elf, disasm_from, r ->
+        line (Printf.sprintf "fuzz/%02d" i) ?disasm_from elf r.Rewriter.output
+    | exception Codegen.Error _ -> missing (Printf.sprintf "fuzz/%02d" i) "skipped"
   done
 
 (* The tool-smoke input ([generate --functions 40 --iterations 80
@@ -130,7 +169,7 @@ let tool ~jobs =
     (fun (m, p) ->
       let res = Tool.run ~jobs elf [ Tool.rule_of ~m ~p () ] in
       line (Printf.sprintf "tool/%s|%s" m p) res.Tool.runtime.Tool.augmented
-        res.Tool.rewrite)
+        res.Tool.rewrite.Rewriter.output)
     [ ("jumps", "print"); ("all", "count"); ("returns", "trap");
       ("heap-writes", "lowfat"); ("mnemonic mov and op[0].type == reg", "empty");
       ("calls", "call:clean record(addr,size,3)");
@@ -164,10 +203,12 @@ let served ~jobs =
       | Error _ -> None
     in
     match data with
+    | Some b when !verify_mode ->
+        verify_line ("served/" ^ name) ~original:elf (Elf_file.of_bytes b)
     | Some b ->
         Printf.printf "served/%s text=%d %s\n%!" name (text_size elf)
           (digest_bytes b)
-    | None -> Printf.printf "served/%s refused\n%!" name
+    | None -> missing ("served/" ^ name) "refused"
   in
   List.iter
     (fun spec -> serve ("patch " ^ spec) [ ("patch", [ ("spec", Json.Str ("patch " ^ spec)) ]) ])
@@ -181,8 +222,11 @@ let () =
   let jobs =
     match Sys.argv with
     | [| _; "--jobs"; n |] -> int_of_string n
+    | [| _; "--verify" |] ->
+        verify_mode := true;
+        1
     | _ ->
-        prerr_endline "usage: digests.exe --jobs N";
+        prerr_endline "usage: digests.exe --jobs N | --verify";
         exit 2
   in
   corpus ~jobs;

@@ -130,6 +130,132 @@ let test_stray_byte_rejected () =
   check_bool "stray change rejected" true
     (Result.is_error (Static.verify ~original:elf (Elf_file.of_bytes out)))
 
+(* The corpus-punning case with T1 and T2 turned off, so every site the
+   base tactic cannot patch escalates to T3. Its rewrite holds T3 short
+   jumps: a 2-byte [jmp rel8] at the patch site serving a punned jump at
+   a non-boundary address. The three corruptions below each break one link of that chain, so the
+   verifier must notice through the short-jump and trampoline lookups,
+   not just the byte diff. Returns the original, the serialized output,
+   a verifier over corrupted copies of it, and the T3 shorts as (site,
+   punned jump) pairs. *)
+let punning_rewrite () =
+  let case = List.nth corpus 2 in
+  let forced =
+    { case.Fuzz.options.Rewriter.tactics with
+      Tactics.enable_t1 = false;
+      enable_t2 = false }
+  in
+  let elf, disasm_from, r =
+    Fuzz.rewrite
+      { case with
+        Fuzz.options = { case.Fuzz.options with Rewriter.tactics = forced } }
+  in
+  let out = Elf_file.to_bytes r.Rewriter.output in
+  (* Both sides serialized, as [e9patch_cli check FILE FILE] sees them. *)
+  let original = Elf_file.of_bytes (Elf_file.to_bytes elf) in
+  let verify b = Static.verify ?disasm_from ~original (Elf_file.of_bytes b) in
+  let report =
+    match verify out with
+    | Ok report -> report
+    | Error e ->
+        Alcotest.failf "pristine punning rewrite rejected: %s"
+          (Format.asprintf "%a" Static.pp_error e)
+  in
+  let text = Option.get (Frontend.find_text r.Rewriter.output) in
+  let off a = text.Frontend.offset + (a - text.Frontend.base) in
+  let cls a = List.assoc_opt a report.Static.classified in
+  let shorts =
+    List.filter_map
+      (fun (a, c) ->
+        if c <> Static.Short_jump || cls (a - 1) = Some Static.Short_jump
+        then None
+        else
+          match (Decode.decode out (off a)).Decode.insn with
+          | Insn.Jmp_short rel when rel >= 0 -> Some (a, a + 2 + rel)
+          | _ -> None)
+      report.Static.classified
+  in
+  check_bool "rewrite has T3 short jumps" true (shorts <> []);
+  (elf, out, off, verify, shorts)
+
+let rejected what = function
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error (e : Static.error) -> e
+
+(* A T3 short jump's rel8 moved by one: it now lands one byte inside the
+   punned jump it served. *)
+let test_short_rel8_moved_rejected () =
+  let _, out, off, verify, shorts = punning_rewrite () in
+  let s, _ = List.hd shorts in
+  let b = Bytes.copy out in
+  Bytes.set b (off (s + 1))
+    (Char.chr ((Char.code (Bytes.get b (off (s + 1))) + 1) land 0xff));
+  let e = rejected "moved rel8" (verify b) in
+  Alcotest.(check int) "reported at the short's site" s e.Static.addr
+
+(* A T3 short's two original bytes restored, which unpatches its site.
+   Where the punned jump it served lies wholly in bytes its victim's own
+   jump already rewrote, nothing enters that jump any more and the pair
+   is sound. Where the punned jump has rewritten bytes of its own, they
+   are orphaned: a jump at a non-boundary address that no short serves,
+   which the verifier must report at that jump. This rewrite has shorts
+   of both kinds; every restoration is either sound or rejected so. *)
+let test_short_restored_rejected () =
+  let elf, out, off, verify, shorts = punning_rewrite () in
+  let orig = Elf_file.to_bytes elf in
+  let orphans =
+    List.filter_map
+      (fun (s, jp) ->
+        let b = Bytes.copy out in
+        Bytes.blit orig (off s) b (off s) 2;
+        match verify b with Ok _ -> None | Error e -> Some (jp, e))
+      shorts
+  in
+  check_bool "some restored short orphans its punned jump" true
+    (orphans <> []);
+  List.iter
+    (fun (jp, (e : Static.error)) ->
+      Alcotest.(check int) "reported at the orphaned jump" jp e.Static.addr;
+      check_bool "reported as unserved" true
+        (String.ends_with ~suffix:"with no serving short jump" e.Static.reason))
+    orphans
+
+(* One trampoline's terminal [jmp] retargeted by one byte: the trampoline
+   no longer returns to the displaced instruction's continuation. *)
+let test_trampoline_retargeted_rejected () =
+  let _, out, off, verify, shorts = punning_rewrite () in
+  let _, jp = List.hd shorts in
+  let tramp =
+    match Decode.decode out (off jp) with
+    | { Decode.insn = Insn.Jmp rel; len; _ } -> jp + len + rel
+    | _ -> Alcotest.fail "punned jump does not decode as jmp rel32"
+  in
+  let rewritten = Elf_file.of_bytes out in
+  let mappings =
+    Loadmap.decode_mappings
+      (Elf_file.section_bytes rewritten
+         (Option.get
+            (Elf_file.find_section rewritten Elf_file.mmap_section_name)))
+  in
+  let m =
+    List.find
+      (fun (m : Loadmap.mapping) ->
+        tramp >= m.Loadmap.vaddr && tramp < m.Loadmap.vaddr + m.Loadmap.len)
+      mappings
+  in
+  let rec terminal pos =
+    let d = Decode.decode out pos in
+    match d.Decode.insn with
+    | Insn.Jmp _ -> pos + d.Decode.len - 4
+    | _ -> terminal (pos + d.Decode.len)
+  in
+  let rel = terminal (m.Loadmap.file_off + (tramp - m.Loadmap.vaddr)) in
+  let b = Bytes.copy out in
+  Bytes.set_int32_le b rel (Int32.add (Bytes.get_int32_le b rel) 1l);
+  let e = rejected "retargeted trampoline" (verify b) in
+  check_bool "reported as a wrong terminal jump" true
+    (String.starts_with ~prefix:"terminal jump reaches" e.Static.reason)
+
 (* Through a full file round trip both sides carry serialized ELF headers;
    the verifier must exempt exactly the fields serialization regenerates
    (e_shoff, the grown phdr slots, stub-mode e_entry) and nothing else.
@@ -222,6 +348,12 @@ let suites =
           test_flipped_displacement_rejected;
         Alcotest.test_case "stray byte change rejected" `Quick
           test_stray_byte_rejected;
+        Alcotest.test_case "T3 short rel8 moved rejected" `Quick
+          test_short_rel8_moved_rejected;
+        Alcotest.test_case "T3 short restored rejected" `Quick
+          test_short_restored_rejected;
+        Alcotest.test_case "trampoline retargeted rejected" `Quick
+          test_trampoline_retargeted_rejected;
         Alcotest.test_case "file round trip verifies" `Quick
           test_file_roundtrip_verifies;
         Alcotest.test_case "B0-degraded rewrite is trace-equivalent" `Quick
