@@ -27,7 +27,7 @@ SERVE_JOBS ?= 1
 BENCH_JOBS ?=
 BENCH_JOBS_FLAG = $(if $(BENCH_JOBS),--jobs $(BENCH_JOBS))
 
-.PHONY: all build test digest-check bench bench-smoke fuzz-smoke fault-smoke robust-smoke serve-smoke incremental-smoke plan-cache-smoke tool-smoke fmt clean
+.PHONY: all build test digest-check bench bench-smoke fuzz-smoke fault-smoke robust-smoke serve-smoke incremental-smoke plan-cache-smoke tool-smoke check-smoke fmt clean
 
 all: build
 
@@ -168,6 +168,24 @@ tool-smoke: build
 	grep -q 'dynamic: OK' tool_output.txt
 	test "$$(grep -c 'byte-identical' tool_output.txt)" = 6
 	! grep -qE 'FAIL|diverged' tool_output.txt
+
+# Verifier scale gate: a generated input of about 1.1 MB of text, patched
+# on jumps (A1) and on heap writes (A2) with empty trampolines, and each
+# output checked by the static verifier under a 20 s timeout. The
+# verifier is linear in the text (DESIGN.md §8.1), so each check takes
+# about a second; a quadratic verifier takes tens of seconds here and
+# fails the gate.
+CHECK_TIMEOUT ?= 20
+
+check-smoke: build
+	rm -rf check-smoke && mkdir -p check-smoke
+	$(DUNE) exec bin/e9patch_cli.exe -- generate -o check-smoke/input.elf --functions 4000 --iterations 1
+	{ for sel in jumps heap-writes; do \
+	  echo "=== --select $$sel"; \
+	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- patch check-smoke/input.elf -o check-smoke/$$sel.elf --select $$sel --template empty $(BENCH_JOBS_FLAG); \
+	  timeout $(CHECK_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- check check-smoke/input.elf check-smoke/$$sel.elf; \
+	done; } 2>&1 | tee check_output.txt
+	test "$$(grep -c '^static: OK' check_output.txt)" = 2
 
 clean:
 	$(DUNE) clean

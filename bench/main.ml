@@ -781,8 +781,8 @@ let bench_robustness () =
 
 let bench_scalability () =
   heading "Scalability: rewriting time vs text size (A1, all tactics)";
-  printf "%10s %10s %10s %12s %10s %10s %8s@." "text KB" "#Loc" "Succ%"
-    "rewrite s" "KB/s" "Minsn/s" "bhit%";
+  printf "%10s %10s %10s %12s %10s %10s %10s %8s@." "text KB" "#Loc" "Succ%"
+    "rewrite s" "KB/s" "verify s" "Minsn/s" "bhit%";
   let sizes = if !smoke then [ 250; 1000 ] else [ 250; 1000; 4000; 10000 ] in
   let measured =
     par_map
@@ -799,7 +799,9 @@ let bench_scalability () =
             ~template:(fun _ -> Trampoline.Empty)
         in
         let dt = Unix.gettimeofday () -. t0 in
+        let tv = Unix.gettimeofday () in
         verify_rewrite (Printf.sprintf "scalability(%d fns)" functions) elf r;
+        let verify_dt = Unix.gettimeofday () -. tv in
         (* End-to-end: run the patched output, which both validates the
            rewrite at this size and exercises the emulator's superblock
            cache on a large text. *)
@@ -807,11 +809,11 @@ let bench_scalability () =
         let patched = run_emu r.Rewriter.output in
         let emu_dt = Unix.gettimeofday () -. t1 in
         expect_exit "patched" patched;
-        (functions, text, r, dt, patched, emu_dt))
+        (functions, text, r, dt, verify_dt, patched, emu_dt))
       sizes
   in
   List.iter
-    (fun (_, (text : Frontend.text), (r : Rewriter.result), dt,
+    (fun (_, (text : Frontend.text), (r : Rewriter.result), dt, verify_dt,
           (patched : Cpu.result), emu_dt) ->
       let minsns_s =
         if emu_dt > 0.0 then float_of_int patched.Cpu.insns /. emu_dt /. 1e6
@@ -828,16 +830,17 @@ let bench_scalability () =
           ("succ_pct", Json.Float (Stats.succ_pct r.Rewriter.stats));
           ("rewrite_s", Json.Float dt);
           ("kb_per_s", Json.Float (float_of_int text.Frontend.size /. 1024.0 /. dt));
+          ("verify_s", Json.Float verify_dt);
           ("emu_insns", Json.Int patched.Cpu.insns);
           ("emu_minsns_per_s", Json.Float minsns_s);
           ("block_hit_pct", Json.Float bhit) ];
-      printf "%10d %10d %9.2f%% %12.2f %10.0f %10.1f %7.1f%%@."
+      printf "%10d %10d %9.2f%% %12.2f %10.0f %10.2f %10.1f %7.1f%%@."
         (text.Frontend.size / 1024)
         (Stats.total r.Rewriter.stats)
         (Stats.succ_pct r.Rewriter.stats)
         dt
         (float_of_int text.Frontend.size /. 1024.0 /. dt)
-        minsns_s bhit)
+        verify_dt minsns_s bhit)
     measured
 
 (* ------------------------------------------------------------------ *)

@@ -325,15 +325,22 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
       | [] -> Frontend.disassemble ?from:disasm_from original
       | holes -> Frontend.disassemble_excluding ~holes original
     in
-    let bounds = Hashtbl.create 4096 in
+    (* Every per-address table below is keyed by address (arrays over the
+       text; hash tables for the sparse short jumps), so each lookup is
+       O(1) and the whole pass stays linear in the text. *)
+    let base = otext.Frontend.base in
+    let text_hi = base + otext.Frontend.size in
+    let in_text a = a >= base && a < text_hi in
+    let bounds = Array.make otext.Frontend.size None in
     List.iter
       (fun (s : Frontend.site) ->
-        Hashtbl.replace bounds s.Frontend.addr (s.Frontend.len, s.Frontend.insn))
+        if in_text s.Frontend.addr then
+          bounds.(s.Frontend.addr - base) <-
+            Some (s.Frontend.len, s.Frontend.insn))
       sites;
-    let disasm_lo =
-      match disasm_from with None -> otext.Frontend.base | Some a -> a
-    in
-    let text_hi = otext.Frontend.base + otext.Frontend.size in
+    let bound a = if in_text a then bounds.(a - base) else None in
+    let is_bound a = bound a <> None in
+    let disasm_lo = match disasm_from with None -> base | Some a -> a in
     let in_disasm a = a >= disasm_lo && a < text_hi in
     (* ---- text diff ----------------------------------------------- *)
     let before =
@@ -347,11 +354,11 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
     let changed = ref [] in
     for i = otext.Frontend.size - 1 downto 0 do
       if Bytes.get before i <> Bytes.get after i then
-        changed := (otext.Frontend.base + i) :: !changed
+        changed := (base + i) :: !changed
     done;
     let changed = !changed in
-    let rbyte a = Char.code (Bytes.get after (a - otext.Frontend.base)) in
-    let decode_after a = Decode.decode after (a - otext.Frontend.base) in
+    let rbyte a = Char.code (Bytes.get after (a - base)) in
+    let decode_after a = Decode.decode after (a - base) in
     (* Decode the rewritten bytes at [s]: a valid diversion jump is a
        (possibly pad-prefixed) [jmp rel32] whose target lands inside a
        trampoline mapping — the strong disambiguator that rules out stray
@@ -371,12 +378,30 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
         | _ -> None
     in
     (* ---- diversion discovery ------------------------------------- *)
-    let covered = Hashtbl.create 256 in
-    let cover lo len = for a = lo to lo + len - 1 do Hashtbl.replace covered a () done in
+    let covered = Bytes.make otext.Frontend.size '\000' in
+    let cover lo len = Bytes.fill covered (lo - base) len '\001' in
+    (* Discovered diversions, newest first (the order the checks below
+       report in), indexed by start; [longest] bounds how far below a
+       byte the start of a diversion covering it can lie. *)
     let jmps = ref [] in
+    let div_at = Array.make otext.Frontend.size None in
+    let div a = if in_text a then div_at.(a - base) else None in
+    let longest = ref 0 in
+    (* T3 short jumps, newest first, indexed both ways: site -> target,
+       and target -> the most recently registered site. *)
     let shorts = ref [] (* (patch site, jp target) *) in
+    let short_target = Hashtbl.create 64 in
+    let short_site = Hashtbl.create 64 in
+    let add_short s jp =
+      shorts := (s, jp) :: !shorts;
+      Hashtbl.replace short_target s jp;
+      Hashtbl.replace short_site jp s;
+      cover s 2
+    in
     let add_jmp j =
       jmps := j :: !jmps;
+      div_at.(j.start - base) <- Some j;
+      longest := max !longest j.jlen;
       cover j.start j.jlen
     in
     (* Pure function of the rewritten bytes: does some instruction boundary
@@ -389,7 +414,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
       for s = max disasm_lo (c - 129) to c - 2 do
         if
           (not !found)
-          && Hashtbl.mem bounds s
+          && is_bound s
           && rbyte s = 0xeb
           &&
           match (decode_after s).Decode.insn with
@@ -399,33 +424,28 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
       done;
       !found
     in
-    let try_short s a =
-      if
-        s >= disasm_lo && s >= otext.Frontend.base && Hashtbl.mem bounds s
-        && rbyte s = 0xeb
-      then
+    let try_short s =
+      if s >= disasm_lo && is_bound s && rbyte s = 0xeb then
         let d = decode_after s in
         match d.Decode.insn with
         | Insn.Jmp_short rel when rel >= 0 && s + 2 + rel < text_hi -> (
             let jp = s + 2 + rel in
             match diversion_at jp with
             | Some _ ->
-                shorts := (s, jp) :: !shorts;
-                cover s 2;
+                add_short s jp;
                 true
             | None -> false)
-        | _ -> ignore a; false
+        | _ -> false
       else false
     in
     List.iter
       (fun a ->
-        if not (Hashtbl.mem covered a) then
+        if Bytes.get covered (a - base) = '\000' then
           if not (in_disasm a) then
             fail a "changed byte outside the disassembled code region"
-          else if
-            rbyte a = 0xcc && Hashtbl.mem bounds a && Hashtbl.mem trap_tbl a
-          then cover a 1
-          else if try_short a a || try_short (a - 1) a then ()
+          else if rbyte a = 0xcc && is_bound a && Hashtbl.mem trap_tbl a then
+            cover a 1
+          else if try_short a || try_short (a - 1) then ()
           else begin
             (* Scan candidate starts. Overlapping decodes can alias — a pad
                prefix byte in front of a real [e9] yields a phantom jump
@@ -442,9 +462,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
               | _ -> ()
             done;
             let pick =
-              match
-                List.find_opt (fun j -> Hashtbl.mem bounds j.start) !cands
-              with
+              match List.find_opt (fun j -> is_bound j.start) !cands with
               | Some j -> Some j
               | None -> (
                   match
@@ -461,7 +479,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
                   "unaccounted changed byte 0x%02x (original 0x%02x); no \
                    diversion explains it"
                   (rbyte a)
-                  (Char.code (Bytes.get before (a - otext.Frontend.base)))
+                  (Char.code (Bytes.get before (a - base)))
           end)
       changed;
     (* A short jump's target must itself be a registered diversion, even in
@@ -469,7 +487,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
        with the original text and were never "changed". *)
     List.iter
       (fun (_, jp) ->
-        if not (List.exists (fun j -> j.start = jp) !jmps) then
+        if div jp = None then
           match diversion_at jp with
           | Some j -> add_jmp j
           | None -> fail jp "short jump targets a non-diversion")
@@ -480,10 +498,13 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
        reaches it — it was already "covered". Expand to a fixpoint: any
        instruction boundary strictly inside a discovered jump's extent that
        itself decodes as a diversion with at least one rewritten byte is
-       registered too. *)
+       registered too. A jump already scanned yields nothing new when
+       scanned again (every test is a pure function of the bytes, or of
+       whether a start is registered), so each round scans only the jumps
+       the previous one added, newest first: the same jumps are found in
+       the same order as rescanning the whole list each round. *)
     let changed_at a =
-      Bytes.get before (a - otext.Frontend.base)
-      <> Bytes.get after (a - otext.Frontend.base)
+      Bytes.get before (a - base) <> Bytes.get after (a - base)
     in
     let any_changed lo len =
       let any = ref false in
@@ -492,47 +513,39 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
       done;
       !any
     in
-    let rec expand () =
-      let added = ref false in
+    let rec expand scan =
+      let added = ref [] in
       List.iter
         (fun j ->
           for off = 1 to j.jlen - 1 do
             let b = j.start + off in
-            if
-              Hashtbl.mem bounds b
-              && not (List.exists (fun j' -> j'.start = b) !jmps)
-            then
+            if is_bound b && div b = None then
               match diversion_at b with
               | Some j' when any_changed j'.start j'.jlen ->
                   add_jmp j';
-                  added := true
+                  added := j' :: !added
               | _ -> ()
           done)
-        !jmps;
-      if !added then expand ()
+        scan;
+      if !added <> [] then expand !added
     in
-    expand ();
+    expand !jmps;
     (* Likewise a T3 short jump whose two bytes were punned over by another
        diversion: find it by scanning the rel8 range back from each
        non-boundary jump that still lacks a serving short. *)
     List.iter
       (fun j ->
-        if
-          (not (Hashtbl.mem bounds j.start))
-          && not (List.exists (fun (_, jp) -> jp = j.start) !shorts)
+        if (not (is_bound j.start)) && not (Hashtbl.mem short_site j.start)
         then
           for s = max disasm_lo (j.start - 129) to j.start - 2 do
             if
-              Hashtbl.mem bounds s && rbyte s = 0xeb
-              && (not (List.exists (fun (p, _) -> p = s) !shorts))
+              is_bound s && rbyte s = 0xeb
+              && (not (Hashtbl.mem short_target s))
               &&
               match (decode_after s).Decode.insn with
               | Insn.Jmp_short rel -> s + 2 + rel = j.start
               | _ -> false
-            then begin
-              shorts := (s, j.start) :: !shorts;
-              cover s 2
-            end
+            then add_short s j.start
           done)
       !jmps;
     let jmps = !jmps and shorts = !shorts in
@@ -546,7 +559,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
     let trampolines_checked = ref 0 in
     let verify_tramp ~site_addr t =
       let site_len, insn =
-        match Hashtbl.find_opt bounds site_addr with
+        match bound site_addr with
         | Some (len, insn) -> (len, insn)
         | None -> fail site_addr "served site is not an instruction boundary"
       in
@@ -624,10 +637,10 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
     List.iter
       (fun j ->
         let served =
-          if Hashtbl.mem bounds j.start then j.start
+          if is_bound j.start then j.start
           else
-            match List.find_opt (fun (_, jp) -> jp = j.start) shorts with
-            | Some (p, _) -> p
+            match Hashtbl.find_opt short_site j.start with
+            | Some p -> p
             | None ->
                 fail j.start
                   "punned jump at a non-boundary address with no serving \
@@ -644,40 +657,39 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
         verify_tramp ~site_addr:p t)
       trap_tbl;
     (* ---- per-byte classification --------------------------------- *)
-    let orig_len a =
-      match Hashtbl.find_opt bounds a with Some (l, _) -> l | None -> 0
+    let orig_len a = match bound a with Some (l, _) -> l | None -> 0 in
+    (* Any diversion covering [a] starts within [longest] bytes below it,
+       so probing the start index downward from [a] finds the covering
+       diversion with the highest start first. *)
+    let longest = !longest in
+    let rec probe_down a s =
+      if s <= a - longest then None
+      else
+        match div s with
+        | Some j when j.start + j.jlen > a -> Some j
+        | _ -> probe_down a (s - 1)
+    in
+    let rec probe_up s hi p =
+      s < hi
+      && ((match div s with Some j -> p j | None -> false)
+         || probe_up (s + 1) hi p)
     in
     let classify a =
       if rbyte a = 0xcc && Hashtbl.mem trap_tbl a then Trap
-      else if List.exists (fun (s, _) -> a = s || a = s + 1) shorts then
-        Short_jump
-      else begin
-        let covering =
-          List.filter (fun j -> j.start <= a && a < j.start + j.jlen) jmps
-        in
-        match
-          List.sort (fun j1 j2 -> compare j2.start j1.start) covering
-        with
-        | [] -> fail a "internal: changed byte lost its classification"
-        | j :: _ ->
-            if not (Hashtbl.mem bounds j.start) then T3_victim
+      else if Hashtbl.mem short_target a || Hashtbl.mem short_target (a - 1)
+      then Short_jump
+      else
+        match probe_down a a with
+        | None -> fail a "internal: changed byte lost its classification"
+        | Some j ->
+            if not (is_bound j.start) then T3_victim
+            else if probe_down j.start (j.start - 1) <> None then T2_evictee
             else if
-              List.exists
-                (fun j' ->
-                  j'.start < j.start && j'.start + j'.jlen > j.start)
-                jmps
-            then T2_evictee
-            else if
-              List.exists
-                (fun j' ->
-                  j'.start > j.start
-                  && j'.start < j.start + j.jlen
-                  && not (Hashtbl.mem bounds j'.start))
-                jmps
+              probe_up (j.start + 1) (j.start + j.jlen) (fun j' ->
+                  not (is_bound j'.start))
             then T3_victim
             else if a - j.start >= orig_len j.start then Pun_overhang
             else Patch_jump
-      end
     in
     let classified = List.map (fun a -> (a, classify a)) changed in
     Ok

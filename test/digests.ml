@@ -148,7 +148,8 @@ let fuzz ~jobs =
     match Fuzz.rewrite ~jobs case with
     | elf, disasm_from, r ->
         line (Printf.sprintf "fuzz/%02d" i) ?disasm_from elf r.Rewriter.output
-    | exception Codegen.Error _ -> missing (Printf.sprintf "fuzz/%02d" i) "skipped"
+    | exception Codegen.Error _ ->
+        missing (Printf.sprintf "fuzz/%02d" i) "skipped"
   done
 
 (* The tool-smoke input ([generate --functions 40 --iterations 80

@@ -133,11 +133,11 @@ let test_stray_byte_rejected () =
 (* The corpus-punning case with T1 and T2 turned off, so every site the
    base tactic cannot patch escalates to T3. Its rewrite holds T3 short
    jumps: a 2-byte [jmp rel8] at the patch site serving a punned jump at
-   a non-boundary address. The three corruptions below each break one link of that chain, so the
-   verifier must notice through the short-jump and trampoline lookups,
-   not just the byte diff. Returns the original, the serialized output,
-   a verifier over corrupted copies of it, and the T3 shorts as (site,
-   punned jump) pairs. *)
+   a non-boundary address. The three corruptions below each break one
+   link of that chain, so the verifier must notice through the
+   short-jump and trampoline lookups, not just the byte diff. Returns
+   the original, the serialized output, a verifier over corrupted copies
+   of it, and the T3 shorts as (site, punned jump) pairs. *)
 let punning_rewrite () =
   let case = List.nth corpus 2 in
   let forced =
@@ -219,6 +219,38 @@ let test_short_restored_rejected () =
       check_bool "reported as unserved" true
         (String.ends_with ~suffix:"with no serving short jump" e.Static.reason))
     orphans
+
+(* A second short jump forged at a later instruction boundary, aimed at
+   a punned jump a T3 short already serves. The punned jump's trampoline
+   returns to the first site's continuation, so it cannot serve the
+   forged site: the verifier resolves a punned jump to its most recently
+   registered short (the forged one, walked later) and must reject. *)
+let test_second_short_rejected () =
+  let elf, out, off, verify, shorts = punning_rewrite () in
+  let orig = Elf_file.to_bytes elf in
+  let _, sites = Frontend.disassemble elf in
+  let unchanged a = Bytes.get out (off a) = Bytes.get orig (off a) in
+  let forged =
+    List.find_map
+      (fun (s1, jp) ->
+        List.find_map
+          (fun (site : Frontend.site) ->
+            let s2 = site.Frontend.addr in
+            if s2 > s1 + 1 && s2 + 2 < jp && unchanged s2 && unchanged (s2 + 1)
+            then Some (s2, jp)
+            else None)
+          sites)
+      shorts
+  in
+  match forged with
+  | None -> Alcotest.fail "no boundary to forge a second short at"
+  | Some (s2, jp) ->
+      let b = Bytes.copy out in
+      Bytes.set b (off s2) '\xeb';
+      Bytes.set b (off (s2 + 1)) (Char.chr (jp - s2 - 2));
+      let e = rejected "second short" (verify b) in
+      check_bool "reported as a wrong terminal jump" true
+        (String.starts_with ~prefix:"terminal jump reaches" e.Static.reason)
 
 (* One trampoline's terminal [jmp] retargeted by one byte: the trampoline
    no longer returns to the displaced instruction's continuation. *)
@@ -354,6 +386,8 @@ let suites =
           test_short_restored_rejected;
         Alcotest.test_case "trampoline retargeted rejected" `Quick
           test_trampoline_retargeted_rejected;
+        Alcotest.test_case "second short to one punned jump rejected" `Quick
+          test_second_short_rejected;
         Alcotest.test_case "file round trip verifies" `Quick
           test_file_roundtrip_verifies;
         Alcotest.test_case "B0-degraded rewrite is trace-equivalent" `Quick
