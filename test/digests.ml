@@ -177,11 +177,13 @@ let tool ~jobs =
       ("returns", "call:naked counter()") ]
 
 (* Emits served by the daemon for one session's messages (after loading
-   the smoke input), driven through the in-process transport. *)
+   the smoke input), driven through the in-process transport. A tool
+   session rewrites the input with the runtime injected, so --verify
+   checks its emit against that augmented input, as the daemon does. *)
 let served ~jobs =
   let elf = Lazy.force smoke_input in
   let raw = Elf_file.to_bytes elf in
-  let serve name msgs =
+  let serve ?(input = elf) name msgs =
     let server = Server.create ~jobs () in
     let conn = Server.connect server in
     let load =
@@ -205,7 +207,7 @@ let served ~jobs =
     in
     match data with
     | Some b when !verify_mode ->
-        verify_line ("served/" ^ name) ~original:elf (Elf_file.of_bytes b)
+        verify_line ("served/" ^ name) ~original:input (Elf_file.of_bytes b)
     | Some b ->
         Printf.printf "served/%s text=%d %s\n%!" name (text_size elf)
           (digest_bytes b)
@@ -216,7 +218,7 @@ let served ~jobs =
     [ "jumps with counter"; "heap-writes with lowfat"; "heap-writes with empty" ];
   serve "selector jumps+counter"
     [ ("patch", [ ("selector", Json.Str "jumps"); ("trampoline", Json.Str "counter") ]) ];
-  serve "tool jumps|count"
+  serve "tool jumps|count" ~input:(Tool.inject elf).Tool.augmented
     [ ("tool", [ ("match", Json.Str "jumps"); ("patch", Json.Str "count") ]) ]
 
 let () =
