@@ -20,14 +20,15 @@ FAULT_SEED ?= 42
 # but the clock.
 SERVE_JOBS ?= 1
 
-# Rewriter domain count for the smoke targets. Empty means the binary's
-# own default (serial, or the E9_JOBS environment variable). The outputs
-# are jobs-invariant by construction, so CI runs the same targets under
-# BENCH_JOBS=1 and BENCH_JOBS=4 and expects identical results.
+# Domain count for the rewriter's linear-sweep decode in the smoke
+# targets. Empty means the binary's own default (serial, or the E9_JOBS
+# environment variable). The outputs are jobs-invariant by construction,
+# so CI runs the same targets under BENCH_JOBS=1 and BENCH_JOBS=4 and
+# expects identical results.
 BENCH_JOBS ?=
 BENCH_JOBS_FLAG = $(if $(BENCH_JOBS),--jobs $(BENCH_JOBS))
 
-.PHONY: all build test digest-check bench bench-smoke fuzz-smoke fault-smoke robust-smoke serve-smoke incremental-smoke plan-cache-smoke tool-smoke check-smoke fmt clean
+.PHONY: all build test digest-check bench bench-smoke fuzz-smoke fault-smoke robust-smoke serve-smoke tool-smoke check-smoke host-smoke fmt clean
 
 all: build
 
@@ -50,13 +51,12 @@ bench: build
 
 # Reduced bench under a hard timeout: the experiments that exercise the
 # emulator throughput path (scalability), end-to-end patched-binary
-# emulation (figure4), the chunked-rewriter jobs-invariance sweep
-# (parallel), the allocator micro-benchmark against its linear-scan
-# baseline (iset), and the rewriting-service throughput/caching run
-# (serve), and the incremental plan-cache cold-vs-warm series
-# (incremental), at --smoke sizes. Writes BENCH_throughput.json.
+# emulation (figure4), the allocator micro-benchmark against its
+# linear-scan baseline (iset), and the rewriting-service
+# throughput/caching run (serve), at --smoke sizes. Merges each
+# experiment's record into BENCH_throughput.json.
 bench-smoke: build
-	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bench/main.exe -- --smoke $(BENCH_JOBS_FLAG) scalability figure4 parallel iset serve incremental | tee bench_output.txt
+	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bench/main.exe -- --smoke $(BENCH_JOBS_FLAG) scalability figure4 iset serve | tee bench_output.txt
 
 # Fixed-seed differential fuzz campaign: random profile × tactic configs,
 # each rewrite checked by the static verifier and the trace oracle.
@@ -102,42 +102,6 @@ serve-smoke: build
 	grep -q '"verified":true' serve_output.txt
 	$(DUNE) exec bin/e9patch_cli.exe -- check serve-smoke/input.elf serve-smoke/out.elf | tee -a serve_output.txt
 	test -s serve-smoke/session-0.ndjson
-
-# Incremental-rewriting smoke (DESIGN.md §14): an N-revision series with
-# ~1% churn per step, each revision rewritten cold (fresh plan store) and
-# warm (shared store). The bench itself fails if any warm output differs
-# from cold, if the static verifier rejects anything, or if the warm pass
-# is not at least 2x faster than cold over the incremental revisions; the
-# grep pins the byte-identity line into the log. CI runs this under
-# BENCH_JOBS=1 and BENCH_JOBS=4 — plan replay must not disturb the
-# jobs-invariance contract.
-incremental-smoke: build
-	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bench/main.exe -- --smoke $(BENCH_JOBS_FLAG) incremental | tee incremental_output.txt
-	grep -q 'identical' incremental_output.txt
-	! grep -q 'DIFFERS\|FAIL' incremental_output.txt
-
-# Plan-cache smoke (DESIGN.md §14.4): the CLI's --plan-cache entry point
-# under both oracles. A generated input is patched cold (no plan file yet)
-# and then warm (replaying the saved plans); the two outputs must be
-# byte-identical, the warm run must report plan hits, and the warm output
-# must pass the static verifier and the trace oracle (check --dynamic). A
-# third run with an unwritable plan file must still write the same output
-# and only report the lost cache. CI runs this under BENCH_JOBS=1 and
-# BENCH_JOBS=4.
-plan-cache-smoke: build
-	rm -rf plan-cache-smoke && mkdir -p plan-cache-smoke
-	$(DUNE) exec bin/e9patch_cli.exe -- generate -o plan-cache-smoke/input.elf --functions 40 --iterations 80 --seed 7
-	{ for run in cold warm; do \
-	  echo "=== $$run"; \
-	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- patch plan-cache-smoke/input.elf -o plan-cache-smoke/$$run.elf --select jumps --template empty --plan-cache plan-cache-smoke/plans.bin $(BENCH_JOBS_FLAG); \
-	done; } 2>&1 | tee plan_cache_output.txt
-	cmp plan-cache-smoke/cold.elf plan-cache-smoke/warm.elf
-	awk '/^=== warm/ { w = 1 } w && /^plan cache: [1-9][0-9]* hits/ { f = 1 } END { exit !f }' plan_cache_output.txt
-	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- patch plan-cache-smoke/input.elf -o plan-cache-smoke/lost.elf --select jumps --template empty --plan-cache plan-cache-smoke/missing/plans.bin $(BENCH_JOBS_FLAG) | tee -a plan_cache_output.txt
-	grep -q '(patched binary is intact)' plan_cache_output.txt
-	cmp plan-cache-smoke/cold.elf plan-cache-smoke/lost.elf
-	$(DUNE) exec bin/e9patch_cli.exe -- check --dynamic plan-cache-smoke/input.elf plan-cache-smoke/warm.elf | tee -a plan_cache_output.txt
-	grep -q 'dynamic: OK' plan_cache_output.txt
 
 # Tool-frontend smoke (DESIGN.md §15): one matcher x patch pair per
 # builtin (print, count, trap, empty, lowfat) plus a three-argument clean
@@ -185,6 +149,20 @@ check-smoke: build
 	  timeout 20 $(DUNE) exec bin/e9patch_cli.exe -- check check-smoke/input.elf check-smoke/$$sel.elf; \
 	done; } 2>&1 | tee check_output.txt
 	test "$$(grep -c '^static: OK' check_output.txt)" = 2
+
+# Real binaries of the host: /usr/bin/true, cat and ls, each patched on
+# jumps with empty trampolines and the output checked by the static
+# verifier. A binary missing on the host prints "absent" and does not
+# fail the target; every present one must patch and pass the check.
+host-smoke: build
+	rm -rf host-smoke && mkdir -p host-smoke
+	{ for b in true cat ls; do \
+	  echo "=== /usr/bin/$$b"; \
+	  if [ ! -f /usr/bin/$$b ]; then echo absent; continue; fi; \
+	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- patch /usr/bin/$$b -o host-smoke/$$b.elf --select jumps --template empty $(BENCH_JOBS_FLAG); \
+	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- check /usr/bin/$$b host-smoke/$$b.elf; \
+	done; } 2>&1 | tee host_output.txt
+	test "$$(grep -c '^static: OK' host_output.txt)" = "$$(( $$(grep -c '^=== ' host_output.txt) - $$(grep -c '^absent$$' host_output.txt) ))"
 
 clean:
 	$(DUNE) clean

@@ -4,22 +4,24 @@
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe -- table1    -- one experiment
      ... robustness | figure4 | figure5 | grouping | ablation | pie | b0
-     ... scalability | parallel | faults | calibration | robust | bechamel
+     ... scalability | faults | calibration | robust | iset | serve | tool
+     ... bechamel
 
    Flags (EXPERIMENTS.md "Reproducing"):
      --serial       run every task on one domain (the speedup baseline)
      --domains N    fan tasks across exactly N domains
-     --jobs N       domains per rewrite (intra-binary sharding; default 1)
+     --jobs N       domains per rewrite's linear-sweep decode (default 1)
      --smoke        reduced sizes/trial counts, for CI timeouts
      --json PATH    dump every experiment's rows as JSON to PATH
 
    Independent (app × tactic-config) rewrite+emulate tasks are fanned
    across domains with E9_bits.Pool; results are collected per task and
    printed in input order, so the output is byte-identical to a serial run
-   (only wall-clock changes — DESIGN.md §7). A machine-readable
-   BENCH_throughput.json (wall time, emulated insns/sec, superblock-cache
-   hit rate, domain count) is written after every run so successive PRs
-   have a perf trajectory to regress against.
+   (only wall-clock changes — DESIGN.md §7). After every run each
+   experiment's record (wall time, emulated insns/sec, superblock-cache
+   hit rate, domain count, its own results) is merged into
+   BENCH_throughput.json under the experiment's name, leaving the other
+   experiments' records in place.
 
    Absolute numbers differ from the paper (the substrate is an emulator
    with a documented cost model, and binaries are scaled down); the shapes
@@ -86,6 +88,11 @@ let rows_json () =
   Json.Obj
     (List.map (fun (exp, r) -> (exp, Json.List (List.rev !r))) !json_rows)
 
+(* An experiment's own result object for BENCH_throughput.json, filed
+   under the experiment's name by the main loop. *)
+let published : Json.t option ref = ref None
+let publish j = published := Some j
+
 (* ------------------------------------------------------------------ *)
 (* Shared measurement machinery                                        *)
 (* ------------------------------------------------------------------ *)
@@ -102,10 +109,11 @@ let emu_block_invalidations = Atomic.make 0
 (* Rewrite-path telemetry, aggregated across domains: every measured
    rewrite goes through [traced_run] with a per-call aggregator sink
    (constant memory), merged into one global rollup under a lock. The
-   per-tactic histogram and phase-span totals land in
-   BENCH_throughput.json. The bechamel micro-benchmarks stay detached so
-   they keep measuring the bare (sink-less) hot path. *)
-let obs_agg = Obs.Agg.create ()
+   per-tactic histogram and phase-span totals land in the running
+   experiment's record in BENCH_throughput.json (the main loop starts a
+   fresh rollup per experiment). The bechamel micro-benchmarks stay
+   detached so they keep measuring the bare (sink-less) hot path. *)
+let obs_agg = ref (Obs.Agg.create ())
 let obs_lock = Mutex.create ()
 
 let traced_run ?options ?disasm_from ?frontend elf ~select ~template =
@@ -115,7 +123,7 @@ let traced_run ?options ?disasm_from ?frontend elf ~select ~template =
       ~select ~template
   in
   Mutex.protect obs_lock (fun () ->
-      Obs.Agg.merge_into ~dst:obs_agg (Obs.agg obs));
+      Obs.Agg.merge_into ~dst:!obs_agg (Obs.agg obs));
   r
 
 (* Static-verification accounting: every measured rewrite is checked by
@@ -844,145 +852,11 @@ let bench_scalability () =
     measured
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel rewriting: jobs-invariance + intra-binary scaling   *)
-(* ------------------------------------------------------------------ *)
-
-(* Captured for the [parallel] object in BENCH_throughput.json. *)
-let parallel_json : Json.t option ref = ref None
-
-let bench_parallel () =
-  heading
-    "Domain-parallel rewriting: jobs-invariance and intra-binary scaling";
-  (* The parallel tactic search runs over content-defined chunks; without
-     chunking the whole text is one chunk and there is nothing to spread
-     across domains. *)
-  let chunking = Chunker.default in
-  let chunked options = { options with Rewriter.chunking = Some chunking } in
-  (* Part 1: across the whole Table 1 corpus, jobs=4 must produce the
-     same bytes as jobs=1 and pass the independent verifier. *)
-  printf "corpus determinism (chunking %a): jobs=4 vs jobs=1@."
-    Chunker.pp_params chunking;
-  let checked =
-    par_map
-      (fun (row : Suite.row) ->
-        let elf = Codegen.generate row.Suite.profile in
-        let options = chunked (options_for row) in
-        let rewrite jobs =
-          Rewriter.run ~options ~jobs ?disasm_from:(disasm_from_of elf) elf
-            ~select:Frontend.select_jumps
-            ~template:(fun _ -> Trampoline.Empty)
-        in
-        let r1 = rewrite 1 in
-        let r4 = rewrite 4 in
-        verify_rewrite (row.Suite.profile.Codegen.name ^ "(jobs=4)") elf r4;
-        let identical =
-          Bytes.equal
-            (Elf_file.to_bytes r1.Rewriter.output)
-            (Elf_file.to_bytes r4.Rewriter.output)
-        in
-        (row.Suite.profile.Codegen.name, r4.Rewriter.shards, identical))
-      (cut 4 Suite.rows)
-  in
-  let corpus_rows =
-    List.map
-      (fun (name, chunks, identical) ->
-        record_row "parallel"
-          [ ("binary", Json.Str name);
-            ("chunks", Json.Int chunks);
-            ("identical", Json.Bool identical) ];
-        printf "  %-12s %4d chunks  %s@." name chunks
-          (if identical then "identical" else "DIFFERS");
-        if not identical then
-          failwith (name ^ ": jobs=4 output differs from jobs=1");
-        Json.Obj
-          [ ("binary", Json.Str name);
-            ("chunks", Json.Int chunks);
-            ("identical", Json.Bool identical) ])
-      checked
-  in
-  (* Part 2: one large binary, chunked, jobs ∈ {1,2,4}, beside the
-     whole-text (one chunk, serial) search it competes with. The quantity
-     under test is the tactic_search span — decode and serialization
-     scale separately — but end-to-end wall time is recorded too. Runs
-     are sequential (never fanned with par_map) so each sweep point has
-     the machine to itself. *)
-  let functions = if !smoke then 1000 else 4000 in
-  let prof =
-    { Codegen.default_profile with
-      Codegen.seed = 64L; functions; iterations = 1 }
-  in
-  let elf = Codegen.generate prof in
-  let text, _ = Frontend.disassemble elf in
-  let measure options jobs =
-    let obs = Obs.aggregator () in
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Rewriter.run ~options ~obs ~jobs elf ~select:Frontend.select_jumps
-        ~template:(fun _ -> Trampoline.Empty)
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let search = Obs.Agg.span_total (Obs.agg obs) "tactic_search" in
-    (r, wall, search)
-  in
-  let _, _, whole_search = measure Rewriter.default_options 1 in
-  let options = chunked Rewriter.default_options in
-  let r1, wall1, search1 = measure options 1 in
-  let reference = Elf_file.to_bytes r1.Rewriter.output in
-  let cores = Domain.recommended_domain_count () in
-  printf "@.intra-binary scaling (%d KB text, %d chunks, %d cores):@."
-    (text.Frontend.size / 1024) r1.Rewriter.shards cores;
-  printf "  whole-text (1 chunk) search: %.3fs@." whole_search;
-  printf "  %5s %12s %12s %9s@." "jobs" "search s" "total s" "speedup";
-  let sweep =
-    List.map
-      (fun jobs ->
-        let r, wall, search =
-          if jobs = 1 then (r1, wall1, search1) else measure options jobs
-        in
-        if not (Bytes.equal (Elf_file.to_bytes r.Rewriter.output) reference)
-        then failwith (Printf.sprintf "jobs=%d differs on the sweep binary" jobs);
-        let speedup = if search > 0.0 then search1 /. search else 0.0 in
-        record_row "parallel-sweep"
-          [ ("jobs", Json.Int jobs);
-            ("search_s", Json.Float search);
-            ("wall_s", Json.Float wall);
-            ("search_speedup", Json.Float speedup);
-            ("chunks", Json.Int r.Rewriter.shards);
-            ("steal_count", Json.Int r.Rewriter.steals);
-            ("setup_s", Json.Float r.Rewriter.setup_s) ];
-        printf "  %5d %12.3f %12.3f %8.2fx  (%d chunks, %d steals, \
-                setup %.4fs)@."
-          jobs search wall speedup r.Rewriter.shards r.Rewriter.steals
-          r.Rewriter.setup_s;
-        Json.Obj
-          [ ("jobs", Json.Int jobs);
-            ("search_s", Json.Float search);
-            ("wall_s", Json.Float wall);
-            ("search_speedup", Json.Float speedup);
-            ("chunks", Json.Int r.Rewriter.shards);
-            ("steal_count", Json.Int r.Rewriter.steals);
-            ("setup_s", Json.Float r.Rewriter.setup_s) ])
-      [ 1; 2; 4 ]
-  in
-  parallel_json :=
-    Some
-      (Json.Obj
-         [ ("chunking", Json.Str (Format.asprintf "%a" Chunker.pp_params chunking));
-           ("corpus", Json.List corpus_rows);
-           ("cores", Json.Int cores);
-           ("sweep_text_kb", Json.Int (text.Frontend.size / 1024));
-           ("sweep_chunks", Json.Int r1.Rewriter.shards);
-           ("whole_text_search_s", Json.Float whole_search);
-           ("sweep", Json.List sweep) ])
-
-(* ------------------------------------------------------------------ *)
 (* Fault-injection campaign (DESIGN.md §11)                            *)
 (* ------------------------------------------------------------------ *)
 
 module Inject = E9_check.Inject
 
-(* Captured for the [faults] object in BENCH_throughput.json. *)
-let faults_json : Json.t option ref = ref None
 
 let bench_faults () =
   heading "Fault injection: hardening contract under random fault schedules";
@@ -1006,7 +880,7 @@ let bench_faults () =
       ("skipped", Json.Int s.Inject.skipped);
       ("b0_sites", Json.Int s.Inject.b0_sites);
       ("violations", Json.Int (List.length s.Inject.failures)) ];
-  faults_json := Some (Inject.summary_json s);
+  publish (Inject.summary_json s);
   if s.Inject.failures <> [] then
     failwith "fault campaign found contract violations"
 
@@ -1066,8 +940,6 @@ let bench_calibration () =
 (* Iset micro-benchmark: augmented tree vs the linear-scan baseline    *)
 (* ------------------------------------------------------------------ *)
 
-(* Captured for the [iset] list in BENCH_throughput.json. *)
-let iset_json : Json.t option ref = ref None
 
 let bench_iset () =
   heading "Iset: O(log n) strided query vs the linear-scan baseline";
@@ -1146,7 +1018,7 @@ let bench_iset () =
             ("speedup", Json.Float speedup) ])
       sizes
   in
-  iset_json := Some (Json.List rows)
+  publish (Json.List rows)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: rewriter throughput per experiment       *)
@@ -1225,7 +1097,6 @@ let bench_bechamel () =
 (* Robustness corpus: the adversarial families                         *)
 (* ------------------------------------------------------------------ *)
 
-let robust_json : Json.t option ref = ref None
 
 let bench_robust () =
   heading
@@ -1244,7 +1115,7 @@ let bench_robust () =
           ("floor_pct", Json.Float f.Adversary.floor_pct);
           ("pass", Json.Bool (Matrix.passed s)) ])
     scores;
-  robust_json := Some (Matrix.to_json scores);
+  publish (Matrix.to_json scores);
   let failed = List.filter (fun s -> not (Matrix.passed s)) scores in
   printf "  %d/%d families pass@."
     (List.length scores - List.length failed)
@@ -1258,7 +1129,6 @@ let bench_robust () =
 (* serve: the RPC daemon as a workload                                  *)
 (* ------------------------------------------------------------------ *)
 
-let service_json : Json.t option ref = ref None
 
 (* Sustained request throughput through the rewriting service: D distinct
    binaries served cold (every emit a rewrite), then replayed twice warm
@@ -1343,9 +1213,8 @@ let bench_serve () =
   (* Fold the daemon's per-phase spans (rpc_decode/rpc_rewrite/rpc_verify,
      per-method rpc_* timings) into the global rollup. *)
   Mutex.protect obs_lock (fun () ->
-      Obs.Agg.merge_into ~dst:obs_agg (Server.agg server));
-  service_json :=
-    Some
+      Obs.Agg.merge_into ~dst:!obs_agg (Server.agg server));
+  publish
       (Json.Obj
          [ ("sessions", Json.Int closed);
            ("requests", Json.Int (Server.requests server));
@@ -1376,183 +1245,9 @@ let bench_serve () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Incremental rewriting: the chunked plan cache, warm vs cold         *)
-(* ------------------------------------------------------------------ *)
-
-module Plan = E9_core.Plan
-
-let incremental_json : Json.t option ref = ref None
-
-(* An N-revision series with ~1% text churn per step: revision r+1 is
-   revision r with a few whole instructions overwritten by NOPs (edits at
-   decoded-site boundaries, so every revision stays a valid linear-sweep
-   input). Each revision is rewritten twice under identical chunked
-   options — cold against a fresh plan store, warm against the store the
-   series has been populating — and the gate is that the warm pass both
-   reproduces the cold bytes exactly and runs at least twice as fast,
-   because unchanged chunks replay their plans instead of re-running
-   decode and tactic search (O(changed bytes), DESIGN.md §14). Timed runs
-   are sequential: par_map would make wall-clock meaningless. *)
-let bench_incremental () =
-  heading "Incremental rewriting: chunked plan cache, warm vs cold";
-  let functions = if !smoke then 500 else 1500 in
-  let revisions = if !smoke then 4 else 6 in
-  let prof =
-    { Codegen.default_profile with
-      Codegen.seed = 77L; functions; iterations = 1 }
-  in
-  let elf0 = Codegen.generate prof in
-  let base_bytes = Elf_file.to_bytes elf0 in
-  let text, sites = Frontend.disassemble elf0 in
-  (* Churn sites from the base decode: overwriting an instruction with
-     one-byte NOPs preserves every other instruction boundary, so the
-     base site table stays valid for deriving later revisions too. *)
-  let editable =
-    Array.of_list (List.filter (fun s -> s.Frontend.len >= 2) sites)
-  in
-  let churn_budget = max 16 (text.Frontend.size / 100) in
-  (* Localized churn, like a real edit: one contiguous run of
-     instructions per revision, ~1% of the text. Scattering the same
-     budget uniformly would touch every chunk and leave nothing to
-     replay. *)
-  let revise rng bytes =
-    let b = Bytes.copy bytes in
-    let start = Random.State.int rng (Array.length editable) in
-    let churned = ref 0 in
-    let i = ref start in
-    while !churned < churn_budget && !i < Array.length editable do
-      let s = editable.(!i) in
-      let off = text.Frontend.offset + (s.Frontend.addr - text.Frontend.base) in
-      Bytes.fill b off s.Frontend.len '\x90';
-      churned := !churned + s.Frontend.len;
-      incr i
-    done;
-    b
-  in
-  let rng = Random.State.make [| 0xe9; 77 |] in
-  let series =
-    let rec grow acc bytes n =
-      if n = 0 then List.rev acc
-      else
-        let next = revise rng bytes in
-        grow (next :: acc) next (n - 1)
-    in
-    base_bytes :: grow [] base_bytes (revisions - 1)
-  in
-  let options =
-    { Rewriter.default_options with
-      Rewriter.chunking = Some Chunker.default }
-  in
-  let fresh_store () = E9_core.Cache.create ~capacity:Plan.capacity () in
-  let plan_of store =
-    { Plan.store;
-      (* select/template are fixed for the whole experiment, so a
-         constant fragment key is exact. *)
-      spec_key = (fun ~lo:_ ~len:_ -> "bench:jumps/empty") }
-  in
-  let rewrite ~plan elf =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Rewriter.run ~options ?jobs:!jobs_opt ~plan elf
-        ~select:Frontend.select_jumps
-        ~template:(fun _ -> Trampoline.Empty)
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let warm_store = fresh_store () in
-  printf "  %3s %9s %9s %9s  %5s %5s %5s  %s@." "rev" "cold s" "warm s"
-    "speedup" "hit" "miss" "conf" "bytes";
-  let cold_total = ref 0.0 and warm_total = ref 0.0 in
-  let hits = ref 0 and misses = ref 0 and conflicts = ref 0 in
-  let all_identical = ref true in
-  let rows =
-    List.mapi
-      (fun rev bytes ->
-        let elf = Elf_file.of_bytes bytes in
-        let cold, cold_s = rewrite ~plan:(plan_of (fresh_store ())) elf in
-        let warm, warm_s = rewrite ~plan:(plan_of warm_store) elf in
-        let identical =
-          Bytes.equal
-            (Elf_file.to_bytes cold.Rewriter.output)
-            (Elf_file.to_bytes warm.Rewriter.output)
-        in
-        verify_rewrite (Printf.sprintf "incremental(rev %d, warm)" rev) elf
-          warm;
-        if not identical then all_identical := false;
-        (* Revision 0 populates the warm store (all misses); the
-           incremental claim is about the replays after it. *)
-        if rev > 0 then begin
-          cold_total := !cold_total +. cold_s;
-          warm_total := !warm_total +. warm_s
-        end;
-        hits := !hits + warm.Rewriter.plan_hits;
-        misses := !misses + warm.Rewriter.plan_misses;
-        conflicts := !conflicts + warm.Rewriter.plan_conflicts;
-        let speedup = if warm_s > 0.0 then cold_s /. warm_s else 0.0 in
-        record_row "incremental"
-          [ ("rev", Json.Int rev);
-            ("cold_s", Json.Float cold_s);
-            ("warm_s", Json.Float warm_s);
-            ("speedup", Json.Float speedup);
-            ("plan_hits", Json.Int warm.Rewriter.plan_hits);
-            ("plan_misses", Json.Int warm.Rewriter.plan_misses);
-            ("plan_conflicts", Json.Int warm.Rewriter.plan_conflicts);
-            ("identical", Json.Bool identical) ];
-        printf "  %3d %9.3f %9.3f %8.2fx  %5d %5d %5d  %s@." rev cold_s
-          warm_s speedup warm.Rewriter.plan_hits warm.Rewriter.plan_misses
-          warm.Rewriter.plan_conflicts
-          (if identical then "identical" else "DIFFERS");
-        Json.Obj
-          [ ("rev", Json.Int rev);
-            ("cold_s", Json.Float cold_s);
-            ("warm_s", Json.Float warm_s);
-            ("speedup", Json.Float speedup);
-            ("plan_hits", Json.Int warm.Rewriter.plan_hits);
-            ("plan_misses", Json.Int warm.Rewriter.plan_misses);
-            ("plan_conflicts", Json.Int warm.Rewriter.plan_conflicts);
-            ("identical", Json.Bool identical) ])
-      series
-  in
-  let speedup =
-    if !warm_total > 0.0 then !cold_total /. !warm_total else 0.0
-  in
-  printf
-    "  warm total %.3fs vs cold %.3fs over %d incremental revisions: \
-     %.2fx (plans: %d hits, %d misses, %d conflicts)@."
-    !warm_total !cold_total (revisions - 1) speedup !hits !misses !conflicts;
-  incremental_json :=
-    Some
-      (Json.Obj
-         [ ("revisions", Json.Int revisions);
-           ("churn_bytes", Json.Int churn_budget);
-           ("text_bytes", Json.Int text.Frontend.size);
-           ("jobs",
-            Json.Int (match !jobs_opt with Some j -> j | None -> 1));
-           ("cold_s", Json.Float !cold_total);
-           ("warm_s", Json.Float !warm_total);
-           ("warm_speedup", Json.Float speedup);
-           ("plan_hits", Json.Int !hits);
-           ("plan_misses", Json.Int !misses);
-           ("plan_conflicts", Json.Int !conflicts);
-           ("identical", Json.Bool !all_identical);
-           ("series", Json.List rows) ]);
-  if not !all_identical then begin
-    printf "  FAIL: warm output differs from cold@.";
-    Atomic.incr verify_checked;
-    Atomic.incr verify_failed
-  end;
-  if speedup < 2.0 then begin
-    printf "  FAIL: warm speedup %.2fx < 2x@." speedup;
-    Atomic.incr verify_checked;
-    Atomic.incr verify_failed
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Tool frontend: builtin matcher x patch pairs over the corpus        *)
 (* ------------------------------------------------------------------ *)
 
-(* Captured for the [tool] object in BENCH_throughput.json. *)
-let tool_json : Json.t option ref = ref None
 
 let bench_tool () =
   heading
@@ -1609,23 +1304,9 @@ let bench_tool () =
         reserve_below_base = f.Adversary.profile.Codegen.shared_object;
         keep_ranges = holes }
     in
-    let run options j = Tool.run ~options ~jobs:j ?frontend elf rules in
-    let res = run options 1 in
+    let res = Tool.run ~options ~jobs:1 ?frontend elf rules in
     let r = res.Tool.rewrite in
     let rt = res.Tool.runtime in
-    (* The identity leg splits the family's text into small chunks, so
-       jobs 4 runs the parallel search against jobs 1's. *)
-    let jobs_identical =
-      let chunked =
-        { options with Rewriter.chunking = Some E9_check.Fuzz.small_chunking }
-      in
-      let c1 = (run chunked 1).Tool.rewrite
-      and c4 = (run chunked 4).Tool.rewrite in
-      Bytes.equal
-        (Elf_file.to_bytes c1.Rewriter.output)
-        (Elf_file.to_bytes c4.Rewriter.output)
-      && c1.Rewriter.stats = c4.Rewriter.stats
-    in
     let static_err =
       match
         Static.verify ~holes ~original:rt.Tool.augmented r.Rewriter.output
@@ -1649,14 +1330,14 @@ let bench_tool () =
         | Ok _ -> None
         | Error msg -> Some msg
     in
-    (m, p, f.Adversary.name, Stats.total r.Rewriter.stats, jobs_identical,
-     static_err, trace_err)
+    (m, p, f.Adversary.name, Stats.total r.Rewriter.stats, static_err,
+     trace_err)
   in
   let scores = par_map score tasks in
   let rows =
     List.map
-      (fun (m, p, fam, sites, ji, serr, terr) ->
-        let pass = ji && serr = None && terr = None in
+      (fun (m, p, fam, sites, serr, terr) ->
+        let pass = serr = None && terr = None in
         Atomic.incr verify_checked;
         if not pass then begin
           Atomic.incr verify_failed;
@@ -1664,7 +1345,7 @@ let bench_tool () =
             (match (serr, terr) with
             | Some e, _ -> "static: " ^ e
             | None, Some e -> "trace: " ^ e
-            | None, None -> "jobs 1 vs 4 bytes differ")
+            | None, None -> assert false)
         end;
         record_row "tool"
           [ ("match", Json.Str m); ("patch", Json.Str p);
@@ -1673,32 +1354,27 @@ let bench_tool () =
         Json.Obj
           [ ("match", Json.Str m); ("patch", Json.Str p);
             ("family", Json.Str fam); ("sites", Json.Int sites);
-            ("jobs_identical", Json.Bool ji);
             ("static",
              Json.Str (match serr with None -> "ok" | Some e -> e));
             ("trace",
-             Json.Str
-               (match terr with
-               | None -> if ji then "ok" else "ok"
-               | Some e -> e));
+             Json.Str (match terr with None -> "ok" | Some e -> e));
             ("pass", Json.Bool pass) ])
       scores
   in
   let passed =
     List.length
       (List.filter
-         (fun (_, _, _, _, ji, s, t) -> ji && s = None && t = None)
+         (fun (_, _, _, _, s, t) -> s = None && t = None)
          scores)
   in
   printf "  %d pairs x %d families: %d/%d pass@." (List.length pairs)
     (List.length families) passed (List.length scores);
   List.iter
-    (fun (m, p, fam, sites, _, _, _) ->
+    (fun (m, p, fam, sites, _, _) ->
       printf "    %-42s %-34s %-22s %6d sites@."
         (Printf.sprintf "-M %s" m) (Printf.sprintf "-P %s" p) fam sites)
     scores;
-  tool_json :=
-    Some
+  publish
       (Json.Obj
          [ ("pairs", Json.Int (List.length pairs));
            ("families", Json.Int (List.length families));
@@ -1721,13 +1397,11 @@ let all =
     ("pie", bench_pie);
     ("b0", bench_b0);
     ("scalability", bench_scalability);
-    ("parallel", bench_parallel);
     ("faults", bench_faults);
     ("calibration", bench_calibration);
     ("robust", bench_robust);
     ("iset", bench_iset);
     ("serve", bench_serve);
-    ("incremental", bench_incremental);
     ("tool", bench_tool);
     ("bechamel", bench_bechamel) ]
 
@@ -1772,6 +1446,77 @@ let rec parse_args = function
 
 let throughput_path = "BENCH_throughput.json"
 
+(* The emulation counters so far, as a throughput record. *)
+let throughput ~wall_s =
+  { Stats.wall_s;
+    emu_insns = Atomic.get emu_insns;
+    emu_wall_s = float_of_int (Atomic.get emu_wall_us) /. 1e6;
+    block_hits = Atomic.get emu_block_hits;
+    block_misses = Atomic.get emu_block_misses;
+    block_invalidations = Atomic.get emu_block_invalidations;
+    domains = domains () }
+
+(* What accrued between two [throughput] snapshots. *)
+let since (a : Stats.throughput) (b : Stats.throughput) =
+  { b with
+    Stats.wall_s = b.Stats.wall_s -. a.Stats.wall_s;
+    emu_insns = b.emu_insns - a.emu_insns;
+    emu_wall_s = b.emu_wall_s -. a.emu_wall_s;
+    block_hits = b.block_hits - a.block_hits;
+    block_misses = b.block_misses - a.block_misses;
+    block_invalidations = b.block_invalidations - a.block_invalidations }
+
+(* One experiment's record: the run's settings, the emulation, tactics,
+   phase times and verifications the experiment caused, and what it
+   published. *)
+let experiment_json (tp : Stats.throughput) agg ~checked ~failed =
+  Json.Obj
+    ([ ("domains", Json.Int tp.Stats.domains);
+       ("jobs", Json.Int (match !jobs_opt with Some j -> j | None -> 1));
+       ("serial", Json.Bool !serial);
+       ("smoke", Json.Bool !smoke);
+       ("wall_s", Json.Float tp.Stats.wall_s);
+       ("emu",
+        Json.Obj
+          [ ("insns", Json.Int tp.Stats.emu_insns);
+            ("wall_s", Json.Float tp.Stats.emu_wall_s);
+            ("insns_per_sec", Json.Float (Stats.insns_per_sec tp));
+            ("block_hits", Json.Int tp.Stats.block_hits);
+            ("block_misses", Json.Int tp.Stats.block_misses);
+            ("block_hit_rate", Json.Float (Stats.block_hit_rate tp));
+            ("block_invalidations", Json.Int tp.Stats.block_invalidations) ]);
+       ("tactics", Obs.Agg.tactics_json agg);
+       ("timings", Obs.Agg.spans_json agg);
+       ("verify",
+        Json.Obj
+          [ ("checked", Json.Int checked); ("passed", Json.Int (checked - failed)) ])
+     ]
+    @ match !published with Some j -> [ ("result", j) ] | None -> [])
+
+let schema = "e9repro-bench-throughput/2"
+
+(* Merge this run's experiment records into the file, each under its
+   experiment's name: keys of experiments that did not run are kept, so
+   one run never clobbers another's record. A file of another schema (or
+   none) starts empty. The write is atomic. *)
+let write_throughput records =
+  let kept =
+    match In_channel.with_open_bin throughput_path In_channel.input_all with
+    | exception Sys_error _ -> []
+    | text -> (
+        match Json.of_string text with
+        | Ok (Json.Obj fields)
+          when List.assoc_opt "schema" fields = Some (Json.Str schema) ->
+            List.filter
+              (fun (k, _) -> k <> "schema" && not (List.mem_assoc k records))
+              fields
+        | _ -> [])
+  in
+  E9_bits.Atomic_file.write throughput_path
+    (Json.to_string
+       (Json.Obj ((("schema", Json.Str schema) :: kept) @ records))
+    ^ "\n")
+
 let () =
   let names = parse_args (List.tl (Array.to_list Sys.argv)) in
   let chosen =
@@ -1789,83 +1534,29 @@ let () =
           names
   in
   let t0 = Unix.gettimeofday () in
-  let exp_times =
+  let run_agg = Obs.Agg.create () in
+  let records =
     List.map
       (fun (name, f) ->
-        let s = Unix.gettimeofday () in
+        let s0 = Unix.gettimeofday () in
+        let before = throughput ~wall_s:0.0 in
+        let checked0 = Atomic.get verify_checked
+        and failed0 = Atomic.get verify_failed in
+        obs_agg := Obs.Agg.create ();
+        published := None;
         f ();
-        (name, Unix.gettimeofday () -. s))
+        let tp = since before (throughput ~wall_s:(Unix.gettimeofday () -. s0)) in
+        Obs.Agg.merge_into ~dst:run_agg !obs_agg;
+        ( name,
+          experiment_json tp !obs_agg
+            ~checked:(Atomic.get verify_checked - checked0)
+            ~failed:(Atomic.get verify_failed - failed0) ))
       chosen
   in
   let wall = Unix.gettimeofday () -. t0 in
-  let tp =
-    { Stats.wall_s = wall;
-      emu_insns = Atomic.get emu_insns;
-      emu_wall_s = float_of_int (Atomic.get emu_wall_us) /. 1e6;
-      block_hits = Atomic.get emu_block_hits;
-      block_misses = Atomic.get emu_block_misses;
-      block_invalidations = Atomic.get emu_block_invalidations;
-      domains = domains () }
-  in
-  printf "@.[throughput: %a]@." Stats.pp_throughput tp;
-  printf "@.[tactics: %a]@." Obs.Agg.pp obs_agg;
-  Json.to_file throughput_path
-    (Json.Obj
-       [ ("schema", Json.Str "e9repro-bench-throughput/1");
-         ("domains", Json.Int tp.Stats.domains);
-         ("serial", Json.Bool !serial);
-         ("smoke", Json.Bool !smoke);
-         ("wall_s", Json.Float tp.Stats.wall_s);
-         ("emu",
-          Json.Obj
-            [ ("insns", Json.Int tp.Stats.emu_insns);
-              ("wall_s", Json.Float tp.Stats.emu_wall_s);
-              ("insns_per_sec", Json.Float (Stats.insns_per_sec tp));
-              ("block_hits", Json.Int tp.Stats.block_hits);
-              ("block_misses", Json.Int tp.Stats.block_misses);
-              ("block_hit_rate", Json.Float (Stats.block_hit_rate tp));
-              ("block_invalidations", Json.Int tp.Stats.block_invalidations) ]);
-         ("jobs",
-          Json.Int (match !jobs_opt with Some j -> j | None -> 1));
-         ("tactics", Obs.Agg.tactics_json obs_agg);
-         ("timings", Obs.Agg.spans_json obs_agg);
-         ("parallel",
-          (match !parallel_json with
-          | Some j -> j
-          | None -> Json.Obj []));
-         ("iset",
-          (match !iset_json with Some j -> j | None -> Json.List []));
-         ("faults",
-          (match !faults_json with
-          | Some j -> j
-          | None -> Json.Obj []));
-         ("robustness",
-          (match !robust_json with
-          | Some j -> j
-          | None -> Json.Obj []));
-         ("service",
-          (match !service_json with
-          | Some j -> j
-          | None -> Json.Obj []));
-         ("incremental",
-          (match !incremental_json with
-          | Some j -> j
-          | None -> Json.Obj []));
-         ("tool",
-          (match !tool_json with Some j -> j | None -> Json.Obj []));
-         ("verify",
-          Json.Obj
-            [ ("checked", Json.Int (Atomic.get verify_checked));
-              ("passed",
-               Json.Int
-                 (Atomic.get verify_checked - Atomic.get verify_failed)) ]);
-         ("experiments",
-          Json.List
-            (List.map
-               (fun (name, dt) ->
-                 Json.Obj
-                   [ ("name", Json.Str name); ("wall_s", Json.Float dt) ])
-               exp_times)) ]);
+  printf "@.[throughput: %a]@." Stats.pp_throughput (throughput ~wall_s:wall);
+  printf "@.[tactics: %a]@." Obs.Agg.pp run_agg;
+  write_throughput records;
   (match !json_path with
   | Some path -> Json.to_file path (rows_json ())
   | None -> ());

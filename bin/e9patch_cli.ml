@@ -11,7 +11,6 @@ module Suite = E9_workload.Suite
 module Machine = E9_emu.Machine
 module Cpu = E9_emu.Cpu
 module Rewriter = E9_core.Rewriter
-module Plan = E9_core.Plan
 module Tactics = E9_core.Tactics
 module Stats = E9_core.Stats
 module Lowfat = E9_lowfat.Lowfat
@@ -155,11 +154,9 @@ let patch_cmd =
       value
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domains for the chunked decode and, with \
-                $(b,--plan-cache) (content-defined chunks), the parallel \
-                tactic search (default: \\$E9_JOBS, else 1); otherwise the \
-                search is one serial pass over the whole text. Output bytes \
-                are identical for every $(docv).")
+          ~doc:"Domains for the parallel linear-sweep decode (default: \\$E9_JOBS, \
+                else 1); the tactic search is one serial pass over the \
+                whole text. Output bytes are identical for every $(docv).")
   in
   let inject =
     Arg.(
@@ -170,29 +167,11 @@ let patch_cmd =
                 rules $(b,site@N) (fire on the Nth occurrence, 0-based), \
                 $(b,site@N+) (from the Nth on) or $(b,site%N) (every Nth); \
                 sites: alloc, b0alloc, decode, shard, trace, write. The \
-                $(b,shard) site keys on the chunk index; a rewrite without \
-                $(b,--plan-cache) is chunk 0, so $(b,shard@0) aborts it. \
+                tactic search is shard 0, so $(b,shard@0) aborts it. \
                 E.g. 'alloc@3,write@0'.")
   in
-  let plan_cache =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "plan-cache" ] ~docv:"FILE"
-          ~doc:
-            (Printf.sprintf
-               "Incremental rewriting: split the text into content-defined \
-                chunks, replay cached per-chunk rewrite plans from $(docv) \
-                for unchanged chunks, search the changed ones live, and \
-                save the updated plans back. Output bytes are identical to \
-                a cold rewrite; repeat rewrites of a lightly edited binary \
-                cost O(changed bytes). Created on first use; keeps the %d \
-                most recently used chunk plans. A plan file that cannot be \
-                written is reported and does not fail the rewrite."
-               Plan.capacity))
-  in
   let run () input output select template granularity no_grouping shared b0
-      no_t1 no_t2 no_t3 stub spec_arg spec_file trace jobs inject plan_cache =
+      no_t1 no_t2 no_t3 stub spec_arg spec_file trace jobs inject =
    or_die @@ fun () ->
     let fault =
       match inject with
@@ -211,9 +190,7 @@ let patch_cmd =
         grouping = not no_grouping;
         reserve_below_base = shared;
         loader = (if stub then Rewriter.Stub else Rewriter.Table);
-        keep_ranges = [];
-        chunking =
-          (if plan_cache <> None then Some Chunker.default else None) }
+        keep_ranges = [] }
     in
     let spec =
       match (spec_arg, spec_file) with
@@ -230,40 +207,15 @@ let patch_cmd =
       | None, None -> [ { Patchspec.selector = select; patch = template } ]
     in
     let select, template = Tool.lower spec in
-    let plan_store = Option.map Plan.load plan_cache in
-    let plan =
-      Option.map
-        (fun store ->
-          let text_base =
-            match Frontend.find_text elf with
-            | Some t -> t.Frontend.base
-            | None -> 0
-          in
-          { Plan.store; spec_key = Patchspec.spec_key spec ~text_base })
-        plan_store
-    in
     let obs =
       match trace with Some _ -> Obs.ring () | None -> Obs.null
     in
     let r =
-      Rewriter.run ~options ~obs ~fault ?jobs ?plan elf ~select ~template
+      Rewriter.run ~options ~obs ~fault ?jobs elf ~select ~template
     in
     Elf_file.write_file
       ~fault:(fun () -> Fault.fires fault Fault.Write)
       r.Rewriter.output output;
-    (match (plan_store, plan_cache) with
-    | Some store, Some file -> (
-        match Plan.save store file with
-        | () ->
-            printf
-              "plan cache: %d hits, %d misses, %d conflicts; %d plans -> %s@."
-              r.Rewriter.plan_hits r.Rewriter.plan_misses
-              r.Rewriter.plan_conflicts (E9_core.Cache.stats store).entries file
-        | exception Sys_error m ->
-            (* A lost plan cache must not lose the rewrite: the output is
-               already written, and a cache may always start cold. *)
-            printf "plan cache: %s (patched binary is intact)@." m)
-    | _ -> ());
     printf "%a@." Stats.pp r.Rewriter.stats;
     printf "size: %d -> %d bytes (%.1f%%); %d trampoline bytes; %d mappings@."
       r.Rewriter.input_size r.Rewriter.output_size (Rewriter.size_pct r)
@@ -304,7 +256,7 @@ let patch_cmd =
     Term.(
       const run $ setup_logs $ input $ output $ select $ template
       $ granularity $ no_grouping $ shared $ b0 $ no_t1 $ no_t2 $ no_t3
-      $ stub $ spec_arg $ spec_file $ trace $ jobs $ inject $ plan_cache)
+      $ stub $ spec_arg $ spec_file $ trace $ jobs $ inject)
 
 (* ------------------------------------------------------------------ *)
 (* tool                                                                *)
@@ -344,7 +296,7 @@ let tool_cmd =
       value
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domains for the chunked decode (default: \\$E9_JOBS, \
+          ~doc:"Domains for the parallel linear-sweep decode (default: \\$E9_JOBS, \
                 else 1); the tactic search is one serial pass over the \
                 whole text. Output bytes are identical for every $(docv).")
   in
@@ -718,11 +670,9 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domains per rewrite inside a session: the chunked decode, \
-                and the tactic search of sessions with the \"plan\" option \
-                (content-defined chunks). Default 1: the daemon \
-                parallelizes across sessions; output bytes never depend on \
-                this.")
+          ~doc:"Domains for each session rewrite's parallel linear-sweep \
+                decode. Default 1: the daemon parallelizes across \
+                sessions; output bytes never depend on this.")
   in
   let domains =
     Arg.(
@@ -746,14 +696,6 @@ let serve_cmd =
       & info [ "cache-capacity" ] ~docv:"N"
           ~doc:"Entries per content-addressed cache (decode and result).")
   in
-  let plan_capacity =
-    Arg.(
-      value & opt int Plan.capacity
-      & info [ "plan-capacity" ] ~docv:"N"
-          ~doc:"Entries in the chunk-granular plan cache (sessions opt in \
-                with the \"plan\" option; one entry per text chunk, so this \
-                runs much deeper than the whole-binary caches).")
-  in
   let inject =
     Arg.(
       value
@@ -763,8 +705,7 @@ let serve_cmd =
                 (rpcaccept, rpcread, rpcdecode, rpcemit), same grammar as \
                 patch --inject.")
   in
-  let run () socket trace_dir jobs domains max_sessions cache plan_capacity
-      inject =
+  let run () socket trace_dir jobs domains max_sessions cache inject =
    or_die @@ fun () ->
     let fault =
       match inject with
@@ -772,8 +713,7 @@ let serve_cmd =
       | Some spec -> Fault.create (Fault.parse spec)
     in
     let server =
-      E9_rpc.Server.create ~cache_capacity:cache ~plan_capacity ~jobs ~fault
-        ?trace_dir ()
+      E9_rpc.Server.create ~cache_capacity:cache ~jobs ~fault ?trace_dir ()
     in
     (match socket with
     | None -> E9_rpc.Server.serve_channels server stdin stdout
@@ -804,7 +744,7 @@ let serve_cmd =
              served output.")
     Term.(
       const run $ setup_logs $ socket $ trace_dir $ jobs $ domains
-      $ max_sessions $ cache $ plan_capacity $ inject)
+      $ max_sessions $ cache $ inject)
 
 (* ------------------------------------------------------------------ *)
 (* robust                                                              *)

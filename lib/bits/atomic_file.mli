@@ -1,5 +1,5 @@
 (** Atomic whole-file writes: the one temp-then-rename writer behind ELF
-    output, ndjson traces, plan-cache files and the daemon's emits.
+    output, ndjson traces, the bench record and the daemon's emits.
 
     The payload goes to a temp file beside the destination, renamed over
     it only once fully written, so a reader sees the old file or the

@@ -16,44 +16,3 @@ let hash64_string s =
 
 let to_hex h = Printf.sprintf "%016Lx" h
 let hex ?h b ~pos ~len = to_hex (hash64 ?h b ~pos ~len)
-
-module Rolling = struct
-  (* Buzhash (cyclic polynomial) over a fixed window: O(1) slide, and
-     the digest depends only on the window contents, so identical byte
-     runs re-synchronize chunk boundaries after an edit. 32-bit state
-     keeps rotations cheap on 63-bit native ints. *)
-
-  let window = 48
-  let mask32 = 0xffffffff
-
-  (* One mixing constant per byte value, derived from FNV-1a so the
-     table is reproducible without an RNG dependency. *)
-  let table =
-    Array.init 256 (fun i ->
-        Int64.to_int (hash64_string (Printf.sprintf "e9.buz.%d" i)) land mask32)
-
-  let rotl1 x = ((x lsl 1) lor (x lsr 31)) land mask32
-
-  let rot_window =
-    (* rotl by [window mod 32], precomputed for the outgoing byte. *)
-    let k = window mod 32 in
-    fun x -> ((x lsl k) lor (x lsr (32 - k))) land mask32
-
-  type t = { ring : int array; mutable head : int; mutable h : int }
-
-  let create () = { ring = Array.make window 0; head = 0; h = 0 }
-
-  let reset t =
-    Array.fill t.ring 0 window 0;
-    t.head <- 0;
-    t.h <- 0
-
-  let feed t byte =
-    let incoming = table.(byte land 0xff) in
-    let outgoing = t.ring.(t.head) in
-    t.ring.(t.head) <- incoming;
-    t.head <- (t.head + 1) mod window;
-    t.h <- rotl1 t.h lxor incoming lxor rot_window outgoing
-
-  let digest t = t.h
-end

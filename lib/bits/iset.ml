@@ -19,8 +19,8 @@
    containing the window edge otherwise).
 
    The tree is persistent (path copying): [copy] is O(1) and snapshots
-   never alias mutations, which is what lets [Layout.shard] hand every
-   domain the same base occupancy for free. *)
+   never alias mutations, which is what lets [Layout] keep its
+   create-time base occupancy beside the live one for free. *)
 
 type tree =
   | E

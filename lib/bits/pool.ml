@@ -67,107 +67,13 @@ let map ?domains ?(spawn_failure = fun _ -> false) f xs =
 
 let iter ?domains f xs = ignore (map ?domains (fun x -> f x) xs)
 
-type steal_report = { workers : int; steals : int }
-
-(* Work-stealing variant: the index space is split into one contiguous
-   deque per worker (deque w owns indexes [w*n/d, (w+1)*n/d)), each with
-   its own atomic head. A worker drains its own deque first — giving the
-   cache-friendly contiguous walk the plain shared-cursor [map] lacks —
-   then claims from the other deques round-robin until every head has
-   passed its tail. Which domain *executes* a task is schedule-dependent;
-   which tasks exist, and the order results are returned in, is not:
-   results land in per-index slots exactly as in [map], so callers
-   consuming them in order are deterministic whatever the steal schedule.
-
-   [jitter i] runs in the claiming worker just before task [i] — a test
-   hook for perturbing the schedule (e.g. stalling chosen tasks so other
-   workers must steal); production callers leave it unset. *)
-let map_stealing ?domains ?(spawn_failure = fun _ -> false)
-    ?(jitter = fun (_ : int) -> ()) f xs =
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  let d =
-    let want = match domains with Some d -> max 1 d | None -> default_domains () in
-    min want n
-  in
-  if d <= 1 || n <= 1 then
-    ( List.mapi
-        (fun i x ->
-          jitter i;
-          f x)
-        xs,
-      { workers = 1; steals = 0 } )
-  else begin
-    let results = Array.make n None in
-    let slice_lo w = w * n / d and slice_hi w = (w + 1) * n / d in
-    let heads = Array.init d (fun w -> Atomic.make (slice_lo w)) in
-    let steals = Atomic.make 0 in
-    let run i =
-      jitter i;
-      results.(i) <-
-        (try Some (Ok (f items.(i)))
-         with e -> Some (Error (e, Printexc.get_raw_backtrace ())))
-    in
-    (* Claim the next index of deque [v], if any. fetch_and_add may push
-       the head past the tail when the deque is empty; the bound check
-       discards those over-claims. *)
-    let claim v =
-      if Atomic.get heads.(v) >= slice_hi v then None
-      else
-        let i = Atomic.fetch_and_add heads.(v) 1 in
-        if i < slice_hi v then Some i else None
-    in
-    let worker w () =
-      let rec drain_own () =
-        match claim w with
-        | Some i ->
-            run i;
-            drain_own ()
-        | None -> ()
-      in
-      drain_own ();
-      (* Steal round-robin, restarting the scan after every success until
-         a full pass over all deques finds nothing left. *)
-      let rec rob offset =
-        if offset < d then
-          let v = (w + offset) mod d in
-          match claim v with
-          | Some i ->
-              Atomic.incr steals;
-              run i;
-              rob 1
-          | None -> rob (offset + 1)
-      in
-      rob 1
-    in
-    let helpers =
-      List.init (d - 1) (fun i -> i + 1)
-      |> List.filter_map (fun w ->
-             if spawn_failure (w - 1) then None
-             else
-               match Domain.spawn (worker w) with
-               | dom -> Some dom
-               | exception _ -> None)
-    in
-    worker 0 ();
-    List.iter Domain.join helpers;
-    let out =
-      Array.to_list results
-      |> List.map (function
-           | Some (Ok v) -> v
-           | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-           | None -> assert false)
-    in
-    (out, { workers = d; steals = Atomic.get steals })
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Service: a persistent worker pool for open-ended task streams       *)
 (* ------------------------------------------------------------------ *)
 
-(* [map]/[map_stealing] fan a *fixed* task list and join; a daemon has an
+(* [map] fans a *fixed* task list and joins; a daemon has an
    open-ended stream (sessions arrive over time), so it needs long-lived
-   workers draining a queue. Same containment rules as the maps: a task
+   workers draining a queue. Same containment rules as [map]: a task
    exception is recorded, never propagated into the worker loop — one
    crashed session must not take the daemon (or its siblings) down. *)
 module Service = struct

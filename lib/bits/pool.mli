@@ -33,30 +33,12 @@ val map :
     (each task's effects must stay within the task). *)
 val iter : ?domains:int -> ('a -> unit) -> 'a list -> unit
 
-(** Scheduler telemetry from {!map_stealing}: how many workers actually
-    ran and how many tasks were claimed from a foreign deque. Both are
-    schedule-dependent — report them, never branch on them. *)
-type steal_report = { workers : int; steals : int }
-
-(** [map_stealing ?domains ?spawn_failure ?jitter f xs] is {!map} with
-    work-stealing distribution: the index space is split into one
-    contiguous deque per worker, a worker drains its own deque first and
-    then steals from the others, so uneven task costs balance while each
-    worker's common-case walk stays contiguous. Results are returned in
-    input order whatever the steal schedule, so order-sensitive callers
-    are deterministic. [jitter i] (default: nothing) runs in the claiming
-    worker immediately before task [i] — a test hook for perturbing the
-    schedule. [spawn_failure] degrades exactly as in {!map}. *)
-val map_stealing :
-  ?domains:int -> ?spawn_failure:(int -> bool) -> ?jitter:(int -> unit) ->
-  ('a -> 'b) -> 'a list -> 'b list * steal_report
-
 (** A persistent worker pool for open-ended task streams.
 
-    {!map}/{!map_stealing} fan a fixed task list and join; a daemon has
-    an open-ended stream (sessions arrive over time), so it needs
+    {!map} fans a fixed task list and joins; a daemon has an
+    open-ended stream (sessions arrive over time), so it needs
     long-lived workers draining a queue (DESIGN.md §13). Containment
-    matches the maps' discipline, strengthened for daemon use: a task
+    matches {!map}'s discipline, strengthened for daemon use: a task
     exception is {e swallowed and counted} ({!Service.trapped}), never
     propagated — one crashed session must not take the daemon or its
     sibling sessions down. *)

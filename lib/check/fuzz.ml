@@ -105,19 +105,10 @@ let prepare case =
   in
   (elf, disasm_from, select)
 
-(* Fuzz-sized texts are a few KiB, so shrink the chunking well below the
-   production default to get several chunks per binary. *)
-let small_chunking = { Chunker.min_size = 256; avg_bits = 9; max_size = 2048 }
-
-let rewrite ?jobs ?jitter ?chunking case =
+let rewrite ?jobs case =
   let elf, disasm_from, select = prepare case in
-  let options =
-    match chunking with
-    | None -> case.options
-    | Some c -> { case.options with Rewriter.chunking = Some c }
-  in
   let r =
-    Rewriter.run ~options ?jobs ?jitter ?disasm_from elf ~select
+    Rewriter.run ~options:case.options ?jobs ?disasm_from elf ~select
       ~template:(fun _ -> Trampoline.Empty)
   in
   (elf, disasm_from, r)
@@ -210,152 +201,25 @@ let property ?(count = 50) ?(name = "rewrite is byte-accounted and trace-equival
       | Ok _ -> true
       | Error msg -> QCheck2.Test.fail_reportf "%s" msg)
 
-let steal_property ?(count = 15) ?(jobs = [ 2; 4; 7 ])
-    ?(name = "rewrite output is identical for every steal schedule") () =
-  let gen =
-    QCheck2.Gen.pair gen_case
-      (QCheck2.Gen.pair (QCheck2.Gen.int_range 1 7) (QCheck2.Gen.int_range 0 7))
-  in
-  let print (case, (k, off)) =
-    Printf.sprintf "%s | jitter shard@%d,shard%%%d" (case_to_string case) off k
-  in
-  QCheck2.Test.make ~count ~name ~print gen (fun (case, (k, off)) ->
-      let _, _, r1 = rewrite ~jobs:1 ~chunking:small_chunking case in
-      let reference = Elf_file.to_bytes r1.Rewriter.output in
-      List.for_all
-        (fun n ->
-          (* A standalone keyed fault record picks which chunks to stall:
-             the claiming worker spins before chunk [i] whenever the
-             [Shard] site matches [i] (every [k]-th chunk plus chunk
-             [off]), skewing completion order and provoking steals —
-             without touching any input the chunk tasks compute from. *)
-          let sched =
-            E9_fault.Fault.create
-              [ { E9_fault.Fault.site = E9_fault.Fault.Shard;
-                  trigger = E9_fault.Fault.Every k };
-                { E9_fault.Fault.site = E9_fault.Fault.Shard;
-                  trigger = E9_fault.Fault.At off } ]
-          in
-          let jitter i =
-            if E9_fault.Fault.fires_at sched E9_fault.Fault.Shard ~key:i then
-              for _ = 1 to 100_000 do
-                ignore (Sys.opaque_identity i)
-              done
-          in
-          let _, _, rn = rewrite ~jobs:n ~jitter ~chunking:small_chunking case in
-          if
-            not (Bytes.equal (Elf_file.to_bytes rn.Rewriter.output) reference)
-          then
-            QCheck2.Test.fail_reportf
-              "jobs=%d jitter(%%%d,@%d): output bytes differ from jobs=1 \
-               (%d chunks, %d steals)"
-              n k off rn.Rewriter.shards rn.Rewriter.steals
-          else if rn.Rewriter.occupancy <> r1.Rewriter.occupancy then
-            QCheck2.Test.fail_reportf
-              "jobs=%d jitter(%%%d,@%d): absorbed layout occupancy differs \
-               from jobs=1"
-              n k off
-          else true)
-        jobs)
-
-let incremental_property ?(count = 10) ?(jobs = [ 1; 4 ])
-    ?(name = "incremental (plan-replay) rewrite is byte-identical to cold") ()
-    =
-  let module Plan = E9_core.Plan in
-  let fresh_store () = E9_core.Cache.create ~capacity:Plan.capacity () in
-  let gen =
-    QCheck2.Gen.pair gen_case
-      (QCheck2.Gen.pair (QCheck2.Gen.float_bound_inclusive 1.0)
-         (QCheck2.Gen.int_range 0 96))
-  in
-  let print (case, (frac, budget)) =
-    Printf.sprintf "%s | edit@%.2f,%dB" (case_to_string case) frac budget
-  in
-  QCheck2.Test.make ~count ~name ~print gen
-    (fun (case, (edit_frac, edit_budget)) ->
-      let elf, disasm_from, select = prepare case in
-      let options = { case.options with Rewriter.chunking = Some small_chunking } in
-      let plan_of store =
-        { Plan.store;
-          spec_key =
-            (fun ~lo:_ ~len:_ ->
-              if case.select_writes then "fuzz:writes" else "fuzz:jumps") }
-      in
-      let rewrite ?jobs ~plan elf =
-        Rewriter.run ~options ?jobs ~plan ?disasm_from elf ~select
-          ~template:(fun _ -> Trampoline.Empty)
-      in
-      (* Populate the store from the base revision, then derive an edited
-         revision: one contiguous run of decoded instructions replaced by
-         NOPs (boundary-preserving, so it stays a valid sweep input). A
-         zero budget degenerates to the all-hit replay of the same bytes. *)
-      let warm_store = fresh_store () in
-      ignore (rewrite ~plan:(plan_of warm_store) elf);
-      let revision =
-        let b = Elf_file.to_bytes elf in
-        let text, sites = Frontend.disassemble ?from:disasm_from elf in
-        let editable =
-          Array.of_list (List.filter (fun s -> s.Frontend.len >= 2) sites)
-        in
-        let n = Array.length editable in
-        if n = 0 then b
-        else begin
-          let b = Bytes.copy b in
-          let i = ref (int_of_float (edit_frac *. float_of_int (n - 1))) in
-          let churned = ref 0 in
-          while !churned < edit_budget && !i < n do
-            let s = editable.(!i) in
-            let off =
-              text.Frontend.offset + (s.Frontend.addr - text.Frontend.base)
-            in
-            Bytes.fill b off s.Frontend.len '\x90';
-            churned := !churned + s.Frontend.len;
-            incr i
-          done;
-          b
-        end
-      in
-      let elf' = Elf_file.of_bytes revision in
-      let cold = rewrite ~plan:(plan_of (fresh_store ())) elf' in
-      let reference = Elf_file.to_bytes cold.Rewriter.output in
-      List.for_all
-        (fun n ->
-          let warm = rewrite ~jobs:n ~plan:(plan_of warm_store) elf' in
-          if
-            not
-              (Bytes.equal (Elf_file.to_bytes warm.Rewriter.output) reference)
-          then
-            QCheck2.Test.fail_reportf
-              "jobs=%d warm output differs from cold (%d hits, %d misses, \
-               %d conflicts)"
-              n warm.Rewriter.plan_hits warm.Rewriter.plan_misses
-              warm.Rewriter.plan_conflicts
-          else if warm.Rewriter.stats <> cold.Rewriter.stats then
-            QCheck2.Test.fail_reportf "jobs=%d warm stats differ from cold" n
-          else true)
-        jobs)
-
 let jobs_property ?(count = 25) ?(jobs = [ 2; 4; 7 ])
     ?(name = "rewrite output is identical for every domain count") () =
   QCheck2.Test.make ~count ~name ~print:case_to_string gen_case (fun case ->
-      let elf, disasm_from, r1 = rewrite ~jobs:1 ~chunking:small_chunking case in
-      (* The small chunks split even fuzz-sized binaries, so jobs=1
-         exercises the multi-chunk algorithm too; check it against the
-         independent verifier, not just against itself. *)
-      (match Static.verify ?disasm_from ~original:elf r1.Rewriter.output with
-      | Ok _ -> ()
-      | Error e ->
-          QCheck2.Test.fail_reportf "chunked rewrite (%d chunks): %a"
-            r1.Rewriter.shards Static.pp_error e);
+      let elf, disasm_from, select = prepare case in
+      (* Fuzz texts are a few KiB, below the sweep's default 64 KiB chunk:
+         small sweep chunks put decode seams inside every text. *)
+      let rewrite n =
+        Rewriter.run ~options:case.options ~jobs:n
+          ~frontend:(Frontend.disassemble ?from:disasm_from ~jobs:n ~chunk:97)
+          elf ~select ~template:(fun _ -> Trampoline.Empty)
+      in
+      let r1 = rewrite 1 in
       let reference = Elf_file.to_bytes r1.Rewriter.output in
       List.for_all
         (fun n ->
-          let _, _, rn = rewrite ~jobs:n ~chunking:small_chunking case in
+          let rn = rewrite n in
           if not (Bytes.equal (Elf_file.to_bytes rn.Rewriter.output) reference)
           then
-            QCheck2.Test.fail_reportf
-              "jobs=%d output bytes differ from jobs=1 (%d chunks)" n
-              rn.Rewriter.shards
+            QCheck2.Test.fail_reportf "jobs=%d output bytes differ from jobs=1" n
           else if rn.Rewriter.stats <> r1.Rewriter.stats then
             QCheck2.Test.fail_reportf "jobs=%d stats differ from jobs=1" n
           else if rn.Rewriter.patched_sites <> r1.Rewriter.patched_sites then

@@ -35,23 +35,12 @@ val prepare :
     round trip. *)
 val run_case : case -> (Static.report * Trace.stats, string) result
 
-(** Content-defined chunking small enough (256 B min, 512 B average,
-    2 KiB max) to split fuzz-sized texts into several chunks, so the
-    parallel search path is exercised on them. *)
-val small_chunking : Chunker.params
-
-(** [rewrite ?jobs ?jitter ?chunking case] is the generate → rewrite
-    half alone, returning the input binary, the disassembly start it
-    used, and the full rewrite result — the hook for determinism and
-    scaling tests that need to compare outputs across [jobs] values,
-    steal schedules ([jitter] is passed to {!E9_core.Rewriter.run}) or
-    chunkings ([chunking] overrides the case's own). *)
+(** [rewrite ?jobs case] is the generate → rewrite half alone,
+    returning the input binary, the disassembly start it used, and the
+    full rewrite result — the hook for determinism tests that compare
+    outputs across [jobs] values. *)
 val rewrite :
-  ?jobs:int ->
-  ?jitter:(int -> unit) ->
-  ?chunking:Chunker.params ->
-  case ->
-  Elf_file.t * int option * E9_core.Rewriter.result
+  ?jobs:int -> case -> Elf_file.t * int option * E9_core.Rewriter.result
 
 (** Aggregate numbers from a campaign, for reporting. *)
 type summary = {
@@ -78,34 +67,13 @@ val campaign : ?progress:(int -> unit) -> n:int -> seed:int -> unit -> summary
 (** The QCheck property (shrinking enabled), for the test suite. *)
 val property : ?count:int -> ?name:string -> unit -> QCheck2.Test.t
 
-(** Incremental-rewrite property (DESIGN.md §14): populate a chunk-plan
-    store from a base binary, derive an edited revision (a contiguous
-    run of instructions NOPped out), and check that the warm
-    (plan-replaying) rewrite of the revision is byte-identical — bytes
-    and stats — to a cold rewrite, for every domain count in [jobs]
-    (default [1; 4]). *)
-val incremental_property :
-  ?count:int -> ?jobs:int list -> ?name:string -> unit -> QCheck2.Test.t
-
 (** Jobs-determinism property: rewriting with every domain count in
     [jobs] (default [2; 4; 7]) produces output bytes, stats and
-    patched-site lists identical to [jobs = 1], under
-    {!small_chunking}, which splits fuzz-sized binaries into several
-    chunks; the chunked output must also pass {!Static.verify}. *)
+    patched-site lists identical to [jobs = 1]. [jobs] drives the
+    frontend's parallel linear sweep, run here with chunks small enough
+    to put seams inside fuzz-sized texts; a seam must not move a
+    site. *)
 val jobs_property :
-  ?count:int ->
-  ?jobs:int list ->
-  ?name:string ->
-  unit ->
-  QCheck2.Test.t
-
-(** Steal-schedule determinism property (DESIGN.md §12): for every
-    domain count in [jobs] and a randomized jitter schedule (a keyed
-    [Shard]-site fault record decides which chunks the claiming worker
-    stalls on, skewing completion order and provoking steals), output
-    bytes and the absorbed {!E9_core.Layout} occupancy are identical to
-    the [jobs = 1] rewrite, under {!small_chunking}. *)
-val steal_property :
   ?count:int ->
   ?jobs:int list ->
   ?name:string ->

@@ -34,8 +34,8 @@ let gen_rule =
         let* off = int_bound 20_000 in
         return (Fault.At off)
     | Fault.Shard ->
-        (* Shard keys are small chunk indices; [From 0] would kill chunk
-           0 of every rewrite, which is fine too. *)
+        (* The tactic search is shard 0, so only rules matching key 0
+           fire; the others must leave the rewrite untouched. *)
         oneof
           [ map (fun k -> Fault.At k) (int_bound 8);
             map (fun k -> Fault.From k) (int_bound 4);
@@ -59,10 +59,6 @@ let gen_fcase =
   let* schedule = gen_schedule in
   return { case; schedule }
 
-(* Split fuzz-sized binaries into several chunks so shard faults and the
-   fork/merge fault accounting are actually exercised. *)
-let chunking = Some Fuzz.small_chunking
-
 type outcome =
   | Full  (** rewrite + static verification OK, no site failed *)
   | Degraded  (** verified, but sites failed or fell back to B0 *)
@@ -85,10 +81,9 @@ let same_outcome a b =
    of the pipeline, not as fault outcomes. *)
 let run_leg ?(jobs = 1) f =
   let elf, disasm_from, select = Fuzz.prepare f.case in
-  let options = { f.case.Fuzz.options with Rewriter.chunking } in
   let fault = Fault.create f.schedule in
   match
-    Rewriter.run ~options ~fault ~jobs ?disasm_from elf ~select
+    Rewriter.run ~options:f.case.Fuzz.options ~fault ~jobs ?disasm_from elf ~select
       ~template:(fun _ -> Trampoline.Empty)
   with
   | exception Rewriter.Error m -> Ok (Typed ("rewriter: " ^ m), None)
@@ -114,8 +109,7 @@ let run_b0_exhaustion_leg case =
   let elf, disasm_from, select = Fuzz.prepare case in
   let options =
     { case.Fuzz.options with
-      Rewriter.chunking;
-      tactics = { case.Fuzz.options.Rewriter.tactics with
+      Rewriter.tactics = { case.Fuzz.options.Rewriter.tactics with
                   Tactics.b0_fallback = true } }
   in
   let fault = Fault.create [ { Fault.site = Fault.Alloc; trigger = From 0 } ] in

@@ -14,7 +14,6 @@ type score = {
   sites : int;
   patched : int;
   patched_pct : float;
-  chunked_pct : float;
   stats : Stats.t;
   agg : Obs.Agg.agg;
   static_err : string option;
@@ -72,43 +71,31 @@ let score_family ?(jobs = (1, 4)) (f : Adversary.family) =
   let select = select_of f in
   let obs = Obs.aggregator () in
   let j1, j2 = jobs in
-  let run ?obs options j =
+  let run ?obs j =
     Rewriter.run ~options ?obs ?frontend ~jobs:j elf ~select
       ~template:(fun _ -> Trampoline.Empty)
   in
-  let r = run ~obs options j1 in
-  (* The parallel leg splits the corpus binaries (tens of KiB of text)
-     into small content-defined chunks, so jobs 1 vs 4 compares the
-     parallel algorithm against itself, not serial against serial. The
-     chunked rewrite is held to the same checks as the whole-text one. *)
-  let chunked = { options with Rewriter.chunking = Some Fuzz.small_chunking } in
-  let c1 = run chunked j1 and c2 = run chunked j2 in
+  let r = run ~obs j1 in
+  let r2 = run j2 in
   let jobs_identical =
     Bytes.equal
-      (Elf_file.to_bytes c1.Rewriter.output)
-      (Elf_file.to_bytes c2.Rewriter.output)
-    && c1.Rewriter.stats = c2.Rewriter.stats
+      (Elf_file.to_bytes r.Rewriter.output)
+      (Elf_file.to_bytes r2.Rewriter.output)
+    && r.Rewriter.stats = r2.Rewriter.stats
   in
-  let static_of (x : Rewriter.result) =
-    match Static.verify ~holes ~original:elf x.Rewriter.output with
+  let static_err =
+    match Static.verify ~holes ~original:elf r.Rewriter.output with
     | Ok _ -> None
     | Error e -> Some (Format.asprintf "%a" Static.pp_error e)
   in
-  let trace_of (x : Rewriter.result) =
+  let trace_err =
     match
       Trace.compare_runs ~config:trace_config ~holes ~original:elf
-        x.Rewriter.output
+        r.Rewriter.output
     with
     | Ok _ -> None
     | Error msg -> Some msg
   in
-  let either check =
-    match check r with
-    | Some _ as e -> e
-    | None -> Option.map (fun e -> "chunked rewrite: " ^ e) (check c1)
-  in
-  let static_err = either static_of in
-  let trace_err = either trace_of in
   (* endbr64 families carry an anchor-count ground truth: the decode must
      see exactly one marker per function entry plus one at main. *)
   let anchors_ok =
@@ -131,14 +118,11 @@ let score_family ?(jobs = (1, 4)) (f : Adversary.family) =
   (* Island families: every excluded byte must survive the rewrite. *)
   let islands_kept =
     List.for_all
-      (fun (x : Rewriter.result) ->
-        List.for_all
-          (fun (addr, len) ->
-            Bytes.equal
-              (byte_range elf ~addr ~len)
-              (byte_range x.Rewriter.output ~addr ~len))
-          holes)
-      [ r; c1 ]
+      (fun (addr, len) ->
+        Bytes.equal
+          (byte_range elf ~addr ~len)
+          (byte_range r.Rewriter.output ~addr ~len))
+      holes
   in
   let stats = r.Rewriter.stats in
   let sites = Stats.total stats in
@@ -147,7 +131,6 @@ let score_family ?(jobs = (1, 4)) (f : Adversary.family) =
     sites;
     patched;
     patched_pct = Stats.succ_pct stats;
-    chunked_pct = Stats.succ_pct c1.Rewriter.stats;
     stats;
     agg = Obs.agg obs;
     static_err;
@@ -166,10 +149,6 @@ let verdict (s : score) =
     Error
       (Printf.sprintf "patched %.1f%% below pinned floor %.1f%%"
          s.patched_pct f.Adversary.floor_pct)
-  else if s.chunked_pct < f.Adversary.floor_pct then
-    Error
-      (Printf.sprintf "chunked rewrite patched %.1f%% below pinned floor %.1f%%"
-         s.chunked_pct f.Adversary.floor_pct)
   else
     match s.static_err with
     | Some e -> Error ("static verifier: " ^ e)
@@ -211,7 +190,6 @@ let score_json (s : score) =
       ("sites", Json.Int s.sites);
       ("patched", Json.Int s.patched);
       ("patched_pct", Json.Float s.patched_pct);
-      ("chunked_pct", Json.Float s.chunked_pct);
       ("floor_pct", Json.Float f.Adversary.floor_pct);
       ("mix",
        Json.Obj

@@ -4,18 +4,16 @@
 
     Each family is interpreted (generate, optionally strip, derive island
     exclusion ranges and the hole-aware frontend, choose selector and
-    options), rewritten twice — as one whole-text chunk and split into
-    small content-defined chunks ({!Fuzz.small_chunking}), the path that
-    searches in parallel — and scored on:
+    options), rewritten at two domain counts, and scored on:
 
-    - patched% of both rewrites against the family's pinned floor;
+    - patched% against the family's pinned floor;
     - the per-tactic mix and the typed reject histogram (via an
       {!E9_obs.Obs} aggregator);
-    - the {!Static} verifier's verdict on both rewrites;
-    - the {!Trace} differential-execution verdict on both rewrites;
-    - byte identity of the multi-chunk rewrite at two domain counts;
+    - the {!Static} verifier's verdict;
+    - the {!Trace} differential-execution verdict;
+    - byte identity of the rewrites at the two domain counts;
     - family-specific ground truth: endbr64 anchor counts, island byte
-      preservation (both rewrites), expected tactic-ladder pressure (nonzero T3/B0).
+      preservation, expected tactic-ladder pressure (nonzero T3/B0).
 
     Everything is deterministic (fixed profile seeds, jobs-invariant
     rewriting), so the machine-readable matrix is reproducible
@@ -25,22 +23,20 @@ type score = {
   family : E9_workload.Adversary.family;
   sites : int;  (** patch sites attempted (selected) *)
   patched : int;  (** sites served by any tactic *)
-  patched_pct : float;  (** whole-text rewrite *)
-  chunked_pct : float;  (** multi-chunk rewrite *)
+  patched_pct : float;
   stats : E9_core.Stats.t;  (** per-tactic mix *)
   agg : E9_obs.Obs.Agg.agg;  (** typed reject histogram et al. *)
-  static_err : string option;  (** [None] = verifier passed on both *)
-  trace_err : string option;  (** [None] = trace oracle passed on both *)
-  jobs_identical : bool;
-      (** multi-chunk outputs at jobs 1 and 4 byte-identical *)
+  static_err : string option;  (** [None] = verifier passed *)
+  trace_err : string option;  (** [None] = trace oracle passed *)
+  jobs_identical : bool;  (** outputs at jobs 1 and 4 byte-identical *)
   anchors_ok : bool;  (** endbr64 anchor ground truth ([true] if n/a) *)
   islands_kept : bool;  (** island bytes untouched ([true] if n/a) *)
   wall_s : float;
 }
 
 (** [score_family f] interprets and scores one family. [jobs] is the
-    pair of domain counts whose multi-chunk outputs must coincide
-    (default [(1, 4)]); the scored rewrite runs at the first. *)
+    pair of domain counts whose outputs must coincide (default
+    [(1, 4)]); the scored rewrite runs at the first. *)
 val score_family : ?jobs:int * int -> E9_workload.Adversary.family -> score
 
 (** [verdict s] is the family's pass/fail against every pinned

@@ -78,15 +78,6 @@ let flush t =
   t.generation <- t.generation + 1;
   t.generation
 
-let items t =
-  locked t @@ fun () ->
-  Hashtbl.fold
-    (fun key e acc ->
-      if e.gen = t.generation then (e.stamp, key, e.value) :: acc else acc)
-    t.table []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  |> List.map (fun (_, key, value) -> (key, value))
-
 type stats = {
   hits : int;
   misses : int;

@@ -1,10 +1,9 @@
-(** The one content-addressed store (DESIGN.md §13, §14): a bounded,
-    mutex-guarded LRU with generation flush, shared by sessions and
-    chunk tasks on any domain. It backs the daemon's decode, result, raw
-    and plan tiers and the CLI's [--plan-cache] ({!Plan.save} and
-    {!Plan.load} add the file backing; this module does no I/O). Keys
-    derive from content only, never from file names or session
-    identity, so a hit is byte-identical to recomputing by construction.
+(** The one content-addressed store (DESIGN.md §13): a bounded,
+    mutex-guarded LRU with generation flush, shared by sessions on any
+    domain. It backs the daemon's decode, result and raw tiers; this
+    module does no I/O. Keys derive from content only, never from file
+    names or session identity, so a hit is byte-identical to recomputing
+    by construction.
 
     [flush] bumps a generation stamped into every entry; stale entries
     are treated as misses and dropped lazily on the next lookup, so a
@@ -27,11 +26,6 @@ val add : 'a t -> string -> 'a -> unit
 (** [flush t] bumps the generation: every current entry becomes stale.
     Returns the new generation. *)
 val flush : 'a t -> int
-
-(** [items t] — the current-generation entries in LRU order, least
-    recently used first, so re-adding them in order to a fresh cache
-    reproduces the recency order. Counts no hit or miss. *)
-val items : 'a t -> (string * 'a) list
 
 type stats = {
   hits : int;

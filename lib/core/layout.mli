@@ -21,50 +21,15 @@ type t
     with original content. Pass the page-grouping granularity in bytes. *)
 val create : ?reserve_below_base:bool -> ?block_size:int -> Elf_file.t -> t
 
-(** [shard_range t ~lo ~hi ~total] is a private arena for the chunk
-    covering text offsets [lo, hi) of a [total]-byte text in a
-    chunk-parallel rewrite (DESIGN.md §10/§14). It shares [t]'s
-    immutable base occupancy and snapshots the current occupancy (both
-    O(1) — the interval tree is persistent, so the arena's own
-    allocations form a private delta of tree paths over the shared
-    prefix) and constrains every subsequent search to the address
-    stripes the chunk owns: exactly those whose pseudorandom image under
-    a fixed scramble lands in [lo, hi) — a function of the chunk's own
-    coordinates and the text size only, never of the chunk count — so a
-    revision that splits or merges chunks elsewhere leaves this chunk's
-    stripe set (and its cached trampoline placements) intact, while
-    chunks partitioning the text still partition the stripes: concurrent
-    arenas stay disjoint. [hi - lo >= total] (one chunk covers the whole
-    text) applies no constraint. [t] is not mutated. *)
-val shard_range : t -> lo:int -> hi:int -> total:int -> t
-
 (** Why the most recent failed query ({!alloc}, {!probe},
     {!probe_strided}, {!is_free}, {!alloc_at}) failed. [Dead_window]: the
     create-time base occupancy (guards + segments) alone blocks every
-    position — no allocator, whole-text or chunk, could ever serve the
-    window, so retrying is pointless. [Foreign_stripe]: the merged
-    occupancy has room, but only inside stripes this arena does not own —
-    retrying against the absorbed layout after the parallel join can
-    succeed. [Conflict]: a genuine dynamic collision with previously
-    allocated trampolines. Classification runs only on failure paths and
-    is deterministic per arena (the base set is shared by all chunks). *)
-type denial = No_denial | Dead_window | Foreign_stripe | Conflict
+    position, so retrying is pointless. [Conflict]: a genuine dynamic
+    collision with previously allocated trampolines. Classification runs
+    only on failure paths. *)
+type denial = No_denial | Dead_window | Conflict
 
 val last_denial : t -> denial
-
-(** How many times a [Foreign_stripe] denial rotated the arena's striped
-    resume point forward (conflict-aware rotation: spreads subsequent
-    searches across the owned stripes instead of re-plowing a saturated
-    prefix; ownership itself never rotates — disjointness requires all
-    arenas to agree on it). *)
-val stripe_rotations : t -> int
-
-(** [absorb ~dst src] merges the trampoline extents allocated in the
-    chunk arena [src] into [dst]'s occupancy and trampoline sets, and
-    accumulates its cursor counters. Extents are disjoint by stripe
-    ownership, so absorbing chunks in any fixed order yields the same
-    [dst]. *)
-val absorb : dst:t -> t -> unit
 
 (** Next-fit cursor telemetry: allocations that resumed from the
     remembered per-window-class scan position ([cursor_hits]) vs. ones
@@ -83,8 +48,7 @@ val cursor_misses : t -> int
 val alloc : t -> size:int -> lo:int -> hi:int -> int option
 
 (** [is_free t ~addr ~size] — true when [addr, addr+size) is entirely
-    unoccupied (used by joint-pun candidate probing; does not reserve).
-    In a chunk arena the range must also lie in owned stripes. *)
+    unoccupied (used by joint-pun candidate probing; does not reserve). *)
 val is_free : t -> addr:int -> size:int -> bool
 
 (** [probe t ~size ~lo ~hi] is like {!alloc} but reserves nothing — used to

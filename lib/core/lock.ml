@@ -23,24 +23,3 @@ let all_unlocked t ~addr ~len =
   go addr
 
 let locked_count t = t.count
-
-let ranges t =
-  let n = Bytes.length t.flags in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if Bytes.unsafe_get t.flags !i <> '\000' then begin
-      let start = !i in
-      while !i < n && Bytes.unsafe_get t.flags !i <> '\000' do
-        incr i
-      done;
-      out := (t.base + start, !i - start) :: !out
-    end
-    else incr i
-  done;
-  List.rev !out
-
-let merge_into ~dst src =
-  for i = 0 to Bytes.length src.flags - 1 do
-    if Bytes.unsafe_get src.flags i <> '\000' then lock dst (src.base + i)
-  done

@@ -27,14 +27,3 @@ val all_unlocked : t -> addr:int -> len:int -> bool
 
 (** [locked_count t] — number of locked bytes (for statistics). *)
 val locked_count : t -> int
-
-(** [ranges t] — maximal runs of locked bytes as [(addr, len)] pairs in
-    ascending address order. Used by the plan cache to serialize a
-    shard's lock state compactly (DESIGN.md §14). *)
-val ranges : t -> (int * int) list
-
-(** [merge_into ~dst src] locks in [dst] every byte locked in [src]
-    (ranges need not coincide; [src] bytes outside [dst]'s range are
-    dropped, matching {!lock}). Used to rebuild the whole-text lock state
-    from per-shard locks before the boundary fixup pass. *)
-val merge_into : dst:t -> t -> unit

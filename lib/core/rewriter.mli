@@ -22,9 +22,10 @@
 type loader_mode = Table | Stub
 
 (** The rewrite was refused or aborted with the input intact: a stub-mode
-    loader-home collision detected before mutation, or an injected chunk
-    fault. Callers see either a complete, verified rewrite or this —
-    never a half-patched binary (DESIGN.md §11, outcome (c)). *)
+    loader-home collision detected before mutation, an injected [Shard]
+    fault, or a trampoline the encoder cannot build for a selected site.
+    Callers see either a complete, verified rewrite or this — never a
+    half-patched binary (DESIGN.md §11, outcome (c)). *)
 exception Error of string
 
 type options = {
@@ -38,24 +39,11 @@ type options = {
   keep_ranges : (int * int) list;
       (** [(addr, len)] byte ranges of the text that must survive the
           rewrite untouched — mid-text data islands, hand-excluded
-          constant pools. The ranges are pre-locked in every lock domain
-          before any tactic runs, so no patch, pun, dead-byte squat or
-          eviction can write into them (a site selected inside one simply
-          fails with a [Locked] reject, B0 included). Clipped per lock
-          domain exactly like ordinary locks, so jobs-invariance is
-          preserved. Default [[]]. *)
-  chunking : Chunker.params option;
-      (** The text decomposition. [None] (the default) rewrites the whole
-          text as one chunk: the paper's serial S1 pass. [Some p] splits
-          it into content-defined chunks ({!Chunker.boundaries} under
-          [p]), each one parallel task allocating from the stripes mapped
-          to its own text range ({!Layout.shard_range}). Geometry is a
-          function of the text alone — never of [jobs] — so byte-identity
-          across worker counts is preserved; and because a chunk's
-          boundaries and stripe ownership depend only on its own bytes
-          and coordinates, its rewrite plan can be cached and replayed
-          across revisions of the binary (the [plan] argument to
-          {!run}). *)
+          constant pools. The ranges are pre-locked before any tactic
+          runs, so no patch, pun, dead-byte squat or eviction can write
+          into them (a site selected inside one simply fails with a
+          [Locked] reject, B0 included). Bytes outside the text are
+          ignored. Default [[]]. *)
 }
 
 val default_options : options
@@ -80,23 +68,12 @@ type result = {
   patched_sites : (int * Stats.tactic) list;
       (** per-site outcome, in descending address order *)
   shards : int;
-      (** chunks the text was split into (the work-stealing scheduler's
-          task count; 1 = plain serial rewrite) *)
-  steals : int;
-      (** chunks executed by a worker other than their home worker —
-          scheduler telemetry only, never an input to any decision *)
+      (** always 1: the whole text is one S1 pass (kept for record
+          readers that report it) *)
   setup_s : float;
-      (** summed per-chunk setup time (arena + lock table + context
-          construction), wall clock *)
+      (** tactic-context setup time (lock tables, site index), wall
+          clock *)
   occupancy : Layout.occupancy;  (** final allocator occupancy gauges *)
-  plan_hits : int;
-      (** chunks whose cached plan replayed (decode + tactic search both
-          skipped); 0 unless a plan store was active *)
-  plan_misses : int;  (** chunks searched live and freshly captured *)
-  plan_conflicts : int;
-      (** chunks whose cached plan was abandoned after a placement
-          refusal ([Layout.alloc_at] denied a recorded extent) and fell
-          back to live search *)
 }
 
 (** [run ?options ?disasm_from elf ~select ~template] rewrites [elf]. The
@@ -117,62 +94,26 @@ type result = {
     fault-injection capability through the pipeline: [Decode] rules
     truncate the disassembly (partial instrumentation), [Alloc] /
     [B0_alloc] rules starve the tactics (degradation to B0 or per-site
-    failure), [Shard] rules abort a chunk task (typed {!Error}). The
-    record is forked per chunk and merged back in canonical order, so
-    injected faults preserve jobs-invariance.
+    failure), a [Shard] rule matching key 0 aborts the tactic search
+    (typed {!Error}).
 
-    [jobs] sets the worker count for the parallel tactic search and the
-    chunked decode (default: the [E9_JOBS] environment variable, else 1);
-    the spawned domain count is additionally capped at
-    [Domain.recommended_domain_count ()], since oversubscribed domains
-    pay minor-GC synchronization without buying parallelism. The text is
-    decomposed into chunks — the whole text as one, or
-    [options.chunking]'s content-defined chunks — drained by a
-    work-stealing scheduler ({!E9_bits.Pool.map_stealing}); each chunk
-    runs the full S1 search over its interior sites against a private
-    arena owning the stripes mapped to the chunk's text range (stripe
-    ownership belongs to the chunk, not the executing worker), and sites
-    within {!Tactics.max_reach} of an inner chunk edge — plus interior
-    sites deferred as stripe-starved ({!Tactics.patch_deferrable}) — are
-    patched in a serial fixup pass over the merged state, in canonical
-    descending address order. With one chunk the arena is unstriped,
-    nothing is deferred and the fixup pass is empty, so the rewrite is
-    the plain serial S1 pass and [jobs] only spreads the decode.
-    Chunk geometry never depends on [jobs], per-chunk results merge in
-    fixed chunk order, and the deferred set depends only on
-    deterministic per-arena state, so output bytes, stats and
-    patched-site lists are identical for every [jobs] value and every
-    steal schedule.
+    The rewrite is the paper's one serial S1 pass over the whole text:
+    selected sites are patched in descending address order against one
+    allocator and one lock map. [jobs] (default: the [E9_JOBS]
+    environment variable, else 1) only sets the domain count of the
+    frontend's parallel linear sweep ({!Frontend.disassemble}), whose
+    result is identical for every count, so output bytes, stats and
+    patched-site lists never depend on [jobs].
 
-    [jitter i] (default: nothing) runs in the claiming worker just
-    before chunk [i] executes — a test hook for skewing steal schedules
-    (the determinism property races randomized delays against the
-    byte-identity guarantee).
-
-    [plan] (with [options.chunking = Some _]) activates the incremental
-    plan cache (DESIGN.md §14): every chunk's key — content hash,
-    coordinates, options signature, text geometry, segment occupancy,
-    sweep start, and the caller's [spec_key] fragment (for rule lists,
-    {!E9_spec.Patchspec.spec_key}) — is looked up in
-    [plan.store]; a hit that validates against the live decode and
-    selection replays its recorded decode, trampolines, text edits,
-    locks and verdicts straight into the merge (skipping decode and
-    tactic search for that chunk), a placement refusal falls back to
-    live search, and every live-searched chunk is captured back into the
-    store. The seam/fixup pass always runs live, after capture, so
-    cross-chunk writes are recomputed on every run. Replay is provably
-    byte-identical to recomputation: per-chunk work is a pure function
-    of exactly the keyed inputs, and the plan path changes {e only} how
-    a chunk's outputs are obtained, never what the merge or fixup sees.
-    Capture and replay are disabled (the rewrite still works, live)
-    under fault injection or a substituted [frontend]. *)
+    Raises {!Error} on a refused stub-mode input, an injected [Shard]
+    fault, or a trampoline that cannot be encoded for a selected site
+    (e.g. a displaced [call] whose target is out of rel32 reach from
+    the trampoline); the last names the site address. *)
 val run :
   ?options:options ->
   ?obs:E9_obs.Obs.t ->
   ?fault:E9_fault.Fault.t ->
   ?jobs:int ->
-  ?jitter:(int -> unit) ->
-  ?plan:Plan.config ->
   ?disasm_from:int ->
   ?frontend:(Elf_file.t -> Frontend.text * Frontend.site list) ->
   Elf_file.t ->

@@ -22,14 +22,6 @@ let record t = function
 
 let record_failure t = t.failed <- t.failed + 1
 
-let merge_into ~dst src =
-  dst.b0 <- dst.b0 + src.b0;
-  dst.b1 <- dst.b1 + src.b1;
-  dst.b2 <- dst.b2 + src.b2;
-  dst.t1 <- dst.t1 + src.t1;
-  dst.t2 <- dst.t2 + src.t2;
-  dst.t3 <- dst.t3 + src.t3;
-  dst.failed <- dst.failed + src.failed
 let succeeded t = t.b0 + t.b1 + t.b2 + t.t1 + t.t2 + t.t3
 let total t = succeeded t + t.failed
 

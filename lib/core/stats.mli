@@ -16,10 +16,6 @@ val create : unit -> t
 val record : t -> tactic -> unit
 val record_failure : t -> unit
 
-(** [merge_into ~dst src] adds [src]'s counts into [dst] (used to fold
-    per-shard statistics from a domain-parallel rewrite). *)
-val merge_into : dst:t -> t -> unit
-
 (** [total t] is the number of patch locations attempted. *)
 val total : t -> int
 

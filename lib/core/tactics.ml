@@ -47,10 +47,7 @@ type ctx = {
      spurious [Alloc_conflict]; consumed (and cleared) at reject time. *)
   mutable injected : bool;
   (* Per-site accumulation of why Layout queries failed (reset at the top
-     of [patch]): feeds the typed reject reasons and the chunk pass's
-     decision to defer a stripe-starved site to the post-join fixup
-     instead of recording a failure. *)
-  mutable stripe_starved : bool;
+     of [patch]): feeds the typed reject reasons. *)
   mutable dead_denied : bool;
   mutable dyn_denied : bool;
 }
@@ -65,20 +62,8 @@ let obs_tactic = function
   | Stats.T2 -> Obs.T2
   | Stats.T3 -> Obs.T3
 
-(* Upper bound on how far past a patch site any tactic reads or writes
-   text bytes, locks, or dead marks. The worst case is T3: a victim may
-   start up to [2 + 127] bytes forward (the short jump's positive reach),
-   the punned J_patch may start at the victim's last byte ([+14] for a
-   15-byte victim), and the pun reads four displacement bytes past its
-   opcode ([+5]) — 148 bytes. Everything else (B1/B2/T1 puns, T2's
-   successor, dead-byte squats) stays well inside that. Rounded up for
-   slack; the domain-parallel rewriter relies on this bound to prove
-   shard independence (DESIGN.md §10). No tactic ever touches anything
-   before its site's first byte. *)
-let max_reach = 160
-
-let create_ctx ?(obs = Obs.null) ?(fault = Fault.none) ?locks ?dead ~text
-    ~text_base ~layout ~sites ~options () =
+let create_ctx ?(obs = Obs.null) ?(fault = Fault.none) ~text ~text_base
+    ~layout ~sites ~options () =
   let index_of = Hashtbl.create (Array.length sites) in
   Array.iteri (fun i (s : Frontend.site) -> Hashtbl.replace index_of s.addr i) sites;
   { text;
@@ -86,28 +71,19 @@ let create_ctx ?(obs = Obs.null) ?(fault = Fault.none) ?locks ?dead ~text
     layout;
     sites;
     index_of;
-    locks =
-      (match locks with
-      | Some l -> l
-      | None -> Lock.create ~base:text_base ~len:(Buf.length text));
-    dead =
-      (match dead with
-      | Some d -> d
-      | None -> Lock.create ~base:text_base ~len:(Buf.length text));
+    locks = Lock.create ~base:text_base ~len:(Buf.length text);
+    dead = Lock.create ~base:text_base ~len:(Buf.length text);
     trampolines = [];
     traps = [];
     opts = options;
     obs;
     fault;
     injected = false;
-    stripe_starved = false;
     dead_denied = false;
     dyn_denied = false }
 
 let trampolines ctx = List.rev ctx.trampolines
 let trap_entries ctx = List.rev ctx.traps
-let trampolines_rev ctx = ctx.trampolines
-let traps_rev ctx = ctx.traps
 let locks ctx = ctx.locks
 
 (* ------------------------------------------------------------------ *)
@@ -136,7 +112,6 @@ let take_injected ctx =
 let note_denial ctx =
   match Layout.last_denial ctx.layout with
   | Layout.Dead_window -> ctx.dead_denied <- true
-  | Layout.Foreign_stripe -> ctx.stripe_starved <- true
   | Layout.Conflict -> ctx.dyn_denied <- true
   | Layout.No_denial -> ()
 
@@ -149,7 +124,6 @@ let denial_reason ctx ~default =
   else
     match Layout.last_denial ctx.layout with
     | Layout.Dead_window -> Obs.Dead_window
-    | Layout.Foreign_stripe -> Obs.Stripe_blocked
     | Layout.Conflict | Layout.No_denial -> default
 
 let alloc_g ctx ~size ~lo ~hi =
@@ -486,7 +460,6 @@ let try_t2 ctx (site : Frontend.site) template =
                   (if !budget <= 0 then Obs.Budget
                    else if take_injected ctx then Obs.Injected
                    else if ctx.dyn_denied then Obs.Alloc_conflict
-                   else if ctx.stripe_starved then Obs.Stripe_blocked
                    else if ctx.dead_denied then Obs.Dead_window
                    else Obs.Alloc_conflict))
       end
@@ -679,8 +652,6 @@ let try_t3 ctx (site : Frontend.site) template =
         rejected
           (if !budget <= 0 then Obs.Budget
            else if take_injected ctx then Obs.Injected
-           else if ctx.stripe_starved && not ctx.dyn_denied then
-             Obs.Stripe_blocked
            else Obs.Range))
   end
 
@@ -736,54 +707,30 @@ let log_src = Logs.Src.create "e9.tactics" ~doc:"E9Patch tactic decisions"
 
 module Log = (val Logs.src_log log_src)
 
-let patch_result ctx site template ~defer =
+let patch ctx site template =
   ctx.injected <- false;
-  ctx.stripe_starved <- false;
   ctx.dead_denied <- false;
   ctx.dyn_denied <- false;
   let ( <|> ) a b = match a with Some _ -> a | None -> b () in
-  let jump_outcome =
-    if not (displaceable site.Frontend.insn) then None
-    else
-      (if ctx.opts.enable_base then try_b1_b2 ctx site template else None)
-      <|> (fun () -> if ctx.opts.enable_t1 then try_t1 ctx site template else None)
-      <|> (fun () -> if ctx.opts.enable_t2 then try_t2 ctx site template else None)
-      <|> fun () -> if ctx.opts.enable_t3 then try_t3 ctx site template else None
+  let outcome =
+    (if not (displaceable site.Frontend.insn) then None
+     else
+       (if ctx.opts.enable_base then try_b1_b2 ctx site template else None)
+       <|> (fun () -> if ctx.opts.enable_t1 then try_t1 ctx site template else None)
+       <|> (fun () -> if ctx.opts.enable_t2 then try_t2 ctx site template else None)
+       <|> fun () -> if ctx.opts.enable_t3 then try_t3 ctx site template else None)
+    <|> fun () -> if ctx.opts.b0_fallback then try_b0 ctx site template else None
   in
-  if jump_outcome = None && defer && ctx.stripe_starved then begin
-    (* Free space exists, but only in stripes a foreign arena owns: hold
-       the site for the post-join fixup pass instead of burning it to B0
-       here. No [Site] event and no stats — the fixup retry is the
-       site's one verdict. *)
-    Log.debug (fun m ->
-        m "0x%x %s: stripe-starved, deferred to fixup" site.Frontend.addr
-          (E9_x86.Insn.to_string site.Frontend.insn));
-    `Deferred
-  end
-  else begin
-    let outcome =
-      jump_outcome
-      <|> fun () -> if ctx.opts.b0_fallback then try_b0 ctx site template else None
-    in
-    (match outcome with
-    | Some (tactic, tramp) ->
-        Log.debug (fun m ->
-            m "0x%x %s -> %s, trampoline 0x%x" site.Frontend.addr
-              (E9_x86.Insn.to_string site.Frontend.insn)
-              (Stats.tactic_name tactic) tramp)
-    | None ->
-        Log.info (fun m ->
-            m "0x%x %s: all tactics failed" site.Frontend.addr
-              (E9_x86.Insn.to_string site.Frontend.insn)));
-    Obs.site ctx.obs ~addr:site.Frontend.addr
-      ~tactic:(Option.map (fun (t, _) -> obs_tactic t) outcome);
-    match outcome with Some (t, _) -> `Patched t | None -> `Failed
-  end
-
-let patch ctx site template =
-  match patch_result ctx site template ~defer:false with
-  | `Patched t -> Some t
-  | `Failed -> None
-  | `Deferred -> assert false
-
-let patch_deferrable ctx site template = patch_result ctx site template ~defer:true
+  (match outcome with
+  | Some (tactic, tramp) ->
+      Log.debug (fun m ->
+          m "0x%x %s -> %s, trampoline 0x%x" site.Frontend.addr
+            (E9_x86.Insn.to_string site.Frontend.insn)
+            (Stats.tactic_name tactic) tramp)
+  | None ->
+      Log.info (fun m ->
+          m "0x%x %s: all tactics failed" site.Frontend.addr
+            (E9_x86.Insn.to_string site.Frontend.insn)));
+  Obs.site ctx.obs ~addr:site.Frontend.addr
+    ~tactic:(Option.map (fun (t, _) -> obs_tactic t) outcome);
+  Option.map fst outcome

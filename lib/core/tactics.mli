@@ -33,24 +33,14 @@ val default_options : options
 (** The rewriting context shared by all tactics over one binary. *)
 type ctx
 
-(** Upper bound, in bytes, on how far beyond a patch site's first byte
-    any tactic can read or write text bytes, locks, or dead marks (the
-    T3 victim walk dominates; see the implementation for the accounting).
-    Tactics never touch anything before the site. The domain-parallel
-    rewriter uses this to prove that sites more than [max_reach] bytes
-    below a shard boundary cannot interact with the next shard. *)
-val max_reach : int
-
 (** [create_ctx ~text ~text_base ~layout ~sites ~options] — [text] is a
     mutable copy of the text section (mutated in place as patches land);
     [sites] is the full linear disassembly in address order. [obs]
     (default {!E9_obs.Obs.null}) receives one [Attempt] record per tactic
     tried per site — accepted (with padding bytes and evictee distance)
     or rejected with a typed reason — plus a final per-site [Site]
-    verdict. [locks] / [dead] substitute externally managed lock state
-    (defaults cover the whole text): shard contexts pass locks scoped to
-    their own byte range, and the boundary-fixup context passes the lock
-    state merged from all shards.
+    verdict. The context owns lock and dead-byte maps covering the whole
+    text ({!locks}).
 
     [fault] (default {!E9_fault.Fault.none}) can deterministically refuse
     allocator queries: [Alloc] rules starve the jump tactics (every
@@ -61,8 +51,6 @@ val max_reach : int
 val create_ctx :
   ?obs:E9_obs.Obs.t ->
   ?fault:E9_fault.Fault.t ->
-  ?locks:Lock.t ->
-  ?dead:Lock.t ->
   text:E9_bits.Buf.t ->
   text_base:int ->
   layout:Layout.t ->
@@ -75,22 +63,6 @@ val create_ctx :
     then the B0 fallback, in the paper's order. Returns the tactic that
     succeeded, if any, after applying its effects. *)
 val patch : ctx -> Frontend.site -> Trampoline.template -> Stats.tactic option
-
-(** [patch_deferrable ctx site template] is {!patch} for the chunk pass of
-    a sharded rewrite (DESIGN.md §12): when every jump tactic fails and at
-    least one Layout query was denied only because the free space lies in
-    a foreign arena's stripes ([Layout.Foreign_stripe]), the site is
-    {e deferred} — no B0 fallback, no [Obs.site] verdict, no stats — so
-    the driver can retry it against the absorbed layout after the join,
-    where the O(log n) query sees every stripe. The deferral decision
-    depends only on the shared base occupancy, the arena's own
-    deterministic allocations and stripe ownership, never on scheduling,
-    so the deferred set is identical for every steal schedule. *)
-val patch_deferrable :
-  ctx ->
-  Frontend.site ->
-  Trampoline.template ->
-  [ `Patched of Stats.tactic | `Failed | `Deferred ]
 
 (** Individual tactics, exposed for testing and ablation. Each returns the
     trampoline address on success. *)
@@ -117,13 +89,6 @@ val trampolines : ctx -> (int * bytes) list
 val trap_entries : ctx -> Loadmap.trap list
 (** B0 trap-table entries. *)
 
-val trampolines_rev : ctx -> (int * bytes) list
-(** The raw accumulator, most recent first. The plan-capture path
-    snapshots the list head before a site and walks the new prefix after
-    it — O(emitted this site) — to attribute trampolines per site
-    (physical equality against the snapshot marks the old head). *)
-
-val traps_rev : ctx -> Loadmap.trap list
-(** Raw trap accumulator, most recent first; same snapshot idiom. *)
-
 val locks : ctx -> Lock.t
+(** Bytes no later patch may touch. The rewriter pre-locks immutable
+    ranges here before the first {!patch}. *)

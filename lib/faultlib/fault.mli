@@ -8,18 +8,18 @@
 
     Faults are {e deterministic}: a site either counts occurrences
     (the Nth allocator query fails, regardless of wall clock or domain
-    scheduling) or is keyed by a stable index (shard [k] fails). To keep
-    the occurrence counters deterministic under domain parallelism the
-    record is forked per shard and merged back in canonical shard order,
-    exactly like [Obs.fork] / [Obs.merge_into]. *)
+    scheduling) or is keyed by a stable index (shard [k] fails). A
+    parallel caller keeps the occurrence counters deterministic by
+    forking the record per task and merging the forks back in a fixed
+    order ({!fork}, {!merge_into}). *)
 
 (** Where a fault can be injected. *)
 type site =
   | Alloc      (** jump-tactic [Layout] queries (alloc/probe/alloc_at) *)
   | B0_alloc   (** the B0 fallback's own trampoline allocation *)
   | Decode     (** disassembly: truncate the site list at a text offset *)
-  | Shard      (** raise inside a chunk task mid-[Pool.map], keyed on
-                   the chunk index (an unchunked rewrite is chunk 0) *)
+  | Shard      (** abort the rewriter's tactic search, keyed on the
+                   shard index; the one whole-text search is shard 0 *)
   | Trace      (** trace-sink (ndjson) write errors *)
   | Write      (** ELF serialization short-writes *)
   | Rpc_accept (** daemon: drop a just-accepted connection (DESIGN.md §13) *)
@@ -43,8 +43,8 @@ type rule = { site : site; trigger : trigger }
 
 exception Parse_error of string
 
-(** Raised by pipeline code simulating a crash (e.g. a shard-domain
-    exception); callers convert it to their own typed error. *)
+(** Raised by pipeline code simulating a crash (e.g. a failed daemon
+    emit); callers convert it to their own typed error. *)
 exception Injected of string
 
 type t
@@ -58,8 +58,8 @@ val rules : t -> rule list
 val is_none : t -> bool
 
 (** [fork t] is a fresh record with the same (immutable) rules and
-    zeroed occurrence counters — one per shard, so counting is a
-    function of the shard's own query sequence, never of domain
+    zeroed occurrence counters — one per parallel task, so counting is
+    a function of the task's own query sequence, never of domain
     interleaving. *)
 val fork : t -> t
 

@@ -124,63 +124,6 @@ let disassemble ?from ?(jobs = 1) ?(chunk = default_chunk)
       in
       (text, sites)
 
-(* Plan-aware chunked sweep (DESIGN.md §14): walk the content-defined
-   chunks in ascending order carrying the serial stream position [p]; a
-   chunk whose cached plan matches the arriving position adopts the
-   recorded sites and exit wholesale (skipping its decode entirely),
-   any other chunk decodes live from [p]. Decoding is a pure function of
-   [(bytes, position)], so a replayed chunk is byte-for-byte the decode
-   a cold sweep would have produced — the probe only answers when its
-   recorded entry equals the live [p]. *)
-let disassemble_planned ?from ~bounds ~probe elf =
-  match find_text elf with
-  | None -> error "Frontend: no text section or executable segment"
-  | Some text ->
-      let start =
-        match from with
-        | None -> 0
-        | Some addr ->
-            if addr < text.base || addr >= text.base + text.size then
-              error "Frontend: disassembly start 0x%x outside the text \
-                     [0x%x, 0x%x)"
-                addr text.base (text.base + text.size)
-            else addr - text.base
-      in
-      let bytes = Buf.sub elf.Elf_file.data ~pos:text.offset ~len:text.size in
-      let n = List.length bounds in
-      let chunk_sites = Array.make n [] in
-      let entries = Array.make n 0 in
-      let exits = Array.make n 0 in
-      let replayed = Array.make n false in
-      let p = ref start in
-      List.iteri
-        (fun i (clo, csz) ->
-          let chi = clo + csz in
-          entries.(i) <- !p;
-          (if !p < chi then
-             match probe ~index:i ~entry:!p with
-             | Some (sites, ex) ->
-                 chunk_sites.(i) <- sites;
-                 replayed.(i) <- true;
-                 p := ex
-             | None ->
-                 let rec go q acc =
-                   if q >= chi then (List.rev acc, q)
-                   else
-                     let d = Decode.decode bytes q in
-                     go (q + d.Decode.len)
-                       ({ addr = text.base + q;
-                          len = d.Decode.len;
-                          insn = d.Decode.insn }
-                       :: acc)
-                 in
-                 let sites, q = go !p [] in
-                 chunk_sites.(i) <- sites;
-                 p := q);
-          exits.(i) <- !p)
-        bounds;
-      (text, chunk_sites, entries, exits, replayed)
-
 (* The §6.2 workaround generalized past a leading pool: a linear sweep
    that hops over known interior data extents, re-synchronizing at each
    hole's end. Holes come from ground truth (symbols, metadata sections);

@@ -49,32 +49,6 @@ val disassemble :
   ?from:int -> ?jobs:int -> ?chunk:int -> ?fault:E9_fault.Fault.t ->
   Elf_file.t -> text * site list
 
-(** [disassemble_planned ~bounds ~probe elf] is the plan-aware chunked
-    sweep of the incremental plan cache (DESIGN.md §14). [bounds] lists
-    the content-defined chunks as text-relative [(offset, size)] pairs,
-    ascending, covering the text exactly ({!Chunker.boundaries}). The
-    sweep walks the chunks carrying the serial stream position; for each
-    chunk it first asks [probe ~index ~entry] — answering
-    [Some (sites, exit)] adopts the recorded decode wholesale (the
-    caller must only answer when the recording was made at the same
-    entry position over identical chunk bytes; decode is a pure function
-    of [(bytes, position)], so the adoption is then exact) — and
-    otherwise decodes live from the entry to the chunk's end. Returns
-    [(text, chunk_sites, entries, exits, replayed)]: per-chunk site
-    lists (each site starting inside its chunk, ascending), per-chunk
-    entry/exit sweep positions (text-relative; entry may lie past the
-    chunk start after a seam overrun, or past its end for chunks the
-    [from] start skips), and which chunks were adopted from the probe.
-    Concatenated in chunk order, the sites equal {!disassemble}'s.
-    No fault parameter: the rewriter disables plan capture/replay
-    entirely under fault injection. *)
-val disassemble_planned :
-  ?from:int ->
-  bounds:(int * int) list ->
-  probe:(index:int -> entry:int -> (site list * int) option) ->
-  Elf_file.t ->
-  text * site list array * int array * int array * bool array
-
 (** [disassemble_excluding ~holes elf] is the §6.2 workaround generalized
     past a leading pool: a serial linear sweep that never decodes inside
     the [(addr, len)] extents of [holes] (mid-function data islands,

@@ -10,7 +10,6 @@ type reject =
   | Budget
   | Injected
   | Dead_window
-  | Stripe_blocked
 
 type outcome =
   | Accepted of { trampoline : int; pad : int; evictee_distance : int }
@@ -51,7 +50,7 @@ let tactic_of_name = function
 
 let rejects =
   [| Too_short; Locked; Pun_miss; Range; Alloc_conflict; No_successor; Budget;
-     Injected; Dead_window; Stripe_blocked |]
+     Injected; Dead_window |]
 
 let reject_index = function
   | Too_short -> 0
@@ -63,7 +62,6 @@ let reject_index = function
   | Budget -> 6
   | Injected -> 7
   | Dead_window -> 8
-  | Stripe_blocked -> 9
 
 let reject_name = function
   | Too_short -> "too_short"
@@ -75,7 +73,6 @@ let reject_name = function
   | Budget -> "budget"
   | Injected -> "injected"
   | Dead_window -> "dead_window"
-  | Stripe_blocked -> "stripe_blocked"
 
 let reject_of_name = function
   | "too_short" -> Some Too_short
@@ -87,7 +84,6 @@ let reject_of_name = function
   | "budget" -> Some Budget
   | "injected" -> Some Injected
   | "dead_window" -> Some Dead_window
-  | "stripe_blocked" -> Some Stripe_blocked
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -257,15 +253,6 @@ let ring ?(capacity = 1 lsl 20) () =
 let aggregator () = Aggregate (Agg.create ())
 let enabled = function Null -> false | Ring _ | Aggregate _ -> true
 
-(* A fresh sink of the same kind, for one domain of a parallel phase.
-   Each child is emitted to by exactly one domain and folded back with
-   [merge_into] after the join, so no sink is ever shared across
-   domains. *)
-let fork = function
-  | Null -> Null
-  | Ring r -> ring ~capacity:(Array.length r.buf) ()
-  | Aggregate _ -> Aggregate (Agg.create ())
-
 let emit t e =
   match t with
   | Null -> ()
@@ -287,14 +274,6 @@ let agg = function
   | Null -> Agg.create ()
   | Aggregate a -> a
   | Ring _ as t -> Agg.of_events (events t)
-
-let merge_into ~dst src =
-  match (dst, src) with
-  | Null, _ | _, Null -> ()
-  | Aggregate d, Aggregate s -> Agg.merge_into ~dst:d s
-  | _, (Ring _ as s) -> List.iter (emit dst) (events s)
-  | Ring _, Aggregate _ ->
-      invalid_arg "Obs.merge_into: cannot replay an aggregate into a ring"
 
 let accept t ~addr ~tactic ~trampoline ~pad ~evictee_distance =
   match t with

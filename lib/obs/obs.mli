@@ -30,10 +30,7 @@ type reject =
   | Injected  (** a fault-injection rule refused the query (DESIGN.md §11) *)
   | Dead_window
       (** the window is blocked by the base occupancy (guards/segments)
-          alone — structurally unservable by any allocator (DESIGN.md §12) *)
-  | Stripe_blocked
-      (** free space exists but only in stripes a foreign shard owns; the
-          site is retried against the absorbed layout after the join *)
+          alone — structurally unservable by any allocator *)
 
 type outcome =
   | Accepted of { trampoline : int; pad : int; evictee_distance : int }
@@ -48,8 +45,8 @@ type event =
   | Site of { addr : int; tactic : tactic option }
       (** final per-site verdict; [None] = all tactics fell through *)
   | Span of { name : string; dur_ns : int }
-      (** a timed phase (decode, tactic_search, layout, serialize,
-          plan_replay), in monotonic nanoseconds — integer ns all the way
+      (** a timed phase (decode, tactic_search, layout, serialize), in
+          monotonic nanoseconds — integer ns all the way
           to the reporting edge, so sub-microsecond phases aggregate to
           their true total instead of rounding to 0 per call *)
   | Gauge of { name : string; value : int }
@@ -86,20 +83,6 @@ val aggregator : unit -> t
 
 val enabled : t -> bool
 val emit : t -> event -> unit
-
-(** [fork t] is a fresh detached sink of [t]'s kind ({!null} stays
-    {!null}), for one domain of a parallel phase: each domain emits into
-    its own fork and the parent folds them back with {!merge_into} after
-    the join, in a canonical order, so no sink is ever shared across
-    domains and the merged stream is identical for every domain count. *)
-val fork : t -> t
-
-(** [merge_into ~dst src] folds a forked sink back into its parent:
-    ring events are re-emitted into [dst] in order, aggregates are added
-    with {!Agg.merge_into}; {!null} on either side is a no-op. Replaying
-    an aggregate into a ring is impossible and raises
-    [Invalid_argument]. *)
-val merge_into : dst:t -> t -> unit
 
 (** [events t] — ring contents, oldest first ([[]] for other sinks). *)
 val events : t -> event list

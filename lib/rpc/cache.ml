@@ -1,3 +1,3 @@
-(* The store lives in [E9_core] (it also backs the CLI's plan cache);
-   this alias keeps the [E9_rpc.Cache] name. *)
+(* The store lives in [E9_core]; this alias keeps the [E9_rpc.Cache]
+   name the daemon and its clients use. *)
 include E9_core.Cache

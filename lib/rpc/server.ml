@@ -26,7 +26,7 @@ let stop t = Atomic.set t.stop_flag true
 let stopping t = Atomic.get t.stop_flag
 let ctx t = t.ctx
 
-let status_json_of ~decode_cache ~result_cache ~plan_cache ~bypassed
+let status_json_of ~decode_cache ~result_cache ~bypassed
     ~requests ~errors ~started ~closed () =
   let decode_stats =
     match Cache.stats_json (Cache.stats decode_cache) with
@@ -47,16 +47,12 @@ let status_json_of ~decode_cache ~result_cache ~plan_cache ~bypassed
       ("errors", Json.Int (Atomic.get errors));
       ("decode_cache", decode_stats);
       ("result_cache", Cache.stats_json (Cache.stats result_cache));
-      ("plan_cache", Cache.stats_json (Cache.stats plan_cache));
     ]
 
-let create ?(cache_capacity = 64) ?(plan_capacity = E9_core.Plan.capacity)
-    ?(jobs = 1) ?(fault = Fault.none) ?trace_dir () =
+let create ?(cache_capacity = 64) ?(jobs = 1) ?(fault = Fault.none)
+    ?trace_dir () =
   let decode_cache = Cache.create ~capacity:cache_capacity () in
   let result_cache = Cache.create ~capacity:cache_capacity () in
-  (* Chunk-granular: one entry per chunk, not per binary, so the tier
-     needs a deeper LRU than the whole-binary caches. *)
-  let plan_cache = Cache.create ~capacity:plan_capacity () in
   let raw_cache = Cache.create ~capacity:cache_capacity () in
   let bypassed = Atomic.make 0 in
   let requests = Atomic.make 0 in
@@ -64,12 +60,12 @@ let create ?(cache_capacity = 64) ?(plan_capacity = E9_core.Plan.capacity)
   let started = Atomic.make 0 in
   let closed = Atomic.make 0 in
   let status =
-    status_json_of ~decode_cache ~result_cache ~plan_cache ~bypassed
+    status_json_of ~decode_cache ~result_cache ~bypassed
       ~requests ~errors ~started ~closed
   in
   {
     ctx =
-      { Session.decode_cache; result_cache; plan_cache; raw_cache; bypassed;
+      { Session.decode_cache; result_cache; raw_cache; bypassed;
         fault; jobs; status };
     fault;
     trace_dir;

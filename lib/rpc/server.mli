@@ -20,14 +20,12 @@ module Json = E9_obs.Json
 type t
 
 (** [create ()] — [cache_capacity] sizes the decode/result/raw caches
-    (default 64); [plan_capacity] sizes the chunk-granular plan tier
-    (default {!E9_core.Plan.capacity} — one entry per chunk, not per
-    binary); [jobs] is the per-rewrite domain count handed to sessions
+    (default 64); [jobs] is the per-rewrite domain count handed to sessions
     (default 1); [fault] may carry [Rpc_*] rules; [trace_dir], when
     set, makes each session buffer telemetry in a ring and write
     [session-N.ndjson] there on close. *)
 val create :
-  ?cache_capacity:int -> ?plan_capacity:int -> ?jobs:int ->
+  ?cache_capacity:int -> ?jobs:int ->
   ?fault:E9_fault.Fault.t -> ?trace_dir:string -> unit -> t
 
 val ctx : t -> Session.ctx

@@ -16,15 +16,11 @@ type emit_entry = {
   trampoline_bytes : int;
   mappings : int;
   verified : bool;
-  plan_hits : int;
-  plan_misses : int;
-  plan_conflicts : int;
 }
 
 type ctx = {
   decode_cache : decoded Cache.t;
   result_cache : emit_entry Cache.t;
-  plan_cache : E9_core.Plan.chunk Cache.t;
   raw_cache : bytes Cache.t;
   bypassed : int Atomic.t;
   fault : Fault.t;
@@ -137,7 +133,7 @@ let do_binary t params =
     [ ("ok", Json.Bool true); ("size", Json.Int (Bytes.length raw));
       ("hash", Json.Str hash) ]
 
-(* The patch-message delta path (DESIGN.md §14): a client rewriting a
+(* The patch-message delta path (DESIGN.md §13): a client rewriting a
    series of revisions names a retained base by hash and ships only the
    changed byte runs, instead of re-sending the whole binary. The
    reconstructed revision is loaded exactly as [binary] would load it
@@ -227,14 +223,10 @@ let do_options t params =
         Option.value (bool_param params "grouping") ~default:o.Rewriter.grouping;
       reserve_below_base =
         Option.value (bool_param params "shared")
-          ~default:o.Rewriter.reserve_below_base;
-      chunking =
-        (* plan=true turns on content-defined chunking, which keys every
-           emit into the shared chunk-plan cache tier. *)
-        (match bool_param params "plan" with
-        | None -> o.Rewriter.chunking
-        | Some true -> Some Chunker.default
-        | Some false -> None) };
+          ~default:o.Rewriter.reserve_below_base };
+  (* Kept for clients that still send it: validated as a boolean,
+     otherwise ignored (DESIGN.md §10). *)
+  ignore (bool_param params "plan");
   upd (int_param params "disasm_from") (fun a -> t.disasm_from <- Some a);
   upd (int_param params "jobs") (fun j ->
       if j < 1 then bad "jobs must be >= 1, not %d" j else t.jobs <- j);
@@ -358,50 +350,26 @@ let do_emit t params =
         let input =
           match runtime with Some rt -> rt.Tool.augmented | None -> elf
         in
-        (* Chunk-plan tier (DESIGN.md §14): when the session enabled
-           chunking, each content-defined chunk consults the shared plan
-           cache — which subsumes the whole-text decode cache (replayed
-           chunks skip decode per chunk), so the plan path hands the
-           rewriter the real frontend instead of the cached decode. *)
-        let plan =
-          match opts.Rewriter.chunking with
-          | Some _ when Fault.is_none t.ctx.fault ->
-              let text_base =
-                match Frontend.find_text input with
-                | Some x -> x.Frontend.base
-                | None -> 0
-              in
-              Some
-                { E9_core.Plan.store = t.ctx.plan_cache;
-                  spec_key = Patchspec.spec_key rules ~text_base }
-          | _ -> None
+        let dkey =
+          Printf.sprintf "d:%s:%s:%s" bhash rt_tag (from_tag t.disasm_from)
         in
-        let frontend =
-          match plan with
-          | Some _ -> None
+        let decoded =
+          match Cache.find t.ctx.decode_cache dkey with
+          | Some d -> d
           | None ->
-              let dkey =
-                Printf.sprintf "d:%s:%s:%s" bhash rt_tag
-                  (from_tag t.disasm_from)
+              let d =
+                Obs.span t.obs "rpc_decode" (fun () ->
+                    Frontend.disassemble ?from:t.disasm_from input)
               in
-              let decoded =
-                match Cache.find t.ctx.decode_cache dkey with
-                | Some d -> d
-                | None ->
-                    let d =
-                      Obs.span t.obs "rpc_decode" (fun () ->
-                          Frontend.disassemble ?from:t.disasm_from input)
-                    in
-                    Cache.add t.ctx.decode_cache dkey d;
-                    d
-              in
-              Some (fun _ -> decoded)
+              Cache.add t.ctx.decode_cache dkey d;
+              d
         in
         let select, template = Tool.lower ?runtime rules in
         let r =
           Obs.span t.obs "rpc_rewrite" (fun () ->
-              Rewriter.run ~options:opts ~obs:t.obs ~jobs:t.jobs ?plan
-                ?disasm_from:t.disasm_from ?frontend input ~select ~template)
+              Rewriter.run ~options:opts ~obs:t.obs ~jobs:t.jobs
+                ?disasm_from:t.disasm_from ~frontend:(fun _ -> decoded) input
+                ~select ~template)
         in
         (match
            Obs.span t.obs "rpc_verify" (fun () ->
@@ -422,9 +390,6 @@ let do_emit t params =
             trampoline_bytes = r.Rewriter.trampoline_bytes;
             mappings = r.Rewriter.mappings;
             verified = true;
-            plan_hits = r.Rewriter.plan_hits;
-            plan_misses = r.Rewriter.plan_misses;
-            plan_conflicts = r.Rewriter.plan_conflicts;
           }
         in
         Cache.add t.ctx.result_cache key entry;
@@ -450,13 +415,6 @@ let do_emit t params =
        ("mappings", Json.Int entry.mappings);
        ("verified", Json.Bool entry.verified);
        ("stats", stats_json entry.stats) ]
-    @ (if opts.Rewriter.chunking <> None then
-         [ ( "plan",
-             Json.Obj
-               [ ("hits", Json.Int entry.plan_hits);
-                 ("misses", Json.Int entry.plan_misses);
-                 ("conflicts", Json.Int entry.plan_conflicts) ] ) ]
-       else [])
     @ (match filename with
       | Some path -> [ ("wrote", Json.Str path) ]
       | None -> [])
@@ -469,7 +427,6 @@ let do_emit t params =
 
 let do_flush t =
   let _ = Cache.flush t.ctx.decode_cache in
-  let _ = Cache.flush t.ctx.plan_cache in
   let _ = Cache.flush t.ctx.raw_cache in
   let generation = Cache.flush t.ctx.result_cache in
   Json.Obj [ ("ok", Json.Bool true); ("generation", Json.Int generation) ]
@@ -535,9 +492,9 @@ let handle t (req : Proto.request) =
         "spec"
   | exception Tool.Error m -> error Proto.spec_error m "tool"
   | exception Invalid_argument m ->
-      (* A template/site mismatch surfaced at emission time (lowfat on a
-         non-writing instruction, a naked-call argument conflict): refuse
-         the rewrite, keep the session. *)
+      (* An argument error outside the rewriter's per-site fence (which
+         types template/site mismatches as [Rewriter.Error]): refuse the
+         rewrite, keep the session. *)
       error Proto.rewrite_refused m "template"
   | exception Verify_refused m ->
       error Proto.verify_failed ("verification refused the output: " ^ m)

@@ -33,9 +33,6 @@ type emit_entry = {
   trampoline_bytes : int;
   mappings : int;
   verified : bool;
-  plan_hits : int;  (** chunk-plan replays (0 when chunking was off) *)
-  plan_misses : int;
-  plan_conflicts : int;
 }
 
 (** Shared (cross-session) context, owned by the server: the caches,
@@ -44,11 +41,7 @@ type emit_entry = {
     {e across} sessions, so this defaults to 1 (jobs-invariance makes it
     a pure knob: output bytes never depend on it).
 
-    [plan_cache] is the chunk-granular plan tier (DESIGN.md §14), used
-    by sessions that set the [plan] option: unchanged chunks of a
-    re-submitted (or lightly edited) binary replay their cached rewrite
-    plans instead of re-running decode and tactic search. [raw_cache]
-    retains loaded input bytes so the [delta] message can reconstruct a
+    [raw_cache] retains loaded input bytes so the [delta] message can reconstruct a
     new revision from a retained base plus changed byte runs.
     [bypassed] counts emits served whole from the result cache — lookups
     the decode cache never saw, so its hit rate under a hot result cache
@@ -56,7 +49,6 @@ type emit_entry = {
 type ctx = {
   decode_cache : decoded Cache.t;
   result_cache : emit_entry Cache.t;
-  plan_cache : E9_core.Plan.chunk Cache.t;
   raw_cache : bytes Cache.t;
   bypassed : int Atomic.t;
   fault : E9_fault.Fault.t;

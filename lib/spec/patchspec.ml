@@ -596,38 +596,6 @@ let patch_for spec site =
     spec
 
 (* ------------------------------------------------------------------ *)
-(* Range fragments (plan-cache keys)                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Conservative "may this selector match some site with an address in
-   [lo, hi)?": only [Addr_cmp] constrains the address; everything else —
-   including any [Not] — may. A rule whose selector provably cannot
-   match in the range can be dropped without changing [patch_for] for
-   any site in the range (first match wins, and the dropped rule never
-   was the first match there). For [And] the conjunction of the two
-   independent answers is still conservative: any site matching both
-   conjuncts makes both answers true. *)
-let rec may_match_in ~lo ~hi = function
-  | Addr_cmp (c, n) -> (
-      (* Does some address in [lo, hi) satisfy the comparison? *)
-      match c with
-      | `Ge -> hi - 1 >= n
-      | `Gt -> hi - 1 > n
-      | `Le -> lo <= n
-      | `Lt -> lo < n
-      | `Eq -> lo <= n && n < hi
-      | `Ne -> not (lo = n && hi = lo + 1))
-  | And (x, y) -> may_match_in ~lo ~hi x && may_match_in ~lo ~hi y
-  | Or (x, y) -> may_match_in ~lo ~hi x || may_match_in ~lo ~hi y
-  | Jumps | Heap_writes | Calls | Returns | All | Mnemonic _ | Size_cmp _
-  | Target_cmp _ | Op_type _ | Op_reg _ | Op_imm_cmp _ | Reg_used _
-  | Defined _ | Not _ ->
-      true
-
-let fragment_for_range spec ~lo ~hi =
-  List.filter (fun r -> may_match_in ~lo ~hi r.selector) spec
-
-(* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -709,10 +677,6 @@ let pp ppf spec =
     spec
 
 (* Canonical concrete syntax (fully parenthesized by [pp_sel]) is a
-   stable, injective encoding of the fragment's semantics — exactly what
-   a plan key needs. *)
+   stable, injective encoding of the spec's semantics — exactly what a
+   cache key needs. *)
 let fragment_key spec = Format.asprintf "%a" pp spec
-
-let spec_key spec ~text_base ~lo ~len =
-  fragment_key
-    (fragment_for_range spec ~lo:(text_base + lo) ~hi:(text_base + lo + len))

@@ -121,23 +121,7 @@ val pp_selector : Format.formatter -> selector -> unit
     (parse_patch ∘ pp_patch = id). *)
 val pp_patch : Format.formatter -> patch -> unit
 
-(** {1 Range fragments} — the spec identity half of the incremental plan
-    cache key (DESIGN.md §14), for specs and tool rules alike. *)
-
-(** [fragment_for_range spec ~lo ~hi] drops every rule that provably
-    cannot match any site whose address lies in [lo, hi) (only
-    [Addr_cmp] selectors bound the address; the analysis is conservative
-    — [not], mnemonics, sizes, operand attributes all "may match").
-    Sound under first-match-wins: for every site in the range,
-    [patch_for] on the fragment equals [patch_for] on the full spec. *)
-val fragment_for_range : t -> lo:int -> hi:int -> t
-
 (** [fragment_key spec] is a stable, injective textual encoding of the
-    fragment's semantics (canonical concrete syntax). *)
+    spec's semantics (canonical concrete syntax): the spec half of the
+    daemon's result-cache key. *)
 val fragment_key : t -> string
-
-(** [spec_key spec ~text_base ~lo ~len] is the per-chunk fragment key
-    for {!E9_core.Plan.config}: the {!fragment_key} of the rules that may
-    match in the chunk ([lo]/[len] are text-relative, as the plan layer
-    passes them). *)
-val spec_key : t -> text_base:int -> lo:int -> len:int -> string

@@ -246,12 +246,12 @@ let to_rewriter_args rt rules = lower ~runtime:rt rules
 
 type result = { rewrite : Rewriter.result; runtime : runtime }
 
-let run ?options ?obs ?jobs ?plan ?disasm_from ?frontend elf rules =
+let run ?options ?obs ?jobs ?disasm_from ?frontend elf rules =
   if rules = [] then errf "no rules (need at least one -M/-P pair)";
   let rt = inject elf in
   let select, template = to_rewriter_args rt rules in
   let rewrite =
-    Rewriter.run ?options ?obs ?jobs ?plan ?disasm_from ?frontend rt.augmented
+    Rewriter.run ?options ?obs ?jobs ?disasm_from ?frontend rt.augmented
       ~select ~template
   in
   { rewrite; runtime = rt }

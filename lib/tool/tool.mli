@@ -128,7 +128,7 @@ type result = {
           [runtime.instr_ranges] private *)
 }
 
-(** [run ?options ?obs ?jobs ?plan ?disasm_from elf rules] injects the
+(** [run ?options ?obs ?jobs ?disasm_from elf rules] injects the
     runtime and rewrites [runtime.augmented]: every rule-selected
     instruction is diverted to
     its patch's trampoline. [elf] is not mutated. The injection is a pure
@@ -139,7 +139,6 @@ val run :
   ?options:E9_core.Rewriter.options ->
   ?obs:E9_obs.Obs.t ->
   ?jobs:int ->
-  ?plan:E9_core.Plan.config ->
   ?disasm_from:int ->
   ?frontend:(Elf_file.t -> Frontend.text * Frontend.site list) ->
   Elf_file.t ->

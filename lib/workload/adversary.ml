@@ -12,9 +12,9 @@ type family = {
 
 let selector_name = function Jumps -> "jumps" | Heap_writes -> "heap-writes"
 
-(* Shared base: big enough that a few-KiB shard span yields a real
-   multi-shard rewrite, small enough that the trace oracle's double
-   emulation stays in the tens of milliseconds per family. *)
+(* Shared base: big enough to give every family a few thousand patch
+   sites, small enough that the trace oracle's double emulation stays in
+   the tens of milliseconds per family. *)
 let base name seed =
   { Codegen.default_profile with
     Codegen.name;

@@ -211,7 +211,7 @@ let emit_condition g =
 (* Immediates whose last-emitted (most significant) byte is a legal x86
    prefix: the byte sitting directly before the next instruction then
    reads as 0x66/0x2e/0x48/0x3e. A verifier classifying a padded patch
-   jump must not absorb these unchanged look-alike bytes as T1 padding —
+   jump must not take these unchanged look-alike bytes as T1 padding —
    they belong to the previous instruction. *)
 let alias_imms = [| 0x6648_2e90; 0x2e66_4890; 0x4890_6666; 0x3e2e_6648 |]
 

@@ -320,10 +320,15 @@ let emit b (insn : Insn.t) =
       | 6 -> List.iter (u8 b) [ 0x66; 0x0f; 0x1f; 0x44; 0x00; 0x00 ]
       | 7 -> List.iter (u8 b) [ 0x0f; 0x1f; 0x80; 0x00; 0x00; 0x00; 0x00 ]
       | 8 -> List.iter (u8 b) [ 0x0f; 0x1f; 0x84; 0x00; 0x00; 0x00; 0x00; 0x00 ]
-      | 9 ->
+      | n when n >= 9 && n <= 15 ->
+          (* Compilers pad with 10-15-byte nops: the 9-byte form behind
+             extra operand-size prefixes, up to the 15-byte limit. *)
+          for _ = 1 to n - 9 do
+            u8 b 0x66
+          done;
           List.iter (u8 b)
             [ 0x66; 0x0f; 0x1f; 0x84; 0x00; 0x00; 0x00; 0x00; 0x00 ]
-      | _ -> invalid_arg "Encode: nop length must be 1..9")
+      | _ -> invalid_arg "Encode: nop length must be 1..15")
   | Endbr64 -> List.iter (u8 b) [ 0xf3; 0x0f; 0x1e; 0xfa ]
   | Int3 -> u8 b 0xcc
   | Int n ->

@@ -428,51 +428,6 @@ let test_pool_spawn_failure_degrades () =
     (List.map succ xs)
     (Pool.map ~domains:4 ~spawn_failure:(fun i -> i mod 2 = 0) succ xs)
 
-let test_pool_stealing_preserves_order () =
-  let xs = List.init 200 Fun.id in
-  let out, report = Pool.map_stealing ~domains:4 (fun x -> x * x) xs in
-  Alcotest.(check (list int))
-    "same as List.map, in input order"
-    (List.map (fun x -> x * x) xs)
-    out;
-  check_bool "worker count sane" true (report.Pool.workers >= 1)
-
-let test_pool_stealing_steals_under_skew () =
-  (* Worker 0's deque holds the only slow tasks; the other workers must
-     finish their own deques and steal from it. *)
-  let xs = List.init 64 Fun.id in
-  let out, report =
-    Pool.map_stealing ~domains:4
-      ~jitter:(fun i ->
-        (* Spin, not sleep: test/dune does not link unix. *)
-        if i < 16 then
-          for k = 0 to 400_000 do
-            ignore (Sys.opaque_identity k)
-          done)
-      succ xs
-  in
-  Alcotest.(check (list int)) "results intact" (List.map succ xs) out;
-  if report.Pool.workers > 1 then
-    check_bool "skewed schedule forces steals" true (report.Pool.steals > 0)
-
-let test_pool_stealing_serial_and_failures () =
-  let xs = List.init 30 Fun.id in
-  let out, report = Pool.map_stealing ~domains:1 succ xs in
-  Alcotest.(check (list int)) "domains:1 is List.map" (List.map succ xs) out;
-  Alcotest.(check int) "serial path reports one worker" 1 report.Pool.workers;
-  Alcotest.(check int) "serial path reports no steals" 0 report.Pool.steals;
-  let out, _ =
-    Pool.map_stealing ~domains:4 ~spawn_failure:(fun _ -> true) succ xs
-  in
-  Alcotest.(check (list int))
-    "all spawns fail -> caller drains every deque" (List.map succ xs) out;
-  Alcotest.check_raises "worker exception reaches the caller"
-    (Failure "boom") (fun () ->
-      ignore
-        (Pool.map_stealing ~domains:4
-           (fun x -> if x = 23 then failwith "boom" else x)
-           (List.init 48 Fun.id)))
-
 let test_pool_service_executes_all () =
   let svc = Pool.Service.create ~domains:4 () in
   let total = Atomic.make 0 in
@@ -646,12 +601,6 @@ let suites =
         Alcotest.test_case "default domains" `Quick test_pool_default_domains;
         Alcotest.test_case "spawn failure degrades" `Quick
           test_pool_spawn_failure_degrades;
-        Alcotest.test_case "stealing preserves order" `Quick
-          test_pool_stealing_preserves_order;
-        Alcotest.test_case "stealing under skew" `Quick
-          test_pool_stealing_steals_under_skew;
-        Alcotest.test_case "stealing serial/failure paths" `Quick
-          test_pool_stealing_serial_and_failures;
         Alcotest.test_case "service executes all" `Quick
           test_pool_service_executes_all;
         Alcotest.test_case "service traps task exceptions" `Quick

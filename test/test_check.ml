@@ -369,8 +369,6 @@ let test_inject_campaign_deterministic () =
 
 let prop_fuzz = Fuzz.property ~count:25 ()
 let prop_jobs = Fuzz.jobs_property ~count:15 ~jobs:[ 2; 4; 7 ] ()
-let prop_steal = Fuzz.steal_property ~count:8 ~jobs:[ 2; 4; 7 ] ()
-let prop_incremental = Fuzz.incremental_property ~count:8 ~jobs:[ 1; 4 ] ()
 let prop_inject = Inject.property ~count:15 ()
 
 let suites =
@@ -396,6 +394,4 @@ let suites =
           test_inject_campaign_deterministic;
         QCheck_alcotest.to_alcotest prop_fuzz;
         QCheck_alcotest.to_alcotest prop_jobs;
-        QCheck_alcotest.to_alcotest prop_steal;
-        QCheck_alcotest.to_alcotest prop_incremental;
         QCheck_alcotest.to_alcotest prop_inject ] ) ]

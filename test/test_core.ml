@@ -217,61 +217,6 @@ let test_layout_block_rounding () =
   check_bool "inside rounded block" true
     (Layout.probe layout ~size:16 ~lo:0x402000 ~hi:0x43ffff = None)
 
-(* Chunk arenas partition the address space into ownership stripes:
-   allocations from the arenas of chunks partitioning the text can never
-   overlap, whatever windows they use, and absorbing the arenas back
-   recovers every extent in the parent. *)
-let test_layout_shard_disjoint_and_absorb () =
-  let parent = Layout.create (mini_elf ()) in
-  let total = 3 * 4096 in
-  let ranges = [ (0, 1000); (1000, 4096); (4096, total) ] in
-  let arenas =
-    List.map (fun (lo, hi) -> Layout.shard_range parent ~lo ~hi ~total) ranges
-  in
-  let allocs =
-    List.concat_map
-      (fun arena ->
-        List.init 40 (fun _ ->
-            match Layout.alloc arena ~size:48 ~lo:0x500000 ~hi:0xfff_ffff with
-            | Some a -> (a, 48)
-            | None -> Alcotest.fail "chunk arena allocation failed"))
-      arenas
-  in
-  ignore
-    (List.fold_left
-       (fun prev_end (a, size) ->
-         check_bool "extents pairwise disjoint" true (a >= prev_end);
-         a + size)
-       min_int
-       (List.sort compare allocs));
-  List.iter (fun arena -> Layout.absorb ~dst:parent arena) arenas;
-  check_int "all trampoline bytes absorbed" (List.length ranges * 40 * 48)
-    (Layout.trampoline_bytes parent);
-  List.iter
-    (fun (a, size) ->
-      check_bool "absorbed extent occupied in parent" false
-        (Layout.is_free parent ~addr:a ~size))
-    allocs;
-  (* A chunk spanning the whole text owns every stripe: its arena places
-     exactly where the parent itself would. *)
-  let whole = Layout.shard_range parent ~lo:0 ~hi:total ~total in
-  check_bool "whole-text arena is unstriped" true
-    (Layout.probe whole ~size:48 ~lo:0x500000 ~hi:0xfff_ffff
-    = Layout.probe parent ~size:48 ~lo:0x500000 ~hi:0xfff_ffff)
-
-let test_layout_shard_invalid_index () =
-  let parent = Layout.create (mini_elf ()) in
-  List.iter
-    (fun (lo, hi, total) ->
-      check_bool
-        (Printf.sprintf "range [%d, %d) of %d raises" lo hi total)
-        true
-        (try
-           ignore (Layout.shard_range parent ~lo ~hi ~total);
-           false
-         with Invalid_argument _ -> true))
-    [ (-1, 10, 100); (10, 10, 100); (50, 101, 100); (0, 0, 0) ]
-
 (* The next-fit cursor must only move placements, never change whether a
    window allocates: a window first-fit can satisfy still succeeds, and an
    exhausted window still fails. Repeated same-class allocations should
@@ -685,6 +630,27 @@ let test_rewrite_bss_limits_coverage () =
   check_bool "L1 lowers coverage" true (constrained < unconstrained);
   check_bool "still mostly patched" true (constrained > 90.0)
 
+(* An executable whose only segment and [.text] hold [asm]'s code,
+   entered at its first byte. *)
+let elf_of_asm asm =
+  let code = Asm.assemble asm in
+  let elf = Elf_file.create ~etype:Elf_file.Exec ~entry:(Asm.base asm) in
+  let off =
+    Elf_file.add_segment elf
+      { Elf_file.ptype = Elf_file.Load;
+        prot = Elf_file.prot_rx;
+        vaddr = Asm.base asm;
+        offset = 0;
+        filesz = 0;
+        memsz = Bytes.length code;
+        align = 4096 }
+      ~content:code
+  in
+  elf.Elf_file.sections <-
+    [ { Elf_file.name = ".text"; sh_type = 1; sh_flags = 6;
+        addr = Asm.base asm; offset = off; size = Bytes.length code } ];
+  elf
+
 let test_rewrite_custom_patch () =
   (* Binary patching (Example 3.1 flavour): replace one instruction's
      behaviour entirely via a Replace template. *)
@@ -696,22 +662,7 @@ let test_rewrite_custom_patch () =
   Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 60));
   Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Reg Reg.RBX));
   Asm.ins asm Insn.Syscall;
-  let code = Asm.assemble asm in
-  let elf = Elf_file.create ~etype:Elf_file.Exec ~entry:0x400000 in
-  let off =
-    Elf_file.add_segment elf
-      { Elf_file.ptype = Elf_file.Load;
-        prot = Elf_file.prot_rx;
-        vaddr = 0x400000;
-        offset = 0;
-        filesz = 0;
-        memsz = Bytes.length code;
-        align = 4096 }
-      ~content:code
-  in
-  elf.Elf_file.sections <-
-    [ { Elf_file.name = ".text"; sh_type = 1; sh_flags = 6; addr = 0x400000;
-        offset = off; size = Bytes.length code } ];
+  let elf = elf_of_asm asm in
   let template =
     Trampoline.Replace
       (fun asm ~ret ->
@@ -733,6 +684,60 @@ let test_rewrite_custom_patch () =
         | Cpu.Fault (_, m) -> "fault: " ^ m
         | Cpu.Violation _ -> "violation"
         | Cpu.Out_of_fuel -> "fuel")
+
+(* Compilers pad with 10-15-byte nops (GCC's 11-byte form is
+   [66 66 2e 0f 1f 84 00 00 00 00 00]). Patching one displaces it into a
+   trampoline, which re-encodes it from its decoded form: the rewrite
+   must verify and still run. *)
+let test_rewrite_displaces_long_nop () =
+  let asm = Asm.create ~base:0x400000 in
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RBX, Insn.Imm 7));
+  let nop_site = Asm.here asm in
+  Asm.ins_raw asm "\x66\x66\x2e\x0f\x1f\x84\x00\x00\x00\x00\x00";
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 60));
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Reg Reg.RBX));
+  Asm.ins asm Insn.Syscall;
+  let elf = elf_of_asm asm in
+  let r =
+    Rewriter.run elf
+      ~select:(fun s -> s.Frontend.insn = Insn.Nop 11)
+      ~template:(fun _ -> Trampoline.Counter)
+  in
+  Alcotest.(check (list int)) "the long nop is patched" [ nop_site ]
+    (List.map fst r.Rewriter.patched_sites);
+  (match E9_check.Static.verify ~original:elf r.Rewriter.output with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "rejected: %a" E9_check.Static.pp_error e);
+  match (run r.Rewriter.output).Cpu.outcome with
+  | Cpu.Exited 7 -> ()
+  | _ -> Alcotest.fail "patched program did not exit 7"
+
+(* A displaced [call] whose target lies beyond rel32 reach of every
+   trampoline placement cannot be re-encoded. The rewrite stops with a
+   typed error naming the site, not an untyped encoder exception. *)
+let test_rewrite_unencodable_site_typed () =
+  let asm = Asm.create ~base:0x400000 in
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 60));
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 0));
+  Asm.ins asm Insn.Syscall;
+  let call_site = Asm.here asm in
+  Asm.ins asm (Insn.Call 0x7fff_0000);
+  let elf = elf_of_asm asm in
+  match
+    Rewriter.run elf
+      ~select:(fun s -> s.Frontend.addr = call_site)
+      ~template:(fun _ -> Trampoline.Empty)
+  with
+  | _ -> Alcotest.fail "expected Rewriter.Error"
+  | exception Rewriter.Error m ->
+      let site = Printf.sprintf "0x%x" call_site in
+      check_bool
+        (Printf.sprintf "%S names site %s" m site)
+        true
+        (String.length m >= String.length site
+        && List.exists
+             (fun i -> String.sub m i (String.length site) = site)
+             (List.init (String.length m - String.length site + 1) Fun.id))
 
 (* The headline property: for random programs and random patch sets, the
    patched binary is observationally equivalent to the original — without
@@ -788,10 +793,6 @@ let suites =
           test_layout_alloc_at_and_release;
         Alcotest.test_case "strided probe" `Quick test_layout_strided_probe;
         Alcotest.test_case "block rounding" `Quick test_layout_block_rounding;
-        Alcotest.test_case "shard arenas disjoint + absorb" `Quick
-          test_layout_shard_disjoint_and_absorb;
-        Alcotest.test_case "shard invalid index" `Quick
-          test_layout_shard_invalid_index;
         Alcotest.test_case "next-fit cursor" `Quick test_layout_next_fit_cursor ]
     );
     ( "core.pagegroup",
@@ -841,6 +842,10 @@ let suites =
         Alcotest.test_case "L1: big .bss limits coverage" `Quick
           test_rewrite_bss_limits_coverage;
         Alcotest.test_case "custom binary patch" `Quick test_rewrite_custom_patch;
+        Alcotest.test_case "long nop displaced" `Quick
+          test_rewrite_displaces_long_nop;
+        Alcotest.test_case "unencodable site is a typed error" `Quick
+          test_rewrite_unencodable_site_typed;
         QCheck_alcotest.to_alcotest prop_rewrite_equivalence ] ) ]
 
 (* ------------------------------------------------------------------ *)
@@ -956,21 +961,17 @@ let test_b0_exhaustion_without_fallback_accounts () =
       Alcotest.failf "accounted output rejected: %a" E9_check.Static.pp_error e
 
 let test_shard_fault_typed_no_partial () =
-  (* Outcome (c): a chunk task dying mid-Pool.map surfaces as a typed
+  (* Outcome (c): the tactic search dying mid-run surfaces as a typed
      Rewriter.Error, identically for every jobs value, and the input is
      untouched. *)
   let elf = Codegen.generate (profile ~seed:64L ()) in
   let snapshot = Elf_file.to_bytes elf in
-  let options =
-    { Rewriter.default_options with
-      Rewriter.chunking = Some E9_check.Fuzz.small_chunking }
-  in
   let messages =
     List.map
       (fun jobs ->
         let fault = Fault.create (Fault.parse "shard@0") in
         match
-          Rewriter.run ~options ~fault ~jobs elf
+          Rewriter.run ~fault ~jobs elf
             ~select:Frontend.select_jumps ~template:(fun _ -> Trampoline.Empty)
         with
         | _ -> Alcotest.fail "expected Rewriter.Error"
@@ -1330,149 +1331,3 @@ let suites =
           Alcotest.test_case "push/pop %rsp" `Quick test_push_pop_rsp_semantics
         ] ) ]
 
-(* ------------------------------------------------------------------ *)
-(* Plan store: file backing and text diffs (DESIGN.md §14)             *)
-(* ------------------------------------------------------------------ *)
-
-module Plan = E9_core.Plan
-module Cache = E9_core.Cache
-
-let sample_chunk =
-  { Plan.c_lo = 0x40; c_len = 0x1000; c_entry = 0x42; c_exit = 0x1040;
-    c_sites = [ { Frontend.addr = 0x401050; len = 5; insn = Insn.Jmp 12 } ];
-    c_plans =
-      [ { Plan.s_addr = 0x401050;
-          s_outcome = Plan.Applied Stats.T1;
-          s_tramps = [ (0x7f0000000000, Bytes.of_string "\xc3") ];
-          s_traps = []; s_class = 9 } ];
-    c_diff = [ (0x10, "\xe9\x00\x00\x00\x00") ];
-    c_locks = [ (0x401055, 2) ]; c_dead = [ (0x401060, 3) ] }
-
-let entries store = (Cache.stats store).Cache.entries
-
-let with_plan_file f =
-  let path = Filename.temp_file "e9plan" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () -> f path)
-
-let test_plan_table_round_trip () =
-  let t = Cache.create ~capacity:Plan.capacity () in
-  let k = Plan.key ~hash:"deadbeef" ~addr:0x401040 ~len:0x1000 ~env:"env" in
-  Cache.add t k sample_chunk;
-  Cache.add t "other" { sample_chunk with Plan.c_lo = 0x2000 };
-  check_int "two entries" 2 (entries t);
-  with_plan_file @@ fun path ->
-  Plan.save t path;
-  check_bool "no temp file left" true (E9_bits.Atomic_file.leftovers path = []);
-  let t' = Plan.load path in
-  check_int "reloaded size" 2 (entries t');
-  check_bool "reloaded items identical, in LRU order" true
-    (Cache.items t' = Cache.items t);
-  match Cache.find t' k with
-  | Some c -> check_bool "chunk survives the round trip" true (c = sample_chunk)
-  | None -> Alcotest.fail "keyed chunk missing after reload"
-
-(* The store is bounded: past capacity the least recently used plans are
-   evicted, and a save/load cycle keeps both the survivors and their
-   recency order, so the file never outgrows the in-memory bound. *)
-let test_plan_lru_survives_save_load () =
-  let capacity = 8 in
-  let t = Cache.create ~capacity () in
-  let key i = Printf.sprintf "k%02d" i in
-  for i = 0 to 11 do
-    Cache.add t (key i) { sample_chunk with Plan.c_lo = i }
-  done;
-  (* Touch k05: it becomes the most recent, so k04 is the oldest left. *)
-  check_bool "k05 hit" true (Cache.find t (key 5) <> None);
-  Cache.add t (key 12) { sample_chunk with Plan.c_lo = 12 };
-  let expected = List.map key [ 6; 7; 8; 9; 10; 11; 5; 12 ] in
-  check_bool "exactly the most recent [capacity] keys, oldest first" true
-    (List.map fst (Cache.items t) = expected);
-  with_plan_file @@ fun path ->
-  Plan.save t path;
-  let t' = Plan.load path in
-  check_bool "survivors and their order reload" true
-    (List.map fst (Cache.items t') = expected);
-  check_bool "values reload" true (Cache.items t' = Cache.items t)
-
-(* A cache may always start cold: missing, truncated, foreign-version or
-   corrupted files load as an empty store, never an error — and never as
-   altered plans, which [patch --plan-cache] would emit unverified. *)
-let test_plan_table_corrupt_loads_empty () =
-  check_int "missing file" 0 (entries (Plan.load "/nonexistent/e9plan.bin"));
-  with_plan_file @@ fun path ->
-  let write s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
-  write "not a plan cache";
-  check_int "wrong magic" 0 (entries (Plan.load path));
-  let t = Cache.create () in
-  Cache.add t "k" sample_chunk;
-  Plan.save t path;
-  let full = In_channel.with_open_bin path In_channel.input_all in
-  check_int "sound file loads" 1 (entries (Plan.load path));
-  let replace ~sub ~by =
-    let n = String.length sub in
-    let rec at i = if String.sub full i n = sub then i else at (i + 1) in
-    let i = at 0 in
-    String.concat ""
-      [ String.sub full 0 i; by;
-        String.sub full (i + n) (String.length full - i - n) ]
-  in
-  write (String.sub full 0 (String.length full / 2));
-  check_int "truncated payload" 0 (entries (Plan.load path));
-  (* Same length, one byte of the chunk's recorded text edit flipped:
-     Marshal alone reads this back as a different, valid chunk. *)
-  write (replace ~sub:"\xe9\x00\x00\x00\x00" ~by:"\xe8\x00\x00\x00\x00");
-  check_int "payload byte flip" 0 (entries (Plan.load path));
-  let foreign =
-    String.map (fun c -> if c = '.' then '_' else c) Sys.ocaml_version
-  in
-  write (replace ~sub:Sys.ocaml_version ~by:foreign);
-  check_int "foreign OCaml version" 0 (entries (Plan.load path))
-
-(* Pins the Marshal layout of [Plan.chunk]: a changed record (or a
-   changed type inside it) moves this digest. When it moves, bump
-   [Plan.magic] so old plan files load empty, then re-pin. *)
-let test_plan_marshal_golden () =
-  Alcotest.(check string) "Marshal digest of sample_chunk"
-    "907d406e06f4b5890dca3634c9919d23"
-    (Digest.to_hex (Digest.string (Marshal.to_string sample_chunk [])))
-
-let test_plan_diff_round_trip () =
-  let pristine = Bytes.init 256 (fun i -> Char.chr (i land 0xff)) in
-  let current = Bytes.copy pristine in
-  (* Two disjoint runs, one at the very start of the range. *)
-  Bytes.set current 32 '\xe9';
-  Bytes.set current 33 '\x00';
-  Bytes.set current 100 '\x90';
-  let d = Plan.diff ~pristine ~current ~lo:32 ~len:128 in
-  check_int "two runs" 2 (List.length d);
-  List.iter
-    (fun (o, r) -> check_bool "run offsets in range" true
-        (o >= 0 && o + String.length r <= 128))
-    d;
-  (* Replaying the diff onto a pristine buffer reproduces [current]. *)
-  let buf = Buf.of_bytes (Bytes.copy pristine) in
-  Plan.apply_diff buf ~lo:32 d;
-  check_bool "apply_diff reproduces the edits" true
-    (Buf.contents buf = current);
-  (* Edits outside [lo, lo+len) are invisible to the diff. *)
-  let far = Bytes.copy pristine in
-  Bytes.set far 5 '\xcc';
-  check_bool "no edits in range, empty diff" true
-    (Plan.diff ~pristine ~current:far ~lo:32 ~len:128 = [])
-
-let suites =
-  suites
-  @ [ ( "core.plan",
-        [ Alcotest.test_case "table save/load round trip" `Quick
-            test_plan_table_round_trip;
-          Alcotest.test_case "corrupt cache loads empty" `Quick
-            test_plan_table_corrupt_loads_empty;
-          Alcotest.test_case "LRU order survives save/load" `Quick
-            test_plan_lru_survives_save_load;
-          Alcotest.test_case "chunk Marshal layout golden" `Quick
-            test_plan_marshal_golden;
-          Alcotest.test_case "diff/apply_diff round trip" `Quick
-            test_plan_diff_round_trip
-        ] ) ]

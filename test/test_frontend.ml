@@ -179,105 +179,6 @@ let test_disassemble_empty_text () =
   check_int "empty text" 0 text.Frontend.size;
   check_bool "no sites" true (sites = [])
 
-(* ------------------------------------------------------------------ *)
-(* Content-defined chunking (DESIGN.md §14)                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_chunker_covers_text () =
-  let elf = elf () in
-  let raw = Elf_file.to_bytes elf in
-  let text = Option.get (Frontend.find_text elf) in
-  let params = { Chunker.min_size = 256; avg_bits = 9; max_size = 2048 } in
-  let bounds =
-    Chunker.boundaries params raw ~pos:text.Frontend.offset
-      ~len:text.Frontend.size
-  in
-  check_bool "at least one chunk" true (bounds <> []);
-  (* Chunks are text-relative, ascending, contiguous, and partition the
-     text exactly. *)
-  let pos = ref 0 in
-  List.iter
-    (fun (o, l) ->
-      check_int "contiguous" !pos o;
-      check_bool "positive size" true (l > 0);
-      pos := o + l)
-    bounds;
-  check_int "covers the text exactly" text.Frontend.size !pos;
-  (* Every cut except the forced final one is size-clamped and aligned. *)
-  List.iteri
-    (fun i (o, l) ->
-      if i < List.length bounds - 1 then begin
-        check_bool "min size" true (l >= params.Chunker.min_size);
-        check_bool "max size" true (l <= params.Chunker.max_size);
-        check_int "aligned cut" 0 ((o + l) mod 16)
-      end)
-    bounds
-
-let test_chunker_edit_locality () =
-  let elf = elf () in
-  let raw = Elf_file.to_bytes elf in
-  let text = Option.get (Frontend.find_text elf) in
-  let params = { Chunker.min_size = 256; avg_bits = 9; max_size = 2048 } in
-  let bounds b =
-    Chunker.boundaries params b ~pos:text.Frontend.offset
-      ~len:text.Frontend.size
-  in
-  let before = bounds raw in
-  check_bool "several chunks" true (List.length before >= 3);
-  (* Flip one byte in the middle of the text: chunks strictly before the
-     edit keep their boundaries (an edit can only move cuts at or after
-     the chunk it lands in). *)
-  let mid = text.Frontend.size / 2 in
-  let edited = Bytes.copy raw in
-  Bytes.set edited
-    (text.Frontend.offset + mid)
-    (Char.chr (Char.code (Bytes.get edited (text.Frontend.offset + mid)) lxor 0xff));
-  let after = bounds edited in
-  (* 64 > the 48-byte rolling window: any cut this far before the edit
-     was decided on bytes the edit cannot have touched. *)
-  let untouched (o, l) = o + l < mid - 64 in
-  let prefix xs = List.filter untouched xs in
-  check_bool "pre-edit chunks keep their identity" true
-    (prefix before = prefix after);
-  (* Determinism: same bytes, same geometry. *)
-  check_bool "pure function of the bytes" true (bounds raw = before)
-
-(* The plan-aware sweep with a silent probe must agree with the serial
-   sweep; with a recording probe it must adopt the recorded decode. *)
-let test_disassemble_planned_agrees () =
-  let elf = elf () in
-  let raw = Elf_file.to_bytes elf in
-  let text, serial = Frontend.disassemble elf in
-  let params = { Chunker.min_size = 256; avg_bits = 9; max_size = 2048 } in
-  let bounds =
-    Chunker.boundaries params raw ~pos:text.Frontend.offset
-      ~len:text.Frontend.size
-  in
-  let _, per_chunk, entries, exits, replayed =
-    Frontend.disassemble_planned ~bounds
-      ~probe:(fun ~index:_ ~entry:_ -> None)
-      elf
-  in
-  check_bool "no probe, no replay" true
-    (Array.for_all (fun r -> not r) replayed);
-  check_bool "concatenated chunks equal the serial sweep" true
-    (List.concat (Array.to_list per_chunk) = serial);
-  check_int "first entry at text start" 0 entries.(0);
-  check_int "last exit at text end" text.Frontend.size
-    exits.(Array.length exits - 1);
-  (* Second sweep replays the first one's recording wholesale. *)
-  let _, per_chunk2, _, _, replayed2 =
-    Frontend.disassemble_planned ~bounds
-      ~probe:(fun ~index ~entry ->
-        if entry = entries.(index) then
-          Some (per_chunk.(index), exits.(index))
-        else None)
-      elf
-  in
-  check_bool "every chunk adopted" true (Array.for_all Fun.id replayed2);
-  check_bool "replayed decode identical" true
-    (List.concat (Array.to_list per_chunk2) = serial)
-
 let site insn = { Frontend.addr = 0x401000; len = 5; insn }
 
 let test_select_jumps () =
@@ -329,11 +230,5 @@ let suites =
           test_disassemble_chunked_identical;
         Alcotest.test_case "empty text" `Quick test_disassemble_empty_text;
         Alcotest.test_case "select_jumps" `Quick test_select_jumps;
-        Alcotest.test_case "select_heap_writes" `Quick test_select_heap_writes;
-        Alcotest.test_case "chunker covers the text" `Quick
-          test_chunker_covers_text;
-        Alcotest.test_case "chunker edit locality" `Quick
-          test_chunker_edit_locality;
-        Alcotest.test_case "planned sweep agrees with serial" `Quick
-          test_disassemble_planned_agrees
+        Alcotest.test_case "select_heap_writes" `Quick test_select_heap_writes
       ] ) ]

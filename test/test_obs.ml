@@ -293,14 +293,13 @@ let test_enum_encoding_golden () =
       (Obs.No_successor, 5, "no_successor");
       (Obs.Budget, 6, "budget");
       (Obs.Injected, 7, "injected");
-      (Obs.Dead_window, 8, "dead_window");
-      (Obs.Stripe_blocked, 9, "stripe_blocked") ]
+      (Obs.Dead_window, 8, "dead_window") ]
   in
   let tactics =
     [ (Obs.B0, 0, "B0"); (Obs.B1, 1, "B1"); (Obs.B2, 2, "B2");
       (Obs.T1, 3, "T1"); (Obs.T2, 4, "T2"); (Obs.T3, 5, "T3") ]
   in
-  check_int "reject enum is exactly 10 wide" 10 (List.length rejects);
+  check_int "reject enum is exactly 9 wide" 9 (List.length rejects);
   let agg = (let obs = Obs.aggregator () in Obs.agg obs) in
   check_int "rejected array width" (List.length rejects)
     (Array.length agg.Obs.Agg.rejected);

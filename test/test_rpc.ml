@@ -227,8 +227,8 @@ let test_golden_status () =
   let r, _ = one conn {|{"jsonrpc":"2.0","id":1,"method":"status"}|} in
   check_str "pinned status shape"
     (Printf.sprintf
-       {|{"jsonrpc":"2.0","id":1,"result":{"sessions":{"started":1,"closed":0},"requests":1,"errors":0,"decode_cache":%s,"result_cache":%s,"plan_cache":%s}}|}
-       zero_bypassed zero zero)
+       {|{"jsonrpc":"2.0","id":1,"result":{"sessions":{"started":1,"closed":0},"requests":1,"errors":0,"decode_cache":%s,"result_cache":%s}}|}
+       zero_bypassed zero)
     r
 
 let test_golden_shutdown () =
@@ -504,9 +504,9 @@ let test_options_partition_cache () =
   in
   check_int "unknown option" Proto.invalid_params (error_code (List.hd rs))
 
-(* The text is one chunk unless the "plan" option turns on
-   content-defined chunking, so there is no shard size to set: the
-   removed shard-span key is refused like any other unknown option. *)
+(* Every emit rewrites the whole text as one S1 pass, so there is no
+   shard size to set: the removed shard-span key is refused like any
+   other unknown option. *)
 let test_removed_span_option_refused () =
   let key = String.concat "_" [ "shard"; "span" ] in
   let rs, _ =
@@ -521,13 +521,12 @@ let test_removed_span_option_refused () =
   check_bool "named as an unknown option" true
     (message = Some (Json.Str ("unknown option " ^ key)))
 
-(* The chunk-plan tier end to end: a plan-enabled emit captures per-chunk
-   plans; a [delta] revision of the same binary replays the unchanged
-   chunks, and the warm output is byte-identical to a cold plan-enabled
-   rewrite of the same revision on a fresh server. *)
-let test_plan_emit_and_delta () =
-  (* The shared fixture's text (~2 KB) fits one default chunk; replay
-     needs several, so this test generates a bigger binary. *)
+(* The "plan" option once selected a chunked rewrite with a plan cache.
+   Clients may still send it: it is validated as a boolean and otherwise
+   ignored, so a plan session emits exactly the bytes of the same session
+   without it — for a loaded binary and for a delta revision — and the
+   emit and status replies carry no plan fields. *)
+let test_plan_option_ignored () =
   let raw =
     Elf_file.to_bytes
       (Codegen.generate
@@ -541,9 +540,7 @@ let test_plan_emit_and_delta () =
   (* A valid in-text edit: NOP-fill one decoded instruction of >= 2
      bytes, so the revision is still a clean sweep input. *)
   let text, sites = Frontend.disassemble (Elf_file.of_bytes raw) in
-  let site =
-    List.find (fun s -> s.Frontend.len >= 2) sites
-  in
+  let site = List.find (fun s -> s.Frontend.len >= 2) sites in
   let off = text.Frontend.offset + (site.Frontend.addr - text.Frontend.base) in
   let nops = String.concat "" (List.init site.Frontend.len (fun _ -> "90")) in
   let revision =
@@ -556,77 +553,46 @@ let test_plan_emit_and_delta () =
     [ Harness.request ~id "patch" [ ("spec", Json.Str Harness.default_spec) ];
       Harness.request ~id:(id + 1) "emit" [ ("data", Json.Bool true) ] ]
   in
-  let plan_field e =
-    match field (result_of e) "plan" with
-    | Json.Obj _ as p -> p
-    | _ -> Alcotest.failf "emit response has no plan object"
+  let load bytes =
+    Harness.request ~id:2 "binary" [ ("data", Json.Str (Proto.hex_of_bytes bytes)) ]
   in
-  let plan_counts e =
-    let p = plan_field e in
-    match (field p "hits", field p "misses", field p "conflicts") with
-    | Json.Int h, Json.Int m, Json.Int c -> (h, m, c)
-    | _ -> Alcotest.failf "plan counters are not ints"
+  let delta =
+    Harness.request ~id:2 "delta"
+      [ ("base", Json.Str base_hash);
+        ("edits",
+         Json.List [ Json.Obj [ ("offset", Json.Int off); ("hex", Json.Str nops) ] ])
+      ]
+  in
+  (* The emit reply of a session, from a fresh server unless given one. *)
+  let emit ?(server = Server.create ()) requests =
+    let rs, alive = Harness.run_session server (requests @ patch_emit 3) in
+    check_bool "session alive" true alive;
+    let e = List.nth rs (List.length requests + 1) in
+    check_bool "emit verified" true (field (result_of e) "verified" = Json.Bool true);
+    check_bool "emit has no plan object" true
+      (Json.member "plan" (result_of e) = None);
+    e
   in
   let server = Server.create () in
-  (* Session 1: cold plan-enabled emit of the base (captures plans). *)
-  let rs1, alive1 =
-    Harness.run_session server
-      ((plan_on
-       :: [ Harness.request ~id:2 "binary"
-              [ ("data", Json.Str (Proto.hex_of_bytes raw)) ] ])
-      @ patch_emit 3)
-  in
-  check_bool "session 1 alive" true alive1;
-  let e1 = List.nth rs1 3 in
-  let h1, m1, _ = plan_counts e1 in
-  check_int "cold emit replays nothing" 0 h1;
-  check_bool "cold emit captures chunks" true (m1 > 0);
-  check_bool "cold emit verified" true
-    (field (result_of e1) "verified" = Json.Bool true);
-  (* Session 2: the revision ships as a delta against the retained base
-     and replays every untouched chunk from the shared plan cache. *)
-  let rs2, alive2 =
-    Harness.run_session server
-      ((plan_on
-       :: [ Harness.request ~id:2 "delta"
-              [ ("base", Json.Str base_hash);
-                ("edits",
-                 Json.List
-                   [ Json.Obj
-                       [ ("offset", Json.Int off); ("hex", Json.Str nops) ] ])
-              ] ])
-      @ patch_emit 3)
-  in
-  check_bool "session 2 alive" true alive2;
-  let d = result_of (List.nth rs2 1) in
-  check_bool "delta ok" true (field d "ok" = Json.Bool true);
-  check_bool "delta echoes base" true (field d "base" = Json.Str base_hash);
-  check_bool "delta hash is the revision's" true
-    (field d "hash" = Json.Str (Cache.fnv1a64 revision));
-  let e2 = List.nth rs2 3 in
-  let h2, m2, c2 = plan_counts e2 in
-  check_bool "warm emit replays chunks" true (h2 > 0);
-  check_bool "warm emit re-searches only the edit" true (m2 >= 1 && m2 <= 2);
-  check_int "no conflicts" 0 c2;
-  check_bool "warm emit verified" true
-    (field (result_of e2) "verified" = Json.Bool true);
-  (* Byte-identity gate: warm replay vs a cold chunked rewrite of the
-     same revision on a server with an empty plan cache. *)
-  let cold_server = Server.create () in
-  let rs3, _ =
-    Harness.run_session cold_server
-      ((plan_on
-       :: [ Harness.request ~id:2 "binary"
-              [ ("data", Json.Str (Proto.hex_of_bytes revision)) ] ])
-      @ patch_emit 3)
-  in
-  check_str "warm output is byte-identical to cold"
-    (emit_data (List.nth rs3 3))
+  let e1 = emit ~server [ plan_on; load raw ] in
+  check_str "plan session emits the plain bytes" (emit_data (emit [ load raw ]))
+    (emit_data e1);
+  let e2 = emit ~server [ plan_on; delta ] in
+  check_str "plan delta emits the plain revision's bytes"
+    (emit_data (emit [ load revision ]))
     (emit_data e2);
-  (* The shared tier's accounting is visible in status. *)
-  let pc = Cache.stats (Server.ctx server).E9_rpc.Session.plan_cache in
-  check_bool "plan cache hits recorded" true (pc.Cache.hits >= h2);
-  check_bool "plan cache holds captured chunks" true (pc.Cache.entries >= m1)
+  let rs, _ =
+    Harness.run_session server
+      [ Harness.request ~id:1 "options" [ ("plan", Json.Int 3) ];
+        Harness.request ~id:2 "options" [ ("plan_cache", Json.Bool true) ];
+        Harness.request ~id:3 "status" [] ]
+  in
+  check_int "non-boolean plan refused" Proto.invalid_params
+    (error_code (List.nth rs 0));
+  check_int "unknown option refused" Proto.invalid_params
+    (error_code (List.nth rs 1));
+  check_bool "status has no plan cache" true
+    (Json.member "plan_cache" (result_of (List.nth rs 2)) = None)
 
 let test_delta_errors () =
   let raw = Lazy.force raw in
@@ -1286,8 +1252,8 @@ let suites =
           test_options_partition_cache;
         Alcotest.test_case "shard-span option refused" `Quick
           test_removed_span_option_refused;
-        Alcotest.test_case "plan tier: emit + delta replay" `Quick
-          test_plan_emit_and_delta;
+        Alcotest.test_case "plan option ignored: emit + delta" `Quick
+          test_plan_option_ignored;
         Alcotest.test_case "delta error paths" `Quick test_delta_errors;
         Alcotest.test_case "malformed binary recovers" `Quick
           test_malformed_binary_recovers;

@@ -152,51 +152,6 @@ let prop_pp_parse_id =
       Spec.parse_selector (Format.asprintf "%a" Spec.pp_selector sel) = sel)
 
 (* ------------------------------------------------------------------ *)
-(* Property: fragment_for_range is sound for parsed specs              *)
-(* ------------------------------------------------------------------ *)
-
-(* The incremental plan cache keys each chunk by the spec fragment that
-   can reach it (DESIGN.md §14). Here the spec goes through its text
-   form: random rules are printed as [patch SEL with PATCH] lines and
-   parsed back, and for every site whose address lies in the chunk the
-   first matching patch on the fragment must agree with the full spec. *)
-let gen_spec_text =
-  let open QCheck2.Gen in
-  let gen_line =
-    let* sel = gen_selector in
-    let* p = oneofl [ "empty"; "counter"; "count"; "lowfat"; "print"; "trap" ] in
-    return (Format.asprintf "patch %a with %s" Spec.pp_selector sel p)
-  in
-  map (String.concat "\n") (list_size (int_range 1 5) gen_line)
-
-let prop_fragment_for_range_sound =
-  QCheck2.Test.make ~count:300
-    ~name:"fragment_for_range: text specs agree with patch_for on in-range sites"
-    ~print:(fun (src, lo_k, span_k) ->
-      Printf.sprintf "lo=+0x%x span=%d\n%s" (lo_k * 8) span_k src)
-    QCheck2.Gen.(tup3 gen_spec_text (int_bound 0x2000) (int_range 1 64))
-    (fun (src, lo_k, span_k) ->
-      let spec = Spec.parse src in
-      let lo = 0x400000 + (lo_k * 8) and span = span_k * 8 in
-      let frag = Spec.fragment_for_range spec ~lo ~hi:(lo + span) in
-      let sites =
-        List.concat_map
-          (fun i ->
-            let addr = lo + (i * 8) in
-            [ site ~addr (Insn.Jmp 0); site ~addr (Insn.Call 0);
-              site ~addr Insn.Ret;
-              site ~addr
-                (Insn.Mov
-                   ( Insn.Q,
-                     Insn.Mem (Insn.mem ~base:Reg.RBX ()),
-                     Insn.Reg Reg.RAX )) ])
-          (List.init span_k Fun.id)
-      in
-      List.for_all
-        (fun s -> Spec.patch_for frag s = Spec.patch_for spec s)
-        sites)
-
-(* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -267,8 +222,7 @@ let suites =
         Alcotest.test_case "errors: multi-line ;-separated" `Quick
           test_parse_errors_multiline_semicolons;
         Alcotest.test_case "pp roundtrip" `Quick test_pp_roundtrip;
-        QCheck_alcotest.to_alcotest prop_pp_parse_id;
-        QCheck_alcotest.to_alcotest prop_fragment_for_range_sound ] );
+        QCheck_alcotest.to_alcotest prop_pp_parse_id ] );
     ( "spec.eval",
       [ Alcotest.test_case "selectors" `Quick test_selectors;
         Alcotest.test_case "first match wins" `Quick test_first_match_wins;

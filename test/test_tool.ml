@@ -1,7 +1,7 @@
 (* Tests for the E9Tool-style frontend (lib/tool): the -M/-P command
    languages, the injected instrumentation runtime, end-to-end rewrites
    checked by the static verifier and the trace oracle, jobs-invariance,
-   and the plan-cache fragment identity. *)
+   and the rule-list cache key. *)
 
 module Tool = E9_tool.Tool
 module Spec = E9_spec.Patchspec
@@ -208,14 +208,8 @@ let test_first_match_wins () =
 let test_jobs_invariance () =
   let elf = Lazy.force elf in
   let rules = [ Tool.rule_of ~m:"all" ~p:"print" () ] in
-  (* Small chunks, so jobs 4 runs the parallel search. *)
-  let options =
-    { Rewriter.default_options with
-      Rewriter.chunking = Some E9_check.Fuzz.small_chunking }
-  in
   let b jobs =
-    Elf_file.to_bytes
-      (Tool.run ~options ~jobs elf rules).Tool.rewrite.Rewriter.output
+    Elf_file.to_bytes (Tool.run ~jobs elf rules).Tool.rewrite.Rewriter.output
   in
   check_bool "jobs 1 vs 4 byte-identical" true (Bytes.equal (b 1) (b 4))
 
@@ -239,72 +233,21 @@ let test_emitted_augmented_verifies () =
   | Error e -> Alcotest.failf "check AUG OUT: %a" Static.pp_error e
 
 (* ------------------------------------------------------------------ *)
-(* Fragment identity (plan-cache soundness)                            *)
+(* Rule-list identity (result-cache key)                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The incremental plan cache keys each chunk by the rules that can reach
-   it (DESIGN.md §14), one analysis for spec and tool rules alike.
-   Soundness is: for every site whose address lies in the chunk, the
-   first matching patch on the fragment agrees with the full rule list —
-   whatever mix of address-range guards, negations and attribute
-   selectors the rules use, under every patch word. *)
-let gen_rules =
-  let open QCheck2.Gen in
-  let gen_patch =
-    oneofl
-      [ Spec.Print; Spec.Count; Spec.Trap; Spec.Empty; Spec.Lowfat;
-        Tool.parse_patch "call:clean record(addr,size,3)";
-        Tool.parse_patch "call:naked counter()" ]
-  in
-  let gen_selector =
-    (* Random attribute trees, half of them guarded by an address range. *)
-    let* sel = Test_spec.gen_selector in
-    let* lo = map (fun k -> 0x400000 + (k * 8)) (int_bound 0x400) in
-    let* span = map (fun k -> (k + 1) * 8) (int_bound 128) in
-    oneofl
-      [ sel;
-        Spec.And (sel, Spec.And (Spec.Addr_cmp (`Ge, lo), Spec.Addr_cmp (`Lt, lo + span))) ]
-  in
-  list_size (int_range 1 5)
-    (map2 (fun selector patch -> { Spec.selector; patch }) gen_selector gen_patch)
-
-let prop_fragment_sound =
-  QCheck2.Test.make ~count:300
-    ~name:"fragment_for_range preserves first-match for in-range sites"
-    ~print:(fun (rules, lo, span) ->
-      Printf.sprintf "[%s] lo=0x%x span=%d" (Spec.fragment_key rules) lo span)
-    QCheck2.Gen.(
-      tup3 gen_rules
-        (map (fun k -> 0x400000 + (k * 8)) (int_bound 0x400))
-        (map (fun k -> (k + 1) * 8) (int_bound 128)))
-    (fun (rules, lo, span) ->
-      let hi = lo + span in
-      let frag = Spec.fragment_for_range rules ~lo ~hi in
-      let sites =
-        List.concat_map
-          (fun addr ->
-            [ site ~addr (Insn.Jmp 0); site ~addr (Insn.Call 0);
-              site ~addr Insn.Ret;
-              site ~addr
-                (Insn.Mov
-                   ( Insn.Q,
-                     Insn.Mem (Insn.mem ~base:Reg.RBX ()),
-                     Insn.Reg Reg.RAX )) ])
-          (List.init (span / 8) (fun i -> lo + (i * 8)))
-      in
-      List.for_all (fun s -> Spec.patch_for frag s = Spec.patch_for rules s) sites)
-
+(* The daemon's result cache keys every emit by the rules' canonical
+   text, one encoding for spec and tool rules alike. *)
 let test_spec_key_stability () =
   let rules =
     [ Tool.rule_of ~m:"jumps" ~p:"call:clean record(addr,size,3)" ();
       Tool.rule_of ~m:"all" ~p:"count" () ]
   in
-  let k = Spec.spec_key rules ~text_base:0x400000 ~lo:0 ~len:0x1000 in
-  check_str "deterministic" k
-    (Spec.spec_key rules ~text_base:0x400000 ~lo:0 ~len:0x1000);
+  let k = Spec.fragment_key rules in
+  check_str "deterministic" k (Spec.fragment_key rules);
   let other = [ Tool.rule_of ~m:"jumps" ~p:"count" () ] in
   check_bool "different rules, different key" true
-    (k <> Spec.spec_key other ~text_base:0x400000 ~lo:0 ~len:0x1000);
+    (k <> Spec.fragment_key other);
   (* The key covers patch semantics, not just selectors: same matcher,
      different call args must not collide. *)
   let v1 = [ Tool.rule_of ~m:"jumps" ~p:"call counter()" () ] in
@@ -334,6 +277,5 @@ let suites =
         Alcotest.test_case "emitted augmented file verifies" `Quick
           test_emitted_augmented_verifies ] );
     ( "tool.fragment",
-      [ QCheck_alcotest.to_alcotest prop_fragment_sound;
-        Alcotest.test_case "spec key stability" `Quick test_spec_key_stability ]
+      [ Alcotest.test_case "spec key stability" `Quick test_spec_key_stability ]
     ) ]

@@ -120,6 +120,22 @@ let test_encode_nops () =
       (String.length (Encode.encode (Insn.Nop n)))
   done
 
+(* Every nop length the decoder accepts from compilers, 1 to 15 bytes,
+   encodes and decodes back to the same nop: trampolines re-encode a
+   displaced instruction from its decoded form. *)
+let test_nop_roundtrip () =
+  for n = 1 to 15 do
+    let code = Encode.encode (Insn.Nop n) in
+    let d = Decode.decode_string code 0 in
+    Alcotest.(check int) (Printf.sprintf "nop%d length" n) n (String.length code);
+    Alcotest.(check int) (Printf.sprintf "nop%d decoded length" n) n d.Decode.len;
+    Alcotest.(check bool) (Printf.sprintf "nop%d decodes to itself" n) true
+      (Insn.equal d.Decode.insn (Insn.Nop n))
+  done;
+  Alcotest.check_raises "16 bytes exceed the x86 limit"
+    (Invalid_argument "Encode: nop length must be 1..15") (fun () ->
+      ignore (Encode.encode (Insn.Nop 16)))
+
 let test_encode_byte_regs () =
   (* SIL needs a bare REX, AL does not. *)
   check_enc "movb %al,(%rbx)" "88 03"
@@ -351,6 +367,7 @@ let suites =
         Alcotest.test_case "control flow" `Quick test_encode_control_flow;
         Alcotest.test_case "misc" `Quick test_encode_misc;
         Alcotest.test_case "nops 1..9" `Quick test_encode_nops;
+        Alcotest.test_case "nops 1..15 round-trip" `Quick test_nop_roundtrip;
         Alcotest.test_case "byte regs need REX" `Quick test_encode_byte_regs;
         Alcotest.test_case "padded jump" `Quick test_padded_jump_encoding ] );
     ( "x86.decode",
