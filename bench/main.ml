@@ -10,7 +10,6 @@
    Flags (EXPERIMENTS.md "Reproducing"):
      --serial       run every task on one domain (the speedup baseline)
      --domains N    fan tasks across exactly N domains
-     --jobs N       domains per rewrite's linear-sweep decode (default 1)
      --smoke        reduced sizes/trial counts, for CI timeouts
      --json PATH    dump every experiment's rows as JSON to PATH
 
@@ -53,7 +52,6 @@ let heading title =
 let serial = ref false
 let smoke = ref false
 let domains_opt : int option ref = ref None
-let jobs_opt : int option ref = ref None
 let json_path : string option ref = ref None
 
 let domains () =
@@ -119,8 +117,7 @@ let obs_lock = Mutex.create ()
 let traced_run ?options ?disasm_from ?frontend elf ~select ~template =
   let obs = Obs.aggregator () in
   let r =
-    Rewriter.run ?options ~obs ?jobs:!jobs_opt ?disasm_from ?frontend elf
-      ~select ~template
+    Rewriter.run ?options ~obs ?disasm_from ?frontend elf ~select ~template
   in
   Mutex.protect obs_lock (fun () ->
       Obs.Agg.merge_into ~dst:!obs_agg (Obs.agg obs));
@@ -860,10 +857,10 @@ module Inject = E9_check.Inject
 
 let bench_faults () =
   heading "Fault injection: hardening contract under random fault schedules";
-  (* Each case runs a jobs-1 leg, jobs-2/4 invariance legs, a
-     total-allocator-exhaustion B0 leg and write/trace containment legs;
-     any uncaught exception, verifier reject or half-written file is a
-     contract violation. The campaign is deterministic in (n, seed). *)
+  (* Each case runs a primary leg, a total-allocator-exhaustion B0 leg
+     and write/trace containment legs; any uncaught exception, verifier
+     reject or half-written file is a contract violation. The campaign
+     is deterministic in (n, seed). *)
   let n = if !smoke then 60 else 250 in
   let seed = 42 in
   let s = Inject.campaign ~n ~seed () in
@@ -1278,12 +1275,7 @@ let bench_tool () =
         Elf_file.of_bytes (Elf_file.to_bytes_stripped generated)
       else generated
     in
-    let frontend =
-      match holes with
-      | [] -> None
-      | holes -> Some (fun e -> Frontend.disassemble_excluding ~holes e)
-    in
-    (elf, holes, frontend)
+    (elf, holes)
   in
   let trace_config = { Cpu.default_config with Cpu.fuel = 50_000_000 } in
   let tasks =
@@ -1296,7 +1288,7 @@ let bench_tool () =
       | Tool.Call { mode = Trampoline.Naked; _ } -> true
       | _ -> false
     in
-    let elf, holes, frontend = prepare f in
+    let elf, holes = prepare f in
     let options =
       { Rewriter.default_options with
         Rewriter.tactics =
@@ -1304,7 +1296,9 @@ let bench_tool () =
         reserve_below_base = f.Adversary.profile.Codegen.shared_object;
         keep_ranges = holes }
     in
-    let res = Tool.run ~options ~jobs:1 ?frontend elf rules in
+    let res =
+      Tool.run ~options ~frontend:(Frontend.disassemble ~holes) elf rules
+    in
     let r = res.Tool.rewrite in
     let rt = res.Tool.runtime in
     let static_err =
@@ -1406,8 +1400,8 @@ let all =
     ("bechamel", bench_bechamel) ]
 
 let usage () =
-  printf "usage: main.exe [--serial] [--domains N] [--jobs N] [--smoke] \
-          [--json PATH] [experiment ...]@.";
+  printf "usage: main.exe [--serial] [--domains N] [--smoke] [--json PATH] \
+          [experiment ...]@.";
   printf "experiments: %s@." (String.concat " " (List.map fst all));
   exit 1
 
@@ -1430,14 +1424,6 @@ let rec parse_args = function
           parse_args rest
       | Some _ | None ->
           printf "--domains expects a positive integer, got %s@." n;
-          usage ())
-  | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some j when j >= 1 ->
-          jobs_opt := Some j;
-          parse_args rest
-      | Some _ | None ->
-          printf "--jobs expects a positive integer, got %s@." n;
           usage ())
   | flag :: _ when String.length flag > 2 && String.sub flag 0 2 = "--" ->
       printf "unknown flag %s@." flag;
@@ -1472,7 +1458,6 @@ let since (a : Stats.throughput) (b : Stats.throughput) =
 let experiment_json (tp : Stats.throughput) agg ~checked ~failed =
   Json.Obj
     ([ ("domains", Json.Int tp.Stats.domains);
-       ("jobs", Json.Int (match !jobs_opt with Some j -> j | None -> 1));
        ("serial", Json.Bool !serial);
        ("smoke", Json.Bool !smoke);
        ("wall_s", Json.Float tp.Stats.wall_s);

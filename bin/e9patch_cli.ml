@@ -149,15 +149,6 @@ let patch_cmd =
                 phase timings, allocator gauges) to $(docv) as ndjson, one \
                 event per line.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domains for the parallel linear-sweep decode (default: \\$E9_JOBS, \
-                else 1); the tactic search is one serial pass over the \
-                whole text. Output bytes are identical for every $(docv).")
-  in
   let inject =
     Arg.(
       value
@@ -171,7 +162,7 @@ let patch_cmd =
                 E.g. 'alloc@3,write@0'.")
   in
   let run () input output select template granularity no_grouping shared b0
-      no_t1 no_t2 no_t3 stub spec_arg spec_file trace jobs inject =
+      no_t1 no_t2 no_t3 stub spec_arg spec_file trace inject =
    or_die @@ fun () ->
     let fault =
       match inject with
@@ -211,7 +202,7 @@ let patch_cmd =
       match trace with Some _ -> Obs.ring () | None -> Obs.null
     in
     let r =
-      Rewriter.run ~options ~obs ~fault ?jobs elf ~select ~template
+      Rewriter.run ~options ~obs ~fault elf ~select ~template
     in
     Elf_file.write_file
       ~fault:(fun () -> Fault.fires fault Fault.Write)
@@ -256,7 +247,7 @@ let patch_cmd =
     Term.(
       const run $ setup_logs $ input $ output $ select $ template
       $ granularity $ no_grouping $ shared $ b0 $ no_t1 $ no_t2 $ no_t3
-      $ stub $ spec_arg $ spec_file $ trace $ jobs $ inject)
+      $ stub $ spec_arg $ spec_file $ trace $ inject)
 
 (* ------------------------------------------------------------------ *)
 (* tool                                                                *)
@@ -291,15 +282,6 @@ let tool_cmd =
                 asm|addr|instr|size, register names and integer literals \
                 (FN: $(b,counter), $(b,record), or a hex address).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domains for the parallel linear-sweep decode (default: \\$E9_JOBS, \
-                else 1); the tactic search is one serial pass over the \
-                whole text. Output bytes are identical for every $(docv).")
-  in
   let check =
     Arg.(
       value & flag
@@ -319,7 +301,7 @@ let tool_cmd =
                 injected instrumentation pages) — the $(b,original) a \
                 later $(b,e9patch check) run must verify against.")
   in
-  let run () input output matches patches jobs check emit_augmented =
+  let run () input output matches patches check emit_augmented =
    or_die @@ fun () ->
     if matches = [] then failwith "need at least one -M/-P pair";
     if List.length matches <> List.length patches then
@@ -328,7 +310,7 @@ let tool_cmd =
            (List.length matches) (List.length patches));
     let rules = List.map2 (fun m p -> Tool.rule_of ~m ~p ()) matches patches in
     let elf = Elf_file.read_file input in
-    let res = Tool.run ?jobs elf rules in
+    let res = Tool.run elf rules in
     let r = res.Tool.rewrite and rt = res.Tool.runtime in
     if check then (
       (match
@@ -372,8 +354,8 @@ let tool_cmd =
              trap, empty, lowfat and call trampolines with the \
              argument-passing ABI) into a verified rewrite.")
     Term.(
-      const run $ setup_logs $ input $ output $ matches $ patches $ jobs
-      $ check $ emit_augmented)
+      const run $ setup_logs $ input $ output $ matches $ patches $ check
+      $ emit_augmented)
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -641,7 +623,7 @@ let fault_cmd =
        ~doc:"Fault-injection campaign: random rewrite cases x random fault \
              schedules; every injected fault must degrade to a verified \
              output, be accounted per-site, or raise a typed error with no \
-             partial file, byte-identically across domain counts.")
+             partial file.")
     Term.(const run $ setup_logs $ n $ seed $ rpc)
 
 (* ------------------------------------------------------------------ *)
@@ -665,14 +647,6 @@ let serve_cmd =
       & info [ "trace-dir" ] ~docv:"DIR"
           ~doc:"Write one ndjson telemetry trace per session \
                 (session-N.ndjson) into $(docv).")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domains for each session rewrite's parallel linear-sweep \
-                decode. Default 1: the daemon parallelizes across \
-                sessions; output bytes never depend on this.")
   in
   let domains =
     Arg.(
@@ -705,7 +679,7 @@ let serve_cmd =
                 (rpcaccept, rpcread, rpcdecode, rpcemit), same grammar as \
                 patch --inject.")
   in
-  let run () socket trace_dir jobs domains max_sessions cache inject =
+  let run () socket trace_dir domains max_sessions cache inject =
    or_die @@ fun () ->
     let fault =
       match inject with
@@ -713,7 +687,7 @@ let serve_cmd =
       | Some spec -> Fault.create (Fault.parse spec)
     in
     let server =
-      E9_rpc.Server.create ~cache_capacity:cache ~jobs ~fault ?trace_dir ()
+      E9_rpc.Server.create ~cache_capacity:cache ~fault ?trace_dir ()
     in
     (match socket with
     | None -> E9_rpc.Server.serve_channels server stdin stdout
@@ -743,8 +717,8 @@ let serve_cmd =
              content-addressed caching and oracle verification of every \
              served output.")
     Term.(
-      const run $ setup_logs $ socket $ trace_dir $ jobs $ domains
-      $ max_sessions $ cache $ inject)
+      const run $ setup_logs $ socket $ trace_dir $ domains $ max_sessions
+      $ cache $ inject)
 
 (* ------------------------------------------------------------------ *)
 (* robust                                                              *)
@@ -799,7 +773,7 @@ let robust_cmd =
     (Cmd.info "robust"
        ~doc:"Robustness corpus: score every adversarial binary family \
              (patched%, tactic mix, reject histogram, static and trace \
-             verdicts, jobs byte-identity) against its pinned floor.")
+             verdicts, family ground truth) against its pinned floor.")
     Term.(const run $ setup_logs $ json $ family)
 
 (* ------------------------------------------------------------------ *)

@@ -88,8 +88,7 @@ let gen_case =
    up as Out_of_fuel on one side only, i.e. as a divergence. *)
 let fuzz_config = { Cpu.default_config with Cpu.fuel = 50_000_000 }
 
-(* Generate the case's binary and selector — shared by the differential
-   round trip below and the jobs-determinism property. *)
+(* Generate the case's binary and selector for the round trip below. *)
 let prepare case =
   let elf = Codegen.generate case.profile in
   let disasm_from =
@@ -105,20 +104,16 @@ let prepare case =
   in
   (elf, disasm_from, select)
 
-let rewrite ?jobs case =
-  let elf, disasm_from, select = prepare case in
-  let r =
-    Rewriter.run ~options:case.options ?jobs ?disasm_from elf ~select
-      ~template:(fun _ -> Trampoline.Empty)
-  in
-  (elf, disasm_from, r)
-
-let run_case case =
+let rewrite case =
   let elf, disasm_from, select = prepare case in
   let r =
     Rewriter.run ~options:case.options ?disasm_from elf ~select
       ~template:(fun _ -> Trampoline.Empty)
   in
+  (elf, disasm_from, r)
+
+let run_case case =
+  let elf, disasm_from, r = rewrite case in
   match Static.verify ?disasm_from ~original:elf r.Rewriter.output with
   | Error e -> Error (Format.asprintf "static: %a" Static.pp_error e)
   | Ok report -> (
@@ -200,30 +195,3 @@ let property ?(count = 50) ?(name = "rewrite is byte-accounted and trace-equival
       match run_case case with
       | Ok _ -> true
       | Error msg -> QCheck2.Test.fail_reportf "%s" msg)
-
-let jobs_property ?(count = 25) ?(jobs = [ 2; 4; 7 ])
-    ?(name = "rewrite output is identical for every domain count") () =
-  QCheck2.Test.make ~count ~name ~print:case_to_string gen_case (fun case ->
-      let elf, disasm_from, select = prepare case in
-      (* Fuzz texts are a few KiB, below the sweep's default 64 KiB chunk:
-         small sweep chunks put decode seams inside every text. *)
-      let rewrite n =
-        Rewriter.run ~options:case.options ~jobs:n
-          ~frontend:(Frontend.disassemble ?from:disasm_from ~jobs:n ~chunk:97)
-          elf ~select ~template:(fun _ -> Trampoline.Empty)
-      in
-      let r1 = rewrite 1 in
-      let reference = Elf_file.to_bytes r1.Rewriter.output in
-      List.for_all
-        (fun n ->
-          let rn = rewrite n in
-          if not (Bytes.equal (Elf_file.to_bytes rn.Rewriter.output) reference)
-          then
-            QCheck2.Test.fail_reportf "jobs=%d output bytes differ from jobs=1" n
-          else if rn.Rewriter.stats <> r1.Rewriter.stats then
-            QCheck2.Test.fail_reportf "jobs=%d stats differ from jobs=1" n
-          else if rn.Rewriter.patched_sites <> r1.Rewriter.patched_sites then
-            QCheck2.Test.fail_reportf
-              "jobs=%d patched sites differ from jobs=1" n
-          else true)
-        jobs)

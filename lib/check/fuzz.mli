@@ -35,12 +35,10 @@ val prepare :
     round trip. *)
 val run_case : case -> (Static.report * Trace.stats, string) result
 
-(** [rewrite ?jobs case] is the generate → rewrite half alone,
-    returning the input binary, the disassembly start it used, and the
-    full rewrite result — the hook for determinism tests that compare
-    outputs across [jobs] values. *)
-val rewrite :
-  ?jobs:int -> case -> Elf_file.t * int option * E9_core.Rewriter.result
+(** [rewrite case] is the generate → rewrite half alone, returning the
+    input binary, the disassembly start it used, and the full rewrite
+    result — the hook for tests that pin or compare outputs. *)
+val rewrite : case -> Elf_file.t * int option * E9_core.Rewriter.result
 
 (** Aggregate numbers from a campaign, for reporting. *)
 type summary = {
@@ -66,16 +64,3 @@ val campaign : ?progress:(int -> unit) -> n:int -> seed:int -> unit -> summary
 
 (** The QCheck property (shrinking enabled), for the test suite. *)
 val property : ?count:int -> ?name:string -> unit -> QCheck2.Test.t
-
-(** Jobs-determinism property: rewriting with every domain count in
-    [jobs] (default [2; 4; 7]) produces output bytes, stats and
-    patched-site lists identical to [jobs = 1]. [jobs] drives the
-    frontend's parallel linear sweep, run here with chunks small enough
-    to put seams inside fuzz-sized texts; a seam must not move a
-    site. *)
-val jobs_property :
-  ?count:int ->
-  ?jobs:int list ->
-  ?name:string ->
-  unit ->
-  QCheck2.Test.t

@@ -64,26 +64,15 @@ type outcome =
   | Degraded  (** verified, but sites failed or fell back to B0 *)
   | Typed of string  (** typed refusal, nothing half-written *)
 
-let outcome_name = function
-  | Full -> "full"
-  | Degraded -> "degraded"
-  | Typed _ -> "typed"
-
-let same_outcome a b =
-  match (a, b) with
-  | Full, Full | Degraded, Degraded -> true
-  | Typed x, Typed y -> x = y
-  | _ -> false
-
 (* Rewrite under an injected schedule and classify. [Error _] means the
    contract was violated: an uncaught exception or an output the
    independent verifier rejects — the campaign counts those as failures
    of the pipeline, not as fault outcomes. *)
-let run_leg ?(jobs = 1) f =
+let run_leg f =
   let elf, disasm_from, select = Fuzz.prepare f.case in
   let fault = Fault.create f.schedule in
   match
-    Rewriter.run ~options:f.case.Fuzz.options ~fault ~jobs ?disasm_from elf ~select
+    Rewriter.run ~options:f.case.Fuzz.options ~fault ?disasm_from elf ~select
       ~template:(fun _ -> Trampoline.Empty)
   with
   | exception Rewriter.Error m -> Ok (Typed ("rewriter: " ^ m), None)
@@ -114,7 +103,7 @@ let run_b0_exhaustion_leg case =
   in
   let fault = Fault.create [ { Fault.site = Fault.Alloc; trigger = From 0 } ] in
   match
-    Rewriter.run ~options ~fault ~jobs:1 ?disasm_from elf ~select
+    Rewriter.run ~options ~fault ?disasm_from elf ~select
       ~template:(fun _ -> Trampoline.Empty)
   with
   | exception Rewriter.Error m -> Error ("b0 leg: rewriter: " ^ m)
@@ -214,7 +203,6 @@ type summary = {
   b0_sites : int;  (** sites degraded to B0 in the exhaustion legs *)
   write_faults : int;
   trace_faults : int;
-  jobs_checked : int;
   failures : (string * string) list;  (** case, contract violation *)
 }
 
@@ -222,67 +210,35 @@ let pp_summary ppf s =
   Format.fprintf ppf
     "%d fault cases: %d full, %d degraded, %d typed, %d skipped, \
      %d violations; %d sites degraded to B0 under exhaustion; %d write \
-     faults and %d trace faults contained; %d jobs-invariance checks"
+     faults and %d trace faults contained"
     s.cases s.full s.degraded s.typed s.skipped
     (List.length s.failures)
-    s.b0_sites s.write_faults s.trace_faults s.jobs_checked
+    s.b0_sites s.write_faults s.trace_faults
 
-(* One full case: primary leg, jobs-invariance legs, B0-exhaustion leg,
-   and the file-write/trace legs when the primary leg produced output. *)
+(* One full case: primary leg, B0-exhaustion leg, and the
+   file-write/trace legs when the primary leg produced output. *)
 let run_fcase f =
-  let fail m = Error m in
-  match run_leg ~jobs:1 f with
+  match run_leg f with
   | exception Codegen.Error _ -> Ok None
-  | Error m -> fail m
+  | Error m -> Error m
   | Ok (o1, r1) -> (
-      (* Same schedule, fresh counters, more domains: outputs must be
-         byte-identical (or the identical typed refusal). *)
-      let rec invariance = function
-        | [] -> Ok ()
-        | jobs :: rest -> (
-            match run_leg ~jobs f with
-            | Error m -> fail (Printf.sprintf "jobs=%d: %s" jobs m)
-            | Ok (on, rn) -> (
-                if not (same_outcome o1 on) then
-                  fail
-                    (Printf.sprintf "jobs=%d outcome %s differs from jobs=1 %s"
-                       jobs (outcome_name on) (outcome_name o1))
-                else
-                  match (r1, rn) with
-                  | Some a, Some b
-                    when not
-                           (Bytes.equal
-                              (Elf_file.to_bytes a.Rewriter.output)
-                              (Elf_file.to_bytes b.Rewriter.output)) ->
-                      fail
-                        (Printf.sprintf
-                           "jobs=%d output bytes differ from jobs=1 under \
-                            the same fault schedule"
-                           jobs)
-                  | Some a, Some b when a.Rewriter.stats <> b.Rewriter.stats ->
-                      fail (Printf.sprintf "jobs=%d stats differ" jobs)
-                  | _ -> invariance rest))
-      in
-      match invariance [ 2; 4 ] with
-      | Error m -> fail m
-      | Ok () -> (
-          match run_b0_exhaustion_leg f.case with
-          | Error m -> fail m
-          | Ok b0 -> (
-              let wt =
-                match r1 with
-                | None -> Ok (0, 0)
-                | Some r -> (
-                    match run_write_leg f r with
+      match run_b0_exhaustion_leg f.case with
+      | Error m -> Error m
+      | Ok b0 -> (
+          let wt =
+            match r1 with
+            | None -> Ok (0, 0)
+            | Some r -> (
+                match run_write_leg f r with
+                | Error m -> Error m
+                | Ok w -> (
+                    match run_trace_leg f r with
                     | Error m -> Error m
-                    | Ok w -> (
-                        match run_trace_leg f r with
-                        | Error m -> Error m
-                        | Ok t -> Ok (w, t)))
-              in
-              match wt with
-              | Error m -> fail m
-              | Ok (w, t) -> Ok (Some (o1, b0, w, t)))))
+                    | Ok t -> Ok (w, t)))
+          in
+          match wt with
+          | Error m -> Error m
+          | Ok (w, t) -> Ok (Some (o1, b0, w, t))))
 
 let campaign ?(progress = fun _ -> ()) ~n ~seed () =
   let rand = Random.State.make [| seed |] in
@@ -296,7 +252,6 @@ let campaign ?(progress = fun _ -> ()) ~n ~seed () =
         b0_sites = 0;
         write_faults = 0;
         trace_faults = 0;
-        jobs_checked = 0;
         failures = [] }
   in
   for i = 1 to n do
@@ -312,8 +267,7 @@ let campaign ?(progress = fun _ -> ()) ~n ~seed () =
             typed = (!s.typed + match o with Typed _ -> 1 | _ -> 0);
             b0_sites = !s.b0_sites + b0;
             write_faults = !s.write_faults + w;
-            trace_faults = !s.trace_faults + t;
-            jobs_checked = !s.jobs_checked + 2 }
+            trace_faults = !s.trace_faults + t }
     | Error m ->
         s :=
           { !s with
@@ -340,5 +294,4 @@ let summary_json s =
       ("violations", Json.Int (List.length s.failures));
       ("b0_sites", Json.Int s.b0_sites);
       ("write_faults", Json.Int s.write_faults);
-      ("trace_faults", Json.Int s.trace_faults);
-      ("jobs_checked", Json.Int s.jobs_checked) ]
+      ("trace_faults", Json.Int s.trace_faults) ]

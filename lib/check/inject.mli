@@ -14,10 +14,9 @@
 
     Anything else — an uncaught exception, a verifier rejection, a
     half-written file — is a contract violation and fails the case.
-    Each case additionally checks jobs-invariance under the same fault
-    schedule (jobs 1/2/4, byte-identical outputs or identical typed
-    refusals), total-allocator-exhaustion degradation to 100% B0, and
-    short-write containment for ELF serialization and trace sinks. *)
+    Each case additionally checks total-allocator-exhaustion degradation
+    to 100% B0, and short-write containment for ELF serialization and
+    trace sinks. *)
 
 type fcase = { case : Fuzz.case; schedule : E9_fault.Fault.rule list }
 
@@ -30,13 +29,10 @@ type outcome =
   | Degraded  (** verified, but sites failed or fell back to B0 *)
   | Typed of string  (** typed refusal, nothing half-written *)
 
-(** [run_leg ?jobs f] rewrites [f.case] under [f.schedule] and
+(** [run_leg f] rewrites [f.case] under [f.schedule] and
     classifies. [Error] = contract violation. The rewrite result is
     returned when one was produced. *)
-val run_leg :
-  ?jobs:int ->
-  fcase ->
-  (outcome * E9_core.Rewriter.result option, string) result
+val run_leg : fcase -> (outcome * E9_core.Rewriter.result option, string) result
 
 (** [run_b0_exhaustion_leg case] starves every jump-tactic allocation
     ([alloc@0+]) with [b0_fallback] forced on and requires 100% of sites
@@ -58,7 +54,6 @@ type summary = {
   b0_sites : int;  (** sites degraded to B0 in the exhaustion legs *)
   write_faults : int;
   trace_faults : int;
-  jobs_checked : int;
   failures : (string * string) list;  (** case, contract violation *)
 }
 

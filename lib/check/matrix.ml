@@ -18,7 +18,6 @@ type score = {
   agg : Obs.Agg.agg;
   static_err : string option;
   trace_err : string option;
-  jobs_identical : bool;
   anchors_ok : bool;
   islands_kept : bool;
   wall_s : float;
@@ -39,8 +38,8 @@ let select_of (f : Adversary.family) =
   | Adversary.Heap_writes -> Frontend.select_heap_writes
 
 (* Interpret a family descriptor into a concrete rewrite setup: the input
-   binary (stripped round-trip applied if asked), the island exclusion
-   ranges, and the frontend that honors them. *)
+   binary (stripped round-trip applied if asked) and the island exclusion
+   ranges the hole-aware sweep skips. *)
 let prepare (f : Adversary.family) =
   let generated = Codegen.generate f.Adversary.profile in
   let holes = Codegen.islands generated in
@@ -49,12 +48,7 @@ let prepare (f : Adversary.family) =
       Elf_file.of_bytes (Elf_file.to_bytes_stripped generated)
     else generated
   in
-  let frontend =
-    match holes with
-    | [] -> None
-    | holes -> Some (fun e -> Frontend.disassemble_excluding ~holes e)
-  in
-  (elf, holes, frontend)
+  (elf, holes)
 
 let byte_range elf ~addr ~len =
   match Frontend.find_text elf with
@@ -64,24 +58,15 @@ let byte_range elf ~addr ~len =
         ~pos:(t.Frontend.offset + addr - t.Frontend.base)
         ~len
 
-let score_family ?(jobs = (1, 4)) (f : Adversary.family) =
+let score_family (f : Adversary.family) =
   let t0 = Unix.gettimeofday () in
-  let elf, holes, frontend = prepare f in
+  let elf, holes = prepare f in
   let options = options_of f ~keep_ranges:holes in
   let select = select_of f in
   let obs = Obs.aggregator () in
-  let j1, j2 = jobs in
-  let run ?obs j =
-    Rewriter.run ~options ?obs ?frontend ~jobs:j elf ~select
-      ~template:(fun _ -> Trampoline.Empty)
-  in
-  let r = run ~obs j1 in
-  let r2 = run j2 in
-  let jobs_identical =
-    Bytes.equal
-      (Elf_file.to_bytes r.Rewriter.output)
-      (Elf_file.to_bytes r2.Rewriter.output)
-    && r.Rewriter.stats = r2.Rewriter.stats
+  let r =
+    Rewriter.run ~options ~obs ~frontend:(Frontend.disassemble ~holes) elf
+      ~select ~template:(fun _ -> Trampoline.Empty)
   in
   let static_err =
     match Static.verify ~holes ~original:elf r.Rewriter.output with
@@ -101,12 +86,7 @@ let score_family ?(jobs = (1, 4)) (f : Adversary.family) =
   let anchors_ok =
     if not f.Adversary.profile.Codegen.endbr64_entries then true
     else
-      let disassemble =
-        match frontend with
-        | Some fe -> fe
-        | None -> fun e -> Frontend.disassemble e
-      in
-      let _, sites = disassemble elf in
+      let _, sites = Frontend.disassemble ~holes elf in
       let anchors =
         List.length
           (List.filter
@@ -135,7 +115,6 @@ let score_family ?(jobs = (1, 4)) (f : Adversary.family) =
     agg = Obs.agg obs;
     static_err;
     trace_err;
-    jobs_identical;
     anchors_ok;
     islands_kept;
     wall_s = Unix.gettimeofday () -. t0 }
@@ -156,9 +135,7 @@ let verdict (s : score) =
         match s.trace_err with
         | Some e -> Error ("trace oracle: " ^ e)
         | None ->
-            if not s.jobs_identical then
-              Error "output differs between jobs 1 and 4"
-            else if not s.anchors_ok then
+            if not s.anchors_ok then
               Error "endbr64 anchor count disagrees with ground truth"
             else if not s.islands_kept then
               Error "island bytes were modified by the rewrite"
@@ -207,7 +184,6 @@ let score_json (s : score) =
        | Some e -> Json.Str e);
       ("trace",
        match s.trace_err with None -> Json.Str "ok" | Some e -> Json.Str e);
-      ("jobs_identical", Json.Bool s.jobs_identical);
       ("anchors_ok", Json.Bool s.anchors_ok);
       ("islands_kept", Json.Bool s.islands_kept);
       ("pass", Json.Bool (passed s));

@@ -320,11 +320,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
     (* With interior data islands the plain sweep desynchronizes and the
        boundary map grows phantoms; the hole-aware sweep reproduces the
        boundary set the rewriting itself used. *)
-    let _, sites =
-      match holes with
-      | [] -> Frontend.disassemble ?from:disasm_from original
-      | holes -> Frontend.disassemble_excluding ~holes original
-    in
+    let _, sites = Frontend.disassemble ?from:disasm_from ~holes original in
     (* Every per-address table below is keyed by address (arrays over the
        text; hash tables for the sparse short jumps), so each lookup is
        O(1) and the whole pass stays linear in the text. *)

@@ -55,10 +55,9 @@ val pp_error : Format.formatter -> error -> unit
     workaround: the address linear disassembly of the original started at
     (changed bytes before it are rejected, since the rewriter never
     patches data). [holes] are interior data extents the rewrite excluded
-    ({!Frontend.disassemble_excluding}); when non-empty they replace the
-    plain sweep (and [disasm_from] is ignored), so the verifier's
-    boundary map matches the one the rewriting used instead of growing
-    phantoms inside the islands. *)
+    (see {!Frontend.disassemble}); the sweep skips them, so the
+    verifier's boundary map matches the one the rewriting used instead
+    of growing phantoms inside the islands. *)
 val verify :
   ?disasm_from:int ->
   ?holes:(int * int) list ->

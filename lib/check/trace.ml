@@ -131,11 +131,7 @@ let compare_runs ?config ?disasm_from ?(holes = []) ?(instr_ranges = [])
      — but the hole-aware sweep also recovers the real boundaries {e
      after} each island that a desynchronized sweep would miss, keeping
      the comparison dense there. *)
-  let _, sites =
-    match holes with
-    | [] -> Frontend.disassemble ?from:disasm_from original
-    | holes -> Frontend.disassemble_excluding ~holes original
-  in
+  let _, sites = Frontend.disassemble ?from:disasm_from ~holes original in
   let bounds = Hashtbl.create 4096 in
   List.iter
     (fun (s : Frontend.site) -> Hashtbl.replace bounds s.Frontend.addr ())

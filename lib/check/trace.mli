@@ -37,9 +37,8 @@ val pp_stats : Format.formatter -> stats -> unit
     executes both binaries and compares their traces; [Error] describes
     the first divergence. [disasm_from] must match the value the
     rewriting used, so boundary sets agree. [holes] (interior data
-    extents, see {!Frontend.disassemble_excluding}) likewise reproduces
-    an island-excluding rewrite's boundary set; when non-empty it
-    replaces the plain sweep and [disasm_from] is ignored.
+    extents, see {!Frontend.disassemble}) likewise reproduces an
+    island-excluding rewrite's boundary set.
     [instr_ranges] declares instrumentation-private [(lo, hi)] address
     ranges (the tool's injected scratch/code segments): retires inside
     them and stores targeting them are dropped — symmetrically in both

@@ -58,14 +58,6 @@ type result = {
   occupancy : Layout.occupancy;
 }
 
-let default_jobs () =
-  match Sys.getenv_opt "E9_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> 1)
-  | None -> 1
-
 (* A trampoline the encoder cannot build (a rel32 out of range, an
    operand outside the encoder's subset, a template that does not fit the
    instruction) aborts the rewrite with a typed error naming the site. *)
@@ -75,9 +67,8 @@ let patch_site ctx (site : Frontend.site) template =
     error "site 0x%x (%s): %s" site.addr (E9_x86.Insn.to_string site.insn) m
 
 let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
-    ?(fault = Fault.none) ?jobs ?disasm_from ?frontend input ~select
+    ?(fault = Fault.none) ?jobs:_ ?disasm_from ?frontend input ~select
     ~template =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let input_size = Elf_file.serialized_size input in
   let output = Elf_file.copy input in
   (* Stub-mode pre-flight (satellite of DESIGN.md §11): the collision
@@ -85,19 +76,29 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
      before a single byte is patched, so a refused input yields a typed
      error and an untouched output — never a half-rewritten binary. *)
   if options.loader = Stub then begin
-    match Elf_file.segment_at output Loader_stub.home with
+    (match Elf_file.segment_at output Loader_stub.home with
     | Some (s : Elf_file.segment) ->
         error
           "Rewriter: loader home 0x%x collides with a segment at 0x%x \
            (+0x%x)"
           Loader_stub.home s.Elf_file.vaddr s.Elf_file.memsz
+    | None -> ());
+    (* The stub adds one program header; the table cannot move, so it
+       must still end before the first content byte. *)
+    let phnum = List.length output.Elf_file.segments + 1 in
+    match Elf_file.phdr_overlap output ~phnum with
+    | Some off ->
+        error
+          "Rewriter: the loader stub's program header (%d in all) would \
+           overwrite content at file offset 0x%x"
+          phnum off
     | None -> ()
   end;
   let text, site_list =
     E9_obs.Obs.span obs "decode" (fun () ->
         match frontend with
         | Some f -> f output
-        | None -> Frontend.disassemble ?from:disasm_from ~jobs ~fault output)
+        | None -> Frontend.disassemble ?from:disasm_from ~fault output)
   in
   let sites = Array.of_list site_list in
   let base = text.Frontend.base in

@@ -99,11 +99,10 @@ type result = {
 
     The rewrite is the paper's one serial S1 pass over the whole text:
     selected sites are patched in descending address order against one
-    allocator and one lock map. [jobs] (default: the [E9_JOBS]
-    environment variable, else 1) only sets the domain count of the
-    frontend's parallel linear sweep ({!Frontend.disassemble}), whose
-    result is identical for every count, so output bytes, stats and
-    patched-site lists never depend on [jobs].
+    allocator and one lock map, after one serial linear sweep
+    ({!Frontend.disassemble}). [jobs] is ignored, the way
+    [result.shards] is always 1: it is kept only for callers that still
+    pass it.
 
     Raises {!Error} on a refused stub-mode input, an injected [Shard]
     fault, or a trampoline that cannot be encoded for a selected site

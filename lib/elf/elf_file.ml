@@ -40,12 +40,13 @@ let mmap_section_name = ".e9patch.mmap"
 let trap_section_name = ".e9patch.trap"
 
 (* Offsets 0..header_reserve-1 of [data] are reserved for the ELF header and
-   program headers, written at serialization time. Content never moves. *)
+   program headers, written at serialization time. Content never moves. A
+   parsed file has no such reserve: its headers may be followed directly by
+   content ([.interp] at 0x318 in a typical PIE), see [phdr_overlap]. *)
 let header_reserve = 4096
 let ehdr_size = 64
 let phent_size = 56
 let shent_size = 64
-let max_phnum = (header_reserve - ehdr_size) / phent_size
 
 let create ~etype ~entry =
   let data = Buf.create header_reserve in
@@ -114,9 +115,37 @@ let serialized_size t =
   let shoff = (Buf.length t.data + shstrtab_len + 7) / 8 * 8 in
   shoff + ((List.length t.sections + 2) * shent_size)
 
+(* The first file offset past the ELF header that holds content: a
+   section's bytes, or a segment's that does not start inside the ELF
+   header (a PT_LOAD from offset 0 and the PT_PHDR entry map the headers
+   themselves). The image end bounds a file with no content yet. *)
+let content_start t =
+  let lo =
+    List.fold_left
+      (fun lo s ->
+        if s.size > 0 && s.sh_type <> 0 && s.sh_type <> 8 then min lo s.offset
+        else lo)
+      (Buf.length t.data) t.sections
+  in
+  List.fold_left
+    (fun lo s ->
+      if s.filesz > 0 && s.offset > ehdr_size then min lo s.offset else lo)
+    lo t.segments
+
+let phdr_overlap t ~phnum =
+  let start = content_start t in
+  if ehdr_size + (phnum * phent_size) > start then Some start else None
+
 let to_bytes t =
   let phnum = List.length t.segments in
-  if phnum > max_phnum then failwith "Elf_file: too many program headers";
+  (match phdr_overlap t ~phnum with
+  | Some off ->
+      failwith
+        (Printf.sprintf
+           "Elf_file: %d program headers would overwrite content at file \
+            offset 0x%x"
+           phnum off)
+  | None -> ());
   (* Work on a copy so serialization is repeatable. *)
   let img = Buf.of_bytes (Buf.contents t.data) in
   (* Section header string table. *)

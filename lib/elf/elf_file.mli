@@ -93,9 +93,19 @@ val section_bytes : t -> section -> bytes
     [vaddr], if any. *)
 val segment_at : t -> int -> segment option
 
+(** [phdr_overlap t ~phnum] is [Some off] when a table of [phnum]
+    program headers, written right after the ELF header, would reach the
+    content at file offset [off] (the first section's bytes, or a
+    segment's that does not map the header block itself); [None] when it
+    fits. Files built by {!create} reserve 4 KiB for the headers; a
+    parsed file may have content right after its table. *)
+val phdr_overlap : t -> phnum:int -> int option
+
 (** [to_bytes t] serializes: ELF header, program headers, section headers
     (with a generated [.shstrtab]) and all content. The layout places
-    headers in a leading header block and never moves content. *)
+    headers in a leading header block and never moves content: raises
+    [Failure] instead of writing program headers over content (see
+    {!phdr_overlap}). *)
 val to_bytes : t -> bytes
 
 (** [to_bytes_stripped t] serializes like {!to_bytes} but without a

@@ -20,68 +20,11 @@ let find_text (elf : Elf_file.t) =
       |> Option.map (fun (s : Elf_file.segment) ->
              { base = s.vaddr; offset = s.offset; size = s.filesz })
 
-(* Chunked parallel linear sweep. Chunk boundaries are fixed (independent
-   of the worker count): each chunk is decoded linearly from its own
-   start, overrunning its end by at most one instruction; the serial
-   stitch below reconciles the overruns. Decoding is a pure function of
-   [(bytes, position)], so whenever the stitch reaches a position a chunk
-   also decoded from, the remainders coincide — the result is exactly the
-   single serial sweep, for every [jobs] value. *)
-let default_chunk = 1 lsl 16
-
-let linear_chunked ~jobs ~chunk bytes ~pos ~len =
-  let hi = pos + len in
-  let n = (len + chunk - 1) / chunk in
-  let bounds =
-    List.init n (fun i -> (pos + (i * chunk), min hi (pos + ((i + 1) * chunk))))
-  in
-  let decoded =
-    E9_bits.Pool.map ~domains:jobs
-      (fun (clo, chi) ->
-        let rec go p acc =
-          if p >= chi then (List.rev acc, p)
-          else
-            let d = Decode.decode bytes p in
-            go (p + d.Decode.len) ((p, d) :: acc)
-        in
-        go clo [])
-      bounds
-  in
-  (* Stitch: walk the chunks carrying the serial stream position [p].
-     Entering a chunk at its start adopts its decode wholesale; entering
-     mid-chunk (the previous chunk overran) re-decodes one instruction at
-     a time until [p] lands on a position the chunk decoded, then adopts
-     the rest. [acc] holds emitted (position, decoded) pairs in reverse. *)
-  let rec walk p chunks acc =
-    match chunks with
-    | [] -> List.rev acc
-    | ((clo, chi), (sites, cend)) :: rest ->
-        if p >= chi then walk p rest acc
-        else if p = clo then walk cend rest (List.rev_append sites acc)
-        else begin
-          let rec sync p sites acc =
-            match sites with
-            | (off, _) :: tail when off < p -> sync p tail acc
-            | (off, _) :: _ when off = p -> (cend, List.rev_append sites acc)
-            | _ ->
-                if p >= chi then (p, acc)
-                else
-                  let d = Decode.decode bytes p in
-                  sync (p + d.Decode.len) sites ((p, d) :: acc)
-          in
-          let p, acc = sync p sites acc in
-          walk p rest acc
-        end
-  in
-  walk pos (List.combine bounds decoded) []
-
 (* An injected decode failure is modeled as a linear sweep that stops
    early: the site list is truncated at the first instruction whose text
    offset reaches the cut. A strict prefix of the true decode is exactly
    the partial-disassembly contract the rewriter already honors (§2.2):
-   fewer instrumented sites, never incorrect ones — and the same prefix
-   is produced by the serial and chunked sweeps, preserving
-   jobs-invariance under faults. *)
+   fewer instrumented sites, never incorrect ones. *)
 let apply_decode_cut fault decoded =
   match Fault.decode_cut fault with
   | None -> decoded
@@ -91,14 +34,14 @@ let apply_decode_cut fault decoded =
         Fault.record_fire fault Fault.Decode;
       kept
 
-let disassemble ?from ?(jobs = 1) ?(chunk = default_chunk)
-    ?(fault = Fault.none) elf =
+let disassemble ?from ?(holes = []) ?(fault = Fault.none) elf =
   match find_text elf with
   | None -> error "Frontend: no text section or executable segment"
   | Some text ->
       (* [from] is the "ChromeMain workaround" (paper §6.2): when the text
          section mixes data and code, start the linear sweep at a known
-         code address and leave the prefix untouched. *)
+         code address and leave the prefix untouched — a leading hole
+         [[base, from)]. *)
       let start =
         match from with
         | None -> 0
@@ -110,31 +53,10 @@ let disassemble ?from ?(jobs = 1) ?(chunk = default_chunk)
             else addr - text.base
       in
       let bytes = Buf.sub elf.Elf_file.data ~pos:text.offset ~len:text.size in
-      let len = text.size - start in
-      let decoded =
-        if jobs <= 1 || len <= chunk then Decode.linear bytes ~pos:start ~len
-        else linear_chunked ~jobs ~chunk bytes ~pos:start ~len
-      in
-      let decoded = apply_decode_cut fault decoded in
-      let sites =
-        List.map
-          (fun (off, d) ->
-            { addr = text.base + off; len = d.Decode.len; insn = d.Decode.insn })
-          decoded
-      in
-      (text, sites)
-
-(* The §6.2 workaround generalized past a leading pool: a linear sweep
-   that hops over known interior data extents, re-synchronizing at each
-   hole's end. Holes come from ground truth (symbols, metadata sections);
-   any sweep position inside a hole — including one reached by a decode
-   that overran into it — resumes at the hole's end, so the sweep is
-   self-correcting at both edges. *)
-let disassemble_excluding ~holes ?(fault = Fault.none) elf =
-  match find_text elf with
-  | None -> error "Frontend: no text section or executable segment"
-  | Some text ->
-      let bytes = Buf.sub elf.Elf_file.data ~pos:text.offset ~len:text.size in
+      (* The workaround generalized past a leading pool: any sweep position
+         inside a hole — including one reached by a decode that overran
+         into it — resumes at the hole's end, so the sweep is
+         self-correcting at both edges. *)
       let hole_at p =
         let addr = text.base + p in
         List.find_opt (fun (a, l) -> addr >= a && addr < a + l) holes
@@ -148,7 +70,7 @@ let disassemble_excluding ~holes ?(fault = Fault.none) elf =
               let d = Decode.decode bytes p in
               go (p + d.Decode.len) ((p, d) :: acc)
       in
-      let decoded = apply_decode_cut fault (go 0 []) in
+      let decoded = apply_decode_cut fault (go start []) in
       let sites =
         List.map
           (fun (off, d) ->

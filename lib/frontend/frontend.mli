@@ -29,16 +29,20 @@ exception Error of string
     present, otherwise the first executable [PT_LOAD] segment. *)
 val find_text : Elf_file.t -> text option
 
-(** [disassemble ?from ?jobs ?chunk elf] linearly disassembles the text,
-    returning every instruction in address order. [from] starts the sweep
-    at a known code address — the paper's §6.2 workaround for binaries
-    (Chrome) whose text section mixes data and code: bytes before [from]
-    are not disassembled and therefore never patched. With [jobs > 1] the
-    sweep is chunked across domains ([chunk] bytes per chunk, default
-    64 KiB) and re-synchronized serially at chunk seams: chunk boundaries
-    are fixed and decoding is a pure function of the byte position, so
-    the result is identical to the serial sweep for every [jobs]
-    value.
+(** [disassemble ?from ?holes ?fault elf] is the serial linear sweep of
+    the text, returning every instruction in address order. [from] starts
+    the sweep at a known code address — the paper's §6.2 workaround for
+    binaries (Chrome) whose text section mixes data and code: bytes
+    before [from] are not disassembled and therefore never patched.
+
+    [holes] (default none) generalizes the workaround past a leading
+    pool: the sweep never decodes inside the [(addr, len)] extents
+    (mid-function data islands, constant pools known from ground truth)
+    and re-synchronizes at each hole's end. A decode that overruns into a
+    hole is also corrected — the next sweep position inside the hole
+    resumes at its end — so the sweep is self-correcting at both edges.
+    [from] is the special case of one leading hole [[base, from)]. Sites
+    inside holes are never produced, hence never patched.
 
     [fault] (default {!E9_fault.Fault.none}) may carry [Decode] rules;
     the smallest rule value truncates the site list at that text offset —
@@ -46,20 +50,8 @@ val find_text : Elf_file.t -> text option
     the rewriter turns into partial instrumentation (§2.2). Raises
     {!Error} if the text cannot be found or [from] lies outside it. *)
 val disassemble :
-  ?from:int -> ?jobs:int -> ?chunk:int -> ?fault:E9_fault.Fault.t ->
+  ?from:int -> ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
   Elf_file.t -> text * site list
-
-(** [disassemble_excluding ~holes elf] is the §6.2 workaround generalized
-    past a leading pool: a serial linear sweep that never decodes inside
-    the [(addr, len)] extents of [holes] (mid-function data islands,
-    constant pools known from ground truth), re-synchronizing at each
-    hole's end. A decode that overruns into a hole is also corrected —
-    the next sweep position inside the hole resumes at its end — so the
-    sweep is self-correcting at both edges. Sites inside holes are never
-    produced, hence never patched. *)
-val disassemble_excluding :
-  holes:(int * int) list -> ?fault:E9_fault.Fault.t -> Elf_file.t ->
-  text * site list
 
 (** Patch-location selectors for the paper's two applications. *)
 

@@ -52,7 +52,7 @@ let script ?(spec = default_spec) ?filename raw =
 let reference ?(spec = default_spec) raw =
   let elf = Elf_file.of_bytes raw in
   let select, template = E9_tool.Tool.lower (Patchspec.parse spec) in
-  let r = Rewriter.run ~jobs:1 elf ~select ~template in
+  let r = Rewriter.run elf ~select ~template in
   Elf_file.to_bytes r.Rewriter.output
 
 (* ------------------------------------------------------------------ *)

@@ -49,8 +49,7 @@ let status_json_of ~decode_cache ~result_cache ~bypassed
       ("result_cache", Cache.stats_json (Cache.stats result_cache));
     ]
 
-let create ?(cache_capacity = 64) ?(jobs = 1) ?(fault = Fault.none)
-    ?trace_dir () =
+let create ?(cache_capacity = 64) ?(fault = Fault.none) ?trace_dir () =
   let decode_cache = Cache.create ~capacity:cache_capacity () in
   let result_cache = Cache.create ~capacity:cache_capacity () in
   let raw_cache = Cache.create ~capacity:cache_capacity () in
@@ -66,7 +65,7 @@ let create ?(cache_capacity = 64) ?(jobs = 1) ?(fault = Fault.none)
   {
     ctx =
       { Session.decode_cache; result_cache; raw_cache; bypassed;
-        fault; jobs; status };
+        fault; status };
     fault;
     trace_dir;
     agg = Obs.Agg.create ();

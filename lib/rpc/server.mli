@@ -8,7 +8,7 @@
     over channels (the CLI's stdio mode), {!serve_unix} accepts
     connections on a Unix-domain socket and schedules each onto a
     {!E9_bits.Pool.Service} worker pool — the daemon parallelizes across
-    sessions while each rewrite runs with [jobs] domains (default 1).
+    sessions; each rewrite is one serial pass.
 
     Containment: a session failure — malformed request, injected fault,
     even a bug escaping the session layer — closes that session only.
@@ -20,13 +20,12 @@ module Json = E9_obs.Json
 type t
 
 (** [create ()] — [cache_capacity] sizes the decode/result/raw caches
-    (default 64); [jobs] is the per-rewrite domain count handed to sessions
-    (default 1); [fault] may carry [Rpc_*] rules; [trace_dir], when
+    (default 64); [fault] may carry [Rpc_*] rules; [trace_dir], when
     set, makes each session buffer telemetry in a ring and write
     [session-N.ndjson] there on close. *)
 val create :
-  ?cache_capacity:int -> ?jobs:int ->
-  ?fault:E9_fault.Fault.t -> ?trace_dir:string -> unit -> t
+  ?cache_capacity:int -> ?fault:E9_fault.Fault.t -> ?trace_dir:string ->
+  unit -> t
 
 val ctx : t -> Session.ctx
 

@@ -24,7 +24,6 @@ type ctx = {
   raw_cache : bytes Cache.t;
   bypassed : int Atomic.t;
   fault : Fault.t;
-  jobs : int;
   status : unit -> Json.t;
 }
 
@@ -39,7 +38,6 @@ type t = {
   mutable reserves : (int * int) list;  (** reverse order *)
   mutable opts : Rewriter.options;
   mutable disasm_from : int option;
-  mutable jobs : int;
   mutable requests : int;
   mutable emits : int;
 }
@@ -55,7 +53,6 @@ let create ctx ~obs =
     reserves = [];
     opts = Rewriter.default_options;
     disasm_from = None;
-    jobs = ctx.jobs;
     requests = 0;
     emits = 0;
   }
@@ -186,7 +183,7 @@ let do_options t params =
     (fun (key, _) ->
       match key with
       | "granularity" | "grouping" | "shared" | "loader" | "b0_fallback"
-      | "t1" | "t2" | "t3" | "disasm_from" | "jobs" | "plan" -> ()
+      | "t1" | "t2" | "t3" | "disasm_from" | "plan" -> ()
       | other -> bad "unknown option %s" other)
     fields;
   let o = t.opts in
@@ -228,8 +225,6 @@ let do_options t params =
      otherwise ignored (DESIGN.md §10). *)
   ignore (bool_param params "plan");
   upd (int_param params "disasm_from") (fun a -> t.disasm_from <- Some a);
-  upd (int_param params "jobs") (fun j ->
-      if j < 1 then bad "jobs must be >= 1, not %d" j else t.jobs <- j);
   Json.Obj [ ("ok", Json.Bool true) ]
 
 (* ------------------------------------------------------------------ *)
@@ -367,9 +362,8 @@ let do_emit t params =
         let select, template = Tool.lower ?runtime rules in
         let r =
           Obs.span t.obs "rpc_rewrite" (fun () ->
-              Rewriter.run ~options:opts ~obs:t.obs ~jobs:t.jobs
-                ?disasm_from:t.disasm_from ~frontend:(fun _ -> decoded) input
-                ~select ~template)
+              Rewriter.run ~options:opts ~obs:t.obs ?disasm_from:t.disasm_from
+                ~frontend:(fun _ -> decoded) input ~select ~template)
         in
         (match
            Obs.span t.obs "rpc_verify" (fun () ->

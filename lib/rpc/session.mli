@@ -36,10 +36,7 @@ type emit_entry = {
 }
 
 (** Shared (cross-session) context, owned by the server: the caches,
-    the fault capability, and the server-level [status] payload. [jobs]
-    is the rewrite's own domain count per emit — the daemon parallelizes
-    {e across} sessions, so this defaults to 1 (jobs-invariance makes it
-    a pure knob: output bytes never depend on it).
+    the fault capability, and the server-level [status] payload.
 
     [raw_cache] retains loaded input bytes so the [delta] message can reconstruct a
     new revision from a retained base plus changed byte runs.
@@ -52,7 +49,6 @@ type ctx = {
   raw_cache : bytes Cache.t;
   bypassed : int Atomic.t;
   fault : E9_fault.Fault.t;
-  jobs : int;
   status : unit -> Json.t;
 }
 

@@ -128,17 +128,15 @@ type result = {
           [runtime.instr_ranges] private *)
 }
 
-(** [run ?options ?obs ?jobs ?disasm_from elf rules] injects the
-    runtime and rewrites [runtime.augmented]: every rule-selected
-    instruction is diverted to
-    its patch's trampoline. [elf] is not mutated. The injection is a pure
-    function of the input segments, so output bytes stay identical for
-    every [jobs] value. Raises {!Error} on an empty rule list or an
-    unresolvable call target. *)
+(** [run ?options ?obs ?disasm_from elf rules] injects the runtime and
+    rewrites [runtime.augmented]: every rule-selected instruction is
+    diverted to its patch's trampoline. [elf] is not mutated. The
+    injection is a pure function of the input segments, so output bytes
+    are a function of [elf] and [rules]. Raises {!Error} on an empty rule
+    list or an unresolvable call target. *)
 val run :
   ?options:E9_core.Rewriter.options ->
   ?obs:E9_obs.Obs.t ->
-  ?jobs:int ->
   ?disasm_from:int ->
   ?frontend:(Elf_file.t -> Frontend.text * Frontend.site list) ->
   Elf_file.t ->

@@ -4,17 +4,16 @@
    fixed-seed campaign — plus the patch-language outputs: tool rewrites
    of the tool-smoke pairs and emits served by the daemon. Any refactor of the rewriter must leave these
    bytes alone; test/digests.txt holds the expected lines and a runtest
-   rule diffs this program's output against it at several domain counts.
-   It calls only entry points older than itself, so the same source
-   also builds in an earlier checkout: diffing the two outputs shows
-   exactly which digests a change moved.
+   rule diffs this program's output against it. Building the same
+   source in an earlier checkout that has the entry points it calls and
+   diffing the two outputs shows exactly which digests a change moved.
 
    With --verify it instead runs the static verifier on every rewrite,
    with the disassembly start and holes that rewrite used, and pins its
    report: test/verify_digests.txt holds those lines. A verifier change
    that must not move a verdict keeps that file unchanged.
 
-   Usage: digests.exe --jobs N | --verify
+   Usage: digests.exe [--verify]
    Prints one line per rewrite: NAME text=TEXT_BYTES DIGEST, or with
    --verify: verify/NAME CHANGED/DIVERSIONS/SHORTS/TRAPS/TRAMPOLINES
    DIGEST, where DIGEST is the FNV-64 of the report's classification
@@ -76,13 +75,13 @@ let missing name what =
   Printf.printf "%s%s %s\n%!" (if !verify_mode then "verify/" else "") name
     what
 
-let rewrite ~jobs ?options ?disasm_from ?frontend elf ~select =
-  Rewriter.run ?options ~jobs ?disasm_from ?frontend elf ~select
+let rewrite ?options ?disasm_from ?frontend elf ~select =
+  Rewriter.run ?options ?disasm_from ?frontend elf ~select
     ~template:(fun _ -> Trampoline.Empty)
 
 (* The bench's Table 1 setup: default options (shared objects reserve
    the space below their base) and the ChromeMain sweep start. *)
-let corpus ~jobs =
+let corpus () =
   List.iter
     (fun (row : Suite.row) ->
       let p = row.Suite.profile in
@@ -101,14 +100,14 @@ let corpus ~jobs =
           line
             (Printf.sprintf "corpus/%s/%s" p.Codegen.name tag)
             ?disasm_from elf
-            (rewrite ~jobs ~options ?disasm_from elf ~select).Rewriter.output)
+            (rewrite ~options ?disasm_from elf ~select).Rewriter.output)
         [ ("a1", Frontend.select_jumps); ("a2", Frontend.select_heap_writes) ])
     Suite.rows
 
 (* The robustness matrix's interpretation of a family — stripped
    round trip, island exclusions, hole-aware frontend, B0 fallback —
    at the default text geometry. *)
-let robust ~jobs =
+let robust () =
   List.iter
     (fun (f : Adversary.family) ->
       let generated = Codegen.generate f.Adversary.profile in
@@ -117,11 +116,6 @@ let robust ~jobs =
         if f.Adversary.strip then
           Elf_file.of_bytes (Elf_file.to_bytes_stripped generated)
         else generated
-      in
-      let frontend =
-        match holes with
-        | [] -> None
-        | holes -> Some (fun e -> Frontend.disassemble_excluding ~holes e)
       in
       let options =
         { Rewriter.default_options with
@@ -136,16 +130,17 @@ let robust ~jobs =
         | Adversary.Heap_writes -> Frontend.select_heap_writes
       in
       line ("robust/" ^ f.Adversary.name) ~holes elf
-        (rewrite ~jobs ~options ?frontend elf ~select).Rewriter.output)
+        (rewrite ~options ~frontend:(Frontend.disassemble ~holes) elf ~select)
+          .Rewriter.output)
     Adversary.families
 
 (* The fuzz campaign's case stream (the fuzz-smoke seed); cases whose
    profile cannot be generated are listed as skipped. *)
-let fuzz ~jobs =
+let fuzz () =
   let rand = Random.State.make [| fuzz_seed |] in
   for i = 1 to fuzz_cases do
     let case = QCheck2.Gen.generate1 ~rand Fuzz.gen_case in
-    match Fuzz.rewrite ~jobs case with
+    match Fuzz.rewrite case with
     | elf, disasm_from, r ->
         line (Printf.sprintf "fuzz/%02d" i) ?disasm_from elf r.Rewriter.output
     | exception Codegen.Error _ ->
@@ -164,11 +159,11 @@ let smoke_input =
 
 (* [tool -M m -P p] on the smoke input: the tool-smoke pairs plus a
    naked call. *)
-let tool ~jobs =
+let tool () =
   let elf = Lazy.force smoke_input in
   List.iter
     (fun (m, p) ->
-      let res = Tool.run ~jobs elf [ Tool.rule_of ~m ~p () ] in
+      let res = Tool.run elf [ Tool.rule_of ~m ~p () ] in
       line (Printf.sprintf "tool/%s|%s" m p) res.Tool.runtime.Tool.augmented
         res.Tool.rewrite.Rewriter.output)
     [ ("jumps", "print"); ("all", "count"); ("returns", "trap");
@@ -180,11 +175,11 @@ let tool ~jobs =
    the smoke input), driven through the in-process transport. A tool
    session rewrites the input with the runtime injected, so --verify
    checks its emit against that augmented input, as the daemon does. *)
-let served ~jobs =
+let served () =
   let elf = Lazy.force smoke_input in
   let raw = Elf_file.to_bytes elf in
   let serve ?(input = elf) name msgs =
-    let server = Server.create ~jobs () in
+    let server = Server.create () in
     let conn = Server.connect server in
     let load =
       Harness.request ~id:1 "binary" [ ("data", Json.Str (Proto.hex_of_bytes raw)) ]
@@ -222,18 +217,14 @@ let served ~jobs =
     [ ("tool", [ ("match", Json.Str "jumps"); ("patch", Json.Str "count") ]) ]
 
 let () =
-  let jobs =
-    match Sys.argv with
-    | [| _; "--jobs"; n |] -> int_of_string n
-    | [| _; "--verify" |] ->
-        verify_mode := true;
-        1
-    | _ ->
-        prerr_endline "usage: digests.exe --jobs N | --verify";
-        exit 2
-  in
-  corpus ~jobs;
-  robust ~jobs;
-  fuzz ~jobs;
-  tool ~jobs;
-  served ~jobs
+  (match Sys.argv with
+  | [| _ |] -> ()
+  | [| _; "--verify" |] -> verify_mode := true
+  | _ ->
+      prerr_endline "usage: digests.exe [--verify]";
+      exit 2);
+  corpus ();
+  robust ();
+  fuzz ();
+  tool ();
+  served ()

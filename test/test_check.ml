@@ -368,7 +368,6 @@ let test_inject_campaign_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 let prop_fuzz = Fuzz.property ~count:25 ()
-let prop_jobs = Fuzz.jobs_property ~count:15 ~jobs:[ 2; 4; 7 ] ()
 let prop_inject = Inject.property ~count:15 ()
 
 let suites =
@@ -393,5 +392,4 @@ let suites =
         Alcotest.test_case "inject campaign deterministic" `Quick
           test_inject_campaign_deterministic;
         QCheck_alcotest.to_alcotest prop_fuzz;
-        QCheck_alcotest.to_alcotest prop_jobs;
         QCheck_alcotest.to_alcotest prop_inject ] ) ]

@@ -962,29 +962,63 @@ let test_b0_exhaustion_without_fallback_accounts () =
 
 let test_shard_fault_typed_no_partial () =
   (* Outcome (c): the tactic search dying mid-run surfaces as a typed
-     Rewriter.Error, identically for every jobs value, and the input is
-     untouched. *)
+     Rewriter.Error, and the input is untouched. *)
   let elf = Codegen.generate (profile ~seed:64L ()) in
   let snapshot = Elf_file.to_bytes elf in
-  let messages =
-    List.map
-      (fun jobs ->
-        let fault = Fault.create (Fault.parse "shard@0") in
-        match
-          Rewriter.run ~fault ~jobs elf
-            ~select:Frontend.select_jumps ~template:(fun _ -> Trampoline.Empty)
-        with
-        | _ -> Alcotest.fail "expected Rewriter.Error"
-        | exception Rewriter.Error m -> m)
-      [ 1; 2; 4 ]
-  in
-  (match messages with
-  | m :: rest ->
-      List.iter
-        (fun m' -> Alcotest.(check string) "same typed error" m m')
-        rest
-  | [] -> assert false);
+  let fault = Fault.create (Fault.parse "shard@0") in
+  (match
+     Rewriter.run ~fault elf ~select:Frontend.select_jumps
+       ~template:(fun _ -> Trampoline.Empty)
+   with
+  | _ -> Alcotest.fail "expected Rewriter.Error"
+  | exception Rewriter.Error m ->
+      Alcotest.(check string) "typed error"
+        "injected fault: shard 0 raised mid-search" m);
   Alcotest.(check bytes) "input untouched" snapshot (Elf_file.to_bytes elf)
+
+(* A parsed file whose first section starts right after its program
+   headers (.interp in a typical PIE) has no room for the stub's extra
+   header: stub mode refuses it before patching, naming the offset;
+   table mode adds no header and still rewrites it. *)
+let test_stub_header_overflow_refused () =
+  let elf =
+    Elf_file.of_bytes
+      (Elf_file.to_bytes (Codegen.generate (profile ~seed:66L ())))
+  in
+  let off = 64 + (List.length elf.Elf_file.segments * 56) in
+  Bytes.iteri
+    (fun i c -> Buf.set_u8 elf.Elf_file.data (off + i) (Char.code c))
+    (Bytes.of_string "/lib64/ld-linux-x86-64.so.2\000");
+  elf.Elf_file.sections <-
+    { Elf_file.name = ".interp"; sh_type = 1; sh_flags = 2; addr = 0;
+      offset = off; size = 28 }
+    :: elf.Elf_file.sections;
+  let snapshot = Elf_file.to_bytes elf in
+  let options =
+    { Rewriter.default_options with Rewriter.loader = Rewriter.Stub }
+  in
+  (match
+     Rewriter.run ~options elf ~select:Frontend.select_jumps
+       ~template:(fun _ -> Trampoline.Empty)
+   with
+  | _ -> Alcotest.fail "expected Rewriter.Error"
+  | exception Rewriter.Error m ->
+      Alcotest.(check string) "names the offset"
+        (Printf.sprintf
+           "Rewriter: the loader stub's program header (%d in all) would \
+            overwrite content at file offset 0x%x"
+           (List.length elf.Elf_file.segments + 1) off)
+        m);
+  Alcotest.(check bytes) "input untouched by refusal" snapshot
+    (Elf_file.to_bytes elf);
+  let r =
+    Rewriter.run elf ~select:Frontend.select_jumps
+      ~template:(fun _ -> Trampoline.Empty)
+  in
+  match E9_check.Static.verify ~original:elf r.Rewriter.output with
+  | Ok _ -> ()
+  | Error e ->
+      Alcotest.failf "table-mode output rejected: %a" E9_check.Static.pp_error e
 
 let test_stub_collision_typed_before_mutation () =
   let elf = Codegen.generate (profile ~seed:65L ()) in
@@ -1047,10 +1081,12 @@ let suites =
             test_alloc_exhaustion_degrades_to_b0;
           Alcotest.test_case "starvation without fallback is accounted" `Quick
             test_b0_exhaustion_without_fallback_accounts;
-          Alcotest.test_case "shard fault is typed, jobs-invariant" `Quick
+          Alcotest.test_case "shard fault is typed, input untouched" `Quick
             test_shard_fault_typed_no_partial;
           Alcotest.test_case "stub collision refused before mutation" `Quick
             test_stub_collision_typed_before_mutation;
+          Alcotest.test_case "stub header overflow refused" `Quick
+            test_stub_header_overflow_refused;
           Alcotest.test_case "stub home reserved from trampolines" `Quick
             test_stub_home_reserved ] ) ]
 

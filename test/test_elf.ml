@@ -243,6 +243,55 @@ let test_serialized_size () =
        ~content:(Bytes.make 33 'y'));
   check_eq "after add_segment"
 
+(* A file whose first section starts right after its program-header
+   table, as [.interp] does in a typical PIE: no room for one more
+   header. Returns the section's offset and bytes. *)
+let mk_tight elf =
+  let off = 64 + (List.length elf.Elf_file.segments * 56) in
+  let interp = "/lib64/ld-linux-x86-64.so.2\000" in
+  String.iteri
+    (fun i c -> Buf.set_u8 elf.Elf_file.data (off + i) (Char.code c))
+    interp;
+  elf.Elf_file.sections <-
+    { Elf_file.name = ".interp"; sh_type = 1; sh_flags = 2; addr = 0;
+      offset = off; size = String.length interp }
+    :: elf.Elf_file.sections;
+  (off, interp)
+
+let test_phdr_overlap_refused () =
+  let elf = mk_exec () in
+  let off, interp = mk_tight elf in
+  let interp_at img = Bytes.sub_string img off (String.length interp) in
+  Alcotest.(check (option int)) "table fits" None
+    (Elf_file.phdr_overlap elf ~phnum:1);
+  Alcotest.(check (option int)) "one more header overlaps" (Some off)
+    (Elf_file.phdr_overlap elf ~phnum:2);
+  let parsed = Elf_file.of_bytes (Elf_file.to_bytes elf) in
+  Alcotest.(check string) "content intact" interp
+    (interp_at (Elf_file.to_bytes parsed));
+  Alcotest.(check (option int)) "parsed file has no reserve" (Some off)
+    (Elf_file.phdr_overlap parsed ~phnum:2);
+  ignore
+    (Elf_file.add_segment parsed
+       { Elf_file.ptype = Elf_file.Load;
+         prot = Elf_file.prot_rx;
+         vaddr = 0x500000;
+         offset = 0;
+         filesz = 0;
+         memsz = 16;
+         align = 4096 }
+       ~content:(Bytes.make 16 '\xcc'));
+  Alcotest.check_raises "headers over content refused"
+    (Failure
+       (Printf.sprintf
+          "Elf_file: 2 program headers would overwrite content at file \
+           offset 0x%x"
+          off))
+    (fun () -> ignore (Elf_file.to_bytes parsed));
+  Alcotest.(check string) "content not clobbered" interp
+    (Bytes.sub_string (Buf.contents parsed.Elf_file.data) off
+       (String.length interp))
+
 let test_copy_independent () =
   let elf = mk_exec () in
   let snapshot = Elf_file.to_bytes elf in
@@ -372,6 +421,8 @@ let suites =
         Alcotest.test_case "loadmap traps" `Quick test_loadmap_traps;
         Alcotest.test_case "serialized_size" `Quick test_serialized_size;
         Alcotest.test_case "copy independent" `Quick test_copy_independent;
+        Alcotest.test_case "headers never written over content" `Quick
+          test_phdr_overlap_refused;
         Alcotest.test_case "file io" `Quick test_file_io;
         Alcotest.test_case "faulted write is atomic" `Quick
           test_write_atomic_on_fault;

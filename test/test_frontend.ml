@@ -1,6 +1,6 @@
 (* Tests for the disassembler frontend: text location (section vs. segment
-   fallback), the [?from] sweep restriction, site geometry, and the two
-   patch-location selectors. *)
+   fallback), the [?from] and [?holes] sweep restrictions, site geometry,
+   and the two patch-location selectors. *)
 
 module Insn = E9_x86.Insn
 module Reg = E9_x86.Reg
@@ -121,7 +121,8 @@ let test_disassemble_no_text_typed () =
 
 (* An injected decode fault truncates the site list at a text offset: the
    result is a strict prefix of the fault-free sweep (partial
-   instrumentation, never desync), identical under chunked decode. *)
+   instrumentation, never desync), and a hole before the cut only drops
+   its own sites from it. *)
 let test_disassemble_decode_fault_prefix () =
   let module Fault = E9_fault.Fault in
   let elf = elf () in
@@ -138,31 +139,52 @@ let test_disassemble_decode_fault_prefix () =
     cut_sites;
   check_int "fault recorded" 1 (Fault.fired fault Fault.Decode);
   let fault2 = Fault.create (Fault.parse (Printf.sprintf "decode@%d" cut)) in
-  let _, cut_chunked = Frontend.disassemble ~jobs:3 ~chunk:64 ~fault:fault2 elf in
-  check_bool "chunked decode cuts identically" true (cut_chunked = cut_sites)
-
-(* The chunked parallel sweep must reproduce the serial sweep exactly:
-   chunk boundaries rarely coincide with instruction boundaries, so this
-   exercises the seam re-synchronization. A tiny [chunk] forces many
-   seams even on a small binary; [jobs] values beyond the chunk count and
-   a [?from] restriction must not change anything either. *)
-let test_disassemble_chunked_identical () =
-  let elf = elf () in
-  let _, serial = Frontend.disassemble elf in
-  List.iter
-    (fun (jobs, chunk) ->
-      let _, chunked = Frontend.disassemble ~jobs ~chunk elf in
-      check_bool
-        (Printf.sprintf "jobs=%d chunk=%d matches serial" jobs chunk)
-        true
-        (chunked = serial))
-    [ (2, 64); (3, 64); (3, 127); (7, 33); (16, 4096) ];
-  let from_site = List.nth serial 7 in
-  let _, suffix = Frontend.disassemble ~from:from_site.Frontend.addr elf in
-  let _, suffix_chunked =
-    Frontend.disassemble ~from:from_site.Frontend.addr ~jobs:3 ~chunk:61 elf
+  let lo = (List.nth full 3).Frontend.addr
+  and hi = (List.nth full 6).Frontend.addr in
+  let _, cut_holed =
+    Frontend.disassemble ~holes:[ (lo, hi - lo) ] ~fault:fault2 elf
   in
-  check_bool "?from + chunked matches serial" true (suffix_chunked = suffix)
+  let outside (s : Frontend.site) =
+    s.Frontend.addr < lo || s.Frontend.addr >= hi
+  in
+  check_bool "hole drops only its own sites" true
+    (cut_holed = List.filter outside cut_sites)
+
+(* [?holes] skips interior data extents and re-synchronizes at each
+   hole's end; a hole that starts mid-instruction also drops the
+   instruction that overran into it. [?from] is the special case of one
+   leading hole [base, from). *)
+let test_disassemble_holes () =
+  let elf = elf () in
+  let text, sites = Frontend.disassemble elf in
+  let base = text.Frontend.base in
+  let addr i = (List.nth sites i).Frontend.addr in
+  let lo = addr 10 and hi = addr 14 in
+  let without ~lo ~hi =
+    List.filter
+      (fun (s : Frontend.site) -> s.Frontend.addr < lo || s.Frontend.addr >= hi)
+  in
+  let _, holed = Frontend.disassemble ~holes:[ (lo, hi - lo) ] elf in
+  check_bool "aligned hole: the sweep minus the hole's sites" true
+    (holed = without ~lo ~hi sites);
+  (* A hole starting one byte into a multi-byte instruction below [hi]:
+     that instruction's decode overruns into the hole, so the next
+     position lies inside it and the sweep resumes at the hole's end. *)
+  let wide =
+    List.find
+      (fun (s : Frontend.site) ->
+        s.Frontend.len > 1 && s.Frontend.addr + s.Frontend.len < hi)
+      sites
+  in
+  let mid = wide.Frontend.addr + 1 in
+  let _, overrun = Frontend.disassemble ~holes:[ (mid, hi - mid) ] elf in
+  check_bool "overrun: the sweep minus the hole's sites" true
+    (overrun = without ~lo:(wide.Frontend.addr + wide.Frontend.len) ~hi sites);
+  let _, from_sites = Frontend.disassemble ~from:hi elf in
+  let _, leading = Frontend.disassemble ~holes:[ (base, hi - base) ] elf in
+  check_bool "?from is a leading hole" true (from_sites = leading);
+  let _, both = Frontend.disassemble ~from:lo ~holes:[ (lo, hi - lo) ] elf in
+  check_bool "?from and ?holes combine" true (both = from_sites)
 
 let test_disassemble_empty_text () =
   let elf = elf () in
@@ -226,8 +248,8 @@ let suites =
           test_disassemble_no_text_typed;
         Alcotest.test_case "decode fault truncates to a prefix" `Quick
           test_disassemble_decode_fault_prefix;
-        Alcotest.test_case "chunked sweep identical" `Quick
-          test_disassemble_chunked_identical;
+        Alcotest.test_case "holes are skipped, sweep resyncs" `Quick
+          test_disassemble_holes;
         Alcotest.test_case "empty text" `Quick test_disassemble_empty_text;
         Alcotest.test_case "select_jumps" `Quick test_select_jumps;
         Alcotest.test_case "select_heap_writes" `Quick test_select_heap_writes

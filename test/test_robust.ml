@@ -1,6 +1,6 @@
 (* The robustness corpus as a regression wall: every adversarial family
    must keep passing its pinned expectations (floor, verifier verdicts,
-   jobs invariance, family ground truth). The corpus is scored once and
+   family ground truth). The corpus is scored once and
    shared across cases, so the suite costs one campaign run. *)
 
 module Matrix = E9_check.Matrix

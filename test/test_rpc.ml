@@ -504,22 +504,43 @@ let test_options_partition_cache () =
   in
   check_int "unknown option" Proto.invalid_params (error_code (List.hd rs))
 
-(* Every emit rewrites the whole text as one S1 pass, so there is no
-   shard size to set: the removed shard-span key is refused like any
-   other unknown option. *)
-let test_removed_span_option_refused () =
-  let key = String.concat "_" [ "shard"; "span" ] in
-  let rs, _ =
+(* [options] with a removed [key]: refused as an unknown option, by
+   name, and the session lives on. Returns the rest of [after]'s replies. *)
+let check_removed_option ?(after = []) key value =
+  let rs, alive =
     Harness.run_session (Server.create ())
-      [ Harness.request ~id:1 "options" [ (key, Json.Int 4096) ] ]
+      (Harness.request ~id:1 "options" [ (key, value) ] :: after)
   in
+  check_bool "session alive" true alive;
   let line = List.hd rs in
-  check_int "shard-span option refused" Proto.invalid_params (error_code line);
+  check_int (key ^ " option refused") Proto.invalid_params (error_code line);
   let message =
     Option.bind (Json.member "error" (jparse line)) (Json.member "message")
   in
   check_bool "named as an unknown option" true
-    (message = Some (Json.Str ("unknown option " ^ key)))
+    (message = Some (Json.Str ("unknown option " ^ key)));
+  List.tl rs
+
+(* Every emit rewrites the whole text as one S1 pass, so there is no
+   shard size to set: the removed shard-span key is refused like any
+   other unknown option. *)
+let test_removed_span_option_refused () =
+  ignore
+    (check_removed_option (String.concat "_" [ "shard"; "span" ])
+       (Json.Int 4096))
+
+(* Decoding is one serial sweep, so there is no domain count to set:
+   "jobs" is refused like any other unknown option, and status reports
+   none. *)
+let test_removed_jobs_option_refused () =
+  match
+    check_removed_option "jobs" (Json.Int 2)
+      ~after:[ Harness.request ~id:2 "status" [] ]
+  with
+  | [ status ] ->
+      check_bool "status has no jobs field" true
+        (Json.member "jobs" (result_of status) = None)
+  | _ -> Alcotest.fail "expected one status reply"
 
 (* The "plan" option once selected a chunked rewrite with a plan cache.
    Clients may still send it: it is validated as a boolean and otherwise
@@ -1252,6 +1273,8 @@ let suites =
           test_options_partition_cache;
         Alcotest.test_case "shard-span option refused" `Quick
           test_removed_span_option_refused;
+        Alcotest.test_case "jobs option refused" `Quick
+          test_removed_jobs_option_refused;
         Alcotest.test_case "plan option ignored: emit + delta" `Quick
           test_plan_option_ignored;
         Alcotest.test_case "delta error paths" `Quick test_delta_errors;

@@ -1,7 +1,7 @@
 (* Tests for the E9Tool-style frontend (lib/tool): the -M/-P command
    languages, the injected instrumentation runtime, end-to-end rewrites
-   checked by the static verifier and the trace oracle, jobs-invariance,
-   and the rule-list cache key. *)
+   checked by the static verifier and the trace oracle, and the
+   rule-list cache key. *)
 
 module Tool = E9_tool.Tool
 module Spec = E9_spec.Patchspec
@@ -205,14 +205,6 @@ let test_first_match_wins () =
   check_bool "jumps get the counter, not the later catch-all" true
     (patched.Cpu.counters <> [])
 
-let test_jobs_invariance () =
-  let elf = Lazy.force elf in
-  let rules = [ Tool.rule_of ~m:"all" ~p:"print" () ] in
-  let b jobs =
-    Elf_file.to_bytes (Tool.run ~jobs elf rules).Tool.rewrite.Rewriter.output
-  in
-  check_bool "jobs 1 vs 4 byte-identical" true (Bytes.equal (b 1) (b 4))
-
 (* [tool --emit-augmented AUG -o OUT] then [check AUG OUT]: the output
    must verify against the augmented file as written, not only against
    the in-memory image. *)
@@ -273,7 +265,6 @@ let suites =
         Alcotest.test_case "naked call" `Quick test_call_naked;
         Alcotest.test_case "unknown fn refused" `Quick test_unknown_fn_refused;
         Alcotest.test_case "first match wins" `Quick test_first_match_wins;
-        Alcotest.test_case "jobs invariance" `Quick test_jobs_invariance;
         Alcotest.test_case "emitted augmented file verifies" `Quick
           test_emitted_augmented_verifies ] );
     ( "tool.fragment",
