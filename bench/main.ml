@@ -8,8 +8,8 @@
      ... bechamel
 
    Flags (EXPERIMENTS.md "Reproducing"):
-     --serial       run every task on one domain (the speedup baseline)
-     --domains N    fan tasks across exactly N domains
+     --domains N    fan tasks across exactly N domains (1 is the serial
+                    baseline)
      --smoke        reduced sizes/trial counts, for CI timeouts
      --json PATH    dump every experiment's rows as JSON to PATH
 
@@ -49,14 +49,12 @@ let heading title =
 (* Harness options                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let serial = ref false
 let smoke = ref false
 let domains_opt : int option ref = ref None
 let json_path : string option ref = ref None
 
 let domains () =
-  if !serial then 1
-  else match !domains_opt with Some d -> max 1 d | None -> Pool.default_domains ()
+  match !domains_opt with Some d -> d | None -> Pool.default_domains ()
 
 (* Fan independent tasks across domains; results come back in input order,
    so the caller's sequential printing is deterministic. *)
@@ -540,8 +538,7 @@ let bench_ablation () =
         { t with Tactics.enable_t1 = false; enable_t2 = false; enable_t3 = false });
       ("+T1", fun t -> { t with Tactics.enable_t2 = false; enable_t3 = false });
       ("+T2", fun t -> { t with Tactics.enable_t3 = false });
-      ("+T3 (full)", fun t -> t);
-      ("full+jointT2", fun t -> { t with Tactics.t2_joint = true }) ]
+      ("+T3 (full)", fun t -> t) ]
   in
   printf "%-14s" "binary";
   List.iter (fun (n, _) -> printf " %12s" n) stacks;
@@ -1038,7 +1035,7 @@ let bench_bechamel () =
        hot path, which keeps the <2% sink-overhead budget honest. *)
     ignore (Rewriter.run ~options elf ~select ~template:(fun _ -> template))
   in
-  (* The allocator's joint-pun query shape: a strided search over a
+  (* T3's J_patch query shape: a strided search over a
      fragmented interval set. ~2000 blockers with gaps one byte too small
      force the scan to walk the whole window carrying the blocker from
      the previous probe (the two-lookups-per-probe regression this
@@ -1400,7 +1397,7 @@ let all =
     ("bechamel", bench_bechamel) ]
 
 let usage () =
-  printf "usage: main.exe [--serial] [--domains N] [--smoke] [--json PATH] \
+  printf "usage: main.exe [--domains N] [--smoke] [--json PATH] \
           [experiment ...]@.";
   printf "experiments: %s@." (String.concat " " (List.map fst all));
   exit 1
@@ -1408,9 +1405,6 @@ let usage () =
 let rec parse_args = function
   | [] -> []
   | "--" :: rest -> parse_args rest
-  | "--serial" :: rest ->
-      serial := true;
-      parse_args rest
   | "--smoke" :: rest ->
       smoke := true;
       parse_args rest
@@ -1458,7 +1452,6 @@ let since (a : Stats.throughput) (b : Stats.throughput) =
 let experiment_json (tp : Stats.throughput) agg ~checked ~failed =
   Json.Obj
     ([ ("domains", Json.Int tp.Stats.domains);
-       ("serial", Json.Bool !serial);
        ("smoke", Json.Bool !smoke);
        ("wall_s", Json.Float tp.Stats.wall_s);
        ("emu",

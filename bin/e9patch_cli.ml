@@ -158,7 +158,8 @@ let patch_cmd =
                 rules $(b,site@N) (fire on the Nth occurrence, 0-based), \
                 $(b,site@N+) (from the Nth on) or $(b,site%N) (every Nth); \
                 sites: alloc, b0alloc, decode, shard, trace, write. The \
-                tactic search is shard 0, so $(b,shard@0) aborts it. \
+                tactic search queries $(b,shard) once, as occurrence 0, \
+                so $(b,shard@0) aborts it. \
                 E.g. 'alloc@3,write@0'.")
   in
   let run () input output select template granularity no_grouping shared b0
@@ -654,7 +655,7 @@ let serve_cmd =
       & opt (some int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:"Worker domains for the socket session pool (default: \
-                \\$E9_DOMAINS, else the recommended domain count).")
+                the recommended domain count).")
   in
   let max_sessions =
     Arg.(

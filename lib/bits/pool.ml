@@ -6,13 +6,7 @@
    the output in input order regardless of completion order — callers that
    print results sequentially are byte-identical to a serial run. *)
 
-let default_domains () =
-  match Sys.getenv_opt "E9_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+let default_domains () = Domain.recommended_domain_count ()
 
 let map ?domains ?(spawn_failure = fun _ -> false) f xs =
   let items = Array.of_list xs in
@@ -64,8 +58,6 @@ let map ?domains ?(spawn_failure = fun _ -> false) f xs =
          | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
          | None -> assert false)
   end
-
-let iter ?domains f xs = ignore (map ?domains (fun x -> f x) xs)
 
 (* ------------------------------------------------------------------ *)
 (* Service: a persistent worker pool for open-ended task streams       *)

@@ -10,8 +10,7 @@
     output byte-identical to a serial run (DESIGN.md §7). *)
 
 (** [default_domains ()] is the domain count used when [?domains] is not
-    given: the [E9_DOMAINS] environment variable if set to a positive
-    integer, otherwise [Domain.recommended_domain_count ()]. *)
+    given: [Domain.recommended_domain_count ()]. *)
 val default_domains : unit -> int
 
 (** [map ?domains f xs] is [List.map f xs], computed by up to [domains]
@@ -28,10 +27,6 @@ val default_domains : unit -> int
 val map :
   ?domains:int -> ?spawn_failure:(int -> bool) -> ('a -> 'b) -> 'a list ->
   'b list
-
-(** [iter ?domains f xs] runs [f] over [xs] in parallel for its effects
-    (each task's effects must stay within the task). *)
-val iter : ?domains:int -> ('a -> unit) -> 'a list -> unit
 
 (** A persistent worker pool for open-ended task streams.
 

@@ -16,13 +16,13 @@ let case_to_string c =
   Printf.sprintf
     "{seed=%Ld pie=%b fns=%d blk=%d sjb=%.2f hwb=%.2f bdb=%.2f swb=%.2f \
      insns=%d ptb=%.2f data_kb=%d iters=%d | base=%b t1=%b t2=%b t3=%b \
-     b0=%b joint=%b gran=%d group=%b loader=%s select=%s}"
+     b0=%b gran=%d group=%b loader=%s select=%s}"
     p.Codegen.seed p.Codegen.pie p.Codegen.functions p.Codegen.blocks_per_fn
     p.Codegen.short_jump_bias p.Codegen.heap_write_bias p.Codegen.big_disp_bias
     p.Codegen.small_write_bias p.Codegen.block_insns p.Codegen.pic_table_bias
     p.Codegen.data_in_text_kb p.Codegen.iterations t.Tactics.enable_base
     t.Tactics.enable_t1 t.Tactics.enable_t2 t.Tactics.enable_t3
-    t.Tactics.b0_fallback t.Tactics.t2_joint c.options.Rewriter.granularity
+    t.Tactics.b0_fallback c.options.Rewriter.granularity
     c.options.Rewriter.grouping
     (match c.options.Rewriter.loader with
     | Rewriter.Table -> "table"
@@ -48,7 +48,6 @@ let gen_case =
   let* enable_t2 = bool in
   let* enable_t3 = bool in
   let* b0_fallback = bool in
-  let* t2_joint = bool in
   let* granularity = oneofl [ 1; 2; 4 ] in
   let* grouping = bool in
   let* stub = frequency [ (4, return false); (1, return true) ] in
@@ -72,13 +71,8 @@ let gen_case =
       options =
         { Rewriter.default_options with
           tactics =
-            { Tactics.default_options with
-              enable_base;
-              enable_t1;
-              enable_t2;
-              enable_t3;
-              b0_fallback;
-              t2_joint };
+            { Tactics.enable_base; enable_t1; enable_t2; enable_t3;
+              b0_fallback };
           granularity;
           grouping;
           loader = (if stub then Rewriter.Stub else Rewriter.Table) };

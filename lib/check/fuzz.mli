@@ -1,7 +1,7 @@
 (** Randomized differential fuzzing of the rewriter.
 
     Draws random {!E9_workload.Codegen} profiles crossed with random tactic
-    configurations (B1/B2, T1, T2, T3, [t2_joint], B0 fallback, page
+    configurations (B1/B2, T1, T2, T3, B0 fallback, page
     granularity/grouping, loader mode, jump- vs. heap-write selection),
     rewrites each generated binary with {!E9_core.Trampoline.Empty}
     templates, and requires that

@@ -34,8 +34,9 @@ let gen_rule =
         let* off = int_bound 20_000 in
         return (Fault.At off)
     | Fault.Shard ->
-        (* The tactic search is shard 0, so only rules matching key 0
-           fire; the others must leave the rewrite untouched. *)
+        (* The tactic search queries this site once per run, as
+           occurrence 0, so only rules matching 0 fire; the others must
+           leave the rewrite untouched. *)
         oneof
           [ map (fun k -> Fault.At k) (int_bound 8);
             map (fun k -> Fault.From k) (int_bound 4);

@@ -22,7 +22,7 @@ type t
 val create : ?reserve_below_base:bool -> ?block_size:int -> Elf_file.t -> t
 
 (** Why the most recent failed query ({!alloc}, {!probe},
-    {!probe_strided}, {!is_free}, {!alloc_at}) failed. [Dead_window]: the
+    {!probe_strided}, {!alloc_at}) failed. [Dead_window]: the
     create-time base occupancy (guards + segments) alone blocks every
     position, so retrying is pointless. [Conflict]: a genuine dynamic
     collision with previously allocated trampolines. Classification runs
@@ -47,17 +47,14 @@ val cursor_misses : t -> int
     windows that allocate successfully is exactly first-fit's. *)
 val alloc : t -> size:int -> lo:int -> hi:int -> int option
 
-(** [is_free t ~addr ~size] — true when [addr, addr+size) is entirely
-    unoccupied (used by joint-pun candidate probing; does not reserve). *)
-val is_free : t -> addr:int -> size:int -> bool
-
-(** [probe t ~size ~lo ~hi] is like {!alloc} but reserves nothing — used to
-    test joint-pun candidates cheaply. *)
+(** [probe t ~size ~lo ~hi] is like {!alloc} but reserves nothing: T2
+    and T3 probe an evictee home or a candidate, then claim it with
+    {!alloc_at} once the rest of the commit is known to fit. *)
 val probe : t -> size:int -> lo:int -> hi:int -> int option
 
 (** [probe_strided t ~size ~lo ~hi ~stride] finds a free range whose start
-    is congruent to [lo] modulo [stride] — the query shape produced by
-    joint puns, where pinned low displacement bytes impose a residue.
+    is congruent to [lo] modulo [stride] — the query shape of T3's
+    J_patch, whose low displacement bytes J_victim pins to a residue.
     Reserves nothing. *)
 val probe_strided :
   t -> size:int -> lo:int -> hi:int -> stride:int -> int option
@@ -67,7 +64,7 @@ val probe_strided :
 val alloc_at : t -> addr:int -> size:int -> bool
 
 (** [release t ~addr ~size] rolls back a reservation made by {!alloc} /
-    {!alloc_at} (used when the second half of a joint commit fails). *)
+    {!alloc_at} (used when the second half of a T2 or T3 commit fails). *)
 val release : t -> addr:int -> size:int -> unit
 
 (** [reserve t ~addr ~size] marks a range occupied unconditionally. *)

@@ -32,13 +32,14 @@ let default_options =
 let options_signature o =
   let { tactics; granularity; grouping; reserve_below_base; loader;
         keep_ranges } = o in
-  let { Tactics.enable_base; enable_t1; enable_t2; enable_t3; b0_fallback;
-        t2_joint; t2_cap; t3_cap } = tactics in
+  let { Tactics.enable_base; enable_t1; enable_t2; enable_t3; b0_fallback } =
+    tactics
+  in
   Printf.sprintf
-    "base=%b;t1=%b;t2=%b;t3=%b;b0=%b;joint=%b;t2cap=%d;t3cap=%d;M=%d;\
-     grouping=%b;shared=%b;loader=%s;keep=%s"
-    enable_base enable_t1 enable_t2 enable_t3 b0_fallback t2_joint t2_cap
-    t3_cap granularity grouping reserve_below_base
+    "base=%b;t1=%b;t2=%b;t3=%b;b0=%b;M=%d;grouping=%b;shared=%b;loader=%s;\
+     keep=%s"
+    enable_base enable_t1 enable_t2 enable_t3 b0_fallback granularity grouping
+    reserve_below_base
     (match loader with Table -> "table" | Stub -> "stub")
     (String.concat ","
        (List.map (fun (a, l) -> Printf.sprintf "%x+%x" a l) keep_ranges))
@@ -126,7 +127,7 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
     E9_obs.Obs.span obs "tactic_search" (fun () ->
         (* An injected [Shard] fault models the search dying mid-run; it
            surfaces as a typed error before any byte is patched. *)
-        if Fault.fires_at fault Fault.Shard ~key:0 then
+        if Fault.fires fault Fault.Shard then
           error "injected fault: shard 0 raised mid-search";
         let t0 = Unix.gettimeofday () in
         let ctx =

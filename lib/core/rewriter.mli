@@ -94,8 +94,8 @@ type result = {
     fault-injection capability through the pipeline: [Decode] rules
     truncate the disassembly (partial instrumentation), [Alloc] /
     [B0_alloc] rules starve the tactics (degradation to B0 or per-site
-    failure), a [Shard] rule matching key 0 aborts the tactic search
-    (typed {!Error}).
+    failure), a [Shard] rule matching occurrence 0 aborts the tactic
+    search (typed {!Error}): the search queries that site once per run.
 
     The rewrite is the paper's one serial S1 pass over the whole text:
     selected sites are patched in descending address order against one

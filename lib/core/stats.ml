@@ -1,4 +1,4 @@
-type tactic = B0 | B1 | B2 | T1 | T2 | T3
+type tactic = E9_obs.Obs.tactic = B0 | B1 | B2 | T1 | T2 | T3
 
 type t = {
   mutable b0 : int;
@@ -32,13 +32,7 @@ let t2_pct t = pct t t.t2
 let t3_pct t = pct t t.t3
 let succ_pct t = pct t (succeeded t)
 
-let tactic_name = function
-  | B0 -> "B0"
-  | B1 -> "B1"
-  | B2 -> "B2"
-  | T1 -> "T1"
-  | T2 -> "T2"
-  | T3 -> "T3"
+let tactic_name = E9_obs.Obs.tactic_name
 
 let pp ppf t =
   Format.fprintf ppf

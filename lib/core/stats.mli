@@ -1,6 +1,8 @@
 (** Patching statistics in the shape of the paper's Table 1. *)
 
-type tactic = B0 | B1 | B2 | T1 | T2 | T3
+(** The tactic enum is the observability layer's, re-exported so
+    [Stats.B1] and [Obs.B1] are one constructor. *)
+type tactic = E9_obs.Obs.tactic = B0 | B1 | B2 | T1 | T2 | T3
 
 type t = {
   mutable b0 : int;

@@ -9,9 +9,6 @@ type options = {
   enable_t2 : bool;
   enable_t3 : bool;
   b0_fallback : bool;
-  t2_joint : bool;
-  t2_cap : int;
-  t3_cap : int;
 }
 
 let default_options =
@@ -19,10 +16,10 @@ let default_options =
     enable_t1 = true;
     enable_t2 = true;
     enable_t3 = true;
-    b0_fallback = false;
-    t2_joint = false;
-    t2_cap = 64;
-    t3_cap = 8192 }
+    b0_fallback = false }
+
+(* Bound on candidate probes across T3's victim enumeration. *)
+let t3_budget = 8192
 
 type ctx = {
   text : Buf.t;
@@ -51,16 +48,6 @@ type ctx = {
   mutable dead_denied : bool;
   mutable dyn_denied : bool;
 }
-
-(* E9_obs sits below this library, so it carries its own copy of the
-   tactic enum; keep the two in sync here. *)
-let obs_tactic = function
-  | Stats.B0 -> Obs.B0
-  | Stats.B1 -> Obs.B1
-  | Stats.B2 -> Obs.B2
-  | Stats.T1 -> Obs.T1
-  | Stats.T2 -> Obs.T2
-  | Stats.T3 -> Obs.T3
 
 let create_ctx ?(obs = Obs.null) ?(fault = Fault.none) ~text ~text_base
     ~layout ~sites ~options () =
@@ -282,11 +269,11 @@ let try_b1_b2 ctx (site : Frontend.site) template =
   let tactic = if site.len >= 5 then Stats.B1 else Stats.B2 in
   match try_pun ctx site template ~pad:0 with
   | Ok t ->
-      Obs.accept ctx.obs ~addr:site.addr ~tactic:(obs_tactic tactic)
-        ~trampoline:t ~pad:0 ~evictee_distance:0;
+      Obs.accept ctx.obs ~addr:site.addr ~tactic ~trampoline:t ~pad:0
+        ~evictee_distance:0;
       Some (tactic, t)
   | Error reason ->
-      Obs.reject ctx.obs ~addr:site.addr ~tactic:(obs_tactic tactic) ~reason;
+      Obs.reject ctx.obs ~addr:site.addr ~tactic ~reason;
       None
 
 (* ------------------------------------------------------------------ *)
@@ -313,14 +300,11 @@ let try_t1 ctx (site : Frontend.site) template =
       None
 
 (* ------------------------------------------------------------------ *)
-(* T2: successor eviction (joint pun search)                           *)
+(* T2: successor eviction                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Enumeration order for pinned-byte candidates: a full-period affine walk
-   so that a capped search still spreads over the whole value space. *)
-let candidate_seq ~combos ~tries i =
-  if combos <= tries then i else i * 2654435761 land (combos - 1)
-
+(* The paper's two-step T2: evict the successor S to the first-fit
+   evictee home, then "reapply B2/T1" with whatever bytes resulted. *)
 let try_t2 ctx (site : Frontend.site) template =
   let k = site.len in
   let s_addr = site.addr + k in
@@ -351,114 +335,64 @@ let try_t2 ctx (site : Frontend.site) template =
               Trampoline.size template ~insn:site.insn ~insn_addr:site.addr
                 ~insn_len:k
             in
-            let result = ref None in
-            let budget = ref ctx.opts.t2_cap in
-            let pad = ref 0 in
-            while !result = None && !pad <= k - 1 && !budget > 0 do
-              let p = !pad in
+            (* Commit with S evicted to [t_s] and the patch jump at pad [p];
+               the patch pun's fixed bytes are then [e9] plus S's
+               displacement bytes. *)
+            let commit ~pad:p t_s =
               let p_jmp_end = site.addr + p + 5 in
-              let p_free = k - p - 1 in
-              (* Only useful when the patch pun actually overlaps S. *)
-              if p_free < 4 then begin
-                (* S displacement bytes read by the patch pun. *)
-                let n_over = max 0 (p + 4 - k) in
-                (* Try to commit with S evicted to [t_s]; the patch pun's
-                   fixed bytes are then [e9] plus S's displacement bytes. *)
-                let commit_with t_s =
-                  let rel_s = (t_s - (s_addr + 5)) land 0xffff_ffff in
-                  let over_bytes =
-                    List.init n_over (fun q ->
-                        if q < s_free then (rel_s lsr (8 * q)) land 0xff
-                        else List.nth s_fixed (q - s_free))
-                  in
-                  let p_fixed_high =
-                    Pun.fixed_high_of_bytes (0xe9 :: over_bytes)
-                  in
-                  let p_lo, p_hi =
-                    clamp_window ~jmp_end:p_jmp_end
-                      (Pun.target_window ~jmp_end:p_jmp_end ~free_bytes:p_free
-                         ~fixed_high:p_fixed_high)
-                  in
-                  if alloc_at_g ctx ~addr:t_s ~size:ev_size then begin
-                    match alloc_g ctx ~size:tsize ~lo:p_lo ~hi:p_hi with
-                    | None ->
-                        Layout.release ctx.layout ~addr:t_s ~size:ev_size;
-                        false
-                    | Some t_p ->
-                        (* Evict S first so the patch pun's fixed bytes read
-                           S's final representation. *)
-                        write_jump ctx ~addr:s_addr ~len:s.len ~pad:0
-                          ~target:t_s;
-                        add_trampoline ctx t_s
-                          (Trampoline.emit_evictee ~at:t_s ~insn:s.insn
-                             ~insn_addr:s_addr ~insn_len:s.len);
-                        write_jump ctx ~addr:site.addr ~len:k ~pad:p
-                          ~target:t_p;
-                        add_trampoline ctx t_p
-                          (Trampoline.emit template ~at:t_p ~insn:site.insn
-                             ~insn_addr:site.addr ~insn_len:k);
-                        result := Some (t_p, p);
-                        true
-                  end
-                  else false
+              (* S displacement bytes read by the patch pun. *)
+              let n_over = max 0 (p + 4 - k) in
+              let rel_s = (t_s - (s_addr + 5)) land 0xffff_ffff in
+              let over_bytes =
+                List.init n_over (fun q ->
+                    if q < s_free then (rel_s lsr (8 * q)) land 0xff
+                    else List.nth s_fixed (q - s_free))
+              in
+              let p_lo, p_hi =
+                clamp_window ~jmp_end:p_jmp_end
+                  (Pun.target_window ~jmp_end:p_jmp_end ~free_bytes:(k - p - 1)
+                     ~fixed_high:(Pun.fixed_high_of_bytes (0xe9 :: over_bytes)))
+              in
+              if not (alloc_at_g ctx ~addr:t_s ~size:ev_size) then None
+              else
+                match alloc_g ctx ~size:tsize ~lo:p_lo ~hi:p_hi with
+                | None ->
+                    Layout.release ctx.layout ~addr:t_s ~size:ev_size;
+                    None
+                | Some t_p ->
+                    (* Evict S first so the patch pun's fixed bytes read S's
+                       final representation. *)
+                    write_jump ctx ~addr:s_addr ~len:s.len ~pad:0 ~target:t_s;
+                    add_trampoline ctx t_s
+                      (Trampoline.emit_evictee ~at:t_s ~insn:s.insn
+                         ~insn_addr:s_addr ~insn_len:s.len);
+                    write_jump ctx ~addr:site.addr ~len:k ~pad:p ~target:t_p;
+                    add_trampoline ctx t_p
+                      (Trampoline.emit template ~at:t_p ~insn:site.insn
+                         ~insn_addr:site.addr ~insn_len:k);
+                    Some t_p
+            in
+            let rec go p =
+              if p > k - 1 then None
+              else
+                let placed =
+                  (* Only useful when the patch pun actually overlaps S. *)
+                  if k - p - 1 >= 4 then None
+                  else
+                    match probe_g ctx ~size:ev_size ~lo:s_lo ~hi:s_hi with
+                    | None -> None
+                    | Some t_s -> commit ~pad:p t_s
                 in
-                if not ctx.opts.t2_joint then begin
-                  (* The paper's two-step T2: evict S to the first-fit
-                     evictee home, then "reapply B2/T1" with whatever bytes
-                     resulted. No joint optimization. *)
-                  budget := !budget - 1;
-                  match probe_g ctx ~size:ev_size ~lo:s_lo ~hi:s_hi with
-                  | None -> ()
-                  | Some t_s -> ignore (commit_with t_s)
-                end
-                else begin
-                  (* Extension: jointly choose S's displacement so the
-                     patch pun's window becomes allocatable. *)
-                  let n_pin = min n_over s_free in
-                  let combos = 1 lsl (8 * n_pin) in
-                  let tries = min combos !budget in
-                  let i = ref 0 in
-                  while !result = None && !i < tries do
-                    budget := !budget - 1;
-                    let v = candidate_seq ~combos ~tries !i in
-                    let over_bytes =
-                      List.init n_over (fun q ->
-                          if q < n_pin then (v lsr (8 * q)) land 0xff
-                          else List.nth s_fixed (q - s_free))
-                    in
-                    let p_fixed_high =
-                      Pun.fixed_high_of_bytes (0xe9 :: over_bytes)
-                    in
-                    let p_lo, p_hi =
-                      clamp_window ~jmp_end:p_jmp_end
-                        (Pun.target_window ~jmp_end:p_jmp_end
-                           ~free_bytes:p_free ~fixed_high:p_fixed_high)
-                    in
-                    (match probe_g ctx ~size:tsize ~lo:p_lo ~hi:p_hi with
-                    | None -> ()
-                    | Some _ -> (
-                        let stride = 1 lsl (8 * n_pin) in
-                        match
-                          probe_strided_g ctx ~size:ev_size
-                            ~lo:(s_lo + v) ~hi:s_hi ~stride
-                        with
-                        | None -> ()
-                        | Some t_s -> ignore (commit_with t_s)));
-                    incr i
-                  done
-                end
-              end;
-              incr pad
-            done;
-            (match !result with
+                match placed with Some t_p -> Some (t_p, p) | None -> go (p + 1)
+            in
+            (match go 0 with
             | Some (t_p, p) ->
                 Obs.accept ctx.obs ~addr:site.addr ~tactic:Obs.T2
                   ~trampoline:t_p ~pad:p ~evictee_distance:k;
                 Some (Stats.T2, t_p)
             | None ->
                 rejected
-                  (if !budget <= 0 then Obs.Budget
-                   else if take_injected ctx then Obs.Injected
+                  (if take_injected ctx then Obs.Injected
                    else if ctx.dyn_denied then Obs.Alloc_conflict
                    else if ctx.dead_denied then Obs.Dead_window
                    else Obs.Alloc_conflict))
@@ -467,6 +401,11 @@ let try_t2 ctx (site : Frontend.site) template =
 (* ------------------------------------------------------------------ *)
 (* T3: neighbour eviction                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* Enumeration order for pinned-byte candidates: a full-period affine walk
+   so that a capped search still spreads over the whole value space. *)
+let candidate_seq ~combos ~tries i =
+  if combos <= tries then i else i * 2654435761 land (combos - 1)
 
 (* Commit the short jump J_short at the patch site, targeting [jp]. The
    patch instruction's own tail becomes dead (the paper's observation that
@@ -528,7 +467,7 @@ let try_t3 ctx (site : Frontend.site) template =
         Some (Stats.T3, t_p)
     | None ->
     let result = ref None in
-    let budget = ref ctx.opts.t3_cap in
+    let budget = ref t3_budget in
     (* Walk candidate victims: following instructions within short-jump
        range. S1 restricts the short jump to positive offsets. *)
     let vi = ref (match site_index ctx site.addr with Some i -> i + 1 | None -> max_int) in
@@ -732,5 +671,5 @@ let patch ctx site template =
           m "0x%x %s: all tactics failed" site.Frontend.addr
             (E9_x86.Insn.to_string site.Frontend.insn)));
   Obs.site ctx.obs ~addr:site.Frontend.addr
-    ~tactic:(Option.map (fun (t, _) -> obs_tactic t) outcome);
+    ~tactic:(Option.map fst outcome);
   Option.map fst outcome

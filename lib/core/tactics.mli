@@ -17,15 +17,6 @@ type options = {
   b0_fallback : bool;
       (** when every jump-based tactic fails, fall back to an [int3] trap
           (paper §5.2: "using B0 as a fallback may be appropriate") *)
-  t2_joint : bool;
-      (** extension beyond the paper: jointly choose the evicted
-          successor's displacement bytes to open the patch pun's window,
-          instead of the paper's two-step evict-then-reapply (default
-          false) *)
-  t2_cap : int;
-      (** bound on candidate probes in T2's joint pun search *)
-  t3_cap : int;
-      (** bound on candidate probes across T3's victim enumeration *)
 }
 
 val default_options : options

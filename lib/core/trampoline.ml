@@ -19,7 +19,6 @@ type template =
   | Counter
   | Lowfat_check
   | Lowfat_check_scratch of int
-  | Call_fn of int
   | Print of { text : string; scratch : int }
   | Trap
   | Call of {
@@ -180,13 +179,6 @@ let caller_saved =
   [ Reg.RAX; Reg.RCX; Reg.RDX; Reg.RSI; Reg.RDI; Reg.R8; Reg.R9; Reg.R10;
     Reg.R11 ]
 
-let emit_call_fn asm fn =
-  Asm.ins asm Insn.Pushfq;
-  List.iter (fun r -> Asm.ins asm (Insn.Push r)) caller_saved;
-  call_abs asm fn;
-  List.iter (fun r -> Asm.ins asm (Insn.Pop r)) (List.rev caller_saved);
-  Asm.ins asm Insn.Popfq
-
 (* ------------------------------------------------------------------ *)
 (* Tool templates: print, trap, and the argument-passing call ABI      *)
 (* ------------------------------------------------------------------ *)
@@ -343,9 +335,6 @@ let emit template ~at ~insn ~insn_addr ~insn_len =
       if emit_displaced asm ~insn ~insn_addr ~insn_len then jmp_abs asm ret
   | Lowfat_check_scratch scratch ->
       emit_lowfat_scratch asm ~insn ~scratch;
-      if emit_displaced asm ~insn ~insn_addr ~insn_len then jmp_abs asm ret
-  | Call_fn fn ->
-      emit_call_fn asm fn;
       if emit_displaced asm ~insn ~insn_addr ~insn_len then jmp_abs asm ret
   | Print { text; scratch } ->
       let str = emit_print asm ~scratch in

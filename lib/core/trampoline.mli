@@ -53,11 +53,6 @@ type template =
           slot (an instrumentation-private page) instead of pushed on the
           guest stack — the trace-transparent form the tool frontend
           emits *)
-  | Call_fn of int
-      (** call an instrumentation {e function inside the patched binary}
-          (appended by the user as an extra executable segment — the
-          E9Tool mechanism), bracketing it with RFLAGS and caller-saved
-          register save/restore *)
   | Print of { text : string; scratch : int }
       (** stash %rdi in the 8-byte [scratch] slot (an
           instrumentation-private page, not the guest stack), point it at
@@ -75,8 +70,9 @@ type template =
           (** top of the instrumentation-private stack the [Clean]
               bracket switches to before spilling state *)
     }
-      (** call an instrumentation function with the documented
-          argument-passing ABI *)
+      (** call an instrumentation function inside the patched binary
+          (the E9Tool mechanism; {!E9_tool.Tool.inject} appends one) with
+          the documented argument-passing ABI *)
   | Custom_pre of (E9_x86.Asm.t -> unit)
       (** arbitrary payload before the displaced instruction *)
   | Replace of (E9_x86.Asm.t -> ret:int -> unit)

@@ -67,16 +67,6 @@ let create rules =
 let rules t = t.rules
 let is_none t = t.rules = []
 
-let fork t = if t.rules = [] then none else create t.rules
-
-let merge_into ~dst src =
-  if dst.rules <> [] && src.rules <> [] then begin
-    for i = 0 to nsites - 1 do
-      dst.counts.(i) <- dst.counts.(i) + src.counts.(i);
-      dst.fired.(i) <- dst.fired.(i) + src.fired.(i)
-    done
-  end
-
 let matches trigger n =
   match trigger with
   | At k -> n = k
@@ -93,16 +83,6 @@ let fires t site =
          List.exists (fun r -> r.site = site && matches r.trigger n) t.rules
        in
        if hit then t.fired.(i) <- t.fired.(i) + 1;
-       hit
-     end
-
-let fires_at t site ~key =
-  t.rules <> []
-  && begin
-       let hit =
-         List.exists (fun r -> r.site = site && matches r.trigger key) t.rules
-       in
-       if hit then t.fired.(site_index site) <- t.fired.(site_index site) + 1;
        hit
      end
 

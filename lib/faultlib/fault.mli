@@ -6,20 +6,20 @@
     installed ([none]) every query is a constant-time no-op, so the
     production path pays nothing.
 
-    Faults are {e deterministic}: a site either counts occurrences
-    (the Nth allocator query fails, regardless of wall clock or domain
-    scheduling) or is keyed by a stable index (shard [k] fails). A
-    parallel caller keeps the occurrence counters deterministic by
-    forking the record per task and merging the forks back in a fixed
-    order ({!fork}, {!merge_into}). *)
+    Faults are {e deterministic}: a site counts its occurrences (the
+    Nth allocator query fails, regardless of wall clock), and the
+    pipeline that issues the queries is serial, so the count is a
+    function of the input and the options alone. Rewrite callers build
+    a fresh record per run; the daemon keeps one for its lifetime, so
+    its [Rpc_*] occurrences count across sessions. *)
 
 (** Where a fault can be injected. *)
 type site =
   | Alloc      (** jump-tactic [Layout] queries (alloc/probe/alloc_at) *)
   | B0_alloc   (** the B0 fallback's own trampoline allocation *)
   | Decode     (** disassembly: truncate the site list at a text offset *)
-  | Shard      (** abort the rewriter's tactic search, keyed on the
-                   shard index; the one whole-text search is shard 0 *)
+  | Shard      (** abort the rewriter's tactic search; the search
+                   queries this site once per run, as occurrence 0 *)
   | Trace      (** trace-sink (ndjson) write errors *)
   | Write      (** ELF serialization short-writes *)
   | Rpc_accept (** daemon: drop a just-accepted connection (DESIGN.md §13) *)
@@ -57,23 +57,9 @@ val create : rule list -> t
 val rules : t -> rule list
 val is_none : t -> bool
 
-(** [fork t] is a fresh record with the same (immutable) rules and
-    zeroed occurrence counters — one per parallel task, so counting is
-    a function of the task's own query sequence, never of domain
-    interleaving. *)
-val fork : t -> t
-
-(** Add [src]'s occurrence and fired counters into [dst]. *)
-val merge_into : dst:t -> t -> unit
-
 (** [fires t site] counts one occurrence of [site] and reports whether
     any rule fires on it. *)
 val fires : t -> site -> bool
-
-(** [fires_at t site ~key] is trigger matching against a caller-supplied
-    stable index (no occurrence counting): [At k] fires iff [key = k],
-    [From k] iff [key >= k], [Every k] iff [key mod k = 0]. *)
-val fires_at : t -> site -> key:int -> bool
 
 (** Smallest trigger threshold over [Decode] rules, interpreted as a
     text offset at which to truncate the decoded-site list. *)
@@ -83,8 +69,7 @@ val decode_cut : t -> int option
     [fires] (used with [decode_cut]). *)
 val record_fire : t -> site -> unit
 
-(** How many times faults at [site] fired (post-[merge_into] this is the
-    whole-pipeline total). *)
+(** How many times faults at [site] fired. *)
 val fired : t -> site -> int
 
 val fired_total : t -> int

@@ -14,8 +14,8 @@
     per-tactic histogram and span totals land in
     [BENCH_throughput.json]. *)
 
-(** Patch tactics, mirrored from [E9_core.Stats.tactic] (this library
-    sits below lib/core, so it cannot reference it). *)
+(** Patch tactics. [E9_core.Stats.tactic] re-exports this type: the
+    enum has one definition, here, below lib/core. *)
 type tactic = B0 | B1 | B2 | T1 | T2 | T3
 
 (** Why a tactic refused a site. *)

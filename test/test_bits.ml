@@ -404,14 +404,6 @@ let test_pool_map_exception () =
            (fun x -> if x = 37 then failwith "boom" else x)
            (List.init 64 Fun.id)))
 
-let test_pool_iter_runs_all () =
-  let total = Atomic.make 0 in
-  Pool.iter ~domains:4
-    (fun x -> ignore (Atomic.fetch_and_add total x))
-    (List.init 50 Fun.id);
-  Alcotest.(check int) "every element visited once" (50 * 49 / 2)
-    (Atomic.get total)
-
 let test_pool_default_domains () =
   Alcotest.(check bool) "at least one domain" true (Pool.default_domains () >= 1)
 
@@ -597,7 +589,6 @@ let suites =
           test_pool_map_serial_fallback;
         Alcotest.test_case "exception propagation" `Quick
           test_pool_map_exception;
-        Alcotest.test_case "iter side effects" `Quick test_pool_iter_runs_all;
         Alcotest.test_case "default domains" `Quick test_pool_default_domains;
         Alcotest.test_case "spawn failure degrades" `Quick
           test_pool_spawn_failure_degrades;

@@ -42,11 +42,7 @@ let corpus =
               short_jump_bias = 0.8;
               data_in_text_kb = 1;
               iterations = 20 });
-      options =
-        { Rewriter.default_options with
-          Rewriter.tactics =
-            { Tactics.default_options with Tactics.t2_joint = true };
-          granularity = 2 };
+      options = { Rewriter.default_options with Rewriter.granularity = 2 };
       select_writes = true } ]
 
 let test_corpus () =

@@ -962,19 +962,33 @@ let test_b0_exhaustion_without_fallback_accounts () =
 
 let test_shard_fault_typed_no_partial () =
   (* Outcome (c): the tactic search dying mid-run surfaces as a typed
-     Rewriter.Error, and the input is untouched. *)
+     Rewriter.Error, and the input is untouched. The search queries the
+     [shard] site once per run, as occurrence 0: rules matching 0 abort
+     it, and the others leave the rewrite byte-identical to a fault-free
+     one. *)
   let elf = Codegen.generate (profile ~seed:64L ()) in
   let snapshot = Elf_file.to_bytes elf in
-  let fault = Fault.create (Fault.parse "shard@0") in
-  (match
-     Rewriter.run ~fault elf ~select:Frontend.select_jumps
-       ~template:(fun _ -> Trampoline.Empty)
-   with
-  | _ -> Alcotest.fail "expected Rewriter.Error"
-  | exception Rewriter.Error m ->
-      Alcotest.(check string) "typed error"
-        "injected fault: shard 0 raised mid-search" m);
-  Alcotest.(check bytes) "input untouched" snapshot (Elf_file.to_bytes elf)
+  let rewrite fault =
+    Rewriter.run ~fault elf ~select:Frontend.select_jumps
+      ~template:(fun _ -> Trampoline.Empty)
+  in
+  let clean = Elf_file.to_bytes (rewrite Fault.none).Rewriter.output in
+  List.iter
+    (fun spec ->
+      (match rewrite (Fault.create (Fault.parse spec)) with
+      | _ -> Alcotest.failf "%s: expected Rewriter.Error" spec
+      | exception Rewriter.Error m ->
+          Alcotest.(check string) (spec ^ ": typed error")
+            "injected fault: shard 0 raised mid-search" m);
+      Alcotest.(check bytes) (spec ^ ": input untouched") snapshot
+        (Elf_file.to_bytes elf))
+    [ "shard@0"; "shard@0+"; "shard%3" ];
+  List.iter
+    (fun spec ->
+      let r = rewrite (Fault.create (Fault.parse spec)) in
+      Alcotest.(check bytes) (spec ^ ": fault-free bytes") clean
+        (Elf_file.to_bytes r.Rewriter.output))
+    [ "shard@1"; "shard@2+" ]
 
 (* A parsed file whose first section starts right after its program
    headers (.interp in a typical PIE) has no room for the stub's extra
@@ -1207,46 +1221,22 @@ let suites =
             test_library_calls_actually_cross ] ) ]
 
 (* ------------------------------------------------------------------ *)
-(* Call_fn: instrumentation functions inside the patched binary        *)
+(* Instrumentation functions inside the patched binary                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_call_fn_instrumentation () =
-  (* The E9Tool mechanism: compile an instrumentation function into the
-     binary (extra segment), have every jump's trampoline call it. The
-     function counts invocations in its own data page — fully in-guest,
-     no host calls. *)
+  (* The E9Tool mechanism: the tool injects an instrumentation function
+     into the binary (extra pages) and every jump's trampoline calls it
+     through the clean call ABI. The function counts invocations in its
+     own data cell — fully in-guest, no host calls. *)
   let elf = Codegen.generate (profile ~seed:90L ()) in
-  let orig = run elf in
-  (* Append the counter page and the function to a copy of the input. *)
-  let input = Elf_file.of_bytes (Elf_file.to_bytes elf) in
-  let counter_addr = 0x30000000 in
-  ignore
-    (Elf_file.add_segment input
-       { Elf_file.ptype = Elf_file.Load; prot = Elf_file.prot_rw;
-         vaddr = counter_addr; offset = 0; filesz = 0; memsz = 4096;
-         align = 4096 }
-       ~content:(Bytes.make 8 '\000'));
-  let fn_addr = 0x30001000 in
-  let fn =
-    let asm = Asm.create ~base:fn_addr in
-    (* rax is caller-saved by the trampoline bracket, safe to clobber *)
-    Asm.ins asm (Insn.Movabs (Reg.RAX, Int64.of_int counter_addr));
-    Asm.ins asm
-      (Insn.Alu (Insn.Add, Insn.Q, Insn.Mem (Insn.mem ~base:Reg.RAX ()), Insn.Imm 1));
-    Asm.ins asm Insn.Ret;
-    Asm.assemble asm
+  let module Tool = E9_tool.Tool in
+  let res =
+    Tool.run elf [ Tool.rule_of ~m:"jumps" ~p:"call:clean counter()" () ]
   in
-  ignore
-    (Elf_file.add_segment input
-       { Elf_file.ptype = Elf_file.Load; prot = Elf_file.prot_rx;
-         vaddr = fn_addr; offset = 0; filesz = 0; memsz = Bytes.length fn;
-         align = 4096 }
-       ~content:fn);
-  let r =
-    Rewriter.run input ~select:Frontend.select_jumps
-      ~template:(fun _ -> Trampoline.Call_fn fn_addr)
-  in
+  let rt = res.Tool.runtime and r = res.Tool.rewrite in
   check_bool "high coverage" true (Stats.succ_pct r.Rewriter.stats > 99.0);
+  let orig = run rt.Tool.augmented in
   (* Run on a hand-built machine so the final memory is inspectable. *)
   let m = Machine.boot r.Rewriter.output in
   let res =
@@ -1256,7 +1246,7 @@ let test_call_fn_instrumentation () =
         (Cpu.bump_allocator m.Machine.space ~heap_base:Machine.heap_base)
   in
   check_bool "equivalent" true (Machine.equivalent orig res);
-  let count = E9_vm.Space.read_u64 m.Machine.space counter_addr in
+  let count = E9_vm.Space.read_u64 m.Machine.space rt.Tool.counter_cell in
   check_bool "function counted every dynamic jump" true (count > 500);
   (* Sanity: roughly one count per far-jump pair introduced by patching. *)
   check_bool "count is plausible" true (count < res.Cpu.insns)

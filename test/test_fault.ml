@@ -1,4 +1,4 @@
-(* Tests for E9_fault: spec parsing, trigger semantics, fork/merge. *)
+(* Tests for E9_fault: spec parsing and trigger semantics. *)
 
 module Fault = E9_fault.Fault
 
@@ -78,13 +78,6 @@ let test_sites_independent () =
   check_bool "alloc occurrence 0 fires" true (Fault.fires t Fault.Alloc);
   check_bool "alloc occurrence 1 does not" false (Fault.fires t Fault.Alloc)
 
-let test_fires_at_keyed () =
-  let t = Fault.create (Fault.parse "shard@2") in
-  check_bool "key 1" false (Fault.fires_at t Fault.Shard ~key:1);
-  check_bool "key 2" true (Fault.fires_at t Fault.Shard ~key:2);
-  (* keyed matching never consumes occurrence counts *)
-  check_bool "key 2 again" true (Fault.fires_at t Fault.Shard ~key:2)
-
 let test_decode_cut () =
   Alcotest.(check (option int))
     "no decode rule" None
@@ -102,59 +95,6 @@ let test_none_is_inert () =
   done;
   check_int "nothing recorded" 0 (Fault.fired_total Fault.none)
 
-(* ------------------------------------------------------------------ *)
-(* fork / merge                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_fork_fresh_counters () =
-  let t = Fault.create (Fault.parse "alloc@0") in
-  check_bool "parent occurrence 0" true (Fault.fires t Fault.Alloc);
-  let f = Fault.fork t in
-  (* The fork restarts counting: its occurrence 0 fires again. *)
-  check_bool "fork occurrence 0" true (Fault.fires f Fault.Alloc);
-  check_bool "fork occurrence 1" false (Fault.fires f Fault.Alloc)
-
-let test_merge_accumulates () =
-  let t = Fault.create (Fault.parse "alloc@0+") in
-  let a = Fault.fork t and b = Fault.fork t in
-  for _ = 1 to 3 do
-    ignore (Fault.fires a Fault.Alloc)
-  done;
-  for _ = 1 to 2 do
-    ignore (Fault.fires b Fault.Alloc)
-  done;
-  Fault.merge_into ~dst:t a;
-  Fault.merge_into ~dst:t b;
-  check_int "fired totals add" 5 (Fault.fired t Fault.Alloc);
-  check_int "total across sites" 5 (Fault.fired_total t)
-
-(* Fork/merge must commute with a serial run of the same per-shard query
-   sequences: the merged counters depend only on the sequences, not on
-   interleaving. *)
-let prop_fork_merge_deterministic =
-  QCheck.Test.make ~name:"Fault fork/merge totals match serial replay"
-    ~count:200
-    QCheck.(pair (int_range 0 20) (small_list (int_bound 15)))
-    (fun (at, shard_queries) ->
-      let rules = [ { Fault.site = Fault.Alloc; trigger = Fault.At at } ] in
-      let run order =
-        let t = Fault.create rules in
-        let forks =
-          List.map
-            (fun n ->
-              let f = Fault.fork t in
-              for _ = 1 to n do
-                ignore (Fault.fires f Fault.Alloc)
-              done;
-              f)
-            order
-        in
-        List.iter (fun f -> Fault.merge_into ~dst:t f) forks;
-        Fault.fired t Fault.Alloc
-      in
-      run shard_queries = run (List.rev shard_queries)
-      || QCheck.Test.fail_report "merge order changed the fired total")
-
 let suites =
   [ ( "fault",
       [ Alcotest.test_case "parse forms" `Quick test_parse_forms;
@@ -167,10 +107,5 @@ let suites =
         Alcotest.test_case "trigger @N+" `Quick test_trigger_from;
         Alcotest.test_case "trigger %N" `Quick test_trigger_every;
         Alcotest.test_case "sites independent" `Quick test_sites_independent;
-        Alcotest.test_case "keyed fires_at" `Quick test_fires_at_keyed;
         Alcotest.test_case "decode cut" `Quick test_decode_cut;
-        Alcotest.test_case "none is inert" `Quick test_none_is_inert;
-        Alcotest.test_case "fork fresh counters" `Quick
-          test_fork_fresh_counters;
-        Alcotest.test_case "merge accumulates" `Quick test_merge_accumulates;
-        QCheck_alcotest.to_alcotest prop_fork_merge_deterministic ] ) ]
+        Alcotest.test_case "none is inert" `Quick test_none_is_inert ] ) ]
