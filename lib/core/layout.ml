@@ -23,7 +23,7 @@ type denial = No_denial | Dead_window | Conflict
 type t = {
   base : Iset.t;  (* create-time occupancy, never mutated afterwards *)
   occupied : Iset.t;
-  trampolines : Iset.t;  (* subset of [occupied]: what we allocated *)
+  mutable trampoline_bytes : int;  (* bytes claimed by alloc/alloc_at *)
   cursors : int array;
   mutable cursor_hits : int;
   mutable cursor_misses : int;
@@ -66,7 +66,7 @@ let create ?(reserve_below_base = false) ?(block_size = 4096) (elf : Elf_file.t)
     elf.segments;
   { base = Iset.copy occupied;
     occupied;
-    trampolines = Iset.create ();
+    trampoline_bytes = 0;
     cursors = Array.make cursor_classes min_int;
     cursor_hits = 0;
     cursor_misses = 0;
@@ -110,7 +110,7 @@ let alloc t ~size ~lo ~hi =
   match found with
   | Some addr ->
       Iset.add t.occupied ~lo:addr ~hi:(addr + size);
-      Iset.add t.trampolines ~lo:addr ~hi:(addr + size);
+      t.trampoline_bytes <- t.trampoline_bytes + size;
       t.cursors.(c) <- addr + size;
       Some addr
   | None -> None
@@ -138,20 +138,19 @@ let probe_strided t ~size ~lo ~hi ~stride =
 
 let release t ~addr ~size =
   Iset.remove t.occupied ~lo:addr ~hi:(addr + size);
-  Iset.remove t.trampolines ~lo:addr ~hi:(addr + size)
+  t.trampoline_bytes <- t.trampoline_bytes - size
 
 let alloc_at t ~addr ~size =
   if is_free t ~addr ~size then begin
     Iset.add t.occupied ~lo:addr ~hi:(addr + size);
-    Iset.add t.trampolines ~lo:addr ~hi:(addr + size);
+    t.trampoline_bytes <- t.trampoline_bytes + size;
     true
   end
   else false
 
 let reserve t ~addr ~size = Iset.add t.occupied ~lo:addr ~hi:(addr + size)
 
-let trampoline_extents t = Iset.intervals t.trampolines
-let trampoline_bytes t = Iset.occupied t.trampolines
+let trampoline_bytes t = t.trampoline_bytes
 
 type occupancy = {
   occupied_intervals : int;
@@ -159,9 +158,21 @@ type occupancy = {
   trampoline_bytes : int;
 }
 
-let occupancy t =
+(* Trampolines never overlap (and are never empty: a size-0 query finds
+   no room), so their extents are the emitted ones sorted by address,
+   with abutting neighbours merged into one interval. *)
+let occupancy t ~trampolines =
+  let extents =
+    List.map (fun (addr, code) -> (addr, addr + Bytes.length code)) trampolines
+    |> List.sort compare
+  in
+  let _, runs =
+    List.fold_left
+      (fun (prev_hi, n) (lo, hi) -> (hi, if lo = prev_hi then n else n + 1))
+      (min_int, 0) extents
+  in
   {
     occupied_intervals = Iset.count t.occupied;
-    trampoline_extents = Iset.count t.trampolines;
-    trampoline_bytes = Iset.occupied t.trampolines;
+    trampoline_extents = runs;
+    trampoline_bytes = t.trampoline_bytes;
   }

@@ -70,12 +70,8 @@ val release : t -> addr:int -> size:int -> unit
 (** [reserve t ~addr ~size] marks a range occupied unconditionally. *)
 val reserve : t -> addr:int -> size:int -> unit
 
-(** [trampoline_extents t] lists the ranges allocated via {!alloc} (and
-    {!reserve} with [~track:true] semantics are excluded): the input to
-    physical page grouping. *)
-val trampoline_extents : t -> (int * int) list
-
-(** [trampoline_bytes t] is the total size of allocated trampolines. *)
+(** [trampoline_bytes t] is the total size of the trampolines claimed by
+    {!alloc} and {!alloc_at} and not {!release}d: a counter, O(1). *)
 val trampoline_bytes : t -> int
 
 (** Point-in-time allocator gauges for the observability layer:
@@ -87,4 +83,10 @@ type occupancy = {
   trampoline_bytes : int;
 }
 
-val occupancy : t -> occupancy
+(** [occupancy t ~trampolines] reads the gauges after a search.
+    [trampolines] is the emitted [(address, code)] list
+    ({!Tactics.trampolines}), in any order, whose extents are exactly the ranges
+    claimed through [t]: [trampoline_extents] counts them once, sorted
+    and with abutting extents merged, so the allocator keeps no second
+    interval set of its own. *)
+val occupancy : t -> trampolines:(int * bytes) list -> occupancy

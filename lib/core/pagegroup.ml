@@ -1,6 +1,3 @@
-module Buf = E9_bits.Buf
-module Iset = E9_bits.Iset
-
 type result = {
   blob : bytes;
   mappings : Loadmap.mapping list;
@@ -10,8 +7,10 @@ type result = {
 
 let page_size = 4096
 
-(* A physical block being filled: relative-offset occupancy plus content. *)
-type phys = { occ : Iset.t; bytes : Bytes.t; index : int }
+(* Whether [len] bytes of the byte map [occ] from [pos] are all free. *)
+let is_free occ ~pos ~len =
+  let rec go i = i >= pos + len || (Bytes.get occ i = '\000' && go (i + 1)) in
+  go pos
 
 let group ~granularity ~enabled trampolines =
   if granularity < 1 then invalid_arg "Pagegroup.group";
@@ -39,43 +38,35 @@ let group ~granularity ~enabled trampolines =
     Hashtbl.fold (fun base fr acc -> (base, fr) :: acc) frags []
     |> List.sort compare
   in
-  let physicals = ref [] (* newest first *) in
+  (* Physical blocks, oldest first: a byte map of the block-relative
+     offsets already taken plus the content of each. There are never
+     more physical blocks than virtual ones. *)
+  let n_blocks = List.length blocks in
+  let occ = Array.make n_blocks Bytes.empty in
+  let content = Array.make n_blocks Bytes.empty in
   let n_phys = ref 0 in
   let place fr =
-    (* First-fit over existing physical blocks (oldest first). *)
-    let fits p =
+    let fits i =
       List.for_all
-        (fun (rel, b) -> Iset.is_free p.occ ~lo:rel ~hi:(rel + Bytes.length b))
+        (fun (rel, b) -> is_free occ.(i) ~pos:rel ~len:(Bytes.length b))
         fr
     in
-    let target =
-      if enabled then List.find_opt fits (List.rev !physicals) else None
-    in
-    let p =
-      match target with
-      | Some p -> p
-      | None ->
-          let p =
-            { occ = Iset.create (); bytes = Bytes.make bsize '\000';
-              index = !n_phys }
-          in
-          incr n_phys;
-          physicals := p :: !physicals;
-          p
-    in
+    (* First fit; [!n_phys] is a new block. *)
+    let rec first i = if i >= !n_phys || fits i then i else first (i + 1) in
+    let i = if enabled then first 0 else !n_phys in
+    if i = !n_phys then begin
+      occ.(i) <- Bytes.make bsize '\000';
+      content.(i) <- Bytes.make bsize '\000';
+      incr n_phys
+    end;
     List.iter
       (fun (rel, b) ->
-        Iset.add p.occ ~lo:rel ~hi:(rel + Bytes.length b);
-        Bytes.blit b 0 p.bytes rel (Bytes.length b))
+        Bytes.fill occ.(i) rel (Bytes.length b) '\001';
+        Bytes.blit b 0 content.(i) rel (Bytes.length b))
       fr;
-    p.index
+    i
   in
   let placements = List.map (fun (base, fr) -> (base, place fr)) blocks in
-  let blob = Buf.create (!n_phys * bsize) in
-  ignore (Buf.add_zeros blob (!n_phys * bsize));
-  List.iter
-    (fun p -> Buf.blit_in blob ~pos:(p.index * bsize) p.bytes)
-    !physicals;
   let mappings =
     List.map
       (fun (vbase, pidx) ->
@@ -98,7 +89,8 @@ let group ~granularity ~enabled trampolines =
       [] mappings
     |> List.rev
   in
-  { blob = Buf.contents blob;
+  { blob =
+      Bytes.concat Bytes.empty (Array.to_list (Array.sub content 0 !n_phys));
     mappings;
     physical_blocks = !n_phys;
-    virtual_blocks = List.length blocks }
+    virtual_blocks = n_blocks }

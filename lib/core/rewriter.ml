@@ -102,6 +102,16 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
         | None -> Frontend.disassemble ?from:disasm_from ~fault output)
   in
   let sites = Array.of_list site_list in
+  (* The tactics find a site's successor and its T3 victims by binary
+     search, and S1 reads its order off the array: a frontend must report
+     each instruction once, in ascending address order. *)
+  for i = 1 to Array.length sites - 1 do
+    if sites.(i).Frontend.addr <= sites.(i - 1).Frontend.addr then
+      error
+        "Rewriter: frontend sites are not strictly ascending: 0x%x follows \
+         0x%x"
+        sites.(i).Frontend.addr sites.(i - 1).Frontend.addr
+  done;
   let base = text.Frontend.base in
   let layout =
     Layout.create ~reserve_below_base:options.reserve_below_base
@@ -118,10 +128,12 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
   let stats = Stats.create () in
   let patched = ref [] in
   (* Strategy S1: patch from highest to lowest address so that puns only
-     ever depend on bytes that are already final. *)
+     ever depend on bytes that are already final. Consing the ascending
+     sites in turn yields that order. *)
   let selected =
-    Array.to_list sites |> List.filter select
-    |> List.sort (fun (a : Frontend.site) b -> compare b.addr a.addr)
+    Array.fold_left
+      (fun acc site -> if select site then site :: acc else acc)
+      [] sites
   in
   let ctx, setup_s =
     E9_obs.Obs.span obs "tactic_search" (fun () ->
@@ -152,7 +164,7 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
         (ctx, setup_s))
   in
   let tramps = Tactics.trampolines ctx and traps = Tactics.trap_entries ctx in
-  let occ = Layout.occupancy layout in
+  let occ = Layout.occupancy layout ~trampolines:tramps in
   if E9_obs.Obs.enabled obs then begin
     E9_obs.Obs.gauge obs ~name:"layout.occupied_intervals"
       ~value:occ.Layout.occupied_intervals;
@@ -255,7 +267,7 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
     virtual_blocks = grouped.Pagegroup.virtual_blocks;
     physical_blocks = grouped.Pagegroup.physical_blocks;
     mappings = List.length grouped.Pagegroup.mappings;
-    patched_sites = List.sort (fun (a, _) (b, _) -> compare b a) !patched;
+    patched_sites = List.rev !patched;
     shards = 1;
     setup_s;
     occupancy = occ }

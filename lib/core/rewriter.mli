@@ -104,10 +104,15 @@ type result = {
     [result.shards] is always 1: it is kept only for callers that still
     pass it.
 
-    Raises {!Error} on a refused stub-mode input, an injected [Shard]
-    fault, or a trampoline that cannot be encoded for a selected site
-    (e.g. a displaced [call] whose target is out of rel32 reach from
-    the trampoline); the last names the site address. *)
+    [frontend] must report each instruction once, in strictly ascending
+    address order, as {!Frontend.disassemble} and
+    {!Frontend.disassemble_recursive} do.
+
+    Raises {!Error} on a refused stub-mode input, a frontend whose sites
+    are not strictly ascending (naming the first out-of-order address),
+    an injected [Shard] fault, or a trampoline that cannot be encoded
+    for a selected site (e.g. a displaced [call] whose target is out of
+    rel32 reach from the trampoline); the last names the site address. *)
 val run :
   ?options:options ->
   ?obs:E9_obs.Obs.t ->

@@ -25,8 +25,7 @@ type ctx = {
   text : Buf.t;
   text_base : int;
   layout : Layout.t;
-  sites : Frontend.site array;
-  index_of : (int, int) Hashtbl.t;
+  sites : Frontend.site array;  (* strictly ascending by address *)
   locks : Lock.t;
   dead : Lock.t;
       (* Bytes that can never execute again: the tail of an instruction
@@ -51,13 +50,10 @@ type ctx = {
 
 let create_ctx ?(obs = Obs.null) ?(fault = Fault.none) ~text ~text_base
     ~layout ~sites ~options () =
-  let index_of = Hashtbl.create (Array.length sites) in
-  Array.iteri (fun i (s : Frontend.site) -> Hashtbl.replace index_of s.addr i) sites;
   { text;
     text_base;
     layout;
     sites;
-    index_of;
     locks = Lock.create ~base:text_base ~len:(Buf.length text);
     dead = Lock.create ~base:text_base ~len:(Buf.length text);
     trampolines = [];
@@ -157,7 +153,19 @@ let in_text ctx addr =
 
 let byte ctx addr = Buf.get_u8 ctx.text (addr - ctx.text_base)
 let set_byte ctx addr v = Buf.set_u8 ctx.text (addr - ctx.text_base) v
-let site_index ctx addr = Hashtbl.find_opt ctx.index_of addr
+
+(* Binary search of the address-ordered site array. *)
+let site_index ctx addr =
+  let rec go lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) lsr 1 in
+      let a = ctx.sites.(mid).Frontend.addr in
+      if a = addr then Some mid
+      else if a < addr then go (mid + 1) hi
+      else go lo mid
+  in
+  go 0 (Array.length ctx.sites)
 
 (* An instruction the trampoline generator can displace. *)
 let displaceable = function
@@ -522,7 +530,21 @@ let try_t3 ctx (site : Frontend.site) template =
               (* Cap per-position probes so the budget spreads over many
                  victims rather than drowning in one 2^16 value space. *)
               let tries = min combos (min !budget 256) in
+              (* Every strided start lies in [jp_lo, jp_hi]: when no start
+                 there fits at all, each probe below would fail, so charge
+                 the position's budget and skip it. The skipped probes
+                 still count as [Alloc] fault occurrences, so a fault
+                 schedule fires on the same queries either way. *)
               let i = ref 0 in
+              if Layout.probe ctx.layout ~size:tsize ~lo:jp_lo ~hi:jp_hi = None
+              then begin
+                budget := !budget - tries;
+                if not (Fault.is_none ctx.fault) then
+                  for _ = 1 to tries do
+                    if Fault.fires ctx.fault Fault.Alloc then inj ctx
+                  done;
+                i := tries
+              end;
               while !result = None && !i < tries do
                 budget := !budget - 1;
                 let w = candidate_seq ~combos ~tries !i in

@@ -26,7 +26,10 @@ type ctx
 
 (** [create_ctx ~text ~text_base ~layout ~sites ~options] — [text] is a
     mutable copy of the text section (mutated in place as patches land);
-    [sites] is the full linear disassembly in address order. [obs]
+    [sites] is the full linear disassembly, each instruction once, in
+    strictly ascending address order: T2's successor and T3's victims
+    are found by binary search over it ({!Rewriter.run} refuses a
+    frontend that breaks the order). [obs]
     (default {!E9_obs.Obs.null}) receives one [Attempt] record per tactic
     tried per site — accepted (with padding bytes and evictee distance)
     or rejected with a typed reason — plus a final per-site [Site]

@@ -20,20 +20,6 @@ let find_text (elf : Elf_file.t) =
       |> Option.map (fun (s : Elf_file.segment) ->
              { base = s.vaddr; offset = s.offset; size = s.filesz })
 
-(* An injected decode failure is modeled as a linear sweep that stops
-   early: the site list is truncated at the first instruction whose text
-   offset reaches the cut. A strict prefix of the true decode is exactly
-   the partial-disassembly contract the rewriter already honors (§2.2):
-   fewer instrumented sites, never incorrect ones. *)
-let apply_decode_cut fault decoded =
-  match Fault.decode_cut fault with
-  | None -> decoded
-  | Some cut ->
-      let kept = List.filter (fun (off, _) -> off < cut) decoded in
-      if List.compare_lengths kept decoded < 0 then
-        Fault.record_fire fault Fault.Decode;
-      kept
-
 let disassemble ?from ?(holes = []) ?(fault = Fault.none) elf =
   match find_text elf with
   | None -> error "Frontend: no text section or executable segment"
@@ -61,23 +47,28 @@ let disassemble ?from ?(holes = []) ?(fault = Fault.none) elf =
         let addr = text.base + p in
         List.find_opt (fun (a, l) -> addr >= a && addr < a + l) holes
       in
+      (* An injected decode failure is a sweep that stops early, at the
+         first instruction whose text offset reaches the cut: a strict
+         prefix of the true decode is exactly the partial-disassembly
+         contract the rewriter already honors (§2.2) — fewer
+         instrumented sites, never incorrect ones. The fault counts as
+         fired only when an instruction was dropped. *)
+      let cut = Option.value (Fault.decode_cut fault) ~default:max_int in
       let rec go p acc =
         if p >= text.size then List.rev acc
         else
           match hole_at p with
           | Some (a, l) -> go (a + l - text.base) acc
+          | None when p >= cut ->
+              Fault.record_fire fault Fault.Decode;
+              List.rev acc
           | None ->
               let d = Decode.decode bytes p in
-              go (p + d.Decode.len) ((p, d) :: acc)
+              go (p + d.Decode.len)
+                ({ addr = text.base + p; len = d.Decode.len;
+                   insn = d.Decode.insn } :: acc)
       in
-      let decoded = apply_decode_cut fault (go start []) in
-      let sites =
-        List.map
-          (fun (off, d) ->
-            { addr = text.base + off; len = d.Decode.len; insn = d.Decode.insn })
-          decoded
-      in
-      (text, sites)
+      (text, go start [])
 
 let select_jumps site = Classify.is_jump site.insn
 let select_heap_writes site = Classify.is_heap_write site.insn

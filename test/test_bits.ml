@@ -320,6 +320,47 @@ let prop_iset_queries_match_model =
          && Iset.find_free_strided s ~size ~lo ~hi ~stride
             = model_find_free_strided model ~size ~lo ~hi ~stride))
 
+(* Property: the T3 window pre-check is sound. When no start in
+   [lo, hi] fits [size] bytes, no strided start in [lo + w, hi] does
+   either, whatever the offset [w] and the stride — every such start is
+   one of the plain query's candidates. Checked on the naive model and
+   on the tree, over dense random occupancy so the plain query often
+   fails. *)
+let prop_strided_precheck_sound =
+  QCheck.Test.make
+    ~name:"find_free = None implies every find_free_strided inside is None"
+    ~count:400
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 10 40)
+           (pair (int_bound 250) (int_range 1 25)))
+        (triple (int_range 1 30) (int_bound 250) (int_bound 40)))
+    (fun (adds, (size, lo, span)) ->
+      (* QCheck's int_range shrinker can escape its bounds; clamp. *)
+      let size = max 1 size and span = max 0 span in
+      let hi = lo + span in
+      let s = Iset.create () in
+      let model = Array.make 300 false in
+      List.iter
+        (fun (olo, len) ->
+          let len = max 1 (min len 25) in
+          Iset.add s ~lo:olo ~hi:(olo + len);
+          Array.fill model olo len true)
+        adds;
+      let plain = model_find_free model ~size ~lo ~hi in
+      Iset.find_free s ~size ~lo ~hi = plain
+      && (plain <> None
+         || List.for_all
+              (fun w ->
+                List.for_all
+                  (fun stride ->
+                    model_find_free_strided model ~size ~lo:(lo + w) ~hi ~stride
+                    = None
+                    && Iset.find_free_strided s ~size ~lo:(lo + w) ~hi ~stride
+                       = None)
+                  (List.init (span + 1) (fun k -> k + 1)))
+              (List.init (span + 1) Fun.id)))
+
 (* Non-power-of-two strides, specifically: a pow2 stride lets a masking
    bug in the gap-descent congruence arithmetic pass unnoticed (rounding
    to the stride and masking to it coincide), so this property pins the
@@ -581,7 +622,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_iset_op_sequence_model;
         QCheck_alcotest.to_alcotest prop_iset_add_remove_inverse;
         QCheck_alcotest.to_alcotest prop_iset_queries_match_model;
-        QCheck_alcotest.to_alcotest prop_iset_strided_non_pow2 ] );
+        QCheck_alcotest.to_alcotest prop_iset_strided_non_pow2;
+        QCheck_alcotest.to_alcotest prop_strided_precheck_sound ] );
     ( "bits.pool",
       [ Alcotest.test_case "map preserves order" `Quick
           test_pool_map_preserves_order;

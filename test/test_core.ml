@@ -199,9 +199,12 @@ let test_layout_alloc_at_and_release () =
   check_bool "claim" true (Layout.alloc_at layout ~addr:0x500000 ~size:64);
   check_bool "double-claim fails" false
     (Layout.alloc_at layout ~addr:0x500020 ~size:64);
+  check_int "claimed bytes" 64 (Layout.trampoline_bytes layout);
   Layout.release layout ~addr:0x500000 ~size:64;
+  check_int "release gives the bytes back" 0 (Layout.trampoline_bytes layout);
   check_bool "after release" true
-    (Layout.alloc_at layout ~addr:0x500020 ~size:64)
+    (Layout.alloc_at layout ~addr:0x500020 ~size:64);
+  check_int "reclaimed bytes" 64 (Layout.trampoline_bytes layout)
 
 let test_layout_strided_probe () =
   let layout = Layout.create (mini_elf ()) in
@@ -340,6 +343,99 @@ let prop_group_preserves_content =
             code;
           !ok)
         ts)
+
+(* A naive reference for page grouping: byte by byte, with plain lists.
+   Virtual blocks are taken in ascending order; each goes to the oldest
+   physical block none of whose bytes at the block's offsets are taken
+   (or to a new one), and mappings contiguous in both spaces merge. *)
+let naive_group ~granularity ~enabled ts =
+  let bsize = granularity * 4096 in
+  let bytes_of =
+    List.concat_map
+      (fun (at, code) ->
+        List.init (Bytes.length code) (fun i ->
+            let a = at + i in
+            (a / bsize * bsize, a mod bsize, Bytes.get code i)))
+      ts
+  in
+  let blocks =
+    List.sort_uniq compare (List.map (fun (b, _, _) -> b) bytes_of)
+  in
+  (* Physical blocks, oldest first: (taken offsets, content). *)
+  let physicals = ref [] in
+  let placements =
+    List.map
+      (fun vb ->
+        let mine = List.filter (fun (b, _, _) -> b = vb) bytes_of in
+        let fits (taken, _) =
+          List.for_all (fun (_, rel, _) -> not (List.mem rel taken)) mine
+        in
+        let rec first i = function
+          | [] -> None
+          | p :: rest -> if fits p then Some i else first (i + 1) rest
+        in
+        let pidx =
+          match if enabled then first 0 !physicals else None with
+          | Some i -> i
+          | None ->
+              physicals := !physicals @ [ ([], Bytes.make bsize '\000') ];
+              List.length !physicals - 1
+        in
+        physicals :=
+          List.mapi
+            (fun i (taken, content) ->
+              if i <> pidx then (taken, content)
+              else begin
+                List.iter (fun (_, rel, c) -> Bytes.set content rel c) mine;
+                (List.map (fun (_, rel, _) -> rel) mine @ taken, content)
+              end)
+            !physicals;
+        (vb, pidx))
+      blocks
+  in
+  let rec merge = function
+    | (a : Loadmap.mapping) :: (b : Loadmap.mapping) :: rest
+      when a.vaddr + a.len = b.vaddr && a.file_off + a.len = b.file_off ->
+        merge ({ a with len = a.len + b.len } :: rest)
+    | m :: rest -> m :: merge rest
+    | [] -> []
+  in
+  let mappings =
+    merge
+      (List.map
+         (fun (vb, pidx) ->
+           { Loadmap.vaddr = vb; file_off = pidx * bsize; len = bsize;
+             prot = Elf_file.prot_rx })
+         placements)
+  in
+  (Bytes.concat Bytes.empty (List.map snd !physicals), mappings)
+
+(* Property: the byte-map first fit builds exactly the naive reference's
+   mappings and blob, for random non-overlapping trampoline lists given
+   in any order (clustered on few blocks so offsets collide and blocks
+   span boundaries). *)
+let prop_group_matches_naive =
+  QCheck.Test.make ~name:"page grouping = naive list-based first fit"
+    ~count:150
+    QCheck.(
+      triple (int_range 1 2) bool
+        (small_list (pair (int_bound 3000) (int_range 1 48))))
+    (fun (granularity, enabled, specs) ->
+      let rec build at acc = function
+        | [] -> List.rev acc
+        | (gap, len) :: rest ->
+            let code =
+              Bytes.init len (fun i -> Char.chr (1 + ((at + i) mod 251)))
+            in
+            build (at + gap + len) ((at, code) :: acc) rest
+      in
+      let ts = build 0x40f00 [] specs in
+      (* Any order: interleave the list's halves. *)
+      let odd = List.filteri (fun i _ -> i mod 2 = 1) ts in
+      let ts = odd @ List.filter (fun t -> not (List.memq t odd)) ts in
+      let res = Pagegroup.group ~granularity ~enabled ts in
+      let blob, mappings = naive_group ~granularity ~enabled ts in
+      Bytes.equal res.Pagegroup.blob blob && res.Pagegroup.mappings = mappings)
 
 (* ------------------------------------------------------------------ *)
 (* Trampolines                                                         *)
@@ -808,7 +904,8 @@ let suites =
           test_group_granularity_reduces_mappings;
         Alcotest.test_case "adjacent mappings merge" `Quick
           test_group_adjacent_mappings_merge;
-        QCheck_alcotest.to_alcotest prop_group_preserves_content ] );
+        QCheck_alcotest.to_alcotest prop_group_preserves_content;
+        QCheck_alcotest.to_alcotest prop_group_matches_naive ] );
     ( "core.trampoline",
       [ Alcotest.test_case "empty template" `Quick test_trampoline_empty_plain;
         Alcotest.test_case "displaced jcc" `Quick test_trampoline_displaced_jcc;
@@ -1140,11 +1237,48 @@ let test_recursive_frontend_partial_but_correct () =
   check_bool "partial info, still equivalent" true
     (Machine.equivalent orig (run r.Rewriter.output))
 
+let test_unordered_frontend_refused () =
+  (* The tactics binary-search the sites and S1 reads its order off them,
+     so a frontend reporting them out of order is a typed error naming
+     the first out-of-order address, not a silent sort. *)
+  let elf = Codegen.generate (profile ~seed:71L ()) in
+  let text, sites = Frontend.disassemble elf in
+  let a = List.nth sites 10 and b = List.nth sites 11 in
+  let swapped =
+    List.map (fun s -> if s == a then b else if s == b then a else s) sites
+  in
+  let rewrite frontend =
+    Rewriter.run ~frontend elf ~select:Frontend.select_jumps
+      ~template:(fun _ -> Trampoline.Empty)
+  in
+  Alcotest.check_raises "swapped pair"
+    (Rewriter.Error
+       (Printf.sprintf
+          "Rewriter: frontend sites are not strictly ascending: 0x%x \
+           follows 0x%x"
+          a.Frontend.addr b.Frontend.addr))
+    (fun () -> ignore (rewrite (fun _ -> (text, swapped))));
+  Alcotest.check_raises "duplicate site"
+    (Rewriter.Error
+       (Printf.sprintf
+          "Rewriter: frontend sites are not strictly ascending: 0x%x \
+           follows 0x%x"
+          a.Frontend.addr a.Frontend.addr))
+    (fun () ->
+      let doubled =
+        List.concat_map (fun s -> if s == a then [ s; s ] else [ s ]) sites
+      in
+      ignore (rewrite (fun _ -> (text, doubled))));
+  check_bool "the ordered list rewrites" true
+    (Stats.total (rewrite (fun _ -> (text, sites))).Rewriter.stats > 0)
+
 let suites =
   suites
   @ [ ( "core.frontends",
         [ Alcotest.test_case "recursive descent: partial but correct" `Quick
-            test_recursive_frontend_partial_but_correct ] ) ]
+            test_recursive_frontend_partial_but_correct;
+          Alcotest.test_case "unordered frontend refused" `Quick
+            test_unordered_frontend_refused ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* §5.1: mixing patched and non-patched binaries in one process        *)
