@@ -40,11 +40,13 @@ bench: build
 # Reduced bench under a hard timeout: the experiments that exercise the
 # emulator throughput path (scalability), end-to-end patched-binary
 # emulation (figure4), the allocator micro-benchmark against its
-# linear-scan baseline (iset), and the rewriting-service
-# throughput/caching run (serve), at --smoke sizes. Merges each
-# experiment's record into BENCH_throughput.json.
+# linear-scan baseline (iset), the rewriting-service throughput/caching
+# run (serve) and the tool frontend's matcher x patch pairs under both
+# oracles (tool), at --smoke sizes. Merges each experiment's record
+# (its table's rows and the rollup of what it ran) into
+# BENCH_throughput.json.
 bench-smoke: build
-	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bench/main.exe -- --smoke scalability figure4 iset serve | tee bench_output.txt
+	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bench/main.exe -- --smoke scalability figure4 iset serve tool | tee bench_output.txt
 
 # Fixed-seed differential fuzz campaign: random profile × tactic configs,
 # each rewrite checked by the static verifier and the trace oracle.

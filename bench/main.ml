@@ -4,23 +4,23 @@
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe -- table1    -- one experiment
      ... robustness | figure4 | figure5 | grouping | ablation | pie | b0
-     ... scalability | faults | calibration | robust | iset | serve | tool
-     ... bechamel
+     ... scalability | calibration | iset | serve | tool | bechamel
 
    Flags (EXPERIMENTS.md "Reproducing"):
      --domains N    fan tasks across exactly N domains (1 is the serial
                     baseline)
      --smoke        reduced sizes/trial counts, for CI timeouts
-     --json PATH    dump every experiment's rows as JSON to PATH
 
    Independent (app × tactic-config) rewrite+emulate tasks are fanned
    across domains with E9_bits.Pool; results are collected per task and
    printed in input order, so the output is byte-identical to a serial run
    (only wall-clock changes — DESIGN.md §7). After every run each
-   experiment's record (wall time, emulated insns/sec, superblock-cache
-   hit rate, domain count, its own results) is merged into
-   BENCH_throughput.json under the experiment's name, leaving the other
-   experiments' records in place.
+   experiment's record is merged into BENCH_throughput.json under the
+   experiment's name, leaving the other experiments' records in place.
+   A record holds the rows the experiment's table printed and the rollup
+   of everything it ran: rewrites (tactics, phase spans), emulations
+   (the [emulate] span and [emu.*] counters), static verifications
+   ([verify.*]) and failed gates ([gate.failed]).
 
    Absolute numbers differ from the paper (the substrate is an emulator
    with a documented cost model, and binaries are scaled down); the shapes
@@ -51,7 +51,6 @@ let heading title =
 
 let smoke = ref false
 let domains_opt : int option ref = ref None
-let json_path : string option ref = ref None
 
 let domains () =
   match !domains_opt with Some d -> d | None -> Pool.default_domains ()
@@ -64,81 +63,64 @@ let par_map f xs = Pool.map ~domains:(domains ()) f xs
 let cut n xs = if !smoke then List.filteri (fun i _ -> i < n) xs else xs
 
 (* ------------------------------------------------------------------ *)
-(* JSON (shared with the trace exporter: lib/obs, no external deps)    *)
+(* One record per experiment: its rows and its rollup                  *)
 (* ------------------------------------------------------------------ *)
 
 module Json = E9_obs.Json
 module Obs = E9_obs.Obs
 
-(* Per-experiment row store for --json. Rows are recorded from the serial
-   print phase (never from parallel tasks), in print order. *)
-let json_rows : (string * Json.t list ref) list ref = ref []
+(* The running experiment's rows, newest first: its [result] in
+   BENCH_throughput.json. Rows are recorded from the serial print phase
+   (never from parallel tasks), in print order. *)
+let rows : Json.t list ref = ref []
 
-let record_row exp fields =
-  let row = Json.Obj fields in
-  match List.assoc_opt exp !json_rows with
-  | Some r -> r := row :: !r
-  | None -> json_rows := !json_rows @ [ (exp, ref [ row ]) ]
+let record_row fields = rows := Json.Obj fields :: !rows
 
-let rows_json () =
-  Json.Obj
-    (List.map (fun (exp, r) -> (exp, Json.List (List.rev !r))) !json_rows)
-
-(* An experiment's own result object for BENCH_throughput.json, filed
-   under the experiment's name by the main loop. *)
-let published : Json.t option ref = ref None
-let publish j = published := Some j
-
-(* ------------------------------------------------------------------ *)
-(* Shared measurement machinery                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Emulation accounting, aggregated across domains: every guest run in the
-   bench goes through [run_emu] so the throughput summary and
-   BENCH_throughput.json see all of them. *)
-let emu_insns = Atomic.make 0
-let emu_wall_us = Atomic.make 0
-let emu_block_hits = Atomic.make 0
-let emu_block_misses = Atomic.make 0
-let emu_block_invalidations = Atomic.make 0
-
-(* Rewrite-path telemetry, aggregated across domains: every measured
-   rewrite goes through [traced_run] with a per-call aggregator sink
-   (constant memory), merged into one global rollup under a lock. The
-   per-tactic histogram and phase-span totals land in the running
-   experiment's record in BENCH_throughput.json (the main loop starts a
-   fresh rollup per experiment). The bechamel micro-benchmarks stay
-   detached so they keep measuring the bare (sink-less) hot path. *)
+(* The running experiment's rollup (the main loop starts a fresh one per
+   experiment). Every rewrite, emulation, verification and gate reports
+   into it through [rolled]: each call gets its own aggregator sink
+   (constant memory), merged here under a lock, so parallel tasks add up.
+   The bechamel micro-benchmarks stay detached so they keep measuring
+   the bare (sink-less) hot path. *)
 let obs_agg = ref (Obs.Agg.create ())
 let obs_lock = Mutex.create ()
 
-let traced_run ?options ?disasm_from ?frontend elf ~select ~template =
+let merge agg =
+  Mutex.protect obs_lock (fun () -> Obs.Agg.merge_into ~dst:!obs_agg agg)
+
+let rolled f =
   let obs = Obs.aggregator () in
-  let r =
-    Rewriter.run ?options ~obs ?disasm_from ?frontend elf ~select ~template
-  in
-  Mutex.protect obs_lock (fun () ->
-      Obs.Agg.merge_into ~dst:!obs_agg (Obs.agg obs));
+  let r = f obs in
+  merge (Obs.agg obs);
   r
 
-(* Static-verification accounting: every measured rewrite is checked by
-   the E9_check verifier, and a single rejection fails the whole bench
-   run. The Reloc-based robustness benches deliberately produce broken
-   binaries and are exempt. *)
-let verify_checked = Atomic.make 0
-let verify_failed = Atomic.make 0
+let traced_run ?options ?disasm_from ?frontend elf ~select ~template =
+  rolled (fun obs ->
+      Rewriter.run ?options ~obs ?disasm_from ?frontend elf ~select ~template)
 
+(* Every guest run is an [emulate] span plus [emu.*] counters. *)
 let run_emu ?config ?make_allocator ?libs elf =
-  let t0 = Unix.gettimeofday () in
-  let r = Machine.run ?config ?make_allocator ?libs elf in
-  let dt_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-  ignore (Atomic.fetch_and_add emu_insns r.Cpu.insns);
-  ignore (Atomic.fetch_and_add emu_wall_us dt_us);
-  ignore (Atomic.fetch_and_add emu_block_hits r.Cpu.block_hits);
-  ignore (Atomic.fetch_and_add emu_block_misses r.Cpu.block_misses);
-  ignore
-    (Atomic.fetch_and_add emu_block_invalidations r.Cpu.block_invalidations);
-  r
+  rolled (fun obs ->
+      let r =
+        Obs.span obs "emulate" (fun () ->
+            Machine.run ?config ?make_allocator ?libs elf)
+      in
+      Obs.counter obs ~name:"emu.runs" ~value:1;
+      Obs.counter obs ~name:"emu.insns" ~value:r.Cpu.insns;
+      Obs.counter obs ~name:"emu.block_hits" ~value:r.Cpu.block_hits;
+      Obs.counter obs ~name:"emu.block_misses" ~value:r.Cpu.block_misses;
+      Obs.counter obs ~name:"emu.block_invalidations"
+        ~value:r.Cpu.block_invalidations;
+      r)
+
+(* A check that is not a static verification (a hit-rate floor, a
+   session count, a tool pair's trace oracle): a failure prints its
+   reason and fails the bench run. *)
+let gate ok reason =
+  if not ok then begin
+    printf "  FAIL: %s@." reason;
+    rolled (fun obs -> Obs.counter obs ~name:"gate.failed" ~value:1)
+  end
 
 type app_result = {
   loc : int;
@@ -180,17 +162,29 @@ let disasm_from_of elf =
     (fun (s : Elf_file.section) -> s.Elf_file.addr)
     (Elf_file.find_section elf Codegen.chromemain_marker)
 
+(* Static verification: every measured rewrite is checked by the
+   E9_check verifier ([verify.checked]), and a single rejection
+   ([verify.failed]) fails the whole bench run. The Reloc-based
+   robustness benches deliberately produce broken binaries and are
+   exempt. *)
+let verify name ?disasm_from ?holes ~original output =
+  rolled (fun obs ->
+      Obs.counter obs ~name:"verify.checked" ~value:1;
+      match
+        Obs.span obs "verify" (fun () ->
+            E9_check.Static.verify ?disasm_from ?holes ~original output)
+      with
+      | Ok _ -> None
+      | Error e ->
+          Obs.counter obs ~name:"verify.failed" ~value:1;
+          let msg = Format.asprintf "%a" E9_check.Static.pp_error e in
+          Format.eprintf "[verify] %s rejected: %s@." name msg;
+          Some msg)
+
 let verify_rewrite name elf (r : Rewriter.result) =
-  Atomic.incr verify_checked;
-  match
-    E9_check.Static.verify ?disasm_from:(disasm_from_of elf) ~original:elf
-      r.Rewriter.output
-  with
-  | Ok _ -> ()
-  | Error e ->
-      Atomic.incr verify_failed;
-      Format.eprintf "[verify] %s rejected: %a@." name E9_check.Static.pp_error
-        e
+  ignore
+    (verify name ?disasm_from:(disasm_from_of elf) ~original:elf
+       r.Rewriter.output)
 
 (* Rewrite with [select]/[template] and measure one Table 1 line. *)
 let measure_app ?(options = Rewriter.default_options) ?make_allocator
@@ -259,7 +253,7 @@ let bench_table1 () =
       let name = row.Suite.profile.Codegen.name in
       acc_a1 := a1 :: !acc_a1;
       acc_a2 := a2 :: !acc_a2;
-      record_row "table1"
+      record_row
         [ ("binary", Json.Str name);
           ("a1", json_of_app a1);
           ("a2", json_of_app a2) ];
@@ -314,7 +308,7 @@ let bench_compare () =
       let p1 = row.Suite.paper_a1 and p2 = row.Suite.paper_a2 in
       d_base_a1 := abs_float (Stats.base_pct a1 -. p1.Suite.base) :: !d_base_a1;
       d_base_a2 := abs_float (Stats.base_pct a2 -. p2.Suite.base) :: !d_base_a2;
-      record_row "compare"
+      record_row
         [ ("binary", Json.Str row.Suite.profile.Codegen.name);
           ("a1_base_pct", Json.Float (Stats.base_pct a1));
           ("a1_base_paper", Json.Float p1.Suite.base);
@@ -375,7 +369,7 @@ let bench_figure4 () =
     (fun ((s : Dromaeo.suite), chrome, firefox) ->
       chrome_res := chrome :: !chrome_res;
       firefox_res := firefox :: !firefox_res;
-      record_row "figure4"
+      record_row
         [ ("suite", Json.Str s.Dromaeo.name);
           ("chrome_pct", Json.Float chrome);
           ("firefox_pct", Json.Float firefox) ];
@@ -421,7 +415,7 @@ let bench_figure5 () =
     (fun ((row : Suite.row), (a2, lf)) ->
       a2s := a2.time :: !a2s;
       lfs := lf.time :: !lfs;
-      record_row "figure5"
+      record_row
         [ ("binary", Json.Str row.Suite.profile.Codegen.name);
           ("a2_pct", Json.Float a2.time);
           ("lowfat_pct", Json.Float lf.time) ];
@@ -441,7 +435,7 @@ let bench_figure5 () =
   in
   List.iter
     (fun (name, (a2, lf)) ->
-      record_row "figure5"
+      record_row
         [ ("binary", Json.Str name);
           ("a2_pct", Json.Float a2.time);
           ("lowfat_pct", Json.Float lf.time) ];
@@ -489,7 +483,7 @@ let bench_grouping () =
         (fun (app, g, n, maps, phys) ->
           g_sizes := g :: !g_sizes;
           n_sizes := n :: !n_sizes;
-          record_row "grouping"
+          record_row
             [ ("binary", Json.Str name);
               ("app", Json.Str app);
               ("grouped_pct", Json.Float g);
@@ -520,7 +514,7 @@ let bench_grouping () =
   in
   List.iter
     (fun (m, mappings, size) ->
-      record_row "grouping-granularity"
+      record_row
         [ ("granularity", Json.Int m);
           ("mappings", Json.Int mappings);
           ("size_pct", Json.Float size) ];
@@ -572,7 +566,7 @@ let bench_ablation () =
   List.iter
     (fun (name, per_stack) ->
       printf "%-14s" name;
-      record_row "ablation"
+      record_row
         (("binary", Json.Str name)
         :: List.map2
              (fun (stack, _) s -> (stack, Json.Float s))
@@ -614,7 +608,7 @@ let bench_pie () =
   in
   List.iter
     (fun (app, nonpie, pie) ->
-      record_row "pie"
+      record_row
         [ ("app", Json.Str app);
           ("nonpie_base_pct", Json.Float nonpie);
           ("pie_base_pct", Json.Float pie) ];
@@ -656,7 +650,7 @@ let bench_b0 () =
             enable_t3 = false;
             b0_fallback = true } }
   in
-  record_row "b0"
+  record_row
     [ ("jump_tactics_pct", Json.Float jumps);
       ("b0_pct", Json.Float b0);
       ("b0_traps", Json.Int stats.Stats.b0) ];
@@ -690,7 +684,7 @@ let bench_robustness () =
         | Cpu.Fault _ -> "CRASH"
         | _ -> "WRONG OUTPUT"
     in
-    record_row "robustness"
+    record_row
       [ ("rewriter", Json.Str name);
         ("verdict", Json.Str verdict);
         ("time_pct",
@@ -757,7 +751,7 @@ let bench_robustness () =
   in
   List.iter
     (fun (p, tables, sound, survived) ->
-      record_row "robustness-prob"
+      record_row
         [ ("p", Json.Float p);
           ("tables", Json.Int tables);
           ("trials", Json.Int trials);
@@ -826,7 +820,7 @@ let bench_scalability () =
         if total = 0 then 0.0
         else 100.0 *. float_of_int patched.Cpu.block_hits /. float_of_int total
       in
-      record_row "scalability"
+      record_row
         [ ("text_kb", Json.Int (text.Frontend.size / 1024));
           ("loc", Json.Int (Stats.total r.Rewriter.stats));
           ("succ_pct", Json.Float (Stats.succ_pct r.Rewriter.stats));
@@ -844,39 +838,6 @@ let bench_scalability () =
         (float_of_int text.Frontend.size /. 1024.0 /. dt)
         verify_dt minsns_s bhit)
     measured
-
-(* ------------------------------------------------------------------ *)
-(* Fault-injection campaign (DESIGN.md §11)                            *)
-(* ------------------------------------------------------------------ *)
-
-module Inject = E9_check.Inject
-
-
-let bench_faults () =
-  heading "Fault injection: hardening contract under random fault schedules";
-  (* Each case runs a primary leg, a total-allocator-exhaustion B0 leg
-     and write/trace containment legs; any uncaught exception, verifier
-     reject or half-written file is a contract violation. The campaign
-     is deterministic in (n, seed). *)
-  let n = if !smoke then 60 else 250 in
-  let seed = 42 in
-  let s = Inject.campaign ~n ~seed () in
-  printf "  %a@." Inject.pp_summary s;
-  List.iter
-    (fun (case, msg) -> printf "  VIOLATION %s@.    %s@." case msg)
-    s.Inject.failures;
-  record_row "faults"
-    [ ("cases", Json.Int s.Inject.cases);
-      ("seed", Json.Int seed);
-      ("full", Json.Int s.Inject.full);
-      ("degraded", Json.Int s.Inject.degraded);
-      ("typed", Json.Int s.Inject.typed);
-      ("skipped", Json.Int s.Inject.skipped);
-      ("b0_sites", Json.Int s.Inject.b0_sites);
-      ("violations", Json.Int (List.length s.Inject.failures)) ];
-  publish (Inject.summary_json s);
-  if s.Inject.failures <> [] then
-    failwith "fault campaign found contract violations"
 
 (* ------------------------------------------------------------------ *)
 (* Calibration curves (documents how suite parameters were derived)    *)
@@ -902,7 +863,7 @@ let bench_calibration () =
   in
   List.iter
     (fun (bias, base) ->
-      record_row "calibration-a1"
+      record_row
         [ ("short_jump_bias", Json.Float bias); ("base_pct", Json.Float base) ];
       printf "  bias=%.1f -> Base=%.2f%%@." bias base)
     a1;
@@ -925,102 +886,80 @@ let bench_calibration () =
   in
   List.iter
     (fun (sw, base) ->
-      record_row "calibration-a2"
+      record_row
         [ ("small_write_bias", Json.Float sw); ("base_pct", Json.Float base) ];
       printf "  small=%.1f -> Base=%.2f%%@." sw base)
     a2
 
 (* ------------------------------------------------------------------ *)
-(* Iset micro-benchmark: augmented tree vs the linear-scan baseline    *)
+(* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
-
-let bench_iset () =
-  heading "Iset: O(log n) strided query vs the linear-scan baseline";
+(* Bechamel's OLS estimate of [f]'s cost in ns per run, if it fits one. *)
+let estimate ~quota name f =
   let open Bechamel in
   let clock = Toolkit.Instance.monotonic_clock in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
-  let estimate name f =
-    let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 0.25) () in
-    let raw = Benchmark.all cfg [ clock ] (Test.make ~name (Staged.stage f)) in
-    let est = ref 0.0 in
-    Hashtbl.iter
-      (fun _ r ->
-        match Analyze.OLS.estimates (Analyze.one ols clock r) with
-        | Some (e :: _) -> est := e
-        | Some [] | None -> ())
-      raw;
-    !est
-  in
+  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second quota) () in
+  let raw = Benchmark.all cfg [ clock ] (Test.make ~name (Staged.stage f)) in
+  Hashtbl.fold
+    (fun _ r est ->
+      match Analyze.OLS.estimates (Analyze.one ols clock r) with
+      | Some (e :: _) -> Some e
+      | Some [] | None -> est)
+    raw None
+
+(* Iset: augmented tree vs the linear-scan baseline. *)
+let bench_iset () =
+  heading "Iset: O(log n) strided query vs the linear-scan baseline";
   let sizes = [ 100; 1_000; 10_000; 100_000 ] in
   printf "  %9s %14s %16s %9s@." "intervals" "tree ns/run" "linear ns/run"
     "speedup";
-  let rows =
-    List.map
-      (fun n ->
-        (* The allocator's worst query shape: every inter-blocker gap is
-           one byte too small for the request, so the pre-PR linear scan
-           visits all [n] intervals before finding the slot past the last
-           one, while the augmented tree prunes whole subtrees on
-           [max_gap] and answers in O(log n). *)
-        let tree = E9_bits.Iset.create () in
-        let lin = Iset_linear.create () in
-        for i = 0 to n - 1 do
-          let lo = 0x10000 + (i * 48) in
-          E9_bits.Iset.add tree ~lo ~hi:(lo + 33);
-          Iset_linear.add lin ~lo ~hi:(lo + 33)
-        done;
-        let hi = 0x10000 + (n * 48) + 0x10000 in
-        let answer =
-          E9_bits.Iset.find_free_strided tree ~size:16 ~lo:0x10000 ~hi
-            ~stride:64
-        in
-        if
-          answer
-          <> Iset_linear.find_free_strided lin ~size:16 ~lo:0x10000 ~hi
-               ~stride:64
-        then failwith (Printf.sprintf "iset@%d: tree and linear disagree" n);
-        let tree_ns =
-          estimate
-            (Printf.sprintf "iset-tree-%d" n)
-            (fun () ->
-              ignore
-                (E9_bits.Iset.find_free_strided tree ~size:16 ~lo:0x10000 ~hi
-                   ~stride:64))
-        in
-        let linear_ns =
-          estimate
-            (Printf.sprintf "iset-linear-%d" n)
-            (fun () ->
-              ignore
-                (Iset_linear.find_free_strided lin ~size:16 ~lo:0x10000 ~hi
-                   ~stride:64))
-        in
-        let speedup = if tree_ns > 0.0 then linear_ns /. tree_ns else 0.0 in
-        record_row "iset"
-          [ ("intervals", Json.Int n);
-            ("tree_ns", Json.Float tree_ns);
-            ("linear_ns", Json.Float linear_ns);
-            ("speedup", Json.Float speedup) ];
-        printf "  %9d %14.1f %16.1f %8.1fx@." n tree_ns linear_ns speedup;
-        Json.Obj
-          [ ("intervals", Json.Int n);
-            ("tree_ns", Json.Float tree_ns);
-            ("linear_ns", Json.Float linear_ns);
-            ("speedup", Json.Float speedup) ])
-      sizes
-  in
-  publish (Json.List rows)
+  List.iter
+    (fun n ->
+      (* The allocator's worst query shape: every inter-blocker gap is
+         one byte too small for the request, so the linear-scan baseline
+         visits all [n] intervals before finding the slot past the last
+         one, while the augmented tree prunes whole subtrees on
+         [max_gap] and answers in O(log n). *)
+      let tree = E9_bits.Iset.create () in
+      let lin = Iset_linear.create () in
+      for i = 0 to n - 1 do
+        let lo = 0x10000 + (i * 48) in
+        E9_bits.Iset.add tree ~lo ~hi:(lo + 33);
+        Iset_linear.add lin ~lo ~hi:(lo + 33)
+      done;
+      let hi = 0x10000 + (n * 48) + 0x10000 in
+      let tree_query () =
+        E9_bits.Iset.find_free_strided tree ~size:16 ~lo:0x10000 ~hi ~stride:64
+      in
+      let linear_query () =
+        Iset_linear.find_free_strided lin ~size:16 ~lo:0x10000 ~hi ~stride:64
+      in
+      if tree_query () <> linear_query () then
+        failwith (Printf.sprintf "iset@%d: tree and linear disagree" n);
+      let ns name f =
+        Option.value ~default:0.0
+          (estimate ~quota:0.25
+             (Printf.sprintf "iset-%s-%d" name n)
+             (fun () -> ignore (f ())))
+      in
+      let tree_ns = ns "tree" tree_query in
+      let linear_ns = ns "linear" linear_query in
+      let speedup = if tree_ns > 0.0 then linear_ns /. tree_ns else 0.0 in
+      record_row
+        [ ("intervals", Json.Int n);
+          ("tree_ns", Json.Float tree_ns);
+          ("linear_ns", Json.Float linear_ns);
+          ("speedup", Json.Float speedup) ];
+      printf "  %9d %14.1f %16.1f %8.1fx@." n tree_ns linear_ns speedup)
+    sizes
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: rewriter throughput per experiment       *)
-(* ------------------------------------------------------------------ *)
-
+(* Rewriter throughput, one micro-benchmark per table/figure. *)
 let bench_bechamel () =
   heading "Bechamel: rewriter micro-benchmarks (one per table/figure)";
-  let open Bechamel in
   let prof =
     { Codegen.default_profile with
       Codegen.seed = 5L; functions = 80; iterations = 1 }
@@ -1048,76 +987,34 @@ let bench_bechamel () =
     s
   in
   let tests =
-    [ Test.make ~name:"iset-find-free-strided"
-        (Staged.stage (fun () ->
-             ignore
-               (E9_bits.Iset.find_free_strided strided_set ~size:16 ~lo:0x10000
-                  ~hi:0x40000 ~stride:64)));
-      Test.make ~name:"table1-A1-rewrite"
-        (Staged.stage (rewrite elf Frontend.select_jumps Trampoline.Empty));
-      Test.make ~name:"table1-A2-rewrite"
-        (Staged.stage
-           (rewrite elf Frontend.select_heap_writes Trampoline.Empty));
-      Test.make ~name:"figure4-dromaeo-rewrite"
-        (Staged.stage
-           (rewrite dromaeo_elf Frontend.select_heap_writes Trampoline.Empty));
-      Test.make ~name:"figure5-lowfat-rewrite"
-        (Staged.stage
-           (rewrite elf Frontend.select_heap_writes Trampoline.Lowfat_check));
-      Test.make ~name:"grouping-naive-rewrite"
-        (Staged.stage
-           (rewrite
-              ~options:{ Rewriter.default_options with Rewriter.grouping = false }
-              elf Frontend.select_jumps Trampoline.Empty)) ]
-  in
-  let clock = Toolkit.Instance.monotonic_clock in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
+    [ ("iset-find-free-strided",
+       fun () ->
+         ignore
+           (E9_bits.Iset.find_free_strided strided_set ~size:16 ~lo:0x10000
+              ~hi:0x40000 ~stride:64));
+      ("table1-A1-rewrite", rewrite elf Frontend.select_jumps Trampoline.Empty);
+      ("table1-A2-rewrite",
+       rewrite elf Frontend.select_heap_writes Trampoline.Empty);
+      ("figure4-dromaeo-rewrite",
+       rewrite dromaeo_elf Frontend.select_heap_writes Trampoline.Empty);
+      ("figure5-lowfat-rewrite",
+       rewrite elf Frontend.select_heap_writes Trampoline.Lowfat_check);
+      ("grouping-naive-rewrite",
+       rewrite
+         ~options:{ Rewriter.default_options with Rewriter.grouping = false }
+         elf Frontend.select_jumps Trampoline.Empty) ]
   in
   List.iter
-    (fun test ->
-      let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 0.5) () in
-      let results = Benchmark.all cfg [ clock ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          match Analyze.OLS.estimates (Analyze.one ols clock raw) with
-          | Some (est :: _) ->
-              printf "  %-28s %10.2f ms/run@." name (est /. 1e6)
-          | Some [] | None -> printf "  %-28s (no estimate)@." name)
-        results)
+    (fun (name, f) ->
+      match estimate ~quota:0.5 name f with
+      | Some ns ->
+          record_row
+            [ ("name", Json.Str name); ("ms_per_run", Json.Float (ns /. 1e6)) ];
+          printf "  %-28s %10.2f ms/run@." name (ns /. 1e6)
+      | None ->
+          record_row [ ("name", Json.Str name); ("ms_per_run", Json.Null) ];
+          printf "  %-28s (no estimate)@." name)
     tests
-
-(* ------------------------------------------------------------------ *)
-(* Robustness corpus: the adversarial families                         *)
-(* ------------------------------------------------------------------ *)
-
-
-let bench_robust () =
-  heading
-    "Robustness corpus: adversarial families through the tactic ladder";
-  let module Matrix = E9_check.Matrix in
-  let module Adversary = E9_workload.Adversary in
-  let scores = Matrix.run () in
-  List.iter (fun s -> printf "  %a@." Matrix.pp_score s) scores;
-  List.iter
-    (fun (s : Matrix.score) ->
-      let f = s.Matrix.family in
-      record_row "robust"
-        [ ("family", Json.Str f.Adversary.name);
-          ("sites", Json.Int s.Matrix.sites);
-          ("patched_pct", Json.Float s.Matrix.patched_pct);
-          ("floor_pct", Json.Float f.Adversary.floor_pct);
-          ("pass", Json.Bool (Matrix.passed s)) ])
-    scores;
-  publish (Matrix.to_json scores);
-  let failed = List.filter (fun s -> not (Matrix.passed s)) scores in
-  printf "  %d/%d families pass@."
-    (List.length scores - List.length failed)
-    (List.length scores);
-  if failed <> [] then begin
-    Atomic.incr verify_checked;
-    Atomic.incr verify_failed
-  end
 
 (* ------------------------------------------------------------------ *)
 (* serve: the RPC daemon as a workload                                  *)
@@ -1172,11 +1069,6 @@ let bench_serve () =
      sessions race, but every result is already cached. *)
   let warm = run_phase (List.concat (List.init (repeats - 1) (fun _ -> binaries))) in
   let wall = Unix.gettimeofday () -. t0 in
-  List.iter
-    (fun ok ->
-      Atomic.incr verify_checked;
-      if not ok then Atomic.incr verify_failed)
-    (cold @ warm);
   let started, closed = Server.sessions server in
   let rc = Cache.stats (Server.ctx server).E9_rpc.Session.result_cache in
   let dc = Cache.stats (Server.ctx server).E9_rpc.Session.decode_cache in
@@ -1197,46 +1089,34 @@ let bench_serve () =
      bypassed@."
     rc.Cache.hits (rc.Cache.hits + rc.Cache.misses) (100.0 *. hit_rate)
     dc.Cache.hits (dc.Cache.hits + dc.Cache.misses) bypassed;
-  record_row "serve"
+  record_row
     [ ("sessions", Json.Int closed);
       ("requests", Json.Int (Server.requests server));
+      ("errors", Json.Int (Server.errors server));
       ("req_per_s", Json.Float req_per_s);
       ("p50_ms", Json.Float (1000.0 *. p50));
       ("p99_ms", Json.Float (1000.0 *. p99));
-      ("hit_rate", Json.Float hit_rate) ];
+      ("hit_rate", Json.Float hit_rate);
+      ("result_cache", Cache.stats_json rc);
+      ("decode_cache",
+       (* Result-cache hits never consult the decode cache; the bypass
+          count is what keeps its hit rate honest here. *)
+       match Cache.stats_json dc with
+       | Json.Obj fields ->
+           Json.Obj (fields @ [ ("bypassed", Json.Int bypassed) ])
+       | j -> j) ];
   (* Fold the daemon's per-phase spans (rpc_decode/rpc_rewrite/rpc_verify,
-     per-method rpc_* timings) into the global rollup. *)
-  Mutex.protect obs_lock (fun () ->
-      Obs.Agg.merge_into ~dst:!obs_agg (Server.agg server));
-  publish
-      (Json.Obj
-         [ ("sessions", Json.Int closed);
-           ("requests", Json.Int (Server.requests server));
-           ("errors", Json.Int (Server.errors server));
-           ("req_per_s", Json.Float req_per_s);
-           ("p50_ms", Json.Float (1000.0 *. p50));
-           ("p99_ms", Json.Float (1000.0 *. p99));
-           ("hit_rate", Json.Float hit_rate);
-           ("result_cache", Cache.stats_json rc);
-           ("decode_cache",
-            (* Result-cache hits never consult the decode cache; the
-               bypass count is what keeps its hit rate honest here. *)
-            match Cache.stats_json dc with
-            | Json.Obj fields ->
-                Json.Obj (fields @ [ ("bypassed", Json.Int bypassed) ])
-            | j -> j) ]);
-  if started <> closed then begin
-    printf "  FAIL: %d sessions started, %d closed@." started closed;
-    Atomic.incr verify_checked;
-    Atomic.incr verify_failed
-  end;
-  (* Acceptance gate: the replay workload must hit at least half the
-     time (it is 2/3 by construction — 2 warm emits per 1 cold). *)
-  if hit_rate < 0.5 then begin
-    printf "  FAIL: replay hit-rate %.2f < 0.5@." hit_rate;
-    Atomic.incr verify_checked;
-    Atomic.incr verify_failed
-  end
+     per-method rpc_* timings) into the experiment's rollup. *)
+  merge (Server.agg server);
+  (* Gates: every session's emit came back verified by the daemon, every
+     session closed, and the replay workload hit at least half the time
+     (it is 2/3 by construction — 2 warm emits per 1 cold). *)
+  List.iteri
+    (fun i ok -> gate ok (Printf.sprintf "session %d: emit not verified" i))
+    (cold @ warm);
+  gate (started = closed)
+    (Printf.sprintf "%d sessions started, %d closed" started closed);
+  gate (hit_rate >= 0.5) (Printf.sprintf "replay hit-rate %.2f < 0.5" hit_rate)
 
 (* ------------------------------------------------------------------ *)
 (* Tool frontend: builtin matcher x patch pairs over the corpus        *)
@@ -1294,84 +1174,70 @@ let bench_tool () =
         keep_ranges = holes }
     in
     let res =
-      Tool.run ~options ~frontend:(Frontend.disassemble ~holes) elf rules
+      rolled (fun obs ->
+          Tool.run ~options ~obs ~frontend:(Frontend.disassemble ~holes) elf
+            rules)
     in
     let r = res.Tool.rewrite in
     let rt = res.Tool.runtime in
     let static_err =
-      match
-        Static.verify ~holes ~original:rt.Tool.augmented r.Rewriter.output
-      with
-      | Ok _ -> None
-      | Error e -> Some (Format.asprintf "%a" Static.pp_error e)
+      verify
+        (Printf.sprintf "tool -M %s -P %s on %s" m p f.Adversary.name)
+        ~holes ~original:rt.Tool.augmented r.Rewriter.output
     in
     let trace_err =
       if naked then
         (* Behavioral equivalence: same outcome and output streams. *)
-        let orig = Machine.run ~config:trace_config rt.Tool.augmented in
-        let patched = Machine.run ~config:trace_config r.Rewriter.output in
+        let orig = run_emu ~config:trace_config rt.Tool.augmented in
+        let patched = run_emu ~config:trace_config r.Rewriter.output in
         if Machine.equivalent orig patched then None
         else Some "naked call: outcome/output diverged"
       else
-        match
-          Trace.compare_runs ~config:trace_config ~holes
-            ~instr_ranges:rt.Tool.instr_ranges ~original:rt.Tool.augmented
-            r.Rewriter.output
-        with
-        | Ok _ -> None
-        | Error msg -> Some msg
+        (* The trace oracle's two runs; it reports instructions only
+           when the traces agree. *)
+        rolled (fun obs ->
+            Obs.counter obs ~name:"emu.runs" ~value:2;
+            match
+              Obs.span obs "emulate" (fun () ->
+                  Trace.compare_runs ~config:trace_config ~holes
+                    ~instr_ranges:rt.Tool.instr_ranges
+                    ~original:rt.Tool.augmented r.Rewriter.output)
+            with
+            | Ok st ->
+                Obs.counter obs ~name:"emu.insns"
+                  ~value:(st.Trace.insns_original + st.Trace.insns_rewritten);
+                None
+            | Error msg -> Some msg)
     in
     (m, p, f.Adversary.name, Stats.total r.Rewriter.stats, static_err,
      trace_err)
   in
   let scores = par_map score tasks in
-  let rows =
-    List.map
-      (fun (m, p, fam, sites, serr, terr) ->
-        let pass = serr = None && terr = None in
-        Atomic.incr verify_checked;
-        if not pass then begin
-          Atomic.incr verify_failed;
-          printf "  FAIL -M %s -P %s on %s: %s@." m p fam
-            (match (serr, terr) with
-            | Some e, _ -> "static: " ^ e
-            | None, Some e -> "trace: " ^ e
-            | None, None -> assert false)
-        end;
-        record_row "tool"
-          [ ("match", Json.Str m); ("patch", Json.Str p);
-            ("family", Json.Str fam); ("sites", Json.Int sites);
-            ("pass", Json.Bool pass) ];
-        Json.Obj
-          [ ("match", Json.Str m); ("patch", Json.Str p);
-            ("family", Json.Str fam); ("sites", Json.Int sites);
-            ("static",
-             Json.Str (match serr with None -> "ok" | Some e -> e));
-            ("trace",
-             Json.Str (match terr with None -> "ok" | Some e -> e));
-            ("pass", Json.Bool pass) ])
-      scores
-  in
-  let passed =
-    List.length
-      (List.filter
-         (fun (_, _, _, _, s, t) -> s = None && t = None)
-         scores)
-  in
+  let passed = ref 0 in
+  List.iter
+    (fun (m, p, fam, sites, serr, terr) ->
+      let pass = serr = None && terr = None in
+      if pass then incr passed;
+      (* A static rejection is already a failed verification; the trace
+         oracle is the pair's gate. *)
+      Option.iter
+        (fun e ->
+          gate false (Printf.sprintf "-M %s -P %s on %s: trace: %s" m p fam e))
+        terr;
+      record_row
+        [ ("match", Json.Str m); ("patch", Json.Str p);
+          ("family", Json.Str fam); ("sites", Json.Int sites);
+          ("static", Json.Str (Option.value ~default:"ok" serr));
+          ("trace", Json.Str (Option.value ~default:"ok" terr));
+          ("pass", Json.Bool pass) ])
+    scores;
   printf "  %d pairs x %d families: %d/%d pass@." (List.length pairs)
-    (List.length families) passed (List.length scores);
+    (List.length families) !passed (List.length scores);
   List.iter
     (fun (m, p, fam, sites, _, _) ->
       printf "    %-42s %-34s %-22s %6d sites@."
         (Printf.sprintf "-M %s" m) (Printf.sprintf "-P %s" p) fam sites)
-    scores;
-  publish
-      (Json.Obj
-         [ ("pairs", Json.Int (List.length pairs));
-           ("families", Json.Int (List.length families));
-           ("passed", Json.Int passed);
-           ("total", Json.Int (List.length scores));
-           ("rows", Json.List rows) ])
+    scores
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1388,17 +1254,14 @@ let all =
     ("pie", bench_pie);
     ("b0", bench_b0);
     ("scalability", bench_scalability);
-    ("faults", bench_faults);
     ("calibration", bench_calibration);
-    ("robust", bench_robust);
     ("iset", bench_iset);
     ("serve", bench_serve);
     ("tool", bench_tool);
     ("bechamel", bench_bechamel) ]
 
 let usage () =
-  printf "usage: main.exe [--domains N] [--smoke] [--json PATH] \
-          [experiment ...]@.";
+  printf "usage: main.exe [--domains N] [--smoke] [experiment ...]@.";
   printf "experiments: %s@." (String.concat " " (List.map fst all));
   exit 1
 
@@ -1407,9 +1270,6 @@ let rec parse_args = function
   | "--" :: rest -> parse_args rest
   | "--smoke" :: rest ->
       smoke := true;
-      parse_args rest
-  | "--json" :: path :: rest ->
-      json_path := Some path;
       parse_args rest
   | "--domains" :: n :: rest -> (
       match int_of_string_opt n with
@@ -1426,52 +1286,61 @@ let rec parse_args = function
 
 let throughput_path = "BENCH_throughput.json"
 
-(* The emulation counters so far, as a throughput record. *)
-let throughput ~wall_s =
-  { Stats.wall_s;
-    emu_insns = Atomic.get emu_insns;
-    emu_wall_s = float_of_int (Atomic.get emu_wall_us) /. 1e6;
-    block_hits = Atomic.get emu_block_hits;
-    block_misses = Atomic.get emu_block_misses;
-    block_invalidations = Atomic.get emu_block_invalidations;
-    domains = domains () }
+let ratio a b = if b > 0.0 then a /. b else 0.0
 
-(* What accrued between two [throughput] snapshots. *)
-let since (a : Stats.throughput) (b : Stats.throughput) =
-  { b with
-    Stats.wall_s = b.Stats.wall_s -. a.Stats.wall_s;
-    emu_insns = b.emu_insns - a.emu_insns;
-    emu_wall_s = b.emu_wall_s -. a.emu_wall_s;
-    block_hits = b.block_hits - a.block_hits;
-    block_misses = b.block_misses - a.block_misses;
-    block_invalidations = b.block_invalidations - a.block_invalidations }
+(* The emulation an experiment (or the whole run) did, from its rollup. *)
+type emu = {
+  runs : int;
+  insns : int;
+  emu_s : float;
+  hits : int;
+  misses : int;
+  flushes : int;
+}
 
-(* One experiment's record: the run's settings, the emulation, tactics,
-   phase times and verifications the experiment caused, and what it
-   published. *)
-let experiment_json (tp : Stats.throughput) agg ~checked ~failed =
+let emu_of agg =
+  let c = Obs.Agg.counter_total agg in
+  { runs = c "emu.runs";
+    insns = c "emu.insns";
+    emu_s = Obs.Agg.span_total agg "emulate";
+    hits = c "emu.block_hits";
+    misses = c "emu.block_misses";
+    flushes = c "emu.block_invalidations" }
+
+let insns_per_sec e = ratio (float_of_int e.insns) e.emu_s
+
+let block_hit_rate e =
+  ratio (float_of_int e.hits) (float_of_int (e.hits + e.misses))
+
+(* One experiment's record: the run's settings, the rollup of what the
+   experiment ran, and the rows its table printed. *)
+let experiment_json ~wall_s agg rows =
+  let c = Obs.Agg.counter_total agg in
+  let e = emu_of agg in
   Json.Obj
-    ([ ("domains", Json.Int tp.Stats.domains);
-       ("smoke", Json.Bool !smoke);
-       ("wall_s", Json.Float tp.Stats.wall_s);
-       ("emu",
-        Json.Obj
-          [ ("insns", Json.Int tp.Stats.emu_insns);
-            ("wall_s", Json.Float tp.Stats.emu_wall_s);
-            ("insns_per_sec", Json.Float (Stats.insns_per_sec tp));
-            ("block_hits", Json.Int tp.Stats.block_hits);
-            ("block_misses", Json.Int tp.Stats.block_misses);
-            ("block_hit_rate", Json.Float (Stats.block_hit_rate tp));
-            ("block_invalidations", Json.Int tp.Stats.block_invalidations) ]);
-       ("tactics", Obs.Agg.tactics_json agg);
-       ("timings", Obs.Agg.spans_json agg);
-       ("verify",
-        Json.Obj
-          [ ("checked", Json.Int checked); ("passed", Json.Int (checked - failed)) ])
-     ]
-    @ match !published with Some j -> [ ("result", j) ] | None -> [])
+    [ ("domains", Json.Int (domains ()));
+      ("smoke", Json.Bool !smoke);
+      ("wall_s", Json.Float wall_s);
+      ("emu",
+       Json.Obj
+         [ ("runs", Json.Int e.runs);
+           ("insns", Json.Int e.insns);
+           ("wall_s", Json.Float e.emu_s);
+           ("insns_per_sec", Json.Float (insns_per_sec e));
+           ("block_hits", Json.Int e.hits);
+           ("block_misses", Json.Int e.misses);
+           ("block_hit_rate", Json.Float (block_hit_rate e));
+           ("block_invalidations", Json.Int e.flushes) ]);
+      ("tactics", Obs.Agg.tactics_json agg);
+      ("timings", Obs.Agg.spans_json agg);
+      ("verify",
+       Json.Obj
+         [ ("checked", Json.Int (c "verify.checked"));
+           ("passed", Json.Int (c "verify.checked" - c "verify.failed")) ]);
+      ("gates_failed", Json.Int (c "gate.failed"));
+      ("result", Json.List rows) ]
 
-let schema = "e9repro-bench-throughput/2"
+let schema = "e9repro-bench-throughput/3"
 
 (* Merge this run's experiment records into the file, each under its
    experiment's name: keys of experiments that did not run are kept, so
@@ -1517,29 +1386,30 @@ let () =
     List.map
       (fun (name, f) ->
         let s0 = Unix.gettimeofday () in
-        let before = throughput ~wall_s:0.0 in
-        let checked0 = Atomic.get verify_checked
-        and failed0 = Atomic.get verify_failed in
         obs_agg := Obs.Agg.create ();
-        published := None;
+        rows := [];
         f ();
-        let tp = since before (throughput ~wall_s:(Unix.gettimeofday () -. s0)) in
         Obs.Agg.merge_into ~dst:run_agg !obs_agg;
         ( name,
-          experiment_json tp !obs_agg
-            ~checked:(Atomic.get verify_checked - checked0)
-            ~failed:(Atomic.get verify_failed - failed0) ))
+          experiment_json ~wall_s:(Unix.gettimeofday () -. s0) !obs_agg
+            (List.rev !rows) ))
       chosen
   in
   let wall = Unix.gettimeofday () -. t0 in
-  printf "@.[throughput: %a]@." Stats.pp_throughput (throughput ~wall_s:wall);
+  let e = emu_of run_agg in
+  printf
+    "@.[throughput: wall=%.2fs domains=%d emu: %d insns in %.2fs (%.2f \
+     Minsns/s), block cache %.1f%% hit (%d hits / %d misses / %d flushes)]@."
+    wall (domains ()) e.insns e.emu_s
+    (insns_per_sec e /. 1e6)
+    (100.0 *. block_hit_rate e)
+    e.hits e.misses e.flushes;
   printf "@.[tactics: %a]@." Obs.Agg.pp run_agg;
   write_throughput records;
-  (match !json_path with
-  | Some path -> Json.to_file path (rows_json ())
-  | None -> ());
-  printf "@.[verify: %d/%d rewrites statically verified]@."
-    (Atomic.get verify_checked - Atomic.get verify_failed)
-    (Atomic.get verify_checked);
+  let c = Obs.Agg.counter_total run_agg in
+  let checked = c "verify.checked" and failed = c "verify.failed" in
+  let gates_failed = c "gate.failed" in
+  printf "@.[verify: %d/%d rewrites statically verified; %d gates failed]@."
+    (checked - failed) checked gates_failed;
   printf "@.[total bench time: %.1fs]@." wall;
-  if Atomic.get verify_failed > 0 then exit 1
+  if failed > 0 || gates_failed > 0 then exit 1

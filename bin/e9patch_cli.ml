@@ -230,7 +230,7 @@ let patch_cmd =
             printf "%a@." Obs.Agg.pp (Obs.agg obs)
         | exception Obs.Sink_error m ->
             (* A lost trace must not fail the patch: the rewritten
-               binary is already written and verified. *)
+               binary is already written. *)
             printf "trace: %s (patched binary is intact)@." m));
     (if inject <> None then
        let total = Fault.fired_total fault in
@@ -528,6 +528,26 @@ let check_cmd =
              addresses).")
     Term.(const run $ setup_logs $ original $ rewritten $ from $ dynamic)
 
+(* One seeded campaign: a stderr progress counter, the summary, then
+   "LABEL: OK" or every failed case and exit 1. *)
+let campaign ~label ~n ~seed run pp_summary failures =
+  let progress i =
+    if i mod 10 = 0 then (
+      Printf.eprintf "\r%d/%d" i n;
+      flush stderr)
+  in
+  let s = run ~progress in
+  Printf.eprintf "\r";
+  flush stderr;
+  printf "%a@." pp_summary s;
+  match failures s with
+  | [] -> printf "%s: OK (seed %d)@." label seed
+  | failures ->
+      List.iter
+        (fun (case, msg) -> printf "FAILED %s@.  %s@." case msg)
+        failures;
+      exit 1
+
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -541,22 +561,10 @@ let fuzz_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Campaign seed.") in
   let run () n seed =
    or_die @@ fun () ->
-    let progress i =
-      if i mod 10 = 0 then (
-        Printf.eprintf "\r%d/%d" i n;
-        flush stderr)
-    in
-    let s = E9_check.Fuzz.campaign ~progress ~n ~seed () in
-    Printf.eprintf "\r";
-    flush stderr;
-    printf "%a@." E9_check.Fuzz.pp_summary s;
-    match s.E9_check.Fuzz.failed with
-    | [] -> printf "fuzz: OK (seed %d)@." seed
-    | failures ->
-        List.iter
-          (fun (case, msg) -> printf "FAILED %s@.  %s@." case msg)
-          failures;
-        exit 1
+    campaign ~label:"fuzz" ~n ~seed
+      (fun ~progress -> E9_check.Fuzz.campaign ~progress ~n ~seed ())
+      E9_check.Fuzz.pp_summary
+      (fun s -> s.E9_check.Fuzz.failed)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -587,37 +595,16 @@ let fault_cmd =
   in
   let run () n seed rpc =
    or_die @@ fun () ->
-    let progress i =
-      if i mod 10 = 0 then (
-        Printf.eprintf "\r%d/%d" i n;
-        flush stderr)
-    in
-    if rpc then begin
-      let s = E9_rpc.Harness.campaign ~progress ~n ~seed () in
-      Printf.eprintf "\r";
-      flush stderr;
-      printf "%a@." E9_rpc.Harness.pp_summary s;
-      match s.E9_rpc.Harness.failures with
-      | [] -> printf "fault: OK (seed %d)@." seed
-      | failures ->
-          List.iter
-            (fun (case, msg) -> printf "FAILED %s@.  %s@." case msg)
-            failures;
-          exit 1
-    end
-    else begin
-      let s = E9_check.Inject.campaign ~progress ~n ~seed () in
-      Printf.eprintf "\r";
-      flush stderr;
-      printf "%a@." E9_check.Inject.pp_summary s;
-      match s.E9_check.Inject.failures with
-      | [] -> printf "fault: OK (seed %d)@." seed
-      | failures ->
-          List.iter
-            (fun (case, msg) -> printf "FAILED %s@.  %s@." case msg)
-            failures;
-          exit 1
-    end
+    if rpc then
+      campaign ~label:"fault" ~n ~seed
+        (fun ~progress -> E9_rpc.Harness.campaign ~progress ~n ~seed ())
+        E9_rpc.Harness.pp_summary
+        (fun s -> s.E9_rpc.Harness.failures)
+    else
+      campaign ~label:"fault" ~n ~seed
+        (fun ~progress -> E9_check.Inject.campaign ~progress ~n ~seed ())
+        E9_check.Inject.pp_summary
+        (fun s -> s.E9_check.Inject.failures)
   in
   Cmd.v
     (Cmd.info "fault"

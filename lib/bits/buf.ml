@@ -122,9 +122,3 @@ let add_zeros b n =
   pos
 
 let pad_to b n = if b.len < n then ignore (add_zeros b (n - b.len))
-
-let pp_hex ppf b =
-  for i = 0 to b.len - 1 do
-    if i > 0 && i mod 16 = 0 then Format.pp_print_newline ppf ();
-    Format.fprintf ppf "%02x " (get_u8 b i)
-  done

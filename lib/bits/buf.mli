@@ -65,6 +65,3 @@ val add_zeros : t -> int -> int
 
 (** [pad_to b n] appends zero bytes until [length b >= n]. *)
 val pad_to : t -> int -> unit
-
-(** [pp_hex ppf b] dumps [b] as rows of hex bytes (for debugging). *)
-val pp_hex : Format.formatter -> t -> unit

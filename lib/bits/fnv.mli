@@ -1,7 +1,7 @@
 (** FNV-1a 64-bit hashing.
 
     The 64-bit FNV-1a constants are shared with the RPC cache keys
-    (lib/core/cache.ml delegates here), so every content hash the
+    (lib/rpc/cache.ml delegates here), so every content hash the
     repository prints comes from the same function family and collides
     only as FNV collides. *)
 

@@ -116,7 +116,7 @@ module Service = struct
       | Some d -> max 1 d
       | None -> default_domains ()
     in
-    (* Cap like the rewriter does: oversubscribed domains pay minor-GC
+    (* Cap at the recommended count: oversubscribed domains pay minor-GC
        synchronization without buying parallelism. *)
     let d = min d (Domain.recommended_domain_count ()) in
     let t =

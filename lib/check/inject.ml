@@ -4,7 +4,6 @@ module Tactics = E9_core.Tactics
 module Stats = E9_core.Stats
 module Trampoline = E9_core.Trampoline
 module Obs = E9_obs.Obs
-module Json = E9_obs.Json
 module Fault = E9_fault.Fault
 
 (* One campaign case: a random rewrite profile × a random fault
@@ -284,15 +283,3 @@ let property ?(count = 40)
       match run_fcase f with
       | Ok _ -> true
       | Error m -> QCheck2.Test.fail_reportf "%s" m)
-
-let summary_json s =
-  Json.Obj
-    [ ("cases", Json.Int s.cases);
-      ("full", Json.Int s.full);
-      ("degraded", Json.Int s.degraded);
-      ("typed", Json.Int s.typed);
-      ("skipped", Json.Int s.skipped);
-      ("violations", Json.Int (List.length s.failures));
-      ("b0_sites", Json.Int s.b0_sites);
-      ("write_faults", Json.Int s.write_faults);
-      ("trace_faults", Json.Int s.trace_faults) ]

@@ -59,9 +59,6 @@ type summary = {
 
 val pp_summary : Format.formatter -> summary -> unit
 
-(** JSON rollup for BENCH_throughput.json's [faults] object. *)
-val summary_json : summary -> E9_obs.Json.t
-
 (** [campaign ?progress ~n ~seed ()] runs [n] random fault cases from a
     fixed seed; deterministic given [(n, seed)]. *)
 val campaign : ?progress:(int -> unit) -> n:int -> seed:int -> unit -> summary

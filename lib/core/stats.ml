@@ -38,34 +38,3 @@ let pp ppf t =
   Format.fprintf ppf
     "#Loc=%d Base=%.2f%% T1=%.2f%% T2=%.2f%% T3=%.2f%% Succ=%.2f%%" (total t)
     (base_pct t) (t1_pct t) (t2_pct t) (t3_pct t) (succ_pct t)
-
-(* ------------------------------------------------------------------ *)
-(* Harness throughput (the evaluation substrate's own performance)     *)
-(* ------------------------------------------------------------------ *)
-
-type throughput = {
-  wall_s : float;
-  emu_insns : int;
-  emu_wall_s : float;
-  block_hits : int;
-  block_misses : int;
-  block_invalidations : int;
-  domains : int;
-}
-
-let insns_per_sec t =
-  if t.emu_wall_s <= 0.0 then 0.0
-  else float_of_int t.emu_insns /. t.emu_wall_s
-
-let block_hit_rate t =
-  let total = t.block_hits + t.block_misses in
-  if total = 0 then 0.0 else float_of_int t.block_hits /. float_of_int total
-
-let pp_throughput ppf t =
-  Format.fprintf ppf
-    "wall=%.2fs domains=%d emu: %d insns in %.2fs (%.2f Minsns/s), block \
-     cache %.1f%% hit (%d hits / %d misses / %d flushes)"
-    t.wall_s t.domains t.emu_insns t.emu_wall_s
-    (insns_per_sec t /. 1e6)
-    (100.0 *. block_hit_rate t)
-    t.block_hits t.block_misses t.block_invalidations

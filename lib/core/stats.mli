@@ -35,26 +35,3 @@ val succ_pct : t -> float
 
 val tactic_name : tactic -> string
 val pp : Format.formatter -> t -> unit
-
-(** Throughput of the evaluation harness itself: how fast the bench
-    pipeline rewrote and emulated, not a property of the rewritten
-    binaries. Fed by the bench driver, persisted to BENCH_throughput.json
-    so successive PRs have a perf trajectory to regress against. *)
-type throughput = {
-  wall_s : float;  (** whole bench run, wall clock *)
-  emu_insns : int;  (** guest instructions emulated, all runs *)
-  emu_wall_s : float;  (** wall clock spent inside [Cpu.run] *)
-  block_hits : int;  (** superblock-cache hits, all runs *)
-  block_misses : int;
-  block_invalidations : int;  (** generation-mismatch cache flushes *)
-  domains : int;  (** domains the bench pipeline fanned out across *)
-}
-
-(** [insns_per_sec t] is emulated guest instructions per emulation
-    wall-clock second (0 when nothing ran). *)
-val insns_per_sec : throughput -> float
-
-(** [block_hit_rate t] is hits / (hits + misses), in [0, 1]. *)
-val block_hit_rate : throughput -> float
-
-val pp_throughput : Format.formatter -> throughput -> unit

@@ -205,19 +205,8 @@ module Agg = struct
     | Some (_, total_ns) -> float_of_int total_ns /. 1e9
     | None -> 0.0
 
-  let span_total_ns a name =
-    match Hashtbl.find_opt a.spans name with
-    | Some (_, total_ns) -> total_ns
-    | None -> 0
-
   let counter_total a name =
     match Hashtbl.find_opt a.counters name with Some n -> n | None -> 0
-
-  let counters_json a =
-    Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (sorted_bindings a.counters))
-
-  let gauges_json a =
-    Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (sorted_bindings a.gauges))
 
   let pp ppf a =
     Format.fprintf ppf "sites=%d patched=%d failed=%d" a.sites a.sites_patched

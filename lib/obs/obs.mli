@@ -143,9 +143,6 @@ module Agg : sig
       individual calls were. *)
   val span_total : agg -> string -> float
 
-  (** [span_total_ns a name] is the raw integer-nanosecond total. *)
-  val span_total_ns : agg -> string -> int
-
   (** [counter_total a name] is the summed value of counter [name]
       (0 when never emitted). *)
   val counter_total : agg -> string -> int
@@ -159,8 +156,6 @@ module Agg : sig
       total_s}]; [total_ns] is authoritative, [total_s] derived. *)
   val spans_json : agg -> Json.t
 
-  val counters_json : agg -> Json.t
-  val gauges_json : agg -> Json.t
   val pp : Format.formatter -> agg -> unit
 end
 

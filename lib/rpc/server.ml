@@ -89,8 +89,6 @@ let agg t =
       Obs.Agg.merge_into ~dst:copy t.agg;
       copy)
 
-let status_json t = t.ctx.Session.status ()
-
 let record_latency t dt =
   Mutex.lock t.lat_mutex;
   t.latencies <- dt :: t.latencies;

@@ -15,8 +15,6 @@
     The accept loop and sibling sessions keep running; [Pool.Service]
     traps anything that gets past the session's own typed-error fence. *)
 
-module Json = E9_obs.Json
-
 type t
 
 (** [create ()] — [cache_capacity] sizes the decode/result/raw caches
@@ -91,6 +89,3 @@ val latency_percentile : t -> float -> float
 
 (** Merged telemetry rollup from every closed session. *)
 val agg : t -> E9_obs.Obs.Agg.agg
-
-(** The [status] payload (also what the RPC method returns). *)
-val status_json : t -> Json.t

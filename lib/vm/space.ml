@@ -209,9 +209,6 @@ let map_zero t ~vaddr ~len ~prot =
     end
   end
 
-let is_mapped t addr = page_of t (addr lsr page_bits) <> None
-let pages_mapped t = Hashtbl.length t.pages
-
 let get_page_for t addr ~write ~exec =
   match page_of t (addr lsr page_bits) with
   | None -> fault addr "unmapped"
@@ -306,11 +303,6 @@ let read_bytes t addr len =
     Bytes.unsafe_set out i (Char.chr (read_u8 t (addr + i)))
   done;
   out
-
-let write_bytes t addr b =
-  for i = 0 to Bytes.length b - 1 do
-    write_u8 t (addr + i) (Char.code (Bytes.get b i))
-  done
 
 let fetch_window t addr =
   let pn = addr lsr page_bits in

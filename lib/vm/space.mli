@@ -32,14 +32,6 @@ val map_sub :
     pages are materialized lazily on first touch. *)
 val map_zero : t -> vaddr:int -> len:int -> prot:Elf_file.prot -> unit
 
-(** [is_mapped t addr] is true when [addr] lies in a mapped page. *)
-val is_mapped : t -> int -> bool
-
-(** [pages_mapped t] counts {e materialized} pages (physical-usage
-    accounting). Large zero mappings ([.bss], stacks) materialize lazily
-    on first touch and are not counted until then. *)
-val pages_mapped : t -> int
-
 (** Data accesses. Multi-byte accesses are little-endian and may cross page
     boundaries. Reads require [r], writes require [w]. *)
 val read_u8 : t -> int -> int
@@ -52,9 +44,6 @@ val write_u64 : t -> int -> int -> unit
 
 (** [read_bytes t addr len] copies out a range (requires [r]). *)
 val read_bytes : t -> int -> int -> bytes
-
-(** [write_bytes t addr b] copies in a range (requires [w]). *)
-val write_bytes : t -> int -> bytes -> unit
 
 (** [fetch_window t addr] returns up to 16 bytes starting at [addr] for
     instruction decoding (requires [x] on the first page; a window is

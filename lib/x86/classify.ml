@@ -40,37 +40,8 @@ let is_heap_write insn =
          | None -> false)
   | None -> false
 
-let is_control_flow = function
-  | Insn.Jmp _ | Insn.Jmp_short _ | Insn.Jmp_ind _ | Insn.Jcc _
-  | Insn.Jcc_short _ | Insn.Call _ | Insn.Call_ind _ | Insn.Ret | Insn.Int3
-  | Insn.Int _ | Insn.Ud2 ->
-      true
-  | Insn.Mov _ | Insn.Movabs _ | Insn.Lea _ | Insn.Alu _ | Insn.Imul _
-  | Insn.Movzx _ | Insn.Movsx _ | Insn.Setcc _ | Insn.Cmov _ | Insn.Neg _
-  | Insn.Not _ | Insn.Inc _ | Insn.Dec _ | Insn.Shift _ | Insn.Push _
-  | Insn.Pop _ | Insn.Pushfq | Insn.Popfq | Insn.Nop _ | Insn.Endbr64
-  | Insn.Syscall | Insn.Unknown _ ->
-      false
-
-let uses_rip_mem = function
-  | Insn.Mov (_, a, b) | Insn.Alu (_, _, a, b) ->
-      let rip = function Insn.Mem m -> m.rip_rel | _ -> false in
-      rip a || rip b
-  | Insn.Lea (_, m) -> m.Insn.rip_rel
-  | Insn.Shift (_, _, a, _) | Insn.Call_ind a | Insn.Jmp_ind a
-  | Insn.Setcc (_, a) | Insn.Neg (_, a) | Insn.Not (_, a) | Insn.Inc (_, a)
-  | Insn.Dec (_, a) ->
-      (match a with Insn.Mem m -> m.rip_rel | _ -> false)
-  | Insn.Imul (_, a) | Insn.Movzx (_, a) | Insn.Movsx (_, a)
-  | Insn.Cmov (_, _, a) ->
-      (match a with Insn.Mem m -> m.rip_rel | _ -> false)
-  | _ -> false
-
 let branch_rel = function
   | Insn.Jmp rel | Insn.Jmp_short rel | Insn.Jcc (_, rel)
   | Insn.Jcc_short (_, rel) | Insn.Call rel ->
       Some rel
   | _ -> None
-
-let is_pc_relative insn =
-  match branch_rel insn with Some _ -> true | None -> uses_rip_mem insn

@@ -11,15 +11,6 @@ val is_jump : Insn.t -> bool
     RIP-relative (the paper's application A2 selector, §6.3). *)
 val is_heap_write : Insn.t -> bool
 
-(** [is_control_flow i] — any instruction that transfers control (jumps,
-    calls, returns, traps). Such instructions end a basic block. *)
-val is_control_flow : Insn.t -> bool
-
-(** [is_pc_relative i] — the instruction's behaviour depends on its own
-    address (relative branches or RIP-relative operands); moving it into a
-    trampoline requires re-encoding. *)
-val is_pc_relative : Insn.t -> bool
-
 (** [mem_written i] — the memory operand written by [i], if any. *)
 val mem_written : Insn.t -> Insn.mem option
 

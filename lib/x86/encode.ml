@@ -1,9 +1,6 @@
 let jmp_opcode = 0xe9
 let jmp_short_opcode = 0xeb
 
-let jump_padding_prefixes =
-  [| 0x26; 0x2e; 0x36; 0x3e; 0x64; 0x65; 0x66; 0x48 |]
-
 type emitter = Buffer.t
 
 let u8 (b : emitter) v = Buffer.add_char b (Char.chr (v land 0xff))
@@ -354,5 +351,3 @@ let encode_with_prefixes prefixes insn =
   Buffer.contents b
 
 let length insn = String.length (encode insn)
-
-let encode_jmp_rel32 rel = encode (Insn.Jmp rel)

@@ -17,14 +17,6 @@ val encode_with_prefixes : int list -> Insn.t -> string
 (** [length insn] is [String.length (encode insn)]. *)
 val length : Insn.t -> int
 
-(** Prefix bytes that never change the semantics of a near jump: segment
-    overrides, the operand-size override, and the REX bytes. These are the
-    bytes tactic T1 may pad with. *)
-val jump_padding_prefixes : int array
-
-(** [encode_jmp_rel32 rel] is the canonical 5-byte [e9] jump. *)
-val encode_jmp_rel32 : int -> string
-
 (** The [e9] opcode byte. *)
 val jmp_opcode : int
 

@@ -68,7 +68,15 @@ let test_agg_merge () =
   Obs.Agg.add_event a (Obs.Span { name = "s"; dur_ns = 1_000_000_000 });
   Obs.Agg.add_event b (Obs.Site { addr = 2; tactic = None });
   Obs.Agg.add_event b (Obs.Span { name = "s"; dur_ns = 500_000_000 });
+  Obs.Agg.add_event a (Obs.Counter { name = "c"; value = 3 });
+  Obs.Agg.add_event a (Obs.Counter { name = "c"; value = 4 });
+  Obs.Agg.add_event b (Obs.Counter { name = "c"; value = 5 });
+  Obs.Agg.add_event b (Obs.Counter { name = "only_b"; value = 2 });
   Obs.Agg.merge_into ~dst:a b;
+  check_int "counter summed across merge" 12 (Obs.Agg.counter_total a "c");
+  check_int "counter only in src" 2 (Obs.Agg.counter_total a "only_b");
+  check_int "absent counter" 0 (Obs.Agg.counter_total a "absent");
+  check_int "src counter untouched" 5 (Obs.Agg.counter_total b "c");
   check_int "sites" 2 a.Obs.Agg.sites;
   check_int "failed" 1 a.Obs.Agg.sites_failed;
   let calls, total = Hashtbl.find a.Obs.Agg.spans "s" in
