@@ -57,10 +57,15 @@ fuzz-smoke: build
 # Fixed-seed fault-injection campaign (DESIGN.md §11): random rewrite
 # cases × random fault schedules; every injected fault must degrade to a
 # verified output, be accounted per-site, or raise a typed error with no
-# partial file.
+# partial file. At the default FAULT_N/FAULT_RPC_N/FAULT_SEED the two
+# summary lines must also match test/fault_summary.txt: a change that
+# moves which allocator query a schedule refuses moves the outcome counts.
 fault-smoke: build
 	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- fault -n $(FAULT_N) --seed $(FAULT_SEED) | tee fault_output.txt
 	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- fault --rpc -n $(FAULT_RPC_N) --seed $(FAULT_SEED) | tee -a fault_output.txt
+	if [ "$(FAULT_N)/$(FAULT_RPC_N)/$(FAULT_SEED)" = "500/60/42" ]; then \
+	  grep -E 'fault (cases|campaign):' fault_output.txt | diff -u test/fault_summary.txt -; \
+	fi
 
 # Robustness corpus: every adversarial family (lock prefixes, tiny-insn
 # starvation, mid-function data islands, stripped headers, endbr64

@@ -44,7 +44,7 @@ let kind_store = 2
    The filter applies identically to both runs, and the original program
    neither executes nor writes those ranges, so the comparison stays
    one-to-one for everything program-visible. *)
-let traced_run ?config ~bounds ~in_instr ~start elf =
+let traced_run ?config ~is_boundary ~in_instr ~start elf =
   let h = ref 0 in
   let count = ref 0 in
   let retires = ref 0 in
@@ -70,7 +70,7 @@ let traced_run ?config ~bounds ~in_instr ~start elf =
     if !started then begin
       (dropping :=
          match insn with Insn.Call _ | Insn.Call_ind _ -> true | _ -> false);
-      if Hashtbl.mem bounds addr && not (in_instr addr) then begin
+      if is_boundary addr && not (in_instr addr) then begin
         let rh = Array.fold_left mix 0 regs in
         emit kind_retire addr rh 0;
         incr retires
@@ -123,6 +123,21 @@ let first_divergence ta tb =
   in
   go 0
 
+(* The original instruction boundaries, one bit per text byte: every
+   retire asks, so the lookup is a bounds check and a bit test. *)
+let boundary_bitmap (text : Frontend.text) sites =
+  let bits = Bytes.make ((text.Frontend.size + 7) lsr 3) '\000' in
+  List.iter
+    (fun (s : Frontend.site) ->
+      let i = s.Frontend.addr - text.Frontend.base in
+      Bytes.set_uint8 bits (i lsr 3)
+        (Bytes.get_uint8 bits (i lsr 3) lor (1 lsl (i land 7))))
+    sites;
+  fun addr ->
+    let i = addr - text.Frontend.base in
+    i >= 0 && i < text.Frontend.size
+    && Bytes.get_uint8 bits (i lsr 3) land (1 lsl (i land 7)) <> 0
+
 let compare_runs ?config ?disasm_from ?(holes = []) ?(instr_ranges = [])
     ~original rewritten =
   (* [holes]: interior data extents the rewrite excluded. The boundary set
@@ -131,17 +146,14 @@ let compare_runs ?config ?disasm_from ?(holes = []) ?(instr_ranges = [])
      — but the hole-aware sweep also recovers the real boundaries {e
      after} each island that a desynchronized sweep would miss, keeping
      the comparison dense there. *)
-  let _, sites = Frontend.disassemble ?from:disasm_from ~holes original in
-  let bounds = Hashtbl.create 4096 in
-  List.iter
-    (fun (s : Frontend.site) -> Hashtbl.replace bounds s.Frontend.addr ())
-    sites;
+  let text, sites = Frontend.disassemble ?from:disasm_from ~holes original in
+  let is_boundary = boundary_bitmap text sites in
   let start = original.Elf_file.entry in
   let in_instr addr =
     List.exists (fun (lo, hi) -> addr >= lo && addr < hi) instr_ranges
   in
-  let ta = traced_run ?config ~bounds ~in_instr ~start original in
-  let tb = traced_run ?config ~bounds ~in_instr ~start rewritten in
+  let ta = traced_run ?config ~is_boundary ~in_instr ~start original in
+  let tb = traced_run ?config ~is_boundary ~in_instr ~start rewritten in
   if ta.result.Cpu.outcome <> tb.result.Cpu.outcome then
     Error
       (Printf.sprintf "outcome diverged: %s vs %s"

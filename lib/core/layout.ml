@@ -11,14 +11,13 @@ module Iset = E9_bits.Iset
    placements, never turns a success into a failure. *)
 let cursor_classes = 64
 
-(* Why the most recent failed query failed — the tactic layer turns this
-   into distinct reject reasons instead of blaming every failure on
-   allocator contention:
+(* Why a query failed — the tactic layer turns this into distinct reject
+   reasons instead of blaming every failure on allocator contention:
    - [Dead_window]: the create-time occupancy (guards + segments) alone
      already blocks every position, so no allocation could ever serve
      the window.
    - [Conflict]: a genuine dynamic collision with earlier trampolines. *)
-type denial = No_denial | Dead_window | Conflict
+type denial = Dead_window | Conflict
 
 type t = {
   base : Iset.t;  (* create-time occupancy, never mutated afterwards *)
@@ -27,7 +26,6 @@ type t = {
   cursors : int array;
   mutable cursor_hits : int;
   mutable cursor_misses : int;
-  mutable last_denial : denial;
 }
 
 (* Keep clear of the emulator's fixed homes so patched binaries cannot
@@ -69,23 +67,20 @@ let create ?(reserve_below_base = false) ?(block_size = 4096) (elf : Elf_file.t)
     trampoline_bytes = 0;
     cursors = Array.make cursor_classes min_int;
     cursor_hits = 0;
-    cursor_misses = 0;
-    last_denial = No_denial }
+    cursor_misses = 0 }
 
 let cursor_hits t = t.cursor_hits
 let cursor_misses t = t.cursor_misses
-let last_denial t = t.last_denial
 
 (* Failure classification (see {!denial}) runs only on the failure
-   path: one extra O(log n) probe against the base occupancy. *)
+   path: one extra O(log n) query against the base occupancy. *)
 let find_free t ~size ~lo ~hi =
   match Iset.find_free t.occupied ~size ~lo ~hi with
-  | Some _ as r -> r
+  | Some addr -> Ok addr
   | None ->
-      t.last_denial <-
+      Error
         (if Iset.find_free t.base ~size ~lo ~hi = None then Dead_window
-         else Conflict);
-      None
+         else Conflict)
 
 let span_class ~lo ~hi =
   let rec go n c =
@@ -98,55 +93,48 @@ let alloc t ~size ~lo ~hi =
   let hint = t.cursors.(c) in
   let found =
     if hint > lo && hint <= hi then
-      match find_free t ~size ~lo:hint ~hi with
-      | Some _ as r ->
+      match Iset.find_free t.occupied ~size ~lo:hint ~hi with
+      | Some addr ->
           t.cursor_hits <- t.cursor_hits + 1;
-          r
+          Ok addr
       | None ->
           t.cursor_misses <- t.cursor_misses + 1;
           find_free t ~size ~lo ~hi
     else find_free t ~size ~lo ~hi
   in
-  match found with
-  | Some addr ->
+  (match found with
+  | Ok addr ->
       Iset.add t.occupied ~lo:addr ~hi:(addr + size);
       t.trampoline_bytes <- t.trampoline_bytes + size;
-      t.cursors.(c) <- addr + size;
-      Some addr
-  | None -> None
-
-let is_free t ~addr ~size =
-  Iset.is_free t.occupied ~lo:addr ~hi:(addr + size)
-  || begin
-       t.last_denial <-
-         (if Iset.is_free t.base ~lo:addr ~hi:(addr + size) then Conflict
-          else Dead_window);
-       false
-     end
+      t.cursors.(c) <- addr + size
+  | Error _ -> ());
+  found
 
 let probe t ~size ~lo ~hi = find_free t ~size ~lo ~hi
 
 let probe_strided t ~size ~lo ~hi ~stride =
   match Iset.find_free_strided t.occupied ~size ~lo ~hi ~stride with
-  | Some _ as r -> r
+  | Some addr -> Ok addr
   | None ->
-      t.last_denial <-
+      Error
         (if Iset.find_free_strided t.base ~size ~lo ~hi ~stride = None then
            Dead_window
-         else Conflict);
-      None
+         else Conflict)
 
 let release t ~addr ~size =
   Iset.remove t.occupied ~lo:addr ~hi:(addr + size);
   t.trampoline_bytes <- t.trampoline_bytes - size
 
 let alloc_at t ~addr ~size =
-  if is_free t ~addr ~size then begin
+  if Iset.is_free t.occupied ~lo:addr ~hi:(addr + size) then begin
     Iset.add t.occupied ~lo:addr ~hi:(addr + size);
     t.trampoline_bytes <- t.trampoline_bytes + size;
-    true
+    Ok ()
   end
-  else false
+  else
+    Error
+      (if Iset.is_free t.base ~lo:addr ~hi:(addr + size) then Conflict
+       else Dead_window)
 
 let reserve t ~addr ~size = Iset.add t.occupied ~lo:addr ~hi:(addr + size)
 

@@ -21,15 +21,13 @@ type t
     with original content. Pass the page-grouping granularity in bytes. *)
 val create : ?reserve_below_base:bool -> ?block_size:int -> Elf_file.t -> t
 
-(** Why the most recent failed query ({!alloc}, {!probe},
-    {!probe_strided}, {!alloc_at}) failed. [Dead_window]: the
-    create-time base occupancy (guards + segments) alone blocks every
-    position, so retrying is pointless. [Conflict]: a genuine dynamic
-    collision with previously allocated trampolines. Classification runs
-    only on failure paths. *)
-type denial = No_denial | Dead_window | Conflict
-
-val last_denial : t -> denial
+(** Why a query ({!alloc}, {!probe}, {!probe_strided}, {!alloc_at})
+    failed. [Dead_window]: the create-time base occupancy (guards +
+    segments) alone blocks every position, so retrying is pointless.
+    [Conflict]: a genuine dynamic collision with previously allocated
+    trampolines or {!reserve}d ranges. Classification runs only on
+    failure paths. *)
+type denial = Dead_window | Conflict
 
 (** Next-fit cursor telemetry: allocations that resumed from the
     remembered per-window-class scan position ([cursor_hits]) vs. ones
@@ -41,27 +39,27 @@ val cursor_misses : t -> int
 
 (** [alloc t ~size ~lo ~hi] reserves [size] bytes whose start lies in
     [lo, hi] (inclusive), preferring the lowest address; returns the start,
-    or [None] if the window has no free gap. A per-window-class next-fit
+    or why the window has no free gap. A per-window-class next-fit
     cursor resumes the scan where the previous same-class allocation
     ended, falling back to a full first-fit scan on a miss — so the set of
     windows that allocate successfully is exactly first-fit's. *)
-val alloc : t -> size:int -> lo:int -> hi:int -> int option
+val alloc : t -> size:int -> lo:int -> hi:int -> (int, denial) result
 
 (** [probe t ~size ~lo ~hi] is like {!alloc} but reserves nothing: T2
     and T3 probe an evictee home or a candidate, then claim it with
     {!alloc_at} once the rest of the commit is known to fit. *)
-val probe : t -> size:int -> lo:int -> hi:int -> int option
+val probe : t -> size:int -> lo:int -> hi:int -> (int, denial) result
 
 (** [probe_strided t ~size ~lo ~hi ~stride] finds a free range whose start
     is congruent to [lo] modulo [stride] — the query shape of T3's
     J_patch, whose low displacement bytes J_victim pins to a residue.
     Reserves nothing. *)
 val probe_strided :
-  t -> size:int -> lo:int -> hi:int -> stride:int -> int option
+  t -> size:int -> lo:int -> hi:int -> stride:int -> (int, denial) result
 
 (** [alloc_at t ~addr ~size] claims the exact range as a trampoline if it
-    is free; returns whether it succeeded. *)
-val alloc_at : t -> addr:int -> size:int -> bool
+    is free, or says why it is not. *)
+val alloc_at : t -> addr:int -> size:int -> (unit, denial) result
 
 (** [release t ~addr ~size] rolls back a reservation made by {!alloc} /
     {!alloc_at} (used when the second half of a T2 or T3 commit fails). *)

@@ -38,14 +38,6 @@ type ctx = {
   opts : options;
   obs : Obs.t;
   fault : Fault.t;
-  (* Set when an injected refusal contributed to the current tactic's
-     failure, so the Obs reject reason reads [Injected] rather than a
-     spurious [Alloc_conflict]; consumed (and cleared) at reject time. *)
-  mutable injected : bool;
-  (* Per-site accumulation of why Layout queries failed (reset at the top
-     of [patch]): feeds the typed reject reasons. *)
-  mutable dead_denied : bool;
-  mutable dyn_denied : bool;
 }
 
 let create_ctx ?(obs = Obs.null) ?(fault = Fault.none) ~text ~text_base
@@ -60,89 +52,37 @@ let create_ctx ?(obs = Obs.null) ?(fault = Fault.none) ~text ~text_base
     traps = [];
     opts = options;
     obs;
-    fault;
-    injected = false;
-    dead_denied = false;
-    dyn_denied = false }
+    fault }
 
 let trampolines ctx = List.rev ctx.trampolines
 let trap_entries ctx = List.rev ctx.traps
 let locks ctx = ctx.locks
 
 (* ------------------------------------------------------------------ *)
-(* Fault-guarded allocator queries                                      *)
+(* The fault-guarded allocator query                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Every jump-tactic Layout query funnels through these, so an [Alloc]
+let reason_of_denial = function
+  | Layout.Dead_window -> Obs.Dead_window
+  | Layout.Conflict -> Obs.Alloc_conflict
+
+(* Every jump-tactic Layout query runs through [guarded], so an [Alloc]
    rule can deterministically refuse "the Nth allocation" whatever
-   tactic issues it. B0's own allocation is deliberately NOT guarded by
-   the [Alloc] site (it has its own [B0_alloc] site in [try_b0]): the
-   paper's always-succeeds fallback must keep succeeding when the jump
-   tactics are starved, or injected exhaustion could never be degraded
-   to a verified rewrite. [Layout.release] is never guarded — refusing
-   to give memory back models no real failure and would corrupt the
-   arena's books. *)
-
-let inj ctx = ctx.injected <- true
-
-let take_injected ctx =
-  let v = ctx.injected in
-  ctx.injected <- false;
-  v
-
-(* Record why the Layout query that just failed failed (valid only
-   immediately after a failing call; see Layout.last_denial). *)
-let note_denial ctx =
-  match Layout.last_denial ctx.layout with
-  | Layout.Dead_window -> ctx.dead_denied <- true
-  | Layout.Conflict -> ctx.dyn_denied <- true
-  | Layout.No_denial -> ()
-
-(* The typed reject reason for a query that just returned [None]:
-   injected refusal first (the Layout state is stale in that case), then
-   the allocator's own classification, with [default] naming the
-   tactic's historical reason for a genuine dynamic conflict. *)
-let denial_reason ctx ~default =
-  if take_injected ctx then Obs.Injected
+   tactic issues it; a refused query never reaches the allocator. A
+   failure comes back as the reject reason it stands for, and each
+   tactic derives its own reason from its own queries alone. B0's
+   allocation is deliberately NOT guarded by the [Alloc] site (it has
+   its own [B0_alloc] site in [try_b0]): the paper's always-succeeds
+   fallback must keep succeeding when the jump tactics are starved, or
+   injected exhaustion could never be degraded to a verified rewrite.
+   [Layout.release] is never guarded — refusing to give memory back
+   models no real failure and would corrupt the arena's books. *)
+let guarded ctx query =
+  if Fault.fires ctx.fault Fault.Alloc then Error Obs.Injected
   else
-    match Layout.last_denial ctx.layout with
-    | Layout.Dead_window -> Obs.Dead_window
-    | Layout.Conflict | Layout.No_denial -> default
-
-let alloc_g ctx ~size ~lo ~hi =
-  if Fault.fires ctx.fault Fault.Alloc then begin inj ctx; None end
-  else
-    match Layout.alloc ctx.layout ~size ~lo ~hi with
-    | None ->
-        note_denial ctx;
-        None
-    | r -> r
-
-let probe_g ctx ~size ~lo ~hi =
-  if Fault.fires ctx.fault Fault.Alloc then begin inj ctx; None end
-  else
-    match Layout.probe ctx.layout ~size ~lo ~hi with
-    | None ->
-        note_denial ctx;
-        None
-    | r -> r
-
-let probe_strided_g ctx ~size ~lo ~hi ~stride =
-  if Fault.fires ctx.fault Fault.Alloc then begin inj ctx; None end
-  else
-    match Layout.probe_strided ctx.layout ~size ~lo ~hi ~stride with
-    | None ->
-        note_denial ctx;
-        None
-    | r -> r
-
-let alloc_at_g ctx ~addr ~size =
-  if Fault.fires ctx.fault Fault.Alloc then begin inj ctx; false end
-  else if Layout.alloc_at ctx.layout ~addr ~size then true
-  else begin
-    note_denial ctx;
-    false
-  end
+    match query ctx.layout with
+    | Ok v -> Ok v
+    | Error d -> Error (reason_of_denial d)
 
 (* ------------------------------------------------------------------ *)
 (* Text access                                                         *)
@@ -196,32 +136,39 @@ let free_bytes_of ~len ~pad = min (max (len - pad - 1) 0) 4
    overshoot. Clamp every window by a page of slack. *)
 let reach_margin = 0x1000
 
-let clamp_window ~jmp_end (lo, hi) =
+(* The pun constraint as one interval (paper §1): the targets a 5-byte
+   jump ending at [jmp_end] reaches when its low [free] displacement
+   bytes are free and the rest read [fixed] (low byte first), clamped so
+   the trampoline can still jump back. Every tactic's trampoline window
+   is one of these; B0's trap is [free = 4], [fixed = []]. *)
+let window ~jmp_end ~free ~fixed =
+  let lo, hi =
+    Pun.target_window ~jmp_end ~free_bytes:free
+      ~fixed_high:(Pun.fixed_high_of_bytes fixed)
+  in
   ( max lo (jmp_end - 0x8000_0000 + reach_margin),
     min hi (jmp_end + 0x7fff_ffff - reach_margin) )
 
+(* The [4 - free] displacement bytes of a jump at [jmp_off] that the text
+   already fixes. *)
+let fixed_bytes ctx ~jmp_off ~free =
+  List.init (4 - free) (fun i -> byte ctx (jmp_off + 1 + free + i))
+
 (* The pun geometry at [addr]/[len]/[pad]: checks locks and text bounds,
-   reads the fixed displacement bytes, and returns the target window.
-   The [Error] carries why the jump cannot be placed at all. *)
+   reads the fixed displacement bytes, and returns the free byte count
+   and the target window. The [Error] carries why the jump cannot be
+   placed at all. *)
 let pun_window ctx ~addr ~len ~pad =
   let jmp_off = addr + pad in
-  let jmp_end = jmp_off + 5 in
   let free = free_bytes_of ~len ~pad in
   let mod_hi = max (addr + len) (jmp_off + 1 + free) in
   if not (Lock.all_unlocked ctx.locks ~addr ~len:(mod_hi - addr)) then
     Error Obs.Locked
   else if free < 4 && not (in_text ctx (jmp_off + 4)) then Error Obs.Pun_miss
-  else begin
-    let fixed =
-      List.init (4 - free) (fun i -> byte ctx (jmp_off + 1 + free + i))
-    in
-    let fixed_high = Pun.fixed_high_of_bytes fixed in
-    let lo, hi =
-      clamp_window ~jmp_end
-        (Pun.target_window ~jmp_end ~free_bytes:free ~fixed_high)
-    in
-    if lo > hi then Error Obs.Range else Ok (jmp_end, free, lo, hi)
-  end
+  else
+    let fixed = fixed_bytes ctx ~jmp_off ~free in
+    let lo, hi = window ~jmp_end:(jmp_off + 5) ~free ~fixed in
+    if lo > hi then Error Obs.Range else Ok (lo, hi)
 
 (* Write the (validated, allocated) jump. Punned bytes are asserted, not
    written: a mismatch would mean the caller's window arithmetic is wrong. *)
@@ -255,14 +202,14 @@ let try_pun ctx (site : Frontend.site) template ~pad =
   else
     match pun_window ctx ~addr:site.addr ~len:site.len ~pad with
     | Error _ as e -> e
-    | Ok (_, _, lo, hi) -> (
+    | Ok (lo, hi) -> (
         let tsize =
           Trampoline.size template ~insn:site.insn ~insn_addr:site.addr
             ~insn_len:site.len
         in
-        match alloc_g ctx ~size:tsize ~lo ~hi with
-        | None -> Error (denial_reason ctx ~default:Obs.Alloc_conflict)
-        | Some t ->
+        match guarded ctx (Layout.alloc ~size:tsize ~lo ~hi) with
+        | Error _ as e -> e
+        | Ok t ->
             write_jump ctx ~addr:site.addr ~len:site.len ~pad ~target:t;
             add_trampoline ctx t
               (Trampoline.emit template ~at:t ~insn:site.insn
@@ -311,6 +258,15 @@ let try_t1 ctx (site : Frontend.site) template =
 (* T2: successor eviction                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* T2 tries several paddings; its reject reason is the strongest among
+   its own failed queries: an injected refusal, then a dynamic conflict,
+   then a dead window. *)
+let worse a b =
+  match (a, b) with
+  | Obs.Injected, _ | _, Obs.Injected -> Obs.Injected
+  | Obs.Alloc_conflict, _ | _, Obs.Alloc_conflict -> Obs.Alloc_conflict
+  | _ -> Obs.Dead_window
+
 (* The paper's two-step T2: evict the successor S to the first-fit
    evictee home, then "reapply B2/T1" with whatever bytes resulted. *)
 let try_t2 ctx (site : Frontend.site) template =
@@ -331,10 +287,7 @@ let try_t2 ctx (site : Frontend.site) template =
         (* The successor's own (pad-0) pun geometry. *)
         match pun_window ctx ~addr:s_addr ~len:s.len ~pad:0 with
         | Error reason -> rejected reason
-        | Ok (_, s_free, s_lo, s_hi) ->
-            let s_fixed =
-              List.init (4 - s_free) (fun i -> byte ctx (s_addr + 1 + s_free + i))
-            in
+        | Ok (s_lo, s_hi) ->
             let ev_size =
               Trampoline.size Trampoline.Empty ~insn:s.insn ~insn_addr:s_addr
                 ~insn_len:s.len
@@ -343,67 +296,59 @@ let try_t2 ctx (site : Frontend.site) template =
               Trampoline.size template ~insn:site.insn ~insn_addr:site.addr
                 ~insn_len:k
             in
-            (* Commit with S evicted to [t_s] and the patch jump at pad [p];
-               the patch pun's fixed bytes are then [e9] plus S's
-               displacement bytes. *)
+            (* Commit with S evicted to [t_s] and the patch jump at pad [p]:
+               the patch pun's fixed bytes are then [e9] plus the low
+               bytes of S's new displacement. *)
             let commit ~pad:p t_s =
-              let p_jmp_end = site.addr + p + 5 in
-              (* S displacement bytes read by the patch pun. *)
-              let n_over = max 0 (p + 4 - k) in
-              let rel_s = (t_s - (s_addr + 5)) land 0xffff_ffff in
-              let over_bytes =
-                List.init n_over (fun q ->
-                    if q < s_free then (rel_s lsr (8 * q)) land 0xff
-                    else List.nth s_fixed (q - s_free))
+              let rel_s =
+                Pun.rel32_bytes
+                  (Pun.rel32_for ~jmp_end:(s_addr + 5) ~target:t_s)
               in
-              let p_lo, p_hi =
-                clamp_window ~jmp_end:p_jmp_end
-                  (Pun.target_window ~jmp_end:p_jmp_end ~free_bytes:(k - p - 1)
-                     ~fixed_high:(Pun.fixed_high_of_bytes (0xe9 :: over_bytes)))
+              let fixed =
+                0xe9 :: List.init (max 0 (p + 4 - k)) (Array.get rel_s)
               in
-              if not (alloc_at_g ctx ~addr:t_s ~size:ev_size) then None
-              else
-                match alloc_g ctx ~size:tsize ~lo:p_lo ~hi:p_hi with
-                | None ->
-                    Layout.release ctx.layout ~addr:t_s ~size:ev_size;
-                    None
-                | Some t_p ->
-                    (* Evict S first so the patch pun's fixed bytes read S's
-                       final representation. *)
-                    write_jump ctx ~addr:s_addr ~len:s.len ~pad:0 ~target:t_s;
-                    add_trampoline ctx t_s
-                      (Trampoline.emit_evictee ~at:t_s ~insn:s.insn
-                         ~insn_addr:s_addr ~insn_len:s.len);
-                    write_jump ctx ~addr:site.addr ~len:k ~pad:p ~target:t_p;
-                    add_trampoline ctx t_p
-                      (Trampoline.emit template ~at:t_p ~insn:site.insn
-                         ~insn_addr:site.addr ~insn_len:k);
-                    Some t_p
+              let lo, hi =
+                window ~jmp_end:(site.addr + p + 5) ~free:(k - p - 1) ~fixed
+              in
+              match guarded ctx (Layout.alloc_at ~addr:t_s ~size:ev_size) with
+              | Error r -> Error r
+              | Ok () -> (
+                  match guarded ctx (Layout.alloc ~size:tsize ~lo ~hi) with
+                  | Error _ as e ->
+                      Layout.release ctx.layout ~addr:t_s ~size:ev_size;
+                      e
+                  | Ok t_p ->
+                      (* Evict S first so the patch pun's fixed bytes read
+                         S's final representation. *)
+                      write_jump ctx ~addr:s_addr ~len:s.len ~pad:0 ~target:t_s;
+                      add_trampoline ctx t_s
+                        (Trampoline.emit_evictee ~at:t_s ~insn:s.insn
+                           ~insn_addr:s_addr ~insn_len:s.len);
+                      write_jump ctx ~addr:site.addr ~len:k ~pad:p ~target:t_p;
+                      add_trampoline ctx t_p
+                        (Trampoline.emit template ~at:t_p ~insn:site.insn
+                           ~insn_addr:site.addr ~insn_len:k);
+                      Ok t_p)
             in
-            let rec go p =
-              if p > k - 1 then None
+            (* Only a patch pun that overlaps S needs S evicted. *)
+            let rec go p why =
+              if p > k - 1 then Error why
+              else if k - p - 1 >= 4 then go (p + 1) why
               else
-                let placed =
-                  (* Only useful when the patch pun actually overlaps S. *)
-                  if k - p - 1 >= 4 then None
-                  else
-                    match probe_g ctx ~size:ev_size ~lo:s_lo ~hi:s_hi with
-                    | None -> None
-                    | Some t_s -> commit ~pad:p t_s
-                in
-                match placed with Some t_p -> Some (t_p, p) | None -> go (p + 1)
+                match
+                  Result.bind
+                    (guarded ctx (Layout.probe ~size:ev_size ~lo:s_lo ~hi:s_hi))
+                    (commit ~pad:p)
+                with
+                | Ok t_p -> Ok (t_p, p)
+                | Error r -> go (p + 1) (worse why r)
             in
-            (match go 0 with
-            | Some (t_p, p) ->
+            (match go 0 Obs.Dead_window with
+            | Ok (t_p, p) ->
                 Obs.accept ctx.obs ~addr:site.addr ~tactic:Obs.T2
                   ~trampoline:t_p ~pad:p ~evictee_distance:k;
                 Some (Stats.T2, t_p)
-            | None ->
-                rejected
-                  (if take_injected ctx then Obs.Injected
-                   else if ctx.dyn_denied then Obs.Alloc_conflict
-                   else if ctx.dead_denied then Obs.Dead_window
-                   else Obs.Alloc_conflict))
+            | Error reason -> rejected reason)
       end
 
 (* ------------------------------------------------------------------ *)
@@ -431,33 +376,177 @@ let write_short_jump ctx (site : Frontend.site) ~jp =
    no eviction and no extra trampoline are needed. *)
 let try_t3_squat ctx (site : Frontend.site) template tsize =
   let is_dead a = Lock.locked ctx.dead a && not (Lock.locked ctx.locks a) in
-  let result = ref None in
-  let a = ref (site.addr + 2) in
-  while !result = None && !a <= site.addr + 2 + 127 do
-    if is_dead !a then begin
-      let rec run n = if n < 4 && is_dead (!a + 1 + n) then run (n + 1) else n in
-      let free = run 0 in
-      match pun_window ctx ~addr:!a ~len:(1 + free) ~pad:0 with
-      | Error _ -> ()
-      | Ok (_, _, lo, hi) -> (
-          match alloc_g ctx ~size:tsize ~lo ~hi with
-          | None -> ()
-          | Some t_p ->
-              write_jump ctx ~addr:!a ~len:(1 + free) ~pad:0 ~target:t_p;
+  let rec go a =
+    if a > site.addr + 2 + 127 then None
+    else if not (is_dead a) then go (a + 1)
+    else
+      let rec run n = if n < 4 && is_dead (a + 1 + n) then run (n + 1) else n in
+      let len = 1 + run 0 in
+      match pun_window ctx ~addr:a ~len ~pad:0 with
+      | Error _ -> go (a + 1)
+      | Ok (lo, hi) -> (
+          match guarded ctx (Layout.alloc ~size:tsize ~lo ~hi) with
+          | Error _ -> go (a + 1)
+          | Ok t_p ->
+              write_jump ctx ~addr:a ~len ~pad:0 ~target:t_p;
               add_trampoline ctx t_p
                 (Trampoline.emit template ~at:t_p ~insn:site.insn
                    ~insn_addr:site.addr ~insn_len:site.len);
-              write_short_jump ctx site ~jp:!a;
-              result := Some (t_p, !a))
-    end;
-    incr a
-  done;
-  !result
+              write_short_jump ctx site ~jp:a;
+              Some (t_p, a))
+  in
+  go (site.addr + 2)
+
+(* J_patch may start at any victim byte except the first. Prefer
+   positions where both J_patch and J_victim keep at least one free
+   displacement byte (j in [2, len-2]); the extremes pin one of the two
+   jumps to an exact target and almost never allocate. *)
+let t3_positions (v : Frontend.site) =
+  let good = List.rev (List.init (max 0 (v.len - 3)) (fun i -> i + 2)) in
+  let extras = if v.len - 1 >= 2 then [ v.len - 1; 1 ] else [ 1 ] in
+  good @ List.filter (fun j -> not (List.mem j good)) extras
+
+(* T3 with J_patch at byte [j] of victim [v]: walk candidate J_patch
+   homes (one per value of the low bytes J_victim pins) until J_victim
+   can pun over one. Returns the patch trampoline, or the budget left. *)
+let t3_position ctx (site : Frontend.site) template ~tsize (v : Frontend.site)
+    ~ev_size j ~budget =
+  let jp = v.addr + j in
+  let rel8 = jp - (site.addr + 2) in
+  let fp = free_bytes_of ~len:(v.len - j) ~pad:0 in
+  (* Lock check over everything T3 modifies: the J_victim bytes, the
+     J_patch bytes, and (for j >= 5) both ranges. *)
+  if rel8 < 0 || rel8 > 127
+     || not
+          (Lock.all_unlocked ctx.locks ~addr:v.addr ~len:5
+          && Lock.all_unlocked ctx.locks ~addr:jp ~len:(1 + fp))
+     || not (fp = 4 || in_text ctx (jp + 4))
+  then Error budget
+  else
+    let jp_lo, jp_hi =
+      window ~jmp_end:(jp + 5) ~free:fp
+        ~fixed:(fixed_bytes ctx ~jmp_off:jp ~free:fp)
+    in
+    (* Displacement bytes of J_patch read back by J_victim. *)
+    let n_pin = min (max 0 (4 - j)) fp in
+    let fv = min (j - 1) 4 in
+    let combos = 1 lsl (8 * n_pin) in
+    (* Cap per-position probes so the budget spreads over many victims
+       rather than drowning in one 2^16 value space. *)
+    let tries = min combos (min budget 256) in
+    let commit t_p =
+      (* J_victim's fixed displacement bytes are now known: positions
+         fv..3 map onto [e9; J_patch rel32 ...]. *)
+      let rel_p =
+        Pun.rel32_bytes (Pun.rel32_for ~jmp_end:(jp + 5) ~target:t_p)
+      in
+      let fixed =
+        List.init (4 - fv) (fun i ->
+            let pos = fv + i in
+            if pos = j - 1 then 0xe9 else rel_p.(pos - j))
+      in
+      let v_lo, v_hi = window ~jmp_end:(v.addr + 5) ~free:fv ~fixed in
+      match guarded ctx (Layout.alloc_at ~addr:t_p ~size:tsize) with
+      | Error r -> Error r
+      | Ok () -> (
+          let victim_home =
+            match
+              guarded ctx (Layout.probe ~size:ev_size ~lo:v_lo ~hi:v_hi)
+            with
+            | Error r -> Error r
+            | Ok t_v ->
+                Result.map (fun () -> t_v)
+                  (guarded ctx (Layout.alloc_at ~addr:t_v ~size:ev_size))
+          in
+          match victim_home with
+          | Error r ->
+              Layout.release ctx.layout ~addr:t_p ~size:tsize;
+              Error r
+          | Ok t_v ->
+              (* Write J_patch first: J_victim puns over it. *)
+              write_jump ctx ~addr:jp ~len:(v.len - j) ~pad:0 ~target:t_p;
+              write_jump ctx ~addr:v.addr ~len:j ~pad:0 ~target:t_v;
+              write_short_jump ctx site ~jp;
+              add_trampoline ctx t_p
+                (Trampoline.emit template ~at:t_p ~insn:site.insn
+                   ~insn_addr:site.addr ~insn_len:site.len);
+              add_trampoline ctx t_v
+                (Trampoline.emit_evictee ~at:t_v ~insn:v.insn ~insn_addr:v.addr
+                   ~insn_len:v.len);
+              Ok t_p)
+    in
+    let rec candidate i ~budget =
+      if i >= tries then Error budget
+      else
+        let w = candidate_seq ~combos ~tries i in
+        match
+          Result.bind
+            (guarded ctx
+               (Layout.probe_strided ~size:tsize ~lo:(jp_lo + w) ~hi:jp_hi
+                  ~stride:combos))
+            commit
+        with
+        | Ok t_p -> Ok t_p
+        | Error _ -> candidate (i + 1) ~budget:(budget - 1)
+    in
+    (* Every strided start lies in [jp_lo, jp_hi]: when no start there
+       fits at all, each probe would fail, so charge the position's
+       budget and skip it. The skipped probes still count as [Alloc]
+       fault occurrences, so a fault schedule fires on the same queries
+       either way. *)
+    if Result.is_error (Layout.probe ctx.layout ~size:tsize ~lo:jp_lo ~hi:jp_hi)
+    then begin
+      if not (Fault.is_none ctx.fault) then
+        for _ = 1 to tries do
+          ignore (Fault.fires ctx.fault Fault.Alloc)
+        done;
+      Error (budget - tries)
+    end
+    else candidate 0 ~budget
+
+(* T3's victims: the displaceable instructions after the patch site
+   within short-jump range (S1 restricts the short jump to positive
+   offsets), each tried at its J_patch positions in preference order
+   until one places or the budget runs out. Returns the patch trampoline
+   and the victim's address, or the budget left. *)
+let t3_search ctx (site : Frontend.site) template ~tsize ~budget =
+  let rec victim vi ~budget =
+    if budget <= 0 || vi >= Array.length ctx.sites
+       || ctx.sites.(vi).addr > site.addr + 2 + 127
+    then Error budget
+    else
+      let v = ctx.sites.(vi) in
+      if not (displaceable v.insn && v.len >= 2) then victim (vi + 1) ~budget
+      else
+        let ev_size =
+          Trampoline.size Trampoline.Empty ~insn:v.insn ~insn_addr:v.addr
+            ~insn_len:v.len
+        in
+        let rec position js ~budget =
+          match js with
+          | j :: js when budget > 0 -> (
+              match
+                t3_position ctx site template ~tsize v ~ev_size j ~budget
+              with
+              | Ok t_p -> Ok (t_p, v.addr)
+              | Error budget -> position js ~budget)
+          | _ -> victim (vi + 1) ~budget
+        in
+        position (t3_positions v) ~budget
+  in
+  match site_index ctx site.addr with
+  | Some i -> victim (i + 1) ~budget
+  | None -> Error budget
 
 let try_t3 ctx (site : Frontend.site) template =
   let rejected reason =
     Obs.reject ctx.obs ~addr:site.addr ~tactic:Obs.T3 ~reason;
     None
+  in
+  let accepted (t_p, evictee) =
+    Obs.accept ctx.obs ~addr:site.addr ~tactic:Obs.T3 ~trampoline:t_p ~pad:0
+      ~evictee_distance:(evictee - site.addr);
+    Some (Stats.T3, t_p)
   in
   if site.len < 2 then rejected Obs.Too_short
     (* the short jump needs two bytes (L2) *)
@@ -468,152 +557,20 @@ let try_t3 ctx (site : Frontend.site) template =
       Trampoline.size template ~insn:site.insn ~insn_addr:site.addr
         ~insn_len:site.len
     in
+    (* T3's own injected refusals, squat and search alike, are the
+       [Alloc] fires between here and its verdict. *)
+    let fired = Fault.fired ctx.fault Fault.Alloc in
     match try_t3_squat ctx site template tsize with
-    | Some (t_p, jp) ->
-        Obs.accept ctx.obs ~addr:site.addr ~tactic:Obs.T3 ~trampoline:t_p
-          ~pad:0 ~evictee_distance:(jp - site.addr);
-        Some (Stats.T3, t_p)
-    | None ->
-    let result = ref None in
-    let budget = ref t3_budget in
-    (* Walk candidate victims: following instructions within short-jump
-       range. S1 restricts the short jump to positive offsets. *)
-    let vi = ref (match site_index ctx site.addr with Some i -> i + 1 | None -> max_int) in
-    while
-      !result = None && !budget > 0
-      && !vi < Array.length ctx.sites
-      && ctx.sites.(!vi).addr <= site.addr + 2 + 127
-    do
-      let v = ctx.sites.(!vi) in
-      if displaceable v.insn && v.len >= 2 then begin
-        let ev_size =
-          Trampoline.size Trampoline.Empty ~insn:v.insn ~insn_addr:v.addr
-            ~insn_len:v.len
-        in
-        (* J_patch may start at any victim byte except the first. Prefer
-           positions where both J_patch and J_victim keep at least one free
-           displacement byte (j in [2, len-2]); the extremes pin one of the
-           two jumps to an exact target and almost never allocate. *)
-        let js =
-          let good = List.rev (List.init (max 0 (v.len - 3)) (fun i -> i + 2)) in
-          let extras = if v.len - 1 >= 2 then [ v.len - 1; 1 ] else [ 1 ] in
-          good @ List.filter (fun j -> not (List.mem j good)) extras
-        in
-        let jq = ref js in
-        while !result = None && !jq <> [] && !budget > 0 do
-          let j = ref (List.hd !jq) in
-          jq := List.tl !jq;
-          let jp = v.addr + !j in
-          let rel8 = jp - (site.addr + 2) in
-          if rel8 >= 0 && rel8 <= 127 then begin
-            let fp = free_bytes_of ~len:(v.len - !j) ~pad:0 in
-            (* Lock check over everything T3 modifies: the J_victim bytes,
-               the J_patch bytes, and (for j >= 5) both ranges. *)
-            let mod_ok =
-              Lock.all_unlocked ctx.locks ~addr:v.addr ~len:5
-              && Lock.all_unlocked ctx.locks ~addr:jp ~len:(1 + fp)
-            in
-            if mod_ok && (fp = 4 || in_text ctx (jp + 4)) then begin
-              let jp_fixed =
-                List.init (4 - fp) (fun i -> byte ctx (jp + 1 + fp + i))
-              in
-              let jp_lo, jp_hi =
-                clamp_window ~jmp_end:(jp + 5)
-                  (Pun.target_window ~jmp_end:(jp + 5) ~free_bytes:fp
-                     ~fixed_high:(Pun.fixed_high_of_bytes jp_fixed))
-              in
-              (* Displacement bytes of J_patch read back by J_victim. *)
-              let n_over = max 0 (4 - !j) in
-              let n_pin = min n_over fp in
-              let fv = min (!j - 1) 4 in
-              let combos = 1 lsl (8 * n_pin) in
-              (* Cap per-position probes so the budget spreads over many
-                 victims rather than drowning in one 2^16 value space. *)
-              let tries = min combos (min !budget 256) in
-              (* Every strided start lies in [jp_lo, jp_hi]: when no start
-                 there fits at all, each probe below would fail, so charge
-                 the position's budget and skip it. The skipped probes
-                 still count as [Alloc] fault occurrences, so a fault
-                 schedule fires on the same queries either way. *)
-              let i = ref 0 in
-              if Layout.probe ctx.layout ~size:tsize ~lo:jp_lo ~hi:jp_hi = None
-              then begin
-                budget := !budget - tries;
-                if not (Fault.is_none ctx.fault) then
-                  for _ = 1 to tries do
-                    if Fault.fires ctx.fault Fault.Alloc then inj ctx
-                  done;
-                i := tries
-              end;
-              while !result = None && !i < tries do
-                budget := !budget - 1;
-                let w = candidate_seq ~combos ~tries !i in
-                let stride = 1 lsl (8 * n_pin) in
-                (match
-                   probe_strided_g ctx ~size:tsize ~lo:(jp_lo + w)
-                     ~hi:jp_hi ~stride
-                 with
-                | None -> ()
-                | Some t_p -> (
-                    (* J_victim's fixed displacement bytes are now known:
-                       position fv..3 map onto [e9; J_patch rel32 ...]. *)
-                    let rel_p = Pun.rel32_bytes (Pun.rel32_for ~jmp_end:(jp + 5) ~target:t_p) in
-                    let fixed_v =
-                      List.init (4 - fv) (fun i ->
-                          let pos = fv + i in
-                          if pos = !j - 1 then 0xe9
-                          else rel_p.(pos - !j))
-                    in
-                    let v_lo, v_hi =
-                      clamp_window ~jmp_end:(v.addr + 5)
-                        (Pun.target_window ~jmp_end:(v.addr + 5)
-                           ~free_bytes:fv
-                           ~fixed_high:(Pun.fixed_high_of_bytes fixed_v))
-                    in
-                    if alloc_at_g ctx ~addr:t_p ~size:tsize then begin
-                      match
-                        probe_g ctx ~size:ev_size ~lo:v_lo ~hi:v_hi
-                      with
-                      | None ->
-                          Layout.release ctx.layout ~addr:t_p ~size:tsize
-                      | Some t_v ->
-                          if not (alloc_at_g ctx ~addr:t_v ~size:ev_size)
-                          then Layout.release ctx.layout ~addr:t_p ~size:tsize
-                          else begin
-                            (* Write J_patch first: J_victim puns over it. *)
-                            write_jump ctx ~addr:jp ~len:(v.len - !j) ~pad:0
-                              ~target:t_p;
-                            write_jump ctx ~addr:v.addr ~len:(!j) ~pad:0
-                              ~target:t_v;
-                            write_short_jump ctx site ~jp;
-                            add_trampoline ctx t_p
-                              (Trampoline.emit template ~at:t_p ~insn:site.insn
-                                 ~insn_addr:site.addr ~insn_len:site.len);
-                            add_trampoline ctx t_v
-                              (Trampoline.emit_evictee ~at:t_v ~insn:v.insn
-                                 ~insn_addr:v.addr ~insn_len:v.len);
-                            result := Some (t_p, v.addr)
-                          end
-                    end));
-                incr i
-              done
-            end
-          end;
-          ignore !j
-        done
-      end;
-      incr vi
-    done;
-    (match !result with
-    | Some (t_p, v_addr) ->
-        Obs.accept ctx.obs ~addr:site.addr ~tactic:Obs.T3 ~trampoline:t_p
-          ~pad:0 ~evictee_distance:(v_addr - site.addr);
-        Some (Stats.T3, t_p)
-    | None ->
-        rejected
-          (if !budget <= 0 then Obs.Budget
-           else if take_injected ctx then Obs.Injected
-           else Obs.Range))
+    | Some placed -> accepted placed
+    | None -> (
+        match t3_search ctx site template ~tsize ~budget:t3_budget with
+        | Ok placed -> accepted placed
+        | Error budget ->
+            rejected
+              (if budget <= 0 then Obs.Budget
+               else if Fault.fired ctx.fault Fault.Alloc > fired then
+                 Obs.Injected
+               else Obs.Range))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -634,18 +591,13 @@ let try_b0 ctx (site : Frontend.site) template =
         ~insn_len:site.len
     in
     (* The trampoline's return jump still needs rel32 reach. *)
-    let lo, hi =
-      clamp_window ~jmp_end:(site.addr + 5)
-        (site.addr + 5 - 0x8000_0000, site.addr + 5 + 0x7fff_ffff)
-    in
-    (* Raw [Layout.alloc], not [alloc_g]: B0 is the degradation target
+    let lo, hi = window ~jmp_end:(site.addr + 5) ~free:4 ~fixed:[] in
+    (* Raw [Layout.alloc], not [guarded]: B0 is the degradation target
        for injected allocator exhaustion and must stay refusable only
        through its own [B0_alloc] site. *)
     match Layout.alloc ctx.layout ~size:tsize ~lo ~hi with
-    | None ->
-        note_denial ctx;
-        rejected (denial_reason ctx ~default:Obs.Alloc_conflict)
-    | Some t ->
+    | Error d -> rejected (reason_of_denial d)
+    | Ok t ->
         set_byte ctx site.addr 0xcc;
         Lock.lock ctx.locks site.addr;
         if site.len > 1 then
@@ -669,9 +621,6 @@ let log_src = Logs.Src.create "e9.tactics" ~doc:"E9Patch tactic decisions"
 module Log = (val Logs.src_log log_src)
 
 let patch ctx site template =
-  ctx.injected <- false;
-  ctx.dead_denied <- false;
-  ctx.dyn_denied <- false;
   let ( <|> ) a b = match a with Some _ -> a | None -> b () in
   let outcome =
     (if not (displaceable site.Frontend.insn) then None

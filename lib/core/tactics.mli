@@ -38,10 +38,13 @@ type ctx
 
     [fault] (default {!E9_fault.Fault.none}) can deterministically refuse
     allocator queries: [Alloc] rules starve the jump tactics (every
-    [Layout] query they issue funnels through one guarded choke point),
-    [B0_alloc] rules refuse the B0 fallback's own allocation. Injected
-    refusals surface as [Obs.Injected] rejects, never as spurious
-    [Alloc_conflict]s. *)
+    [Layout] query they issue runs through one guarded query, which
+    checks the rule before the allocator sees the query), [B0_alloc]
+    rules refuse the B0 fallback's own allocation. Each rejected
+    [Attempt]'s reason comes from that tactic's own queries only: an
+    injected refusal reads [Obs.Injected], and an allocator
+    {!Layout.denial} reads [Obs.Dead_window] or [Obs.Alloc_conflict]
+    (DESIGN.md §12.2). *)
 val create_ctx :
   ?obs:E9_obs.Obs.t ->
   ?fault:E9_fault.Fault.t ->
@@ -57,23 +60,6 @@ val create_ctx :
     then the B0 fallback, in the paper's order. Returns the tactic that
     succeeded, if any, after applying its effects. *)
 val patch : ctx -> Frontend.site -> Trampoline.template -> Stats.tactic option
-
-(** Individual tactics, exposed for testing and ablation. Each returns the
-    trampoline address on success. *)
-val try_b1_b2 :
-  ctx -> Frontend.site -> Trampoline.template -> (Stats.tactic * int) option
-
-val try_t1 :
-  ctx -> Frontend.site -> Trampoline.template -> (Stats.tactic * int) option
-
-val try_t2 :
-  ctx -> Frontend.site -> Trampoline.template -> (Stats.tactic * int) option
-
-val try_t3 :
-  ctx -> Frontend.site -> Trampoline.template -> (Stats.tactic * int) option
-
-val try_b0 :
-  ctx -> Frontend.site -> Trampoline.template -> (Stats.tactic * int) option
 
 (** Results accumulated across {!patch} calls. *)
 

@@ -70,7 +70,7 @@ type result = {
   block_hits : int;  (** superblock cache hits (one per block executed) *)
   block_misses : int;  (** superblock cache misses (blocks decoded) *)
   block_invalidations : int;
-      (** generation-mismatch flushes of both decoded-code caches (SMC or
+      (** generation-mismatch flushes of the superblock cache (SMC or
           executable remapping) *)
   blocks_cached : int;  (** blocks resident when the run ended *)
 }

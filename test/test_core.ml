@@ -12,6 +12,7 @@ module Layout = E9_core.Layout
 module Pagegroup = E9_core.Pagegroup
 module Trampoline = E9_core.Trampoline
 module Tactics = E9_core.Tactics
+module Obs = E9_obs.Obs
 module Stats = E9_core.Stats
 module Rewriter = E9_core.Rewriter
 module Codegen = E9_workload.Codegen
@@ -159,66 +160,125 @@ let mini_elf ?(vaddr = 0x400000) ?(memsz = 8192) () =
        ~content:(Bytes.make 64 '\x90'));
   elf
 
+(* Every Layout query says why it failed: [Dead_window] when the base
+   occupancy (guards, segments) alone blocks the window, [Conflict] when
+   an earlier allocation or a [reserve]d range does. *)
+let denial =
+  Alcotest.testable
+    (fun ppf d ->
+      Format.pp_print_string ppf
+        (match d with
+        | Layout.Dead_window -> "Dead_window"
+        | Layout.Conflict -> "Conflict"))
+    ( = )
+
+let check_denied what expected r =
+  match r with
+  | Ok _ -> Alcotest.failf "%s: expected a denial" what
+  | Error d -> Alcotest.check denial what expected d
+
 let test_layout_avoids_segments () =
   let layout = Layout.create (mini_elf ()) in
   (* Allocation inside the segment (rounded to pages) must fail... *)
-  check_bool "segment occupied" true
-    (Layout.probe layout ~size:16 ~lo:0x400000 ~hi:0x401fff = None);
+  check_denied "segment occupied" Layout.Dead_window
+    (Layout.probe layout ~size:16 ~lo:0x400000 ~hi:0x401fff);
+  check_denied "segment occupied (alloc)" Layout.Dead_window
+    (Layout.alloc layout ~size:16 ~lo:0x400000 ~hi:0x401fff);
+  check_denied "segment occupied (strided)" Layout.Dead_window
+    (Layout.probe_strided layout ~size:16 ~lo:0x400000 ~hi:0x401fff
+       ~stride:0x100);
+  check_denied "segment occupied (alloc_at)" Layout.Dead_window
+    (Layout.alloc_at layout ~addr:0x401ff0 ~size:32);
+  check_int "denials claim nothing" 0 (Layout.trampoline_bytes layout);
   (* ...and succeed right after it. *)
   match Layout.alloc layout ~size:16 ~lo:0x400000 ~hi:0x500000 with
-  | Some a -> check_int "first free after segment" 0x402000 a
-  | None -> Alcotest.fail "no allocation"
+  | Ok a -> check_int "first free after segment" 0x402000 a
+  | Error _ -> Alcotest.fail "no allocation"
 
 let test_layout_rejects_negative_and_null () =
   let layout = Layout.create (mini_elf ()) in
-  check_bool "negative" true
-    (Layout.probe layout ~size:16 ~lo:(-0x1000_0000) ~hi:(-1) = None);
-  check_bool "null page" true
-    (Layout.probe layout ~size:16 ~lo:0 ~hi:0xefff = None)
+  check_denied "negative" Layout.Dead_window
+    (Layout.probe layout ~size:16 ~lo:(-0x1000_0000) ~hi:(-1));
+  check_denied "null page" Layout.Dead_window
+    (Layout.probe layout ~size:16 ~lo:0 ~hi:0xefff);
+  check_denied "null page (alloc_at)" Layout.Dead_window
+    (Layout.alloc_at layout ~addr:0x100 ~size:16)
 
 let test_layout_reserve_below_base () =
   let elf = mini_elf ~vaddr:0x5555_5555_4000 () in
   let shared = Layout.create ~reserve_below_base:true elf in
   let normal = Layout.create elf in
-  check_bool "DSO: below base unavailable" true
-    (Layout.probe shared ~size:16 ~lo:0x5555_0000_0000 ~hi:0x5555_5555_3fff
-     = None);
+  check_denied "DSO: below base unavailable" Layout.Dead_window
+    (Layout.probe shared ~size:16 ~lo:0x5555_0000_0000 ~hi:0x5555_5555_3fff);
   check_bool "PIE: below base available" true
-    (Layout.probe normal ~size:16 ~lo:0x5555_0000_0000 ~hi:0x5555_5555_3fff
-     <> None)
+    (Result.is_ok
+       (Layout.probe normal ~size:16 ~lo:0x5555_0000_0000 ~hi:0x5555_5555_3fff))
 
 let test_layout_alloc_reserves () =
   let layout = Layout.create (mini_elf ()) in
-  let a = Option.get (Layout.alloc layout ~size:100 ~lo:0x500000 ~hi:0x600000) in
-  let b = Option.get (Layout.alloc layout ~size:100 ~lo:0x500000 ~hi:0x600000) in
+  let alloc () =
+    Result.get_ok (Layout.alloc layout ~size:100 ~lo:0x500000 ~hi:0x600000)
+  in
+  let a = alloc () in
+  let b = alloc () in
   check_bool "disjoint" true (b >= a + 100 || a >= b + 100);
-  check_int "trampoline bytes" 200 (Layout.trampoline_bytes layout)
+  check_int "trampoline bytes" 200 (Layout.trampoline_bytes layout);
+  (* A window only the earlier allocations fill is a conflict, for the
+     allocating and the probing queries alike. *)
+  let lo = min a b and hi = min a b + 199 - 16 in
+  check_denied "alloc over earlier allocs" Layout.Conflict
+    (Layout.alloc layout ~size:16 ~lo ~hi);
+  check_denied "probe over earlier allocs" Layout.Conflict
+    (Layout.probe layout ~size:16 ~lo ~hi);
+  check_int "denied alloc claims nothing" 200 (Layout.trampoline_bytes layout);
+  (* A [reserve]d range is a conflict too, not a dead window. *)
+  Layout.reserve layout ~addr:0x700000 ~size:0x1000;
+  check_denied "alloc over reserve" Layout.Conflict
+    (Layout.alloc layout ~size:16 ~lo:0x700000 ~hi:0x700fe0)
 
 let test_layout_alloc_at_and_release () =
   let layout = Layout.create (mini_elf ()) in
-  check_bool "claim" true (Layout.alloc_at layout ~addr:0x500000 ~size:64);
-  check_bool "double-claim fails" false
+  check_bool "claim" true
+    (Result.is_ok (Layout.alloc_at layout ~addr:0x500000 ~size:64));
+  check_denied "double-claim fails" Layout.Conflict
     (Layout.alloc_at layout ~addr:0x500020 ~size:64);
   check_int "claimed bytes" 64 (Layout.trampoline_bytes layout);
   Layout.release layout ~addr:0x500000 ~size:64;
   check_int "release gives the bytes back" 0 (Layout.trampoline_bytes layout);
   check_bool "after release" true
-    (Layout.alloc_at layout ~addr:0x500020 ~size:64);
-  check_int "reclaimed bytes" 64 (Layout.trampoline_bytes layout)
+    (Result.is_ok (Layout.alloc_at layout ~addr:0x500020 ~size:64));
+  check_int "reclaimed bytes" 64 (Layout.trampoline_bytes layout);
+  Layout.reserve layout ~addr:0x600000 ~size:0x100;
+  check_denied "claim over reserve" Layout.Conflict
+    (Layout.alloc_at layout ~addr:0x6000f0 ~size:64);
+  (* Straddling the segment's edge: blocked in the base occupancy. *)
+  check_denied "claim over segment" Layout.Dead_window
+    (Layout.alloc_at layout ~addr:0x401ff0 ~size:64)
 
 let test_layout_strided_probe () =
   let layout = Layout.create (mini_elf ()) in
   ignore (Layout.alloc_at layout ~addr:0x500000 ~size:0x300);
   (* Candidates at 0x500000 + k*0x100: first free candidate is 0x500300. *)
-  match Layout.probe_strided layout ~size:16 ~lo:0x500000 ~hi:0x5fffff ~stride:0x100 with
-  | Some a -> check_int "aligned to stride" 0x500300 a
-  | None -> Alcotest.fail "no strided slot"
+  (match
+     Layout.probe_strided layout ~size:16 ~lo:0x500000 ~hi:0x5fffff
+       ~stride:0x100
+   with
+  | Ok a -> check_int "aligned to stride" 0x500300 a
+  | Error _ -> Alcotest.fail "no strided slot");
+  (* Every candidate start up to 0x500200 lies in the claimed range. *)
+  check_denied "strided over earlier claim" Layout.Conflict
+    (Layout.probe_strided layout ~size:16 ~lo:0x500000 ~hi:0x500200
+       ~stride:0x100);
+  Layout.reserve layout ~addr:0x800000 ~size:0x1000;
+  check_denied "strided over reserve" Layout.Conflict
+    (Layout.probe_strided layout ~size:16 ~lo:0x800010 ~hi:0x800fef
+       ~stride:0x100)
 
 let test_layout_block_rounding () =
   (* With a 64-page block size, reservations round out much further. *)
   let layout = Layout.create ~block_size:(64 * 4096) (mini_elf ()) in
-  check_bool "inside rounded block" true
-    (Layout.probe layout ~size:16 ~lo:0x402000 ~hi:0x43ffff = None)
+  check_denied "inside rounded block" Layout.Dead_window
+    (Layout.probe layout ~size:16 ~lo:0x402000 ~hi:0x43ffff)
 
 (* The next-fit cursor must only move placements, never change whether a
    window allocates: a window first-fit can satisfy still succeeds, and an
@@ -228,8 +288,8 @@ let test_layout_next_fit_cursor () =
   let layout = Layout.create (mini_elf ()) in
   for _ = 1 to 50 do
     match Layout.alloc layout ~size:64 ~lo:0x500000 ~hi:0x5fffff with
-    | Some _ -> ()
-    | None -> Alcotest.fail "allocation failed"
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "allocation failed"
   done;
   check_bool "cursor mostly hits" true (Layout.cursor_hits layout >= 40);
   (* Make the cursor stale: fill the window from the cursor up, then free
@@ -237,14 +297,65 @@ let test_layout_next_fit_cursor () =
      fallback first-fit rescan must still find the low gap. *)
   let misses0 = Layout.cursor_misses layout in
   (match Layout.alloc layout ~size:64 ~lo:0x700000 ~hi:0x700fff with
-  | Some a -> check_int "first in fresh window" 0x700000 a
-  | None -> Alcotest.fail "window alloc failed");
+  | Ok a -> check_int "first in fresh window" 0x700000 a
+  | Error _ -> Alcotest.fail "window alloc failed");
   Layout.reserve layout ~addr:0x700040 ~size:0xfc0;
   Layout.release layout ~addr:0x700000 ~size:64;
   (match Layout.alloc layout ~size:64 ~lo:0x700000 ~hi:0x700fff with
-  | Some a -> check_int "fallback rescan finds the freed gap" 0x700000 a
-  | None -> Alcotest.fail "fallback rescan failed");
+  | Ok a -> check_int "fallback rescan finds the freed gap" 0x700000 a
+  | Error _ -> Alcotest.fail "fallback rescan failed");
   check_bool "miss recorded" true (Layout.cursor_misses layout > misses0)
+
+(* ------------------------------------------------------------------ *)
+(* Tactics                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Each tactic's reject reason comes from its own allocator queries. At
+   P = [xor eax, eax] (2 bytes) followed by S = [mov eax, [rbp+8]]
+   (3 bytes, then [00 ff]): B2's window and T1's single target are free
+   in the base occupancy but [reserve]d, so both read [alloc_conflict];
+   T2's evictee window for S lies below address 0, blocked by the base
+   occupancy alone, so T2 reads [dead_window] whatever B2 and T1 hit
+   before it. *)
+let test_tactics_t2_reason_own_queries () =
+  let base = 0x400000 in
+  let code =
+    Bytes.of_string "\x31\xc0\x8b\x45\x08\x00\xff\x90\x90\x90\x90\x90"
+  in
+  let site addr =
+    let d = E9_x86.Decode.decode code (addr - base) in
+    { Frontend.addr; len = d.E9_x86.Decode.len; insn = d.E9_x86.Decode.insn }
+  in
+  let p = site base and s = site (base + 2) in
+  check_int "P is 2 bytes" 2 p.Frontend.len;
+  check_int "S is 3 bytes" 3 s.Frontend.len;
+  let layout = Layout.create (mini_elf ()) in
+  (* B2 at P: one free byte, fixed bytes 8b 45 08. *)
+  let b2_lo = base + 5 + 0x08458b00 in
+  Layout.reserve layout ~addr:b2_lo ~size:0x200;
+  (* T1 at P, pad 1: no free byte, fixed bytes 8b 45 08 00. *)
+  Layout.reserve layout ~addr:(base + 6 + 0x0008458b) ~size:1;
+  let obs = Obs.ring () in
+  let ctx =
+    Tactics.create_ctx ~obs ~text:(Buf.of_bytes code) ~text_base:base ~layout
+      ~sites:[| p; s |]
+      ~options:{ Tactics.default_options with Tactics.enable_t3 = false }
+      ()
+  in
+  check_bool "no tactic places P" true
+    (Tactics.patch ctx p Trampoline.Empty = None);
+  let reasons =
+    List.filter_map
+      (function
+        | Obs.Attempt { tactic; outcome = Obs.Rejected r; _ } ->
+            Some (Obs.tactic_name tactic ^ ":" ^ Obs.reject_name r)
+        | _ -> None)
+      (Obs.events obs)
+  in
+  Alcotest.(check (list string))
+    "per-tactic reasons"
+    [ "B2:alloc_conflict"; "T1:alloc_conflict"; "T2:dead_window" ]
+    reasons
 
 (* ------------------------------------------------------------------ *)
 (* Page grouping                                                       *)
@@ -891,6 +1002,9 @@ let suites =
         Alcotest.test_case "block rounding" `Quick test_layout_block_rounding;
         Alcotest.test_case "next-fit cursor" `Quick test_layout_next_fit_cursor ]
     );
+    ( "core.tactics",
+      [ Alcotest.test_case "T2 reason from its own queries" `Quick
+          test_tactics_t2_reason_own_queries ] );
     ( "core.pagegroup",
       [ Alcotest.test_case "merges disjoint pages (Fig 3)" `Quick
           test_group_merges_disjoint_pages;
