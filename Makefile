@@ -50,9 +50,15 @@ bench-smoke: build
 
 # Fixed-seed differential fuzz campaign: random profile × tactic configs,
 # each rewrite checked by the static verifier and the trace oracle.
-# Deterministic; seconds, not minutes — safe for CI.
+# Deterministic; seconds, not minutes — safe for CI. At the default
+# FUZZ_N/FUZZ_SEED the summary line must also match test/fuzz_summary.txt:
+# a change that moves what the rewrites patch or what the oracles check
+# moves its counts.
 fuzz-smoke: build
 	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- fuzz -n $(FUZZ_N) --seed $(FUZZ_SEED) | tee fuzz_output.txt
+	if [ "$(FUZZ_N)/$(FUZZ_SEED)" = "200/42" ]; then \
+	  grep -E '^[0-9]+ cases, ' fuzz_output.txt | diff -u test/fuzz_summary.txt -; \
+	fi
 
 # Fixed-seed fault-injection campaign (DESIGN.md §11): random rewrite
 # cases × random fault schedules; every injected fault must degrade to a

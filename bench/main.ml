@@ -94,9 +94,8 @@ let rolled f =
   merge (Obs.agg obs);
   r
 
-let traced_run ?options ?disasm_from ?frontend elf ~select ~template =
-  rolled (fun obs ->
-      Rewriter.run ?options ~obs ?disasm_from ?frontend elf ~select ~template)
+let traced_run ?options ?holes elf ~select ~template =
+  rolled (fun obs -> Rewriter.run ?options ~obs ?holes elf ~select ~template)
 
 (* Every guest run is an [emulate] span plus [emu.*] counters. *)
 let run_emu ?config ?make_allocator ?libs elf =
@@ -155,24 +154,17 @@ let options_for (row : Suite.row) =
   { Rewriter.default_options with
     Rewriter.reserve_below_base = row.Suite.profile.Codegen.shared_object }
 
-(* The ChromeMain workaround (§6.2): when the generator marked the first
-   real instruction, start disassembly there. *)
-let disasm_from_of elf =
-  Option.map
-    (fun (s : Elf_file.section) -> s.Elf_file.addr)
-    (Elf_file.find_section elf Codegen.chromemain_marker)
-
 (* Static verification: every measured rewrite is checked by the
    E9_check verifier ([verify.checked]), and a single rejection
    ([verify.failed]) fails the whole bench run. The Reloc-based
    robustness benches deliberately produce broken binaries and are
    exempt. *)
-let verify name ?disasm_from ?holes ~original output =
+let verify name ?holes ~original output =
   rolled (fun obs ->
       Obs.counter obs ~name:"verify.checked" ~value:1;
       match
         Obs.span obs "verify" (fun () ->
-            E9_check.Static.verify ?disasm_from ?holes ~original output)
+            E9_check.Static.verify ?holes ~original output)
       with
       | Ok _ -> None
       | Error e ->
@@ -181,15 +173,18 @@ let verify name ?disasm_from ?holes ~original output =
           Format.eprintf "[verify] %s rejected: %s@." name msg;
           Some msg)
 
+(* The generator's data holes (the ChromeMain pool of §6.2) are what every
+   rewrite of a generated binary decodes around. *)
 let verify_rewrite name elf (r : Rewriter.result) =
   ignore
-    (verify name ?disasm_from:(disasm_from_of elf) ~original:elf
-       r.Rewriter.output)
+    (verify name ~holes:(Codegen.holes elf) ~original:elf r.Rewriter.output)
 
 (* Rewrite with [select]/[template] and measure one Table 1 line. *)
 let measure_app ?(options = Rewriter.default_options) ?make_allocator
     ~select ~template elf (orig : Cpu.result) =
-  let r = traced_run ~options ?disasm_from:(disasm_from_of elf) elf ~select ~template in
+  let r =
+    traced_run ~options ~holes:(Codegen.holes elf) elf ~select ~template
+  in
   verify_rewrite "measure_app" elf r;
   let patched = run_emu ?make_allocator r.Rewriter.output in
   expect_exit "patched" patched;
@@ -294,7 +289,7 @@ let bench_compare () =
         let options = options_for row in
         let stats select =
           let r =
-            traced_run ~options ?disasm_from:(disasm_from_of elf) elf ~select
+            traced_run ~options ~holes:(Codegen.holes elf) elf ~select
               ~template:(fun _ -> Trampoline.Empty)
           in
           r.Rewriter.stats
@@ -1144,16 +1139,6 @@ let bench_tool () =
       ("returns", "call:naked counter()") ]
   in
   let families = cut 3 Adversary.families in
-  let prepare (f : Adversary.family) =
-    let generated = Codegen.generate f.Adversary.profile in
-    let holes = Codegen.islands generated in
-    let elf =
-      if f.Adversary.strip then
-        Elf_file.of_bytes (Elf_file.to_bytes_stripped generated)
-      else generated
-    in
-    (elf, holes)
-  in
   let trace_config = { Cpu.default_config with Cpu.fuel = 50_000_000 } in
   let tasks =
     List.concat_map (fun pair -> List.map (fun f -> (pair, f)) families) pairs
@@ -1165,19 +1150,9 @@ let bench_tool () =
       | Tool.Call { mode = Trampoline.Naked; _ } -> true
       | _ -> false
     in
-    let elf, holes = prepare f in
-    let options =
-      { Rewriter.default_options with
-        Rewriter.tactics =
-          { Tactics.default_options with Tactics.b0_fallback = true };
-        reserve_below_base = f.Adversary.profile.Codegen.shared_object;
-        keep_ranges = holes }
-    in
-    let res =
-      rolled (fun obs ->
-          Tool.run ~options ~obs ~frontend:(Frontend.disassemble ~holes) elf
-            rules)
-    in
+    let elf, holes = E9_check.Matrix.prepare f in
+    let options = E9_check.Matrix.options_of f in
+    let res = rolled (fun obs -> Tool.run ~options ~obs ~holes elf rules) in
     let r = res.Tool.rewrite in
     let rt = res.Tool.runtime in
     let static_err =

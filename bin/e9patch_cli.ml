@@ -189,13 +189,7 @@ let patch_cmd =
       | Some _, Some _ -> failwith "--spec and --spec-file are exclusive"
       | Some src, None -> Patchspec.parse src
       | None, Some path ->
-          let ic = open_in path in
-          let src =
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          Patchspec.parse src
+          Patchspec.parse (In_channel.with_open_bin path In_channel.input_all)
       | None, None -> [ { Patchspec.selector = select; patch = template } ]
     in
     let select, template = Tool.lower spec in
@@ -493,7 +487,8 @@ let check_cmd =
       & opt (some int) None
       & info [ "from" ]
           ~doc:"Code start address the rewrite's linear sweep used (the \
-                ChromeMain workaround); must match for the byte accounting.")
+                ChromeMain workaround): the text below it is one data hole, \
+                as in the rewrite; must match for the byte accounting.")
   in
   let dynamic =
     Arg.(
@@ -506,7 +501,8 @@ let check_cmd =
    or_die @@ fun () ->
     let orig = Elf_file.read_file original in
     let rewr = Elf_file.read_file rewritten in
-    (match E9_check.Static.verify ?disasm_from:from ~original:orig rewr with
+    let holes = Option.to_list (Option.map (Frontend.leading_hole orig) from) in
+    (match E9_check.Static.verify ~holes ~original:orig rewr with
     | Ok report ->
         printf "static: OK — %a@." E9_check.Static.pp_report report
     | Error e ->
@@ -514,7 +510,7 @@ let check_cmd =
         exit 1);
     if dynamic then
       match
-        E9_check.Trace.compare_runs ?disasm_from:from ~original:orig rewr
+        E9_check.Trace.compare_runs ~holes ~original:orig rewr
       with
       | Ok stats -> printf "dynamic: OK — %a@." E9_check.Trace.pp_stats stats
       | Error msg ->
@@ -771,13 +767,9 @@ let robust_cmd =
 let spec_check_cmd =
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"SPEC") in
   let run input =
-    let ic = open_in input in
-    let src =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Patchspec.parse src with
+    match
+      Patchspec.parse (In_channel.with_open_bin input In_channel.input_all)
+    with
     | spec ->
         printf "%a" Patchspec.pp spec;
         printf "(%d rules, well-formed)@." (List.length spec)

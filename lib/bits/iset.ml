@@ -333,16 +333,6 @@ let find_free_last t ~size ~lo ~hi =
     | Found s -> Some s
     | Exit -> None
 
-let iter t f =
-  let rec go = function
-    | E -> ()
-    | N { l; lo; hi; r; _ } ->
-        go l;
-        f ~lo ~hi;
-        go r
-  in
-  go t.root
-
 let fold t init f =
   let rec go tree acc =
     match tree with E -> acc | N { l; lo; hi; r; _ } -> go r (f (go l acc) ~lo ~hi)

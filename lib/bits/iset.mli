@@ -48,9 +48,6 @@ val find_free_last : t -> size:int -> lo:int -> hi:int -> int option
 val find_free_strided :
   t -> size:int -> lo:int -> hi:int -> stride:int -> int option
 
-(** [iter t f] applies [f ~lo ~hi] to each occupied interval in order. *)
-val iter : t -> (lo:int -> hi:int -> unit) -> unit
-
 (** [fold t init f] folds over occupied intervals in increasing order. *)
 val fold : t -> 'a -> ('a -> lo:int -> hi:int -> 'a) -> 'a
 

@@ -141,8 +141,6 @@ module Service = struct
              | exception _ -> None));
     t
 
-  let workers t = List.length t.workers
-
   let submit t task =
     Mutex.lock t.mutex;
     if t.closing then begin

@@ -48,9 +48,6 @@ module Service : sig
       rather than deadlock. *)
   val create : ?domains:int -> unit -> t
 
-  (** Workers actually running (0 = degraded inline mode). *)
-  val workers : t -> int
-
   (** [submit t task] enqueues [task] for the next free worker. Raises
       [Invalid_argument] after {!shutdown}. *)
   val submit : t -> (unit -> unit) -> unit

@@ -82,37 +82,31 @@ let gen_case =
    up as Out_of_fuel on one side only, i.e. as a divergence. *)
 let fuzz_config = { Cpu.default_config with Cpu.fuel = 50_000_000 }
 
-(* Generate the case's binary and selector for the round trip below. *)
+(* Generate the case's binary, its data holes and selector for the round
+   trip below. *)
 let prepare case =
   let elf = Codegen.generate case.profile in
-  let disasm_from =
-    if case.profile.Codegen.data_in_text_kb > 0 then
-      Option.map
-        (fun (s : Elf_file.section) -> s.Elf_file.addr)
-        (Elf_file.find_section elf Codegen.chromemain_marker)
-    else None
-  in
   let select =
     if case.select_writes then Frontend.select_heap_writes
     else Frontend.select_jumps
   in
-  (elf, disasm_from, select)
+  (elf, Codegen.holes elf, select)
 
 let rewrite case =
-  let elf, disasm_from, select = prepare case in
+  let elf, holes, select = prepare case in
   let r =
-    Rewriter.run ~options:case.options ?disasm_from elf ~select
+    Rewriter.run ~options:case.options ~holes elf ~select
       ~template:(fun _ -> Trampoline.Empty)
   in
-  (elf, disasm_from, r)
+  (elf, holes, r)
 
 let run_case case =
-  let elf, disasm_from, r = rewrite case in
-  match Static.verify ?disasm_from ~original:elf r.Rewriter.output with
+  let elf, holes, r = rewrite case in
+  match Static.verify ~holes ~original:elf r.Rewriter.output with
   | Error e -> Error (Format.asprintf "static: %a" Static.pp_error e)
   | Ok report -> (
       match
-        Trace.compare_runs ~config:fuzz_config ?disasm_from ~original:elf
+        Trace.compare_runs ~config:fuzz_config ~holes ~original:elf
           r.Rewriter.output
       with
       | Error msg -> Error ("trace: " ^ msg)

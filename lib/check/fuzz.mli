@@ -23,22 +23,24 @@ type case = {
 val case_to_string : case -> string
 val gen_case : case QCheck2.Gen.t
 
-(** [prepare case] generates the case's binary, disassembly start and
-    site selector — the common front half of {!run_case} and
-    {!rewrite}, exposed for harnesses (e.g. {!Inject}) that drive the
-    rewrite themselves. Raises {!E9_workload.Codegen.Error} when the
-    profile cannot be generated. *)
+(** [prepare case] generates the case's binary, its data holes
+    ({!E9_workload.Codegen.holes}: the leading pool of a
+    [data_in_text_kb > 0] profile) and site selector — the common front
+    half of {!run_case} and {!rewrite}, exposed for harnesses (e.g.
+    {!Inject}) that drive the rewrite themselves. Raises
+    {!E9_workload.Codegen.Error} when the profile cannot be generated. *)
 val prepare :
-  case -> Elf_file.t * int option * (Frontend.site -> bool)
+  case -> Elf_file.t * (int * int) list * (Frontend.site -> bool)
 
 (** [run_case case] is one generate → rewrite → verify → differential-run
     round trip. *)
 val run_case : case -> (Static.report * Trace.stats, string) result
 
 (** [rewrite case] is the generate → rewrite half alone, returning the
-    input binary, the disassembly start it used, and the full rewrite
-    result — the hook for tests that pin or compare outputs. *)
-val rewrite : case -> Elf_file.t * int option * E9_core.Rewriter.result
+    input binary, the holes it used, and the full rewrite result — the
+    hook for tests that pin or compare outputs. *)
+val rewrite :
+  case -> Elf_file.t * (int * int) list * E9_core.Rewriter.result
 
 (** Aggregate numbers from a campaign, for reporting. *)
 type summary = {

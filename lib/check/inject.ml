@@ -69,16 +69,16 @@ type outcome =
    independent verifier rejects — the campaign counts those as failures
    of the pipeline, not as fault outcomes. *)
 let run_leg f =
-  let elf, disasm_from, select = Fuzz.prepare f.case in
+  let elf, holes, select = Fuzz.prepare f.case in
   let fault = Fault.create f.schedule in
   match
-    Rewriter.run ~options:f.case.Fuzz.options ~fault ?disasm_from elf ~select
+    Rewriter.run ~options:f.case.Fuzz.options ~fault ~holes elf ~select
       ~template:(fun _ -> Trampoline.Empty)
   with
   | exception Rewriter.Error m -> Ok (Typed ("rewriter: " ^ m), None)
   | exception Frontend.Error m -> Ok (Typed ("frontend: " ^ m), None)
   | r -> (
-      match Static.verify ?disasm_from ~original:elf r.Rewriter.output with
+      match Static.verify ~holes ~original:elf r.Rewriter.output with
       | Error e ->
           Error
             (Format.asprintf "output rejected by Static.verify: %a"
@@ -95,7 +95,7 @@ let run_leg f =
    to B0 — zero failures, the paper's always-succeeds guarantee under
    injected starvation. *)
 let run_b0_exhaustion_leg case =
-  let elf, disasm_from, select = Fuzz.prepare case in
+  let elf, holes, select = Fuzz.prepare case in
   let options =
     { case.Fuzz.options with
       Rewriter.tactics = { case.Fuzz.options.Rewriter.tactics with
@@ -103,7 +103,7 @@ let run_b0_exhaustion_leg case =
   in
   let fault = Fault.create [ { Fault.site = Fault.Alloc; trigger = From 0 } ] in
   match
-    Rewriter.run ~options ~fault ?disasm_from elf ~select
+    Rewriter.run ~options ~fault ~holes elf ~select
       ~template:(fun _ -> Trampoline.Empty)
   with
   | exception Rewriter.Error m -> Error ("b0 leg: rewriter: " ^ m)
@@ -122,7 +122,7 @@ let run_b0_exhaustion_leg case =
               alloc exhaustion"
              (Stats.succeeded s) s.Stats.b0)
       else
-        match Static.verify ?disasm_from ~original:elf r.Rewriter.output with
+        match Static.verify ~holes ~original:elf r.Rewriter.output with
         | Error e ->
             Error
               (Format.asprintf "b0 leg: output rejected: %a" Static.pp_error e)

@@ -18,33 +18,6 @@
     to 100% B0, and short-write containment for ELF serialization and
     trace sinks. *)
 
-type fcase = { case : Fuzz.case; schedule : E9_fault.Fault.rule list }
-
-val fcase_to_string : fcase -> string
-val gen_schedule : E9_fault.Fault.rule list QCheck2.Gen.t
-val gen_fcase : fcase QCheck2.Gen.t
-
-type outcome =
-  | Full  (** rewrite + static verification OK, no site failed *)
-  | Degraded  (** verified, but sites failed or fell back to B0 *)
-  | Typed of string  (** typed refusal, nothing half-written *)
-
-(** [run_leg f] rewrites [f.case] under [f.schedule] and
-    classifies. [Error] = contract violation. The rewrite result is
-    returned when one was produced. *)
-val run_leg : fcase -> (outcome * E9_core.Rewriter.result option, string) result
-
-(** [run_b0_exhaustion_leg case] starves every jump-tactic allocation
-    ([alloc@0+]) with [b0_fallback] forced on and requires 100% of sites
-    to land on B0 with a verified output; returns the B0 site count. *)
-val run_b0_exhaustion_leg : Fuzz.case -> (int, string) result
-
-(** [run_fcase f] runs all legs for one case. [Ok None] = the profile
-    could not be generated (skip-and-report); [Ok (Some (outcome,
-    b0_sites, write_faults, trace_faults))] = contract held. *)
-val run_fcase :
-  fcase -> ((outcome * int * int * int) option, string) result
-
 type summary = {
   cases : int;
   full : int;

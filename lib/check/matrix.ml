@@ -25,24 +25,21 @@ type score = {
 
 let trace_config = { Cpu.default_config with Cpu.fuel = 50_000_000 }
 
-let options_of (f : Adversary.family) ~keep_ranges =
+let options_of (f : Adversary.family) =
   { Rewriter.default_options with
     Rewriter.tactics =
       { Tactics.default_options with Tactics.b0_fallback = true };
-    reserve_below_base = f.Adversary.profile.Codegen.shared_object;
-    keep_ranges }
+    reserve_below_base = f.Adversary.profile.Codegen.shared_object }
 
 let select_of (f : Adversary.family) =
   match f.Adversary.selector with
   | Adversary.Jumps -> Frontend.select_jumps
   | Adversary.Heap_writes -> Frontend.select_heap_writes
 
-(* Interpret a family descriptor into a concrete rewrite setup: the input
-   binary (stripped round-trip applied if asked) and the island exclusion
-   ranges the hole-aware sweep skips. *)
+(* The ground truth is read before stripping drops its sections. *)
 let prepare (f : Adversary.family) =
   let generated = Codegen.generate f.Adversary.profile in
-  let holes = Codegen.islands generated in
+  let holes = Codegen.holes generated in
   let elf =
     if f.Adversary.strip then
       Elf_file.of_bytes (Elf_file.to_bytes_stripped generated)
@@ -61,12 +58,12 @@ let byte_range elf ~addr ~len =
 let score_family (f : Adversary.family) =
   let t0 = Unix.gettimeofday () in
   let elf, holes = prepare f in
-  let options = options_of f ~keep_ranges:holes in
+  let options = options_of f in
   let select = select_of f in
   let obs = Obs.aggregator () in
   let r =
-    Rewriter.run ~options ~obs ~frontend:(Frontend.disassemble ~holes) elf
-      ~select ~template:(fun _ -> Trampoline.Empty)
+    Rewriter.run ~options ~obs ~holes elf ~select
+      ~template:(fun _ -> Trampoline.Empty)
   in
   let static_err =
     match Static.verify ~holes ~original:elf r.Rewriter.output with

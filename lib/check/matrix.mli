@@ -2,9 +2,9 @@
     through the rewriter and score the outcome against its pinned
     expectations — the corpus' regression wall.
 
-    Each family is interpreted (generate, optionally strip, derive island
-    exclusion ranges for the hole-aware sweep, choose selector and
-    options), rewritten once, and scored on:
+    Each family is interpreted (generate, optionally strip, read its
+    data holes, choose selector and options), rewritten once, and scored
+    on:
 
     - patched% against the family's pinned floor;
     - the per-tactic mix and the typed reject histogram (via an
@@ -32,6 +32,15 @@ type score = {
   wall_s : float;
 }
 
+(** [prepare f] interprets a family descriptor into the input binary
+    (the stripped round trip applied if the family asks for it) and its
+    data holes ({!E9_workload.Codegen.holes}, read before stripping). *)
+val prepare : E9_workload.Adversary.family -> Elf_file.t * (int * int) list
+
+(** [options_of f] is the family's rewrite options: the B0 fallback on,
+    and the space below the base reserved for shared objects. *)
+val options_of : E9_workload.Adversary.family -> E9_core.Rewriter.options
+
 (** [score_family f] interprets, rewrites and scores one family. *)
 val score_family : E9_workload.Adversary.family -> score
 
@@ -49,5 +58,4 @@ val run : ?progress:(int -> unit) -> unit -> score list
     [e9repro-robustness/1]). *)
 val to_json : score list -> E9_obs.Json.t
 
-val pp_score : Format.formatter -> score -> unit
 val pp : Format.formatter -> score list -> unit

@@ -66,7 +66,7 @@ type jmp_div = { start : int; jlen : int; target : int }
 let e9_sections =
   [ ".e9patch.tramp"; Elf_file.mmap_section_name; Elf_file.trap_section_name ]
 
-let verify ?disasm_from ?(holes = []) ~original rewritten =
+let verify ?(holes = []) ~original rewritten =
   try
     (* ---- structural prelude ------------------------------------- *)
     let otext =
@@ -317,10 +317,10 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
           (Loadmap.decode_traps (Elf_file.section_bytes rewritten sec))
     | None -> ());
     (* ---- original instruction boundaries ------------------------- *)
-    (* With interior data islands the plain sweep desynchronizes and the
+    (* With data inside the text the plain sweep desynchronizes and the
        boundary map grows phantoms; the hole-aware sweep reproduces the
        boundary set the rewriting itself used. *)
-    let _, sites = Frontend.disassemble ?from:disasm_from ~holes original in
+    let _, sites = Frontend.disassemble ~holes original in
     (* Every per-address table below is keyed by address (arrays over the
        text; hash tables for the sparse short jumps), so each lookup is
        O(1) and the whole pass stays linear in the text. *)
@@ -336,8 +336,21 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
       sites;
     let bound a = if in_text a then bounds.(a - base) else None in
     let is_bound a = bound a <> None in
-    let disasm_lo = match disasm_from with None -> base | Some a -> a in
-    let in_disasm a = a >= disasm_lo && a < text_hi in
+    (* A code byte lies in the text and in no hole. The hole map is one
+       flag per text byte, built only when there are holes, so the test
+       stays O(1) and costs one comparison more than [in_text] without. *)
+    let no_holes = holes = [] in
+    let data =
+      Bytes.make (if no_holes then 0 else otext.Frontend.size) '\000'
+    in
+    List.iter
+      (fun (a, l) ->
+        let lo = max a base and hi = min (a + l) text_hi in
+        if lo < hi then Bytes.fill data (lo - base) (hi - lo) '\001')
+      holes;
+    let is_code a =
+      in_text a && (no_holes || Bytes.get data (a - base) = '\000')
+    in
     (* ---- text diff ----------------------------------------------- *)
     let before =
       Buf.sub original.Elf_file.data ~pos:otext.Frontend.offset
@@ -360,7 +373,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
        trampoline mapping — the strong disambiguator that rules out stray
        byte patterns. *)
     let diversion_at s =
-      if s < disasm_lo || s >= text_hi then None
+      if not (is_code s) then None
       else
         let d = decode_after s in
         match d.Decode.insn with
@@ -407,7 +420,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
        walked. *)
     let has_serving_short c =
       let found = ref false in
-      for s = max disasm_lo (c - 129) to c - 2 do
+      for s = max base (c - 129) to c - 2 do
         if
           (not !found)
           && is_bound s
@@ -421,7 +434,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
       !found
     in
     let try_short s =
-      if s >= disasm_lo && is_bound s && rbyte s = 0xeb then
+      if is_bound s && rbyte s = 0xeb then
         let d = decode_after s in
         match d.Decode.insn with
         | Insn.Jmp_short rel when rel >= 0 && s + 2 + rel < text_hi -> (
@@ -436,10 +449,10 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
     in
     List.iter
       (fun a ->
-        if Bytes.get covered (a - base) = '\000' then
-          if not (in_disasm a) then
-            fail a "changed byte outside the disassembled code region"
-          else if rbyte a = 0xcc && is_bound a && Hashtbl.mem trap_tbl a then
+        if not (is_code a) then
+          fail a "changed byte outside the disassembled code region"
+        else if Bytes.get covered (a - base) = '\000' then
+          if rbyte a = 0xcc && is_bound a && Hashtbl.mem trap_tbl a then
             cover a 1
           else if try_short a || try_short (a - 1) then ()
           else begin
@@ -452,7 +465,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
                because the serving short's own bytes may be punned inside
                another diversion and not walked yet); the lowest start. *)
             let cands = ref [] in
-            for s = a downto max disasm_lo (a - max_scan_back) do
+            for s = a downto max base (a - max_scan_back) do
               match diversion_at s with
               | Some j when s + j.jlen > a -> cands := j :: !cands
               | _ -> ()
@@ -533,7 +546,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
       (fun j ->
         if (not (is_bound j.start)) && not (Hashtbl.mem short_site j.start)
         then
-          for s = max disasm_lo (j.start - 129) to j.start - 2 do
+          for s = max base (j.start - 129) to j.start - 2 do
             if
               is_bound s && rbyte s = 0xeb
               && (not (Hashtbl.mem short_target s))
@@ -648,7 +661,7 @@ let verify ?disasm_from ?(holes = []) ~original rewritten =
        verifiable trampoline. *)
     Hashtbl.iter
       (fun p t ->
-        if not (in_disasm p) then fail p "trap entry outside the code region";
+        if not (is_code p) then fail p "trap entry outside the code region";
         if rbyte p <> 0xcc then fail p "trap entry does not mark an int3";
         verify_tramp ~site_addr:p t)
       trap_tbl;

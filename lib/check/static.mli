@@ -50,16 +50,15 @@ type error = { addr : int; reason : string }
 val pp_report : Format.formatter -> report -> unit
 val pp_error : Format.formatter -> error -> unit
 
-(** [verify ?disasm_from ?holes ~original rewritten] re-derives and
-    checks the rewriting contract. [disasm_from] is the ChromeMain
-    workaround: the address linear disassembly of the original started at
-    (changed bytes before it are rejected, since the rewriter never
-    patches data). [holes] are interior data extents the rewrite excluded
-    (see {!Frontend.disassemble}); the sweep skips them, so the
-    verifier's boundary map matches the one the rewriting used instead
-    of growing phantoms inside the islands. *)
+(** [verify ?holes ~original rewritten] re-derives and checks the
+    rewriting contract. [holes] are the data extents inside the text the
+    rewrite used (see {!Frontend.disassemble}): a leading pool
+    ({!Frontend.leading_hole}, the ChromeMain workaround), interior
+    islands. The sweep skips them, so the verifier's boundary map
+    matches the one the rewriting used instead of growing phantoms
+    inside them; and since the rewriter never patches data, a changed
+    byte or a trap entry inside any hole is rejected. *)
 val verify :
-  ?disasm_from:int ->
   ?holes:(int * int) list ->
   original:Elf_file.t ->
   Elf_file.t ->

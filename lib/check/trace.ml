@@ -138,15 +138,15 @@ let boundary_bitmap (text : Frontend.text) sites =
     i >= 0 && i < text.Frontend.size
     && Bytes.get_uint8 bits (i lsr 3) land (1 lsl (i land 7)) <> 0
 
-let compare_runs ?config ?disasm_from ?(holes = []) ?(instr_ranges = [])
-    ~original rewritten =
-  (* [holes]: interior data extents the rewrite excluded. The boundary set
+let compare_runs ?config ?(holes = []) ?(instr_ranges = []) ~original
+    rewritten =
+  (* [holes]: the data extents the rewrite excluded. The boundary set
      is only a filter applied identically to both runs, so phantom entries
-     from a desynchronized sweep are harmless (island bytes never retire)
+     from a desynchronized sweep are harmless (data bytes never retire)
      — but the hole-aware sweep also recovers the real boundaries {e
-     after} each island that a desynchronized sweep would miss, keeping
+     after} each hole that a desynchronized sweep would miss, keeping
      the comparison dense there. *)
-  let text, sites = Frontend.disassemble ?from:disasm_from ~holes original in
+  let text, sites = Frontend.disassemble ~holes original in
   let is_boundary = boundary_bitmap text sites in
   let start = original.Elf_file.entry in
   let in_instr addr =

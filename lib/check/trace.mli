@@ -33,12 +33,11 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** [compare_runs ?config ?disasm_from ?holes ~original rewritten]
-    executes both binaries and compares their traces; [Error] describes
-    the first divergence. [disasm_from] must match the value the
-    rewriting used, so boundary sets agree. [holes] (interior data
-    extents, see {!Frontend.disassemble}) likewise reproduces an
-    island-excluding rewrite's boundary set.
+(** [compare_runs ?config ?holes ~original rewritten] executes both
+    binaries and compares their traces; [Error] describes the first
+    divergence. [holes] (the data extents inside the text, see
+    {!Frontend.disassemble}) must match the ones the rewriting used, so
+    the boundary sets agree.
     [instr_ranges] declares instrumentation-private [(lo, hi)] address
     ranges (the tool's injected scratch/code segments): retires inside
     them and stores targeting them are dropped — symmetrically in both
@@ -47,7 +46,6 @@ val pp_stats : Format.formatter -> stats -> unit
     compared. *)
 val compare_runs :
   ?config:E9_emu.Cpu.config ->
-  ?disasm_from:int ->
   ?holes:(int * int) list ->
   ?instr_ranges:(int * int) list ->
   original:Elf_file.t ->

@@ -68,7 +68,7 @@ let patch_site ctx (site : Frontend.site) template =
     error "site 0x%x (%s): %s" site.addr (E9_x86.Insn.to_string site.insn) m
 
 let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
-    ?(fault = Fault.none) ?jobs:_ ?disasm_from ?frontend input ~select
+    ?(fault = Fault.none) ?jobs:_ ?(holes = []) ?frontend input ~select
     ~template =
   let input_size = Elf_file.serialized_size input in
   let output = Elf_file.copy input in
@@ -99,7 +99,7 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
     E9_obs.Obs.span obs "decode" (fun () ->
         match frontend with
         | Some f -> f output
-        | None -> Frontend.disassemble ?from:disasm_from ~fault output)
+        | None -> Frontend.disassemble ~holes ~fault output)
   in
   let sites = Array.of_list site_list in
   (* The tactics find a site's successor and its T3 victims by binary
@@ -146,12 +146,12 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
           Tactics.create_ctx ~obs ~fault ~text:text_buf ~text_base:base
             ~layout ~sites ~options:options.tactics ()
         in
-        (* Immutable byte ranges (mid-text data islands, hand-excluded
-           pools): pre-locked before any tactic runs, so no patch, pun,
-           dead-byte squat or eviction can write into them. *)
+        (* Immutable byte ranges (the data holes, reserved ranges):
+           pre-locked before any tactic runs, so no patch, pun, dead-byte
+           squat or eviction can write into them. *)
         List.iter
           (fun (addr, len) -> Lock.lock_range (Tactics.locks ctx) ~addr ~len)
-          options.keep_ranges;
+          (holes @ options.keep_ranges);
         let setup_s = Unix.gettimeofday () -. t0 in
         List.iter
           (fun (site : Frontend.site) ->

@@ -38,12 +38,13 @@ type options = {
   loader : loader_mode;
   keep_ranges : (int * int) list;
       (** [(addr, len)] byte ranges of the text that must survive the
-          rewrite untouched — mid-text data islands, hand-excluded
-          constant pools. The ranges are pre-locked before any tactic
-          runs, so no patch, pun, dead-byte squat or eviction can write
-          into them (a site selected inside one simply fails with a
-          [Locked] reject, B0 included). Bytes outside the text are
-          ignored. Default [[]]. *)
+          rewrite untouched but are still decoded (the daemon's
+          [reserve]). The ranges are pre-locked before any tactic runs,
+          so no patch, pun, dead-byte squat or eviction can write into
+          them (a site selected inside one simply fails with a [Locked]
+          reject, B0 included). Bytes outside the text are ignored. Data
+          inside the text is [run]'s [holes], not a keep range. Default
+          [[]]. *)
 }
 
 val default_options : options
@@ -76,19 +77,23 @@ type result = {
   occupancy : Layout.occupancy;  (** final allocator occupancy gauges *)
 }
 
-(** [run ?options ?disasm_from elf ~select ~template] rewrites [elf]. The
+(** [run ?options ?holes elf ~select ~template] rewrites [elf]. The
     input is not mutated. [select] chooses patch locations among the
     frontend's sites; [template] supplies each site's trampoline payload.
-    [disasm_from] starts the linear sweep at a known code address — the
-    §6.2 workaround for text sections that mix data and code. [frontend]
+    [holes] (default none) are the [(addr, len)] data extents inside the
+    text — a leading pool ({!Frontend.leading_hole}, the §6.2
+    workaround), mid-function islands: the sweep decodes around them
+    ({!Frontend.disassemble}) and they are pre-locked next to
+    [options.keep_ranges], so no byte inside one changes. [frontend]
     substitutes a different disassembler entirely (e.g.
     {!Frontend.disassemble_recursive}) — E9Patch only consumes instruction
     locations and sizes, so any frontend that reports them correctly
     works, and partial frontends yield partial instrumentation, never
-    incorrectness. [obs] (default {!E9_obs.Obs.null}) receives per-tactic
-    attempt records, phase spans ([decode], [tactic_search], [layout],
-    [serialize]) and allocator occupancy gauges; with the null sink every
-    emission point is a single branch.
+    incorrectness; [holes] are still locked, but decoding around them is
+    then the frontend's job. [obs] (default {!E9_obs.Obs.null}) receives
+    per-tactic attempt records, phase spans ([decode], [tactic_search],
+    [layout], [serialize]) and allocator occupancy gauges; with the null
+    sink every emission point is a single branch.
 
     [fault] (default {!E9_fault.Fault.none}) threads the deterministic
     fault-injection capability through the pipeline: [Decode] rules
@@ -118,7 +123,7 @@ val run :
   ?obs:E9_obs.Obs.t ->
   ?fault:E9_fault.Fault.t ->
   ?jobs:int ->
-  ?disasm_from:int ->
+  ?holes:(int * int) list ->
   ?frontend:(Elf_file.t -> Frontend.text * Frontend.site list) ->
   Elf_file.t ->
   select:(Frontend.site -> bool) ->

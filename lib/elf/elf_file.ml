@@ -417,31 +417,5 @@ let write_file ?fault t path =
   with Sys_error m -> raise (Io_error m)
 
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let bytes = Bytes.create len in
-      really_input ic bytes 0 len;
-      of_bytes bytes)
-
-let pp ppf t =
-  Format.fprintf ppf "ELF64 %s entry=0x%x size=%d@."
-    (match t.etype with Exec -> "EXEC" | Dyn -> "DYN")
-    t.entry (Buf.length t.data);
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  seg %s %c%c%c vaddr=0x%x off=0x%x filesz=%d memsz=%d@."
-        (match s.ptype with Load -> "LOAD" | Note -> "NOTE" | Other n ->
-          Printf.sprintf "0x%x" n)
-        (if s.prot.r then 'r' else '-')
-        (if s.prot.w then 'w' else '-')
-        (if s.prot.x then 'x' else '-')
-        s.vaddr s.offset s.filesz s.memsz)
-    t.segments;
-  List.iter
-    (fun (s : section) ->
-      Format.fprintf ppf "  sec %-20s addr=0x%x off=0x%x size=%d@." s.name
-        s.addr s.offset s.size)
-    t.sections
+  In_channel.with_open_bin path In_channel.input_all
+  |> Bytes.unsafe_of_string |> of_bytes

@@ -146,5 +146,3 @@ val write_file : ?fault:(unit -> bool) -> t -> string -> unit
 
 val read_file : string -> t
 
-(** [pp ppf t] prints a human-readable summary (like a tiny readelf). *)
-val pp : Format.formatter -> t -> unit

@@ -12,20 +12,15 @@ type t = {
 (** Default stack placement: 1 MiB ending at [0x7fff_ff00_0000]. *)
 val stack_top : int
 
-val stack_size : int
-
 (** [boot elf] creates a space and loads [elf] plus a stack. *)
 val boot : Elf_file.t -> t
 
-(** [boot_with ~libs elf] also loads shared objects into the same space
-    first (the prelinked-process model): the §5.1 "mixing patched and
-    non-patched code" scenario, where any subset of the binaries may have
-    been rewritten. *)
-val boot_with : libs:Elf_file.t list -> Elf_file.t -> t
-
-(** [run ?config ?allocator elf] boots and executes [elf]. The allocator
-    defaults to {!Cpu.bump_allocator} over a high heap region — standing in
-    for the system malloc. *)
+(** [run ?config ?allocator ?libs elf] boots and executes [elf]. The
+    allocator defaults to {!Cpu.bump_allocator} over a high heap region —
+    standing in for the system malloc. [libs] (shared objects) are loaded
+    into the same space first (the prelinked-process model): the §5.1
+    "mixing patched and non-patched code" scenario, where any subset of
+    the binaries may have been rewritten. *)
 val run :
   ?config:Cpu.config ->
   ?make_allocator:(E9_vm.Space.t -> Cpu.allocator) ->

@@ -64,7 +64,6 @@ let create rules =
   if rules = [] then none
   else { rules; counts = Array.make nsites 0; fired = Array.make nsites 0 }
 
-let rules t = t.rules
 let is_none t = t.rules = []
 
 let matches trigger n =

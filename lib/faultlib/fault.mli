@@ -30,7 +30,6 @@ type site =
 val sites : site array
 val site_name : site -> string
 val site_of_name : string -> site option
-val site_index : site -> int
 
 (** When a rule fires, in terms of the site's occurrence count [n]
     (0-based: the first query is occurrence 0). *)
@@ -54,7 +53,6 @@ type t
 val none : t
 
 val create : rule list -> t
-val rules : t -> rule list
 val is_none : t -> bool
 
 (** [fires t site] counts one occurrence of [site] and reports whether

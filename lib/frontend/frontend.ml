@@ -20,29 +20,29 @@ let find_text (elf : Elf_file.t) =
       |> Option.map (fun (s : Elf_file.segment) ->
              { base = s.vaddr; offset = s.offset; size = s.filesz })
 
-let disassemble ?from ?(holes = []) ?(fault = Fault.none) elf =
+let no_text () = error "Frontend: no text section or executable segment"
+
+(* The "ChromeMain workaround" (paper §6.2): when the text section mixes
+   data and code, the sweep starts at a known code address and leaves the
+   prefix untouched, i.e. behind one leading hole [[base, addr)]. *)
+let leading_hole elf addr =
   match find_text elf with
-  | None -> error "Frontend: no text section or executable segment"
+  | None -> no_text ()
   | Some text ->
-      (* [from] is the "ChromeMain workaround" (paper §6.2): when the text
-         section mixes data and code, start the linear sweep at a known
-         code address and leave the prefix untouched — a leading hole
-         [[base, from)]. *)
-      let start =
-        match from with
-        | None -> 0
-        | Some addr ->
-            if addr < text.base || addr >= text.base + text.size then
-              error "Frontend: disassembly start 0x%x outside the text \
-                     [0x%x, 0x%x)"
-                addr text.base (text.base + text.size)
-            else addr - text.base
-      in
+      if addr < text.base || addr >= text.base + text.size then
+        error
+          "Frontend: disassembly start 0x%x outside the text [0x%x, 0x%x)"
+          addr text.base (text.base + text.size)
+      else (text.base, addr - text.base)
+
+let disassemble ?(holes = []) ?(fault = Fault.none) elf =
+  match find_text elf with
+  | None -> no_text ()
+  | Some text ->
       let bytes = Buf.sub elf.Elf_file.data ~pos:text.offset ~len:text.size in
-      (* The workaround generalized past a leading pool: any sweep position
-         inside a hole — including one reached by a decode that overran
-         into it — resumes at the hole's end, so the sweep is
-         self-correcting at both edges. *)
+      (* Any sweep position inside a hole — including one reached by a
+         decode that overran into it — resumes at the hole's end, so the
+         sweep is self-correcting at both edges. *)
       let hole_at p =
         let addr = text.base + p in
         List.find_opt (fun (a, l) -> addr >= a && addr < a + l) holes
@@ -68,14 +68,14 @@ let disassemble ?from ?(holes = []) ?(fault = Fault.none) elf =
                 ({ addr = text.base + p; len = d.Decode.len;
                    insn = d.Decode.insn } :: acc)
       in
-      (text, go start [])
+      (text, go 0 [])
 
 let select_jumps site = Classify.is_jump site.insn
 let select_heap_writes site = Classify.is_heap_write site.insn
 
 let disassemble_recursive elf =
   match find_text elf with
-  | None -> error "Frontend: no text section or executable segment"
+  | None -> no_text ()
   | Some text ->
       let bytes = Buf.sub elf.Elf_file.data ~pos:text.offset ~len:text.size in
       let seen = Hashtbl.create 4096 in

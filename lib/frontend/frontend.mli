@@ -29,28 +29,33 @@ exception Error of string
     present, otherwise the first executable [PT_LOAD] segment. *)
 val find_text : Elf_file.t -> text option
 
-(** [disassemble ?from ?holes ?fault elf] is the serial linear sweep of
-    the text, returning every instruction in address order. [from] starts
-    the sweep at a known code address — the paper's §6.2 workaround for
-    binaries (Chrome) whose text section mixes data and code: bytes
-    before [from] are not disassembled and therefore never patched.
+(** [leading_hole elf addr] is the hole [(base, addr - base)] that makes
+    the sweep start at [addr], a known code address: the paper's §6.2
+    workaround for binaries (Chrome) whose text section mixes data and
+    code. The bytes below [addr] are then never disassembled, and the
+    rewriter locks them like every hole. Raises {!Error} if the text
+    cannot be found or [addr] lies outside it. *)
+val leading_hole : Elf_file.t -> int -> int * int
 
-    [holes] (default none) generalizes the workaround past a leading
-    pool: the sweep never decodes inside the [(addr, len)] extents
-    (mid-function data islands, constant pools known from ground truth)
-    and re-synchronizes at each hole's end. A decode that overruns into a
-    hole is also corrected — the next sweep position inside the hole
-    resumes at its end — so the sweep is self-correcting at both edges.
-    [from] is the special case of one leading hole [[base, from)]. Sites
-    inside holes are never produced, hence never patched.
+(** [disassemble ?holes ?fault elf] is the serial linear sweep of the
+    text, returning every instruction in address order.
+
+    [holes] (default none) are the [(addr, len)] extents of data inside
+    the text: a leading constant pool ({!leading_hole}), mid-function
+    data islands, constant pools known from ground truth. The sweep
+    never decodes inside a hole and re-synchronizes at its end. A decode
+    that overruns into a hole is also corrected — the next sweep
+    position inside the hole resumes at its end — so the sweep is
+    self-correcting at both edges. Sites inside holes are never
+    produced, hence never patched.
 
     [fault] (default {!E9_fault.Fault.none}) may carry [Decode] rules;
     the smallest rule value truncates the site list at that text offset —
     a strict prefix of the true decode, i.e. partial disassembly, which
     the rewriter turns into partial instrumentation (§2.2). Raises
-    {!Error} if the text cannot be found or [from] lies outside it. *)
+    {!Error} if the text cannot be found. *)
 val disassemble :
-  ?from:int -> ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
+  ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
   Elf_file.t -> text * site list
 
 (** Patch-location selectors for the paper's two applications. *)

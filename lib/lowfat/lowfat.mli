@@ -18,15 +18,11 @@
 (** Size of the per-object redzone, in bytes (the paper uses 16). *)
 val redzone : int
 
-(** Size classes are powers of two from [min_size] to [max_size]. *)
-val min_size : int
-
+(** Size classes are powers of two from 16 bytes to [max_size]. *)
 val max_size : int
 
-(** The low-fat regions span
-    [[region_base, region_base + classes * region_size)]. *)
-val region_base : int
-
+(** Each size class owns one region of [region_size] bytes; the regions
+    lie back to back from [0x4000_0000_0000]. *)
 val region_size : int
 
 (** [is_lowfat p] — does [p] point into a low-fat region? *)

@@ -177,11 +177,8 @@ let run_fcase ~raw ~expected ~expected_hex ~dir f =
     @ (match Sys.file_exists out_path with
       | false -> []
       | true ->
-          let ic = open_in_bin out_path in
           let written =
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
+            In_channel.with_open_bin out_path In_channel.input_all
           in
           if Bytes.unsafe_of_string written = expected then []
           else [ "emitted file differs from the one-shot rewrite" ])

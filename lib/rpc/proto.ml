@@ -21,7 +21,7 @@ let parse_error = -32700
 let invalid_request = -32600
 let method_not_found = -32601
 let invalid_params = -32602
-let internal_error = -32603
+(* -32603 (internal error) is a bug: nothing maps there on purpose. *)
 
 (* Application codes: one per typed failure family (DESIGN.md §13). *)
 let state_error = -32000
@@ -31,8 +31,6 @@ let io_error = -32003
 let spec_error = -32004
 let verify_failed = -32005
 let injected_fault = -32006
-
-let _ = internal_error
 
 (* ------------------------------------------------------------------ *)
 (* Envelope validation                                                 *)

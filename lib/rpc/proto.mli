@@ -50,7 +50,6 @@ val method_not_found : int  (** -32601 *)
 
 val invalid_params : int  (** -32602 *)
 
-val internal_error : int  (** -32603: a bug — nothing maps here on purpose *)
 
 val state_error : int  (** -32000: message legal, but not in this state *)
 
@@ -76,8 +75,6 @@ val string_param : Json.t -> string -> [ `Ok of string | `Missing | `Bad ]
 val bool_param : Json.t -> string -> [ `Ok of bool | `Missing | `Bad ]
 
 (** {1 Encoding} *)
-
-val id_json : id -> Json.t
 
 (** [response id result] is a success envelope, rendered to one line by
     [Json.to_string]. *)

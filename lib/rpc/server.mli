@@ -27,10 +27,6 @@ val create :
 
 val ctx : t -> Session.ctx
 
-(** [stop t] asks every transport loop to wind down (the [shutdown]
-    method calls this through its verdict). *)
-val stop : t -> unit
-
 val stopping : t -> bool
 
 (** {1 In-process transport} *)
@@ -79,9 +75,6 @@ val errors : t -> int  (** error responses sent *)
 
 (** (started, closed). *)
 val sessions : t -> int * int
-
-(** All per-request wall-clock latencies recorded so far, seconds. *)
-val latencies : t -> float list
 
 (** [latency_percentile t p] — the [p]-quantile ([0..1]) of recorded
     request latencies, 0 when none. *)

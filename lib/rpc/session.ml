@@ -37,9 +37,7 @@ type t = {
       (** [rules] came from [tool] messages: emit injects the runtime *)
   mutable reserves : (int * int) list;  (** reverse order *)
   mutable opts : Rewriter.options;
-  mutable disasm_from : int option;
-  mutable requests : int;
-  mutable emits : int;
+  mutable code_start : int option;  (** the wire's [disasm_from] *)
 }
 
 let create ctx ~obs =
@@ -52,13 +50,8 @@ let create ctx ~obs =
     tool = false;
     reserves = [];
     opts = Rewriter.default_options;
-    disasm_from = None;
-    requests = 0;
-    emits = 0;
+    code_start = None;
   }
-
-let requests t = t.requests
-let emits t = t.emits
 
 type verdict = { reply : Json.t option; close : bool; stop : bool }
 
@@ -95,17 +88,8 @@ let require what = function Some v -> v | None -> bad "missing %s param" what
 (* ------------------------------------------------------------------ *)
 
 let read_raw path =
-  match open_in_bin path with
-  | exception Sys_error m -> raise (Elf_file.Io_error m)
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (in_channel_length ic) with
-          | s -> s
-          | exception (Sys_error m) -> raise (Elf_file.Io_error m)
-          | exception End_of_file ->
-              raise (Elf_file.Io_error (path ^ ": short read")))
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error m -> raise (Elf_file.Io_error m)
 
 let do_binary t params =
   (if t.binary <> None then
@@ -224,7 +208,7 @@ let do_options t params =
   (* Kept for clients that still send it: validated as a boolean,
      otherwise ignored (DESIGN.md §10). *)
   ignore (bool_param params "plan");
-  upd (int_param params "disasm_from") (fun a -> t.disasm_from <- Some a);
+  upd (int_param params "disasm_from") (fun a -> t.code_start <- Some a);
   Json.Obj [ ("ok", Json.Bool true) ]
 
 (* ------------------------------------------------------------------ *)
@@ -304,8 +288,6 @@ let stats_json (s : Stats.t) =
       ("t2", Json.Int s.Stats.t2); ("t3", Json.Int s.Stats.t3);
       ("failed", Json.Int s.Stats.failed) ]
 
-let from_tag = function None -> "-" | Some a -> Printf.sprintf "%x" a
-
 (* Inject the runtime if the rules are tool rules, rewrite, verify the
    output against the rewrite input (the injected pages are part of what
    the verifier must account for), cache. *)
@@ -321,9 +303,17 @@ let do_emit t params =
   let want_data = Option.value (bool_param params "data") ~default:false in
   let rules = List.rev t.rules in
   let opts = { t.opts with Rewriter.keep_ranges = List.rev t.reserves } in
-  let okey =
-    Rewriter.options_signature opts ^ ";from=" ^ from_tag t.disasm_from
+  (* The wire's [disasm_from] is the one leading hole below it. *)
+  let holes =
+    match t.code_start with
+    | None -> []
+    | Some a -> [ Frontend.leading_hole elf a ]
   in
+  let holes_tag =
+    String.concat ","
+      (List.map (fun (a, l) -> Printf.sprintf "%x+%x" a l) holes)
+  in
+  let okey = Rewriter.options_signature opts ^ ";holes=" ^ holes_tag in
   let rt_tag = if t.tool then "rt" else "-" in
   let key =
     Printf.sprintf "r:%s:%s:%s:%s" bhash rt_tag
@@ -346,7 +336,7 @@ let do_emit t params =
           match runtime with Some rt -> rt.Tool.augmented | None -> elf
         in
         let dkey =
-          Printf.sprintf "d:%s:%s:%s" bhash rt_tag (from_tag t.disasm_from)
+          Printf.sprintf "d:%s:%s:%s" bhash rt_tag holes_tag
         in
         let decoded =
           match Cache.find t.ctx.decode_cache dkey with
@@ -354,7 +344,7 @@ let do_emit t params =
           | None ->
               let d =
                 Obs.span t.obs "rpc_decode" (fun () ->
-                    Frontend.disassemble ?from:t.disasm_from input)
+                    Frontend.disassemble ~holes input)
               in
               Cache.add t.ctx.decode_cache dkey d;
               d
@@ -362,13 +352,12 @@ let do_emit t params =
         let select, template = Tool.lower ?runtime rules in
         let r =
           Obs.span t.obs "rpc_rewrite" (fun () ->
-              Rewriter.run ~options:opts ~obs:t.obs ?disasm_from:t.disasm_from
+              Rewriter.run ~options:opts ~obs:t.obs ~holes
                 ~frontend:(fun _ -> decoded) input ~select ~template)
         in
         (match
            Obs.span t.obs "rpc_verify" (fun () ->
-               Static.verify ?disasm_from:t.disasm_from ~original:input
-                 r.Rewriter.output)
+               Static.verify ~holes ~original:input r.Rewriter.output)
          with
         | Ok _ -> ()
         | Error e ->
@@ -400,7 +389,6 @@ let do_emit t params =
   t.rules <- [];
   t.tool <- false;
   t.reserves <- [];
-  t.emits <- t.emits + 1;
   Json.Obj
     ([ ("ok", Json.Bool true); ("cache", Json.Str cache_tag);
        ("size", Json.Int (Bytes.length entry.bytes));
@@ -426,7 +414,6 @@ let do_flush t =
   Json.Obj [ ("ok", Json.Bool true); ("generation", Json.Int generation) ]
 
 let handle t (req : Proto.request) =
-  t.requests <- t.requests + 1;
   Obs.counter t.obs ~name:"rpc_requests" ~value:1;
   let ok ?(close = false) ?(stop = false) result =
     let reply =

@@ -58,9 +58,6 @@ type t
     (one sink per session; the server merges them back). *)
 val create : ctx -> obs:E9_obs.Obs.t -> t
 
-val requests : t -> int
-val emits : t -> int
-
 (** What [handle] decided: the response to send (none for
     notifications), whether this session must close, and whether the
     whole daemon was asked to stop. *)

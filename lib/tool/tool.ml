@@ -61,10 +61,8 @@ let parse_csv ~file content =
   List.rev !ranges
 
 let default_read_file path =
-  let ic = try open_in_bin path with Sys_error m -> errf "%s" m in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error m -> errf "%s" m
 
 let range_selector (lo, hi) =
   Spec.And (Spec.Addr_cmp (`Ge, lo), Spec.Addr_cmp (`Lt, hi))
@@ -246,12 +244,11 @@ let to_rewriter_args rt rules = lower ~runtime:rt rules
 
 type result = { rewrite : Rewriter.result; runtime : runtime }
 
-let run ?options ?obs ?disasm_from ?frontend elf rules =
+let run ?options ?obs ?holes elf rules =
   if rules = [] then errf "no rules (need at least one -M/-P pair)";
   let rt = inject elf in
   let select, template = to_rewriter_args rt rules in
   let rewrite =
-    Rewriter.run ?options ?obs ?disasm_from ?frontend rt.augmented
-      ~select ~template
+    Rewriter.run ?options ?obs ?holes rt.augmented ~select ~template
   in
   { rewrite; runtime = rt }

@@ -128,17 +128,19 @@ type result = {
           [runtime.instr_ranges] private *)
 }
 
-(** [run ?options ?obs ?disasm_from elf rules] injects the runtime and
+(** [run ?options ?obs ?holes elf rules] injects the runtime and
     rewrites [runtime.augmented]: every rule-selected instruction is
-    diverted to its patch's trampoline. [elf] is not mutated. The
-    injection is a pure function of the input segments, so output bytes
-    are a function of [elf] and [rules]. Raises {!Error} on an empty rule
-    list or an unresolvable call target. *)
+    diverted to its patch's trampoline. [holes] are the data extents
+    inside the text, as for {!E9_core.Rewriter.run}; the runtime leaves
+    the text where it is, so they hold for the augmented input too. [elf]
+    is not mutated. The injection is a pure function of the input
+    segments, so output bytes are a function of [elf], [rules] and
+    [holes]. Raises {!Error} on an empty rule list or an unresolvable
+    call target. *)
 val run :
   ?options:E9_core.Rewriter.options ->
   ?obs:E9_obs.Obs.t ->
-  ?disasm_from:int ->
-  ?frontend:(Elf_file.t -> Frontend.text * Frontend.site list) ->
+  ?holes:(int * int) list ->
   Elf_file.t ->
   rule list ->
   result

@@ -13,8 +13,6 @@ type t
 (** Raised on access violations: address and a description. *)
 exception Fault of int * string
 
-val page_size : int
-
 val create : unit -> t
 
 (** [map_bytes t ~vaddr ~prot content] copies [content] to [vaddr].

@@ -714,6 +714,20 @@ let islands elf =
           ( Int64.to_int (Buf.get_u64 b (16 * i)),
             Int64.to_int (Buf.get_u64 b ((16 * i) + 8)) ))
 
+(* The leading pool runs from the text's first byte up to the ChromeMain
+   marker; it is empty (marker at the base) unless [data_in_text_kb > 0]. *)
+let holes elf =
+  let pool =
+    match
+      ( Elf_file.find_section elf ".text",
+        Elf_file.find_section elf chromemain_marker )
+    with
+    | Some t, Some m when m.Elf_file.addr > t.Elf_file.addr ->
+        [ (t.Elf_file.addr, m.Elf_file.addr - t.Elf_file.addr) ]
+    | _ -> []
+  in
+  pool @ islands elf
+
 (* A shared library: the same code shape, loaded high, with its function
    entry points exported for an executable's import table. *)
 let generate_library prof =

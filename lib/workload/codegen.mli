@@ -99,11 +99,15 @@ val chromemain_marker : string
     [island_bias > 0] produced at least one island. *)
 val islands_section : string
 
-(** [islands elf] decodes {!islands_section} back into [(addr, len)]
-    pairs, in emission order. [[]] when the section is absent; raises
-    {!Elf_file.Malformed} when present but not a whole number of 16-byte
+(** [holes elf] is the generator's ground truth for data inside the text,
+    as [(addr, len)] extents: the leading constant pool
+    [[text base, chromemain_marker)] when it is non-empty
+    ([data_in_text_kb > 0]), then the mid-function islands of
+    {!islands_section} in emission order. [[]] for a binary with neither
+    (or whose sections were stripped). Raises {!Elf_file.Malformed} when
+    the islands section is present but not a whole number of 16-byte
     records. *)
-val islands : Elf_file.t -> (int * int) list
+val holes : Elf_file.t -> (int * int) list
 
 (** The profile cannot be generated (the emitted text overflowed its
     budget). Harnesses over random profiles catch this to skip-and-report

@@ -17,8 +17,3 @@ val encode_with_prefixes : int list -> Insn.t -> string
 (** [length insn] is [String.length (encode insn)]. *)
 val length : Insn.t -> int
 
-(** The [e9] opcode byte. *)
-val jmp_opcode : int
-
-(** The [eb] short-jump opcode byte. *)
-val jmp_short_opcode : int

@@ -19,8 +19,6 @@ type t =
 let all =
   [| RAX; RCX; RDX; RBX; RSP; RBP; RSI; RDI; R8; R9; R10; R11; R12; R13; R14; R15 |]
 
-let scratch = [| RAX; RCX; RDX; RBX; RSI; RDI; R8; R9; R10; R11; R12; R13; R14; R15 |]
-
 let index = function
   | RAX -> 0
   | RCX -> 1
@@ -117,5 +115,3 @@ let name8 = function
   | R15 -> "%r15b"
 
 let equal a b = index a = index b
-let compare a b = Int.compare (index a) (index b)
-let pp ppf r = Format.pp_print_string ppf (name64 r)

@@ -31,10 +31,6 @@ val of_name : string -> t option
 (** All registers, in encoding order. *)
 val all : t array
 
-(** Registers safe for general code generation (excludes RSP and RBP, which
-    the synthetic workloads reserve for the stack/frame). *)
-val scratch : t array
-
 (** [name64 r] is the AT&T-style 64-bit name, e.g. ["%rax"]. *)
 val name64 : t -> string
 
@@ -45,5 +41,3 @@ val name32 : t -> string
 val name8 : t -> string
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -9,8 +9,8 @@
    diffing the two outputs shows exactly which digests a change moved.
 
    With --verify it instead runs the static verifier on every rewrite,
-   with the disassembly start and holes that rewrite used, and pins its
-   report: test/verify_digests.txt holds those lines. A verifier change
+   with the data holes that rewrite used, and pins its report:
+   test/verify_digests.txt holds those lines. A verifier change
    that must not move a verdict keeps that file unchanged.
 
    Usage: digests.exe [--verify]
@@ -25,9 +25,9 @@ module Codegen = E9_workload.Codegen
 module Suite = E9_workload.Suite
 module Adversary = E9_workload.Adversary
 module Rewriter = E9_core.Rewriter
-module Tactics = E9_core.Tactics
 module Trampoline = E9_core.Trampoline
 module Fuzz = E9_check.Fuzz
+module Matrix = E9_check.Matrix
 module Tool = E9_tool.Tool
 module Json = E9_obs.Json
 module Server = E9_rpc.Server
@@ -47,8 +47,8 @@ let digest_bytes b = Fnv.hex b ~pos:0 ~len:(Bytes.length b)
 let text_size elf =
   match Frontend.find_text elf with Some t -> t.Frontend.size | None -> 0
 
-let verify_line name ?disasm_from ?holes ~original out =
-  match Static.verify ?disasm_from ?holes ~original out with
+let verify_line name ?holes ~original out =
+  match Static.verify ?holes ~original out with
   | Ok r ->
       let b = Buffer.create 4096 in
       List.iter
@@ -62,10 +62,10 @@ let verify_line name ?disasm_from ?holes ~original out =
       Printf.printf "verify/%s rejected 0x%x:%s\n%!" name e.Static.addr
         (Fnv.to_hex (Fnv.hash64_string e.Static.reason))
 
-(* One pinned rewrite of [original] into [out]; [disasm_from] and
-   [holes] are what the rewrite itself used. *)
-let line name ?disasm_from ?holes original out =
-  if !verify_mode then verify_line name ?disasm_from ?holes ~original out
+(* One pinned rewrite of [original] into [out]; [holes] are what the
+   rewrite itself used. *)
+let line name ?holes original out =
+  if !verify_mode then verify_line name ?holes ~original out
   else
     Printf.printf "%s text=%d %s\n%!" name (text_size original)
       (digest_bytes (Elf_file.to_bytes out))
@@ -75,12 +75,12 @@ let missing name what =
   Printf.printf "%s%s %s\n%!" (if !verify_mode then "verify/" else "") name
     what
 
-let rewrite ?options ?disasm_from ?frontend elf ~select =
-  Rewriter.run ?options ?disasm_from ?frontend elf ~select
-    ~template:(fun _ -> Trampoline.Empty)
+let rewrite ?options ?holes elf ~select =
+  Rewriter.run ?options ?holes elf ~select ~template:(fun _ -> Trampoline.Empty)
 
 (* The bench's Table 1 setup: default options (shared objects reserve
-   the space below their base) and the ChromeMain sweep start. *)
+   the space below their base) and the generator's holes (the ChromeMain
+   pool). *)
 let corpus () =
   List.iter
     (fun (row : Suite.row) ->
@@ -90,47 +90,29 @@ let corpus () =
         { Rewriter.default_options with
           Rewriter.reserve_below_base = p.Codegen.shared_object }
       in
-      let disasm_from =
-        Option.map
-          (fun (s : Elf_file.section) -> s.Elf_file.addr)
-          (Elf_file.find_section elf Codegen.chromemain_marker)
-      in
+      let holes = Codegen.holes elf in
       List.iter
         (fun (tag, select) ->
           line
             (Printf.sprintf "corpus/%s/%s" p.Codegen.name tag)
-            ?disasm_from elf
-            (rewrite ~options ?disasm_from elf ~select).Rewriter.output)
+            ~holes elf
+            (rewrite ~options ~holes elf ~select).Rewriter.output)
         [ ("a1", Frontend.select_jumps); ("a2", Frontend.select_heap_writes) ])
     Suite.rows
 
 (* The robustness matrix's interpretation of a family — stripped
-   round trip, island exclusions, hole-aware frontend, B0 fallback —
-   at the default text geometry. *)
+   round trip, data holes, B0 fallback — at the default text geometry. *)
 let robust () =
   List.iter
     (fun (f : Adversary.family) ->
-      let generated = Codegen.generate f.Adversary.profile in
-      let holes = Codegen.islands generated in
-      let elf =
-        if f.Adversary.strip then
-          Elf_file.of_bytes (Elf_file.to_bytes_stripped generated)
-        else generated
-      in
-      let options =
-        { Rewriter.default_options with
-          Rewriter.tactics =
-            { Tactics.default_options with Tactics.b0_fallback = true };
-          reserve_below_base = f.Adversary.profile.Codegen.shared_object;
-          keep_ranges = holes }
-      in
+      let elf, holes = Matrix.prepare f in
       let select =
         match f.Adversary.selector with
         | Adversary.Jumps -> Frontend.select_jumps
         | Adversary.Heap_writes -> Frontend.select_heap_writes
       in
       line ("robust/" ^ f.Adversary.name) ~holes elf
-        (rewrite ~options ~frontend:(Frontend.disassemble ~holes) elf ~select)
+        (rewrite ~options:(Matrix.options_of f) ~holes elf ~select)
           .Rewriter.output)
     Adversary.families
 
@@ -141,8 +123,8 @@ let fuzz () =
   for i = 1 to fuzz_cases do
     let case = QCheck2.Gen.generate1 ~rand Fuzz.gen_case in
     match Fuzz.rewrite case with
-    | elf, disasm_from, r ->
-        line (Printf.sprintf "fuzz/%02d" i) ?disasm_from elf r.Rewriter.output
+    | elf, holes, r ->
+        line (Printf.sprintf "fuzz/%02d" i) ~holes elf r.Rewriter.output
     | exception Codegen.Error _ ->
         missing (Printf.sprintf "fuzz/%02d" i) "skipped"
   done

@@ -10,6 +10,8 @@ module Tactics = E9_core.Tactics
 module Trampoline = E9_core.Trampoline
 module Static = E9_check.Static
 module Fuzz = E9_check.Fuzz
+module Matrix = E9_check.Matrix
+module Adversary = E9_workload.Adversary
 
 let check_bool = Alcotest.(check bool)
 
@@ -126,6 +128,36 @@ let test_stray_byte_rejected () =
   check_bool "stray change rejected" true
     (Result.is_error (Static.verify ~original:elf (Elf_file.of_bytes out)))
 
+(* A byte flipped in the middle of a data island of a verified rewrite:
+   the rewriter never patches data, so the verifier must reject the byte
+   as outside the code, the way it rejects one in a leading pool. *)
+let test_island_byte_rejected () =
+  let f = Option.get (Adversary.find "islands") in
+  let elf, holes = Matrix.prepare f in
+  let r =
+    Rewriter.run ~options:(Matrix.options_of f) ~holes elf
+      ~select:Frontend.select_jumps ~template:(fun _ -> Trampoline.Empty)
+  in
+  (match Static.verify ~holes ~original:elf r.Rewriter.output with
+  | Error e ->
+      Alcotest.failf "pristine islands rewrite rejected: %s"
+        (Format.asprintf "%a" Static.pp_error e)
+  | Ok _ -> ());
+  let addr, len = List.find (fun (_, l) -> l >= 3) holes in
+  let mid = addr + (len / 2) in
+  (* Both sides serialized, as [e9patch_cli check FILE FILE] sees them. *)
+  let original = Elf_file.of_bytes (Elf_file.to_bytes elf) in
+  let out = Elf_file.to_bytes r.Rewriter.output in
+  let text = Option.get (Frontend.find_text elf) in
+  let off = text.Frontend.offset + (mid - text.Frontend.base) in
+  Bytes.set out off (Char.chr (Char.code (Bytes.get out off) lxor 0xff));
+  match Static.verify ~holes ~original (Elf_file.of_bytes out) with
+  | Ok _ -> Alcotest.fail "changed island byte accepted"
+  | Error e ->
+      Alcotest.(check int) "reported at the flipped byte" mid e.Static.addr;
+      Alcotest.(check string) "reason"
+        "changed byte outside the disassembled code region" e.Static.reason
+
 (* The corpus-punning case with T1 and T2 turned off, so every site the
    base tactic cannot patch escalates to T3. Its rewrite holds T3 short
    jumps: a 2-byte [jmp rel8] at the patch site serving a punned jump at
@@ -141,7 +173,7 @@ let punning_rewrite () =
       Tactics.enable_t1 = false;
       enable_t2 = false }
   in
-  let elf, disasm_from, r =
+  let elf, holes, r =
     Fuzz.rewrite
       { case with
         Fuzz.options = { case.Fuzz.options with Rewriter.tactics = forced } }
@@ -149,7 +181,7 @@ let punning_rewrite () =
   let out = Elf_file.to_bytes r.Rewriter.output in
   (* Both sides serialized, as [e9patch_cli check FILE FILE] sees them. *)
   let original = Elf_file.of_bytes (Elf_file.to_bytes elf) in
-  let verify b = Static.verify ?disasm_from ~original (Elf_file.of_bytes b) in
+  let verify b = Static.verify ~holes ~original (Elf_file.of_bytes b) in
   let report =
     match verify out with
     | Ok report -> report
@@ -373,6 +405,8 @@ let suites =
           test_flipped_displacement_rejected;
         Alcotest.test_case "stray byte change rejected" `Quick
           test_stray_byte_rejected;
+        Alcotest.test_case "changed island byte rejected" `Quick
+          test_island_byte_rejected;
         Alcotest.test_case "T3 short rel8 moved rejected" `Quick
           test_short_rel8_moved_rejected;
         Alcotest.test_case "T3 short restored rejected" `Quick

@@ -1,6 +1,6 @@
 (* Tests for the disassembler frontend: text location (section vs. segment
-   fallback), the [?from] and [?holes] sweep restrictions, site geometry,
-   and the two patch-location selectors. *)
+   fallback), the [?holes] sweep restriction and its [leading_hole] form,
+   site geometry, and the two patch-location selectors. *)
 
 module Insn = E9_x86.Insn
 module Reg = E9_x86.Reg
@@ -74,33 +74,38 @@ let test_disassemble_covers_text () =
   check_int "covers the whole text" (text.Frontend.base + text.Frontend.size)
     last_end
 
-(* [?from] is the §6.2 workaround: the sweep skips the data prefix and the
-   suffix matches a full sweep restarted at the same boundary. *)
-let test_disassemble_from () =
+(* [leading_hole] is the §6.2 workaround: the sweep skips the data prefix,
+   decodes nothing below the start, and the suffix matches a full sweep
+   restarted at the same boundary. *)
+let test_leading_hole () =
   let elf = elf () in
-  let _, sites = Frontend.disassemble elf in
-  let from_site = List.nth sites 4 in
-  let _, suffix = Frontend.disassemble ~from:from_site.Frontend.addr elf in
-  check_int "starts at from" from_site.Frontend.addr
-    (List.hd suffix).Frontend.addr;
+  let text, sites = Frontend.disassemble elf in
+  let from = (List.nth sites 4).Frontend.addr in
+  let hole = Frontend.leading_hole elf from in
+  check_bool "the hole is [base, from)" true
+    (hole = (text.Frontend.base, from - text.Frontend.base));
+  let _, suffix = Frontend.disassemble ~holes:[ hole ] elf in
+  check_int "starts at from" from (List.hd suffix).Frontend.addr;
+  check_bool "nothing decoded below from" true
+    (List.for_all (fun (s : Frontend.site) -> s.Frontend.addr >= from) suffix);
   let expect =
-    List.filter
-      (fun (s : Frontend.site) -> s.Frontend.addr >= from_site.Frontend.addr)
-      sites
+    List.filter (fun (s : Frontend.site) -> s.Frontend.addr >= from) sites
   in
   check_bool "suffix of the full sweep" true (suffix = expect)
 
-let test_disassemble_from_outside () =
+let test_leading_hole_outside () =
   let elf = elf () in
   let text = Option.get (Frontend.find_text elf) in
-  let addr = text.Frontend.base - 1 in
-  Alcotest.check_raises "start outside text"
-    (Frontend.Error
-       (Printf.sprintf
-          "Frontend: disassembly start 0x%x outside the text [0x%x, 0x%x)"
-          addr text.Frontend.base
-          (text.Frontend.base + text.Frontend.size)))
-    (fun () -> ignore (Frontend.disassemble ~from:addr elf))
+  let hi = text.Frontend.base + text.Frontend.size in
+  List.iter
+    (fun addr ->
+      Alcotest.check_raises "start outside text"
+        (Frontend.Error
+           (Printf.sprintf
+              "Frontend: disassembly start 0x%x outside the text [0x%x, 0x%x)"
+              addr text.Frontend.base hi))
+        (fun () -> ignore (Frontend.leading_hole elf addr)))
+    [ text.Frontend.base - 1; hi ]
 
 let test_disassemble_no_text_typed () =
   let elf = elf () in
@@ -152,8 +157,8 @@ let test_disassemble_decode_fault_prefix () =
 
 (* [?holes] skips interior data extents and re-synchronizes at each
    hole's end; a hole that starts mid-instruction also drops the
-   instruction that overran into it. [?from] is the special case of one
-   leading hole [base, from). *)
+   instruction that overran into it. A leading hole [base, addr) starts
+   the sweep at [addr], and it combines with an interior hole. *)
 let test_disassemble_holes () =
   let elf = elf () in
   let text, sites = Frontend.disassemble elf in
@@ -180,11 +185,17 @@ let test_disassemble_holes () =
   let _, overrun = Frontend.disassemble ~holes:[ (mid, hi - mid) ] elf in
   check_bool "overrun: the sweep minus the hole's sites" true
     (overrun = without ~lo:(wide.Frontend.addr + wide.Frontend.len) ~hi sites);
-  let _, from_sites = Frontend.disassemble ~from:hi elf in
-  let _, leading = Frontend.disassemble ~holes:[ (base, hi - base) ] elf in
-  check_bool "?from is a leading hole" true (from_sites = leading);
-  let _, both = Frontend.disassemble ~from:lo ~holes:[ (lo, hi - lo) ] elf in
-  check_bool "?from and ?holes combine" true (both = from_sites)
+  let _, leading =
+    Frontend.disassemble ~holes:[ Frontend.leading_hole elf hi ] elf
+  in
+  check_bool "a leading hole: the sweep from its end" true
+    (leading = without ~lo:base ~hi sites);
+  let _, both =
+    Frontend.disassemble
+      ~holes:[ Frontend.leading_hole elf lo; (lo, hi - lo) ]
+      elf
+  in
+  check_bool "two holes combine" true (both = leading)
 
 let test_disassemble_empty_text () =
   let elf = elf () in
@@ -240,10 +251,10 @@ let suites =
         Alcotest.test_case "find_text none" `Quick test_find_text_none;
         Alcotest.test_case "disassembly covers the text" `Quick
           test_disassemble_covers_text;
-        Alcotest.test_case "?from restricts the sweep" `Quick
-          test_disassemble_from;
-        Alcotest.test_case "?from outside text rejected" `Quick
-          test_disassemble_from_outside;
+        Alcotest.test_case "leading_hole restricts the sweep" `Quick
+          test_leading_hole;
+        Alcotest.test_case "leading_hole outside text rejected" `Quick
+          test_leading_hole_outside;
         Alcotest.test_case "no text is a typed error" `Quick
           test_disassemble_no_text_typed;
         Alcotest.test_case "decode fault truncates to a prefix" `Quick

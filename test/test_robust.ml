@@ -67,7 +67,7 @@ let test_islands_ground_truth () =
     | None -> Alcotest.fail "islands family missing"
   in
   let elf = Codegen.generate f.Adversary.profile in
-  let islands = Codegen.islands elf in
+  let islands = Codegen.holes elf in
   check_bool "islands family embeds data islands" true (islands <> []);
   List.iter
     (fun (addr, len) ->

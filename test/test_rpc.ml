@@ -90,11 +90,7 @@ let rmtempdir dir =
     (Sys.readdir dir);
   try Unix.rmdir dir with Unix.Unix_error _ -> ()
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* ------------------------------------------------------------------ *)
 (* Golden wire transcripts                                             *)

@@ -209,11 +209,8 @@ let test_chromemain_workaround () =
   (* "We only disassemble after the ChromeMain symbol." *)
   let elf = Codegen.generate chrome_challenge_profile in
   let orig = Machine.run elf in
-  let marker =
-    Option.get (Elf_file.find_section elf Codegen.chromemain_marker)
-  in
   let r =
-    E9_core.Rewriter.run ~disasm_from:marker.Elf_file.addr elf
+    E9_core.Rewriter.run ~holes:(Codegen.holes elf) elf
       ~select:Frontend.select_jumps
       ~template:(fun _ -> E9_core.Trampoline.Empty)
   in
@@ -222,6 +219,30 @@ let test_chromemain_workaround () =
   Alcotest.(check bool) "and still patches plenty" true
     (E9_core.Stats.total r.E9_core.Rewriter.stats > 100)
 
+(* The generator's ground truth for data in the text: the leading pool of
+   a [data_in_text_kb > 0] profile, the islands of the islands family,
+   nothing on the default profile. *)
+let test_holes_ground_truth () =
+  let elf = Codegen.generate chrome_challenge_profile in
+  let text = Option.get (Elf_file.find_section elf ".text") in
+  (match Codegen.holes elf with
+  | [ (a, l) ] ->
+      Alcotest.(check int) "pool starts at the text" text.Elf_file.addr a;
+      Alcotest.(check bool) "pool holds the data" true
+        (l >= chrome_challenge_profile.Codegen.data_in_text_kb * 1024)
+  | _ -> Alcotest.fail "expected exactly the leading pool");
+  let f = Option.get (E9_workload.Adversary.find "islands") in
+  let islands = Codegen.generate f.E9_workload.Adversary.profile in
+  let base =
+    (Option.get (Elf_file.find_section islands ".text")).Elf_file.addr
+  in
+  let holes = Codegen.holes islands in
+  Alcotest.(check bool) "islands family has islands" true (holes <> []);
+  Alcotest.(check bool) "and no leading pool" true
+    (List.for_all (fun (a, l) -> a > base && l > 0) holes);
+  Alcotest.(check bool) "default profile has no holes" true
+    (Codegen.holes (Codegen.generate Codegen.default_profile) = [])
+
 let suites =
   suites
   @ [ ( "workload.chrome-challenge",
@@ -229,4 +250,6 @@ let suites =
           Alcotest.test_case "naive patching corrupts" `Quick
             test_naive_patching_corrupts_data_in_text;
           Alcotest.test_case "ChromeMain workaround" `Quick
-            test_chromemain_workaround ] ) ]
+            test_chromemain_workaround;
+          Alcotest.test_case "Codegen.holes ground truth" `Quick
+            test_holes_ground_truth ] ) ]
