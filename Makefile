@@ -27,11 +27,12 @@ test: build
 	$(DUNE) runtest
 
 # Output-byte contract: rerun test/digests.exe against the pinned
-# test/digests.txt, and its --verify mode against the pinned
-# verifier reports in test/verify_digests.txt, and name every entry that
-# moved.
+# test/digests.txt, its --verify mode against the pinned verifier
+# reports in test/verify_digests.txt and its --trace mode against the
+# pinned trace-oracle verdicts in test/trace_digests.txt, and name every
+# entry that moved.
 digest-check: build
-	sh test/digest_check.sh _build/default/test/digests.exe test/digests.txt test/verify_digests.txt
+	sh test/digest_check.sh _build/default/test/digests.exe test/digests.txt test/verify_digests.txt test/trace_digests.txt
 
 # Full evaluation run: every table/figure, all sizes. Minutes, not for CI.
 bench: build
@@ -106,8 +107,11 @@ serve-smoke: build
 # builtin (print, count, trap, empty, lowfat) plus a three-argument clean
 # call trampoline, each rewritten once with --check (the E9_check static
 # verifier and the trace oracle with the instrumentation pages private);
-# all six must print "dynamic: OK". A generated input is used so the
-# target is hermetic and deterministic.
+# all six must print "dynamic: OK", and the six "dynamic:" lines (event,
+# retire, store and instruction counts) must match
+# test/tool_smoke_dynamic.txt: a change that moves what the oracle
+# compares moves them. A generated input is used so the target is
+# hermetic and deterministic.
 tool-smoke: build
 	rm -rf tool-smoke && mkdir -p tool-smoke
 	$(DUNE) exec bin/e9patch_cli.exe -- generate -o tool-smoke/input.elf --functions 40 --iterations 80 --seed 7
@@ -126,6 +130,7 @@ tool-smoke: build
 	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- tool tool-smoke/input.elf -o tool-smoke/out$$i.elf -M "$$m" -P "$$p" --check; \
 	done < tool-smoke/pairs.txt; } 2>&1 | tee tool_output.txt
 	test "$$(grep -c '^dynamic: OK' tool_output.txt)" = 6
+	grep '^dynamic:' tool_output.txt | diff -u test/tool_smoke_dynamic.txt -
 	! grep -qE 'FAIL|diverged' tool_output.txt
 
 # Scale gate: a generated input of about 1.1 MB of text, patched on jumps

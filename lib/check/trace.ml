@@ -16,11 +16,40 @@ let pp_stats ppf s =
      instructions"
     s.events s.boundary_retires s.stores s.insns_original s.insns_rewritten
 
-(* FNV-style rolling mix over the native-int event fields. *)
-let mix h v = ((h * 0x100000001b3) + v) land max_int
+(* FNV-style rolling hash over the native-int event fields: each field
+   [v] is mixed in as [h <- (h * prime + v) land max_int], Horner's rule
+   modulo 2^62. A run of such steps is a polynomial in [prime], so it is
+   computed below as a sum of independent products with the powers
+   precomputed: the same value, without a chain of dependent multiplies
+   at every event. *)
+let prime = 0x100000001b3
+let p1 = prime
+let p2 = p1 * prime
+let p3 = p2 * prime
+let p4 = p3 * prime
+let p5 = p4 * prime
+let p6 = p5 * prime
+let p7 = p6 * prime
+let p8 = p7 * prime
+let p9 = p8 * prime
+let p10 = p9 * prime
+let p11 = p10 * prime
+let p12 = p11 * prime
+let p13 = p12 * prime
+let p14 = p13 * prime
+let p15 = p14 * prime
 
-(* First [record_cap] events are kept verbatim so a divergence can be
-   located; beyond that only the rolling hash discriminates. *)
+(* The 16 general-purpose registers mixed in order from 0. *)
+let regs_hash (r : int array) =
+  ((r.(0) * p15) + (r.(1) * p14) + (r.(2) * p13) + (r.(3) * p12)
+   + (r.(4) * p11) + (r.(5) * p10) + (r.(6) * p9) + (r.(7) * p8)
+   + (r.(8) * p7) + (r.(9) * p6) + (r.(10) * p5) + (r.(11) * p4)
+   + (r.(12) * p3) + (r.(13) * p2) + (r.(14) * p1) + r.(15))
+  land max_int
+
+(* When the rolling hashes differ, both programs are run again and their
+   first [record_cap] events are kept verbatim so the divergence can be
+   located; beyond that only the hash discriminates. *)
 let record_cap = 1 lsl 17
 
 type run_trace = {
@@ -29,32 +58,72 @@ type run_trace = {
   count : int;
   retires : int;
   store_count : int;
-  recorded : (int * int * int * int) array;
+  recorded : (int * int * int * int) array;  (* empty unless recording *)
 }
 
 let kind_retire = 1
 let kind_store = 2
 
-(* [start] is the original program's entry: events before the first retire
-   at that address belong to the injected loader stub (stub mode), which is
-   part of the loading process, not of the program's architectural trace.
-   [in_instr] marks instrumentation-private address ranges (tool-injected
-   data/code segments): retires inside them and stores targeting them are
-   instrumentation bookkeeping, exempt from the architectural comparison.
-   The filter applies identically to both runs, and the original program
-   neither executes nor writes those ranges, so the comparison stays
-   one-to-one for everything program-visible. *)
-let traced_run ?config ~is_boundary ~in_instr ~start elf =
+let rec in_ranges addr = function
+  | [] -> false
+  | (lo, hi) :: rest -> (addr >= lo && addr < hi) || in_ranges addr rest
+
+(* What both runs are filtered by. [boundary] holds one bit per text byte
+   from [base]: the original instruction boundaries outside
+   [instr_ranges], so a retire asks one bounds check and one bit test.
+   [start] is the original program's entry: events before the first
+   retire at that address belong to the injected loader stub (stub mode),
+   which is part of the loading process, not of the program's
+   architectural trace. [instr_ranges] are instrumentation-private
+   address ranges (tool-injected data/code segments): retires inside them
+   and stores targeting them are instrumentation bookkeeping, exempt from
+   the architectural comparison. The filter applies identically to both
+   runs, and the original program neither executes nor writes those
+   ranges, so the comparison stays one-to-one for everything
+   program-visible. *)
+type filter = {
+  boundary : Bytes.t;
+  base : int;
+  size : int;
+  instr_ranges : (int * int) list;
+  start : int;
+}
+
+let filter ~holes ~instr_ranges original =
+  (* [holes]: the data extents the rewrite excluded. The boundary set
+     is only a filter applied identically to both runs, so phantom entries
+     from a desynchronized sweep are harmless (data bytes never retire)
+     — but the hole-aware sweep also recovers the real boundaries {e
+     after} each hole that a desynchronized sweep would miss, keeping
+     the comparison dense there. *)
+  let text, sites = Frontend.disassemble ~holes original in
+  let base = text.Frontend.base in
+  let boundary = Bytes.make ((text.Frontend.size + 7) lsr 3) '\000' in
+  List.iter
+    (fun (s : Frontend.site) ->
+      if not (in_ranges s.Frontend.addr instr_ranges) then begin
+        let i = s.Frontend.addr - base in
+        Bytes.set_uint8 boundary (i lsr 3)
+          (Bytes.get_uint8 boundary (i lsr 3) lor (1 lsl (i land 7)))
+      end)
+    sites;
+  { boundary; base; size = text.Frontend.size; instr_ranges;
+    start = original.Elf_file.entry }
+
+(* One run of [elf] under [f], hashing every event; with [record] the
+   first [record_cap] events are also kept. *)
+let traced_run ?config ~record f elf =
   let h = ref 0 in
   let count = ref 0 in
   let retires = ref 0 in
   let store_count = ref 0 in
   let recorded = ref [] in
   let nrec = ref 0 in
+  (* The four fields mixed into [h] in order, as one sum. *)
   let emit k a b c =
-    h := mix (mix (mix (mix !h k) a) b) c;
+    h := ((!h * p4) + (k * p3) + (a * p2) + (b * p1) + c) land max_int;
     incr count;
-    if !nrec < record_cap then begin
+    if record && !nrec < record_cap then begin
       recorded := (k, a, b, c) :: !recorded;
       incr nrec
     end
@@ -66,19 +135,22 @@ let traced_run ?config ~is_boundary ~in_instr ~start elf =
   let dropping = ref false in
   let started = ref false in
   let on_retire ~addr ~insn ~regs =
-    if not !started then started := addr = start;
+    if not !started then started := addr = f.start;
     if !started then begin
       (dropping :=
          match insn with Insn.Call _ | Insn.Call_ind _ -> true | _ -> false);
-      if is_boundary addr && not (in_instr addr) then begin
-        let rh = Array.fold_left mix 0 regs in
-        emit kind_retire addr rh 0;
+      let i = addr - f.base in
+      if i >= 0 && i < f.size
+         && Bytes.get_uint8 f.boundary (i lsr 3) land (1 lsl (i land 7)) <> 0
+      then begin
+        emit kind_retire addr (regs_hash regs) 0;
         incr retires
       end
     end
   in
   let on_store ~addr ~size ~value =
-    if !started && (not !dropping) && not (in_instr addr) then begin
+    if !started && (not !dropping) && not (in_ranges addr f.instr_ranges)
+    then begin
       emit kind_store addr size value;
       incr store_count
     end
@@ -101,59 +173,35 @@ let event_str (k, a, b, c) =
   if k = kind_retire then Printf.sprintf "retire 0x%x (regs %x)" a b
   else Printf.sprintf "store [0x%x]<-%d (%d bytes)" a c b
 
+(* The first recorded event where the two runs differ, the run whose
+   recording ends first naming "end of trace" on its own side. *)
 let first_divergence ta tb =
-  let n = min (Array.length ta.recorded) (Array.length tb.recorded) in
+  let la = Array.length ta.recorded and lb = Array.length tb.recorded in
   let rec go i =
-    if i >= n then
-      if Array.length ta.recorded <> Array.length tb.recorded then
+    if i >= min la lb then
+      if la > lb then
         Some
-          (i,
-            Printf.sprintf "event %d: %s vs end of trace" i
-              (event_str
-                 (if Array.length ta.recorded > i then ta.recorded.(i)
-                  else tb.recorded.(i))))
+          (Printf.sprintf "event %d: %s vs end of trace" i
+             (event_str ta.recorded.(i)))
+      else if lb > la then
+        Some
+          (Printf.sprintf "event %d: end of trace vs %s" i
+             (event_str tb.recorded.(i)))
       else None
     else if ta.recorded.(i) <> tb.recorded.(i) then
       Some
-        (i,
-          Printf.sprintf "event %d: %s vs %s" i
-            (event_str ta.recorded.(i))
-            (event_str tb.recorded.(i)))
+        (Printf.sprintf "event %d: %s vs %s" i
+           (event_str ta.recorded.(i))
+           (event_str tb.recorded.(i)))
     else go (i + 1)
   in
   go 0
 
-(* The original instruction boundaries, one bit per text byte: every
-   retire asks, so the lookup is a bounds check and a bit test. *)
-let boundary_bitmap (text : Frontend.text) sites =
-  let bits = Bytes.make ((text.Frontend.size + 7) lsr 3) '\000' in
-  List.iter
-    (fun (s : Frontend.site) ->
-      let i = s.Frontend.addr - text.Frontend.base in
-      Bytes.set_uint8 bits (i lsr 3)
-        (Bytes.get_uint8 bits (i lsr 3) lor (1 lsl (i land 7))))
-    sites;
-  fun addr ->
-    let i = addr - text.Frontend.base in
-    i >= 0 && i < text.Frontend.size
-    && Bytes.get_uint8 bits (i lsr 3) land (1 lsl (i land 7)) <> 0
-
 let compare_runs ?config ?(holes = []) ?(instr_ranges = []) ~original
     rewritten =
-  (* [holes]: the data extents the rewrite excluded. The boundary set
-     is only a filter applied identically to both runs, so phantom entries
-     from a desynchronized sweep are harmless (data bytes never retire)
-     — but the hole-aware sweep also recovers the real boundaries {e
-     after} each hole that a desynchronized sweep would miss, keeping
-     the comparison dense there. *)
-  let text, sites = Frontend.disassemble ~holes original in
-  let is_boundary = boundary_bitmap text sites in
-  let start = original.Elf_file.entry in
-  let in_instr addr =
-    List.exists (fun (lo, hi) -> addr >= lo && addr < hi) instr_ranges
-  in
-  let ta = traced_run ?config ~is_boundary ~in_instr ~start original in
-  let tb = traced_run ?config ~is_boundary ~in_instr ~start rewritten in
+  let f = filter ~holes ~instr_ranges original in
+  let ta = traced_run ?config ~record:false f original in
+  let tb = traced_run ?config ~record:false f rewritten in
   if ta.result.Cpu.outcome <> tb.result.Cpu.outcome then
     Error
       (Printf.sprintf "outcome diverged: %s vs %s"
@@ -165,9 +213,14 @@ let compare_runs ?config ?(holes = []) ?(instr_ranges = []) ~original
          (String.length ta.result.Cpu.output)
          (String.length tb.result.Cpu.output))
   else if ta.count <> tb.count || ta.hash <> tb.hash then
+    (* The emulator is deterministic, so running both programs again under
+       the same configuration and filter reproduces these event streams,
+       this time recorded. *)
+    let ra = traced_run ?config ~record:true f original in
+    let rb = traced_run ?config ~record:true f rewritten in
     Error
-      (match first_divergence ta tb with
-      | Some (_, msg) -> "trace diverged: " ^ msg
+      (match first_divergence ra rb with
+      | Some msg -> "trace diverged: " ^ msg
       | None ->
           Printf.sprintf
             "trace diverged beyond the recorded window (%d vs %d events, \

@@ -15,7 +15,12 @@
       architecturally visible difference the paper's control-flow
       transparency caveat allows.
 
-    plus the final outcome and output stream. The oracle is specified for
+    plus the final outcome and output stream. Each run folds its event
+    stream into a rolling hash and a count and keeps nothing else; only
+    when outcome and output agree but the hashes or counts differ are
+    both programs run again, their first 2{^17} events recorded, to name
+    the first divergent event (the emulator is deterministic, so the
+    second runs reproduce the first). The oracle is specified for
     {!E9_core.Trampoline.Empty} templates and for {e trace-transparent}
     instrumentation: templates whose extra state lives in host-side
     channels (hostcall counters, the print log) or in declared
@@ -51,3 +56,9 @@ val compare_runs :
   original:Elf_file.t ->
   Elf_file.t ->
   (stats, string) result
+
+(** [regs_hash regs] is the register-file hash a boundary retire
+    contributes (printed as [regs %x] in a divergence): the 16
+    general-purpose registers of [regs] mixed in order from 0 by
+    [h <- (h * 0x100000001b3 + r) land max_int]. *)
+val regs_hash : int array -> int

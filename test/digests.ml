@@ -19,7 +19,9 @@
    DIGEST, where DIGEST is the FNV-64 of the report's classification
    printed as one ADDR:CLASS line per changed byte; a rejected pair
    prints verify/NAME rejected ADDR:DIGEST, hashing the error's
-   reason. *)
+   reason. With --trace: trace/NAME ok
+   EVENTS/BOUNDARY_RETIRES/STORES/INSNS_ORIGINAL/INSNS_REWRITTEN, or
+   trace/NAME error MESSAGE with the oracle's full message. *)
 
 module Codegen = E9_workload.Codegen
 module Suite = E9_workload.Suite
@@ -34,13 +36,17 @@ module Server = E9_rpc.Server
 module Harness = E9_rpc.Harness
 module Proto = E9_rpc.Proto
 module Static = E9_check.Static
+module Trace = E9_check.Trace
 module Fnv = E9_bits.Fnv
 
 let fuzz_seed = 42
 let fuzz_cases = 20
 
-(* Set by --verify: print the verifier's report instead of the bytes. *)
-let verify_mode = ref false
+(* Set by --verify / --trace: print the verifier's report or the trace
+   oracle's verdict instead of the bytes. *)
+type mode = Output | Verify | Oracle
+
+let mode = ref Output
 
 let digest_bytes b = Fnv.hex b ~pos:0 ~len:(Bytes.length b)
 
@@ -62,18 +68,30 @@ let verify_line name ?holes ~original out =
       Printf.printf "verify/%s rejected 0x%x:%s\n%!" name e.Static.addr
         (Fnv.to_hex (Fnv.hash64_string e.Static.reason))
 
+let trace_line name ?holes ~original out =
+  match Trace.compare_runs ?holes ~original out with
+  | Ok s ->
+      Printf.printf "trace/%s ok %d/%d/%d/%d/%d\n%!" name s.Trace.events
+        s.Trace.boundary_retires s.Trace.stores s.Trace.insns_original
+        s.Trace.insns_rewritten
+  | Error msg -> Printf.printf "trace/%s error %s\n%!" name msg
+
 (* One pinned rewrite of [original] into [out]; [holes] are what the
    rewrite itself used. *)
 let line name ?holes original out =
-  if !verify_mode then verify_line name ?holes ~original out
-  else
-    Printf.printf "%s text=%d %s\n%!" name (text_size original)
-      (digest_bytes (Elf_file.to_bytes out))
+  match !mode with
+  | Verify -> verify_line name ?holes ~original out
+  | Oracle -> trace_line name ?holes ~original out
+  | Output ->
+      Printf.printf "%s text=%d %s\n%!" name (text_size original)
+        (digest_bytes (Elf_file.to_bytes out))
 
 (* A case with no rewrite to pin ([skipped], [refused]). *)
 let missing name what =
-  Printf.printf "%s%s %s\n%!" (if !verify_mode then "verify/" else "") name
-    what
+  let prefix =
+    match !mode with Output -> "" | Verify -> "verify/" | Oracle -> "trace/"
+  in
+  Printf.printf "%s%s %s\n%!" prefix name what
 
 let rewrite ?options ?holes elf ~select =
   Rewriter.run ?options ?holes elf ~select ~template:(fun _ -> Trampoline.Empty)
@@ -156,7 +174,8 @@ let tool () =
 (* Emits served by the daemon for one session's messages (after loading
    the smoke input), driven through the in-process transport. A tool
    session rewrites the input with the runtime injected, so --verify
-   checks its emit against that augmented input, as the daemon does. *)
+   and --trace check its emit against that augmented input, as the
+   daemon does. *)
 let served () =
   let elf = Lazy.force smoke_input in
   let raw = Elf_file.to_bytes elf in
@@ -182,13 +201,15 @@ let served () =
           | _ -> None)
       | Error _ -> None
     in
-    match data with
-    | Some b when !verify_mode ->
+    match (data, !mode) with
+    | Some b, Verify ->
         verify_line ("served/" ^ name) ~original:input (Elf_file.of_bytes b)
-    | Some b ->
+    | Some b, Oracle ->
+        trace_line ("served/" ^ name) ~original:input (Elf_file.of_bytes b)
+    | Some b, Output ->
         Printf.printf "served/%s text=%d %s\n%!" name (text_size elf)
           (digest_bytes b)
-    | None -> missing ("served/" ^ name) "refused"
+    | None, _ -> missing ("served/" ^ name) "refused"
   in
   List.iter
     (fun spec -> serve ("patch " ^ spec) [ ("patch", [ ("spec", Json.Str ("patch " ^ spec)) ]) ])
@@ -201,9 +222,10 @@ let served () =
 let () =
   (match Sys.argv with
   | [| _ |] -> ()
-  | [| _; "--verify" |] -> verify_mode := true
+  | [| _; "--verify" |] -> mode := Verify
+  | [| _; "--trace" |] -> mode := Oracle
   | _ ->
-      prerr_endline "usage: digests.exe [--verify]";
+      prerr_endline "usage: digests.exe [--verify | --trace]";
       exit 2);
   corpus ();
   robust ();

@@ -378,6 +378,78 @@ let test_b0_degraded_trace_equivalent () =
       check_bool "trap boundaries retired" true (stats.Trace.boundary_retires > 0)
   | Error m -> Alcotest.failf "B0-degraded binary diverged: %s" m
 
+(* The boundary-retire register hash, written as a sum of independent
+   products, equals the reference chain: the rolling mix folded over the
+   16 registers in order. Negative values and the extremes included. *)
+let prop_regs_hash =
+  let mix h v = ((h * 0x100000001b3) + v) land max_int in
+  QCheck.Test.make ~name:"Trace.regs_hash is the mix chain over 16 registers"
+    ~count:2000
+    QCheck.(
+      array_of_size (Gen.return 16)
+        (oneof [ int; small_signed_int; oneofl [ min_int; max_int; -1; 0 ] ]))
+    (fun regs -> Trace.regs_hash regs = Array.fold_left mix 0 regs)
+
+(* A clean-call rewrite of the tool-smoke input ([generate --functions 40
+   --iterations 80 --seed 7], read back from its file) checked without
+   its instrumentation-private ranges: the runtime's stores are
+   program-visible to the oracle, so the hashes differ and both programs
+   are run again to name the first divergent event. The message,
+   register hash included, is the one the oracle printed when it
+   recorded every run. *)
+let test_hash_divergence_named () =
+  let elf =
+    Elf_file.of_bytes
+      (Elf_file.to_bytes
+         (Codegen.generate
+            { Codegen.default_profile with
+              Codegen.seed = 7L;
+              functions = 40;
+              iterations = 80 }))
+  in
+  let res =
+    E9_tool.Tool.run elf
+      [ E9_tool.Tool.rule_of ~m:"calls" ~p:"call:clean record(addr,size,3)" () ]
+  in
+  match
+    Trace.compare_runs ~original:res.E9_tool.Tool.runtime.E9_tool.Tool.augmented
+      res.E9_tool.Tool.rewrite.Rewriter.output
+  with
+  | Ok _ -> Alcotest.fail "runtime stores compared as program stores"
+  | Error m ->
+      Alcotest.(check string) "first divergent event"
+        "trace diverged: event 19: retire 0x4000c6 (regs 235a1b2962bb9a14) vs \
+         store [0x427000]<-140737471578112 (8 bytes)"
+        m
+
+(* Under a fuel cap both runs stop out of fuel, and the rewritten one,
+   which retires trampoline instructions too, reaches fewer events. The
+   run whose trace ends first inside the recorded window is named on its
+   own side of the "vs", in either order of the pair. *)
+let test_end_of_trace_orientation () =
+  let elf =
+    Codegen.generate { Codegen.default_profile with Codegen.functions = 25 }
+  in
+  let out =
+    (Rewriter.run elf ~select:Frontend.select_jumps
+       ~template:(fun _ -> Trampoline.Empty))
+      .Rewriter.output
+  in
+  let config = { E9_emu.Cpu.default_config with E9_emu.Cpu.fuel = 5000 } in
+  let message ~original rewritten =
+    match Trace.compare_runs ~config ~original rewritten with
+    | Ok _ -> Alcotest.fail "fuel-capped runs compared equal"
+    | Error m -> m
+  in
+  Alcotest.(check string) "rewritten ends first"
+    "trace diverged: event 4784: retire 0x4006ee (regs 1cd70f26b3300df3) vs \
+     end of trace"
+    (message ~original:elf out);
+  Alcotest.(check string) "original ends first"
+    "trace diverged: event 4403: end of trace vs retire 0x4006ee (regs \
+     1cd70f26b3300df3)"
+    (message ~original:out elf)
+
 (* A deterministic spot check of the campaign runner itself (the QCheck
    property below redraws random cases): same seed => same summary. *)
 let test_inject_campaign_deterministic () =
@@ -421,5 +493,10 @@ let suites =
           test_b0_degraded_trace_equivalent;
         Alcotest.test_case "inject campaign deterministic" `Quick
           test_inject_campaign_deterministic;
+        Alcotest.test_case "hash divergence names the first event" `Quick
+          test_hash_divergence_named;
+        Alcotest.test_case "end of trace on the side that ended" `Quick
+          test_end_of_trace_orientation;
+        QCheck_alcotest.to_alcotest prop_regs_hash;
         QCheck_alcotest.to_alcotest prop_fuzz;
         QCheck_alcotest.to_alcotest prop_inject ] ) ]
