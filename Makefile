@@ -105,9 +105,10 @@ serve-smoke: build
 
 # Tool-frontend smoke (DESIGN.md §15): one matcher x patch pair per
 # builtin (print, count, trap, empty, lowfat) plus a three-argument clean
-# call trampoline, each rewritten once with --check (the E9_check static
-# verifier and the trace oracle with the instrumentation pages private);
-# all six must print "dynamic: OK", and the six "dynamic:" lines (event,
+# call trampoline and a naked call, each rewritten once with --check (the
+# E9_check static verifier and the trace oracle with the instrumentation
+# pages private); all seven must print "dynamic: OK", and the seven
+# "dynamic:" lines (event,
 # retire, store and instruction counts) must match
 # test/tool_smoke_dynamic.txt: a change that moves what the oracle
 # compares moves them. A generated input is used so the target is
@@ -122,6 +123,7 @@ tool-smoke: build
 	  'heap-writes|lowfat' \
 	  'mnemonic mov and op[0].type == reg|empty' \
 	  'calls|call:clean record(addr,size,3)' \
+	  'returns|call:naked counter()' \
 	  > tool-smoke/pairs.txt
 	{ i=0; \
 	while IFS='|' read -r m p; do \
@@ -129,7 +131,7 @@ tool-smoke: build
 	  echo "=== [$$i] -M $$m -P $$p"; \
 	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- tool tool-smoke/input.elf -o tool-smoke/out$$i.elf -M "$$m" -P "$$p" --check; \
 	done < tool-smoke/pairs.txt; } 2>&1 | tee tool_output.txt
-	test "$$(grep -c '^dynamic: OK' tool_output.txt)" = 6
+	test "$$(grep -c '^dynamic: OK' tool_output.txt)" = 7
 	grep '^dynamic:' tool_output.txt | diff -u test/tool_smoke_dynamic.txt -
 	! grep -qE 'FAIL|diverged' tool_output.txt
 

@@ -182,18 +182,27 @@ let verify_rewrite name elf (r : Rewriter.result) =
 (* Trace verification: the trace oracle runs the original and the patched
    program and compares their traces ([verify.traced]); a divergence
    counts as [verify.failed] and fails the bench run, like a static
-   rejection. *)
-let trace_verify name ~holes ~original output =
+   rejection. Its two runs are emulations like any other: one [emulate]
+   span, two [emu.runs], and the instructions both retired (the oracle
+   reports them only when the traces agree). *)
+let trace_verify ?config ?instr_ranges name ~holes ~original output =
   rolled (fun obs ->
       Obs.counter obs ~name:"verify.traced" ~value:1;
+      Obs.counter obs ~name:"emu.runs" ~value:2;
       match
-        Obs.span obs "trace" (fun () ->
-            E9_check.Trace.compare_runs ~holes ~original output)
+        Obs.span obs "emulate" (fun () ->
+            E9_check.Trace.compare_runs ?config ~holes ?instr_ranges
+              ~original output)
       with
-      | Ok _ -> ()
+      | Ok st ->
+          Obs.counter obs ~name:"emu.insns"
+            ~value:(st.E9_check.Trace.insns_original
+                    + st.E9_check.Trace.insns_rewritten);
+          None
       | Error m ->
           Obs.counter obs ~name:"verify.failed" ~value:1;
-          Format.eprintf "[verify] %s diverged: %s@." name m)
+          Format.eprintf "[verify] %s diverged: %s@." name m;
+          Some m)
 
 (* Rewrite with [select]/[template] and measure one Table 1 line. The
    rewrite is verified statically and, unless it runs under its own
@@ -207,7 +216,7 @@ let measure_app ?(options = Rewriter.default_options) ?make_allocator
   let r = traced_run ~options ~holes elf ~select ~template in
   verify_rewrite "measure_app" elf r;
   if make_allocator = None then
-    trace_verify "measure_app" ~holes ~original:elf r.Rewriter.output;
+    ignore (trace_verify "measure_app" ~holes ~original:elf r.Rewriter.output);
   let patched = run_emu ?make_allocator r.Rewriter.output in
   expect_exit "patched" patched;
   let s = r.Rewriter.stats in
@@ -359,7 +368,7 @@ let bench_figure4 () =
         let elf = Codegen.generate (Dromaeo.program s) in
         let orig = run_emu elf in
         expect_exit s.Dromaeo.name orig;
-        let text, _ = Frontend.disassemble elf in
+        let text = Option.get (Frontend.find_text elf) in
         let limit =
           text.Frontend.base
           + int_of_float
@@ -805,7 +814,7 @@ let bench_scalability () =
             Codegen.seed = 64L; functions; iterations = 50 }
         in
         let elf = Codegen.generate prof in
-        let text, _ = Frontend.disassemble elf in
+        let text = Option.get (Frontend.find_text elf) in
         let t0 = Unix.gettimeofday () in
         let r =
           traced_run elf ~select:Frontend.select_jumps
@@ -1145,12 +1154,9 @@ let bench_tool () =
     "Tool frontend: builtin matcher x patch pairs over the robustness corpus";
   let module Adversary = E9_workload.Adversary in
   let module Tool = E9_tool.Tool in
-  let module Static = E9_check.Static in
-  let module Trace = E9_check.Trace in
   (* One pair per builtin patch, plus the call-ABI pairs the acceptance
      bar names: a clean call with three static arguments and a naked
-     call (verified behaviorally — its [call] writes the guest stack by
-     design, so the trace oracle is the wrong instrument for it). *)
+     call. *)
   let pairs =
     [ ("jumps", "print");
       ("all", "count");
@@ -1161,79 +1167,61 @@ let bench_tool () =
       ("returns", "call:naked counter()") ]
   in
   let families = cut 3 Adversary.families in
-  let trace_config = { Cpu.default_config with Cpu.fuel = 50_000_000 } in
+  let config = { Cpu.default_config with Cpu.fuel = 50_000_000 } in
   let tasks =
     List.concat_map (fun pair -> List.map (fun f -> (pair, f)) families) pairs
   in
+  (* Every pair is checked by both oracles. A rewrite that raises is a
+     failed row, so one family cannot cost the others their rows. *)
   let score ((m, p), (f : Adversary.family)) =
-    let rules = [ Tool.rule_of ~m ~p () ] in
-    let naked =
-      match (List.hd rules).Tool.patch with
-      | Tool.Call { mode = Trampoline.Naked; _ } -> true
-      | _ -> false
-    in
+    let name = Printf.sprintf "tool -M %s -P %s on %s" m p f.Adversary.name in
     let elf, holes = E9_check.Matrix.prepare f in
     let options = E9_check.Matrix.options_of f in
-    let res = rolled (fun obs -> Tool.run ~options ~obs ~holes elf rules) in
-    let r = res.Tool.rewrite in
-    let rt = res.Tool.runtime in
-    let static_err =
-      verify
-        (Printf.sprintf "tool -M %s -P %s on %s" m p f.Adversary.name)
-        ~holes ~original:rt.Tool.augmented r.Rewriter.output
-    in
-    let trace_err =
-      if naked then
-        (* Behavioral equivalence: same outcome and output streams. *)
-        let orig = run_emu ~config:trace_config rt.Tool.augmented in
-        let patched = run_emu ~config:trace_config r.Rewriter.output in
-        if Machine.equivalent orig patched then None
-        else Some "naked call: outcome/output diverged"
-      else
-        (* The trace oracle's two runs; it reports instructions only
-           when the traces agree. *)
-        rolled (fun obs ->
-            Obs.counter obs ~name:"emu.runs" ~value:2;
-            match
-              Obs.span obs "emulate" (fun () ->
-                  Trace.compare_runs ~config:trace_config ~holes
-                    ~instr_ranges:rt.Tool.instr_ranges
-                    ~original:rt.Tool.augmented r.Rewriter.output)
-            with
-            | Ok st ->
-                Obs.counter obs ~name:"emu.insns"
-                  ~value:(st.Trace.insns_original + st.Trace.insns_rewritten);
-                None
-            | Error msg -> Some msg)
-    in
-    (m, p, f.Adversary.name, Stats.total r.Rewriter.stats, static_err,
-     trace_err)
+    let rules = [ Tool.rule_of ~m ~p () ] in
+    match rolled (fun obs -> Tool.run ~options ~obs ~holes elf rules) with
+    | exception Rewriter.Error e -> (m, p, f.Adversary.name, Error e)
+    | res ->
+        let out = res.Tool.rewrite.Rewriter.output in
+        let rt = res.Tool.runtime in
+        let serr = verify name ~holes ~original:rt.Tool.augmented out in
+        let terr =
+          trace_verify ~config ~instr_ranges:rt.Tool.instr_ranges name ~holes
+            ~original:rt.Tool.augmented out
+        in
+        (m, p, f.Adversary.name,
+         Ok (Stats.total res.Tool.rewrite.Rewriter.stats, serr, terr))
   in
   let scores = par_map score tasks in
   let passed = ref 0 in
   List.iter
-    (fun (m, p, fam, sites, serr, terr) ->
-      let pass = serr = None && terr = None in
-      if pass then incr passed;
-      (* A static rejection is already a failed verification; the trace
-         oracle is the pair's gate. *)
-      Option.iter
-        (fun e ->
-          gate false (Printf.sprintf "-M %s -P %s on %s: trace: %s" m p fam e))
-        terr;
+    (fun (m, p, fam, outcome) ->
+      let ok = Option.value ~default:"ok" in
+      let fields =
+        match outcome with
+        | Ok (sites, serr, terr) ->
+            let pass = serr = None && terr = None in
+            if pass then incr passed;
+            [ ("sites", Json.Int sites); ("static", Json.Str (ok serr));
+              ("trace", Json.Str (ok terr)); ("pass", Json.Bool pass) ]
+        | Error e ->
+            (* A failed rewrite is no verification: the pair's gate. *)
+            gate false (Printf.sprintf "-M %s -P %s on %s: rewrite: %s" m p fam e);
+            [ ("sites", Json.Int 0); ("static", Json.Str ("rewrite: " ^ e));
+              ("trace", Json.Str "not run"); ("pass", Json.Bool false) ]
+      in
       record_row
-        [ ("match", Json.Str m); ("patch", Json.Str p);
-          ("family", Json.Str fam); ("sites", Json.Int sites);
-          ("static", Json.Str (Option.value ~default:"ok" serr));
-          ("trace", Json.Str (Option.value ~default:"ok" terr));
-          ("pass", Json.Bool pass) ])
+        (("match", Json.Str m) :: ("patch", Json.Str p)
+        :: ("family", Json.Str fam) :: fields))
     scores;
   printf "  %d pairs x %d families: %d/%d pass@." (List.length pairs)
     (List.length families) !passed (List.length scores);
   List.iter
-    (fun (m, p, fam, sites, _, _) ->
-      printf "    %-42s %-34s %-22s %6d sites@."
-        (Printf.sprintf "-M %s" m) (Printf.sprintf "-P %s" p) fam sites)
+    (fun (m, p, fam, outcome) ->
+      printf "    %-42s %-34s %-22s %s@."
+        (Printf.sprintf "-M %s" m) (Printf.sprintf "-P %s" p) fam
+        (match outcome with
+        | Ok (sites, _, _) -> Printf.sprintf "%6d sites" sites
+        | Error _ -> "rewrite failed"))
     scores
 
 (* ------------------------------------------------------------------ *)

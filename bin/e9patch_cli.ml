@@ -64,6 +64,24 @@ let setup_logs =
         & info [ "v"; "verbose" ]
             ~doc:"Verbosity (-v progress, -v -v per-site tactic decisions)."))
 
+(* The verdict lines of [check] and [tool --check]: the static
+   verifier's, then (with [dynamic]) the trace oracle's. The first
+   failure exits 1. *)
+let print_verdicts ?holes ?instr_ranges ~dynamic ~original rewritten =
+  (match E9_check.Static.verify ?holes ~original rewritten with
+  | Ok report -> printf "static: OK — %a@." E9_check.Static.pp_report report
+  | Error e ->
+      printf "static: %a@." E9_check.Static.pp_error e;
+      exit 1);
+  if dynamic then
+    match
+      E9_check.Trace.compare_runs ?holes ?instr_ranges ~original rewritten
+    with
+    | Ok stats -> printf "dynamic: OK — %a@." E9_check.Trace.pp_stats stats
+    | Error msg ->
+        printf "dynamic: %s@." msg;
+        exit 1
+
 (* ------------------------------------------------------------------ *)
 (* patch                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -157,9 +175,9 @@ let patch_cmd =
           ~doc:"Deterministic fault injection (testing): comma-separated \
                 rules $(b,site@N) (fire on the Nth occurrence, 0-based), \
                 $(b,site@N+) (from the Nth on) or $(b,site%N) (every Nth); \
-                sites: alloc, b0alloc, decode, shard, trace, write. The \
-                tactic search queries $(b,shard) once, as occurrence 0, \
-                so $(b,shard@0) aborts it. \
+                sites: alloc, b0alloc, decode, search, trace, write. The \
+                tactic search queries $(b,search) once, as occurrence 0, \
+                so $(b,search@0) aborts it. \
                 E.g. 'alloc@3,write@0'.")
   in
   let run () input output select template granularity no_grouping shared b0
@@ -283,9 +301,9 @@ let tool_cmd =
       & info [ "check" ]
           ~doc:"Verify the output before writing it: the static verifier \
                 plus the trace oracle (instrumentation-private state \
-                excluded). Naked-call patches fail the trace oracle by \
-                design — their call pushes a return address on the guest \
-                stack.")
+                excluded), for every patch. A naked call's push of its \
+                return address is a call-class store, which the trace \
+                oracle drops in both runs.")
   in
   let emit_augmented =
     Arg.(
@@ -307,23 +325,9 @@ let tool_cmd =
     let elf = Elf_file.read_file input in
     let res = Tool.run elf rules in
     let r = res.Tool.rewrite and rt = res.Tool.runtime in
-    if check then (
-      (match
-         E9_check.Static.verify ~original:rt.Tool.augmented r.Rewriter.output
-       with
-      | Ok report ->
-          printf "static: OK — %a@." E9_check.Static.pp_report report
-      | Error e ->
-          printf "static: %a@." E9_check.Static.pp_error e;
-          exit 1);
-      match
-        E9_check.Trace.compare_runs ~instr_ranges:rt.Tool.instr_ranges
-          ~original:rt.Tool.augmented r.Rewriter.output
-      with
-      | Ok stats -> printf "dynamic: OK — %a@." E9_check.Trace.pp_stats stats
-      | Error msg ->
-          printf "dynamic: %s@." msg;
-          exit 1);
+    if check then
+      print_verdicts ~instr_ranges:rt.Tool.instr_ranges ~dynamic:true
+        ~original:rt.Tool.augmented r.Rewriter.output;
     (match emit_augmented with
     | Some path ->
         Elf_file.write_file rt.Tool.augmented path;
@@ -502,20 +506,7 @@ let check_cmd =
     let orig = Elf_file.read_file original in
     let rewr = Elf_file.read_file rewritten in
     let holes = Option.to_list (Option.map (Frontend.leading_hole orig) from) in
-    (match E9_check.Static.verify ~holes ~original:orig rewr with
-    | Ok report ->
-        printf "static: OK — %a@." E9_check.Static.pp_report report
-    | Error e ->
-        printf "static: %a@." E9_check.Static.pp_error e;
-        exit 1);
-    if dynamic then
-      match
-        E9_check.Trace.compare_runs ~holes ~original:orig rewr
-      with
-      | Ok stats -> printf "dynamic: OK — %a@." E9_check.Trace.pp_stats stats
-      | Error msg ->
-          printf "dynamic: %s@." msg;
-          exit 1
+    print_verdicts ~holes ~dynamic ~original:orig rewr
   in
   Cmd.v
     (Cmd.info "check"

@@ -25,14 +25,14 @@ let gen_rule =
   let* site =
     oneofl
       [ Fault.Alloc; Fault.Alloc; Fault.Alloc; Fault.B0_alloc; Fault.Decode;
-        Fault.Shard; Fault.Trace; Fault.Write ]
+        Fault.Search; Fault.Trace; Fault.Write ]
   in
   let* trigger =
     match site with
     | Fault.Decode ->
         let* off = int_bound 20_000 in
         return (Fault.At off)
-    | Fault.Shard ->
+    | Fault.Search ->
         (* The tactic search queries this site once per run, as
            occurrence 0, so only rules matching 0 fire; the others must
            leave the rewrite untouched. *)

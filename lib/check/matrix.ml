@@ -83,12 +83,10 @@ let score_family (f : Adversary.family) =
   let anchors_ok =
     if not f.Adversary.profile.Codegen.endbr64_entries then true
     else
-      let _, sites = Frontend.disassemble ~holes elf in
-      let anchors =
-        List.length
-          (List.filter
-             (fun (s : Frontend.site) -> s.Frontend.insn = E9_x86.Insn.Endbr64)
-             sites)
+      let _, anchors =
+        Frontend.fold ~holes elf ~init:(fun _ -> 0)
+          (fun n (s : Frontend.site) ->
+            if s.Frontend.insn = E9_x86.Insn.Endbr64 then n + 1 else n)
       in
       anchors = f.Adversary.profile.Codegen.functions + 1
   in

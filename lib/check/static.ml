@@ -317,25 +317,27 @@ let verify ?(holes = []) ~original rewritten =
           (Loadmap.decode_traps (Elf_file.section_bytes rewritten sec))
     | None -> ());
     (* ---- original instruction boundaries ------------------------- *)
-    (* With data inside the text the plain sweep desynchronizes and the
-       boundary map grows phantoms; the hole-aware sweep reproduces the
-       boundary set the rewriting itself used. *)
-    let _, sites = Frontend.disassemble ~holes original in
     (* Every per-address table below is keyed by address (arrays over the
        text; hash tables for the sparse short jumps), so each lookup is
        O(1) and the whole pass stays linear in the text. *)
     let base = otext.Frontend.base in
     let text_hi = base + otext.Frontend.size in
     let in_text a = a >= base && a < text_hi in
-    let bounds = Array.make otext.Frontend.size None in
-    List.iter
-      (fun (s : Frontend.site) ->
-        if in_text s.Frontend.addr then
-          bounds.(s.Frontend.addr - base) <-
-            Some (s.Frontend.len, s.Frontend.insn))
-      sites;
-    let bound a = if in_text a then bounds.(a - base) else None in
-    let is_bound a = bound a <> None in
+    (* With data inside the text the plain sweep desynchronizes and the
+       boundary map grows phantoms; the hole-aware sweep reproduces the
+       boundary set the rewriting itself used. *)
+    (* The original instruction starting at each text byte; a length of 0
+       marks a byte that starts none. *)
+    let no_insn = { Frontend.addr = 0; len = 0; insn = Insn.Ret } in
+    let _, bounds =
+      Frontend.fold ~holes original
+        ~init:(fun t -> Array.make t.Frontend.size no_insn)
+        (fun bounds (s : Frontend.site) ->
+          bounds.(s.Frontend.addr - base) <- s;
+          bounds)
+    in
+    let bound a = if in_text a then bounds.(a - base) else no_insn in
+    let is_bound a = (bound a).Frontend.len > 0 in
     (* A code byte lies in the text and in no hole. The hole map is one
        flag per text byte, built only when there are holes, so the test
        stays O(1) and costs one comparison more than [in_text] without. *)
@@ -413,39 +415,34 @@ let verify ?(holes = []) ~original rewritten =
       longest := max !longest j.jlen;
       cover j.start j.jlen
     in
+    (* The one reader of a T3 short jump: the forward target of the
+       [jmp rel8] the rewritten bytes hold at boundary [s], if any. *)
+    let short_at s =
+      if is_bound s && rbyte s = 0xeb then
+        match (decode_after s).Decode.insn with
+        | Insn.Jmp_short rel when rel >= 0 -> Some (s + 2 + rel)
+        | _ -> None
+      else None
+    in
+    (* The boundaries within rel8 range below [c], where a short jump
+       targeting [c] can start. *)
+    let short_sources c = (max base (c - 129), c - 2) in
     (* Pure function of the rewritten bytes: does some instruction boundary
        within rel8 range hold a short jump targeting [c]? Subsumes the
        registered-shorts list and is order-independent, which matters when
        a candidate must be disambiguated before its serving short has been
        walked. *)
     let has_serving_short c =
-      let found = ref false in
-      for s = max base (c - 129) to c - 2 do
-        if
-          (not !found)
-          && is_bound s
-          && rbyte s = 0xeb
-          &&
-          match (decode_after s).Decode.insn with
-          | Insn.Jmp_short rel -> rel >= 0 && s + 2 + rel = c
-          | _ -> false
-        then found := true
-      done;
-      !found
+      let lo, hi = short_sources c in
+      let rec go s = s <= hi && (short_at s = Some c || go (s + 1)) in
+      go lo
     in
     let try_short s =
-      if is_bound s && rbyte s = 0xeb then
-        let d = decode_after s in
-        match d.Decode.insn with
-        | Insn.Jmp_short rel when rel >= 0 && s + 2 + rel < text_hi -> (
-            let jp = s + 2 + rel in
-            match diversion_at jp with
-            | Some _ ->
-                add_short s jp;
-                true
-            | None -> false)
-        | _ -> false
-      else false
+      match short_at s with
+      | Some jp when jp < text_hi && diversion_at jp <> None ->
+          add_short s jp;
+          true
+      | _ -> false
     in
     List.iter
       (fun a ->
@@ -546,14 +543,11 @@ let verify ?(holes = []) ~original rewritten =
       (fun j ->
         if (not (is_bound j.start)) && not (Hashtbl.mem short_site j.start)
         then
-          for s = max base (j.start - 129) to j.start - 2 do
+          let lo, hi = short_sources j.start in
+          for s = lo to hi do
             if
-              is_bound s && rbyte s = 0xeb
-              && (not (Hashtbl.mem short_target s))
-              &&
-              match (decode_after s).Decode.insn with
-              | Insn.Jmp_short rel -> s + 2 + rel = j.start
-              | _ -> false
+              (not (Hashtbl.mem short_target s))
+              && short_at s = Some j.start
             then add_short s j.start
           done)
       !jmps;
@@ -567,11 +561,9 @@ let verify ?(holes = []) ~original rewritten =
     in
     let trampolines_checked = ref 0 in
     let verify_tramp ~site_addr t =
-      let site_len, insn =
-        match bound site_addr with
-        | Some (len, insn) -> (len, insn)
-        | None -> fail site_addr "served site is not an instruction boundary"
-      in
+      let { Frontend.len = site_len; insn; _ } = bound site_addr in
+      if site_len = 0 then
+        fail site_addr "served site is not an instruction boundary";
       let ret = site_addr + site_len in
       let jcc_targets = ref [] in
       let call_targets = ref [] in
@@ -666,7 +658,7 @@ let verify ?(holes = []) ~original rewritten =
         verify_tramp ~site_addr:p t)
       trap_tbl;
     (* ---- per-byte classification --------------------------------- *)
-    let orig_len a = match bound a with Some (l, _) -> l | None -> 0 in
+    let orig_len a = (bound a).Frontend.len in
     (* Any diversion covering [a] starts within [longest] bytes below it,
        so probing the start index downward from [a] finds the covering
        diversion with the highest start first. *)

@@ -52,7 +52,7 @@ val pp_error : Format.formatter -> error -> unit
 
 (** [verify ?holes ~original rewritten] re-derives and checks the
     rewriting contract. [holes] are the data extents inside the text the
-    rewrite used (see {!Frontend.disassemble}): a leading pool
+    rewrite used (see {!Frontend.fold}): a leading pool
     ({!Frontend.leading_hole}, the ChromeMain workaround), interior
     islands. The sweep skips them, so the verifier's boundary map
     matches the one the rewriting used instead of growing phantoms

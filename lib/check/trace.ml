@@ -96,19 +96,22 @@ let filter ~holes ~instr_ranges original =
      — but the hole-aware sweep also recovers the real boundaries {e
      after} each hole that a desynchronized sweep would miss, keeping
      the comparison dense there. *)
-  let text, sites = Frontend.disassemble ~holes original in
-  let base = text.Frontend.base in
-  let boundary = Bytes.make ((text.Frontend.size + 7) lsr 3) '\000' in
-  List.iter
-    (fun (s : Frontend.site) ->
-      if not (in_ranges s.Frontend.addr instr_ranges) then begin
-        let i = s.Frontend.addr - base in
-        Bytes.set_uint8 boundary (i lsr 3)
-          (Bytes.get_uint8 boundary (i lsr 3) lor (1 lsl (i land 7)))
-      end)
-    sites;
-  { boundary; base; size = text.Frontend.size; instr_ranges;
-    start = original.Elf_file.entry }
+  let init (text : Frontend.text) =
+    { boundary = Bytes.make ((text.Frontend.size + 7) lsr 3) '\000';
+      base = text.Frontend.base;
+      size = text.Frontend.size;
+      instr_ranges;
+      start = original.Elf_file.entry }
+  in
+  let mark f (s : Frontend.site) =
+    if not (in_ranges s.Frontend.addr instr_ranges) then begin
+      let i = s.Frontend.addr - f.base in
+      Bytes.set_uint8 f.boundary (i lsr 3)
+        (Bytes.get_uint8 f.boundary (i lsr 3) lor (1 lsl (i land 7)))
+    end;
+    f
+  in
+  snd (Frontend.fold ~holes original ~init mark)
 
 (* One run of [elf] under [f], hashing every event; with [record] the
    first [record_cap] events are also kept. *)

@@ -41,7 +41,7 @@ val pp_stats : Format.formatter -> stats -> unit
 (** [compare_runs ?config ?holes ~original rewritten] executes both
     binaries and compares their traces; [Error] describes the first
     divergence. [holes] (the data extents inside the text, see
-    {!Frontend.disassemble}) must match the ones the rewriting used, so
+    {!Frontend.fold}) must match the ones the rewriting used, so
     the boundary sets agree.
     [instr_ranges] declares instrumentation-private [(lo, hi)] address
     ranges (the tool's injected scratch/code segments): retires inside

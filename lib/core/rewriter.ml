@@ -137,10 +137,10 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
   in
   let ctx, setup_s =
     E9_obs.Obs.span obs "tactic_search" (fun () ->
-        (* An injected [Shard] fault models the search dying mid-run; it
+        (* An injected [Search] fault models the search dying mid-run; it
            surfaces as a typed error before any byte is patched. *)
-        if Fault.fires fault Fault.Shard then
-          error "injected fault: shard 0 raised mid-search";
+        if Fault.fires fault Fault.Search then
+          error "injected fault: search raised mid-run";
         let t0 = Unix.gettimeofday () in
         let ctx =
           Tactics.create_ctx ~obs ~fault ~text:text_buf ~text_base:base

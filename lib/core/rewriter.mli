@@ -22,7 +22,7 @@
 type loader_mode = Table | Stub
 
 (** The rewrite was refused or aborted with the input intact: a stub-mode
-    loader-home collision detected before mutation, an injected [Shard]
+    loader-home collision detected before mutation, an injected [Search]
     fault, or a trampoline the encoder cannot build for a selected site.
     Callers see either a complete, verified rewrite or this — never a
     half-patched binary (DESIGN.md §11, outcome (c)). *)
@@ -99,7 +99,7 @@ type result = {
     fault-injection capability through the pipeline: [Decode] rules
     truncate the disassembly (partial instrumentation), [Alloc] /
     [B0_alloc] rules starve the tactics (degradation to B0 or per-site
-    failure), a [Shard] rule matching occurrence 0 aborts the tactic
+    failure), a [Search] rule matching occurrence 0 aborts the tactic
     search (typed {!Error}): the search queries that site once per run.
 
     The rewrite is the paper's one serial S1 pass over the whole text:
@@ -115,7 +115,7 @@ type result = {
 
     Raises {!Error} on a refused stub-mode input, a frontend whose sites
     are not strictly ascending (naming the first out-of-order address),
-    an injected [Shard] fault, or a trampoline that cannot be encoded
+    an injected [Search] fault, or a trampoline that cannot be encoded
     for a selected site (e.g. a displaced [call] whose target is out of
     rel32 reach from the trampoline); the last names the site address. *)
 val run :

@@ -2,7 +2,7 @@ type site =
   | Alloc
   | B0_alloc
   | Decode
-  | Shard
+  | Search
   | Trace
   | Write
   | Rpc_accept
@@ -11,7 +11,7 @@ type site =
   | Rpc_emit
 
 let sites =
-  [| Alloc; B0_alloc; Decode; Shard; Trace; Write; Rpc_accept; Rpc_read;
+  [| Alloc; B0_alloc; Decode; Search; Trace; Write; Rpc_accept; Rpc_read;
      Rpc_decode; Rpc_emit |]
 
 let nsites = Array.length sites
@@ -22,7 +22,7 @@ let site_index = function
   | Alloc -> 0
   | B0_alloc -> 1
   | Decode -> 2
-  | Shard -> 3
+  | Search -> 3
   | Trace -> 4
   | Write -> 5
   | Rpc_accept -> 6
@@ -34,7 +34,7 @@ let site_name = function
   | Alloc -> "alloc"
   | B0_alloc -> "b0alloc"
   | Decode -> "decode"
-  | Shard -> "shard"
+  | Search -> "search"
   | Trace -> "trace"
   | Write -> "write"
   | Rpc_accept -> "rpcaccept"

@@ -18,7 +18,7 @@ type site =
   | Alloc      (** jump-tactic [Layout] queries (alloc/probe/alloc_at) *)
   | B0_alloc   (** the B0 fallback's own trampoline allocation *)
   | Decode     (** disassembly: truncate the site list at a text offset *)
-  | Shard      (** abort the rewriter's tactic search; the search
+  | Search     (** abort the rewriter's tactic search; the search
                    queries this site once per run, as occurrence 0 *)
   | Trace      (** trace-sink (ndjson) write errors *)
   | Write      (** ELF serialization short-writes *)
@@ -75,7 +75,7 @@ val fired_total : t -> int
 (** Spec grammar (also in DESIGN.md §11): comma-separated rules, each
     [site@N] (fire at occurrence N), [site@N+] (from N on) or [site%N]
     (every Nth); N is decimal or 0x-hex. Sites: alloc, b0alloc, decode,
-    shard, trace, write, rpcaccept, rpcread, rpcdecode, rpcemit.
+    search, trace, write, rpcaccept, rpcread, rpcdecode, rpcemit.
     Example: ["alloc@3,write@0,decode@0x400"]. Raises [Parse_error] on
     malformed input. *)
 val parse : string -> rule list

@@ -35,18 +35,17 @@ let leading_hole elf addr =
           addr text.base (text.base + text.size)
       else (text.base, addr - text.base)
 
-let disassemble ?(holes = []) ?(fault = Fault.none) elf =
+(* The end of the hole holding [addr], or [-1] when no hole holds it. *)
+let rec hole_end addr = function
+  | [] -> -1
+  | (a, l) :: rest ->
+      if addr >= a && addr < a + l then a + l else hole_end addr rest
+
+let fold ?(holes = []) ?(fault = Fault.none) elf ~init f =
   match find_text elf with
   | None -> no_text ()
   | Some text ->
       let bytes = Buf.sub elf.Elf_file.data ~pos:text.offset ~len:text.size in
-      (* Any sweep position inside a hole — including one reached by a
-         decode that overran into it — resumes at the hole's end, so the
-         sweep is self-correcting at both edges. *)
-      let hole_at p =
-        let addr = text.base + p in
-        List.find_opt (fun (a, l) -> addr >= a && addr < a + l) holes
-      in
       (* An injected decode failure is a sweep that stops early, at the
          first instruction whose text offset reaches the cut: a strict
          prefix of the true decode is exactly the partial-disassembly
@@ -54,21 +53,32 @@ let disassemble ?(holes = []) ?(fault = Fault.none) elf =
          instrumented sites, never incorrect ones. The fault counts as
          fired only when an instruction was dropped. *)
       let cut = Option.value (Fault.decode_cut fault) ~default:max_int in
+      (* Any sweep position inside a hole — including one reached by a
+         decode that overran into it — resumes at the hole's end, so the
+         sweep is self-correcting at both edges. *)
       let rec go p acc =
-        if p >= text.size then List.rev acc
+        if p >= text.size then acc
         else
-          match hole_at p with
-          | Some (a, l) -> go (a + l - text.base) acc
-          | None when p >= cut ->
-              Fault.record_fire fault Fault.Decode;
-              List.rev acc
-          | None ->
-              let d = Decode.decode bytes p in
-              go (p + d.Decode.len)
-                ({ addr = text.base + p; len = d.Decode.len;
-                   insn = d.Decode.insn } :: acc)
+          let e = hole_end (text.base + p) holes in
+          if e >= 0 then go (e - text.base) acc
+          else if p >= cut then begin
+            Fault.record_fire fault Fault.Decode;
+            acc
+          end
+          else
+            let d = Decode.decode bytes p in
+            go (p + d.Decode.len)
+              (f acc
+                 { addr = text.base + p; len = d.Decode.len;
+                   insn = d.Decode.insn })
       in
-      (text, go 0 [])
+      (text, go 0 (init text))
+
+let disassemble ?holes ?fault elf =
+  let text, rev =
+    fold ?holes ?fault elf ~init:(fun _ -> []) (fun acc s -> s :: acc)
+  in
+  (text, List.rev rev)
 
 let select_jumps site = Classify.is_jump site.insn
 let select_heap_writes site = Classify.is_heap_write site.insn

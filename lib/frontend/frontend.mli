@@ -37,8 +37,11 @@ val find_text : Elf_file.t -> text option
     cannot be found or [addr] lies outside it. *)
 val leading_hole : Elf_file.t -> int -> int * int
 
-(** [disassemble ?holes ?fault elf] is the serial linear sweep of the
-    text, returning every instruction in address order.
+(** [fold ?holes ?fault elf ~init f] is the serial linear sweep of the
+    text: [f] sees every instruction in address order, starting from
+    [init text]. It builds nothing of its own, so a caller that only
+    indexes the instructions (a boundary bitmap, a per-byte table, a
+    count) allocates no site list.
 
     [holes] (default none) are the [(addr, len)] extents of data inside
     the text: a leading constant pool ({!leading_hole}), mid-function
@@ -50,10 +53,16 @@ val leading_hole : Elf_file.t -> int -> int * int
     produced, hence never patched.
 
     [fault] (default {!E9_fault.Fault.none}) may carry [Decode] rules;
-    the smallest rule value truncates the site list at that text offset —
-    a strict prefix of the true decode, i.e. partial disassembly, which
+    the smallest rule value stops the sweep at that text offset — a
+    strict prefix of the true decode, i.e. partial disassembly, which
     the rewriter turns into partial instrumentation (§2.2). Raises
     {!Error} if the text cannot be found. *)
+val fold :
+  ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
+  Elf_file.t -> init:(text -> 'a) -> ('a -> site -> 'a) -> text * 'a
+
+(** [disassemble ?holes ?fault elf] is {!fold} collecting every
+    instruction, in address order. *)
 val disassemble :
   ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
   Elf_file.t -> text * site list

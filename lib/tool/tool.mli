@@ -26,10 +26,11 @@
     appended to the binary ({!inject}), so instrumented runs never touch
     guest-visible memory: the trace oracle checks rewrites under any of
     these patches by treating only {!runtime.instr_ranges} as private
-    (see {!E9_check.Trace.compare_runs}). The one exception is a [naked]
-    call, whose [call] pushes its return address on the {e guest} stack —
-    verify those with {!E9_emu.Machine.equivalent}, not the trace
-    oracle. *)
+    (see {!E9_check.Trace.compare_runs}). A [naked] call pushes its
+    return address on the {e guest} stack, but the oracle drops stores
+    retired by call-class instructions in both runs, so naked calls are
+    checked the same way; a naked target that clobbers state the program
+    reads is still reported. *)
 
 exception Error of string
 

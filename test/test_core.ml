@@ -1171,10 +1171,10 @@ let test_b0_exhaustion_without_fallback_accounts () =
   | Error e ->
       Alcotest.failf "accounted output rejected: %a" E9_check.Static.pp_error e
 
-let test_shard_fault_typed_no_partial () =
+let test_search_fault_typed_no_partial () =
   (* Outcome (c): the tactic search dying mid-run surfaces as a typed
      Rewriter.Error, and the input is untouched. The search queries the
-     [shard] site once per run, as occurrence 0: rules matching 0 abort
+     [search] site once per run, as occurrence 0: rules matching 0 abort
      it, and the others leave the rewrite byte-identical to a fault-free
      one. *)
   let elf = Codegen.generate (profile ~seed:64L ()) in
@@ -1190,16 +1190,16 @@ let test_shard_fault_typed_no_partial () =
       | _ -> Alcotest.failf "%s: expected Rewriter.Error" spec
       | exception Rewriter.Error m ->
           Alcotest.(check string) (spec ^ ": typed error")
-            "injected fault: shard 0 raised mid-search" m);
+            "injected fault: search raised mid-run" m);
       Alcotest.(check bytes) (spec ^ ": input untouched") snapshot
         (Elf_file.to_bytes elf))
-    [ "shard@0"; "shard@0+"; "shard%3" ];
+    [ "search@0"; "search@0+"; "search%3" ];
   List.iter
     (fun spec ->
       let r = rewrite (Fault.create (Fault.parse spec)) in
       Alcotest.(check bytes) (spec ^ ": fault-free bytes") clean
         (Elf_file.to_bytes r.Rewriter.output))
-    [ "shard@1"; "shard@2+" ]
+    [ "search@1"; "search@2+" ]
 
 (* A parsed file whose first section starts right after its program
    headers (.interp in a typical PIE) has no room for the stub's extra
@@ -1306,8 +1306,8 @@ let suites =
             test_alloc_exhaustion_degrades_to_b0;
           Alcotest.test_case "starvation without fallback is accounted" `Quick
             test_b0_exhaustion_without_fallback_accounts;
-          Alcotest.test_case "shard fault is typed, input untouched" `Quick
-            test_shard_fault_typed_no_partial;
+          Alcotest.test_case "search fault is typed, input untouched" `Quick
+            test_search_fault_typed_no_partial;
           Alcotest.test_case "stub collision refused before mutation" `Quick
             test_stub_collision_typed_before_mutation;
           Alcotest.test_case "stub header overflow refused" `Quick

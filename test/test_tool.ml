@@ -180,13 +180,12 @@ let test_call_clean_static_args () =
     (E9_core.Stats.succeeded r.Tool.rewrite.Rewriter.stats > 0)
 
 let test_call_naked () =
-  (* A naked call pushes its return address on the guest stack, so the
-     trace oracle would (correctly) flag the stores; the documented
-     contract is behavioural equivalence. *)
-  let r = rewrite "returns" "call:naked counter()" in
-  let orig = Machine.run r.Tool.runtime.Tool.augmented in
-  let patched = run_patched r in
-  check_bool "behaviourally equivalent" true (Machine.equivalent orig patched)
+  (* A naked call pushes its return address on the guest stack: a
+     call-class store, which the trace oracle drops in both runs, so the
+     naked pair is checked by both oracles like every other patch. *)
+  let r = trace_checked "returns" "call:naked counter()" in
+  check_bool "return sites diverted" true
+    (E9_core.Stats.succeeded r.Tool.rewrite.Rewriter.stats > 0)
 
 let test_unknown_fn_refused () =
   let elf = Lazy.force elf in
