@@ -107,8 +107,10 @@ serve-smoke: build
 # builtin (print, count, trap, empty, lowfat) plus a three-argument clean
 # call trampoline and a naked call, each rewritten once with --check (the
 # E9_check static verifier and the trace oracle with the instrumentation
-# pages private); all seven must print "dynamic: OK", and the seven
-# "dynamic:" lines (event,
+# pages private), then `patch --template lowfat` (which injects the same
+# runtime) checked by `check --dynamic` against the raw input (which
+# finds that runtime in the output); all eight must print "dynamic: OK",
+# and the eight "dynamic:" lines (event,
 # retire, store and instruction counts) must match
 # test/tool_smoke_dynamic.txt: a change that moves what the oracle
 # compares moves them. A generated input is used so the target is
@@ -130,8 +132,11 @@ tool-smoke: build
 	  i=$$((i+1)); \
 	  echo "=== [$$i] -M $$m -P $$p"; \
 	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- tool tool-smoke/input.elf -o tool-smoke/out$$i.elf -M "$$m" -P "$$p" --check; \
-	done < tool-smoke/pairs.txt; } 2>&1 | tee tool_output.txt
-	test "$$(grep -c '^dynamic: OK' tool_output.txt)" = 7
+	done < tool-smoke/pairs.txt; \
+	echo "=== patch --select heap-writes --template lowfat"; \
+	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- patch tool-smoke/input.elf -o tool-smoke/patch-lowfat.elf --select heap-writes --template lowfat; \
+	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- check --dynamic tool-smoke/input.elf tool-smoke/patch-lowfat.elf; } 2>&1 | tee tool_output.txt
+	test "$$(grep -c '^dynamic: OK' tool_output.txt)" = 8
 	grep '^dynamic:' tool_output.txt | diff -u test/tool_smoke_dynamic.txt -
 	! grep -qE 'FAIL|diverged' tool_output.txt
 

@@ -39,6 +39,8 @@ module Stats = E9_core.Stats
 module Trampoline = E9_core.Trampoline
 module Lowfat = E9_lowfat.Lowfat
 module Reloc = E9_reloc.Reloc
+module Patchspec = E9_spec.Patchspec
+module Tool = E9_tool.Tool
 
 let printf = Format.printf
 
@@ -205,18 +207,22 @@ let trace_verify ?config ?instr_ranges name ~holes ~original output =
           Some m)
 
 (* Rewrite with [select]/[template] and measure one Table 1 line. The
-   rewrite is verified statically and, unless it runs under its own
-   allocator, by the trace oracle too. The one such caller is the
-   LowFat run of Figure 5, whose checks spill registers to the program
-   stack: not trace-transparent, so the oracle would rightly report a
-   divergence (DESIGN.md §8.2). *)
-let measure_app ?(options = Rewriter.default_options) ?make_allocator
+   rewrite input is [runtime]'s augmented image when the template keeps
+   state there (Figure 5's LowFat run), and the rewrite is verified
+   against it by both oracles, the runtime's pages private. *)
+let measure_app ?(options = Rewriter.default_options) ?runtime ?make_allocator
     ~select ~template elf (orig : Cpu.result) =
   let holes = Codegen.holes elf in
-  let r = traced_run ~options ~holes elf ~select ~template in
-  verify_rewrite "measure_app" elf r;
-  if make_allocator = None then
-    ignore (trace_verify "measure_app" ~holes ~original:elf r.Rewriter.output);
+  let input, instr_ranges =
+    match runtime with
+    | Some rt -> (rt.Tool.augmented, Some rt.Tool.instr_ranges)
+    | None -> (elf, None)
+  in
+  let r = traced_run ~options ~holes input ~select ~template in
+  ignore (verify "measure_app" ~holes ~original:input r.Rewriter.output);
+  ignore
+    (trace_verify ?instr_ranges "measure_app" ~holes ~original:input
+       r.Rewriter.output);
   let patched = run_emu ?make_allocator r.Rewriter.output in
   expect_exit "patched" patched;
   let s = r.Rewriter.stats in
@@ -422,8 +428,14 @@ let measure_a2_lowfat (row : Suite.row) =
       elf orig
   in
   let lf =
-    measure_app ~options ~select:Frontend.select_heap_writes
-      ~template:(fun _ -> Trampoline.Lowfat_check)
+    let rules =
+      [ { Patchspec.selector = Patchspec.Heap_writes; patch = Patchspec.Lowfat } ]
+    in
+    let runtime =
+      if Tool.needs_runtime rules then Some (Tool.inject elf) else None
+    in
+    let select, template = Tool.lower ?runtime rules in
+    measure_app ~options ?runtime ~select ~template
       ~make_allocator:Lowfat.make_allocator elf orig
   in
   (a2, lf)
@@ -822,7 +834,8 @@ let bench_scalability () =
         in
         let dt = Unix.gettimeofday () -. t0 in
         let tv = Unix.gettimeofday () in
-        verify_rewrite (Printf.sprintf "scalability(%d fns)" functions) elf r;
+        let name = Printf.sprintf "scalability(%d fns)" functions in
+        verify_rewrite name elf r;
         let verify_dt = Unix.gettimeofday () -. tv in
         (* End-to-end: run the patched output, which both validates the
            rewrite at this size and exercises the emulator's superblock
@@ -831,6 +844,9 @@ let bench_scalability () =
         let patched = run_emu r.Rewriter.output in
         let emu_dt = Unix.gettimeofday () -. t1 in
         expect_exit "patched" patched;
+        ignore
+          (trace_verify name ~holes:(Codegen.holes elf) ~original:elf
+             r.Rewriter.output);
         (functions, text, r, dt, verify_dt, patched, emu_dt))
       sizes
   in
@@ -1024,7 +1040,9 @@ let bench_bechamel () =
       ("figure4-dromaeo-rewrite",
        rewrite dromaeo_elf Frontend.select_heap_writes Trampoline.Empty);
       ("figure5-lowfat-rewrite",
-       rewrite elf Frontend.select_heap_writes Trampoline.Lowfat_check);
+       let rt = Tool.inject elf in
+       rewrite rt.Tool.augmented Frontend.select_heap_writes
+         (Trampoline.Lowfat_check_scratch rt.Tool.scratch));
       ("grouping-naive-rewrite",
        rewrite
          ~options:{ Rewriter.default_options with Rewriter.grouping = false }
@@ -1153,7 +1171,6 @@ let bench_tool () =
   heading
     "Tool frontend: builtin matcher x patch pairs over the robustness corpus";
   let module Adversary = E9_workload.Adversary in
-  let module Tool = E9_tool.Tool in
   (* One pair per builtin patch, plus the call-ABI pairs the acceptance
      bar names: a clean call with three static arguments and a naked
      call. *)

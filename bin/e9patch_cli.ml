@@ -210,12 +210,15 @@ let patch_cmd =
           Patchspec.parse (In_channel.with_open_bin path In_channel.input_all)
       | None, None -> [ { Patchspec.selector = select; patch = template } ]
     in
-    let select, template = Tool.lower spec in
+    (* lowfat, print and call keep state in the injected runtime: the
+       rewrite input is then the augmented image, as for [tool]. *)
+    let input, runtime = Tool.rewrite_input elf spec in
+    let select, template = Tool.lower ?runtime spec in
     let obs =
       match trace with Some _ -> Obs.ring () | None -> Obs.null
     in
     let r =
-      Rewriter.run ~options ~obs ~fault elf ~select ~template
+      Rewriter.run ~options ~obs ~fault input ~select ~template
     in
     Elf_file.write_file
       ~fault:(fun () -> Fault.fires fault Fault.Write)
@@ -254,6 +257,11 @@ let patch_cmd =
              if n > 0 then
                printf "inject: %s fired %d time(s)@." (Fault.site_name s) n)
            Fault.sites);
+    Option.iter
+      (fun rt ->
+        printf "runtime: data page 0x%x, code page 0x%x@." rt.Tool.data_base
+          rt.Tool.code_base)
+      runtime;
     printf "wrote %s@." output
   in
   Cmd.v (Cmd.info "patch" ~doc:"Statically rewrite a binary (no control flow recovery).")
@@ -305,16 +313,7 @@ let tool_cmd =
                 return address is a call-class store, which the trace \
                 oracle drops in both runs.")
   in
-  let emit_augmented =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "emit-augmented" ] ~docv:"PATH"
-          ~doc:"Also write the augmented input (the input plus the \
-                injected instrumentation pages) — the $(b,original) a \
-                later $(b,e9patch check) run must verify against.")
-  in
-  let run () input output matches patches check emit_augmented =
+  let run () input output matches patches check =
    or_die @@ fun () ->
     if matches = [] then failwith "need at least one -M/-P pair";
     if List.length matches <> List.length patches then
@@ -328,11 +327,6 @@ let tool_cmd =
     if check then
       print_verdicts ~instr_ranges:rt.Tool.instr_ranges ~dynamic:true
         ~original:rt.Tool.augmented r.Rewriter.output;
-    (match emit_augmented with
-    | Some path ->
-        Elf_file.write_file rt.Tool.augmented path;
-        printf "wrote augmented input %s@." path
-    | None -> ());
     Elf_file.write_file r.Rewriter.output output;
     printf "%a@." Stats.pp r.Rewriter.stats;
     printf "size: %d -> %d bytes (%.1f%%); %d trampoline bytes; %d mappings@."
@@ -353,8 +347,7 @@ let tool_cmd =
              trap, empty, lowfat and call trampolines with the \
              argument-passing ABI) into a verified rewrite.")
     Term.(
-      const run $ setup_logs $ input $ output $ matches $ patches $ check
-      $ emit_augmented)
+      const run $ setup_logs $ input $ output $ matches $ patches $ check)
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -499,14 +492,23 @@ let check_cmd =
       value & flag
       & info [ "dynamic" ]
           ~doc:"Also run both binaries and compare architectural traces \
-                (assumes empty trampoline templates).")
+                (the pages of an injected instrumentation runtime are \
+                private to the instrumentation).")
   in
   let run () original rewritten from dynamic =
    or_die @@ fun () ->
     let orig = Elf_file.read_file original in
     let rewr = Elf_file.read_file rewritten in
     let holes = Option.to_list (Option.map (Frontend.leading_hole orig) from) in
-    print_verdicts ~holes ~dynamic ~original:orig rewr
+    (* A rewrite that carries the instrumentation runtime was made from
+       the augmented image: verify against that, its pages private. *)
+    match Tool.runtime_in ~original:orig rewr with
+    | None -> print_verdicts ~holes ~dynamic ~original:orig rewr
+    | Some rt ->
+        printf "runtime: data page 0x%x, code page 0x%x@." rt.Tool.data_base
+          rt.Tool.code_base;
+        print_verdicts ~holes ~instr_ranges:rt.Tool.instr_ranges ~dynamic
+          ~original:rt.Tool.augmented rewr
   in
   Cmd.v
     (Cmd.info "check"

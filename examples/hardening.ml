@@ -16,15 +16,16 @@ module Machine = E9_emu.Machine
 module Cpu = E9_emu.Cpu
 module Rewriter = E9_core.Rewriter
 module Stats = E9_core.Stats
-module Trampoline = E9_core.Trampoline
+module Tool = E9_tool.Tool
 module Lowfat = E9_lowfat.Lowfat
 module Hostcall = E9_emu.Hostcall
 
 let printf = Format.printf
 
+(* The check parks %rdi in the scratch slot of the injected
+   instrumentation runtime, so the rewrite input is the augmented image. *)
 let harden elf =
-  Rewriter.run elf ~select:Frontend.select_heap_writes
-    ~template:(fun _ -> Trampoline.Lowfat_check)
+  (Tool.run elf [ Tool.rule_of ~m:"heap-writes" ~p:"lowfat" () ]).Tool.rewrite
 
 let run elf = Machine.run ~make_allocator:Lowfat.make_allocator elf
 

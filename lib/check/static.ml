@@ -559,12 +559,41 @@ let verify ?(holes = []) ~original rewritten =
           | Some b -> Char.chr b
           | None -> '\xcc')
     in
+    (* A trampoline's call targets and RIP-relative operands must land
+       in memory the rewrite maps: an output segment or a trampoline
+       mapping. A displacement placed out of reach of its target wraps
+       into unmapped space, and the verifier would otherwise pass an
+       output that cannot run. The displaced instruction's own targets
+       are exempt when they resolve where the original's did: a linear
+       sweep decodes data as calls to anywhere, and the trampoline
+       copies them faithfully. *)
+    let mapped a =
+      mapping_at a <> None
+      || List.exists
+           (fun (s : Elf_file.segment) ->
+             s.Elf_file.ptype = Elf_file.Load
+             && a >= s.Elf_file.vaddr
+             && a < s.Elf_file.vaddr + s.Elf_file.memsz)
+           rewritten.Elf_file.segments
+    in
     let trampolines_checked = ref 0 in
     let verify_tramp ~site_addr t =
       let { Frontend.len = site_len; insn; _ } = bound site_addr in
       if site_len = 0 then
         fail site_addr "served site is not an instruction boundary";
       let ret = site_addr + site_len in
+      let displaced_targets =
+        (match insn with Insn.Call rel -> [ ret + rel ] | _ -> [])
+        @ List.filter_map
+            (function
+              | Insn.Mem m when m.Insn.rip_rel -> Some (ret + m.Insn.disp)
+              | Insn.Mem _ | Insn.Reg _ | Insn.Imm _ -> None)
+            (Insn.operands insn)
+      in
+      let must_be_mapped va what a =
+        if not (List.mem a displaced_targets || mapped a) then
+          fail va "trampoline %s 0x%x lies in no segment or mapping" what a
+      in
       let jcc_targets = ref [] in
       let call_targets = ref [] in
       let rec step va n =
@@ -576,6 +605,13 @@ let verify ?(holes = []) ~original rewritten =
           if tramp_byte (va + i) = None then
             fail va "trampoline decoding left the mapped region"
         done;
+        List.iter
+          (function
+            | Insn.Mem m when m.Insn.rip_rel ->
+                must_be_mapped va "rip-relative operand"
+                  (va + d.Decode.len + m.Insn.disp)
+            | Insn.Mem _ | Insn.Reg _ | Insn.Imm _ -> ())
+          (Insn.operands d.Decode.insn);
         match d.Decode.insn with
         | Insn.Jmp rel | Insn.Jmp_short rel -> `Jmp (va + d.Decode.len + rel)
         | Insn.Jmp_ind op -> `Jmp_ind (op, va, d.Decode.len)
@@ -584,7 +620,9 @@ let verify ?(holes = []) ~original rewritten =
             jcc_targets := (c, va + d.Decode.len + rel) :: !jcc_targets;
             step (va + d.Decode.len) (n + 1)
         | Insn.Call rel ->
-            call_targets := (va + d.Decode.len + rel) :: !call_targets;
+            let target = va + d.Decode.len + rel in
+            must_be_mapped va "call target" target;
+            call_targets := target :: !call_targets;
             step (va + d.Decode.len) (n + 1)
         | Insn.Int3 | Insn.Ud2 | Insn.Unknown _ ->
             fail va "invalid instruction inside trampoline"

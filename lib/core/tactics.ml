@@ -139,15 +139,19 @@ let reach_margin = 0x1000
 (* The pun constraint as one interval (paper §1): the targets a 5-byte
    jump ending at [jmp_end] reaches when its low [free] displacement
    bytes are free and the rest read [fixed] (low byte first), clamped so
-   the trampoline can still jump back. Every tactic's trampoline window
-   is one of these; B0's trap is [free = 4], [fixed = []]. *)
-let window ~jmp_end ~free ~fixed =
-  let lo, hi =
-    Pun.target_window ~jmp_end ~free_bytes:free
-      ~fixed_high:(Pun.fixed_high_of_bytes fixed)
-  in
-  ( max lo (jmp_end - 0x8000_0000 + reach_margin),
-    min hi (jmp_end + 0x7fff_ffff - reach_margin) )
+   the trampoline can still jump back and reach every address in
+   [reach] (the template's {!Trampoline.references}; none for an
+   evictee) by rel32. Each clamp is an interval, so the window stays
+   one. Every tactic's trampoline window is one of these; B0's trap is
+   [free = 4], [fixed = []]. *)
+let window ~reach ~jmp_end ~free ~fixed =
+  List.fold_left
+    (fun (lo, hi) a ->
+      ( max lo (a - 0x8000_0000 + reach_margin),
+        min hi (a + 0x7fff_ffff - reach_margin) ))
+    (Pun.target_window ~jmp_end ~free_bytes:free
+       ~fixed_high:(Pun.fixed_high_of_bytes fixed))
+    (jmp_end :: reach)
 
 (* The [4 - free] displacement bytes of a jump at [jmp_off] that the text
    already fixes. *)
@@ -158,7 +162,7 @@ let fixed_bytes ctx ~jmp_off ~free =
    reads the fixed displacement bytes, and returns the free byte count
    and the target window. The [Error] carries why the jump cannot be
    placed at all. *)
-let pun_window ctx ~addr ~len ~pad =
+let pun_window ctx ~reach ~addr ~len ~pad =
   let jmp_off = addr + pad in
   let free = free_bytes_of ~len ~pad in
   let mod_hi = max (addr + len) (jmp_off + 1 + free) in
@@ -167,7 +171,7 @@ let pun_window ctx ~addr ~len ~pad =
   else if free < 4 && not (in_text ctx (jmp_off + 4)) then Error Obs.Pun_miss
   else
     let fixed = fixed_bytes ctx ~jmp_off ~free in
-    let lo, hi = window ~jmp_end:(jmp_off + 5) ~free ~fixed in
+    let lo, hi = window ~reach ~jmp_end:(jmp_off + 5) ~free ~fixed in
     if lo > hi then Error Obs.Range else Ok (lo, hi)
 
 (* Write the (validated, allocated) jump. Punned bytes are asserted, not
@@ -200,7 +204,10 @@ let add_trampoline ctx addr code = ctx.trampolines <- (addr, code) :: ctx.trampo
 let try_pun ctx (site : Frontend.site) template ~pad =
   if pad > max 0 (site.len - 1) then Error Obs.Too_short
   else
-    match pun_window ctx ~addr:site.addr ~len:site.len ~pad with
+    match
+      pun_window ctx ~reach:(Trampoline.references template) ~addr:site.addr
+        ~len:site.len ~pad
+    with
     | Error _ as e -> e
     | Ok (lo, hi) -> (
         let tsize =
@@ -285,7 +292,7 @@ let try_t2 ctx (site : Frontend.site) template =
         rejected Obs.Locked
       else begin
         (* The successor's own (pad-0) pun geometry. *)
-        match pun_window ctx ~addr:s_addr ~len:s.len ~pad:0 with
+        match pun_window ctx ~reach:[] ~addr:s_addr ~len:s.len ~pad:0 with
         | Error reason -> rejected reason
         | Ok (s_lo, s_hi) ->
             let ev_size =
@@ -308,7 +315,8 @@ let try_t2 ctx (site : Frontend.site) template =
                 0xe9 :: List.init (max 0 (p + 4 - k)) (Array.get rel_s)
               in
               let lo, hi =
-                window ~jmp_end:(site.addr + p + 5) ~free:(k - p - 1) ~fixed
+                window ~reach:(Trampoline.references template)
+                  ~jmp_end:(site.addr + p + 5) ~free:(k - p - 1) ~fixed
               in
               match guarded ctx (Layout.alloc_at ~addr:t_s ~size:ev_size) with
               | Error r -> Error r
@@ -382,7 +390,10 @@ let try_t3_squat ctx (site : Frontend.site) template tsize =
     else
       let rec run n = if n < 4 && is_dead (a + 1 + n) then run (n + 1) else n in
       let len = 1 + run 0 in
-      match pun_window ctx ~addr:a ~len ~pad:0 with
+      match
+        pun_window ctx ~reach:(Trampoline.references template) ~addr:a ~len
+          ~pad:0
+      with
       | Error _ -> go (a + 1)
       | Ok (lo, hi) -> (
           match guarded ctx (Layout.alloc ~size:tsize ~lo ~hi) with
@@ -424,8 +435,8 @@ let t3_position ctx (site : Frontend.site) template ~tsize (v : Frontend.site)
   then Error budget
   else
     let jp_lo, jp_hi =
-      window ~jmp_end:(jp + 5) ~free:fp
-        ~fixed:(fixed_bytes ctx ~jmp_off:jp ~free:fp)
+      window ~reach:(Trampoline.references template) ~jmp_end:(jp + 5)
+        ~free:fp ~fixed:(fixed_bytes ctx ~jmp_off:jp ~free:fp)
     in
     (* Displacement bytes of J_patch read back by J_victim. *)
     let n_pin = min (max 0 (4 - j)) fp in
@@ -445,7 +456,7 @@ let t3_position ctx (site : Frontend.site) template ~tsize (v : Frontend.site)
             let pos = fv + i in
             if pos = j - 1 then 0xe9 else rel_p.(pos - j))
       in
-      let v_lo, v_hi = window ~jmp_end:(v.addr + 5) ~free:fv ~fixed in
+      let v_lo, v_hi = window ~reach:[] ~jmp_end:(v.addr + 5) ~free:fv ~fixed in
       match guarded ctx (Layout.alloc_at ~addr:t_p ~size:tsize) with
       | Error r -> Error r
       | Ok () -> (
@@ -591,7 +602,10 @@ let try_b0 ctx (site : Frontend.site) template =
         ~insn_len:site.len
     in
     (* The trampoline's return jump still needs rel32 reach. *)
-    let lo, hi = window ~jmp_end:(site.addr + 5) ~free:4 ~fixed:[] in
+    let lo, hi =
+      window ~reach:(Trampoline.references template) ~jmp_end:(site.addr + 5)
+        ~free:4 ~fixed:[]
+    in
     (* Raw [Layout.alloc], not [guarded]: B0 is the degradation target
        for injected allocator exhaustion and must stay refusable only
        through its own [B0_alloc] site. *)

@@ -17,7 +17,6 @@ type call_arg =
 type template =
   | Empty
   | Counter
-  | Lowfat_check
   | Lowfat_check_scratch of int
   | Print of { text : string; scratch : int }
   | Trap
@@ -158,20 +157,6 @@ let emit_displaced asm ~insn ~insn_addr ~insn_len =
   | Insn.Int3 | Insn.Ud2 | Insn.Unknown _ ->
       invalid_arg "Trampoline: cannot displace this instruction"
 
-let emit_lowfat_payload asm ~insn =
-  match Classify.mem_written insn with
-  | None -> invalid_arg "Trampoline: Lowfat_check on a non-writing instruction"
-  | Some m ->
-      if m.Insn.rip_rel then
-        invalid_arg "Trampoline: Lowfat_check on a global write";
-      (* push %rdi; lea written-operand, %rdi; int check; pop %rdi.
-         None of these touch the flags; %rdi is read before being
-         clobbered, so the address is computed from original state. *)
-      Asm.ins asm (Insn.Push Reg.RDI);
-      Asm.ins asm (Insn.Lea (Reg.RDI, m));
-      Asm.ins asm (Insn.Int Hostcall.check);
-      Asm.ins asm (Insn.Pop Reg.RDI)
-
 (* Caller-saved register state bracketing an instrumentation call: flags
    first (the displaced instruction may be a jcc), then the registers the
    System V ABI lets a callee clobber. *)
@@ -199,16 +184,20 @@ let load_reg_abs asm r ~slot =
   riprel_to asm ~addr:slot ~make:(fun m ->
       Insn.Mov (Insn.Q, Insn.Reg r, Insn.Mem m))
 
-(* The trace-transparent lowfat payload: same check as
-   [emit_lowfat_payload], but %rdi is parked in the tool's scratch slot
-   instead of on the guest stack, so instrumented runs stay
-   store-for-store identical outside the private page. *)
+(* The lowfat payload (paper §6.3): park %rdi in the runtime's scratch
+   slot, re-materialize the written-to pointer with [lea], raise the
+   redzone check host call, restore. None of these touch the flags; %rdi
+   is read before being clobbered, so the address is computed from
+   original state. The slot is instrumentation-private (not the guest
+   stack), so instrumented runs stay store-for-store identical outside
+   the private page. *)
 let emit_lowfat_scratch asm ~insn ~scratch =
   match Classify.mem_written insn with
-  | None -> invalid_arg "Trampoline: Lowfat_check on a non-writing instruction"
+  | None ->
+      invalid_arg "Trampoline: lowfat check on a non-writing instruction"
   | Some m ->
       if m.Insn.rip_rel then
-        invalid_arg "Trampoline: Lowfat_check on a global write";
+        invalid_arg "Trampoline: lowfat check on a global write";
       store_reg_abs asm ~slot:scratch Reg.RDI;
       Asm.ins asm (Insn.Lea (Reg.RDI, m));
       Asm.ins asm (Insn.Int Hostcall.check);
@@ -321,6 +310,16 @@ let place_data asm entries =
       Asm.ins_raw asm data)
     (List.rev entries)
 
+(* The absolute addresses a template's own code reaches by a rel32 or
+   RIP-relative displacement. The clean call's private stack is loaded
+   with [movabs] and needs no reach; its pushes land on the scratch
+   page, next to the slot named here. *)
+let references = function
+  | Lowfat_check_scratch scratch | Print { scratch; _ } -> [ scratch ]
+  | Call { target; scratch; mode = Clean; _ } -> [ scratch; target ]
+  | Call { target; mode = Naked; _ } -> [ target ]
+  | Empty | Counter | Trap | Custom_pre _ | Replace _ -> []
+
 let emit template ~at ~insn ~insn_addr ~insn_len =
   let asm = Asm.create ~base:at in
   let ret = insn_addr + insn_len in
@@ -329,9 +328,6 @@ let emit template ~at ~insn ~insn_addr ~insn_len =
       if emit_displaced asm ~insn ~insn_addr ~insn_len then jmp_abs asm ret
   | Counter ->
       Asm.ins asm (Insn.Int Hostcall.count);
-      if emit_displaced asm ~insn ~insn_addr ~insn_len then jmp_abs asm ret
-  | Lowfat_check ->
-      emit_lowfat_payload asm ~insn;
       if emit_displaced asm ~insn ~insn_addr ~insn_len then jmp_abs asm ret
   | Lowfat_check_scratch scratch ->
       emit_lowfat_scratch asm ~insn ~scratch;

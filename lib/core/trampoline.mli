@@ -43,16 +43,13 @@ type template =
   | Counter
       (** a {!E9_emu.Hostcall.count} host call first — basic-block /
           jump counting instrumentation *)
-  | Lowfat_check
-      (** re-materialize the written-to pointer with [lea], pass it to the
-          {!E9_emu.Hostcall.check} redzone check, restore state, then run
-          the displaced instruction (paper §6.3). Only valid for
-          heap-write instructions. *)
   | Lowfat_check_scratch of int
-      (** {!Lowfat_check} with %rdi parked in the given 8-byte scratch
-          slot (an instrumentation-private page) instead of pushed on the
-          guest stack — the trace-transparent form the tool frontend
-          emits *)
+      (** park %rdi in the given 8-byte scratch slot (an
+          instrumentation-private page, not the guest stack),
+          re-materialize the written-to pointer with [lea], pass it to
+          the {!E9_emu.Hostcall.check} redzone check, restore %rdi, then
+          run the displaced instruction (paper §6.3). Only valid for
+          heap-write instructions. *)
   | Print of { text : string; scratch : int }
       (** stash %rdi in the 8-byte [scratch] slot (an
           instrumentation-private page, not the guest stack), point it at
@@ -86,6 +83,14 @@ type template =
 val emit :
   template -> at:int -> insn:E9_x86.Insn.t -> insn_addr:int -> insn_len:int ->
   bytes
+
+(** [references template] is the absolute addresses [template]'s own
+    code reaches by a rel32 or RIP-relative displacement: the scratch
+    slot of [Lowfat_check_scratch], [Print] and a [Clean] call, and a
+    call's target. The tactic layer places every trampoline of
+    [template] within rel32 reach of each. The private stack of a
+    [Clean] call is loaded absolutely and is not among them. *)
+val references : template -> int list
 
 (** [size template ~insn ~insn_addr ~insn_len] is the length [emit] will
     produce (computed by a dry run near the original location). *)

@@ -50,9 +50,12 @@ let script ?(spec = default_spec) ?filename raw =
     request ~id:3 "emit" emit_params ]
 
 let reference ?(spec = default_spec) raw =
+  let module Tool = E9_tool.Tool in
   let elf = Elf_file.of_bytes raw in
-  let select, template = E9_tool.Tool.lower (Patchspec.parse spec) in
-  let r = Rewriter.run elf ~select ~template in
+  let rules = Patchspec.parse spec in
+  let input, runtime = Tool.rewrite_input elf rules in
+  let select, template = Tool.lower ?runtime rules in
+  let r = Rewriter.run input ~select ~template in
   Elf_file.to_bytes r.Rewriter.output
 
 (* ------------------------------------------------------------------ *)

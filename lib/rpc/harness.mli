@@ -42,7 +42,9 @@ val script :
   ?spec:string -> ?filename:string -> bytes -> string list
 
 (** [reference ?spec raw] — the one-shot rewrite the service's emits
-    must be byte-identical to. *)
+    must be byte-identical to: of the input with the runtime injected
+    when {!E9_tool.Tool.needs_runtime} holds for [spec]'s rules, as the
+    daemon does. *)
 val reference : ?spec:string -> bytes -> bytes
 
 type summary = {

@@ -34,7 +34,8 @@ type t = {
   mutable binary : (Elf_file.t * string) option;  (** parsed input, content hash *)
   mutable rules : Patchspec.rule list;  (** reverse order *)
   mutable tool : bool;
-      (** [rules] came from [tool] messages: emit injects the runtime *)
+      (** [rules] came from [tool] messages: emit injects the runtime
+          whatever they are *)
   mutable reserves : (int * int) list;  (** reverse order *)
   mutable opts : Rewriter.options;
   mutable code_start : int option;  (** the wire's [disasm_from] *)
@@ -263,9 +264,6 @@ let do_patch t params =
         [ { Patchspec.selector = Patchspec.parse_selector selector; patch } ]
     | None, None -> bad "patch needs a spec or a selector/trampoline pair"
   in
-  (* Refuse runtime-only patches (print, call) now, typed, rather than
-     at emit. *)
-  ignore (Tool.lower rules);
   add_rules t ~tool:false rules
 
 (* The tool vocabulary (DESIGN.md §15): one [-M MATCH -P PATCH] pair per
@@ -288,9 +286,10 @@ let stats_json (s : Stats.t) =
       ("t2", Json.Int s.Stats.t2); ("t3", Json.Int s.Stats.t3);
       ("failed", Json.Int s.Stats.failed) ]
 
-(* Inject the runtime if the rules are tool rules, rewrite, verify the
-   output against the rewrite input (the injected pages are part of what
-   the verifier must account for), cache. *)
+(* Inject the runtime if the rules are tool rules or keep state in it
+   ([Tool.needs_runtime]), rewrite, verify the output against the
+   rewrite input (the injected pages are part of what the verifier must
+   account for), cache. *)
 let do_emit t params =
   let elf, bhash =
     match t.binary with
@@ -314,7 +313,8 @@ let do_emit t params =
       (List.map (fun (a, l) -> Printf.sprintf "%x+%x" a l) holes)
   in
   let okey = Rewriter.options_signature opts ^ ";holes=" ^ holes_tag in
-  let rt_tag = if t.tool then "rt" else "-" in
+  let inject = t.tool || Tool.needs_runtime rules in
+  let rt_tag = if inject then "rt" else "-" in
   let key =
     Printf.sprintf "r:%s:%s:%s:%s" bhash rt_tag
       (Cache.fnv1a64_string (Patchspec.fragment_key rules))
@@ -331,7 +331,7 @@ let do_emit t params =
         (e, "hit")
     | None ->
         Obs.counter t.obs ~name:"rpc_cache_misses" ~value:1;
-        let runtime = if t.tool then Some (Tool.inject elf) else None in
+        let runtime = if inject then Some (Tool.inject elf) else None in
         let input =
           match runtime with Some rt -> rt.Tool.augmented | None -> elf
         in

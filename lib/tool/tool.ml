@@ -122,14 +122,29 @@ let riprel asm ~addr make =
   let len = E9_x86.Encode.length (make (Insn.rip_mem 0)) in
   Asm.ins asm (make (Insn.rip_mem (addr - (Asm.here asm + len))))
 
-let inject elf =
-  let elf = Elf_file.copy elf in
+(* The data page sits one 64 KiB guard above the highest segment, the
+   code page right after it. *)
+let data_page (elf : Elf_file.t) =
   let top =
     List.fold_left
-      (fun a (s : Elf_file.segment) -> max a (s.Elf_file.vaddr + s.Elf_file.memsz))
-      0 elf.Elf_file.segments
+      (fun a (s : Elf_file.segment) -> max a (s.vaddr + s.memsz))
+      0 elf.segments
   in
-  let data_base = ((top + page - 1) / page * page) + 0x10000 in
+  ((top + page - 1) / page * page) + 0x10000
+
+let inject elf =
+  (* The two pages add two program headers; the table cannot move, so it
+     must still end before the first content byte. *)
+  let phnum = List.length elf.Elf_file.segments + 2 in
+  (match Elf_file.phdr_overlap elf ~phnum with
+  | Some off ->
+      errf
+        "the instrumentation runtime's program headers (%d in all) would \
+         overwrite content at file offset 0x%x"
+        phnum off
+  | None -> ());
+  let elf = Elf_file.copy elf in
+  let data_base = data_page elf in
   let code_base = data_base + page in
   let counter_cell = data_base + 8 in
   let record_cell = data_base + 16 in
@@ -169,7 +184,8 @@ let inject elf =
          align = page }
        ~content:code);
   (* As its file reads back (real header bytes), so outputs rewritten
-     from this image verify against the [--emit-augmented] file too. *)
+     from this image verify against the image {!runtime_in} rebuilds
+     from the original file. *)
   { augmented = Elf_file.of_bytes (Elf_file.to_bytes elf);
     data_base;
     scratch = data_base;
@@ -179,6 +195,35 @@ let inject elf =
     code_base;
     fns = [ ("counter", counter_fn); ("record", record_fn) ];
     instr_ranges = [ (data_base, data_base + page) ] }
+
+(* The two pages [inject original] adds, as program headers and bytes:
+   a rewrite of the augmented image keeps both verbatim. Only a
+   rewritten file with loads at both page addresses is worth an
+   injection to compare against. *)
+let runtime_in ~original rewritten =
+  let loaded a =
+    List.exists
+      (fun (s : Elf_file.segment) -> s.ptype = Elf_file.Load && s.vaddr = a)
+      rewritten.Elf_file.segments
+  in
+  let data_base = data_page original in
+  if not (loaded data_base && loaded (data_base + page)) then None
+  else
+    let rt = inject original in
+    let bytes (e : Elf_file.t) (s : Elf_file.segment) =
+      if s.offset + s.filesz > E9_bits.Buf.length e.data then None
+      else Some (E9_bits.Buf.sub e.data ~pos:s.offset ~len:s.filesz)
+    in
+    let injected (s : Elf_file.segment) =
+      s.vaddr = rt.data_base || s.vaddr = rt.code_base
+    in
+    let carried (s : Elf_file.segment) =
+      List.mem s rewritten.Elf_file.segments
+      && bytes rt.augmented s = bytes rewritten s
+    in
+    if List.for_all carried (List.filter injected rt.augmented.segments) then
+      Some rt
+    else None
 
 let resolve_fn rt fn =
   match List.assoc_opt fn rt.fns with
@@ -194,22 +239,37 @@ let resolve_fn rt fn =
 (* Lowering to rewriter arguments                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The one lowering of a patch. Without a runtime (a plain patch spec)
-   [lowfat] pushes its scratch register on the guest stack; with one it
-   parks it in the runtime's scratch slot, which keeps the guest stack
-   trace-transparent. [print] and [call] need the runtime's log, cells
-   and private stack, so they are refused without one — here, before any
-   site is lowered. *)
+(* A patch keeps state in the runtime when it is [lowfat] or [print]
+   (%rdi parks in the scratch slot) or a [call] (functions, cells,
+   private stack). *)
+let needs_runtime rules =
+  List.exists
+    (fun r ->
+      match r.patch with
+      | Lowfat | Print | Call _ -> true
+      | Count | Trap | Empty -> false)
+    rules
+
+let rewrite_input elf rules =
+  if needs_runtime rules then
+    let rt = inject elf in
+    (rt.augmented, Some rt)
+  else (elf, None)
+
+(* The one lowering of a patch. The runtime-keeping patches lower
+   against the runtime's pages; every front door injects it when
+   [needs_runtime] says so, and a missing one is refused here, before
+   any site is lowered. *)
 let template_of ?runtime patch =
   match (patch, runtime) with
   | Empty, _ -> fun _ -> Trampoline.Empty
   | Count, _ -> fun _ -> Trampoline.Counter
   | Trap, _ -> fun _ -> Trampoline.Trap
-  | Lowfat, None -> fun _ -> Trampoline.Lowfat_check
+  | (Lowfat | Print | Call _), None ->
+      invalid_arg
+        (Format.asprintf "Tool.lower: patch '%a' needs the runtime"
+           Spec.pp_patch patch)
   | Lowfat, Some rt -> fun _ -> Trampoline.Lowfat_check_scratch rt.scratch
-  | (Print | Call _), None ->
-      errf "patch '%s' needs the instrumentation runtime (use tool, not patch)"
-        (Format.asprintf "%a" Spec.pp_patch patch)
   | Print, Some rt ->
       fun (site : Frontend.site) ->
         Trampoline.Print

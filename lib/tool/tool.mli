@@ -72,10 +72,9 @@ val rule_of : ?read_file:(string -> string) -> m:string -> p:string -> unit -> r
 
 type runtime = {
   augmented : Elf_file.t;
-      (** input copy plus the two injected pages, exactly as the file
-          [tool --emit-augmented] writes ([Elf_file.to_bytes augmented])
-          parses back; the rewrite input, and the [original] to verify
-          the output against (in memory or as that file) *)
+      (** input copy plus the two injected pages, exactly as its file
+          ([Elf_file.to_bytes augmented]) parses back; the rewrite input,
+          and the [original] to verify the output against *)
   data_base : int;  (** read-write page: scratch, cells, private stack *)
   scratch : int;  (** 8-byte register-save slot (= [data_base]) *)
   counter_cell : int;  (** the [counter] function's accumulator *)
@@ -95,20 +94,43 @@ type runtime = {
     cells and the flags. The pages sit one 64 KiB guard above the
     highest existing segment, so the trampoline allocator (which builds
     occupancy from all loaded segments) routes around them
-    automatically. *)
+    automatically. Raises {!Error}, before copying anything, when the
+    two extra program headers would overwrite content (a file whose
+    header table is followed directly by content, as most linked
+    binaries are). *)
 val inject : Elf_file.t -> runtime
+
+(** [runtime_in ~original rewritten] is [Some (inject original)] when
+    [rewritten] carries that runtime: it has [PT_LOAD]s equal to both
+    pages [inject original] adds, with the same bytes. A rewrite of
+    [runtime.augmented] does; a rewrite of [original] does not. This is
+    how [check ORIGINAL REWRITTEN] finds the image and the
+    [instr_ranges] to verify against from the two files alone. *)
+val runtime_in : original:Elf_file.t -> Elf_file.t -> runtime option
 
 (** {1 Lowering} *)
 
+(** [needs_runtime rules] holds when a rule's patch keeps state in the
+    injected runtime: [lowfat] and [print] park %rdi in its scratch
+    slot, and a [call] reaches its functions, cells and private stack.
+    Every front door ([patch], the daemon's [patch] message, [tool])
+    then rewrites [(inject elf).augmented] and lowers against it
+    ({!rewrite_input}); [tool] injects whatever its rules are. *)
+val needs_runtime : rule list -> bool
+
+(** [rewrite_input elf rules] is what a front door rewrites for [rules]
+    and the runtime that input carries: [(rt.augmented, Some rt)] with
+    [rt = inject elf] when [needs_runtime rules], else [(elf, None)].
+    Lower the rules with [lower ?runtime]. *)
+val rewrite_input : Elf_file.t -> rule list -> Elf_file.t * runtime option
+
 (** [lower ?runtime rules] compiles first-match-wins rules into the
-    select/template pair for {!E9_core.Rewriter.run}. Without a runtime
-    (a plain patch spec) [lowfat] lowers to
-    {!E9_core.Trampoline.Lowfat_check}; with one, to the trace-transparent
-    [Lowfat_check_scratch] on the runtime's scratch slot, and [print] and
-    [call] patches lower against the runtime's pages. Raises {!Error} —
-    before returning — if a rule is [print] or [call] and there is no
-    runtime, and (at lowering time) if a call patch names an unknown
-    function. *)
+    select/template pair for {!E9_core.Rewriter.run}. [lowfat] lowers to
+    {!E9_core.Trampoline.Lowfat_check_scratch} on the runtime's scratch
+    slot, and [print] and [call] patches lower against the runtime's
+    pages. Raises [Invalid_argument] — before returning — if
+    [needs_runtime rules] and there is no [runtime], and {!Error} (at
+    lowering time) if a call patch names an unknown function. *)
 val lower :
   ?runtime:runtime ->
   rule list ->

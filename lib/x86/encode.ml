@@ -43,6 +43,8 @@ let emit_modrm b ~w ~force_rex ~opcodes ~reg_idx rm =
         if m.rip_rel then begin
           if m.base <> None || m.index <> None then
             invalid_arg "Encode: rip-relative with base/index";
+          if not (fits_i32 m.disp) then
+            invalid_arg "Encode: rip-relative disp32 out of range";
           u8 modrm_sib (0b00_000_000 lor reg_f lor 0b101);
           u32 modrm_sib m.disp;
           (0, 0)

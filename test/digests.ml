@@ -68,8 +68,8 @@ let verify_line name ?holes ~original out =
       Printf.printf "verify/%s rejected 0x%x:%s\n%!" name e.Static.addr
         (Fnv.to_hex (Fnv.hash64_string e.Static.reason))
 
-let trace_line name ?holes ~original out =
-  match Trace.compare_runs ?holes ~original out with
+let trace_line name ?holes ?instr_ranges ~original out =
+  match Trace.compare_runs ?holes ?instr_ranges ~original out with
   | Ok s ->
       Printf.printf "trace/%s ok %d/%d/%d/%d/%d\n%!" name s.Trace.events
         s.Trace.boundary_retires s.Trace.stores s.Trace.insns_original
@@ -77,11 +77,12 @@ let trace_line name ?holes ~original out =
   | Error msg -> Printf.printf "trace/%s error %s\n%!" name msg
 
 (* One pinned rewrite of [original] into [out]; [holes] are what the
-   rewrite itself used. *)
-let line name ?holes original out =
+   rewrite itself used, [instr_ranges] the pages of the runtime it
+   carries. *)
+let line name ?holes ?instr_ranges original out =
   match !mode with
   | Verify -> verify_line name ?holes ~original out
-  | Oracle -> trace_line name ?holes ~original out
+  | Oracle -> trace_line name ?holes ?instr_ranges ~original out
   | Output ->
       Printf.printf "%s text=%d %s\n%!" name (text_size original)
         (digest_bytes (Elf_file.to_bytes out))
@@ -164,7 +165,9 @@ let tool () =
   List.iter
     (fun (m, p) ->
       let res = Tool.run elf [ Tool.rule_of ~m ~p () ] in
-      line (Printf.sprintf "tool/%s|%s" m p) res.Tool.runtime.Tool.augmented
+      let rt = res.Tool.runtime in
+      line (Printf.sprintf "tool/%s|%s" m p)
+        ~instr_ranges:rt.Tool.instr_ranges rt.Tool.augmented
         res.Tool.rewrite.Rewriter.output)
     [ ("jumps", "print"); ("all", "count"); ("returns", "trap");
       ("heap-writes", "lowfat"); ("mnemonic mov and op[0].type == reg", "empty");
@@ -173,13 +176,14 @@ let tool () =
 
 (* Emits served by the daemon for one session's messages (after loading
    the smoke input), driven through the in-process transport. A tool
-   session rewrites the input with the runtime injected, so --verify
-   and --trace check its emit against that augmented input, as the
-   daemon does. *)
+   session, or rules that keep state in the runtime, rewrite the input
+   with the runtime injected: --verify and --trace check such an emit
+   against the augmented input it carries ([Tool.runtime_in], as
+   [check] finds it), the runtime's pages private. *)
 let served () =
   let elf = Lazy.force smoke_input in
   let raw = Elf_file.to_bytes elf in
-  let serve ?(input = elf) name msgs =
+  let serve name msgs =
     let server = Server.create () in
     let conn = Server.connect server in
     let load =
@@ -202,13 +206,16 @@ let served () =
       | Error _ -> None
     in
     match (data, !mode) with
-    | Some b, Verify ->
-        verify_line ("served/" ^ name) ~original:input (Elf_file.of_bytes b)
-    | Some b, Oracle ->
-        trace_line ("served/" ^ name) ~original:input (Elf_file.of_bytes b)
     | Some b, Output ->
         Printf.printf "served/%s text=%d %s\n%!" name (text_size elf)
           (digest_bytes b)
+    | Some b, (Verify | Oracle) -> (
+        let out = Elf_file.of_bytes b in
+        match Tool.runtime_in ~original:elf out with
+        | None -> line ("served/" ^ name) elf out
+        | Some rt ->
+            line ("served/" ^ name) ~instr_ranges:rt.Tool.instr_ranges
+              rt.Tool.augmented out)
     | None, _ -> missing ("served/" ^ name) "refused"
   in
   List.iter
@@ -216,7 +223,7 @@ let served () =
     [ "jumps with counter"; "heap-writes with lowfat"; "heap-writes with empty" ];
   serve "selector jumps+counter"
     [ ("patch", [ ("selector", Json.Str "jumps"); ("trampoline", Json.Str "counter") ]) ];
-  serve "tool jumps|count" ~input:(Tool.inject elf).Tool.augmented
+  serve "tool jumps|count"
     [ ("tool", [ ("match", Json.Str "jumps"); ("patch", Json.Str "count") ]) ]
 
 let () =

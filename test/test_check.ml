@@ -316,6 +316,103 @@ let test_trampoline_retargeted_rejected () =
   check_bool "reported as a wrong terminal jump" true
     (String.starts_with ~prefix:"terminal jump reaches" e.Static.reason)
 
+(* A good [pie] rewrite under [heap-writes|lowfat], its first B1
+   trampoline's scratch store moved 2 GiB away: the store now resolves
+   into unmapped memory, the shape of a disp32 that wrapped because its
+   trampoline was placed out of reach of the runtime. *)
+let test_unreachable_scratch_rejected () =
+  let module Tool = E9_tool.Tool in
+  let f = Option.get (Adversary.find "pie") in
+  let elf, holes = Matrix.prepare f in
+  let res =
+    Tool.run ~options:(Matrix.options_of f) ~holes elf
+      [ Tool.rule_of ~m:"heap-writes" ~p:"lowfat" () ]
+  in
+  let rewritten = res.Tool.rewrite.Rewriter.output in
+  let out = Elf_file.to_bytes rewritten in
+  let verify b =
+    Static.verify ~holes ~original:res.Tool.runtime.Tool.augmented
+      (Elf_file.of_bytes b)
+  in
+  (match verify out with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "good rewrite: %a" Static.pp_error e);
+  let text = Option.get (Frontend.find_text rewritten) in
+  let site, _ =
+    List.find
+      (fun (_, t) -> t = E9_core.Stats.B1)
+      res.Tool.rewrite.Rewriter.patched_sites
+  in
+  let tramp =
+    match
+      Decode.decode out (text.Frontend.offset + (site - text.Frontend.base))
+    with
+    | { Decode.insn = Insn.Jmp rel; len; _ } -> site + len + rel
+    | _ -> Alcotest.fail "B1 site does not decode as jmp rel32"
+  in
+  let m =
+    List.find
+      (fun (m : Loadmap.mapping) ->
+        tramp >= m.Loadmap.vaddr && tramp < m.Loadmap.vaddr + m.Loadmap.len)
+      (Loadmap.decode_mappings
+         (Elf_file.section_bytes rewritten
+            (Option.get
+               (Elf_file.find_section rewritten Elf_file.mmap_section_name))))
+  in
+  let pos = m.Loadmap.file_off + (tramp - m.Loadmap.vaddr) in
+  (match Decode.decode out pos with
+  | { Decode.insn = Insn.Mov (Insn.Q, Insn.Mem mem, Insn.Reg E9_x86.Reg.RDI); len; _ }
+    when mem.Insn.rip_rel ->
+      check_bool "the store reaches the scratch slot" true
+        (tramp + len + mem.Insn.disp = res.Tool.runtime.Tool.scratch)
+  | _ -> Alcotest.fail "lowfat trampoline does not open with the scratch store");
+  let b = Bytes.copy out in
+  (* +2^31 and -2^31 are one disp32 edit: the field wraps mod 2^32. *)
+  Bytes.set_int32_le b (pos + 3)
+    (Int32.add (Bytes.get_int32_le b (pos + 3)) Int32.min_int);
+  let e = rejected "scratch store moved 2 GiB" (verify b) in
+  check_bool "reported as an unmapped operand" true
+    (String.starts_with ~prefix:"trampoline rip-relative operand"
+       e.Static.reason)
+
+(* Data a linear sweep decodes as code can hold a call to anywhere. Its
+   trampoline copies the call faithfully, so its target resolving
+   outside every segment is the original's, not a wrapped displacement:
+   the reach rule exempts the displaced instruction's own targets. *)
+let test_displaced_wild_call_verifies () =
+  let module Asm = E9_x86.Asm in
+  let module Reg = E9_x86.Reg in
+  let base = 0x400000 in
+  let asm = Asm.create ~base in
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 60));
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 0));
+  Asm.ins asm Insn.Syscall;
+  (* Never executed: a call 256 MiB below the only segment. *)
+  Asm.ins asm (Insn.Call (-0x1000_0000));
+  Asm.ins asm Insn.Ret;
+  let code = Asm.assemble asm in
+  let elf = Elf_file.create ~etype:Elf_file.Exec ~entry:base in
+  let off =
+    Elf_file.add_segment elf
+      { Elf_file.ptype = Elf_file.Load; prot = Elf_file.prot_rx; vaddr = base;
+        offset = 0; filesz = 0; memsz = Bytes.length code; align = 4096 }
+      ~content:code
+  in
+  elf.Elf_file.sections <-
+    [ { Elf_file.name = ".text"; sh_type = 1; sh_flags = 6; addr = base;
+        offset = off; size = Bytes.length code } ];
+  let r =
+    Rewriter.run elf
+      ~select:(fun s ->
+        match s.Frontend.insn with Insn.Call _ -> true | _ -> false)
+      ~template:(fun _ -> Trampoline.Empty)
+  in
+  check_bool "the call was patched" true
+    (r.Rewriter.patched_sites <> []);
+  match Static.verify ~original:elf r.Rewriter.output with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "rejected: %a" Static.pp_error e
+
 (* Through a full file round trip both sides carry serialized ELF headers;
    the verifier must exempt exactly the fields serialization regenerates
    (e_shoff, the grown phdr slots, stub-mode e_entry) and nothing else.
@@ -485,6 +582,10 @@ let suites =
           test_short_restored_rejected;
         Alcotest.test_case "trampoline retargeted rejected" `Quick
           test_trampoline_retargeted_rejected;
+        Alcotest.test_case "unreachable scratch store rejected" `Quick
+          test_unreachable_scratch_rejected;
+        Alcotest.test_case "displaced wild call verifies" `Quick
+          test_displaced_wild_call_verifies;
         Alcotest.test_case "second short to one punned jump rejected" `Quick
           test_second_short_rejected;
         Alcotest.test_case "file round trip verifies" `Quick

@@ -641,25 +641,36 @@ let test_trampoline_lowfat_shape () =
   let insn =
     Insn.Mov (Insn.Q, Insn.Mem (Insn.mem ~base:Reg.RBX ~disp:8 ()), Insn.Reg Reg.RCX)
   in
+  let at = 0x700000 and scratch = 0x710000 in
   let code =
-    Trampoline.emit Trampoline.Lowfat_check ~at:0x700000 ~insn
+    Trampoline.emit (Trampoline.Lowfat_check_scratch scratch) ~at ~insn
       ~insn_addr:0x400100 ~insn_len:4
   in
+  (* %rdi parks in the scratch slot, never on the guest stack. *)
   match decode_all code with
-  | [ Insn.Push Reg.RDI; Insn.Lea (Reg.RDI, m); Insn.Int n; Insn.Pop Reg.RDI;
+  | [ Insn.Mov (Insn.Q, Insn.Mem save, Insn.Reg Reg.RDI); Insn.Lea (Reg.RDI, m);
+      Insn.Int n; Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Mem restore);
       Insn.Mov _; Insn.Jmp _ ] ->
       check_int "check hostcall" E9_emu.Hostcall.check n;
       check_bool "lea of the written operand" true
-        (m.Insn.base = Some Reg.RBX && m.Insn.disp = 8)
+        (m.Insn.base = Some Reg.RBX && m.Insn.disp = 8);
+      (* save is the first 7-byte instruction; the restore follows the
+         4-byte lea and the 2-byte int. *)
+      check_int "save reaches the slot" scratch (at + 7 + save.Insn.disp);
+      check_int "restore reaches the slot" scratch
+        (at + 7 + 4 + 2 + 7 + restore.Insn.disp);
+      check_bool "the slot is the template's one reference" true
+        (Trampoline.references (Trampoline.Lowfat_check_scratch scratch)
+        = [ scratch ])
   | _ -> Alcotest.fail "unexpected lowfat trampoline shape"
 
 let test_trampoline_rejects_nonwrite_lowfat () =
   Alcotest.check_raises "reject"
-    (Invalid_argument "Trampoline: Lowfat_check on a non-writing instruction")
+    (Invalid_argument "Trampoline: lowfat check on a non-writing instruction")
     (fun () ->
       ignore
-        (Trampoline.emit Trampoline.Lowfat_check ~at:0x700000 ~insn:Insn.Ret
-           ~insn_addr:0x400100 ~insn_len:1))
+        (Trampoline.emit (Trampoline.Lowfat_check_scratch 0x710000)
+           ~at:0x700000 ~insn:Insn.Ret ~insn_addr:0x400100 ~insn_len:1))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-binary rewriting                                              *)

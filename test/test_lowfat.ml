@@ -12,6 +12,7 @@ module Hostcall = E9_emu.Hostcall
 module Codegen = E9_workload.Codegen
 module Rewriter = E9_core.Rewriter
 module Trampoline = E9_core.Trampoline
+module Tool = E9_tool.Tool
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -146,9 +147,12 @@ let prop_redzone_tight =
 (* End-to-end hardening                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The check parks %rdi in the injected runtime's scratch slot, so the
+   rewrite input is the augmented image. *)
 let harden elf =
-  Rewriter.run elf ~select:Frontend.select_heap_writes
-    ~template:(fun _ -> Trampoline.Lowfat_check)
+  let rt = Tool.inject elf in
+  Rewriter.run rt.Tool.augmented ~select:Frontend.select_heap_writes
+    ~template:(fun _ -> Trampoline.Lowfat_check_scratch rt.Tool.scratch)
 
 let test_hardened_clean_program_unchanged () =
   let prof =

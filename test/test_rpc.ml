@@ -728,27 +728,62 @@ let test_selector_not_spliced () =
     (Proto.hex_of_bytes (Harness.reference raw))
     (emit_data r.(3))
 
-(* Patch specs have no instrumentation runtime: [print] and [call] are
-   refused when the rule arrives, typed, and the session goes on. *)
-let test_runtime_patch_refused () =
+(* A patch rule that keeps state in the runtime ([print], [call],
+   [lowfat]) is served like a tool rule: the emit rewrites the input with
+   the runtime injected and is verified against that augmented input
+   before it leaves the daemon. *)
+let test_runtime_patch_served () =
   let raw = Lazy.force raw in
-  let server = Server.create () in
-  let rs, alive =
-    Harness.run_session server
-      ([ Harness.request ~id:1 "patch"
-           [ ("spec", Json.Str "patch jumps with print") ];
-         Harness.request ~id:2 "patch"
-           [ ("selector", Json.Str "calls");
-             ("trampoline", Json.Str "call counter()") ] ]
-      @ Harness.script raw)
-  in
+  let spec = "patch jumps with print" in
+  let rs, alive = Harness.run_session (Server.create ()) (Harness.script ~spec raw) in
   check_bool "alive" true alive;
   let r = Array.of_list rs in
-  check_int "print refused typed" Proto.spec_error (error_code r.(0));
-  check_int "call refused typed" Proto.spec_error (error_code r.(1));
-  check_str "session still serves"
-    (Proto.hex_of_bytes (Harness.reference raw))
-    (emit_data r.(4))
+  check_bool "verified" true (field (result_of r.(2)) "verified" = Json.Bool true);
+  let out = emit_data r.(2) in
+  check_str "the one-shot rewrite of the augmented input"
+    (Proto.hex_of_bytes (Harness.reference ~spec raw)) out;
+  let original = Elf_file.of_bytes raw in
+  let rewritten =
+    Elf_file.of_bytes (Result.get_ok (Proto.bytes_of_hex out))
+  in
+  (match E9_tool.Tool.runtime_in ~original rewritten with
+  | None -> Alcotest.fail "emit does not carry the runtime"
+  | Some rt -> (
+      match
+        E9_check.Static.verify ~original:rt.E9_tool.Tool.augmented rewritten
+      with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "static verify: %a" E9_check.Static.pp_error e));
+  (* A file whose header table is followed directly by content (a
+     section right after room for two more program headers) cannot take
+     the runtime's two: the emit is refused typed, and the session goes
+     on. *)
+  let cramped =
+    let elf = Elf_file.of_bytes raw in
+    let n = List.length elf.Elf_file.segments in
+    elf.Elf_file.sections <-
+      elf.Elf_file.sections
+      @ [ { Elf_file.name = ".interp"; sh_type = 1; sh_flags = 2; addr = 0;
+            offset = 64 + (56 * (n + 1)); size = 8 } ];
+    Elf_file.to_bytes elf
+  in
+  let rs, alive =
+    Harness.run_session (Server.create ())
+      (Harness.script ~spec cramped @ [ Harness.request ~id:4 "ping" [] ])
+  in
+  check_bool "alive after the refusal" true alive;
+  let r = Array.of_list rs in
+  check_int "runtime refused typed" Proto.spec_error (error_code r.(2));
+  check_bool "names the program headers" true
+    (match Json.member "error" (jparse r.(2)) with
+    | Some err -> (
+        match Json.member "message" err with
+        | Some (Json.Str m) ->
+            String.starts_with ~prefix:"the instrumentation runtime's program headers" m
+        | _ -> false)
+    | None -> false);
+  check_bool "ping answered" true (List.length rs = 4)
 
 (* A runtime-free rule set is one rewrite whichever door it comes in by:
    the CLI's --select/--template rule lowered by [Tool.lower], the RPC
@@ -762,10 +797,12 @@ let test_front_doors_agree () =
       let name = Printf.sprintf "%s with %s" sel_src word in
       let spec = Printf.sprintf "patch %s with %s" sel_src word in
       let cli =
-        let select, template = E9_tool.Tool.lower [ { Spec.selector; patch } ] in
+        let module Tool = E9_tool.Tool in
+        let rules = [ { Spec.selector; patch } ] in
+        let input, runtime = Tool.rewrite_input (Elf_file.of_bytes raw) rules in
+        let select, template = Tool.lower ?runtime rules in
         Elf_file.to_bytes
-          (E9_core.Rewriter.run (Elf_file.of_bytes raw) ~select ~template)
-            .E9_core.Rewriter.output
+          (E9_core.Rewriter.run input ~select ~template).E9_core.Rewriter.output
       in
       let served params =
         let rs, _ =
@@ -1281,8 +1318,8 @@ let suites =
         Alcotest.test_case "trampoline aliases" `Quick test_trampoline_alias;
         Alcotest.test_case "selector is not spliced into a spec" `Quick
           test_selector_not_spliced;
-        Alcotest.test_case "runtime patches refused in specs" `Quick
-          test_runtime_patch_refused;
+        Alcotest.test_case "runtime patches served in specs" `Quick
+          test_runtime_patch_served;
         Alcotest.test_case "front doors agree on bytes" `Quick
           test_front_doors_agree;
         Alcotest.test_case "tool vocabulary round-trip" `Quick

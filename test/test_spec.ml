@@ -199,8 +199,11 @@ let test_spec_drives_rewriter () =
   let spec =
     Spec.parse "patch heap-writes with lowfat\npatch jumps with counter"
   in
-  let select, template = E9_tool.Tool.lower spec in
-  let r = Rewriter.run elf ~select ~template in
+  (* [lowfat] keeps %rdi in the runtime's scratch slot. *)
+  check_bool "lowfat needs the runtime" true (E9_tool.Tool.needs_runtime spec);
+  let rt = E9_tool.Tool.inject elf in
+  let select, template = E9_tool.Tool.lower ~runtime:rt spec in
+  let r = Rewriter.run rt.E9_tool.Tool.augmented ~select ~template in
   let patched =
     Machine.run ~make_allocator:E9_lowfat.Lowfat.make_allocator
       r.Rewriter.output

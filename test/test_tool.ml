@@ -204,24 +204,62 @@ let test_first_match_wins () =
   check_bool "jumps get the counter, not the later catch-all" true
     (patched.Cpu.counters <> [])
 
-(* [tool --emit-augmented AUG -o OUT] then [check AUG OUT]: the output
-   must verify against the augmented file as written, not only against
-   the in-memory image. *)
+(* [check IN OUT] on a tool output: the runtime is found from the two
+   files alone, and the output verifies against the augmented image it
+   rebuilds — the image [Tool.run] rewrote, as its file reads back. A
+   rewrite of the plain input carries no runtime. *)
 let test_emitted_augmented_verifies () =
   let elf =
     Codegen.generate
       { Codegen.default_profile with Codegen.functions = 60; iterations = 2 }
   in
   let r = Tool.run elf [ Tool.rule_of ~m:"jumps" ~p:"count" () ] in
-  let aug = Elf_file.to_bytes r.Tool.runtime.Tool.augmented in
-  let out = Elf_file.to_bytes r.Tool.rewrite.Rewriter.output in
-  check_bool "emitted file parses back to the rewrite input" true
-    (Bytes.equal
-       (Buf.contents (Elf_file.of_bytes aug).Elf_file.data)
-       (Buf.contents r.Tool.runtime.Tool.augmented.Elf_file.data));
-  match Static.verify ~original:(Elf_file.of_bytes aug) (Elf_file.of_bytes out) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "check AUG OUT: %a" Static.pp_error e
+  let original = Elf_file.of_bytes (Elf_file.to_bytes elf) in
+  let out = Elf_file.of_bytes (Elf_file.to_bytes r.Tool.rewrite.Rewriter.output) in
+  (match Tool.runtime_in ~original out with
+  | None -> Alcotest.fail "the output's runtime was not found"
+  | Some rt -> (
+      check_int "data page" r.Tool.runtime.Tool.data_base rt.Tool.data_base;
+      check_bool "rebuilt image parses back to the rewrite input" true
+        (Bytes.equal
+           (Buf.contents rt.Tool.augmented.Elf_file.data)
+           (Buf.contents r.Tool.runtime.Tool.augmented.Elf_file.data));
+      match Static.verify ~original:rt.Tool.augmented out with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "check IN OUT: %a" Static.pp_error e));
+  let plain =
+    Rewriter.run original ~select:Frontend.select_jumps
+      ~template:(fun _ -> Trampoline.Counter)
+  in
+  check_bool "a plain rewrite carries no runtime" true
+    (Tool.runtime_in ~original plain.Rewriter.output = None)
+
+(* The [pie] family loads at 0x555555554000, the runtime pages sit above
+   it, and a site's trampoline window reaches 2 GiB below the site. Each
+   runtime-keeping pair must place its trampolines within rel32 reach of
+   the runtime too, and pass both oracles. *)
+let test_pie_within_reach () =
+  let f = Option.get (E9_workload.Adversary.find "pie") in
+  let elf, holes = E9_check.Matrix.prepare f in
+  let options = E9_check.Matrix.options_of f in
+  List.iter
+    (fun (m, p) ->
+      let r = Tool.run ~options ~holes elf [ Tool.rule_of ~m ~p () ] in
+      let rt = r.Tool.runtime and out = r.Tool.rewrite.Rewriter.output in
+      check_bool (m ^ "|" ^ p ^ ": sites patched") true
+        (E9_core.Stats.succeeded r.Tool.rewrite.Rewriter.stats > 0);
+      (match Static.verify ~holes ~original:rt.Tool.augmented out with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "static (%s|%s): %a" m p Static.pp_error e);
+      match
+        Trace.compare_runs ~holes ~instr_ranges:rt.Tool.instr_ranges
+          ~original:rt.Tool.augmented out
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "trace (%s|%s): %s" m p e)
+    [ ("heap-writes", "lowfat"); ("jumps", "print");
+      ("calls", "call:clean record(addr,size,3)");
+      ("returns", "call:naked counter()") ]
 
 (* ------------------------------------------------------------------ *)
 (* Rule-list identity (result-cache key)                               *)
@@ -265,7 +303,9 @@ let suites =
         Alcotest.test_case "unknown fn refused" `Quick test_unknown_fn_refused;
         Alcotest.test_case "first match wins" `Quick test_first_match_wins;
         Alcotest.test_case "emitted augmented file verifies" `Quick
-          test_emitted_augmented_verifies ] );
+          test_emitted_augmented_verifies;
+        Alcotest.test_case "pie: trampolines reach the runtime" `Quick
+          test_pie_within_reach ] );
     ( "tool.fragment",
       [ Alcotest.test_case "spec key stability" `Quick test_spec_key_stability ]
     ) ]

@@ -63,6 +63,23 @@ let test_encode_rip_relative () =
   check_enc "lea -4(%rip),%rdi" "48 8d 3d fc ff ff ff"
     (Insn.Lea (Reg.RDI, Insn.rip_mem (-4)))
 
+(* A RIP-relative operand has one width, disp32: a displacement past it
+   is refused like an out-of-range rel32, not silently wrapped. *)
+let test_encode_rip_relative_range () =
+  check_enc "mov %rax,0x7fffffff(%rip)" "48 89 05 ff ff ff 7f"
+    (Insn.Mov (Insn.Q, Insn.Mem (Insn.rip_mem 0x7fff_ffff), Insn.Reg Reg.RAX));
+  check_enc "lea -0x80000000(%rip),%rdi" "48 8d 3d 00 00 00 80"
+    (Insn.Lea (Reg.RDI, Insn.rip_mem (-0x8000_0000)));
+  List.iter
+    (fun disp ->
+      Alcotest.check_raises (Printf.sprintf "disp %#x" disp)
+        (Invalid_argument "Encode: rip-relative disp32 out of range")
+        (fun () ->
+          ignore
+            (Encode.encode
+               (Insn.Mov (Insn.Q, Insn.Mem (Insn.rip_mem disp), Insn.Reg Reg.RDI)))))
+    [ 0x8000_0000; -0x8000_0001; 0x1_0000_0000 ]
+
 let test_encode_alu () =
   (* add $32,%rax — the paper's §2.1.3 example: 48 83 c0 20 (short form) *)
   check_enc "add $32,%rax" "48 83 c0 20"
@@ -362,6 +379,8 @@ let suites =
         Alcotest.test_case "mov mem" `Quick test_encode_mov_mem;
         Alcotest.test_case "mov SIB" `Quick test_encode_mov_sib;
         Alcotest.test_case "rip-relative" `Quick test_encode_rip_relative;
+        Alcotest.test_case "rip-relative disp32 range" `Quick
+          test_encode_rip_relative_range;
         Alcotest.test_case "alu" `Quick test_encode_alu;
         Alcotest.test_case "stack" `Quick test_encode_stack;
         Alcotest.test_case "control flow" `Quick test_encode_control_flow;
