@@ -1,6 +1,6 @@
-# Convenience wrappers around dune. CI runs `build`, `test`, `fuzz-smoke`,
-# `fault-smoke`, `serve-smoke`, `robust-smoke`, `tool-smoke`,
-# `check-smoke`, `host-smoke` and `bench-smoke`.
+# Convenience wrappers around dune. CI runs `build`, `test`, `examples`,
+# `fuzz-smoke`, `fault-smoke`, `serve-smoke`, `robust-smoke`,
+# `tool-smoke`, `check-smoke`, `host-smoke` and `bench-smoke`.
 
 # The smoke targets tee their output into a log file; without pipefail a
 # crashed bench/fuzz run would exit with tee's (successful) status and CI
@@ -16,7 +16,7 @@ FAULT_N ?= 500
 FAULT_RPC_N ?= 60
 FAULT_SEED ?= 42
 
-.PHONY: all build test digest-check bench bench-smoke fuzz-smoke fault-smoke robust-smoke serve-smoke tool-smoke check-smoke host-smoke fmt clean
+.PHONY: all build test examples digest-check bench bench-smoke fuzz-smoke fault-smoke robust-smoke serve-smoke tool-smoke check-smoke host-smoke fmt clean
 
 all: build
 
@@ -25,6 +25,17 @@ build:
 
 test: build
 	$(DUNE) runtest
+
+# The five end-to-end examples (examples/*.ml), each under a timeout;
+# together they take a fraction of a second. cve_patch is the only caller
+# of a Custom_pre template that the ladder places through T3, so its
+# "via tactic T3" line is asserted.
+examples: build
+	{ for e in quickstart cve_patch hardening tracing comparison; do \
+	  echo "=== $$e"; \
+	  timeout $(SMOKE_TIMEOUT) ./_build/default/examples/$$e.exe; \
+	done; } 2>&1 | tee examples_output.txt
+	grep -q 'via tactic T3' examples_output.txt
 
 # Output-byte contract: rerun test/digests.exe against the pinned
 # test/digests.txt, its --verify mode against the pinned verifier

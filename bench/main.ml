@@ -96,9 +96,6 @@ let rolled f =
   merge (Obs.agg obs);
   r
 
-let traced_run ?options ?holes elf ~select ~template =
-  rolled (fun obs -> Rewriter.run ?options ~obs ?holes elf ~select ~template)
-
 (* Every guest run is an [emulate] span plus [emu.*] counters. *)
 let run_emu ?config ?make_allocator ?libs elf =
   rolled (fun obs ->
@@ -175,11 +172,20 @@ let verify name ?holes ~original output =
           Format.eprintf "[verify] %s rejected: %s@." name msg;
           Some msg)
 
-(* The generator's data holes (the ChromeMain pool of §6.2) are what every
-   rewrite of a generated binary decodes around. *)
-let verify_rewrite name elf (r : Rewriter.result) =
-  ignore
-    (verify name ~holes:(Codegen.holes elf) ~original:elf r.Rewriter.output)
+(* Every bench rewrite: [Rewriter.run] under the experiment's rollup,
+   then statically verified against its input with the holes the
+   rewrite itself decoded around ([verify]; [name] labels a rejection).
+   [timed] receives the wall time of each of the two steps. *)
+let traced_run ?options ?holes ?(timed = fun ~rewrite_s:_ ~verify_s:_ -> ())
+    name elf ~select ~template =
+  let t0 = Unix.gettimeofday () in
+  let r =
+    rolled (fun obs -> Rewriter.run ?options ~obs ?holes elf ~select ~template)
+  in
+  let t1 = Unix.gettimeofday () in
+  ignore (verify name ?holes ~original:elf r.Rewriter.output);
+  timed ~rewrite_s:(t1 -. t0) ~verify_s:(Unix.gettimeofday () -. t1);
+  r
 
 (* Trace verification: the trace oracle runs the original and the patched
    program and compares their traces ([verify.traced]); a divergence
@@ -218,8 +224,7 @@ let measure_app ?(options = Rewriter.default_options) ?runtime ?make_allocator
     | Some rt -> (rt.Tool.augmented, Some rt.Tool.instr_ranges)
     | None -> (elf, None)
   in
-  let r = traced_run ~options ~holes input ~select ~template in
-  ignore (verify "measure_app" ~holes ~original:input r.Rewriter.output);
+  let r = traced_run ~options ~holes "measure_app" input ~select ~template in
   ignore
     (trace_verify ?instr_ranges "measure_app" ~holes ~original:input
        r.Rewriter.output);
@@ -326,7 +331,8 @@ let bench_compare () =
         let options = options_for row in
         let stats select =
           let r =
-            traced_run ~options ~holes:(Codegen.holes elf) elf ~select
+            traced_run ~options ~holes:(Codegen.holes elf) "compare" elf
+              ~select
               ~template:(fun _ -> Trampoline.Empty)
           in
           r.Rewriter.stats
@@ -500,7 +506,7 @@ let bench_grouping () =
               let size grouping =
                 let options = { (options_for row) with Rewriter.grouping } in
                 let r =
-                  traced_run ~options elf ~select
+                  traced_run ~options "grouping" elf ~select
                     ~template:(fun _ -> Trampoline.Empty)
                 in
                 (Rewriter.size_pct r, r.Rewriter.mappings,
@@ -544,7 +550,7 @@ let bench_grouping () =
       (fun m ->
         let options = { (options_for row) with Rewriter.granularity = m } in
         let r =
-          traced_run ~options elf ~select:Frontend.select_jumps
+          traced_run ~options "grouping" elf ~select:Frontend.select_jumps
             ~template:(fun _ -> Trampoline.Empty)
         in
         (m, r.Rewriter.mappings, Rewriter.size_pct r))
@@ -591,7 +597,8 @@ let bench_ablation () =
                   Rewriter.tactics = f Tactics.default_options }
               in
               let r =
-                traced_run ~options elf ~select:Frontend.select_jumps
+                traced_run ~options "ablation" elf
+                  ~select:Frontend.select_jumps
                   ~template:(fun _ -> Trampoline.Empty)
               in
               Stats.succ_pct r.Rewriter.stats)
@@ -636,7 +643,7 @@ let bench_pie () =
               Codegen.seed = 999L; functions = 600; iterations = 1; pie }
           in
           let r =
-            traced_run (Codegen.generate prof) ~select
+            traced_run "pie" (Codegen.generate prof) ~select
               ~template:(fun _ -> Trampoline.Empty)
           in
           Stats.base_pct r.Rewriter.stats
@@ -669,7 +676,7 @@ let bench_b0 () =
   expect_exit "orig" orig;
   let time options =
     let r =
-      traced_run ~options elf ~select:Frontend.select_jumps
+      traced_run ~options "b0" elf ~select:Frontend.select_jumps
         ~template:(fun _ -> Trampoline.Empty)
     in
     let p = run_emu r.Rewriter.output in
@@ -745,7 +752,7 @@ let bench_robustness () =
     (Printf.sprintf "(tables %d/%d: PIC tables invisible)"
        hz.Reloc.tables_rewritten hz.Reloc.tables_total);
   let e9 =
-    traced_run elf ~select:Frontend.select_jumps
+    traced_run "robustness" elf ~select:Frontend.select_jumps
       ~template:(fun _ -> Trampoline.Counter)
   in
   describe "e9patch (no CFG at all)"
@@ -827,16 +834,15 @@ let bench_scalability () =
         in
         let elf = Codegen.generate prof in
         let text = Option.get (Frontend.find_text elf) in
-        let t0 = Unix.gettimeofday () in
-        let r =
-          traced_run elf ~select:Frontend.select_jumps
-            ~template:(fun _ -> Trampoline.Empty)
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        let tv = Unix.gettimeofday () in
         let name = Printf.sprintf "scalability(%d fns)" functions in
-        verify_rewrite name elf r;
-        let verify_dt = Unix.gettimeofday () -. tv in
+        let dt = ref 0.0 and verify_dt = ref 0.0 in
+        let r =
+          traced_run name elf ~select:Frontend.select_jumps
+            ~template:(fun _ -> Trampoline.Empty)
+            ~timed:(fun ~rewrite_s ~verify_s ->
+              dt := rewrite_s;
+              verify_dt := verify_s)
+        in
         (* End-to-end: run the patched output, which both validates the
            rewrite at this size and exercises the emulator's superblock
            cache on a large text. *)
@@ -847,7 +853,7 @@ let bench_scalability () =
         ignore
           (trace_verify name ~holes:(Codegen.holes elf) ~original:elf
              r.Rewriter.output);
-        (functions, text, r, dt, verify_dt, patched, emu_dt))
+        (functions, text, r, !dt, !verify_dt, patched, emu_dt))
       sizes
   in
   List.iter
@@ -897,7 +903,8 @@ let bench_calibration () =
             short_jump_bias = bias }
         in
         let r =
-          traced_run (Codegen.generate prof) ~select:Frontend.select_jumps
+          traced_run "calibration" (Codegen.generate prof)
+            ~select:Frontend.select_jumps
             ~template:(fun _ -> Trampoline.Empty)
         in
         (bias, Stats.base_pct r.Rewriter.stats))
@@ -919,7 +926,7 @@ let bench_calibration () =
             small_write_bias = sw }
         in
         let r =
-          traced_run (Codegen.generate prof)
+          traced_run "calibration" (Codegen.generate prof)
             ~select:Frontend.select_heap_writes
             ~template:(fun _ -> Trampoline.Empty)
         in

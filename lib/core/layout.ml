@@ -41,8 +41,9 @@ let create ?(reserve_below_base = false) ?(block_size = 4096) (elf : Elf_file.t)
   let occupied = Iset.create () in
   let floor_b x = x / block_size * block_size in
   let ceil_b x = (x + block_size - 1) / block_size * block_size in
-  (* Negative displacements below the image and the NULL guard. *)
-  Iset.add occupied ~lo:(-0x1_0000_0000_0000) ~hi:low_guard;
+  (* Negative displacements below the image and the NULL guard, out to a
+     whole block: a trampoline's block is mapped whole. *)
+  Iset.add occupied ~lo:(-0x1_0000_0000_0000) ~hi:(ceil_b low_guard);
   Iset.add occupied ~lo:canonical_limit ~hi:(canonical_limit * 2);
   Iset.add occupied ~lo:heap_home ~hi:(heap_home + heap_span);
   Iset.add occupied ~lo:stack_home ~hi:(stack_home + stack_span);

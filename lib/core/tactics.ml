@@ -107,18 +107,6 @@ let site_index ctx addr =
   in
   go 0 (Array.length ctx.sites)
 
-(* An instruction the trampoline generator can displace. *)
-let displaceable = function
-  | Insn.Int3 | Insn.Ud2 | Insn.Unknown _ -> false
-  | Insn.Mov _ | Insn.Movabs _ | Insn.Lea _ | Insn.Alu _ | Insn.Imul _
-  | Insn.Movzx _ | Insn.Movsx _ | Insn.Setcc _ | Insn.Cmov _ | Insn.Neg _
-  | Insn.Not _ | Insn.Inc _ | Insn.Dec _ | Insn.Shift _ | Insn.Push _
-  | Insn.Pop _ | Insn.Pushfq | Insn.Popfq | Insn.Call _ | Insn.Call_ind _
-  | Insn.Ret | Insn.Jmp _ | Insn.Jmp_short _ | Insn.Jmp_ind _ | Insn.Jcc _
-  | Insn.Jcc_short _ | Insn.Nop _ | Insn.Endbr64 | Insn.Int _
-  | Insn.Syscall ->
-      true
-
 (* Padding prefixes for T1, in the order they are prepended (all are
    semantically inert on a near jump — REX and segment overrides). *)
 let pad_prefixes = [| 0x48; 0x26; 0x2e; 0x36; 0x3e; 0x64; 0x65 |]
@@ -140,10 +128,9 @@ let reach_margin = 0x1000
    jump ending at [jmp_end] reaches when its low [free] displacement
    bytes are free and the rest read [fixed] (low byte first), clamped so
    the trampoline can still jump back and reach every address in
-   [reach] (the template's {!Trampoline.references}; none for an
-   evictee) by rel32. Each clamp is an interval, so the window stays
-   one. Every tactic's trampoline window is one of these; B0's trap is
-   [free = 4], [fixed = []]. *)
+   [reach] (a plan's reach) by rel32. Each clamp is an interval, so the
+   window stays one. Every tactic's trampoline window is one of these;
+   B0's trap is [free = 4], [fixed = []]. *)
 let window ~reach ~jmp_end ~free ~fixed =
   List.fold_left
     (fun (lo, hi) a ->
@@ -152,6 +139,62 @@ let window ~reach ~jmp_end ~free ~fixed =
     (Pun.target_window ~jmp_end ~free_bytes:free
        ~fixed_high:(Pun.fixed_high_of_bytes fixed))
     (jmp_end :: reach)
+
+(* ------------------------------------------------------------------ *)
+(* The per-site trampoline plan                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* What every tactic needs of one site's trampoline, worked out once
+   before the ladder runs: the addresses its code reaches by rel32
+   ([reach], the template's {!Trampoline.references}), the widest window
+   any placement can use ([window]: B0's, a full rel32 from the site
+   clamped by [reach]; every pun window lies within it, up to the few
+   bytes a padded jump's end moves), and its length. The length does not
+   depend on where the trampoline lands ({!Trampoline.size}), so one
+   sizing serves every placement the ladder tries. Evictees get a plan
+   of their own, with the [Empty] template. *)
+type plan = {
+  site : Frontend.site;
+  template : Trampoline.template;
+  reach : int list;
+  window : int * int;
+  size : int;
+}
+
+(* Reach before size: a site whose window clamps to empty fails with
+   [Range] before anything is emitted for it. Otherwise the template is
+   sized at the window's address nearest the site, from where the
+   displaced instruction's own targets are as reachable as from the
+   site. [site] must be {!Trampoline.displaceable}. *)
+let plan (site : Frontend.site) template =
+  let reach = Trampoline.references template in
+  let lo, hi = window ~reach ~jmp_end:(site.addr + 5) ~free:4 ~fixed:[] in
+  if lo > hi then Error Obs.Range
+  else
+    Ok
+      { site;
+        template;
+        reach;
+        window = (lo, hi);
+        size =
+          Trampoline.size template ~at:(max lo (min hi site.addr))
+            ~insn:site.insn ~insn_addr:site.addr ~insn_len:site.len }
+
+(* Emit [pl]'s trampoline at [at], the home a tactic allocated for its
+   [pl.size] bytes. *)
+let add_trampoline ctx pl ~at =
+  let { site; _ } = pl in
+  let code =
+    Trampoline.emit pl.template ~at ~insn:site.insn ~insn_addr:site.addr
+      ~insn_len:site.len
+  in
+  assert (Bytes.length code = pl.size);
+  ctx.trampolines <- (at, code) :: ctx.trampolines
+
+(* Where a tactic put a site's trampoline: its address, the bytes of
+   prefix padding (T1) and the distance from the site to the evicted
+   instruction (T2/T3; 0 when nothing was evicted). *)
+type placed = { tramp : int; pad : int; evictee_distance : int }
 
 (* The [4 - free] displacement bytes of a jump at [jmp_off] that the text
    already fixes. *)
@@ -198,68 +241,37 @@ let write_jump ctx ~addr ~len ~pad ~target =
   if addr + len > jmp_end then
     Lock.lock_range ctx.dead ~addr:jmp_end ~len:(addr + len - jmp_end)
 
-let add_trampoline ctx addr code = ctx.trampolines <- (addr, code) :: ctx.trampolines
+(* ------------------------------------------------------------------ *)
+(* B1 / B2 / T1: direct, punned and padded jumps                       *)
+(* ------------------------------------------------------------------ *)
 
-(* One pun attempt at a given padding level; emits the patch trampoline. *)
-let try_pun ctx (site : Frontend.site) template ~pad =
+(* One pun attempt at a given padding level; pad 0 is B1 (a 5-byte or
+   longer instruction) or B2 (a shorter one). *)
+let try_pun ctx pl ~pad =
+  let { site; _ } = pl in
   if pad > max 0 (site.len - 1) then Error Obs.Too_short
   else
-    match
-      pun_window ctx ~reach:(Trampoline.references template) ~addr:site.addr
-        ~len:site.len ~pad
-    with
-    | Error _ as e -> e
+    match pun_window ctx ~reach:pl.reach ~addr:site.addr ~len:site.len ~pad with
+    | Error r -> Error r
     | Ok (lo, hi) -> (
-        let tsize =
-          Trampoline.size template ~insn:site.insn ~insn_addr:site.addr
-            ~insn_len:site.len
-        in
-        match guarded ctx (Layout.alloc ~size:tsize ~lo ~hi) with
-        | Error _ as e -> e
+        match guarded ctx (Layout.alloc ~size:pl.size ~lo ~hi) with
+        | Error r -> Error r
         | Ok t ->
             write_jump ctx ~addr:site.addr ~len:site.len ~pad ~target:t;
-            add_trampoline ctx t
-              (Trampoline.emit template ~at:t ~insn:site.insn
-                 ~insn_addr:site.addr ~insn_len:site.len);
-            Ok t)
+            add_trampoline ctx pl ~at:t;
+            Ok { tramp = t; pad; evictee_distance = 0 })
 
-(* ------------------------------------------------------------------ *)
-(* B1 / B2: direct and punned jumps                                    *)
-(* ------------------------------------------------------------------ *)
-
-let try_b1_b2 ctx (site : Frontend.site) template =
-  let tactic = if site.len >= 5 then Stats.B1 else Stats.B2 in
-  match try_pun ctx site template ~pad:0 with
-  | Ok t ->
-      Obs.accept ctx.obs ~addr:site.addr ~tactic ~trampoline:t ~pad:0
-        ~evictee_distance:0;
-      Some (tactic, t)
-  | Error reason ->
-      Obs.reject ctx.obs ~addr:site.addr ~tactic ~reason;
-      None
-
-(* ------------------------------------------------------------------ *)
-(* T1: padded jumps                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let try_t1 ctx (site : Frontend.site) template =
+let try_t1 ctx pl =
   (* One Attempt record for the whole pad sweep: the last reject reason is
      the one that killed the final (largest-window) padding level. *)
   let rec go pad last =
-    if pad > site.len - 1 then Error last
+    if pad > pl.site.len - 1 then Error last
     else
-      match try_pun ctx site template ~pad with
-      | Ok t -> Ok (t, pad)
+      match try_pun ctx pl ~pad with
+      | Ok _ as placed -> placed
       | Error reason -> go (pad + 1) reason
   in
-  match go 1 Obs.Too_short with
-  | Ok (t, pad) ->
-      Obs.accept ctx.obs ~addr:site.addr ~tactic:Obs.T1 ~trampoline:t ~pad
-        ~evictee_distance:0;
-      Some (Stats.T1, t)
-  | Error reason ->
-      Obs.reject ctx.obs ~addr:site.addr ~tactic:Obs.T1 ~reason;
-      None
+  go 1 Obs.Too_short
 
 (* ------------------------------------------------------------------ *)
 (* T2: successor eviction                                              *)
@@ -276,88 +288,72 @@ let worse a b =
 
 (* The paper's two-step T2: evict the successor S to the first-fit
    evictee home, then "reapply B2/T1" with whatever bytes resulted. *)
-let try_t2 ctx (site : Frontend.site) template =
+let try_t2 ctx pl =
+  let { site; _ } = pl in
   let k = site.len in
   let s_addr = site.addr + k in
-  let rejected reason =
-    Obs.reject ctx.obs ~addr:site.addr ~tactic:Obs.T2 ~reason;
-    None
-  in
   match site_index ctx s_addr with
-  | None -> rejected Obs.No_successor
-  | Some si ->
+  | None -> Error Obs.No_successor
+  | Some si -> (
       let s = ctx.sites.(si) in
-      if not (displaceable s.insn) then rejected Obs.No_successor
+      if not (Trampoline.displaceable s.insn) then Error Obs.No_successor
       else if not (Lock.all_unlocked ctx.locks ~addr:site.addr ~len:k) then
-        rejected Obs.Locked
-      else begin
-        (* The successor's own (pad-0) pun geometry. *)
-        match pun_window ctx ~reach:[] ~addr:s_addr ~len:s.len ~pad:0 with
-        | Error reason -> rejected reason
-        | Ok (s_lo, s_hi) ->
-            let ev_size =
-              Trampoline.size Trampoline.Empty ~insn:s.insn ~insn_addr:s_addr
-                ~insn_len:s.len
-            in
-            let tsize =
-              Trampoline.size template ~insn:site.insn ~insn_addr:site.addr
-                ~insn_len:k
-            in
-            (* Commit with S evicted to [t_s] and the patch jump at pad [p]:
-               the patch pun's fixed bytes are then [e9] plus the low
-               bytes of S's new displacement. *)
-            let commit ~pad:p t_s =
-              let rel_s =
-                Pun.rel32_bytes
-                  (Pun.rel32_for ~jmp_end:(s_addr + 5) ~target:t_s)
-              in
-              let fixed =
-                0xe9 :: List.init (max 0 (p + 4 - k)) (Array.get rel_s)
-              in
-              let lo, hi =
-                window ~reach:(Trampoline.references template)
-                  ~jmp_end:(site.addr + p + 5) ~free:(k - p - 1) ~fixed
-              in
-              match guarded ctx (Layout.alloc_at ~addr:t_s ~size:ev_size) with
-              | Error r -> Error r
-              | Ok () -> (
-                  match guarded ctx (Layout.alloc ~size:tsize ~lo ~hi) with
-                  | Error _ as e ->
-                      Layout.release ctx.layout ~addr:t_s ~size:ev_size;
-                      e
-                  | Ok t_p ->
-                      (* Evict S first so the patch pun's fixed bytes read
-                         S's final representation. *)
-                      write_jump ctx ~addr:s_addr ~len:s.len ~pad:0 ~target:t_s;
-                      add_trampoline ctx t_s
-                        (Trampoline.emit_evictee ~at:t_s ~insn:s.insn
-                           ~insn_addr:s_addr ~insn_len:s.len);
-                      write_jump ctx ~addr:site.addr ~len:k ~pad:p ~target:t_p;
-                      add_trampoline ctx t_p
-                        (Trampoline.emit template ~at:t_p ~insn:site.insn
-                           ~insn_addr:site.addr ~insn_len:k);
-                      Ok t_p)
-            in
-            (* Only a patch pun that overlaps S needs S evicted. *)
-            let rec go p why =
-              if p > k - 1 then Error why
-              else if k - p - 1 >= 4 then go (p + 1) why
-              else
-                match
-                  Result.bind
-                    (guarded ctx (Layout.probe ~size:ev_size ~lo:s_lo ~hi:s_hi))
-                    (commit ~pad:p)
-                with
-                | Ok t_p -> Ok (t_p, p)
-                | Error r -> go (p + 1) (worse why r)
-            in
-            (match go 0 Obs.Dead_window with
-            | Ok (t_p, p) ->
-                Obs.accept ctx.obs ~addr:site.addr ~tactic:Obs.T2
-                  ~trampoline:t_p ~pad:p ~evictee_distance:k;
-                Some (Stats.T2, t_p)
-            | Error reason -> rejected reason)
-      end
+        Error Obs.Locked
+      else
+        match plan s Trampoline.Empty with
+        | Error r -> Error r
+        | Ok ev -> (
+            (* The successor's own (pad-0) pun geometry. *)
+            match pun_window ctx ~reach:ev.reach ~addr:s_addr ~len:s.len ~pad:0 with
+            | Error r -> Error r
+            | Ok (s_lo, s_hi) ->
+                (* Commit with S evicted to [t_s] and the patch jump at
+                   [pad]: the patch pun's fixed bytes are then [e9] plus
+                   the low bytes of S's new displacement. *)
+                let commit ~pad t_s =
+                  let rel_s =
+                    Pun.rel32_bytes
+                      (Pun.rel32_for ~jmp_end:(s_addr + 5) ~target:t_s)
+                  in
+                  let fixed =
+                    0xe9 :: List.init (max 0 (pad + 4 - k)) (Array.get rel_s)
+                  in
+                  let lo, hi =
+                    window ~reach:pl.reach ~jmp_end:(site.addr + pad + 5)
+                      ~free:(k - pad - 1) ~fixed
+                  in
+                  match guarded ctx (Layout.alloc_at ~addr:t_s ~size:ev.size) with
+                  | Error r -> Error r
+                  | Ok () -> (
+                      match guarded ctx (Layout.alloc ~size:pl.size ~lo ~hi) with
+                      | Error r ->
+                          Layout.release ctx.layout ~addr:t_s ~size:ev.size;
+                          Error r
+                      | Ok t_p ->
+                          (* Evict S first so the patch pun's fixed bytes
+                             read S's final representation. *)
+                          write_jump ctx ~addr:s_addr ~len:s.len ~pad:0
+                            ~target:t_s;
+                          add_trampoline ctx ev ~at:t_s;
+                          write_jump ctx ~addr:site.addr ~len:k ~pad ~target:t_p;
+                          add_trampoline ctx pl ~at:t_p;
+                          Ok { tramp = t_p; pad; evictee_distance = k })
+                in
+                (* Only a patch pun that overlaps S needs S evicted. *)
+                let rec go pad why =
+                  if pad > k - 1 then Error why
+                  else if k - pad - 1 >= 4 then go (pad + 1) why
+                  else
+                    match
+                      Result.bind
+                        (guarded ctx
+                           (Layout.probe ~size:ev.size ~lo:s_lo ~hi:s_hi))
+                        (commit ~pad)
+                    with
+                    | Ok _ as placed -> placed
+                    | Error r -> go (pad + 1) (worse why r)
+                in
+                go 0 Obs.Dead_window))
 
 (* ------------------------------------------------------------------ *)
 (* T3: neighbour eviction                                              *)
@@ -382,7 +378,8 @@ let write_short_jump ctx (site : Frontend.site) ~jp =
    range (the tail of an instruction whose head became a jump). J_patch
    can live there directly — the victim "is itself a patch location", so
    no eviction and no extra trampoline are needed. *)
-let try_t3_squat ctx (site : Frontend.site) template tsize =
+let try_t3_squat ctx pl =
+  let { site; _ } = pl in
   let is_dead a = Lock.locked ctx.dead a && not (Lock.locked ctx.locks a) in
   let rec go a =
     if a > site.addr + 2 + 127 then None
@@ -390,19 +387,14 @@ let try_t3_squat ctx (site : Frontend.site) template tsize =
     else
       let rec run n = if n < 4 && is_dead (a + 1 + n) then run (n + 1) else n in
       let len = 1 + run 0 in
-      match
-        pun_window ctx ~reach:(Trampoline.references template) ~addr:a ~len
-          ~pad:0
-      with
+      match pun_window ctx ~reach:pl.reach ~addr:a ~len ~pad:0 with
       | Error _ -> go (a + 1)
       | Ok (lo, hi) -> (
-          match guarded ctx (Layout.alloc ~size:tsize ~lo ~hi) with
+          match guarded ctx (Layout.alloc ~size:pl.size ~lo ~hi) with
           | Error _ -> go (a + 1)
           | Ok t_p ->
               write_jump ctx ~addr:a ~len ~pad:0 ~target:t_p;
-              add_trampoline ctx t_p
-                (Trampoline.emit template ~at:t_p ~insn:site.insn
-                   ~insn_addr:site.addr ~insn_len:site.len);
+              add_trampoline ctx pl ~at:t_p;
               write_short_jump ctx site ~jp:a;
               Some (t_p, a))
   in
@@ -417,11 +409,12 @@ let t3_positions (v : Frontend.site) =
   let extras = if v.len - 1 >= 2 then [ v.len - 1; 1 ] else [ 1 ] in
   good @ List.filter (fun j -> not (List.mem j good)) extras
 
-(* T3 with J_patch at byte [j] of victim [v]: walk candidate J_patch
-   homes (one per value of the low bytes J_victim pins) until J_victim
-   can pun over one. Returns the patch trampoline, or the budget left. *)
-let t3_position ctx (site : Frontend.site) template ~tsize (v : Frontend.site)
-    ~ev_size j ~budget =
+(* T3 with J_patch at byte [j] of victim [ev.site]: walk candidate
+   J_patch homes (one per value of the low bytes J_victim pins) until
+   J_victim can pun over one. Returns the patch trampoline, or the budget
+   left. *)
+let t3_position ctx pl ev j ~budget =
+  let site = pl.site and v = ev.site in
   let jp = v.addr + j in
   let rel8 = jp - (site.addr + 2) in
   let fp = free_bytes_of ~len:(v.len - j) ~pad:0 in
@@ -435,8 +428,8 @@ let t3_position ctx (site : Frontend.site) template ~tsize (v : Frontend.site)
   then Error budget
   else
     let jp_lo, jp_hi =
-      window ~reach:(Trampoline.references template) ~jmp_end:(jp + 5)
-        ~free:fp ~fixed:(fixed_bytes ctx ~jmp_off:jp ~free:fp)
+      window ~reach:pl.reach ~jmp_end:(jp + 5) ~free:fp
+        ~fixed:(fixed_bytes ctx ~jmp_off:jp ~free:fp)
     in
     (* Displacement bytes of J_patch read back by J_victim. *)
     let n_pin = min (max 0 (4 - j)) fp in
@@ -456,34 +449,32 @@ let t3_position ctx (site : Frontend.site) template ~tsize (v : Frontend.site)
             let pos = fv + i in
             if pos = j - 1 then 0xe9 else rel_p.(pos - j))
       in
-      let v_lo, v_hi = window ~reach:[] ~jmp_end:(v.addr + 5) ~free:fv ~fixed in
-      match guarded ctx (Layout.alloc_at ~addr:t_p ~size:tsize) with
+      let v_lo, v_hi =
+        window ~reach:ev.reach ~jmp_end:(v.addr + 5) ~free:fv ~fixed
+      in
+      match guarded ctx (Layout.alloc_at ~addr:t_p ~size:pl.size) with
       | Error r -> Error r
       | Ok () -> (
           let victim_home =
             match
-              guarded ctx (Layout.probe ~size:ev_size ~lo:v_lo ~hi:v_hi)
+              guarded ctx (Layout.probe ~size:ev.size ~lo:v_lo ~hi:v_hi)
             with
             | Error r -> Error r
             | Ok t_v ->
                 Result.map (fun () -> t_v)
-                  (guarded ctx (Layout.alloc_at ~addr:t_v ~size:ev_size))
+                  (guarded ctx (Layout.alloc_at ~addr:t_v ~size:ev.size))
           in
           match victim_home with
           | Error r ->
-              Layout.release ctx.layout ~addr:t_p ~size:tsize;
+              Layout.release ctx.layout ~addr:t_p ~size:pl.size;
               Error r
           | Ok t_v ->
               (* Write J_patch first: J_victim puns over it. *)
               write_jump ctx ~addr:jp ~len:(v.len - j) ~pad:0 ~target:t_p;
               write_jump ctx ~addr:v.addr ~len:j ~pad:0 ~target:t_v;
               write_short_jump ctx site ~jp;
-              add_trampoline ctx t_p
-                (Trampoline.emit template ~at:t_p ~insn:site.insn
-                   ~insn_addr:site.addr ~insn_len:site.len);
-              add_trampoline ctx t_v
-                (Trampoline.emit_evictee ~at:t_v ~insn:v.insn ~insn_addr:v.addr
-                   ~insn_len:v.len);
+              add_trampoline ctx pl ~at:t_p;
+              add_trampoline ctx ev ~at:t_v;
               Ok t_p)
     in
     let rec candidate i ~budget =
@@ -493,7 +484,7 @@ let t3_position ctx (site : Frontend.site) template ~tsize (v : Frontend.site)
         match
           Result.bind
             (guarded ctx
-               (Layout.probe_strided ~size:tsize ~lo:(jp_lo + w) ~hi:jp_hi
+               (Layout.probe_strided ~size:pl.size ~lo:(jp_lo + w) ~hi:jp_hi
                   ~stride:combos))
             commit
         with
@@ -505,7 +496,9 @@ let t3_position ctx (site : Frontend.site) template ~tsize (v : Frontend.site)
        budget and skip it. The skipped probes still count as [Alloc]
        fault occurrences, so a fault schedule fires on the same queries
        either way. *)
-    if Result.is_error (Layout.probe ctx.layout ~size:tsize ~lo:jp_lo ~hi:jp_hi)
+    if
+      Result.is_error
+        (Layout.probe ctx.layout ~size:pl.size ~lo:jp_lo ~hi:jp_hi)
     then begin
       if not (Fault.is_none ctx.fault) then
         for _ = 1 to tries do
@@ -520,64 +513,54 @@ let t3_position ctx (site : Frontend.site) template ~tsize (v : Frontend.site)
    offsets), each tried at its J_patch positions in preference order
    until one places or the budget runs out. Returns the patch trampoline
    and the victim's address, or the budget left. *)
-let t3_search ctx (site : Frontend.site) template ~tsize ~budget =
+let t3_search ctx pl ~budget =
+  let { site; _ } = pl in
   let rec victim vi ~budget =
     if budget <= 0 || vi >= Array.length ctx.sites
        || ctx.sites.(vi).addr > site.addr + 2 + 127
     then Error budget
     else
       let v = ctx.sites.(vi) in
-      if not (displaceable v.insn && v.len >= 2) then victim (vi + 1) ~budget
+      let next () = victim (vi + 1) ~budget in
+      if not (Trampoline.displaceable v.insn && v.len >= 2) then next ()
       else
-        let ev_size =
-          Trampoline.size Trampoline.Empty ~insn:v.insn ~insn_addr:v.addr
-            ~insn_len:v.len
-        in
-        let rec position js ~budget =
-          match js with
-          | j :: js when budget > 0 -> (
-              match
-                t3_position ctx site template ~tsize v ~ev_size j ~budget
-              with
-              | Ok t_p -> Ok (t_p, v.addr)
-              | Error budget -> position js ~budget)
-          | _ -> victim (vi + 1) ~budget
-        in
-        position (t3_positions v) ~budget
+        match plan v Trampoline.Empty with
+        | Error _ -> next ()
+        | Ok ev ->
+            let rec position js ~budget =
+              match js with
+              | j :: js when budget > 0 -> (
+                  match t3_position ctx pl ev j ~budget with
+                  | Ok t_p -> Ok (t_p, v.addr)
+                  | Error budget -> position js ~budget)
+              | _ -> victim (vi + 1) ~budget
+            in
+            position (t3_positions v) ~budget
   in
   match site_index ctx site.addr with
   | Some i -> victim (i + 1) ~budget
   | None -> Error budget
 
-let try_t3 ctx (site : Frontend.site) template =
-  let rejected reason =
-    Obs.reject ctx.obs ~addr:site.addr ~tactic:Obs.T3 ~reason;
-    None
+let try_t3 ctx pl =
+  let { site; _ } = pl in
+  let placed (t_p, evictee) =
+    Ok { tramp = t_p; pad = 0; evictee_distance = evictee - site.addr }
   in
-  let accepted (t_p, evictee) =
-    Obs.accept ctx.obs ~addr:site.addr ~tactic:Obs.T3 ~trampoline:t_p ~pad:0
-      ~evictee_distance:(evictee - site.addr);
-    Some (Stats.T3, t_p)
-  in
-  if site.len < 2 then rejected Obs.Too_short
+  if site.len < 2 then Error Obs.Too_short
     (* the short jump needs two bytes (L2) *)
   else if not (Lock.all_unlocked ctx.locks ~addr:site.addr ~len:2) then
-    rejected Obs.Locked
+    Error Obs.Locked
   else begin
-    let tsize =
-      Trampoline.size template ~insn:site.insn ~insn_addr:site.addr
-        ~insn_len:site.len
-    in
     (* T3's own injected refusals, squat and search alike, are the
        [Alloc] fires between here and its verdict. *)
     let fired = Fault.fired ctx.fault Fault.Alloc in
-    match try_t3_squat ctx site template tsize with
-    | Some placed -> accepted placed
+    match try_t3_squat ctx pl with
+    | Some at -> placed at
     | None -> (
-        match t3_search ctx site template ~tsize ~budget:t3_budget with
-        | Ok placed -> accepted placed
+        match t3_search ctx pl ~budget:t3_budget with
+        | Ok at -> placed at
         | Error budget ->
-            rejected
+            Error
               (if budget <= 0 then Obs.Budget
                else if Fault.fired ctx.fault Fault.Alloc > fired then
                  Obs.Injected
@@ -588,29 +571,19 @@ let try_t3 ctx (site : Frontend.site) template =
 (* B0: int3 + SIGTRAP handler                                          *)
 (* ------------------------------------------------------------------ *)
 
-let try_b0 ctx (site : Frontend.site) template =
-  let rejected reason =
-    Obs.reject ctx.obs ~addr:site.addr ~tactic:Obs.B0 ~reason;
-    None
-  in
+let try_b0 ctx pl =
+  let { site; _ } = pl in
   if not (Lock.all_unlocked ctx.locks ~addr:site.addr ~len:1) then
-    rejected Obs.Locked
-  else if Fault.fires ctx.fault Fault.B0_alloc then rejected Obs.Injected
-  else begin
-    let tsize =
-      Trampoline.size template ~insn:site.insn ~insn_addr:site.addr
-        ~insn_len:site.len
-    in
-    (* The trampoline's return jump still needs rel32 reach. *)
-    let lo, hi =
-      window ~reach:(Trampoline.references template) ~jmp_end:(site.addr + 5)
-        ~free:4 ~fixed:[]
-    in
-    (* Raw [Layout.alloc], not [guarded]: B0 is the degradation target
-       for injected allocator exhaustion and must stay refusable only
-       through its own [B0_alloc] site. *)
-    match Layout.alloc ctx.layout ~size:tsize ~lo ~hi with
-    | Error d -> rejected (reason_of_denial d)
+    Error Obs.Locked
+  else if Fault.fires ctx.fault Fault.B0_alloc then Error Obs.Injected
+  else
+    (* The plan's window is B0's: the trampoline's return jump still
+       needs rel32 reach. Raw [Layout.alloc], not [guarded]: B0 is the
+       degradation target for injected allocator exhaustion and must stay
+       refusable only through its own [B0_alloc] site. *)
+    let lo, hi = pl.window in
+    match Layout.alloc ctx.layout ~size:pl.size ~lo ~hi with
+    | Error d -> Error (reason_of_denial d)
     | Ok t ->
         set_byte ctx site.addr 0xcc;
         Lock.lock ctx.locks site.addr;
@@ -618,13 +591,8 @@ let try_b0 ctx (site : Frontend.site) template =
           Lock.lock_range ctx.dead ~addr:(site.addr + 1) ~len:(site.len - 1);
         ctx.traps <-
           { Loadmap.patch_addr = site.addr; trampoline_addr = t } :: ctx.traps;
-        add_trampoline ctx t
-          (Trampoline.emit template ~at:t ~insn:site.insn ~insn_addr:site.addr
-             ~insn_len:site.len);
-        Obs.accept ctx.obs ~addr:site.addr ~tactic:Obs.B0 ~trampoline:t ~pad:0
-          ~evictee_distance:0;
-        Some (Stats.B0, t)
-  end
+        add_trampoline ctx pl ~at:t;
+        Ok { tramp = t; pad = 0; evictee_distance = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Driver: the paper's escalation order                                *)
@@ -634,27 +602,55 @@ let log_src = Logs.Src.create "e9.tactics" ~doc:"E9Patch tactic decisions"
 
 module Log = (val Logs.src_log log_src)
 
-let patch ctx site template =
-  let ( <|> ) a b = match a with Some _ -> a | None -> b () in
+(* A site no trampoline can displace gets no plan and no attempt, B0's
+   included. A site whose plan fails (its reach clamps every window to
+   empty) is rejected for that reason by every tactic of the ladder;
+   the rest of the rewrite goes on. *)
+let patch ctx (site : Frontend.site) template =
+  let o = ctx.opts in
+  let ladder =
+    List.filter
+      (fun (on, _, _) -> on)
+      [ ( o.enable_base,
+          (if site.len >= 5 then Obs.B1 else Obs.B2),
+          fun ctx pl -> try_pun ctx pl ~pad:0 );
+        (o.enable_t1, Obs.T1, try_t1);
+        (o.enable_t2, Obs.T2, try_t2);
+        (o.enable_t3, Obs.T3, try_t3);
+        (o.b0_fallback, Obs.B0, try_b0) ]
+  in
+  let reject tactic reason =
+    Obs.reject ctx.obs ~addr:site.addr ~tactic ~reason
+  in
   let outcome =
-    (if not (displaceable site.Frontend.insn) then None
-     else
-       (if ctx.opts.enable_base then try_b1_b2 ctx site template else None)
-       <|> (fun () -> if ctx.opts.enable_t1 then try_t1 ctx site template else None)
-       <|> (fun () -> if ctx.opts.enable_t2 then try_t2 ctx site template else None)
-       <|> fun () -> if ctx.opts.enable_t3 then try_t3 ctx site template else None)
-    <|> fun () -> if ctx.opts.b0_fallback then try_b0 ctx site template else None
+    if not (Trampoline.displaceable site.insn) then None
+    else
+      match plan site template with
+      | Error reason ->
+          List.iter (fun (_, tactic, _) -> reject tactic reason) ladder;
+          None
+      | Ok pl ->
+          List.find_map
+            (fun (_, tactic, attempt) ->
+              match attempt ctx pl with
+              | Ok { tramp; pad; evictee_distance } ->
+                  Obs.accept ctx.obs ~addr:site.addr ~tactic ~trampoline:tramp
+                    ~pad ~evictee_distance;
+                  Some (tactic, tramp)
+              | Error reason ->
+                  reject tactic reason;
+                  None)
+            ladder
   in
   (match outcome with
   | Some (tactic, tramp) ->
       Log.debug (fun m ->
-          m "0x%x %s -> %s, trampoline 0x%x" site.Frontend.addr
-            (E9_x86.Insn.to_string site.Frontend.insn)
+          m "0x%x %s -> %s, trampoline 0x%x" site.addr
+            (Insn.to_string site.insn)
             (Stats.tactic_name tactic) tramp)
   | None ->
       Log.info (fun m ->
-          m "0x%x %s: all tactics failed" site.Frontend.addr
-            (E9_x86.Insn.to_string site.Frontend.insn)));
-  Obs.site ctx.obs ~addr:site.Frontend.addr
-    ~tactic:(Option.map fst outcome);
+          m "0x%x %s: all tactics failed" site.addr
+            (Insn.to_string site.insn)));
+  Obs.site ctx.obs ~addr:site.addr ~tactic:(Option.map fst outcome);
   Option.map fst outcome

@@ -58,7 +58,14 @@ val create_ctx :
 
 (** [patch ctx site template] tries B1/B2, then (as enabled) T1, T2, T3,
     then the B0 fallback, in the paper's order. Returns the tactic that
-    succeeded, if any, after applying its effects. *)
+    succeeded, if any, after applying its effects. Before the ladder
+    runs, the site gets one plan: the template's
+    {!Trampoline.references}, the widest window they leave (B0's) and
+    the trampoline's {!Trampoline.size}, taken once inside that window.
+    A site that is not {!Trampoline.displaceable} gets no plan and no
+    attempt, B0's included; a site whose window is empty is rejected
+    with [range] by every enabled tactic. Either way it fails alone:
+    the rewrite goes on. *)
 val patch : ctx -> Frontend.site -> Trampoline.template -> Stats.tactic option
 
 (** Results accumulated across {!patch} calls. *)

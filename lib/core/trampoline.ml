@@ -37,23 +37,22 @@ let call_abs asm target = Asm.ins asm (Insn.Call (target - (Asm.here asm + 5)))
 let jcc_abs asm c target =
   Asm.ins asm (Insn.Jcc (c, target - (Asm.here asm + 6)))
 
-(* Re-encode a RIP-relative memory operand for a new location. The operand
-   addressed [orig_next + disp]; at the new site the instruction's end is
-   only known after encoding, and our encoder always uses disp32 for
-   RIP-relative operands, so the length is stable: encode once with the old
-   displacement to learn the length, then fix the displacement. *)
-let retarget_mem ~orig_next ~new_addr ~enc_len (m : Insn.mem) =
-  if m.rip_rel then
-    { m with Insn.disp = orig_next + m.disp - (new_addr + enc_len) }
-  else m
-
-let retarget_operand ~orig_next ~new_addr ~enc_len = function
-  | Insn.Mem m -> Insn.Mem (retarget_mem ~orig_next ~new_addr ~enc_len m)
-  | (Insn.Reg _ | Insn.Imm _) as op -> op
+(* The one rule for what a trampoline can re-create elsewhere: every
+   instruction but the trap and fault opcodes and the bytes the decoder
+   could not read. The tactic ladder asks it before planning a site or
+   picking an eviction victim; [emit_displaced] refuses what it refuses. *)
+let displaceable = function
+  | Insn.Int3 | Insn.Ud2 | Insn.Unknown _ -> false
+  | _ -> true
 
 (* Emit the displaced instruction at the current position, preserving its
    original semantics, and return [true] when control flow continues to the
-   next trampoline instruction (so a return jump is still needed). *)
+   next trampoline instruction (so a return jump is still needed). Direct
+   branches are re-aimed at their original targets; anything else is
+   re-encoded as is, with a RIP-relative operand moved so it still
+   addresses [orig_next + disp]. Our encoder always uses disp32 for
+   RIP-relative operands, so the instruction's new end is known before its
+   new displacement is. *)
 let emit_displaced asm ~insn ~insn_addr ~insn_len =
   let orig_next = insn_addr + insn_len in
   match insn with
@@ -69,93 +68,17 @@ let emit_displaced asm ~insn ~insn_addr ~insn_len =
          the standard transparency caveat of trampoline-based rewriting.) *)
       call_abs asm (orig_next + rel);
       true
-  | Insn.Ret ->
-      Asm.ins asm Insn.Ret;
-      false
-  | Insn.Jmp_ind op ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length (Insn.Jmp_ind op) in
-      Asm.ins asm (Insn.Jmp_ind (retarget_operand ~orig_next ~new_addr ~enc_len op));
-      false
-  | Insn.Call_ind op ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length (Insn.Call_ind op) in
-      Asm.ins asm (Insn.Call_ind (retarget_operand ~orig_next ~new_addr ~enc_len op));
-      true
-  | Insn.Mov (sz, dst, src) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      let f = retarget_operand ~orig_next ~new_addr ~enc_len in
-      Asm.ins asm (Insn.Mov (sz, f dst, f src));
-      true
-  | Insn.Alu (op, sz, dst, src) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      let f = retarget_operand ~orig_next ~new_addr ~enc_len in
-      Asm.ins asm (Insn.Alu (op, sz, f dst, f src));
-      true
-  | Insn.Lea (r, m) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm (Insn.Lea (r, retarget_mem ~orig_next ~new_addr ~enc_len m));
-      true
-  | Insn.Imul (r, op) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm (Insn.Imul (r, retarget_operand ~orig_next ~new_addr ~enc_len op));
-      true
-  | Insn.Movzx (r, op) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm (Insn.Movzx (r, retarget_operand ~orig_next ~new_addr ~enc_len op));
-      true
-  | Insn.Movsx (r, op) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm (Insn.Movsx (r, retarget_operand ~orig_next ~new_addr ~enc_len op));
-      true
-  | Insn.Setcc (c, op) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm (Insn.Setcc (c, retarget_operand ~orig_next ~new_addr ~enc_len op));
-      true
-  | Insn.Cmov (c, r, op) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm (Insn.Cmov (c, r, retarget_operand ~orig_next ~new_addr ~enc_len op));
-      true
-  | Insn.Neg (sz, op) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm (Insn.Neg (sz, retarget_operand ~orig_next ~new_addr ~enc_len op));
-      true
-  | Insn.Not (sz, op) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm (Insn.Not (sz, retarget_operand ~orig_next ~new_addr ~enc_len op));
-      true
-  | Insn.Inc (sz, op) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm (Insn.Inc (sz, retarget_operand ~orig_next ~new_addr ~enc_len op));
-      true
-  | Insn.Dec (sz, op) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm (Insn.Dec (sz, retarget_operand ~orig_next ~new_addr ~enc_len op));
-      true
-  | Insn.Shift (sh, sz, dst, n) ->
-      let new_addr = Asm.here asm in
-      let enc_len = E9_x86.Encode.length insn in
-      Asm.ins asm
-        (Insn.Shift (sh, sz, retarget_operand ~orig_next ~new_addr ~enc_len dst, n));
-      true
-  | (Insn.Movabs _ | Insn.Push _ | Insn.Pop _ | Insn.Pushfq | Insn.Popfq
-    | Insn.Nop _ | Insn.Endbr64 | Insn.Syscall | Insn.Int _) as i ->
-      Asm.ins asm i;
-      true
-  | Insn.Int3 | Insn.Ud2 | Insn.Unknown _ ->
+  | i when not (displaceable i) ->
       invalid_arg "Trampoline: cannot displace this instruction"
+  | i ->
+      let retarget (m : Insn.mem) =
+        if m.rip_rel then
+          let new_next = Asm.here asm + E9_x86.Encode.length i in
+          { m with Insn.disp = orig_next + m.disp - new_next }
+        else m
+      in
+      Asm.ins asm (Insn.map_mem retarget i);
+      (match i with Insn.Ret | Insn.Jmp_ind _ -> false | _ -> true)
 
 (* Caller-saved register state bracketing an instrumentation call: flags
    first (the displaced instruction may be a jcc), then the registers the
@@ -352,10 +275,5 @@ let emit template ~at ~insn ~insn_addr ~insn_len =
   | Replace f -> f asm ~ret);
   Asm.assemble asm
 
-let size template ~insn ~insn_addr ~insn_len =
-  (* Dry run next to the original site: every branch target is then within
-     rel32 range and the emitted length equals the final one. *)
-  Bytes.length (emit template ~at:(insn_addr + 64) ~insn ~insn_addr ~insn_len)
-
-let emit_evictee ~at ~insn ~insn_addr ~insn_len =
-  emit Empty ~at ~insn ~insn_addr ~insn_len
+let size template ~at ~insn ~insn_addr ~insn_len =
+  Bytes.length (emit template ~at ~insn ~insn_addr ~insn_len)

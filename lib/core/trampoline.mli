@@ -92,12 +92,20 @@ val emit :
     [Clean] call is loaded absolutely and is not among them. *)
 val references : template -> int list
 
-(** [size template ~insn ~insn_addr ~insn_len] is the length [emit] will
-    produce (computed by a dry run near the original location). *)
-val size : template -> insn:E9_x86.Insn.t -> insn_addr:int -> insn_len:int -> int
+(** [displaceable insn] — can a trampoline re-create [insn] elsewhere?
+    Everything but [int3], [ud2] and undecodable bytes. This is the one
+    rule: the tactic layer plans no trampoline and picks no eviction
+    victim that fails it, and {!emit} raises [Invalid_argument] on one. *)
+val displaceable : E9_x86.Insn.t -> bool
 
-(** [emit_evictee ~at ~insn ~insn_addr ~insn_len] is the evictee trampoline
-    used by instruction eviction (T2/T3): the displaced victim plus the
-    return jump — an [Empty] template. *)
-val emit_evictee :
-  at:int -> insn:E9_x86.Insn.t -> insn_addr:int -> insn_len:int -> bytes
+(** [size template ~at ~insn ~insn_addr ~insn_len] is the length of
+    [emit template ~at ~insn ~insn_addr ~insn_len]. Every displacement a
+    trampoline holds is encoded at full width whatever its value, so the
+    length is the same at every [at] from which the template's
+    {!references} and the displaced instruction's targets are in rel32
+    reach: one sizing at any such address serves every placement. At an
+    address out of that reach, [emit] (and so [size]) raises
+    [Invalid_argument]. *)
+val size :
+  template -> at:int -> insn:E9_x86.Insn.t -> insn_addr:int -> insn_len:int ->
+  int

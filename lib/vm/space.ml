@@ -35,7 +35,7 @@ type t = {
   (* Bumped whenever the contents or protections of executable memory may
      have changed: any data write to an executable page and any mapping
      operation that creates, replaces or re-protects an executable page.
-     Decoded-instruction caches (Cpu.icache, the superblock cache) compare
+     The emulator's superblock cache of decoded instructions compares
      against this to invalidate — the contract is: a cached decode is valid
      only while the generation is unchanged. *)
   mutable code_gen : int;

@@ -98,6 +98,30 @@ let operands = function
   | Jcc_short _ | Nop _ | Endbr64 | Int3 | Syscall | Ud2 | Unknown _ ->
       []
 
+(* [operands]' mapping twin: [f] rewrites every memory operand in place. *)
+let map_mem f i =
+  let op = function Mem m -> Mem (f m) | (Reg _ | Imm _) as o -> o in
+  match i with
+  | Mov (sz, dst, src) -> Mov (sz, op dst, op src)
+  | Alu (a, sz, dst, src) -> Alu (a, sz, op dst, op src)
+  | Lea (r, m) -> Lea (r, f m)
+  | Imul (r, o) -> Imul (r, op o)
+  | Movzx (r, o) -> Movzx (r, op o)
+  | Movsx (r, o) -> Movsx (r, op o)
+  | Cmov (c, r, o) -> Cmov (c, r, op o)
+  | Setcc (c, o) -> Setcc (c, op o)
+  | Neg (sz, o) -> Neg (sz, op o)
+  | Not (sz, o) -> Not (sz, op o)
+  | Inc (sz, o) -> Inc (sz, op o)
+  | Dec (sz, o) -> Dec (sz, op o)
+  | Shift (sh, sz, dst, n) -> Shift (sh, sz, op dst, n)
+  | Jmp_ind o -> Jmp_ind (op o)
+  | Call_ind o -> Call_ind (op o)
+  | ( Movabs _ | Push _ | Pop _ | Pushfq | Popfq | Call _ | Ret | Jmp _
+    | Jmp_short _ | Jcc _ | Jcc_short _ | Nop _ | Endbr64 | Int3 | Int _
+    | Syscall | Ud2 | Unknown _ ) as i ->
+      i
+
 (* Registers an operand list mentions (value or address component). *)
 let regs_of_operand = function
   | Reg r -> [ r ]

@@ -105,6 +105,11 @@ val scale_factor : scale -> int
     operand; indirect branches expose their r/m operand. *)
 val operands : t -> operand list
 
+(** [map_mem f i] is [i] with [f] applied to each of its memory operands
+    (those {!operands} lists, and [lea]'s address); every other field is
+    unchanged. *)
+val map_mem : (mem -> mem) -> t -> t
+
 (** [uses_reg i r] — does any operand mention [r], as a value or as a
     memory-address component? *)
 val uses_reg : t -> Reg.t -> bool

@@ -278,7 +278,11 @@ let test_layout_block_rounding () =
   (* With a 64-page block size, reservations round out much further. *)
   let layout = Layout.create ~block_size:(64 * 4096) (mini_elf ()) in
   check_denied "inside rounded block" Layout.Dead_window
-    (Layout.probe layout ~size:16 ~lo:0x402000 ~hi:0x43ffff)
+    (Layout.probe layout ~size:16 ~lo:0x402000 ~hi:0x43ffff);
+  (* The NULL guard rounds out too: every block is mapped whole, so a
+     trampoline in the first block above the guard would map page 0. *)
+  check_denied "the NULL guard's block" Layout.Dead_window
+    (Layout.probe layout ~size:16 ~lo:0 ~hi:0x3ffff)
 
 (* The next-fit cursor must only move placements, never change whether a
    window allocates: a window first-fit can satisfy still succeeds, and an
@@ -635,7 +639,57 @@ let test_trampoline_size_stable () =
   in
   check_int "length stable" l1 l2;
   check_int "size agrees" l1
-    (Trampoline.size Trampoline.Empty ~insn ~insn_addr:0x400100 ~insn_len:6)
+    (Trampoline.size Trampoline.Empty ~at:0x500000 ~insn ~insn_addr:0x400100 ~insn_len:6)
+
+(* The invariant one sizing per site rests on: a trampoline's length
+   does not depend on where it lands. Every template whose length the
+   rewriter computes, on displaceable instructions of a pinned Table 1
+   corpus row, emitted at two addresses from which its references and
+   the instruction's targets are in rel32 reach. *)
+let corpus_sites =
+  lazy
+    (let row = Option.get (E9_workload.Suite.find "bzip2") in
+     let elf = Codegen.generate row.E9_workload.Suite.profile in
+     let _, sites = Frontend.disassemble ~holes:(Codegen.holes elf) elf in
+     Array.of_list
+       (List.filter (fun s -> Trampoline.displaceable s.Frontend.insn) sites))
+
+let prop_trampoline_length_placement_free =
+  QCheck.Test.make ~name:"trampoline length does not depend on its address"
+    ~count:300
+    QCheck.(
+      triple (int_bound 1_000_000) (int_bound 0x3fff_ffff)
+        (int_bound 0x3fff_ffff))
+    (fun (i, d1, d2) ->
+      let sites = Lazy.force corpus_sites in
+      let s = sites.(i mod Array.length sites) in
+      let near = s.Frontend.addr + 0x2000_0000 in
+      let call mode args =
+        Trampoline.Call
+          { target = near + 0x100; mode; args; scratch = near;
+            stack_top = near + 0x1000 }
+      in
+      let templates =
+        [ Trampoline.Empty; Trampoline.Counter; Trampoline.Trap;
+          Trampoline.Print { text = "site"; scratch = near };
+          call Trampoline.Clean
+            Trampoline.[ Arg_addr; Arg_size; Arg_reg Reg.RSP; Arg_asm ];
+          call Trampoline.Naked
+            Trampoline.[ Arg_instr; Arg_reg Reg.RBX; Arg_int 7 ] ]
+        @
+        match E9_x86.Classify.mem_written s.Frontend.insn with
+        | Some m when not m.Insn.rip_rel ->
+            [ Trampoline.Lowfat_check_scratch near ]
+        | _ -> []
+      in
+      let length t at =
+        Bytes.length
+          (Trampoline.emit t ~at ~insn:s.Frontend.insn
+             ~insn_addr:s.Frontend.addr ~insn_len:s.Frontend.len)
+      in
+      List.for_all
+        (fun t -> length t (s.Frontend.addr + d1) = length t (s.Frontend.addr + d2))
+        templates)
 
 let test_trampoline_lowfat_shape () =
   let insn =
@@ -930,6 +984,42 @@ let test_rewrite_displaces_long_nop () =
   | Cpu.Exited 7 -> ()
   | _ -> Alcotest.fail "patched program did not exit 7"
 
+(* [ud2] is not displaceable: with B0 on, a selected one gets no plan
+   and no trap and counts as failed, while the rest of the rewrite goes
+   on and verifies. *)
+let test_b0_skips_undisplaceable () =
+  let asm = Asm.create ~base:0x400000 in
+  let mov_site = Asm.here asm in
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 60));
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 3));
+  Asm.ins asm Insn.Syscall;
+  let ud2_site = Asm.here asm in
+  Asm.ins asm Insn.Ud2;
+  let elf = elf_of_asm asm in
+  let options =
+    { Rewriter.default_options with
+      Rewriter.tactics =
+        { Tactics.enable_base = false;
+          enable_t1 = false;
+          enable_t2 = false;
+          enable_t3 = false;
+          b0_fallback = true } }
+  in
+  let r =
+    Rewriter.run ~options elf
+      ~select:(fun s -> s.Frontend.addr = mov_site || s.Frontend.addr = ud2_site)
+      ~template:(fun _ -> Trampoline.Counter)
+  in
+  check_int "the mov is trapped" 1 r.Rewriter.stats.Stats.b0;
+  check_int "the ud2 failed" 1 r.Rewriter.stats.Stats.failed;
+  Alcotest.(check (list int)) "only the mov is patched" [ mov_site ]
+    (List.map fst r.Rewriter.patched_sites);
+  (match E9_check.Static.verify ~original:elf r.Rewriter.output with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "rejected: %a" E9_check.Static.pp_error e);
+  check_bool "still behaves" true
+    (Machine.equivalent (run elf) (run r.Rewriter.output))
+
 (* A displaced [call] whose target lies beyond rel32 reach of every
    trampoline placement cannot be re-encoded. The rewrite stops with a
    typed error naming the site, not an untyped encoder exception. *)
@@ -1042,7 +1132,8 @@ let suites =
         Alcotest.test_case "size stable" `Quick test_trampoline_size_stable;
         Alcotest.test_case "lowfat shape" `Quick test_trampoline_lowfat_shape;
         Alcotest.test_case "lowfat rejects non-write" `Quick
-          test_trampoline_rejects_nonwrite_lowfat ] );
+          test_trampoline_rejects_nonwrite_lowfat;
+        QCheck_alcotest.to_alcotest prop_trampoline_length_placement_free ] );
     ( "core.rewriter",
       [ Alcotest.test_case "A1 equivalent" `Quick test_rewrite_a1_equivalent;
         Alcotest.test_case "A2 equivalent" `Quick test_rewrite_a2_equivalent;
@@ -1068,6 +1159,8 @@ let suites =
           test_rewrite_displaces_long_nop;
         Alcotest.test_case "unencodable site is a typed error" `Quick
           test_rewrite_unencodable_site_typed;
+        Alcotest.test_case "B0 skips an undisplaceable site" `Quick
+          test_b0_skips_undisplaceable;
         QCheck_alcotest.to_alcotest prop_rewrite_equivalence ] ) ]
 
 (* ------------------------------------------------------------------ *)

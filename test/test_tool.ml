@@ -261,6 +261,73 @@ let test_pie_within_reach () =
       ("calls", "call:clean record(addr,size,3)");
       ("returns", "call:naked counter()") ]
 
+(* The tool-smoke input with a 4 KiB segment [gap] bytes above it, which
+   puts the injected runtime that far above the text, rewritten on
+   [heap-writes|lowfat]. The rewrite must complete and pass both
+   oracles; returns its per-site telemetry. *)
+let rewrite_with_far_runtime ~gap =
+  let elf =
+    Codegen.generate
+      { Codegen.default_profile with
+        Codegen.seed = 7L; functions = 40; iterations = 80 }
+  in
+  let holes = Codegen.holes elf in
+  let top =
+    List.fold_left
+      (fun acc (s : Elf_file.segment) -> max acc (s.vaddr + s.memsz))
+      0 elf.Elf_file.segments
+  in
+  ignore
+    (Elf_file.add_segment elf
+       { Elf_file.ptype = Elf_file.Load;
+         prot = Elf_file.prot_rw;
+         vaddr = (top + gap + 0xfff) land lnot 0xfff;
+         offset = 0;
+         filesz = 0;
+         memsz = 4096;
+         align = 4096 }
+       ~content:(Bytes.make 4096 '\000'));
+  let obs = E9_obs.Obs.ring () in
+  let r =
+    Tool.run ~obs ~holes elf [ Tool.rule_of ~m:"heap-writes" ~p:"lowfat" () ]
+  in
+  let rt = r.Tool.runtime and out = r.Tool.rewrite.Rewriter.output in
+  (match Static.verify ~holes ~original:rt.Tool.augmented out with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "static: %a" Static.pp_error e);
+  (match
+     Trace.compare_runs ~holes ~instr_ranges:rt.Tool.instr_ranges
+       ~original:rt.Tool.augmented out
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "trace: %s" e);
+  obs
+
+(* 3 GiB up, the runtime is out of reach of every site but not of every
+   trampoline: a window between the two still serves each site. *)
+let test_runtime_3gib_up () =
+  let agg = E9_obs.Obs.agg (rewrite_with_far_runtime ~gap:0xc000_0000) in
+  check_bool "sites selected" true (agg.E9_obs.Obs.Agg.sites > 0);
+  check_int "every selected site patched" agg.E9_obs.Obs.Agg.sites
+    agg.E9_obs.Obs.Agg.sites_patched
+
+(* 5 GiB up, no address is within rel32 of both a site and the runtime:
+   every selected site fails with [range] on its own. *)
+let test_runtime_out_of_reach () =
+  let obs = rewrite_with_far_runtime ~gap:0x1_4000_0000 in
+  let agg = E9_obs.Obs.agg obs in
+  check_bool "sites selected" true (agg.E9_obs.Obs.Agg.sites > 0);
+  check_int "every selected site failed" agg.E9_obs.Obs.Agg.sites
+    agg.E9_obs.Obs.Agg.sites_failed;
+  List.iter
+    (function
+      | E9_obs.Obs.Attempt { outcome = Rejected Range; _ } -> ()
+      | E9_obs.Obs.Attempt { addr; _ } ->
+          Alcotest.failf "site 0x%x: an attempt other than a range reject"
+            addr
+      | _ -> ())
+    (E9_obs.Obs.events obs)
+
 (* ------------------------------------------------------------------ *)
 (* Rule-list identity (result-cache key)                               *)
 (* ------------------------------------------------------------------ *)
@@ -305,7 +372,11 @@ let suites =
         Alcotest.test_case "emitted augmented file verifies" `Quick
           test_emitted_augmented_verifies;
         Alcotest.test_case "pie: trampolines reach the runtime" `Quick
-          test_pie_within_reach ] );
+          test_pie_within_reach;
+        Alcotest.test_case "runtime 3 GiB up: trampolines between" `Quick
+          test_runtime_3gib_up;
+        Alcotest.test_case "runtime out of reach fails per site" `Quick
+          test_runtime_out_of_reach ] );
     ( "tool.fragment",
       [ Alcotest.test_case "spec key stability" `Quick test_spec_key_stability ]
     ) ]
