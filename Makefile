@@ -170,19 +170,27 @@ check-smoke: build
 	test "$$(grep -c '^static: OK' check_output.txt)" = 2
 
 # Real binaries of the host: /usr/bin/true, cat and ls, each patched on
-# jumps with empty trampolines and the output checked by the static
-# verifier. A binary missing on the host prints "absent" and does not
-# fail the target; every present one must patch and pass the check.
+# jumps with empty trampolines twice, by `patch --select jumps --template
+# empty` and by `tool -M jumps -P empty` (an empty patch keeps no state
+# in the instrumentation runtime, so `tool` rewrites the file itself),
+# and every output checked by the static verifier. A binary missing on
+# the host prints "absent" and does not fail the target; every present
+# one must patch and pass the check both ways.
 # Then `patch --stub-loader /usr/bin/true` must fail with the typed
 # program-header error (its headers are followed directly by .interp,
-# leaving no room for the stub's header) and write no file.
+# leaving no room for the stub's header) and write no file, and so must
+# `tool /usr/bin/true -M jumps -P print` (a print patch keeps state in
+# the runtime, whose two program headers do not fit either).
 host-smoke: build
 	rm -rf host-smoke && mkdir -p host-smoke
 	{ for b in true cat ls; do \
-	  echo "=== /usr/bin/$$b"; \
-	  if [ ! -f /usr/bin/$$b ]; then echo absent; continue; fi; \
+	  if [ ! -f /usr/bin/$$b ]; then echo "=== /usr/bin/$$b"; echo absent; continue; fi; \
+	  echo "=== patch /usr/bin/$$b"; \
 	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- patch /usr/bin/$$b -o host-smoke/$$b.elf --select jumps --template empty; \
 	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- check /usr/bin/$$b host-smoke/$$b.elf; \
+	  echo "=== tool /usr/bin/$$b"; \
+	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- tool /usr/bin/$$b -o host-smoke/$$b-tool.elf -M jumps -P empty; \
+	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- check /usr/bin/$$b host-smoke/$$b-tool.elf; \
 	done; } 2>&1 | tee host_output.txt
 	test "$$(grep -c '^static: OK' host_output.txt)" = "$$(( $$(grep -c '^=== ' host_output.txt) - $$(grep -c '^absent$$' host_output.txt) ))"
 	{ echo "=== /usr/bin/true --stub-loader"; \
@@ -194,6 +202,15 @@ host-smoke: build
 	grep -q "would overwrite content at file offset" host-smoke/stub.err; \
 	test ! -e host-smoke/true-stub.elf; \
 	echo "stub: refused, no output file"; } 2>&1 | tee -a host_output.txt
+	{ echo "=== tool /usr/bin/true -M jumps -P print"; \
+	if [ ! -f /usr/bin/true ]; then echo absent; exit 0; fi; \
+	if timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- tool /usr/bin/true -o host-smoke/true-print.elf -M jumps -P print 2> host-smoke/print.err; then \
+	  echo "print: unexpectedly patched"; exit 1; \
+	fi; \
+	cat host-smoke/print.err; \
+	grep -q "the instrumentation runtime's program headers (.*) would overwrite content at file offset" host-smoke/print.err; \
+	test ! -e host-smoke/true-print.elf; \
+	echo "print: refused, no output file"; } 2>&1 | tee -a host_output.txt
 
 clean:
 	$(DUNE) clean

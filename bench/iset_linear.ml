@@ -1,6 +1,6 @@
 (* The pre-PR linear-scan interval set, preserved verbatim as the
    baseline for the [iset] micro-benchmark: same contract as
-   [E9_bits.Iset], with [find_free]/[find_free_last]/[find_free_strided]
+   [E9_bits.Iset], with [find_free]/[find_free_strided]
    walking the interval sequence linearly (O(intervals) per query) where
    the replacement answers from an augmented balanced tree in O(log n).
    Bench-only — nothing outside bench/ may depend on it. *)
@@ -124,26 +124,6 @@ let find_free_strided t ~size ~lo ~hi ~stride =
       | _ -> M.find_first_opt (fun k -> k >= s0) t.map
     in
     try_from s0 first;
-    !result
-  end
-
-let find_free_last t ~size ~lo ~hi =
-  if size <= 0 || hi < lo then None
-  else begin
-    let result = ref None in
-    let rec try_from s =
-      if s < lo then ()
-      else
-        match floor t (s + size - 1) with
-        | Some (_, h) when h <= s ->
-            (* Nearest interval ends at or before [s]: free. *)
-            result := Some s
-        | Some (l, _) ->
-            (* Blocked by interval starting at [l]; slide below it. *)
-            try_from (l - size)
-        | None -> result := Some s
-    in
-    try_from hi;
     !result
   end
 

@@ -212,22 +212,20 @@ let trace_verify ?config ?instr_ranges name ~holes ~original output =
           Format.eprintf "[verify] %s diverged: %s@." name m;
           Some m)
 
-(* Rewrite with [select]/[template] and measure one Table 1 line. The
-   rewrite input is [runtime]'s augmented image when the template keeps
-   state there (Figure 5's LowFat run), and the rewrite is verified
-   against it by both oracles, the runtime's pages private. *)
-let measure_app ?(options = Rewriter.default_options) ?runtime ?make_allocator
-    ~select ~template elf (orig : Cpu.result) =
+(* Rewrite [elf] under [rules] and measure one Table 1 line. The
+   rewrite input is what [Tool.rewrite_input] decides (the
+   runtime-augmented image for Figure 5's LowFat rule), and both oracles
+   check the rewrite against it, the runtime's pages private. *)
+let measure_app ?(options = Rewriter.default_options) ?make_allocator rules
+    elf (orig : Cpu.result) =
   let holes = Codegen.holes elf in
-  let input, instr_ranges =
-    match runtime with
-    | Some rt -> (rt.Tool.augmented, Some rt.Tool.instr_ranges)
-    | None -> (elf, None)
-  in
+  let rt = Tool.rewrite_input elf rules in
+  let input = rt.Tool.augmented in
+  let select, template = Tool.lower rt rules in
   let r = traced_run ~options ~holes "measure_app" input ~select ~template in
   ignore
-    (trace_verify ?instr_ranges "measure_app" ~holes ~original:input
-       r.Rewriter.output);
+    (trace_verify ~instr_ranges:rt.Tool.instr_ranges "measure_app" ~holes
+       ~original:input r.Rewriter.output);
   let patched = run_emu ?make_allocator r.Rewriter.output in
   expect_exit "patched" patched;
   let s = r.Rewriter.stats in
@@ -238,7 +236,10 @@ let measure_app ?(options = Rewriter.default_options) ?runtime ?make_allocator
     t3 = Stats.t3_pct s;
     succ = Stats.succ_pct s;
     time = 100.0 *. float_of_int patched.Cpu.cycles /. float_of_int orig.Cpu.cycles;
-    size = Rewriter.size_pct r }
+    size = Tool.size_pct elf r }
+
+(* The one rule [selector -> patch]. *)
+let rule ?(patch = Patchspec.Empty) selector = [ { Patchspec.selector; patch } ]
 
 let geomean = function
   | [] -> 0.0
@@ -271,16 +272,8 @@ let bench_table1 () =
         let orig = run_emu elf in
         expect_exit row.Suite.profile.Codegen.name orig;
         let options = options_for row in
-        let a1 =
-          measure_app ~options ~select:Frontend.select_jumps
-            ~template:(fun _ -> Trampoline.Empty)
-            elf orig
-        in
-        let a2 =
-          measure_app ~options ~select:Frontend.select_heap_writes
-            ~template:(fun _ -> Trampoline.Empty)
-            elf orig
-        in
+        let a1 = measure_app ~options (rule Patchspec.Jumps) elf orig in
+        let a2 = measure_app ~options (rule Patchspec.Heap_writes) elf orig in
         (row, a1, a2))
       (cut 4 Suite.rows)
   in
@@ -387,17 +380,13 @@ let bench_figure4 () =
               (float_of_int text.Frontend.size
               *. Dromaeo.firefox_instrumented_fraction)
         in
-        let run select =
-          (measure_app ~select ~template:(fun _ -> Trampoline.Empty) elf orig)
-            .time
-        in
+        let run selector = (measure_app (rule selector) elf orig).time in
         (* Chrome: the whole binary is instrumented. FireFox: the bulk of
            the time is spent in code E9Patch did not patch (JIT output,
            other DSOs) — only part of the text is instrumented. *)
-        let chrome = run Frontend.select_heap_writes in
+        let chrome = run Patchspec.Heap_writes in
         let firefox =
-          run (fun st ->
-              Frontend.select_heap_writes st && st.Frontend.addr < limit)
+          run (Patchspec.And (Patchspec.Heap_writes, Patchspec.Addr_cmp (`Lt, limit)))
         in
         (s, chrome, firefox))
       (cut 3 Dromaeo.suites)
@@ -428,21 +417,11 @@ let measure_a2_lowfat (row : Suite.row) =
   let orig = run_emu elf in
   expect_exit row.Suite.profile.Codegen.name orig;
   let options = options_for row in
-  let a2 =
-    measure_app ~options ~select:Frontend.select_heap_writes
-      ~template:(fun _ -> Trampoline.Empty)
-      elf orig
-  in
+  let a2 = measure_app ~options (rule Patchspec.Heap_writes) elf orig in
   let lf =
-    let rules =
-      [ { Patchspec.selector = Patchspec.Heap_writes; patch = Patchspec.Lowfat } ]
-    in
-    let runtime =
-      if Tool.needs_runtime rules then Some (Tool.inject elf) else None
-    in
-    let select, template = Tool.lower ?runtime rules in
-    measure_app ~options ?runtime ~select ~template
-      ~make_allocator:Lowfat.make_allocator elf orig
+    measure_app ~options ~make_allocator:Lowfat.make_allocator
+      (rule ~patch:Patchspec.Lowfat Patchspec.Heap_writes)
+      elf orig
   in
   (a2, lf)
 
@@ -1047,9 +1026,10 @@ let bench_bechamel () =
       ("figure4-dromaeo-rewrite",
        rewrite dromaeo_elf Frontend.select_heap_writes Trampoline.Empty);
       ("figure5-lowfat-rewrite",
-       let rt = Tool.inject elf in
-       rewrite rt.Tool.augmented Frontend.select_heap_writes
-         (Trampoline.Lowfat_check_scratch rt.Tool.scratch));
+       let rules = rule ~patch:Patchspec.Lowfat Patchspec.Heap_writes in
+       let rt = Tool.rewrite_input elf rules in
+       let select, template = Tool.lower rt rules in
+       fun () -> ignore (Rewriter.run rt.Tool.augmented ~select ~template));
       ("grouping-naive-rewrite",
        rewrite
          ~options:{ Rewriter.default_options with Rewriter.grouping = false }

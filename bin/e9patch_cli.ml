@@ -82,6 +82,38 @@ let print_verdicts ?holes ?instr_ranges ~dynamic ~original rewritten =
         printf "dynamic: %s@." msg;
         exit 1
 
+(* The [runtime:] line of a rewrite input that carries the injected
+   runtime; nothing for one that does not. *)
+let print_runtime (rt : Tool.runtime) =
+  Option.iter
+    (fun (p : Tool.pages) ->
+      printf "runtime: data page 0x%x, code page 0x%x (%s)@." p.Tool.data_base
+        p.Tool.code_base
+        (String.concat " "
+           (List.map (fun (n, a) -> Printf.sprintf "%s=0x%x" n a) p.Tool.fns)))
+    rt.Tool.pages
+
+(* The one rewrite of [patch] and [tool]: [Tool.run] rewrites what the
+   rules need (the input, plus the injected runtime when a rule keeps
+   state in it); with [check], both oracles judge the output against
+   that rewrite input before it is written. Then the summary, Size%
+   against the file the user passed. *)
+let rewrite_and_write ?options ?obs ?(fault = Fault.none) ?(check = false)
+    elf rules output =
+  let res = Tool.run ?options ?obs ~fault elf rules in
+  let r = res.Tool.rewrite and rt = res.Tool.runtime in
+  if check then
+    print_verdicts ~instr_ranges:rt.Tool.instr_ranges ~dynamic:true
+      ~original:rt.Tool.augmented r.Rewriter.output;
+  Elf_file.write_file
+    ~fault:(fun () -> Fault.fires fault Fault.Write)
+    r.Rewriter.output output;
+  printf "%a@." Stats.pp r.Rewriter.stats;
+  printf "size: %d -> %d bytes (%.1f%%); %d trampoline bytes; %d mappings@."
+    (Elf_file.serialized_size elf) r.Rewriter.output_size (Tool.size_pct elf r)
+    r.Rewriter.trampoline_bytes r.Rewriter.mappings;
+  print_runtime rt
+
 (* ------------------------------------------------------------------ *)
 (* patch                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -210,23 +242,10 @@ let patch_cmd =
           Patchspec.parse (In_channel.with_open_bin path In_channel.input_all)
       | None, None -> [ { Patchspec.selector = select; patch = template } ]
     in
-    (* lowfat, print and call keep state in the injected runtime: the
-       rewrite input is then the augmented image, as for [tool]. *)
-    let input, runtime = Tool.rewrite_input elf spec in
-    let select, template = Tool.lower ?runtime spec in
     let obs =
       match trace with Some _ -> Obs.ring () | None -> Obs.null
     in
-    let r =
-      Rewriter.run ~options ~obs ~fault input ~select ~template
-    in
-    Elf_file.write_file
-      ~fault:(fun () -> Fault.fires fault Fault.Write)
-      r.Rewriter.output output;
-    printf "%a@." Stats.pp r.Rewriter.stats;
-    printf "size: %d -> %d bytes (%.1f%%); %d trampoline bytes; %d mappings@."
-      r.Rewriter.input_size r.Rewriter.output_size (Rewriter.size_pct r)
-      r.Rewriter.trampoline_bytes r.Rewriter.mappings;
+    rewrite_and_write ~options ~obs ~fault elf spec output;
     (match trace with
     | None -> ()
     | Some path -> (
@@ -257,11 +276,6 @@ let patch_cmd =
              if n > 0 then
                printf "inject: %s fired %d time(s)@." (Fault.site_name s) n)
            Fault.sites);
-    Option.iter
-      (fun rt ->
-        printf "runtime: data page 0x%x, code page 0x%x@." rt.Tool.data_base
-          rt.Tool.code_base)
-      runtime;
     printf "wrote %s@." output
   in
   Cmd.v (Cmd.info "patch" ~doc:"Statically rewrite a binary (no control flow recovery).")
@@ -321,23 +335,7 @@ let tool_cmd =
         (Printf.sprintf "got %d -M but %d -P (they pair up in order)"
            (List.length matches) (List.length patches));
     let rules = List.map2 (fun m p -> Tool.rule_of ~m ~p ()) matches patches in
-    let elf = Elf_file.read_file input in
-    let res = Tool.run elf rules in
-    let r = res.Tool.rewrite and rt = res.Tool.runtime in
-    if check then
-      print_verdicts ~instr_ranges:rt.Tool.instr_ranges ~dynamic:true
-        ~original:rt.Tool.augmented r.Rewriter.output;
-    Elf_file.write_file r.Rewriter.output output;
-    printf "%a@." Stats.pp r.Rewriter.stats;
-    printf "size: %d -> %d bytes (%.1f%%); %d trampoline bytes; %d mappings@."
-      r.Rewriter.input_size r.Rewriter.output_size (Rewriter.size_pct r)
-      r.Rewriter.trampoline_bytes r.Rewriter.mappings;
-    printf "runtime: data page 0x%x, code page 0x%x (%s)@." rt.Tool.data_base
-      rt.Tool.code_base
-      (String.concat " "
-         (List.map
-            (fun (n, a) -> Printf.sprintf "%s=0x%x" n a)
-            rt.Tool.fns));
+    rewrite_and_write ~check (Elf_file.read_file input) rules output;
     printf "wrote %s@." output
   in
   Cmd.v
@@ -502,13 +500,10 @@ let check_cmd =
     let holes = Option.to_list (Option.map (Frontend.leading_hole orig) from) in
     (* A rewrite that carries the instrumentation runtime was made from
        the augmented image: verify against that, its pages private. *)
-    match Tool.runtime_in ~original:orig rewr with
-    | None -> print_verdicts ~holes ~dynamic ~original:orig rewr
-    | Some rt ->
-        printf "runtime: data page 0x%x, code page 0x%x@." rt.Tool.data_base
-          rt.Tool.code_base;
-        print_verdicts ~holes ~instr_ranges:rt.Tool.instr_ranges ~dynamic
-          ~original:rt.Tool.augmented rewr
+    let rt = Tool.runtime_in ~original:orig rewr in
+    print_runtime rt;
+    print_verdicts ~holes ~instr_ranges:rt.Tool.instr_ranges ~dynamic
+      ~original:rt.Tool.augmented rewr
   in
   Cmd.v
     (Cmd.info "check"

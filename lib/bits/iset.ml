@@ -7,8 +7,7 @@
        consecutive intervals of the subtree (0 when the subtree holds
        fewer than two intervals).
 
-   The free-gap queries ([find_free], [find_free_last],
-   [find_free_strided]) walk the gap sequence in address order but prune
+   The free-gap queries ([find_free], [find_free_strided]) walk the gap sequence in address order but prune
    every branch whose aggregates show it cannot contain an answer — a
    subtree is entered only when its widest gap (including the gap to its
    in-order predecessor/successor, which the walk threads through the
@@ -282,52 +281,6 @@ let find_free_strided t ~size ~lo ~hi ~stride =
       | N nd ->
           fs_go t.root min_int ~size ~lo ~hi ~stride;
           fs_gap nd.max_hi max_int ~size ~lo ~hi ~stride);
-      None
-    with
-    | Found s -> Some s
-    | Exit -> None
-
-(* Mirror image: gaps right to left, threading the in-order successor's
-   start through [succ_lo]. [fl_gap]: highest start in the gap
-   [g, next_lo) that still fits the window. *)
-let fl_gap g next_lo ~size ~lo ~hi =
-  let s =
-    if next_lo = max_int || next_lo - size > hi then hi else next_lo - size
-  in
-  if s < lo then raise Exit;
-  if s >= g then raise (Found s)
-
-let rec fl_go tree succ_lo ~size ~lo ~hi =
-  match tree with
-  | E -> ()
-  | N { l; lo = ilo; hi = ihi; r; _ } ->
-      (match r with
-      | E -> fl_gap ihi succ_lo ~size ~lo ~hi
-      | N nr ->
-          if
-            nr.min_lo <= hi
-            && (nr.max_gap >= size || gap_after nr.max_hi succ_lo >= size)
-            && succ_lo - size >= lo
-          then fl_go r succ_lo ~size ~lo ~hi;
-          fl_gap ihi nr.min_lo ~size ~lo ~hi);
-      (match l with
-      | E -> ()
-      | N nl ->
-          if
-            nl.min_lo <= hi
-            && (nl.max_gap >= size || gap_after nl.max_hi ilo >= size)
-            && ilo - size >= lo
-          then fl_go l ilo ~size ~lo ~hi)
-
-let find_free_last t ~size ~lo ~hi =
-  if size <= 0 || hi < lo then None
-  else
-    try
-      (match t.root with
-      | E -> fl_gap min_int max_int ~size ~lo ~hi
-      | N nd ->
-          fl_go t.root max_int ~size ~lo ~hi;
-          fl_gap min_int nd.min_lo ~size ~lo ~hi);
       None
     with
     | Found s -> Some s

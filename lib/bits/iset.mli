@@ -35,9 +35,6 @@ val is_free : t -> lo:int -> hi:int -> bool
     [lo <= s <= hi] such that [s, s+size) is entirely free, if any. *)
 val find_free : t -> size:int -> lo:int -> hi:int -> int option
 
-(** [find_free_last t ~size ~lo ~hi] is the highest such start, if any. *)
-val find_free_last : t -> size:int -> lo:int -> hi:int -> int option
-
 (** [find_free_strided t ~size ~lo ~hi ~stride] is the lowest start [s]
     with [lo <= s <= hi], [s ≡ lo (mod stride)] and [s, s+size) free.
     With [stride = 1] this is {!find_free}. Requires [stride >= 1].
@@ -47,9 +44,6 @@ val find_free_last : t -> size:int -> lo:int -> hi:int -> int option
     positions or occupied intervals one by one. *)
 val find_free_strided :
   t -> size:int -> lo:int -> hi:int -> stride:int -> int option
-
-(** [fold t init f] folds over occupied intervals in increasing order. *)
-val fold : t -> 'a -> ('a -> lo:int -> hi:int -> 'a) -> 'a
 
 (** [occupied t] is the total number of occupied bytes. *)
 val occupied : t -> int

@@ -53,10 +53,7 @@ let reference ?(spec = default_spec) raw =
   let module Tool = E9_tool.Tool in
   let elf = Elf_file.of_bytes raw in
   let rules = Patchspec.parse spec in
-  let input, runtime = Tool.rewrite_input elf rules in
-  let select, template = Tool.lower ?runtime rules in
-  let r = Rewriter.run input ~select ~template in
-  Elf_file.to_bytes r.Rewriter.output
+  Elf_file.to_bytes (Tool.run elf rules).Tool.rewrite.Rewriter.output
 
 (* ------------------------------------------------------------------ *)
 (* Fault campaign                                                      *)

@@ -42,8 +42,8 @@ val script :
   ?spec:string -> ?filename:string -> bytes -> string list
 
 (** [reference ?spec raw] — the one-shot rewrite the service's emits
-    must be byte-identical to: of the input with the runtime injected
-    when {!E9_tool.Tool.needs_runtime} holds for [spec]'s rules, as the
+    must be byte-identical to: {!E9_tool.Tool.run} of [spec]'s rules,
+    which rewrites what {!E9_tool.Tool.rewrite_input} decides, as the
     daemon does. *)
 val reference : ?spec:string -> bytes -> bytes
 

@@ -33,9 +33,6 @@ type t = {
   trampolines : (string, Patchspec.patch) Hashtbl.t;
   mutable binary : (Elf_file.t * string) option;  (** parsed input, content hash *)
   mutable rules : Patchspec.rule list;  (** reverse order *)
-  mutable tool : bool;
-      (** [rules] came from [tool] messages: emit injects the runtime
-          whatever they are *)
   mutable reserves : (int * int) list;  (** reverse order *)
   mutable opts : Rewriter.options;
   mutable code_start : int option;  (** the wire's [disasm_from] *)
@@ -48,7 +45,6 @@ let create ctx ~obs =
     trampolines = Hashtbl.create 8;
     binary = None;
     rules = [];
-    tool = false;
     reserves = [];
     opts = Rewriter.default_options;
     code_start = None;
@@ -236,18 +232,14 @@ let do_reserve t params =
   t.reserves <- (address, length) :: t.reserves;
   Json.Obj [ ("ok", Json.Bool true); ("reserved", Json.Int (List.length t.reserves)) ]
 
-(* Patch specs and tool pairs are rules of one language, but tool rules
-   rewrite the input plus an injected instrumentation runtime, so one
-   emit takes its rules from one vocabulary. *)
-let add_rules t ~tool rules =
-  t.tool <- tool;
+(* Patch specs and tool pairs are rules of one language: both messages
+   add to the one rule list the next emit rewrites. *)
+let add_rules t rules =
   t.rules <- List.rev_append rules t.rules;
   Json.Obj
     [ ("ok", Json.Bool true); ("rules", Json.Int (List.length t.rules)) ]
 
 let do_patch t params =
-  (if t.tool && t.rules <> [] then
-     state "tool rules pending; emit them before adding patch rules");
   let rules =
     match (string_param params "spec", string_param params "selector") with
     | Some _, Some _ -> bad "spec and selector are exclusive"
@@ -264,16 +256,14 @@ let do_patch t params =
         [ { Patchspec.selector = Patchspec.parse_selector selector; patch } ]
     | None, None -> bad "patch needs a spec or a selector/trampoline pair"
   in
-  add_rules t ~tool:false rules
+  add_rules t rules
 
 (* The tool vocabulary (DESIGN.md §15): one [-M MATCH -P PATCH] pair per
    message, first-match-wins across the accumulated pairs. *)
 let do_tool t params =
-  (if (not t.tool) && t.rules <> [] then
-     state "patch rules pending; emit them before adding tool rules");
   let m = require "match" (string_param params "match") in
   let p = require "patch" (string_param params "patch") in
-  add_rules t ~tool:true [ Tool.rule_of ~m ~p () ]
+  add_rules t [ Tool.rule_of ~m ~p () ]
 
 (* ------------------------------------------------------------------ *)
 (* emit                                                                *)
@@ -286,10 +276,11 @@ let stats_json (s : Stats.t) =
       ("t2", Json.Int s.Stats.t2); ("t3", Json.Int s.Stats.t3);
       ("failed", Json.Int s.Stats.failed) ]
 
-(* Inject the runtime if the rules are tool rules or keep state in it
-   ([Tool.needs_runtime]), rewrite, verify the output against the
-   rewrite input (the injected pages are part of what the verifier must
-   account for), cache. *)
+(* Rewrite what [Tool.rewrite_input] says the rules rewrite (the input
+   plus the injected runtime when a rule keeps state in it), verify the
+   output against that rewrite input (the injected pages are part of
+   what the verifier must account for), cache. The rules are in the
+   result key, so they also decide the injection for a hit. *)
 let do_emit t params =
   let elf, bhash =
     match t.binary with
@@ -313,10 +304,8 @@ let do_emit t params =
       (List.map (fun (a, l) -> Printf.sprintf "%x+%x" a l) holes)
   in
   let okey = Rewriter.options_signature opts ^ ";holes=" ^ holes_tag in
-  let inject = t.tool || Tool.needs_runtime rules in
-  let rt_tag = if inject then "rt" else "-" in
   let key =
-    Printf.sprintf "r:%s:%s:%s:%s" bhash rt_tag
+    Printf.sprintf "r:%s:%s:%s" bhash
       (Cache.fnv1a64_string (Patchspec.fragment_key rules))
       (Cache.fnv1a64_string okey)
   in
@@ -331,12 +320,12 @@ let do_emit t params =
         (e, "hit")
     | None ->
         Obs.counter t.obs ~name:"rpc_cache_misses" ~value:1;
-        let runtime = if inject then Some (Tool.inject elf) else None in
-        let input =
-          match runtime with Some rt -> rt.Tool.augmented | None -> elf
-        in
+        let rt = Tool.rewrite_input elf rules in
+        let input = rt.Tool.augmented in
         let dkey =
-          Printf.sprintf "d:%s:%s:%s" bhash rt_tag holes_tag
+          Printf.sprintf "d:%s:%s:%s" bhash
+            (if rt.Tool.pages = None then "-" else "rt")
+            holes_tag
         in
         let decoded =
           match Cache.find t.ctx.decode_cache dkey with
@@ -349,7 +338,7 @@ let do_emit t params =
               Cache.add t.ctx.decode_cache dkey d;
               d
         in
-        let select, template = Tool.lower ?runtime rules in
+        let select, template = Tool.lower rt rules in
         let r =
           Obs.span t.obs "rpc_rewrite" (fun () ->
               Rewriter.run ~options:opts ~obs:t.obs ~holes
@@ -369,7 +358,7 @@ let do_emit t params =
           {
             bytes;
             stats = r.Rewriter.stats;
-            size_pct = Rewriter.size_pct r;
+            size_pct = Tool.size_pct elf r;
             trampoline_bytes = r.Rewriter.trampoline_bytes;
             mappings = r.Rewriter.mappings;
             verified = true;
@@ -387,7 +376,6 @@ let do_emit t params =
      connection-level and survive. *)
   t.binary <- None;
   t.rules <- [];
-  t.tool <- false;
   t.reserves <- [];
   Json.Obj
     ([ ("ok", Json.Bool true); ("cache", Json.Str cache_tag);

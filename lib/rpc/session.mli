@@ -4,10 +4,10 @@
     A session is a small state machine. It starts empty; [binary] loads
     an input (file path or inline hex); [options] / [trampoline] /
     [reserve] / [patch] / [tool] accumulate configuration — [patch] and
-    [tool] add rules of the one patch language, [tool] rules flagged for
-    the injected runtime; [emit] runs the rewrite (of the input plus the
-    runtime, for tool rules) through the shared content-addressed
-    caches, verifies the output against the rewrite input with the
+    [tool] add rules of the one patch language to one rule list; [emit]
+    runs the rewrite (of the input plus the injected runtime when a rule
+    keeps state in it, {!E9_tool.Tool.rewrite_input}) through the shared
+    content-addressed caches, verifies the output against the rewrite input with the
     static oracle, optionally writes it atomically, and
     resets the per-binary state so the connection can serve the next
     input. Configuration ([options], named trampolines) survives across

@@ -70,9 +70,8 @@ type selector =
     [call\[:clean|:naked\] FN(ARG,...)] with up to 6 static arguments,
     each [asm] | [addr] | [instr] | [size] | a register name | an integer
     literal. [FN] is a function of the injected runtime or an absolute
-    address. [print] and [call] need the injected runtime
-    ({!E9_tool.Tool.inject}); the runtime also decides how [lowfat]
-    lowers. *)
+    address. [print], [call] and [lowfat] keep state in the injected
+    runtime, which {!E9_tool.Tool.rewrite_input} injects for them. *)
 type patch =
   | Print
   | Count

@@ -102,8 +102,7 @@ let rule_of ?read_file ~m ~p () =
 (* The injected instrumentation runtime                                 *)
 (* ------------------------------------------------------------------ *)
 
-type runtime = {
-  augmented : Elf_file.t;
+type pages = {
   data_base : int;
   scratch : int;
   counter_cell : int;
@@ -111,8 +110,17 @@ type runtime = {
   stack_top : int;
   code_base : int;
   fns : (string * int) list;
+}
+
+type runtime = {
+  augmented : Elf_file.t;
+  pages : pages option;
   instr_ranges : (int * int) list;
 }
+
+(* The rewrite input of a rule list that keeps no state in the runtime:
+   the file itself. *)
+let bare elf = { augmented = elf; pages = None; instr_ranges = [] }
 
 let page = 0x1000
 
@@ -187,19 +195,22 @@ let inject elf =
      from this image verify against the image {!runtime_in} rebuilds
      from the original file. *)
   { augmented = Elf_file.of_bytes (Elf_file.to_bytes elf);
-    data_base;
-    scratch = data_base;
-    counter_cell;
-    record_cell;
-    stack_top = data_base + page;
-    code_base;
-    fns = [ ("counter", counter_fn); ("record", record_fn) ];
+    pages =
+      Some
+        { data_base;
+          scratch = data_base;
+          counter_cell;
+          record_cell;
+          stack_top = data_base + page;
+          code_base;
+          fns = [ ("counter", counter_fn); ("record", record_fn) ] };
     instr_ranges = [ (data_base, data_base + page) ] }
 
 (* The two pages [inject original] adds, as program headers and bytes:
    a rewrite of the augmented image keeps both verbatim. Only a
    rewritten file with loads at both page addresses is worth an
-   injection to compare against. *)
+   injection to compare against; any other was rewritten from
+   [original] itself. *)
 let runtime_in ~original rewritten =
   let loaded a =
     List.exists
@@ -207,7 +218,7 @@ let runtime_in ~original rewritten =
       rewritten.Elf_file.segments
   in
   let data_base = data_page original in
-  if not (loaded data_base && loaded (data_base + page)) then None
+  if not (loaded data_base && loaded (data_base + page)) then bare original
   else
     let rt = inject original in
     let bytes (e : Elf_file.t) (s : Elf_file.segment) =
@@ -215,25 +226,25 @@ let runtime_in ~original rewritten =
       else Some (E9_bits.Buf.sub e.data ~pos:s.offset ~len:s.filesz)
     in
     let injected (s : Elf_file.segment) =
-      s.vaddr = rt.data_base || s.vaddr = rt.code_base
+      s.vaddr = data_base || s.vaddr = data_base + page
     in
     let carried (s : Elf_file.segment) =
       List.mem s rewritten.Elf_file.segments
       && bytes rt.augmented s = bytes rewritten s
     in
     if List.for_all carried (List.filter injected rt.augmented.segments) then
-      Some rt
-    else None
+      rt
+    else bare original
 
-let resolve_fn rt fn =
-  match List.assoc_opt fn rt.fns with
+let resolve_fn pages fn =
+  match List.assoc_opt fn pages.fns with
   | Some addr -> addr
   | None -> (
       match int_of_string_opt fn with
       | Some addr -> addr
       | None ->
           errf "unknown instrumentation function %S (injected: %s)" fn
-            (String.concat " " (List.map fst rt.fns)))
+            (String.concat " " (List.map fst pages.fns)))
 
 (* ------------------------------------------------------------------ *)
 (* Lowering to rewriter arguments                                       *)
@@ -250,18 +261,16 @@ let needs_runtime rules =
       | Count | Trap | Empty -> false)
     rules
 
+(* The one decision of what a rule list rewrites. *)
 let rewrite_input elf rules =
-  if needs_runtime rules then
-    let rt = inject elf in
-    (rt.augmented, Some rt)
-  else (elf, None)
+  if needs_runtime rules then inject elf else bare elf
 
 (* The one lowering of a patch. The runtime-keeping patches lower
-   against the runtime's pages; every front door injects it when
-   [needs_runtime] says so, and a missing one is refused here, before
-   any site is lowered. *)
-let template_of ?runtime patch =
-  match (patch, runtime) with
+   against the runtime's pages; [rewrite_input] injects them whenever
+   [needs_runtime] says so, and a rewrite input without them is refused
+   here, before any site is lowered. *)
+let template_of rt patch =
+  match (patch, rt.pages) with
   | Empty, _ -> fun _ -> Trampoline.Empty
   | Count, _ -> fun _ -> Trampoline.Counter
   | Trap, _ -> fun _ -> Trampoline.Trap
@@ -269,34 +278,34 @@ let template_of ?runtime patch =
       invalid_arg
         (Format.asprintf "Tool.lower: patch '%a' needs the runtime"
            Spec.pp_patch patch)
-  | Lowfat, Some rt -> fun _ -> Trampoline.Lowfat_check_scratch rt.scratch
-  | Print, Some rt ->
+  | Lowfat, Some p -> fun _ -> Trampoline.Lowfat_check_scratch p.scratch
+  | Print, Some p ->
       fun (site : Frontend.site) ->
         Trampoline.Print
           { text =
               Printf.sprintf "0x%x: %s" site.Frontend.addr
                 (Insn.to_string site.Frontend.insn);
-            scratch = rt.scratch }
-  | Call { mode; fn; args }, Some rt ->
+            scratch = p.scratch }
+  | Call { mode; fn; args }, Some p ->
       fun _ ->
         Trampoline.Call
-          { target = resolve_fn rt fn;
+          { target = resolve_fn p fn;
             mode;
             args;
-            scratch = rt.scratch;
-            stack_top = rt.stack_top }
+            scratch = p.scratch;
+            stack_top = p.stack_top }
 
-let lower ?runtime rules =
+let lower rt rules =
   List.iter
-    (fun r -> ignore (template_of ?runtime r.patch : Frontend.site -> _))
+    (fun r -> ignore (template_of rt r.patch : Frontend.site -> _))
     rules;
   ( (fun site -> Spec.patch_for rules site <> None),
     fun site ->
       match Spec.patch_for rules site with
-      | Some p -> template_of ?runtime p site
+      | Some p -> template_of rt p site
       | None -> Trampoline.Empty )
 
-let to_rewriter_args rt rules = lower ~runtime:rt rules
+let to_rewriter_args = lower
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
@@ -304,11 +313,14 @@ let to_rewriter_args rt rules = lower ~runtime:rt rules
 
 type result = { rewrite : Rewriter.result; runtime : runtime }
 
-let run ?options ?obs ?holes elf rules =
-  if rules = [] then errf "no rules (need at least one -M/-P pair)";
-  let rt = inject elf in
-  let select, template = to_rewriter_args rt rules in
+let run ?options ?obs ?fault ?holes elf rules =
+  let rt = rewrite_input elf rules in
+  let select, template = lower rt rules in
   let rewrite =
-    Rewriter.run ?options ?obs ?holes rt.augmented ~select ~template
+    Rewriter.run ?options ?obs ?fault ?holes rt.augmented ~select ~template
   in
   { rewrite; runtime = rt }
+
+let size_pct elf (r : Rewriter.result) =
+  Rewriter.size_pct
+    { r with Rewriter.input_size = Elf_file.serialized_size elf }

@@ -23,7 +23,8 @@
 
     All instrumentation state — the register scratch slot, the counter and
     record cells, the private stack — lives in a fresh read-write page
-    appended to the binary ({!inject}), so instrumented runs never touch
+    appended to the binary ({!inject}) when a rule needs it
+    ({!rewrite_input}), so instrumented runs never touch
     guest-visible memory: the trace oracle checks rewrites under any of
     these patches by treating only {!runtime.instr_ranges} as private
     (see {!E9_check.Trace.compare_runs}). A [naked] call pushes its
@@ -70,11 +71,8 @@ val rule_of : ?read_file:(string -> string) -> m:string -> p:string -> unit -> r
 
 (** {1 The injected instrumentation runtime} *)
 
-type runtime = {
-  augmented : Elf_file.t;
-      (** input copy plus the two injected pages, exactly as its file
-          ([Elf_file.to_bytes augmented]) parses back; the rewrite input,
-          and the [original] to verify the output against *)
+(** The two pages {!inject} appends. *)
+type pages = {
   data_base : int;  (** read-write page: scratch, cells, private stack *)
   scratch : int;  (** 8-byte register-save slot (= [data_base]) *)
   counter_cell : int;  (** the [counter] function's accumulator *)
@@ -82,9 +80,21 @@ type runtime = {
   stack_top : int;  (** top of the instrumentation-private stack *)
   code_base : int;  (** read-execute page holding the stdlib functions *)
   fns : (string * int) list;  (** name → address: [counter], [record] *)
+}
+
+(** A rewrite input: the file a rule list rewrites and the runtime it
+    carries, if any. *)
+type runtime = {
+  augmented : Elf_file.t;
+      (** the input actually rewritten, exactly as its file
+          ([Elf_file.to_bytes augmented]) parses back: the user's file,
+          plus the two injected pages when [pages] is set; the
+          [original] to verify the output against *)
+  pages : pages option;  (** the injected pages; [None] when none were *)
   instr_ranges : (int * int) list;
       (** instrumentation-private address ranges for
-          {!E9_check.Trace.compare_runs} *)
+          {!E9_check.Trace.compare_runs}: the data page, or [[]] when
+          nothing was injected *)
 }
 
 (** [inject elf] appends the instrumentation runtime to a copy of [elf]:
@@ -97,46 +107,47 @@ type runtime = {
     automatically. Raises {!Error}, before copying anything, when the
     two extra program headers would overwrite content (a file whose
     header table is followed directly by content, as most linked
-    binaries are). *)
+    binaries are). Front doors reach it only through {!rewrite_input}. *)
 val inject : Elf_file.t -> runtime
 
-(** [runtime_in ~original rewritten] is [Some (inject original)] when
-    [rewritten] carries that runtime: it has [PT_LOAD]s equal to both
-    pages [inject original] adds, with the same bytes. A rewrite of
-    [runtime.augmented] does; a rewrite of [original] does not. This is
-    how [check ORIGINAL REWRITTEN] finds the image and the
-    [instr_ranges] to verify against from the two files alone. *)
-val runtime_in : original:Elf_file.t -> Elf_file.t -> runtime option
+(** [runtime_in ~original rewritten] is the rewrite input [rewritten]
+    was made from: [inject original] when [rewritten] carries that
+    runtime (it has [PT_LOAD]s equal to both pages [inject original]
+    adds, with the same bytes), else [original] itself with no pages. A
+    rewrite of [(rewrite_input original rules).augmented] is recognised
+    either way. This is how [check ORIGINAL REWRITTEN] finds the image
+    and the [instr_ranges] to verify against from the two files
+    alone. *)
+val runtime_in : original:Elf_file.t -> Elf_file.t -> runtime
 
 (** {1 Lowering} *)
 
 (** [needs_runtime rules] holds when a rule's patch keeps state in the
     injected runtime: [lowfat] and [print] park %rdi in its scratch
-    slot, and a [call] reaches its functions, cells and private stack.
-    Every front door ([patch], the daemon's [patch] message, [tool])
-    then rewrites [(inject elf).augmented] and lowers against it
-    ({!rewrite_input}); [tool] injects whatever its rules are. *)
+    slot, and a [call] reaches its functions, cells and private stack. *)
 val needs_runtime : rule list -> bool
 
-(** [rewrite_input elf rules] is what a front door rewrites for [rules]
-    and the runtime that input carries: [(rt.augmented, Some rt)] with
-    [rt = inject elf] when [needs_runtime rules], else [(elf, None)].
-    Lower the rules with [lower ?runtime]. *)
-val rewrite_input : Elf_file.t -> rule list -> Elf_file.t * runtime option
+(** [rewrite_input elf rules] is what every front door rewrites for
+    [rules]: [inject elf] when [needs_runtime rules], else [elf] itself
+    with no pages, so a rule list of [count], [trap] and [empty] patches
+    rewrites the user's file byte for byte. *)
+val rewrite_input : Elf_file.t -> rule list -> runtime
 
-(** [lower ?runtime rules] compiles first-match-wins rules into the
-    select/template pair for {!E9_core.Rewriter.run}. [lowfat] lowers to
+(** [lower rt rules] compiles first-match-wins rules into the
+    select/template pair for {!E9_core.Rewriter.run} of
+    [rt.augmented]. [lowfat] lowers to
     {!E9_core.Trampoline.Lowfat_check_scratch} on the runtime's scratch
     slot, and [print] and [call] patches lower against the runtime's
     pages. Raises [Invalid_argument] — before returning — if
-    [needs_runtime rules] and there is no [runtime], and {!Error} (at
+    [needs_runtime rules] and [rt] has no pages, and {!Error} (at
     lowering time) if a call patch names an unknown function. *)
 val lower :
-  ?runtime:runtime ->
+  runtime ->
   rule list ->
   (Frontend.site -> bool) * (Frontend.site -> E9_core.Trampoline.template)
 
-(** [to_rewriter_args rt rules] is [lower ~runtime:rt rules]. *)
+(** [to_rewriter_args] is {!lower}, under the name the benchmark ledger
+    calls. *)
 val to_rewriter_args :
   runtime ->
   rule list ->
@@ -147,23 +158,30 @@ val to_rewriter_args :
 type result = {
   rewrite : E9_core.Rewriter.result;
   runtime : runtime;
-      (** verify [rewrite.output] against [runtime.augmented], with
-          [runtime.instr_ranges] private *)
+      (** the rewrite input: verify [rewrite.output] against
+          [runtime.augmented], with [runtime.instr_ranges] private *)
 }
 
-(** [run ?options ?obs ?holes elf rules] injects the runtime and
-    rewrites [runtime.augmented]: every rule-selected instruction is
-    diverted to its patch's trampoline. [holes] are the data extents
-    inside the text, as for {!E9_core.Rewriter.run}; the runtime leaves
-    the text where it is, so they hold for the augmented input too. [elf]
-    is not mutated. The injection is a pure function of the input
+(** [run ?options ?obs ?fault ?holes elf rules] rewrites
+    [(rewrite_input elf rules).augmented]: every rule-selected
+    instruction is diverted to its patch's trampoline. [holes] are the
+    data extents inside the text, as for {!E9_core.Rewriter.run}; the
+    runtime leaves the text where it is, so they hold for the augmented
+    input too. [fault] is passed to {!E9_core.Rewriter.run}. [elf] is
+    not mutated. The injection is a pure function of the input
     segments, so output bytes are a function of [elf], [rules] and
-    [holes]. Raises {!Error} on an empty rule list or an unresolvable
-    call target. *)
+    [holes]. Raises {!Error} when the runtime cannot be injected or a
+    call target cannot be resolved. *)
 val run :
   ?options:E9_core.Rewriter.options ->
   ?obs:E9_obs.Obs.t ->
+  ?fault:E9_fault.Fault.t ->
   ?holes:(int * int) list ->
   Elf_file.t ->
   rule list ->
   result
+
+(** [size_pct elf r] is the paper's Size% of a rewrite of [elf]: [r]'s
+    output file size as a percentage of [elf]'s, the file the user
+    passed, whatever runtime the rewrite input carried. *)
+val size_pct : Elf_file.t -> E9_core.Rewriter.result -> float

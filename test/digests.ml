@@ -175,11 +175,11 @@ let tool () =
       ("returns", "call:naked counter()") ]
 
 (* Emits served by the daemon for one session's messages (after loading
-   the smoke input), driven through the in-process transport. A tool
-   session, or rules that keep state in the runtime, rewrite the input
-   with the runtime injected: --verify and --trace check such an emit
-   against the augmented input it carries ([Tool.runtime_in], as
-   [check] finds it), the runtime's pages private. *)
+   the smoke input), driven through the in-process transport. Rules that
+   keep state in the runtime rewrite the input with the runtime
+   injected: --verify and --trace check every emit against the rewrite
+   input [Tool.runtime_in] finds in it (as [check] does), the runtime's
+   pages private. *)
 let served () =
   let elf = Lazy.force smoke_input in
   let raw = Elf_file.to_bytes elf in
@@ -211,11 +211,9 @@ let served () =
           (digest_bytes b)
     | Some b, (Verify | Oracle) -> (
         let out = Elf_file.of_bytes b in
-        match Tool.runtime_in ~original:elf out with
-        | None -> line ("served/" ^ name) elf out
-        | Some rt ->
-            line ("served/" ^ name) ~instr_ranges:rt.Tool.instr_ranges
-              rt.Tool.augmented out)
+        let rt = Tool.runtime_in ~original:elf out in
+        line ("served/" ^ name) ~instr_ranges:rt.Tool.instr_ranges
+          rt.Tool.augmented out)
     | None, _ -> missing ("served/" ^ name) "refused"
   in
   List.iter

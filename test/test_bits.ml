@@ -116,14 +116,6 @@ let test_iset_find_free () =
   Alcotest.(check (option int)) "empty window" None
     (Iset.find_free s ~size:1 ~lo:50 ~hi:40)
 
-let test_iset_find_free_last () =
-  let s = Iset.create () in
-  Iset.add s ~lo:20 ~hi:30;
-  Alcotest.(check (option int)) "highest start" (Some 96)
-    (Iset.find_free_last s ~size:4 ~lo:0 ~hi:96);
-  Alcotest.(check (option int)) "slides below obstacle" (Some 16)
-    (Iset.find_free_last s ~size:4 ~lo:0 ~hi:22)
-
 let test_iset_copy_independent () =
   let s = Iset.create () in
   Iset.add s ~lo:0 ~hi:10;
@@ -169,24 +161,6 @@ let prop_iset_matches_model =
         !result
       in
       Iset.find_free s ~size ~lo ~hi = naive ())
-
-let prop_iset_find_free_last_valid =
-  QCheck.Test.make ~name:"Iset.find_free_last returns free in-window range"
-    ~count:500
-    QCheck.(
-      pair
-        (small_list (pair (int_bound 200) (int_range 1 30)))
-        (triple (int_range 1 10) (int_bound 200) (int_bound 200)))
-    (fun (adds, (size, lo, hi)) ->
-      let s = Iset.create () in
-      List.iter
-        (fun (start, len) -> Iset.add s ~lo:start ~hi:(start + len))
-        adds;
-      match Iset.find_free_last s ~size ~lo ~hi with
-      | None -> true
-      | Some start ->
-          start >= lo && start <= hi
-          && Iset.is_free s ~lo:start ~hi:(start + size))
 
 (* Property: an arbitrary interleaving of add and remove leaves the set
    agreeing with a naive boolean-array model on every point query, on
@@ -251,18 +225,6 @@ let model_find_free model ~size ~lo ~hi =
    with Exit -> ());
   !result
 
-let model_find_free_last model ~size ~lo ~hi =
-  let result = ref None in
-  (try
-     for s = hi downto lo do
-       if model_free model s size then begin
-         result := Some s;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !result
-
 let model_find_free_strided model ~size ~lo ~hi ~stride =
   let result = ref None in
   (try
@@ -279,7 +241,7 @@ let model_find_free_strided model ~size ~lo ~hi ~stride =
 
 (* Property: after an arbitrary add/remove interleaving the augmented
    tree agrees with the naive model on every query the allocator issues —
-   point membership, window freeness and all three find_free variants —
+   point membership, window freeness and both find_free variants —
    for arbitrary windows, sizes and strides (the gap-descent structure is
    cross-checked against brute force, not trusted). *)
 let prop_iset_queries_match_model =
@@ -309,14 +271,11 @@ let prop_iset_queries_match_model =
       (* size = 0 must yield None from every variant, like the old scan. *)
       let zero_agrees =
         Iset.find_free s ~size:0 ~lo ~hi = None
-        && Iset.find_free_last s ~size:0 ~lo ~hi = None
         && Iset.find_free_strided s ~size:0 ~lo ~hi ~stride = None
       in
       size = 0
       || (free_agrees && zero_agrees
          && Iset.find_free s ~size ~lo ~hi = model_find_free model ~size ~lo ~hi
-         && Iset.find_free_last s ~size ~lo ~hi
-            = model_find_free_last model ~size ~lo ~hi
          && Iset.find_free_strided s ~size ~lo ~hi ~stride
             = model_find_free_strided model ~size ~lo ~hi ~stride))
 
@@ -614,11 +573,9 @@ let suites =
         Alcotest.test_case "mem" `Quick test_iset_mem;
         Alcotest.test_case "remove splits" `Quick test_iset_remove_split;
         Alcotest.test_case "find_free" `Quick test_iset_find_free;
-        Alcotest.test_case "find_free_last" `Quick test_iset_find_free_last;
         Alcotest.test_case "copy independent" `Quick test_iset_copy_independent;
         Alcotest.test_case "stride corners" `Quick test_iset_stride_corners;
         QCheck_alcotest.to_alcotest prop_iset_matches_model;
-        QCheck_alcotest.to_alcotest prop_iset_find_free_last_valid;
         QCheck_alcotest.to_alcotest prop_iset_op_sequence_model;
         QCheck_alcotest.to_alcotest prop_iset_add_remove_inverse;
         QCheck_alcotest.to_alcotest prop_iset_queries_match_model;

@@ -364,7 +364,8 @@ let test_unreachable_scratch_rejected () =
   | { Decode.insn = Insn.Mov (Insn.Q, Insn.Mem mem, Insn.Reg E9_x86.Reg.RDI); len; _ }
     when mem.Insn.rip_rel ->
       check_bool "the store reaches the scratch slot" true
-        (tramp + len + mem.Insn.disp = res.Tool.runtime.Tool.scratch)
+        (tramp + len + mem.Insn.disp
+        = (Option.get res.Tool.runtime.Tool.pages).Tool.scratch)
   | _ -> Alcotest.fail "lowfat trampoline does not open with the scratch store");
   let b = Bytes.copy out in
   (* +2^31 and -2^31 are one disp32 edit: the field wraps mod 2^32. *)

@@ -1598,7 +1598,10 @@ let test_call_fn_instrumentation () =
         (Cpu.bump_allocator m.Machine.space ~heap_base:Machine.heap_base)
   in
   check_bool "equivalent" true (Machine.equivalent orig res);
-  let count = E9_vm.Space.read_u64 m.Machine.space rt.Tool.counter_cell in
+  let count =
+    E9_vm.Space.read_u64 m.Machine.space
+      (Option.get rt.Tool.pages).Tool.counter_cell
+  in
   check_bool "function counted every dynamic jump" true (count > 500);
   (* Sanity: roughly one count per far-jump pair introduced by patching. *)
   check_bool "count is plausible" true (count < res.Cpu.insns)

@@ -118,15 +118,12 @@ let test_output_file_roundtrip () =
 let test_mixed_templates () =
   let elf = Codegen.generate (profile 16L) in
   let orig = Machine.run ~make_allocator:E9_lowfat.Lowfat.make_allocator elf in
-  let rt = E9_tool.Tool.inject elf in
+  let module Spec = E9_spec.Patchspec in
   let r =
-    Rewriter.run rt.E9_tool.Tool.augmented
-      ~select:(fun s ->
-        Frontend.select_jumps s || Frontend.select_heap_writes s)
-      ~template:(fun s ->
-        if Frontend.select_heap_writes s then
-          Trampoline.Lowfat_check_scratch rt.E9_tool.Tool.scratch
-        else Trampoline.Counter)
+    (E9_tool.Tool.run elf
+       [ { Spec.selector = Spec.Heap_writes; patch = Spec.Lowfat };
+         { Spec.selector = Spec.Jumps; patch = Spec.Count } ])
+      .E9_tool.Tool.rewrite
   in
   let patched =
     Machine.run ~make_allocator:E9_lowfat.Lowfat.make_allocator

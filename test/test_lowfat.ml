@@ -150,9 +150,7 @@ let prop_redzone_tight =
 (* The check parks %rdi in the injected runtime's scratch slot, so the
    rewrite input is the augmented image. *)
 let harden elf =
-  let rt = Tool.inject elf in
-  Rewriter.run rt.Tool.augmented ~select:Frontend.select_heap_writes
-    ~template:(fun _ -> Trampoline.Lowfat_check_scratch rt.Tool.scratch)
+  (Tool.run elf [ Tool.rule_of ~m:"heap-writes" ~p:"lowfat" () ]).Tool.rewrite
 
 let test_hardened_clean_program_unchanged () =
   let prof =

@@ -729,9 +729,9 @@ let test_selector_not_spliced () =
     (emit_data r.(3))
 
 (* A patch rule that keeps state in the runtime ([print], [call],
-   [lowfat]) is served like a tool rule: the emit rewrites the input with
-   the runtime injected and is verified against that augmented input
-   before it leaves the daemon. *)
+   [lowfat]) rewrites the input with the runtime injected, and the emit
+   is verified against that augmented input before it leaves the
+   daemon. *)
 let test_runtime_patch_served () =
   let raw = Lazy.force raw in
   let spec = "patch jumps with print" in
@@ -746,15 +746,11 @@ let test_runtime_patch_served () =
   let rewritten =
     Elf_file.of_bytes (Result.get_ok (Proto.bytes_of_hex out))
   in
-  (match E9_tool.Tool.runtime_in ~original rewritten with
-  | None -> Alcotest.fail "emit does not carry the runtime"
-  | Some rt -> (
-      match
-        E9_check.Static.verify ~original:rt.E9_tool.Tool.augmented rewritten
-      with
-      | Ok _ -> ()
-      | Error e ->
-          Alcotest.failf "static verify: %a" E9_check.Static.pp_error e));
+  let rt = E9_tool.Tool.runtime_in ~original rewritten in
+  check_bool "emit carries the runtime" true (rt.E9_tool.Tool.pages <> None);
+  (match E9_check.Static.verify ~original:rt.E9_tool.Tool.augmented rewritten with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "static verify: %a" E9_check.Static.pp_error e);
   (* A file whose header table is followed directly by content (a
      section right after room for two more program headers) cannot take
      the runtime's two: the emit is refused typed, and the session goes
@@ -785,10 +781,31 @@ let test_runtime_patch_served () =
     | None -> false);
   check_bool "ping answered" true (List.length rs = 4)
 
-(* A runtime-free rule set is one rewrite whichever door it comes in by:
-   the CLI's --select/--template rule lowered by [Tool.lower], the RPC
-   spec, the RPC selector/trampoline pair and [Harness.reference] give
-   identical bytes. *)
+(* An emit that keeps the runtime reports Size% against the file the
+   client sent, not the runtime-augmented copy it rewrote. *)
+let test_runtime_emit_size_pct () =
+  let raw = Lazy.force raw in
+  let spec = "patch jumps with print" in
+  let rs, _ = Harness.run_session (Server.create ()) (Harness.script ~spec raw) in
+  let e = result_of (List.nth rs 2) in
+  let out = Result.get_ok (Proto.bytes_of_hex (emit_data (List.nth rs 2))) in
+  let augmented =
+    (E9_tool.Tool.rewrite_input (Elf_file.of_bytes raw) (E9_spec.Patchspec.parse spec))
+      .E9_tool.Tool.augmented
+  in
+  check_bool "the input was augmented" true
+    (Elf_file.serialized_size augmented > Bytes.length raw);
+  match field e "size_pct" with
+  | Json.Float pct ->
+      Alcotest.(check (float 0.01)) "size_pct = emitted / sent bytes"
+        (100.0 *. float_of_int (Bytes.length out) /. float_of_int (Bytes.length raw))
+        pct
+  | _ -> Alcotest.fail "size_pct is not a float"
+
+(* A rule set is one rewrite whichever door it comes in by: the CLI's
+   --select/--template rule ([Tool.run], as [patch] rewrites it), the
+   RPC spec, the RPC selector/trampoline pair and [Harness.reference]
+   give identical bytes. *)
 let test_front_doors_agree () =
   let raw = Lazy.force raw in
   let module Spec = E9_spec.Patchspec in
@@ -798,11 +815,9 @@ let test_front_doors_agree () =
       let spec = Printf.sprintf "patch %s with %s" sel_src word in
       let cli =
         let module Tool = E9_tool.Tool in
-        let rules = [ { Spec.selector; patch } ] in
-        let input, runtime = Tool.rewrite_input (Elf_file.of_bytes raw) rules in
-        let select, template = Tool.lower ?runtime rules in
         Elf_file.to_bytes
-          (E9_core.Rewriter.run input ~select ~template).E9_core.Rewriter.output
+          (Tool.run (Elf_file.of_bytes raw) [ { Spec.selector; patch } ])
+            .Tool.rewrite.E9_core.Rewriter.output
       in
       let served params =
         let rs, _ =
@@ -827,10 +842,9 @@ let test_front_doors_agree () =
        Spec.Empty, "empty") ]
 
 (* The tool vocabulary (DESIGN.md §15) over the wire: -M/-P pairs ride
-   the [tool] method, emit routes through the injected-runtime path, and
-   the result is verified against the augmented input before it leaves
-   the daemon. Tool rules and patchspec rules are mutually exclusive
-   within one emit. *)
+   the [tool] method into the one rule list, a call rule gets the
+   injected runtime, and the result is verified against the augmented
+   input before it leaves the daemon. *)
 let test_tool_session () =
   let raw = Lazy.force raw in
   let server = Server.create () in
@@ -887,34 +901,35 @@ let test_tool_errors () =
         Harness.request ~id:2 "tool"
           [ ("match", Json.Str "jumps"); ("patch", Json.Str "frobnicate") ];
         Harness.request ~id:3 "tool" [ ("match", Json.Str "jumps") ];
-        (* Vocabulary exclusivity, one way... *)
-        Harness.request ~id:4 "patch"
-          [ ("spec", Json.Str "patch jumps with counter") ];
-        Harness.request ~id:5 "tool"
-          [ ("match", Json.Str "jumps"); ("patch", Json.Str "count") ] ]
+        Harness.request ~id:4 "emit" [ ("data", Json.Bool true) ] ]
   in
   check_bool "alive" true alive;
   let r = Array.of_list rs in
   check_int "unknown patch builtin typed" Proto.spec_error (error_code r.(1));
   check_int "missing patch param" Proto.invalid_params (error_code r.(2));
-  check_bool "patch rules accepted" true
-    (field (result_of r.(3)) "rules" = Json.Int 1);
-  check_int "tool after patch refused" Proto.state_error (error_code r.(4));
-  (* ...and the other: patch after tool is refused too. *)
+  (* A tool rule and a patch spec share one emit: the rules of both
+     vocabularies in arrival order, rewritten as the one-shot reference
+     for the combined rules is (the lowfat rule brings the runtime). *)
   let rs, alive =
     Harness.run_session server
       [ load 1;
         Harness.request ~id:2 "tool"
           [ ("match", Json.Str "jumps"); ("patch", Json.Str "count") ];
         Harness.request ~id:3 "patch"
-          [ ("spec", Json.Str "patch jumps with counter") ];
+          [ ("spec", Json.Str "patch heap-writes with lowfat") ];
         Harness.request ~id:4 "emit" [ ("data", Json.Bool true) ] ]
   in
   check_bool "alive" true alive;
   let r = Array.of_list rs in
-  check_int "patch after tool refused" Proto.state_error (error_code r.(2));
-  check_bool "tool emit still serves and verifies" true
-    (field (result_of r.(3)) "verified" = Json.Bool true)
+  check_bool "both rules accepted" true
+    (field (result_of r.(2)) "rules" = Json.Int 2);
+  check_bool "mixed emit verifies" true
+    (field (result_of r.(3)) "verified" = Json.Bool true);
+  check_str "mixed emit is the one-shot rewrite of the combined rules"
+    (Proto.hex_of_bytes
+       (Harness.reference
+          ~spec:"patch jumps with count; patch heap-writes with lowfat" raw))
+    (emit_data r.(3))
 
 let test_batch_full_session () =
   let raw = Lazy.force raw in
@@ -1326,6 +1341,8 @@ let suites =
           test_tool_session;
         Alcotest.test_case "tool error paths + exclusivity" `Quick
           test_tool_errors;
+        Alcotest.test_case "runtime emit: size_pct against the sent file"
+          `Quick test_runtime_emit_size_pct;
         Alcotest.test_case "batched full session" `Quick test_batch_full_session;
       ] );
     ( "rpc.fault",

@@ -201,8 +201,9 @@ let test_spec_drives_rewriter () =
   in
   (* [lowfat] keeps %rdi in the runtime's scratch slot. *)
   check_bool "lowfat needs the runtime" true (E9_tool.Tool.needs_runtime spec);
-  let rt = E9_tool.Tool.inject elf in
-  let select, template = E9_tool.Tool.lower ~runtime:rt spec in
+  let rt = E9_tool.Tool.rewrite_input elf spec in
+  check_bool "the rewrite input carries it" true (rt.E9_tool.Tool.pages <> None);
+  let select, template = E9_tool.Tool.lower rt spec in
   let r = Rewriter.run rt.E9_tool.Tool.augmented ~select ~template in
   let patched =
     Machine.run ~make_allocator:E9_lowfat.Lowfat.make_allocator

@@ -204,35 +204,67 @@ let test_first_match_wins () =
   check_bool "jumps get the counter, not the later catch-all" true
     (patched.Cpu.counters <> [])
 
-(* [check IN OUT] on a tool output: the runtime is found from the two
-   files alone, and the output verifies against the augmented image it
-   rebuilds — the image [Tool.run] rewrote, as its file reads back. A
-   rewrite of the plain input carries no runtime. *)
+(* [check IN OUT] on a runtime-keeping tool output: the runtime is found
+   from the two files alone, and the output verifies against the
+   augmented image it rebuilds — the image [Tool.run] rewrote, as its
+   file reads back. A rewrite of the plain input carries no runtime. *)
 let test_emitted_augmented_verifies () =
   let elf =
     Codegen.generate
       { Codegen.default_profile with Codegen.functions = 60; iterations = 2 }
   in
-  let r = Tool.run elf [ Tool.rule_of ~m:"jumps" ~p:"count" () ] in
+  let r = Tool.run elf [ Tool.rule_of ~m:"jumps" ~p:"print" () ] in
   let original = Elf_file.of_bytes (Elf_file.to_bytes elf) in
   let out = Elf_file.of_bytes (Elf_file.to_bytes r.Tool.rewrite.Rewriter.output) in
-  (match Tool.runtime_in ~original out with
-  | None -> Alcotest.fail "the output's runtime was not found"
-  | Some rt -> (
-      check_int "data page" r.Tool.runtime.Tool.data_base rt.Tool.data_base;
-      check_bool "rebuilt image parses back to the rewrite input" true
-        (Bytes.equal
-           (Buf.contents rt.Tool.augmented.Elf_file.data)
-           (Buf.contents r.Tool.runtime.Tool.augmented.Elf_file.data));
-      match Static.verify ~original:rt.Tool.augmented out with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "check IN OUT: %a" Static.pp_error e));
+  let rt = Tool.runtime_in ~original out in
+  check_bool "the output's runtime is found" true
+    (rt.Tool.pages <> None && rt.Tool.pages = r.Tool.runtime.Tool.pages);
+  check_bool "rebuilt image parses back to the rewrite input" true
+    (Bytes.equal
+       (Buf.contents rt.Tool.augmented.Elf_file.data)
+       (Buf.contents r.Tool.runtime.Tool.augmented.Elf_file.data));
+  (match Static.verify ~original:rt.Tool.augmented out with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "check IN OUT: %a" Static.pp_error e);
   let plain =
     Rewriter.run original ~select:Frontend.select_jumps
       ~template:(fun _ -> Trampoline.Counter)
   in
   check_bool "a plain rewrite carries no runtime" true
-    (Tool.runtime_in ~original plain.Rewriter.output = None)
+    ((Tool.runtime_in ~original plain.Rewriter.output).Tool.pages = None)
+
+(* The runtime only where a rule uses it: [count], [trap] and [empty]
+   keep no state there, so [Tool.run] rewrites the user's file exactly
+   as the rules lowered against the raw input do, and the output carries
+   no runtime; [print], [lowfat] and [call] rewrite the augmented input,
+   whose runtime [check] finds in the output and verifies against. *)
+let test_runtime_only_when_used () =
+  let elf = Lazy.force elf in
+  let original = Elf_file.of_bytes (Elf_file.to_bytes elf) in
+  List.iter
+    (fun (m, p, keeps_state) ->
+      let name = m ^ "|" ^ p in
+      let rules = [ Tool.rule_of ~m ~p () ] in
+      let out =
+        Elf_file.to_bytes (Tool.run elf rules).Tool.rewrite.Rewriter.output
+      in
+      let found = Tool.runtime_in ~original (Elf_file.of_bytes out) in
+      if keeps_state then (
+        check_bool (name ^ ": runtime found") true (found.Tool.pages <> None);
+        match Static.verify ~original:found.Tool.augmented (Elf_file.of_bytes out) with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s: %a" name Static.pp_error e)
+      else
+        let raw = { Tool.augmented = elf; pages = None; instr_ranges = [] } in
+        let select, template = Tool.lower raw rules in
+        check_bool (name ^ ": the raw input's rewrite") true
+          (Bytes.equal out
+             (Elf_file.to_bytes (Rewriter.run elf ~select ~template).Rewriter.output));
+        check_bool (name ^ ": no runtime found") true (found.Tool.pages = None))
+    [ ("all", "count", false); ("returns", "trap", false);
+      ("jumps", "empty", false); ("jumps", "print", true);
+      ("heap-writes", "lowfat", true);
+      ("calls", "call:clean record(addr,size,3)", true) ]
 
 (* The [pie] family loads at 0x555555554000, the runtime pages sit above
    it, and a site's trampoline window reaches 2 GiB below the site. Each
@@ -376,7 +408,9 @@ let suites =
         Alcotest.test_case "runtime 3 GiB up: trampolines between" `Quick
           test_runtime_3gib_up;
         Alcotest.test_case "runtime out of reach fails per site" `Quick
-          test_runtime_out_of_reach ] );
+          test_runtime_out_of_reach;
+        Alcotest.test_case "runtime injected only when a rule uses it" `Quick
+          test_runtime_only_when_used ] );
     ( "tool.fragment",
       [ Alcotest.test_case "spec key stability" `Quick test_spec_key_stability ]
     ) ]
