@@ -124,8 +124,10 @@ serve-smoke: build
 # and the eight "dynamic:" lines (event,
 # retire, store and instruction counts) must match
 # test/tool_smoke_dynamic.txt: a change that moves what the oracle
-# compares moves them. A generated input is used so the target is
-# hermetic and deterministic.
+# compares moves them. Last, `patch --select M --template P` must write
+# the same file as `tool -M M -P P` (one reader per rule slot) for
+# `jumps|count` and `calls|call:clean record(addr,size,3)`. A generated
+# input is used so the target is hermetic and deterministic.
 tool-smoke: build
 	rm -rf tool-smoke && mkdir -p tool-smoke
 	$(DUNE) exec bin/e9patch_cli.exe -- generate -o tool-smoke/input.elf --functions 40 --iterations 80 --seed 7
@@ -150,6 +152,15 @@ tool-smoke: build
 	test "$$(grep -c '^dynamic: OK' tool_output.txt)" = 8
 	grep '^dynamic:' tool_output.txt | diff -u test/tool_smoke_dynamic.txt -
 	! grep -qE 'FAIL|diverged' tool_output.txt
+	{ i=0; \
+	for pair in 'jumps|count' 'calls|call:clean record(addr,size,3)'; do \
+	  i=$$((i+1)); m=$${pair%%|*}; p=$${pair#*|}; \
+	  echo "=== cmp: patch --select '$$m' --template '$$p' vs tool -M '$$m' -P '$$p'"; \
+	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- patch tool-smoke/input.elf -o tool-smoke/same-patch$$i.elf --select "$$m" --template "$$p"; \
+	  timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- tool tool-smoke/input.elf -o tool-smoke/same-tool$$i.elf -M "$$m" -P "$$p"; \
+	  cmp tool-smoke/same-patch$$i.elf tool-smoke/same-tool$$i.elf; \
+	  echo "same file"; \
+	done; } 2>&1 | tee -a tool_output.txt
 
 # Scale gate: a generated input of about 1.1 MB of text, patched on jumps
 # (A1) and on heap writes (A2) with empty trampolines, and each output

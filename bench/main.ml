@@ -191,8 +191,9 @@ let traced_run ?options ?holes ?(timed = fun ~rewrite_s:_ ~verify_s:_ -> ())
    program and compares their traces ([verify.traced]); a divergence
    counts as [verify.failed] and fails the bench run, like a static
    rejection. Its two runs are emulations like any other: one [emulate]
-   span, two [emu.runs], and the instructions both retired (the oracle
-   reports them only when the traces agree). *)
+   span, two [emu.runs], and the instructions both retired and their
+   block-cache counters (the oracle reports them only when the traces
+   agree). *)
 let trace_verify ?config ?instr_ranges name ~holes ~original output =
   rolled (fun obs ->
       Obs.counter obs ~name:"verify.traced" ~value:1;
@@ -203,9 +204,13 @@ let trace_verify ?config ?instr_ranges name ~holes ~original output =
               ~original output)
       with
       | Ok st ->
+          let module T = E9_check.Trace in
           Obs.counter obs ~name:"emu.insns"
-            ~value:(st.E9_check.Trace.insns_original
-                    + st.E9_check.Trace.insns_rewritten);
+            ~value:(st.T.insns_original + st.T.insns_rewritten);
+          Obs.counter obs ~name:"emu.block_hits" ~value:st.T.block_hits;
+          Obs.counter obs ~name:"emu.block_misses" ~value:st.T.block_misses;
+          Obs.counter obs ~name:"emu.block_invalidations"
+            ~value:st.T.block_invalidations;
           None
       | Error m ->
           Obs.counter obs ~name:"verify.failed" ~value:1;

@@ -129,24 +129,19 @@ let patch_cmd =
   (* --select S --template T is the one-rule spec [patch S with T]. *)
   let select =
     Arg.(
-      value
-      & opt
-          (enum
-             [ ("jumps", Patchspec.Jumps); ("heap-writes", Patchspec.Heap_writes);
-               ("all", Patchspec.Or (Patchspec.Jumps, Patchspec.Heap_writes)) ])
-          Patchspec.Jumps
-      & info [ "select" ] ~doc:"Patch locations: jumps (A1), heap-writes (A2), or all.")
+      value & opt string "jumps"
+      & info [ "select" ] ~docv:"MATCH"
+          ~doc:"Patch locations: any selector, read as $(b,tool -M) reads \
+                one ($(b,jumps) is A1, $(b,heap-writes) A2, $(b,all) every \
+                instruction).")
   in
   let template =
     Arg.(
-      value
-      & opt
-          (enum
-             [ ("empty", Patchspec.Empty); ("counter", Patchspec.Count);
-               ("lowfat", Patchspec.Lowfat) ])
-          Patchspec.Empty
-      & info [ "template" ]
-          ~doc:"Trampoline payload: empty, counter, or lowfat (redzone checks).")
+      value & opt string "empty"
+      & info [ "template" ] ~docv:"PATCH"
+          ~doc:"Trampoline payload: any patch, read as $(b,tool -P) reads \
+                one ($(b,empty), $(b,counter), $(b,lowfat) redzone checks, \
+                $(b,call:clean record(addr,size,3)), ...).")
   in
   let granularity =
     Arg.(
@@ -240,7 +235,7 @@ let patch_cmd =
       | Some src, None -> Patchspec.parse src
       | None, Some path ->
           Patchspec.parse (In_channel.with_open_bin path In_channel.input_all)
-      | None, None -> [ { Patchspec.selector = select; patch = template } ]
+      | None, None -> [ Tool.rule_of ~m:select ~p:template () ]
     in
     let obs =
       match trace with Some _ -> Obs.ring () | None -> Obs.null
@@ -314,8 +309,10 @@ let tool_cmd =
           ~doc:"Patch for the paired match: $(b,print), $(b,count), \
                 $(b,trap), $(b,empty), $(b,lowfat), or \
                 $(b,call[:clean|:naked] FN(ARGS)) with args from \
-                asm|addr|instr|size, register names and integer literals \
-                (FN: $(b,counter), $(b,record), or a hex address).")
+                asm|addr|instr|size, register names (bare or \
+                $(b,%)-prefixed) and integer literals (FN: $(b,counter), \
+                $(b,record), or a hex address). A malformed word is reported \
+                at its LINE:COL.")
   in
   let check =
     Arg.(

@@ -27,9 +27,6 @@ val bool : t -> bool
 (** [chance t p] is true with probability [p] (clamped to [0,1]). *)
 val chance : t -> float -> bool
 
-(** [float t] is uniform in [0,1). *)
-val float : t -> float
-
 (** [pick t arr] is a uniformly chosen element. Requires a nonempty array. *)
 val pick : t -> 'a array -> 'a
 

@@ -8,6 +8,9 @@ type stats = {
   stores : int;
   insns_original : int;
   insns_rewritten : int;
+  block_hits : int;
+  block_misses : int;
+  block_invalidations : int;
 }
 
 let pp_stats ppf s =
@@ -235,4 +238,9 @@ let compare_runs ?config ?(holes = []) ?(instr_ranges = []) ~original
         boundary_retires = ta.retires;
         stores = ta.store_count;
         insns_original = ta.result.Cpu.insns;
-        insns_rewritten = tb.result.Cpu.insns }
+        insns_rewritten = tb.result.Cpu.insns;
+        block_hits = ta.result.Cpu.block_hits + tb.result.Cpu.block_hits;
+        block_misses = ta.result.Cpu.block_misses + tb.result.Cpu.block_misses;
+        block_invalidations =
+          ta.result.Cpu.block_invalidations + tb.result.Cpu.block_invalidations
+      }

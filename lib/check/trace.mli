@@ -34,6 +34,11 @@ type stats = {
   stores : int;
   insns_original : int;  (** raw instructions executed, diagnostics only *)
   insns_rewritten : int;
+  block_hits : int;
+      (** the emulator's block-cache counters, both runs summed
+          (diagnostics only, not printed by {!pp_stats}) *)
+  block_misses : int;
+  block_invalidations : int;
 }
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -58,10 +58,7 @@ val malloc : t -> int -> int
 
 val free : t -> int -> unit
 
-(** [allocator t] packages this as the emulator allocator, with [check]
-    wired to the redzone property — drop-in for
-    [E9_emu.Machine.run ~make_allocator]. *)
-val allocator : t -> E9_emu.Cpu.allocator
-
-(** [make_allocator space] — convenience for [Machine.run]. *)
+(** [make_allocator space] is a fresh allocator over [space] packaged as
+    the emulator allocator, with [check] wired to the redzone property —
+    drop-in for [E9_emu.Machine.run ~make_allocator]. *)
 val make_allocator : E9_vm.Space.t -> E9_emu.Cpu.allocator

@@ -82,7 +82,6 @@ val ring : ?capacity:int -> unit -> t
 val aggregator : unit -> t
 
 val enabled : t -> bool
-val emit : t -> event -> unit
 
 (** [events t] — ring contents, oldest first ([[]] for other sinks). *)
 val events : t -> event list

@@ -209,20 +209,13 @@ let do_options t params =
   Json.Obj [ ("ok", Json.Bool true) ]
 
 (* ------------------------------------------------------------------ *)
-(* trampoline / reserve / patch                                        *)
+(* trampoline / reserve / patch / tool                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* A trampoline word is a patch in the [-P] language; an unknown one is a
-   bad param. *)
-let patch_of_word what word =
-  match Patchspec.parse_patch word with
-  | patch -> patch
-  | exception Patchspec.Parse_error { message; _ } -> bad "%s: %s" what message
 
 let do_trampoline t params =
   let name = require "name" (string_param params "name") in
   let template = require "template" (string_param params "template") in
-  Hashtbl.replace t.trampolines name (patch_of_word "template" template);
+  Hashtbl.replace t.trampolines name (Patchspec.parse_patch template);
   Json.Obj [ ("ok", Json.Bool true) ]
 
 let do_reserve t params =
@@ -239,31 +232,27 @@ let add_rules t rules =
   Json.Obj
     [ ("ok", Json.Bool true); ("rules", Json.Int (List.length t.rules)) ]
 
-let do_patch t params =
-  let rules =
-    match (string_param params "spec", string_param params "selector") with
-    | Some _, Some _ -> bad "spec and selector are exclusive"
-    | Some src, None -> Patchspec.parse src
-    | None, Some selector ->
-        let word = require "trampoline" (string_param params "trampoline") in
-        (* A name registered via the trampoline message aliases a patch;
-           otherwise the word must itself be one. *)
-        let patch =
-          match Hashtbl.find_opt t.trampolines word with
-          | Some patch -> patch
-          | None -> patch_of_word "trampoline" word
-        in
-        [ { Patchspec.selector = Patchspec.parse_selector selector; patch } ]
-    | None, None -> bad "patch needs a spec or a selector/trampoline pair"
+(* One selector/patch pair, under the [patch] message's names
+   ([selector], [trampoline]) or the [tool] message's ([match],
+   [patch]): the selector is read as a tool match, and the patch word
+   as a patch unless a [trampoline] message registered it as a name. *)
+let do_pair t params ~sel ~pat =
+  let m = require sel (string_param params sel) in
+  let p = require pat (string_param params pat) in
+  let selector = Tool.parse_match m in
+  let patch =
+    match Hashtbl.find_opt t.trampolines p with
+    | Some patch -> patch
+    | None -> Patchspec.parse_patch p
   in
-  add_rules t rules
+  add_rules t [ { Patchspec.selector; patch } ]
 
-(* The tool vocabulary (DESIGN.md §15): one [-M MATCH -P PATCH] pair per
-   message, first-match-wins across the accumulated pairs. *)
-let do_tool t params =
-  let m = require "match" (string_param params "match") in
-  let p = require "patch" (string_param params "patch") in
-  add_rules t [ Tool.rule_of ~m ~p () ]
+let do_patch t params =
+  match (string_param params "spec", string_param params "selector") with
+  | Some _, Some _ -> bad "spec and selector are exclusive"
+  | Some src, None -> add_rules t (Patchspec.parse src)
+  | None, Some _ -> do_pair t params ~sel:"selector" ~pat:"trampoline"
+  | None, None -> bad "patch needs a spec or a selector/trampoline pair"
 
 (* ------------------------------------------------------------------ *)
 (* emit                                                                *)
@@ -434,7 +423,7 @@ let handle t (req : Proto.request) =
         | "trampoline" -> ok (do_trampoline t params)
         | "reserve" -> ok (do_reserve t params)
         | "patch" -> ok (do_patch t params)
-        | "tool" -> ok (do_tool t params)
+        | "tool" -> ok (do_pair t params ~sel:"match" ~pat:"patch")
         | "delta" -> ok (do_delta t params)
         | "emit" -> ok (do_emit t params)
         | "status" -> ok (t.ctx.status ())

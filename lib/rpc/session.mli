@@ -4,7 +4,15 @@
     A session is a small state machine. It starts empty; [binary] loads
     an input (file path or inline hex); [options] / [trampoline] /
     [reserve] / [patch] / [tool] accumulate configuration — [patch] and
-    [tool] add rules of the one patch language to one rule list; [emit]
+    [tool] add rules of the one patch language to one rule list. The
+    [patch] message's [{selector, trampoline}] and the [tool] message's
+    [{match, patch}] are one pair with two spellings and one handler:
+    the selector is read by {!E9_tool.Tool.parse_match}, the patch word
+    by {!E9_spec.Patchspec.parse_patch} unless a [trampoline] message
+    registered it as a name (the [trampoline] message's template is read
+    the same way). A malformed rule word in any of these messages, or
+    in a [patch {spec}], is a [-32004] error of kind [spec] that names
+    the word's [LINE:COL]; [emit]
     runs the rewrite (of the input plus the injected runtime when a rule
     keeps state in it, {!E9_tool.Tool.rewrite_input}) through the shared
     content-addressed caches, verifies the output against the rewrite input with the

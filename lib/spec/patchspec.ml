@@ -53,17 +53,20 @@ exception Parse_error of { line : int; col : int; message : string }
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* One lexer for every rule word: selectors, patches and whole specs. *)
 type token =
   | KW of string  (* keywords and identifiers *)
-  | NUM of int
+  | NUM of int * string  (* value and spelling: a hex call target keeps it *)
+  | REG of string  (* %name *)
   | LPAREN
   | RPAREN
   | LBRACKET
   | RBRACKET
   | DOT
+  | COLON
+  | COMMA
   | OP of string  (* >=, <=, =, <, >, != *)
   | SEP  (* newline or ; — rule separator *)
-  | PATCH of string  (* the raw text of a [with] clause *)
   | EOF
 
 type lexed = { tok : token; tline : int; tcol : int }
@@ -71,6 +74,16 @@ type lexed = { tok : token; tline : int; tcol : int }
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '-' || c = '_'
+
+let punct = function
+  | '(' -> Some LPAREN
+  | ')' -> Some RPAREN
+  | '[' -> Some LBRACKET
+  | ']' -> Some RBRACKET
+  | '.' -> Some DOT
+  | ':' -> Some COLON
+  | ',' -> Some COMMA
+  | _ -> None
 
 let lex source =
   let n = String.length source in
@@ -87,6 +100,14 @@ let lex source =
      else col := !col + 1);
     incr i
   in
+  (* The identifier characters from [!i] on. *)
+  let ident () =
+    let start = !i in
+    while !i < n && is_ident_char source.[!i] do
+      advance ()
+    done;
+    String.sub source start (!i - start)
+  in
   let digit c = c >= '0' && c <= '9' in
   while !i < n do
     let c = source.[!i] in
@@ -100,26 +121,6 @@ let lex source =
       while !i < n && source.[!i] <> '\n' do
         advance ()
       done
-    else if c = '(' then begin
-      push LPAREN tline tcol;
-      advance ()
-    end
-    else if c = ')' then begin
-      push RPAREN tline tcol;
-      advance ()
-    end
-    else if c = '[' then begin
-      push LBRACKET tline tcol;
-      advance ()
-    end
-    else if c = ']' then begin
-      push RBRACKET tline tcol;
-      advance ()
-    end
-    else if c = '.' then begin
-      push DOT tline tcol;
-      advance ()
-    end
     else if c = '>' || c = '<' || c = '=' || c = '!' then begin
       let two = !i + 1 < n && source.[!i + 1] = '=' in
       if c = '!' && not two then err "expected != ";
@@ -134,42 +135,26 @@ let lex source =
       if two then advance ()
     end
     else if digit c || (c = '-' && !i + 1 < n && digit source.[!i + 1]) then begin
-      let start = !i in
       advance ();
-      while !i < n && is_ident_char source.[!i] do
-        advance ()
-      done;
-      let text = String.sub source start (!i - start) in
+      let text = String.make 1 c ^ ident () in
       match int_of_string_opt text with
-      | Some v -> push (NUM v) tline tcol
+      | Some v -> push (NUM (v, text)) tline tcol
       | None -> raise (Parse_error { line = tline; col = tcol;
                                      message = "bad number: " ^ text })
     end
-    else if is_ident_char c then begin
-      let start = !i in
-      while !i < n && is_ident_char source.[!i] do
-        advance ()
-      done;
-      let word = String.sub source start (!i - start) in
-      push (KW word) tline tcol;
-      (* A [with] clause is a patch in the [-P] language, whose call
-         syntax ([call:clean f(addr, 3)]) is not made of selector tokens:
-         take its text raw, up to the end of the rule. *)
-      if word = "with" then begin
-        while !i < n && (source.[!i] = ' ' || source.[!i] = '\t') do
-          advance ()
-        done;
-        let pline = !line and pcol = !col and start = !i in
-        while
-          !i < n && not (List.mem source.[!i] [ '\n'; ';'; '#' ])
-        do
-          advance ()
-        done;
-        let text = String.trim (String.sub source start (!i - start)) in
-        push (PATCH text) pline pcol
-      end
+    else if c = '%' then begin
+      advance ();
+      match ident () with
+      | "" -> err "expected a register name after '%'"
+      | name -> push (REG name) tline tcol
     end
-    else err (Printf.sprintf "unexpected character %C" c)
+    else if is_ident_char c then push (KW (ident ())) tline tcol
+    else
+      match punct c with
+      | Some tok ->
+          push tok tline tcol;
+          advance ()
+      | None -> err (Printf.sprintf "unexpected character %C" c)
   done;
   push EOF !line !col;
   List.rev !toks
@@ -190,6 +175,13 @@ let next ps =
 let fail (l : lexed) message =
   raise (Parse_error { line = l.tline; col = l.tcol; message })
 
+let rec skip_seps ps =
+  match (peek ps).tok with
+  | SEP ->
+      ignore (next ps);
+      skip_seps ps
+  | _ -> ()
+
 let expect_kw ps kw =
   let t = next ps in
   match t.tok with
@@ -198,7 +190,7 @@ let expect_kw ps kw =
 
 let parse_num ps =
   let t = next ps in
-  match t.tok with NUM v -> v | _ -> fail t "expected a number"
+  match t.tok with NUM (v, _) -> v | _ -> fail t "expected a number"
 
 let parse_cmp ps what : cmp =
   let t = next ps in
@@ -211,13 +203,16 @@ let parse_cmp ps what : cmp =
   | OP "!=" -> `Ne
   | _ -> fail t (Printf.sprintf "expected a comparison after '%s'" what)
 
+let reg_named t name =
+  match Reg.of_name name with
+  | Some r -> r
+  | None -> fail t (Printf.sprintf "unknown register '%s'" name)
+
+(* A register is written bare ([rdi]) or with its AT&T sigil ([%rdi]). *)
 let parse_reg ps what =
   let t = next ps in
   match t.tok with
-  | KW name -> (
-      match Reg.of_name name with
-      | Some r -> r
-      | None -> fail t (Printf.sprintf "unknown register '%s'" name))
+  | KW name | REG name -> reg_named t name
   | _ -> fail t (Printf.sprintf "expected a register name after '%s'" what)
 
 (* op[i] — the index, brackets already announced by the [op] keyword. *)
@@ -266,7 +261,7 @@ and parse_atom ps =
       (* sugar for [addr == N] *)
       let v = next ps in
       match v.tok with
-      | NUM a -> Addr_cmp (`Eq, a)
+      | NUM (a, _) -> Addr_cmp (`Eq, a)
       | _ -> fail v "expected an address after 'address'")
   | KW "mnemonic" -> (
       let v = next ps in
@@ -342,142 +337,125 @@ and parse_atom ps =
   | _ -> fail t "expected a selector"
 
 (* ------------------------------------------------------------------ *)
-(* Patches (the [-P] language)                                         *)
+(* Patches (the [-P] language), on the same tokens                     *)
 (* ------------------------------------------------------------------ *)
 
-let strip_reg_name s =
-  if String.length s > 0 && s.[0] = '%' then String.sub s 1 (String.length s - 1)
-  else s
+let parse_arg ps =
+  let t = next ps in
+  match t.tok with
+  | KW "asm" -> Trampoline.Arg_asm
+  | KW "addr" -> Trampoline.Arg_addr
+  | KW "instr" -> Trampoline.Arg_instr
+  | KW "size" -> Trampoline.Arg_size
+  | NUM (v, _) -> Trampoline.Arg_int v
+  | REG name -> Trampoline.Arg_reg (reg_named t name)
+  | KW name -> (
+      match Reg.of_name name with
+      | Some r -> Trampoline.Arg_reg r
+      | None ->
+          fail t
+            (Printf.sprintf
+               "bad call argument '%s' (asm|addr|instr|size, a register, or \
+                an integer)"
+               name))
+  | _ -> fail t "expected a call argument"
 
-(* [src] is the text of one patch; errors are reported at [line]/[col],
-   where the text starts. *)
-let parse_patch_at ~line ~col src =
-  let errf fmt =
-    Printf.ksprintf (fun message -> raise (Parse_error { line; col; message })) fmt
+(* [(ARG, ...)] after a call's function name; without parentheses the
+   call takes no arguments. *)
+let parse_args ps =
+  if (peek ps).tok <> LPAREN then []
+  else begin
+    ignore (next ps);
+    if (peek ps).tok = RPAREN then begin
+      ignore (next ps);
+      []
+    end
+    else
+      let rec args acc =
+        let t = peek ps in
+        let acc = parse_arg ps :: acc in
+        if List.length acc > 6 then
+          fail t "call takes at most 6 arguments (the System V registers)";
+        let s = next ps in
+        match s.tok with
+        | COMMA -> args acc
+        | RPAREN -> List.rev acc
+        | _ -> fail s "expected ',' or ')'"
+      in
+      args []
+  end
+
+(* call[:clean|:naked] FN[(ARG, ...)], the [call] already read. *)
+let parse_call ps =
+  let mode =
+    match (peek ps).tok with
+    | COLON -> (
+        ignore (next ps);
+        let m = next ps in
+        match m.tok with
+        | KW "clean" -> Trampoline.Clean
+        | KW "naked" -> Trampoline.Naked
+        | _ -> fail m "bad call mode (call:clean or call:naked)")
+    | _ -> Trampoline.Clean
   in
-  let parse_arg src =
-    match String.trim src with
-    | "" -> errf "empty call argument"
-    | "asm" -> Trampoline.Arg_asm
-    | "addr" -> Trampoline.Arg_addr
-    | "instr" -> Trampoline.Arg_instr
-    | "size" -> Trampoline.Arg_size
-    | s -> (
-        match Reg.of_name (strip_reg_name s) with
-        | Some r -> Trampoline.Arg_reg r
-        | None -> (
-            match int_of_string_opt s with
-            | Some v -> Trampoline.Arg_int v
-            | None ->
-                errf
-                  "bad call argument %S (asm|addr|instr|size, a register, or \
-                   an integer)"
-                  s))
+  let f = next ps in
+  let fn =
+    match f.tok with
+    | KW name -> name
+    | NUM (_, spelling) -> spelling
+    | _ -> fail f "call needs a function name"
   in
-  (* call[:clean|:naked] NAME(ARG,...) — parentheses optional when the
-     argument list is empty. *)
-  let parse_call src =
-    let mode, rest =
-      if String.length src > 0 && src.[0] = ':' then
-        let rest = String.sub src 1 (String.length src - 1) in
-        if String.length rest >= 5 && String.sub rest 0 5 = "clean" then
-          (Trampoline.Clean, String.sub rest 5 (String.length rest - 5))
-        else if String.length rest >= 5 && String.sub rest 0 5 = "naked" then
-          (Trampoline.Naked, String.sub rest 5 (String.length rest - 5))
-        else errf "bad call mode (call:clean or call:naked)"
-      else (Trampoline.Clean, src)
-    in
-    let rest = String.trim rest in
-    if rest = "" then errf "call needs a function name";
-    match String.index_opt rest '(' with
-    | None -> Call { mode; fn = rest; args = [] }
-    | Some i ->
-        let fn = String.trim (String.sub rest 0 i) in
-        if fn = "" then errf "call needs a function name";
-        let after = String.sub rest (i + 1) (String.length rest - i - 1) in
-        let close =
-          match String.rindex_opt after ')' with
-          | Some j
-            when String.trim
-                   (String.sub after (j + 1) (String.length after - j - 1))
-                 = "" ->
-              j
-          | _ -> errf "unbalanced parentheses in call patch %S" rest
-        in
-        let args =
-          match String.trim (String.sub after 0 close) with
-          | "" -> []
-          | s -> List.map parse_arg (String.split_on_char ',' s)
-        in
-        if List.length args > 6 then
-          errf "call takes at most 6 arguments (the System V registers)";
-        Call { mode; fn; args }
-  in
-  match String.trim src with
-  | "print" -> Print
+  Call { mode; fn; args = parse_args ps }
+
+let parse_patch_word ps =
+  let t = next ps in
+  match t.tok with
+  | KW "print" -> Print
   (* [counter] is the patch-spec spelling of [count]; both are published. *)
-  | "count" | "counter" -> Count
-  | "trap" -> Trap
-  | "empty" -> Empty
-  | "lowfat" -> Lowfat
-  | s when String.length s >= 4 && String.sub s 0 4 = "call" ->
-      parse_call (String.sub s 4 (String.length s - 4))
-  | "" -> errf "expected a patch"
-  | s ->
-      errf
-        "unknown patch %S (print|count|trap|empty|lowfat|call[:clean|:naked] \
-         FN(ARGS))"
-        s
-
-let parse_patch src = parse_patch_at ~line:1 ~col:1 src
+  | KW ("count" | "counter") -> Count
+  | KW "trap" -> Trap
+  | KW "empty" -> Empty
+  | KW "lowfat" -> Lowfat
+  | KW "call" -> parse_call ps
+  | KW word ->
+      fail t
+        (Printf.sprintf
+           "unknown patch %S (print|count|trap|empty|lowfat|call[:clean|:naked] \
+            FN(ARGS))"
+           word)
+  | _ -> fail t "expected a patch"
 
 let parse_rule ps =
   expect_kw ps "patch";
   let selector = parse_sel ps in
   expect_kw ps "with";
-  let t = next ps in
-  match t.tok with
-  | PATCH src ->
-      { selector; patch = parse_patch_at ~line:t.tline ~col:t.tcol src }
-  | _ -> fail t "expected a patch"
+  { selector; patch = parse_patch_word ps }
 
 let parse source =
   let ps = { toks = lex source } in
   let rules = ref [] in
-  let rec skip_seps () =
-    match (peek ps).tok with
-    | SEP ->
-        ignore (next ps);
-        skip_seps ()
-    | _ -> ()
-  in
-  skip_seps ();
+  skip_seps ps;
   while (peek ps).tok <> EOF do
     rules := parse_rule ps :: !rules;
     (match (peek ps).tok with
-    | SEP | EOF -> skip_seps ()
+    | SEP | EOF -> ()
     | _ -> fail (peek ps) "expected end of rule");
-    skip_seps ()
+    skip_seps ps
   done;
   List.rev !rules
 
-let parse_selector source =
+(* One selector or one patch: [source] holds nothing else but
+   separators around it. *)
+let parse_one parse_word what source =
   let ps = { toks = lex source } in
-  let sel = parse_sel ps in
-  (match (peek ps).tok with
-  | EOF -> ()
-  | SEP ->
-      let rec seps () =
-        match (peek ps).tok with
-        | SEP ->
-            ignore (next ps);
-            seps ()
-        | EOF -> ()
-        | _ -> fail (peek ps) "expected end of expression"
-      in
-      seps ()
-  | _ -> fail (peek ps) "expected end of expression");
-  sel
+  skip_seps ps;
+  let word = parse_word ps in
+  skip_seps ps;
+  if (peek ps).tok <> EOF then fail (peek ps) ("expected end of " ^ what);
+  word
+
+let parse_selector = parse_one parse_sel "expression"
+let parse_patch = parse_one parse_patch_word "patch"
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)

@@ -27,9 +27,16 @@
     [defined(op\[i\].reg|imm|mem)]; combined with [and], [or], [not] and
     parentheses ([or] binds loosest). [CMP] is one of [>= <= == != < >]
     ([=] is accepted for [==]); [address <int>] abbreviates
-    [addr == <int>]. The [with] clause is a patch in the [-P] language
-    ({!parse_patch}), running to the end of the rule. [#] comments run
-    to end of line; rules are separated by newlines or [;]. *)
+    [addr == <int>]; a register is written bare ([rdi]) or with its
+    AT&T sigil ([%rdi]). The [with] clause is one patch word of the [-P]
+    language ({!parse_patch}). [#] comments run to end of line; rules
+    are separated by newlines or [;].
+
+    One lexer and one recursive-descent parser read every rule word:
+    a whole spec ({!parse}), one selector ({!parse_selector}, behind
+    every selector slot through {!E9_tool.Tool.parse_match}) and one
+    patch ({!parse_patch}, behind every patch slot). A malformed word
+    raises {!Parse_error} at its token, wherever it is written. *)
 
 type cmp = [ `Ge | `Le | `Eq | `Lt | `Gt | `Ne ]
 type op_kind = [ `Reg | `Imm | `Mem ]
@@ -70,7 +77,7 @@ type selector =
     [call\[:clean|:naked\] FN(ARG,...)] with up to 6 static arguments,
     each [asm] | [addr] | [instr] | [size] | a register name | an integer
     literal. [FN] is a function of the injected runtime or an absolute
-    address. [print], [call] and [lowfat] keep state in the injected
+    address, kept as spelled ([0x401000] stays [0x401000]). [print], [call] and [lowfat] keep state in the injected
     runtime, which {!E9_tool.Tool.rewrite_input} injects for them. *)
 type patch =
   | Print
@@ -94,12 +101,16 @@ exception Parse_error of { line : int; col : int; message : string }
 (** [parse source] parses a spec. Raises {!Parse_error}. *)
 val parse : string -> t
 
-(** [parse_selector source] parses a single selector expression (the
-    tool frontend's [-M] argument). Raises {!Parse_error}. *)
+(** [parse_selector source] parses a single selector expression, with
+    nothing but separators around it (each [;]-piece of a tool match,
+    {!E9_tool.Tool.parse_match}). Raises {!Parse_error}. *)
 val parse_selector : string -> selector
 
-(** [parse_patch source] parses one patch (the tool frontend's [-P]
-    argument and a spec's [with] clause). Raises {!Parse_error}. *)
+(** [parse_patch source] parses one patch word, with nothing but
+    separators around it: the tool's [-P], the CLI's [patch --template],
+    and the daemon's [trampoline {template}], [patch {trampoline}] and
+    [tool {patch}]; a spec's [with] clause is the same production.
+    Raises {!Parse_error}. *)
 val parse_patch : string -> patch
 
 (** [selects sel site] — does the selector match this instruction? *)

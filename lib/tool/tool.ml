@@ -27,10 +27,6 @@ type patch = Spec.patch =
 
 type rule = Spec.rule = { selector : Spec.selector; patch : patch }
 
-let parse_patch src =
-  try Spec.parse_patch src
-  with Spec.Parse_error { message; _ } -> raise (Error message)
-
 (* ------------------------------------------------------------------ *)
 (* The match language                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -69,16 +65,29 @@ let range_selector (lo, hi) =
 
 let parse_match ?(read_file = default_read_file) src =
   let selectors = ref [] and excluded = ref [] in
+  let start = ref 0 in
   List.iter
     (fun piece ->
-      let piece = String.trim piece in
-      if piece <> "" then
-        if
-          String.length piece > 8 && String.sub piece 0 8 = "exclude "
-        then
-          let file = String.trim (String.sub piece 8 (String.length piece - 8)) in
+      let off = !start in
+      start := off + String.length piece + 1;
+      let trimmed = String.trim piece in
+      if trimmed <> "" then
+        if String.starts_with ~prefix:"exclude " trimmed then
+          let file = String.trim (String.sub trimmed 8 (String.length trimmed - 8)) in
           excluded := !excluded @ parse_csv ~file (read_file file)
-        else selectors := Spec.parse_selector piece :: !selectors)
+        else
+          (* Parse the piece where it stands — [src] with every other
+             byte blanked — so an error names its line and column in
+             [src]. *)
+          let only =
+            String.mapi
+              (fun i c ->
+                if (i >= off && i < off + String.length piece) || c = '\n'
+                then c
+                else ' ')
+              src
+          in
+          selectors := Spec.parse_selector only :: !selectors)
     (String.split_on_char ';' src);
   let base =
     match List.rev !selectors with
@@ -96,7 +105,7 @@ let parse_match ?(read_file = default_read_file) src =
       Spec.And (base, Spec.Not ranges)
 
 let rule_of ?read_file ~m ~p () =
-  { selector = parse_match ?read_file m; patch = parse_patch p }
+  { selector = parse_match ?read_file m; patch = Spec.parse_patch p }
 
 (* ------------------------------------------------------------------ *)
 (* The injected instrumentation runtime                                 *)

@@ -54,19 +54,20 @@ type rule = E9_spec.Patchspec.rule = {
   patch : patch;
 }
 
-(** [parse_patch src] parses a [-P] argument
-    ({!E9_spec.Patchspec.parse_patch}). Raises {!Error}. *)
-val parse_patch : string -> patch
-
-(** [parse_match ?read_file src] parses a [-M] argument: [;]-separated
-    selector expressions (conjoined) and [exclude FILE.csv] directives.
-    [read_file] loads exclusion files (default: the filesystem). Raises
-    {!Error} on bad CSV or an empty match and
-    {!E9_spec.Patchspec.Parse_error} on a bad selector. *)
+(** [parse_match ?read_file src] parses a selector slot: the tool's
+    [-M], the CLI's [patch --select] and the daemon's [patch {selector}]
+    and [tool {match}]. It takes [;]-separated selector expressions
+    (conjoined) and [exclude FILE.csv] directives. [read_file] loads
+    exclusion files (default: the filesystem). Raises {!Error} on bad
+    CSV or an empty match and {!E9_spec.Patchspec.Parse_error}, at the
+    offending token's line and column in [src], on a bad selector. *)
 val parse_match :
   ?read_file:(string -> string) -> string -> E9_spec.Patchspec.selector
 
-(** [rule_of ?read_file ~m ~p ()] is one parsed [-M m -P p] pair. *)
+(** [rule_of ?read_file ~m ~p ()] is one parsed [-M m -P p] pair:
+    [parse_match m] and {!E9_spec.Patchspec.parse_patch}[ p], the patch
+    slot's one reader. A malformed patch word raises
+    {!E9_spec.Patchspec.Parse_error} at its token. *)
 val rule_of : ?read_file:(string -> string) -> m:string -> p:string -> unit -> rule
 
 (** {1 The injected instrumentation runtime} *)

@@ -114,8 +114,6 @@ val map_mem : (mem -> mem) -> t -> t
     memory-address component? *)
 val uses_reg : t -> Reg.t -> bool
 
-(** [pp ppf i] prints AT&T-flavoured assembly (for logs and dumps). *)
-val pp : Format.formatter -> t -> unit
-
+(** [to_string i] is AT&T-flavoured assembly (for logs and dumps). *)
 val to_string : t -> string
 val equal : t -> t -> bool

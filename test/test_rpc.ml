@@ -700,7 +700,7 @@ let test_trampoline_alias () =
     (Proto.hex_of_bytes
        (Harness.reference ~spec:"patch jumps with counter" raw))
     (emit_data r.(3));
-  check_int "unknown template refused" Proto.invalid_params (error_code r.(4))
+  check_int "unknown template refused" Proto.spec_error (error_code r.(4))
 
 (* The selector of a {selector, trampoline} pair is one selector
    expression, never spliced into spec text: a selector carrying its own
@@ -840,6 +840,139 @@ let test_front_doors_agree () =
       (Spec.Heap_writes, "heap-writes", Spec.Lowfat, "lowfat");
       (Spec.Or (Spec.Jumps, Spec.Heap_writes), "jumps or heap-writes",
        Spec.Empty, "empty") ]
+
+(* Every rule slot reads the same words: for each -M/-P pair, the
+   daemon's [patch {selector, trampoline}] and [tool {match, patch}]
+   hit the result-cache entry that a [patch {spec}] of
+   [Tool.rule_of]'s fragment key filled (so the three rule lists have
+   that fragment key), and all three emit [Tool.run]'s bytes. *)
+let test_rule_slots_agree () =
+  let raw = Lazy.force raw in
+  let module Spec = E9_spec.Patchspec in
+  let module Tool = E9_tool.Tool in
+  let elf = Elf_file.of_bytes raw in
+  let counter =
+    List.assoc "counter" (Option.get (Tool.inject elf).Tool.pages).Tool.fns
+  in
+  let server = Server.create () in
+  let emit (meth, params) =
+    let rs, _ =
+      Harness.run_session server
+        [ Harness.request ~id:1 "binary"
+            [ ("data", Json.Str (Proto.hex_of_bytes raw)) ];
+          Harness.request ~id:2 meth params;
+          Harness.request ~id:3 "emit" [ ("data", Json.Bool true) ] ]
+    in
+    let e = List.nth rs 2 in
+    (field (result_of e) "cache", emit_data e)
+  in
+  List.iter
+    (fun (m, p) ->
+      let name = Printf.sprintf "-M %s -P %s" m p in
+      let rule = Tool.rule_of ~m ~p () in
+      let key = Spec.fragment_key [ rule ] in
+      let expected =
+        Proto.hex_of_bytes
+          (Elf_file.to_bytes
+             (Tool.run elf [ rule ]).Tool.rewrite.E9_core.Rewriter.output)
+      in
+      let spec_tag, spec_bytes = emit ("patch", [ ("spec", Json.Str key) ]) in
+      check_bool (name ^ ": spec of the fragment key misses") true
+        (spec_tag = Json.Str "miss");
+      check_str (name ^ ": spec bytes") expected spec_bytes;
+      List.iter
+        (fun (meth, sel, pat) ->
+          let tag, bytes =
+            emit (meth, [ (sel, Json.Str m); (pat, Json.Str p) ])
+          in
+          check_bool (Printf.sprintf "%s: %s {%s, %s} has that key" name meth sel pat)
+            true (tag = Json.Str "hit");
+          check_str (Printf.sprintf "%s: %s bytes" name meth) expected bytes)
+        [ ("patch", "selector", "trampoline"); ("tool", "match", "patch") ])
+    [ ("jumps; size >= 5", "count");
+      ("calls", "call:clean record(%rdi, addr, 3)");
+      ("returns", "call:naked counter()");
+      ("heap-writes", Printf.sprintf "call 0x%x(rsi)" counter);
+      ("all", "empty") ];
+  check_bool "a hex call target keeps its spelling in the key" true
+    (let key =
+       Spec.fragment_key
+         [ Tool.rule_of ~m:"all" ~p:(Printf.sprintf "call 0x%x()" counter) () ]
+     in
+     String.ends_with ~suffix:(Printf.sprintf "0x%x()\n" counter) key)
+
+let error_of line =
+  match Json.member "error" (jparse line) with
+  | Some err -> (
+      match (Json.member "message" err, Json.member "data" err) with
+      | Some (Json.Str m), Some data -> (m, Json.member "kind" data)
+      | _ -> Alcotest.failf "error without message or kind in %s" line)
+  | None -> Alcotest.failf "expected an error response, got %s" line
+
+(* One error for a malformed rule word, wherever it is written: a spec,
+   [-P], [-M], and the daemon's [trampoline], [patch] and [tool]
+   messages all name the offending token's line and column, and the
+   daemon answers -32004 of kind spec. *)
+let test_rule_word_errors () =
+  let module Spec = E9_spec.Patchspec in
+  let module Tool = E9_tool.Tool in
+  let at what (line, col) f =
+    match f () with
+    | exception Spec.Parse_error { line = l; col = c; _ } ->
+        check_str what (Printf.sprintf "%d:%d" line col) (Printf.sprintf "%d:%d" l c)
+    | _ -> Alcotest.failf "%s: expected Parse_error" what
+  in
+  at "spec" (1, 23) (fun () -> Spec.parse "patch jumps with call:warm f()");
+  at "-P" (1, 6) (fun () -> Tool.rule_of ~m:"jumps" ~p:"call:warm f()" ());
+  at "-M" (1, 8) (fun () -> Tool.rule_of ~m:"jumps; bogus" ~p:"count" ());
+  at "-M, second line" (2, 3) (fun () ->
+      Tool.rule_of ~m:"jumps;\n  bogus" ~p:"count" ());
+  let raw = Lazy.force raw in
+  let server = Server.create () in
+  let rs, alive =
+    Harness.run_session server
+      [ Harness.request ~id:1 "binary"
+          [ ("data", Json.Str (Proto.hex_of_bytes raw)) ];
+        Harness.request ~id:2 "trampoline"
+          [ ("name", Json.Str "t"); ("template", Json.Str "call:warm f()") ];
+        Harness.request ~id:3 "patch"
+          [ ("selector", Json.Str "jumps");
+            ("trampoline", Json.Str "call:warm f()") ];
+        Harness.request ~id:4 "tool"
+          [ ("match", Json.Str "jumps"); ("patch", Json.Str "call:warm f()") ];
+        Harness.request ~id:5 "patch"
+          [ ("spec", Json.Str "patch jumps with call:warm f()") ];
+        Harness.request ~id:6 "patch"
+          [ ("selector", Json.Str "jumps; bogus");
+            ("trampoline", Json.Str "count") ];
+        Harness.request ~id:7 "tool"
+          [ ("match", Json.Str "jumps; bogus"); ("patch", Json.Str "count") ];
+        Harness.request ~id:8 "trampoline"
+          [ ("name", Json.Str "t"); ("template", Json.Str "zzz") ];
+        Harness.request ~id:9 "patch"
+          [ ("selector", Json.Str "jumps"); ("trampoline", Json.Str "zzz") ];
+        Harness.request ~id:10 "tool"
+          [ ("match", Json.Str "jumps"); ("patch", Json.Str "zzz") ];
+        Harness.request ~id:11 "patch"
+          [ ("selector", Json.Str "jumps; size >= 5");
+            ("trampoline", Json.Str "count") ] ]
+  in
+  check_bool "alive" true alive;
+  let r = Array.of_list rs in
+  List.iter
+    (fun (i, pos) ->
+      let what = Printf.sprintf "request %d" (i + 1) in
+      check_int (what ^ " code") Proto.spec_error (error_code r.(i));
+      let m, kind = error_of r.(i) in
+      check_bool (what ^ " kind") true (kind = Some (Json.Str "spec"));
+      check_bool (Printf.sprintf "%s names %s in %S" what pos m) true
+        (String.starts_with ~prefix:(pos ^ ": ") m))
+    [ (1, "1:6"); (2, "1:6"); (3, "1:6"); (4, "1:23"); (5, "1:8"); (6, "1:8");
+      (7, "1:1"); (8, "1:1"); (9, "1:1") ];
+  check_bool "zzz: one answer in trampoline, patch and tool" true
+    (error_of r.(7) = error_of r.(8) && error_of r.(8) = error_of r.(9));
+  check_bool "a ;-separated selector is accepted" true
+    (field (result_of r.(10)) "rules" = Json.Int 1)
 
 (* The tool vocabulary (DESIGN.md §15) over the wire: -M/-P pairs ride
    the [tool] method into the one rule list, a call rule gets the
@@ -1337,6 +1470,10 @@ let suites =
           test_runtime_patch_served;
         Alcotest.test_case "front doors agree on bytes" `Quick
           test_front_doors_agree;
+        Alcotest.test_case "rule slots agree: key and bytes" `Quick
+          test_rule_slots_agree;
+        Alcotest.test_case "rule word errors: one position, one code" `Quick
+          test_rule_word_errors;
         Alcotest.test_case "tool vocabulary round-trip" `Quick
           test_tool_session;
         Alcotest.test_case "tool error paths + exclusivity" `Quick

@@ -25,22 +25,22 @@ let check_str = Alcotest.(check string)
 (* ------------------------------------------------------------------ *)
 
 let test_parse_patch_builtins () =
-  check_bool "print" true (Tool.parse_patch "print" = Tool.Print);
-  check_bool "count" true (Tool.parse_patch "count" = Tool.Count);
-  check_bool "trap" true (Tool.parse_patch "trap" = Tool.Trap);
-  check_bool "empty" true (Tool.parse_patch "empty" = Tool.Empty);
-  check_bool "lowfat" true (Tool.parse_patch "lowfat" = Tool.Lowfat);
+  check_bool "print" true (Spec.parse_patch "print" = Tool.Print);
+  check_bool "count" true (Spec.parse_patch "count" = Tool.Count);
+  check_bool "trap" true (Spec.parse_patch "trap" = Tool.Trap);
+  check_bool "empty" true (Spec.parse_patch "empty" = Tool.Empty);
+  check_bool "lowfat" true (Spec.parse_patch "lowfat" = Tool.Lowfat);
   check_bool "whitespace tolerated" true
-    (Tool.parse_patch "  count " = Tool.Count)
+    (Spec.parse_patch "  count " = Tool.Count)
 
 let test_parse_patch_calls () =
-  (match Tool.parse_patch "call counter()" with
+  (match Spec.parse_patch "call counter()" with
   | Tool.Call { mode = Trampoline.Clean; fn = "counter"; args = [] } -> ()
   | _ -> Alcotest.fail "bare call wrong");
-  (match Tool.parse_patch "call:naked counter" with
+  (match Spec.parse_patch "call:naked counter" with
   | Tool.Call { mode = Trampoline.Naked; fn = "counter"; args = [] } -> ()
   | _ -> Alcotest.fail "parens should be optional when empty");
-  (match Tool.parse_patch "call:clean record(addr, size, 3)" with
+  (match Spec.parse_patch "call:clean record(addr, size, 3)" with
   | Tool.Call
       { mode = Trampoline.Clean;
         fn = "record";
@@ -48,7 +48,7 @@ let test_parse_patch_calls () =
       } ->
       ()
   | _ -> Alcotest.fail "static args wrong");
-  (match Tool.parse_patch "call f(asm, instr, %rdi, rsi, 0x10)" with
+  (match Spec.parse_patch "call f(asm, instr, %rdi, rsi, 0x10)" with
   | Tool.Call
       { args =
           [ Trampoline.Arg_asm; Trampoline.Arg_instr;
@@ -60,9 +60,9 @@ let test_parse_patch_calls () =
 
 let test_parse_patch_errors () =
   let refused src =
-    match Tool.parse_patch src with
-    | exception Tool.Error _ -> ()
-    | _ -> Alcotest.failf "expected Tool.Error for %S" src
+    match Spec.parse_patch src with
+    | exception Spec.Parse_error _ -> ()
+    | _ -> Alcotest.failf "expected Parse_error for %S" src
   in
   refused "frobnicate";
   refused "call";
