@@ -164,11 +164,12 @@ tool-smoke: build
 
 # Scale gate: a generated input of about 1.1 MB of text, patched on jumps
 # (A1) and on heap writes (A2) with empty trampolines, and each output
-# checked by the static verifier; every patch and every check runs under
-# a 20 s timeout. The rewrite and the verifier are linear in the text
-# (DESIGN.md §8.1, §12.4), so each step takes about a second; a
-# super-linear search or a quadratic verifier takes tens of seconds here
-# and fails the gate.
+# checked by both oracles: the static verifier (`check`) and the trace
+# oracle beside it (`check --dynamic`); every patch and every check runs
+# under a 20 s timeout. The rewrite, the sweep and both oracles are
+# linear in the text (DESIGN.md §8.1, §12.4), so each step takes about
+# half a second; a super-linear search or a quadratic verifier takes tens
+# of seconds here and fails the gate.
 
 check-smoke: build
 	rm -rf check-smoke && mkdir -p check-smoke
@@ -177,8 +178,10 @@ check-smoke: build
 	  echo "=== --select $$sel"; \
 	  timeout 20 $(DUNE) exec bin/e9patch_cli.exe -- patch check-smoke/input.elf -o check-smoke/$$sel.elf --select $$sel --template empty; \
 	  timeout 20 $(DUNE) exec bin/e9patch_cli.exe -- check check-smoke/input.elf check-smoke/$$sel.elf; \
+	  timeout 20 $(DUNE) exec bin/e9patch_cli.exe -- check --dynamic check-smoke/input.elf check-smoke/$$sel.elf; \
 	done; } 2>&1 | tee check_output.txt
-	test "$$(grep -c '^static: OK' check_output.txt)" = 2
+	test "$$(grep -c '^static: OK' check_output.txt)" = 4
+	test "$$(grep -c '^dynamic: OK' check_output.txt)" = 2
 
 # Real binaries of the host: /usr/bin/true, cat and ls, each patched on
 # jumps with empty trampolines twice, by `patch --select jumps --template

@@ -326,18 +326,12 @@ let verify ?(holes = []) ~original rewritten =
     (* With data inside the text the plain sweep desynchronizes and the
        boundary map grows phantoms; the hole-aware sweep reproduces the
        boundary set the rewriting itself used. *)
-    (* The original instruction starting at each text byte; a length of 0
-       marks a byte that starts none. *)
-    let no_insn = { Frontend.addr = 0; len = 0; insn = Insn.Ret } in
-    let _, bounds =
-      Frontend.fold ~holes original
-        ~init:(fun t -> Array.make t.Frontend.size no_insn)
-        (fun bounds (s : Frontend.site) ->
-          bounds.(s.Frontend.addr - base) <- s;
-          bounds)
-    in
-    let bound a = if in_text a then bounds.(a - base) else no_insn in
-    let is_bound a = (bound a).Frontend.len > 0 in
+    (* The length of the original instruction starting at each text
+       byte (0 where none starts); a served site alone is decoded again,
+       to check its trampoline. *)
+    let index = Frontend.index ~holes original in
+    let orig_len a = Frontend.length_at index a in
+    let is_bound a = orig_len a > 0 in
     (* A code byte lies in the text and in no hole. The hole map is one
        flag per text byte, built only when there are holes, so the test
        stays O(1) and costs one comparison more than [in_text] without. *)
@@ -578,9 +572,11 @@ let verify ?(holes = []) ~original rewritten =
     in
     let trampolines_checked = ref 0 in
     let verify_tramp ~site_addr t =
-      let { Frontend.len = site_len; insn; _ } = bound site_addr in
-      if site_len = 0 then
+      if not (is_bound site_addr) then
         fail site_addr "served site is not an instruction boundary";
+      let { Frontend.len = site_len; insn; _ } =
+        Frontend.decode_at index site_addr
+      in
       let ret = site_addr + site_len in
       let displaced_targets =
         (match insn with Insn.Call rel -> [ ret + rel ] | _ -> [])
@@ -696,7 +692,6 @@ let verify ?(holes = []) ~original rewritten =
         verify_tramp ~site_addr:p t)
       trap_tbl;
     (* ---- per-byte classification --------------------------------- *)
-    let orig_len a = (bound a).Frontend.len in
     (* Any diversion covering [a] starts within [longest] bytes below it,
        so probing the start index downward from [a] finds the covering
        diversion with the highest start first. *)

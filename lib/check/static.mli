@@ -54,10 +54,12 @@ val pp_error : Format.formatter -> error -> unit
     rewriting contract. [holes] are the data extents inside the text the
     rewrite used (see {!Frontend.fold}): a leading pool
     ({!Frontend.leading_hole}, the ChromeMain workaround), interior
-    islands. The sweep skips them, so the verifier's boundary map
-    matches the one the rewriting used instead of growing phantoms
-    inside them; and since the rewriter never patches data, a changed
-    byte or a trap entry inside any hole is rejected. *)
+    islands. The sweep skips them, so the verifier's boundary map (the
+    original's {!Frontend.index}) matches the one the rewriting used
+    instead of growing phantoms inside them; and since the rewriter
+    never patches data, a changed byte or a trap entry inside any hole
+    is rejected. A served site alone is decoded again, to check its
+    trampoline. *)
 val verify :
   ?holes:(int * int) list ->
   original:Elf_file.t ->

@@ -64,7 +64,7 @@ type result = {
    instruction) aborts the rewrite with a typed error naming the site. *)
 let patch_site ctx (site : Frontend.site) template =
   try Tactics.patch ctx site template
-  with Invalid_argument m ->
+  with Invalid_argument m | Frontend.Error m ->
     error "site 0x%x (%s): %s" site.addr (E9_x86.Insn.to_string site.insn) m
 
 let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
@@ -95,23 +95,37 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
           phnum off
     | None -> ()
   end;
-  let text, site_list =
+  (* Strategy S1: patch from highest to lowest address so that puns only
+     ever depend on bytes that are already final. Consing the selected
+     sites in ascending order yields that order. Only they are kept past
+     the sweep; of every other instruction the index keeps the length. *)
+  let pick acc site = if select site then site :: acc else acc in
+  let index, selected =
     E9_obs.Obs.span obs "decode" (fun () ->
         match frontend with
-        | Some f -> f output
-        | None -> Frontend.disassemble ~holes ~fault output)
+        | None -> Frontend.index_fold ~holes ~fault output ~init:[] pick
+        | Some f ->
+            let text, sites = f output in
+            (* S1 reads its order off the list: a frontend must report
+               each instruction once, in ascending address order. *)
+            let _, selected =
+              List.fold_left
+                (fun (prev, acc) (s : Frontend.site) ->
+                  if s.addr <= prev then
+                    error
+                      "Rewriter: frontend sites are not strictly ascending: \
+                       0x%x follows 0x%x"
+                      s.addr prev;
+                  (s.addr, pick acc s))
+                (min_int, []) sites
+            in
+            ( Frontend.index_of_sites text
+                (Buf.sub output.Elf_file.data ~pos:text.Frontend.offset
+                   ~len:text.Frontend.size)
+                sites,
+              selected ))
   in
-  let sites = Array.of_list site_list in
-  (* The tactics find a site's successor and its T3 victims by binary
-     search, and S1 reads its order off the array: a frontend must report
-     each instruction once, in ascending address order. *)
-  for i = 1 to Array.length sites - 1 do
-    if sites.(i).Frontend.addr <= sites.(i - 1).Frontend.addr then
-      error
-        "Rewriter: frontend sites are not strictly ascending: 0x%x follows \
-         0x%x"
-        sites.(i).Frontend.addr sites.(i - 1).Frontend.addr
-  done;
+  let text = Frontend.index_text index in
   let base = text.Frontend.base in
   let layout =
     Layout.create ~reserve_below_base:options.reserve_below_base
@@ -127,14 +141,6 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
   in
   let stats = Stats.create () in
   let patched = ref [] in
-  (* Strategy S1: patch from highest to lowest address so that puns only
-     ever depend on bytes that are already final. Consing the ascending
-     sites in turn yields that order. *)
-  let selected =
-    Array.fold_left
-      (fun acc site -> if select site then site :: acc else acc)
-      [] sites
-  in
   let ctx, setup_s =
     E9_obs.Obs.span obs "tactic_search" (fun () ->
         (* An injected [Search] fault models the search dying mid-run; it
@@ -144,7 +150,7 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
         let t0 = Unix.gettimeofday () in
         let ctx =
           Tactics.create_ctx ~obs ~fault ~text:text_buf ~text_base:base
-            ~layout ~sites ~options:options.tactics ()
+            ~layout ~index ~options:options.tactics ()
         in
         (* Immutable byte ranges (the data holes, reserved ranges):
            pre-locked before any tactic runs, so no patch, pun, dead-byte

@@ -72,8 +72,7 @@ type result = {
       (** always 1: the whole text is one S1 pass (kept for record
           readers that report it) *)
   setup_s : float;
-      (** tactic-context setup time (lock tables, site index), wall
-          clock *)
+      (** tactic-context setup time (lock tables), wall clock *)
   occupancy : Layout.occupancy;  (** final allocator occupancy gauges *)
 }
 
@@ -83,8 +82,10 @@ type result = {
     [holes] (default none) are the [(addr, len)] data extents inside the
     text — a leading pool ({!Frontend.leading_hole}, the §6.2
     workaround), mid-function islands: the sweep decodes around them
-    ({!Frontend.disassemble}) and they are pre-locked next to
-    [options.keep_ranges], so no byte inside one changes. [frontend]
+    ({!Frontend.index_fold}) and they are pre-locked next to
+    [options.keep_ranges], so no byte inside one changes. The sweep runs
+    [select] as it goes: a selected site keeps its decoded record, every
+    other instruction only its length ({!Frontend.index}). [frontend]
     substitutes a different disassembler entirely (e.g.
     {!Frontend.disassemble_recursive}) — E9Patch only consumes instruction
     locations and sizes, so any frontend that reports them correctly
@@ -105,19 +106,24 @@ type result = {
     The rewrite is the paper's one serial S1 pass over the whole text:
     selected sites are patched in descending address order against one
     allocator and one lock map, after one serial linear sweep
-    ({!Frontend.disassemble}). [jobs] is ignored, the way
+    ({!Frontend.index_fold}). [jobs] is ignored, the way
     [result.shards] is always 1: it is kept only for callers that still
     pass it.
 
     [frontend] must report each instruction once, in strictly ascending
     address order, as {!Frontend.disassemble} and
-    {!Frontend.disassemble_recursive} do.
+    {!Frontend.disassemble_recursive} do, and its lengths must match the
+    decoder's: the tactics decode a neighbour (T2's successor, T3's
+    victims) again from the original bytes ({!Frontend.decode_at}).
 
     Raises {!Error} on a refused stub-mode input, a frontend whose sites
     are not strictly ascending (naming the first out-of-order address),
-    an injected [Search] fault, or a trampoline that cannot be encoded
-    for a selected site (e.g. a displaced [call] whose target is out of
-    rel32 reach from the trampoline); the last names the site address. *)
+    a frontend length that disagrees with the decoder where a tactic
+    reads a neighbour (naming the site and that address), an injected
+    [Search] fault, or a trampoline that cannot be encoded for a
+    selected site (e.g. a displaced [call] whose target is out of rel32
+    reach from the trampoline); the last names the site address.
+    Raises {!Frontend.Error} on a frontend site outside the text. *)
 val run :
   ?options:options ->
   ?obs:E9_obs.Obs.t ->

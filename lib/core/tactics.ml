@@ -25,7 +25,9 @@ type ctx = {
   text : Buf.t;
   text_base : int;
   layout : Layout.t;
-  sites : Frontend.site array;  (* strictly ascending by address *)
+  index : Frontend.index;
+      (* The original text's instruction lengths: T2's successor and T3's
+         victims are decoded from it when a tactic reads them. *)
   locks : Lock.t;
   dead : Lock.t;
       (* Bytes that can never execute again: the tail of an instruction
@@ -41,11 +43,22 @@ type ctx = {
 }
 
 let create_ctx ?(obs = Obs.null) ?(fault = Fault.none) ~text ~text_base
-    ~layout ~sites ~options () =
+    ~layout ?index ?sites ~options () =
+  let index =
+    match (index, sites) with
+    | Some index, _ -> index
+    | None, Some sites ->
+        let size = Buf.length text in
+        Frontend.index_of_sites
+          { Frontend.base = text_base; offset = 0; size }
+          (Buf.sub text ~pos:0 ~len:size)
+          (Array.to_list sites)
+    | None, None -> invalid_arg "Tactics.create_ctx: no index and no sites"
+  in
   { text;
     text_base;
     layout;
-    sites;
+    index;
     locks = Lock.create ~base:text_base ~len:(Buf.length text);
     dead = Lock.create ~base:text_base ~len:(Buf.length text);
     trampolines = [];
@@ -93,19 +106,6 @@ let in_text ctx addr =
 
 let byte ctx addr = Buf.get_u8 ctx.text (addr - ctx.text_base)
 let set_byte ctx addr v = Buf.set_u8 ctx.text (addr - ctx.text_base) v
-
-(* Binary search of the address-ordered site array. *)
-let site_index ctx addr =
-  let rec go lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) lsr 1 in
-      let a = ctx.sites.(mid).Frontend.addr in
-      if a = addr then Some mid
-      else if a < addr then go (mid + 1) hi
-      else go lo mid
-  in
-  go 0 (Array.length ctx.sites)
 
 (* Padding prefixes for T1, in the order they are prepended (all are
    semantically inert on a near jump — REX and segment overrides). *)
@@ -292,68 +292,67 @@ let try_t2 ctx pl =
   let { site; _ } = pl in
   let k = site.len in
   let s_addr = site.addr + k in
-  match site_index ctx s_addr with
-  | None -> Error Obs.No_successor
-  | Some si -> (
-      let s = ctx.sites.(si) in
-      if not (Trampoline.displaceable s.insn) then Error Obs.No_successor
-      else if not (Lock.all_unlocked ctx.locks ~addr:site.addr ~len:k) then
-        Error Obs.Locked
-      else
-        match plan s Trampoline.Empty with
-        | Error r -> Error r
-        | Ok ev -> (
-            (* The successor's own (pad-0) pun geometry. *)
-            match pun_window ctx ~reach:ev.reach ~addr:s_addr ~len:s.len ~pad:0 with
-            | Error r -> Error r
-            | Ok (s_lo, s_hi) ->
-                (* Commit with S evicted to [t_s] and the patch jump at
-                   [pad]: the patch pun's fixed bytes are then [e9] plus
-                   the low bytes of S's new displacement. *)
-                let commit ~pad t_s =
-                  let rel_s =
-                    Pun.rel32_bytes
-                      (Pun.rel32_for ~jmp_end:(s_addr + 5) ~target:t_s)
-                  in
-                  let fixed =
-                    0xe9 :: List.init (max 0 (pad + 4 - k)) (Array.get rel_s)
-                  in
-                  let lo, hi =
-                    window ~reach:pl.reach ~jmp_end:(site.addr + pad + 5)
-                      ~free:(k - pad - 1) ~fixed
-                  in
-                  match guarded ctx (Layout.alloc_at ~addr:t_s ~size:ev.size) with
-                  | Error r -> Error r
-                  | Ok () -> (
-                      match guarded ctx (Layout.alloc ~size:pl.size ~lo ~hi) with
-                      | Error r ->
-                          Layout.release ctx.layout ~addr:t_s ~size:ev.size;
-                          Error r
-                      | Ok t_p ->
-                          (* Evict S first so the patch pun's fixed bytes
-                             read S's final representation. *)
-                          write_jump ctx ~addr:s_addr ~len:s.len ~pad:0
-                            ~target:t_s;
-                          add_trampoline ctx ev ~at:t_s;
-                          write_jump ctx ~addr:site.addr ~len:k ~pad ~target:t_p;
-                          add_trampoline ctx pl ~at:t_p;
-                          Ok { tramp = t_p; pad; evictee_distance = k })
+  if Frontend.length_at ctx.index s_addr = 0 then Error Obs.No_successor
+  else
+    let s = Frontend.decode_at ctx.index s_addr in
+    if not (Trampoline.displaceable s.insn) then Error Obs.No_successor
+    else if not (Lock.all_unlocked ctx.locks ~addr:site.addr ~len:k) then
+      Error Obs.Locked
+    else
+      match plan s Trampoline.Empty with
+      | Error r -> Error r
+      | Ok ev -> (
+          (* The successor's own (pad-0) pun geometry. *)
+          match pun_window ctx ~reach:ev.reach ~addr:s_addr ~len:s.len ~pad:0 with
+          | Error r -> Error r
+          | Ok (s_lo, s_hi) ->
+              (* Commit with S evicted to [t_s] and the patch jump at
+                 [pad]: the patch pun's fixed bytes are then [e9] plus
+                 the low bytes of S's new displacement. *)
+              let commit ~pad t_s =
+                let rel_s =
+                  Pun.rel32_bytes
+                    (Pun.rel32_for ~jmp_end:(s_addr + 5) ~target:t_s)
                 in
-                (* Only a patch pun that overlaps S needs S evicted. *)
-                let rec go pad why =
-                  if pad > k - 1 then Error why
-                  else if k - pad - 1 >= 4 then go (pad + 1) why
-                  else
-                    match
-                      Result.bind
-                        (guarded ctx
-                           (Layout.probe ~size:ev.size ~lo:s_lo ~hi:s_hi))
-                        (commit ~pad)
-                    with
-                    | Ok _ as placed -> placed
-                    | Error r -> go (pad + 1) (worse why r)
+                let fixed =
+                  0xe9 :: List.init (max 0 (pad + 4 - k)) (Array.get rel_s)
                 in
-                go 0 Obs.Dead_window))
+                let lo, hi =
+                  window ~reach:pl.reach ~jmp_end:(site.addr + pad + 5)
+                    ~free:(k - pad - 1) ~fixed
+                in
+                match guarded ctx (Layout.alloc_at ~addr:t_s ~size:ev.size) with
+                | Error r -> Error r
+                | Ok () -> (
+                    match guarded ctx (Layout.alloc ~size:pl.size ~lo ~hi) with
+                    | Error r ->
+                        Layout.release ctx.layout ~addr:t_s ~size:ev.size;
+                        Error r
+                    | Ok t_p ->
+                        (* Evict S first so the patch pun's fixed bytes
+                           read S's final representation. *)
+                        write_jump ctx ~addr:s_addr ~len:s.len ~pad:0
+                          ~target:t_s;
+                        add_trampoline ctx ev ~at:t_s;
+                        write_jump ctx ~addr:site.addr ~len:k ~pad ~target:t_p;
+                        add_trampoline ctx pl ~at:t_p;
+                        Ok { tramp = t_p; pad; evictee_distance = k })
+              in
+              (* Only a patch pun that overlaps S needs S evicted. *)
+              let rec go pad why =
+                if pad > k - 1 then Error why
+                else if k - pad - 1 >= 4 then go (pad + 1) why
+                else
+                  match
+                    Result.bind
+                      (guarded ctx
+                         (Layout.probe ~size:ev.size ~lo:s_lo ~hi:s_hi))
+                      (commit ~pad)
+                  with
+                  | Ok _ as placed -> placed
+                  | Error r -> go (pad + 1) (worse why r)
+              in
+              go 0 Obs.Dead_window)
 
 (* ------------------------------------------------------------------ *)
 (* T3: neighbour eviction                                              *)
@@ -510,19 +509,19 @@ let t3_position ctx pl ev j ~budget =
 
 (* T3's victims: the displaceable instructions after the patch site
    within short-jump range (S1 restricts the short jump to positive
-   offsets), each tried at its J_patch positions in preference order
-   until one places or the budget runs out. Returns the patch trampoline
+   offsets), in address order, each tried at its J_patch positions in
+   preference order until one places or the budget runs out. Only a
+   start of two bytes or more is decoded. Returns the patch trampoline
    and the victim's address, or the budget left. *)
 let t3_search ctx pl ~budget =
   let { site; _ } = pl in
-  let rec victim vi ~budget =
-    if budget <= 0 || vi >= Array.length ctx.sites
-       || ctx.sites.(vi).addr > site.addr + 2 + 127
-    then Error budget
+  let rec victim a ~budget =
+    if budget <= 0 || a > site.addr + 2 + 127 then Error budget
+    else if Frontend.length_at ctx.index a < 2 then victim (a + 1) ~budget
     else
-      let v = ctx.sites.(vi) in
-      let next () = victim (vi + 1) ~budget in
-      if not (Trampoline.displaceable v.insn && v.len >= 2) then next ()
+      let v = Frontend.decode_at ctx.index a in
+      let next () = victim (a + 1) ~budget in
+      if not (Trampoline.displaceable v.insn) then next ()
       else
         match plan v Trampoline.Empty with
         | Error _ -> next ()
@@ -533,13 +532,11 @@ let t3_search ctx pl ~budget =
                   match t3_position ctx pl ev j ~budget with
                   | Ok t_p -> Ok (t_p, v.addr)
                   | Error budget -> position js ~budget)
-              | _ -> victim (vi + 1) ~budget
+              | _ -> victim (a + 1) ~budget
             in
             position (t3_positions v) ~budget
   in
-  match site_index ctx site.addr with
-  | Some i -> victim (i + 1) ~budget
-  | None -> Error budget
+  victim (site.addr + 1) ~budget
 
 let try_t3 ctx pl =
   let { site; _ } = pl in

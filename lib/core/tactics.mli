@@ -24,12 +24,17 @@ val default_options : options
 (** The rewriting context shared by all tactics over one binary. *)
 type ctx
 
-(** [create_ctx ~text ~text_base ~layout ~sites ~options] — [text] is a
+(** [create_ctx ~text ~text_base ~layout ~index ~options] — [text] is a
     mutable copy of the text section (mutated in place as patches land);
-    [sites] is the full linear disassembly, each instruction once, in
-    strictly ascending address order: T2's successor and T3's victims
-    are found by binary search over it ({!Rewriter.run} refuses a
-    frontend that breaks the order). [obs]
+    [index] is the original text's {!Frontend.index}: T2's successor and
+    T3's victims are the starts it records, decoded from the original
+    bytes when a tactic reads them ({!Frontend.decode_at}). Its lengths
+    must therefore match the decoder's; a neighbour whose length does
+    not raises {!Frontend.Error} from {!patch}, naming its address.
+    [sites], the full disassembly, may be given instead of [index]: the
+    index is then built from it over [text] as it is at the call
+    ([index] wins when both are given; [Invalid_argument] without
+    either). [obs]
     (default {!E9_obs.Obs.null}) receives one [Attempt] record per tactic
     tried per site — accepted (with padding bytes and evictee distance)
     or rejected with a typed reason — plus a final per-site [Site]
@@ -51,7 +56,8 @@ val create_ctx :
   text:E9_bits.Buf.t ->
   text_base:int ->
   layout:Layout.t ->
-  sites:Frontend.site array ->
+  ?index:Frontend.index ->
+  ?sites:Frontend.site array ->
   options:options ->
   unit ->
   ctx

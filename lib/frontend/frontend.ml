@@ -35,13 +35,32 @@ let leading_hole elf addr =
           addr text.base (text.base + text.size)
       else (text.base, addr - text.base)
 
-(* The end of the hole holding [addr], or [-1] when no hole holds it. *)
-let rec hole_end addr = function
-  | [] -> -1
-  | (a, l) :: rest ->
-      if addr >= a && addr < a + l then a + l else hole_end addr rest
+(* The holes as one cursor over their starts. The sweep position only
+   grows, so a hole that ends at or below it can never hold a later
+   position and is passed for good; the first hole left holds [addr]
+   iff it starts at or below it. Each hole is passed once, however many
+   instructions the sweep decodes, and overlapping or adjacent holes
+   resume at their union's end in any order, as one scan of the list
+   per position would. *)
+let hole_cursor holes =
+  let sorted =
+    List.filter (fun (_, l) -> l > 0) holes
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> Array.of_list
+  in
+  let n = Array.length sorted and i = ref 0 in
+  (* The end of a hole holding [addr], or [-1] when no hole holds it;
+     [addr] must not decrease from one call to the next. *)
+  fun addr ->
+    while !i < n && fst sorted.(!i) + snd sorted.(!i) <= addr do
+      incr i
+    done;
+    if !i < n && fst sorted.(!i) <= addr then fst sorted.(!i) + snd sorted.(!i)
+    else -1
 
-let fold ?(holes = []) ?(fault = Fault.none) elf ~init f =
+(* The sweep behind {!fold} and {!index_fold}; it also returns the copy
+   of the text it decoded, which the index keeps. *)
+let sweep ?(holes = []) ?(fault = Fault.none) elf ~init f =
   match find_text elf with
   | None -> no_text ()
   | Some text ->
@@ -53,13 +72,14 @@ let fold ?(holes = []) ?(fault = Fault.none) elf ~init f =
          instrumented sites, never incorrect ones. The fault counts as
          fired only when an instruction was dropped. *)
       let cut = Option.value (Fault.decode_cut fault) ~default:max_int in
+      let hole_end = hole_cursor holes in
       (* Any sweep position inside a hole — including one reached by a
          decode that overran into it — resumes at the hole's end, so the
          sweep is self-correcting at both edges. *)
       let rec go p acc =
         if p >= text.size then acc
         else
-          let e = hole_end (text.base + p) holes in
+          let e = hole_end (text.base + p) in
           if e >= 0 then go (e - text.base) acc
           else if p >= cut then begin
             Fault.record_fire fault Fault.Decode;
@@ -72,13 +92,73 @@ let fold ?(holes = []) ?(fault = Fault.none) elf ~init f =
                  { addr = text.base + p; len = d.Decode.len;
                    insn = d.Decode.insn })
       in
-      (text, go 0 (init text))
+      (text, bytes, go 0 (init text))
+
+let fold ?holes ?fault elf ~init f =
+  let text, _, acc = sweep ?holes ?fault elf ~init f in
+  (text, acc)
 
 let disassemble ?holes ?fault elf =
   let text, rev =
     fold ?holes ?fault elf ~init:(fun _ -> []) (fun acc s -> s :: acc)
   in
   (text, List.rev rev)
+
+(* ------------------------------------------------------------------ *)
+(* The text index                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* One length byte per text byte (0: no instruction starts there) and
+   the original bytes, from which any instruction is decoded again. *)
+type index = { itext : text; lens : Bytes.t; code : Bytes.t }
+
+let index_fold ?holes ?fault elf ~init f =
+  let lens = ref Bytes.empty and base = ref 0 in
+  let text, code, acc =
+    sweep ?holes ?fault elf
+      ~init:(fun text ->
+        lens := Bytes.make text.size '\000';
+        base := text.base;
+        init)
+      (fun acc s ->
+        Bytes.set !lens (s.addr - !base) (Char.chr s.len);
+        f acc s)
+  in
+  ({ itext = text; lens = !lens; code }, acc)
+
+let index ?holes ?fault elf =
+  fst (index_fold ?holes ?fault elf ~init:() (fun () _ -> ()))
+
+let index_of_sites text code sites =
+  let lens = Bytes.make text.size '\000' in
+  List.iter
+    (fun s ->
+      let i = s.addr - text.base in
+      if i < 0 || i >= text.size then
+        error "Frontend: site 0x%x lies outside the text [0x%x, 0x%x)" s.addr
+          text.base (text.base + text.size)
+      else if s.len < 1 || s.len > 255 then
+        error "Frontend: site 0x%x has length %d" s.addr s.len
+      else Bytes.set lens i (Char.chr s.len))
+    sites;
+  { itext = text; lens; code }
+
+let index_text idx = idx.itext
+
+let length_at idx addr =
+  let i = addr - idx.itext.base in
+  if i < 0 || i >= idx.itext.size then 0 else Char.code (Bytes.get idx.lens i)
+
+let decode_at idx addr =
+  let len = length_at idx addr in
+  if len = 0 then error "Frontend: no instruction starts at 0x%x" addr;
+  let d = Decode.decode idx.code (addr - idx.itext.base) in
+  if d.Decode.len <> len then
+    error
+      "Frontend: the instruction at 0x%x decodes to %d bytes, the frontend \
+       reported %d"
+      addr d.Decode.len len;
+  { addr; len; insn = d.Decode.insn }
 
 let select_jumps site = Classify.is_jump site.insn
 let select_heap_writes site = Classify.is_heap_write site.insn

@@ -5,7 +5,10 @@
     module is the paper's "basic wrapper frontend that applies linear
     disassembly to the (.text) section of the input binary". Any other
     frontend (superset, probabilistic, partial) could be substituted: the
-    rewriter only consumes {!site} values. *)
+    rewriter only consumes {!site} values, and keeps only their lengths
+    ({!index}). A frontend's lengths must match the decoder's: a
+    neighbour the tactics displace is decoded again from the original
+    bytes ({!decode_at}), and a length that disagrees is an error. *)
 
 type site = {
   addr : int;  (** virtual address of the instruction *)
@@ -66,6 +69,49 @@ val fold :
 val disassemble :
   ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
   Elf_file.t -> text * site list
+
+(** {1 The text index}
+
+    What the rewriter and the verifier keep of a sweep: one length byte
+    per text byte (0 where no instruction starts) and the original
+    bytes, about two bytes per text byte in all, instead of one decoded
+    {!site} per instruction. An instruction is decoded again, from the
+    original bytes, only when it is read ({!decode_at}). *)
+
+type index
+
+(** [index_fold ?holes ?fault elf ~init f] is {!fold} (same holes, same
+    fault cut, same instructions in the same order) that also records
+    every instruction's length in the returned index. [f] is the only
+    place a {!site} can outlive the sweep. *)
+val index_fold :
+  ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
+  Elf_file.t -> init:'a -> ('a -> site -> 'a) -> index * 'a
+
+(** [index ?holes ?fault elf] is {!index_fold} keeping nothing else. *)
+val index :
+  ?holes:(int * int) list -> ?fault:E9_fault.Fault.t -> Elf_file.t -> index
+
+(** [index_of_sites text code sites] is the index of another frontend's
+    [sites] over [text], whose original bytes are [code] (kept by the
+    index, so the caller must not mutate them). Raises {!Error} on a
+    site outside the text or with a length outside [1, 255]. The lengths
+    are not checked against the decoder here: {!decode_at} checks each
+    one it reads. *)
+val index_of_sites : text -> Bytes.t -> site list -> index
+
+(** The text the index covers. *)
+val index_text : index -> text
+
+(** [length_at idx addr] is the length of the instruction starting at
+    [addr], or 0 when none does (or [addr] lies outside the text). *)
+val length_at : index -> int -> int
+
+(** [decode_at idx addr] decodes the original instruction at [addr], a
+    start recorded in [idx]. Raises {!Error} naming [addr] when no
+    instruction starts there or when the decoder's length differs from
+    the recorded one. *)
+val decode_at : index -> int -> site
 
 (** Patch-location selectors for the paper's two applications. *)
 

@@ -64,6 +64,17 @@ let range_selector (lo, hi) =
   Spec.And (Spec.Addr_cmp (`Ge, lo), Spec.Addr_cmp (`Lt, hi))
 
 let parse_match ?(read_file = default_read_file) src =
+  (* A [#] comment runs to the end of its line, as in a spec: blank it,
+     keeping every column, before the [;] split can end it early. *)
+  let code =
+    let in_comment = ref false in
+    String.map
+      (fun c ->
+        if c = '\n' then (in_comment := false; c)
+        else if c = '#' || !in_comment then (in_comment := true; ' ')
+        else c)
+      src
+  in
   let selectors = ref [] and excluded = ref [] in
   let start = ref 0 in
   List.iter
@@ -76,7 +87,7 @@ let parse_match ?(read_file = default_read_file) src =
           let file = String.trim (String.sub trimmed 8 (String.length trimmed - 8)) in
           excluded := !excluded @ parse_csv ~file (read_file file)
         else
-          (* Parse the piece where it stands — [src] with every other
+          (* Parse the piece where it stands — [code] with every other
              byte blanked — so an error names its line and column in
              [src]. *)
           let only =
@@ -85,10 +96,10 @@ let parse_match ?(read_file = default_read_file) src =
                 if (i >= off && i < off + String.length piece) || c = '\n'
                 then c
                 else ' ')
-              src
+              code
           in
           selectors := Spec.parse_selector only :: !selectors)
-    (String.split_on_char ';' src);
+    (String.split_on_char ';' code);
   let base =
     match List.rev !selectors with
     | [] -> errf "empty match %S" src

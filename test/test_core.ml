@@ -1075,6 +1075,50 @@ let prop_rewrite_equivalence =
           Frontend.select_heap_writes;
           (fun s -> Frontend.select_jumps s || Frontend.select_heap_writes s) ])
 
+(* The rewriter keeps only lengths of the instructions it does not patch,
+   and decodes a neighbour again when a tactic reads it: a frontend whose
+   length there disagrees with the decoder is a typed error naming that
+   address, not a rewrite built on the wrong length. With B1/B2/T1 off,
+   the last jump's T2 reads its successor first. *)
+let test_rewrite_frontend_length_mismatch () =
+  let elf = Codegen.generate (profile ~seed:72L ()) in
+  let text, sites = Frontend.disassemble elf in
+  let jumps = List.filter Frontend.select_jumps sites in
+  let j = List.nth jumps (List.length jumps - 1) in
+  let succ = j.Frontend.addr + j.Frontend.len in
+  let s = List.find (fun (s : Frontend.site) -> s.Frontend.addr = succ) sites in
+  let lying =
+    List.map
+      (fun (x : Frontend.site) ->
+        if x == s then { x with Frontend.len = x.Frontend.len + 1 } else x)
+      sites
+  in
+  let options =
+    { Rewriter.default_options with
+      Rewriter.tactics =
+        { Tactics.default_options with
+          Tactics.enable_base = false; enable_t1 = false } }
+  in
+  Alcotest.check_raises "typed error at the successor"
+    (Rewriter.Error
+       (Printf.sprintf
+          "site 0x%x (%s): Frontend: the instruction at 0x%x decodes to %d \
+           bytes, the frontend reported %d"
+          j.Frontend.addr (Insn.to_string j.Frontend.insn) succ s.Frontend.len
+          (s.Frontend.len + 1)))
+    (fun () ->
+      ignore
+        (Rewriter.run ~options ~frontend:(fun _ -> (text, lying)) elf
+           ~select:Frontend.select_jumps
+           ~template:(fun _ -> Trampoline.Empty)));
+  check_bool "the true lengths rewrite" true
+    (Stats.total
+       (Rewriter.run ~options ~frontend:(fun _ -> (text, sites)) elf
+          ~select:Frontend.select_jumps
+          ~template:(fun _ -> Trampoline.Empty))
+         .Rewriter.stats
+    > 0)
+
 let suites =
   [ ( "core.pun",
       [ Alcotest.test_case "B1 window" `Quick test_pun_window_b1;
@@ -1161,6 +1205,8 @@ let suites =
           test_rewrite_unencodable_site_typed;
         Alcotest.test_case "B0 skips an undisplaceable site" `Quick
           test_b0_skips_undisplaceable;
+        Alcotest.test_case "frontend length disagrees: typed error" `Quick
+          test_rewrite_frontend_length_mismatch;
         QCheck_alcotest.to_alcotest prop_rewrite_equivalence ] ) ]
 
 (* ------------------------------------------------------------------ *)

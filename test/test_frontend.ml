@@ -212,6 +212,134 @@ let test_disassemble_empty_text () =
   check_int "empty text" 0 text.Frontend.size;
   check_bool "no sites" true (sites = [])
 
+(* The sweep's hole semantics, written as the plain scan it replaces:
+   at every position, the first hole of the list (in list order) that
+   holds it sends the sweep to that hole's end. *)
+let scan_sweep ~holes elf =
+  let text = Option.get (Frontend.find_text elf) in
+  let bytes =
+    E9_bits.Buf.sub elf.Elf_file.data ~pos:text.Frontend.offset
+      ~len:text.Frontend.size
+  in
+  let rec hole_end addr = function
+    | [] -> -1
+    | (a, l) :: rest ->
+        if addr >= a && addr < a + l then a + l else hole_end addr rest
+  in
+  let rec go p acc =
+    if p >= text.Frontend.size then List.rev acc
+    else
+      let e = hole_end (text.Frontend.base + p) holes in
+      if e >= 0 then go (e - text.Frontend.base) acc
+      else
+        let d = E9_x86.Decode.decode bytes p in
+        go (p + d.E9_x86.Decode.len)
+          ((text.Frontend.base + p, d.E9_x86.Decode.len) :: acc)
+  in
+  go 0 []
+
+let starts sites =
+  List.map (fun (s : Frontend.site) -> (s.Frontend.addr, s.Frontend.len)) sites
+
+(* Holes in any order, overlapping, adjacent (a hole starting where the
+   one before it in the list ends), empty, and reaching past either end
+   of the text: the sorted cursor resumes where the list scan does. *)
+let prop_holes_match_scan =
+  let elf = elf () in
+  let text = Option.get (Frontend.find_text elf) in
+  let base = text.Frontend.base and size = text.Frontend.size in
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 0 12)
+        (triple bool (int_range (-16) (size + 16)) (int_range 0 160)))
+  in
+  QCheck2.Test.make ~name:"hole cursor resumes where the list scan does"
+    ~count:300 gen (fun spec ->
+      let holes =
+        List.rev
+          (List.fold_left
+             (fun acc (adjacent, off, len) ->
+               match acc with
+               | (a, l) :: _ when adjacent -> (a + l, len) :: acc
+               | _ -> (base + off, len) :: acc)
+             [] spec)
+      in
+      starts (snd (Frontend.disassemble ~holes elf)) = scan_sweep ~holes elf)
+
+(* A 4,000-function input with an island in about every other block:
+   some 20,000 holes. The sweep passes each hole once; a scan of the
+   whole list per instruction took tens of seconds here. *)
+let test_many_holes_sweep () =
+  let elf =
+    Codegen.generate
+      { Codegen.default_profile with
+        Codegen.functions = 4000; iterations = 1; island_bias = 0.5 }
+  in
+  let holes = Codegen.holes elf in
+  check_bool "about 20,000 holes" true (List.length holes > 15_000);
+  let t0 = Unix.gettimeofday () in
+  let _, sites = Frontend.disassemble ~holes elf in
+  let dt = Unix.gettimeofday () -. t0 in
+  let in_hole = Hashtbl.create (List.length holes) in
+  List.iter
+    (fun (a, l) ->
+      for x = a to a + l - 1 do
+        Hashtbl.replace in_hole x ()
+      done)
+    holes;
+  check_bool "no site inside a hole" true
+    (List.for_all
+       (fun (s : Frontend.site) -> not (Hashtbl.mem in_hole s.Frontend.addr))
+       sites);
+  if dt > 5.0 then
+    Alcotest.failf "the sweep of %d holes took %.1f s" (List.length holes) dt
+
+(* The index of a sweep records exactly the sweep's starts and lengths,
+   and decoding any start again gives that site: over generated inputs
+   with a leading pool, islands and, in some cases, a decode fault cut. *)
+let prop_index_matches_sweep =
+  let gen =
+    QCheck2.Gen.(
+      quad (int_range 1 10_000) (int_range 0 2) bool (opt (int_range 0 4096)))
+  in
+  QCheck2.Test.make ~name:"index: the sweep's lengths, decode_at its sites"
+    ~count:25 gen (fun (seed, pool_kb, islands, cut) ->
+      let elf =
+        Codegen.generate
+          { Codegen.default_profile with
+            Codegen.seed = Int64.of_int seed; functions = 12;
+            iterations = 1; data_in_text_kb = pool_kb;
+            island_bias = (if islands then 0.3 else 0.0) }
+      in
+      let holes = Codegen.holes elf in
+      let fault () =
+        match cut with
+        | None -> E9_fault.Fault.none
+        | Some c ->
+            E9_fault.Fault.create
+              (E9_fault.Fault.parse (Printf.sprintf "decode@%d" c))
+      in
+      let text, sites = Frontend.disassemble ~holes ~fault:(fault ()) elf in
+      let idx, count =
+        Frontend.index_fold ~holes ~fault:(fault ()) elf ~init:0
+          (fun n _ -> n + 1)
+      in
+      let lens = Hashtbl.create 1024 in
+      List.iter
+        (fun (s : Frontend.site) -> Hashtbl.replace lens s.Frontend.addr s.Frontend.len)
+        sites;
+      let base = text.Frontend.base in
+      count = List.length sites
+      && Frontend.index_text idx = text
+      && List.for_all
+           (fun a ->
+             Frontend.length_at idx a
+             = Option.value (Hashtbl.find_opt lens a) ~default:0)
+           (List.init (text.Frontend.size + 2) (fun i -> base - 1 + i))
+      && List.for_all
+           (fun (s : Frontend.site) -> Frontend.decode_at idx s.Frontend.addr = s)
+           sites)
+
 let site insn = { Frontend.addr = 0x401000; len = 5; insn }
 
 let test_select_jumps () =
@@ -262,6 +390,10 @@ let suites =
         Alcotest.test_case "holes are skipped, sweep resyncs" `Quick
           test_disassemble_holes;
         Alcotest.test_case "empty text" `Quick test_disassemble_empty_text;
+        QCheck_alcotest.to_alcotest prop_holes_match_scan;
+        Alcotest.test_case "20,000 holes: one pass over them" `Quick
+          test_many_holes_sweep;
+        QCheck_alcotest.to_alcotest prop_index_matches_sweep;
         Alcotest.test_case "select_jumps" `Quick test_select_jumps;
         Alcotest.test_case "select_heap_writes" `Quick test_select_heap_writes
       ] ) ]

@@ -109,6 +109,23 @@ let test_parse_match_errors () =
   | exception Spec.Parse_error _ -> ()
   | _ -> Alcotest.fail "selector errors surface as Parse_error"
 
+(* A [#] comment in a match runs to the end of its line, as in a spec:
+   a [;] inside it does not start another piece. *)
+let test_parse_match_comment () =
+  let _, sites =
+    Frontend.disassemble
+      (Codegen.generate
+         { Codegen.default_profile with Codegen.seed = 7L; functions = 25 })
+  in
+  let picked m = List.filter (Spec.selects (Tool.parse_match m)) sites in
+  let jumps = picked "jumps" in
+  check_bool "some jumps are shorter than 5 bytes" true
+    (List.length (picked "jumps; size >= 5") < List.length jumps);
+  check_bool "a comment hides its ';'" true
+    (picked "jumps # A1 only; size >= 5" = jumps);
+  check_bool "a newline ends the comment" true
+    (picked "jumps # A1 only; x\n; size >= 5" = picked "jumps; size >= 5")
+
 (* ------------------------------------------------------------------ *)
 (* End to end: every builtin, statically verified + trace oracle       *)
 (* ------------------------------------------------------------------ *)
@@ -389,6 +406,8 @@ let suites =
         Alcotest.test_case "call forms" `Quick test_parse_patch_calls;
         Alcotest.test_case "patch errors" `Quick test_parse_patch_errors;
         Alcotest.test_case "match basics" `Quick test_parse_match_basic;
+        Alcotest.test_case "match comments end at end of line" `Quick
+          test_parse_match_comment;
         Alcotest.test_case "match: csv exclusions" `Quick test_parse_match_exclude;
         Alcotest.test_case "match errors" `Quick test_parse_match_errors ] );
     ( "tool.rewrite",
