@@ -39,11 +39,12 @@ examples: build
 
 # Output-byte contract: rerun test/digests.exe against the pinned
 # test/digests.txt, its --verify mode against the pinned verifier
-# reports in test/verify_digests.txt and its --trace mode against the
-# pinned trace-oracle verdicts in test/trace_digests.txt, and name every
-# entry that moved.
+# reports in test/verify_digests.txt, its --trace mode against the
+# pinned trace-oracle verdicts in test/trace_digests.txt and its --emu
+# mode against the pinned emulator runs in test/emu_digests.txt, and
+# name every entry that moved.
 digest-check: build
-	sh test/digest_check.sh _build/default/test/digests.exe test/digests.txt test/verify_digests.txt test/trace_digests.txt
+	sh test/digest_check.sh _build/default/test/digests.exe test/digests.txt test/verify_digests.txt test/trace_digests.txt test/emu_digests.txt
 
 # Full evaluation run: every table/figure, all sizes. Minutes, not for CI.
 bench: build

@@ -73,7 +73,8 @@ let rec in_ranges addr = function
 
 (* What both runs are filtered by. [boundary] holds one bit per text byte
    from [base]: the original instruction boundaries outside
-   [instr_ranges], so a retire asks one bounds check and one bit test.
+   [instr_ranges], so lowering an instruction asks one bounds check and one
+   bit test (and a retire at a non-boundary asks nothing).
    [start] is the original program's entry: events before the first
    retire at that address belong to the injected loader stub (stub mode),
    which is part of the loading process, not of the program's
@@ -134,34 +135,40 @@ let traced_run ?config ~record f elf =
       incr nrec
     end
   in
-  (* Stores retired by call-class instructions are dropped: a displaced
-     call pushes the trampoline continuation, not the original return
-     address. The flag is per-retire, so the drop applies symmetrically in
-     both runs. *)
-  let dropping = ref false in
+  let boundary addr =
+    let i = addr - f.base in
+    i >= 0 && i < f.size
+    && Bytes.get_uint8 f.boundary (i lsr 3) land (1 lsl (i land 7)) <> 0
+  in
+  (* Asked once per instruction, when the emulator lowers it. Retires are
+     watched at the boundaries and at [start], whose first retire opens
+     the gate. Stores retired by call-class instructions are dropped: a
+     displaced call pushes the trampoline continuation, not the original
+     return address. Both bits are per instruction, so they apply
+     symmetrically in both runs. *)
+  let watch ~addr ~insn =
+    { Cpu.retire = addr = f.start || boundary addr;
+      stores =
+        (match insn with Insn.Call _ | Insn.Call_ind _ -> false | _ -> true) }
+  in
+  let start_is_boundary = boundary f.start in
   let started = ref false in
-  let on_retire ~addr ~insn ~regs =
+  let on_retire ~addr ~regs =
     if not !started then started := addr = f.start;
-    if !started then begin
-      (dropping :=
-         match insn with Insn.Call _ | Insn.Call_ind _ -> true | _ -> false);
-      let i = addr - f.base in
-      if i >= 0 && i < f.size
-         && Bytes.get_uint8 f.boundary (i lsr 3) land (1 lsl (i land 7)) <> 0
-      then begin
-        emit kind_retire addr (regs_hash regs) 0;
-        incr retires
-      end
+    if !started && (addr <> f.start || start_is_boundary) then begin
+      emit kind_retire addr (regs_hash regs) 0;
+      incr retires
     end
   in
   let on_store ~addr ~size ~value =
-    if !started && (not !dropping) && not (in_ranges addr f.instr_ranges)
-    then begin
+    if !started && not (in_ranges addr f.instr_ranges) then begin
       emit kind_store addr size value;
       incr store_count
     end
   in
-  let result = Machine.run ?config ~tracer:{ Cpu.on_retire; on_store } elf in
+  let result =
+    Machine.run ?config ~tracer:{ Cpu.watch; on_retire; on_store } elf
+  in
   { result;
     hash = !h;
     count = !count;
@@ -244,3 +251,9 @@ let compare_runs ?config ?(holes = []) ?(instr_ranges = []) ~original
         block_invalidations =
           ta.result.Cpu.block_invalidations + tb.result.Cpu.block_invalidations
       }
+
+let run_digest ?config ?(holes = []) ?(instr_ranges = []) ~original elf =
+  let t =
+    traced_run ?config ~record:false (filter ~holes ~instr_ranges original) elf
+  in
+  (t.result, t.count, t.hash)

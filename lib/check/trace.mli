@@ -67,3 +67,16 @@ val compare_runs :
     general-purpose registers of [regs] mixed in order from 0 by
     [h <- (h * 0x100000001b3 + r) land max_int]. *)
 val regs_hash : int array -> int
+
+(** [run_digest ?config ?holes ?instr_ranges ~original elf] runs [elf]
+    alone under the filter {!compare_runs} builds from [original],
+    [holes] and [instr_ranges], and returns the run's result, its event
+    count and its rolling event hash: one side of a comparison, for
+    pinning the emulator's behaviour (test/emu_digests.txt). *)
+val run_digest :
+  ?config:E9_emu.Cpu.config ->
+  ?holes:(int * int) list ->
+  ?instr_ranges:(int * int) list ->
+  original:Elf_file.t ->
+  Elf_file.t ->
+  E9_emu.Cpu.result * int * int

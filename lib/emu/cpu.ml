@@ -2,6 +2,7 @@ module Space = E9_vm.Space
 module Insn = E9_x86.Insn
 module Reg = E9_x86.Reg
 module Decode = E9_x86.Decode
+module Itbl = E9_bits.Itbl
 
 type config = {
   far_jump_penalty : int;
@@ -59,14 +60,11 @@ type result = {
   blocks_cached : int;
 }
 
-(* A superblock: a straight-line run of decoded instructions starting at
-   [entry] and ending at the first instruction that can transfer control
-   (or at [max_block_len]). Executing one costs a single cache lookup and
-   a single fuel check instead of one of each per instruction. *)
-type block = { entry : int; code : Decode.decoded array }
+type watch = { retire : bool; stores : bool }
 
 type tracer = {
-  on_retire : addr:int -> insn:Insn.t -> regs:int array -> unit;
+  watch : addr:int -> insn:Insn.t -> watch;
+  on_retire : addr:int -> regs:int array -> unit;
   on_store : addr:int -> size:int -> value:int -> unit;
 }
 
@@ -89,7 +87,7 @@ type state = {
   output : Buffer.t;
   files : (int, bytes Lazy.t) Hashtbl.t;  (* open file descriptors (mmap source) *)
   ring : int array;  (* recent RIP trace for fault diagnostics *)
-  bcache : (int, block) Hashtbl.t;
+  bcache : block Itbl.t;
   (* Space.generation the block cache was filled under; a mismatch means
      executable memory changed and every cached decode is suspect. *)
   mutable cache_gen : int;
@@ -97,72 +95,27 @@ type state = {
   mutable block_misses : int;
   mutable block_invalidations : int;
   trap_table : (int, int) Hashtbl.t;
-  counters : (int, int) Hashtbl.t;
+  (* One cell per [count] site, made when the site is lowered; a site
+     that never ran stays at 0 and is not reported. *)
+  counters : int ref Itbl.t;
   alloc : allocator;
   cfg : config;
   tracer : tracer option;
 }
 
+(* A lowered instruction: its semantics as one closure, specialised when
+   its block is built to its address, operand forms and size, so a retire
+   runs no decode and no dispatch on the instruction. [retire] is the
+   tracer's boundary bit for [addr]. *)
+and op = { addr : int; next : int; exec : state -> unit; retire : bool }
+
+(* A superblock: a straight-line run of lowered instructions ending at the
+   first instruction that can transfer control (or at [max_block_len]).
+   Executing one costs a single cache lookup and a single fuel check
+   instead of one of each per instruction. *)
+and block = op array
+
 exception Stop of outcome
-
-(* ------------------------------------------------------------------ *)
-(* Register access                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let get_reg st sz r =
-  let v = st.regs.(Reg.index r) in
-  match sz with
-  | Insn.B -> v land 0xff
-  | Insn.L -> v land 0xffff_ffff
-  | Insn.Q -> v
-
-let set_reg st sz r v =
-  let i = Reg.index r in
-  match sz with
-  | Insn.B -> st.regs.(i) <- st.regs.(i) land lnot 0xff lor (v land 0xff)
-  | Insn.L -> st.regs.(i) <- v land 0xffff_ffff (* 32-bit writes zero-extend *)
-  | Insn.Q -> st.regs.(i) <- v
-
-(* ------------------------------------------------------------------ *)
-(* Memory operands                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Effective address; [next_rip] is the address of the following
-   instruction, the base for RIP-relative addressing. *)
-let ea st (m : Insn.mem) ~next_rip =
-  if m.rip_rel then next_rip + m.disp
-  else
-    let base = match m.base with Some r -> st.regs.(Reg.index r) | None -> 0 in
-    let idx =
-      match m.index with
-      | Some (r, s) -> st.regs.(Reg.index r) * Insn.scale_factor s
-      | None -> 0
-    in
-    base + idx + m.disp
-
-let read_mem st sz addr =
-  match sz with
-  | Insn.B -> Space.read_u8 st.space addr
-  | Insn.L -> Space.read_u32 st.space addr
-  | Insn.Q -> Space.read_u64 st.space addr
-
-let write_mem st sz addr v =
-  (match sz with
-  | Insn.B -> Space.write_u8 st.space addr v
-  | Insn.L -> Space.write_u32 st.space addr v
-  | Insn.Q -> Space.write_u64 st.space addr v);
-  match st.tracer with
-  | None -> ()
-  | Some t -> (
-      match sz with
-      | Insn.B -> t.on_store ~addr ~size:1 ~value:(v land 0xff)
-      | Insn.L -> t.on_store ~addr ~size:4 ~value:(v land 0xffff_ffff)
-      | Insn.Q -> t.on_store ~addr ~size:8 ~value:v)
-
-let read_operand st sz ~next_rip = function
-  | Insn.Reg r -> get_reg st sz r
-  | Insn.Imm v -> v
-  | Insn.Mem m -> read_mem st sz (ea st m ~next_rip)
 
 (* ------------------------------------------------------------------ *)
 (* Flags                                                               *)
@@ -217,23 +170,187 @@ let flags_sub st sz a b r =
   | Insn.B | Insn.L -> st.cf <- a land m < b land m);
   st.o_f <- (a lxor b) land (a lxor r) land msb_of sz <> 0
 
-let cond st = function
-  | Insn.O -> st.o_f
-  | Insn.NO -> not st.o_f
-  | Insn.B_ -> st.cf
-  | Insn.AE -> not st.cf
-  | Insn.E -> st.zf
-  | Insn.NE -> not st.zf
-  | Insn.BE -> st.cf || st.zf
-  | Insn.A -> not (st.cf || st.zf)
-  | Insn.S_ -> st.sf
-  | Insn.NS -> not st.sf
-  | Insn.P -> st.pf
-  | Insn.NP -> not st.pf
-  | Insn.L_ -> st.sf <> st.o_f
-  | Insn.GE -> st.sf = st.o_f
-  | Insn.LE -> st.zf || st.sf <> st.o_f
-  | Insn.G -> (not st.zf) && st.sf = st.o_f
+let cond_fn : Insn.cc -> state -> bool = function
+  | Insn.O -> fun st -> st.o_f
+  | Insn.NO -> fun st -> not st.o_f
+  | Insn.B_ -> fun st -> st.cf
+  | Insn.AE -> fun st -> not st.cf
+  | Insn.E -> fun st -> st.zf
+  | Insn.NE -> fun st -> not st.zf
+  | Insn.BE -> fun st -> st.cf || st.zf
+  | Insn.A -> fun st -> not (st.cf || st.zf)
+  | Insn.S_ -> fun st -> st.sf
+  | Insn.NS -> fun st -> not st.sf
+  | Insn.P -> fun st -> st.pf
+  | Insn.NP -> fun st -> not st.pf
+  | Insn.L_ -> fun st -> st.sf <> st.o_f
+  | Insn.GE -> fun st -> st.sf = st.o_f
+  | Insn.LE -> fun st -> st.zf || st.sf <> st.o_f
+  | Insn.G -> fun st -> (not st.zf) && st.sf = st.o_f
+
+(* The two-operand ALU operations that store a result: old value [a],
+   source [b], result masked to the width, flags set as a side effect. *)
+let alu_fn op sz : state -> int -> int -> int =
+  let m = mask_of sz and msb = msb_of sz in
+  match op with
+  | Insn.Add ->
+      fun st a b ->
+        let r = (a + b) land m in
+        flags_add st sz a b r;
+        r
+  | Insn.Adc ->
+      fun st a b ->
+        let carry = if st.cf then 1 else 0 in
+        let r = (a + b + carry) land m in
+        set_zsp st sz r;
+        (match sz with
+        | Insn.Q ->
+            (* carry out of a+b, or the +1 wrapping an all-ones sum *)
+            let s1 = a + b in
+            st.cf <- ult s1 a || (carry = 1 && s1 = -1)
+        | Insn.B | Insn.L -> st.cf <- (a land m) + (b land m) + carry > m);
+        let sa = a land msb <> 0 and sb = b land msb <> 0 in
+        let sr = r land msb <> 0 in
+        st.o_f <- sa = sb && sr <> sa;
+        r
+  | Insn.Sbb ->
+      fun st a b ->
+        let borrow = if st.cf then 1 else 0 in
+        let r = (a - b - borrow) land m in
+        set_zsp st sz r;
+        (match sz with
+        | Insn.Q -> st.cf <- ult a b || (borrow = 1 && a - b = 0)
+        | Insn.B | Insn.L -> st.cf <- a land m < (b land m) + borrow);
+        let sa = a land msb <> 0 and sb = b land msb <> 0 in
+        let sr = r land msb <> 0 in
+        st.o_f <- sa <> sb && sr <> sa;
+        r
+  | Insn.Sub | Insn.Cmp ->
+      fun st a b ->
+        let r = (a - b) land m in
+        flags_sub st sz a b r;
+        r
+  | Insn.And | Insn.Test ->
+      fun st a b ->
+        let r = a land b land m in
+        flags_logic st sz r;
+        r
+  | Insn.Or ->
+      fun st a b ->
+        let r = (a lor b) land m in
+        flags_logic st sz r;
+        r
+  | Insn.Xor ->
+      fun st a b ->
+        let r = (a lxor b) land m in
+        flags_logic st sz r;
+        r
+
+(* ------------------------------------------------------------------ *)
+(* Operands, lowered                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A register read at a width: the low byte, the low 32 bits, or all. *)
+let reg_get sz r : state -> int =
+  let i = Reg.index r in
+  match sz with
+  | Insn.B -> fun st -> Array.unsafe_get st.regs i land 0xff
+  | Insn.L -> fun st -> Array.unsafe_get st.regs i land 0xffff_ffff
+  | Insn.Q -> fun st -> Array.unsafe_get st.regs i
+
+(* A register write at a width: a byte write keeps the other bytes, a
+   32-bit write zero-extends. *)
+let reg_set sz r : state -> int -> unit =
+  let i = Reg.index r in
+  match sz with
+  | Insn.B ->
+      fun st v ->
+        Array.unsafe_set st.regs i
+          (Array.unsafe_get st.regs i land lnot 0xff lor (v land 0xff))
+  | Insn.L -> fun st v -> Array.unsafe_set st.regs i (v land 0xffff_ffff)
+  | Insn.Q -> fun st v -> Array.unsafe_set st.regs i v
+
+(* The effective address; a RIP-relative one is a constant, [next_rip]
+   being the base. *)
+let ea ~next_rip (m : Insn.mem) : state -> int =
+  let d = m.disp in
+  if m.rip_rel then
+    let a = next_rip + d in
+    fun _ -> a
+  else
+    match (m.base, m.index) with
+    | Some b, None ->
+        let b = Reg.index b in
+        fun st -> Array.unsafe_get st.regs b + d
+    | Some b, Some (x, s) ->
+        let b = Reg.index b and x = Reg.index x and f = Insn.scale_factor s in
+        fun st ->
+          Array.unsafe_get st.regs b + (Array.unsafe_get st.regs x * f) + d
+    | None, Some (x, s) ->
+        let x = Reg.index x and f = Insn.scale_factor s in
+        fun st -> (Array.unsafe_get st.regs x * f) + d
+    | None, None -> fun _ -> d
+
+let mem_get sz : state -> int -> int =
+  match sz with
+  | Insn.B -> fun st a -> Space.read_u8 st.space a
+  | Insn.L -> fun st a -> Space.read_u32 st.space a
+  | Insn.Q -> fun st a -> Space.read_u64 st.space a
+
+(* A data write, then, when the tracer watches this instruction's
+   stores, its event with the value truncated to the written width. *)
+let mem_set sz (report : tracer option) : state -> int -> int -> unit =
+  match (sz, report) with
+  | Insn.B, None -> fun st a v -> Space.write_u8 st.space a v
+  | Insn.L, None -> fun st a v -> Space.write_u32 st.space a v
+  | Insn.Q, None -> fun st a v -> Space.write_u64 st.space a v
+  | Insn.B, Some t ->
+      fun st a v ->
+        Space.write_u8 st.space a v;
+        t.on_store ~addr:a ~size:1 ~value:(v land 0xff)
+  | Insn.L, Some t ->
+      fun st a v ->
+        Space.write_u32 st.space a v;
+        t.on_store ~addr:a ~size:4 ~value:(v land 0xffff_ffff)
+  | Insn.Q, Some t ->
+      fun st a v ->
+        Space.write_u64 st.space a v;
+        t.on_store ~addr:a ~size:8 ~value:v
+
+let operand_get ~next_rip sz : Insn.operand -> state -> int = function
+  | Insn.Reg r -> reg_get sz r
+  | Insn.Imm v -> fun _ -> v
+  | Insn.Mem m ->
+      let e = ea ~next_rip m and get = mem_get sz in
+      fun st -> get st (e st)
+
+let fault_at here msg = raise (Stop (Fault (here, msg)))
+
+let operand_set ~next_rip ~here ~what sz report :
+    Insn.operand -> state -> int -> unit = function
+  | Insn.Reg r -> reg_set sz r
+  | Insn.Mem m ->
+      let e = ea ~next_rip m and set = mem_set sz report in
+      fun st v -> set st (e st) v
+  | Insn.Imm _ -> fun _ _ -> fault_at here what
+
+(* Read-modify-write of [dst]: [f st a] is the result (flags set) from the
+   old value [a]; a memory operand's address is computed once. *)
+let modify ~next_rip ~here ~what sz report dst (f : state -> int -> int) :
+    state -> unit =
+  match dst with
+  | Insn.Reg r ->
+      let get = reg_get sz r and set = reg_set sz r in
+      fun st -> set st (f st (get st))
+  | Insn.Mem m ->
+      let e = ea ~next_rip m and get = mem_get sz and set = mem_set sz report in
+      fun st ->
+        let a = e st in
+        set st a (f st (get st a))
+  | Insn.Imm v ->
+      fun st ->
+        ignore (f st v);
+        fault_at here what
 
 (* ------------------------------------------------------------------ *)
 (* Control transfer with the locality cost model                       *)
@@ -246,18 +363,29 @@ let goto st ~from target =
   end;
   st.rip <- target
 
+(* A transfer to a constant target: whether it crosses a page is known
+   when it is lowered. *)
+let goto_const ~from target : state -> unit =
+  if target lsr 12 <> from lsr 12 then fun st -> goto st ~from target
+  else fun st -> st.rip <- target
+
 (* ------------------------------------------------------------------ *)
 (* Stack                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let rsp = Reg.index Reg.RSP
 
-let push st v =
-  st.regs.(rsp) <- st.regs.(rsp) - 8;
-  Space.write_u64 st.space st.regs.(rsp) v;
-  match st.tracer with
-  | None -> ()
-  | Some t -> t.on_store ~addr:st.regs.(rsp) ~size:8 ~value:v
+let push_fn (report : tracer option) : state -> int -> unit =
+  match report with
+  | None ->
+      fun st v ->
+        st.regs.(rsp) <- st.regs.(rsp) - 8;
+        Space.write_u64 st.space st.regs.(rsp) v
+  | Some t ->
+      fun st v ->
+        st.regs.(rsp) <- st.regs.(rsp) - 8;
+        Space.write_u64 st.space st.regs.(rsp) v;
+        t.on_store ~addr:st.regs.(rsp) ~size:8 ~value:v
 
 let pop st =
   let v = Space.read_u64 st.space st.regs.(rsp) in
@@ -273,36 +401,38 @@ let rsi = Reg.index Reg.RSI
 let rdx = Reg.index Reg.RDX
 let rax = Reg.index Reg.RAX
 
-let read_cstring st addr =
-  let buf = Buffer.create 32 in
-  let rec go a =
-    let c = Space.read_u8 st.space a in
-    if c <> 0 && Buffer.length buf < 256 then begin
-      Buffer.add_char buf (Char.chr c);
-      go (a + 1)
-    end
-  in
-  go addr;
-  Buffer.contents buf
+(* The longest C string a host call reads. *)
+let cstring_max = 256
 
-let hostcall st ~site n =
-  if n = Hostcall.malloc then st.regs.(rax) <- st.alloc.malloc st.regs.(rdi)
-  else if n = Hostcall.free then st.alloc.free st.regs.(rdi)
-  else if n = Hostcall.count then
-    Hashtbl.replace st.counters site
-      (1 + Option.value ~default:0 (Hashtbl.find_opt st.counters site))
-  else if n = Hostcall.check then begin
+(* A host call lowered at [site]; [count] gets the site's cell in
+   [counters] now, so a retire increments it without a table lookup. *)
+let hostcall ~counters ~site n : state -> unit =
+  if n = Hostcall.malloc then (fun st ->
+    st.regs.(rax) <- st.alloc.malloc st.regs.(rdi))
+  else if n = Hostcall.free then (fun st -> st.alloc.free st.regs.(rdi))
+  else if n = Hostcall.count then begin
+    let cell =
+      match Itbl.find_opt counters site with
+      | Some c -> c
+      | None ->
+          let c = ref 0 in
+          Itbl.replace counters site c;
+          c
+    in
+    fun _ -> incr cell
+  end
+  else if n = Hostcall.check then (fun st ->
     if not (st.alloc.check st.regs.(rdi)) then begin
       st.violations <- st.violations + 1;
       if st.cfg.abort_on_violation then raise (Stop (Violation st.regs.(rdi)))
-    end
-  end
-  else if n = Hostcall.print then
+    end)
+  else if n = Hostcall.print then (fun st ->
     (* Instrumentation log, not guest output: the trace oracle compares
        the output stream, and print trampolines must not perturb it. *)
-    st.prints <- read_cstring st st.regs.(rdi) :: st.prints
-  else if n = Hostcall.trap then st.sigtraps <- st.sigtraps + 1
-  else raise (Stop (Fault (site, Printf.sprintf "unknown hostcall 0x%x" n)))
+    st.prints <-
+      Space.read_cstring st.space st.regs.(rdi) ~max:cstring_max :: st.prints)
+  else if n = Hostcall.trap then (fun st -> st.sigtraps <- st.sigtraps + 1)
+  else fun _ -> fault_at site (Printf.sprintf "unknown hostcall 0x%x" n)
 
 (* The path the injected E9Patch loader stub opens to mmap its own file. *)
 let self_exe_path = "/proc/self/exe"
@@ -351,235 +481,232 @@ let syscall st =
   | 60 -> raise (Stop (Exited (st.regs.(rdi) land 0xff)))
   | 257 ->
       (* openat(dirfd, path, flags) — only the loader's self-open. *)
-      let path = read_cstring st st.regs.(rsi) in
+      let path = Space.read_cstring st.space st.regs.(rsi) ~max:cstring_max in
       if String.equal path self_exe_path && Hashtbl.mem st.files self_exe_fd
       then st.regs.(rax) <- self_exe_fd
       else st.regs.(rax) <- -2 (* ENOENT *)
   | n -> raise (Stop (Fault (st.rip, Printf.sprintf "unsupported syscall %d" n)))
 
 (* ------------------------------------------------------------------ *)
-(* Instruction dispatch                                                *)
+(* Lowering: the one definition of every instruction's semantics       *)
 (* ------------------------------------------------------------------ *)
 
-let exec st (d : Decode.decoded) =
-  let here = st.rip in
-  let next_rip = here + d.len in
-  st.rip <- next_rip;
-  match d.insn with
-  | Insn.Nop _ | Insn.Endbr64 -> ()
-  | Insn.Mov (sz, dst, src) -> (
-      let v = read_operand st sz ~next_rip src in
-      match dst with
-      | Insn.Reg r -> set_reg st sz r v
-      | Insn.Mem m -> write_mem st sz (ea st m ~next_rip) v
-      | Insn.Imm _ -> raise (Stop (Fault (here, "mov to immediate"))))
-  | Insn.Movabs (r, v) -> st.regs.(Reg.index r) <- Int64.to_int v
-  | Insn.Lea (r, m) -> st.regs.(Reg.index r) <- ea st m ~next_rip
+let pushfq st =
+  (* x86 RFLAGS bit layout: CF=0, PF=2, ZF=6, SF=7, OF=11; bit 1 is
+     always set. *)
+  0x2
+  lor (if st.cf then 1 else 0)
+  lor (if st.pf then 4 else 0)
+  lor (if st.zf then 0x40 else 0)
+  lor (if st.sf then 0x80 else 0)
+  lor if st.o_f then 0x800 else 0
+
+let popfq st v =
+  st.cf <- v land 1 <> 0;
+  st.pf <- v land 4 <> 0;
+  st.zf <- v land 0x40 <> 0;
+  st.sf <- v land 0x80 <> 0;
+  st.o_f <- v land 0x800 <> 0
+
+(* [lower st ~here insn ~next_rip] is [insn]'s semantics at address [here]:
+   RIP is already [next_rip] when it runs (the block loop sets it), a
+   transfer overwrites it. [report] is the tracer when it watches this
+   instruction's stores. *)
+let lower st ~here ~next_rip ~report (insn : Insn.t) : state -> unit =
+  let get sz op = operand_get ~next_rip sz op in
+  let set ~what sz op = operand_set ~next_rip ~here ~what sz report op in
+  let modify ~what sz dst f = modify ~next_rip ~here ~what sz report dst f in
+  let push = push_fn report in
+  match insn with
+  | Insn.Nop _ | Insn.Endbr64 -> fun _ -> ()
+  | Insn.Mov (sz, Insn.Reg r, Insn.Reg s) ->
+      let g = reg_get sz s and p = reg_set sz r in
+      fun st -> p st (g st)
+  | Insn.Mov (Insn.Q, Insn.Reg r, Insn.Imm v) ->
+      let i = Reg.index r in
+      fun st -> Array.unsafe_set st.regs i v
+  | Insn.Mov (Insn.Q, Insn.Reg r, Insn.Mem m) ->
+      let i = Reg.index r and e = ea ~next_rip m in
+      fun st -> Array.unsafe_set st.regs i (Space.read_u64 st.space (e st))
+  | Insn.Mov (Insn.Q, Insn.Mem m, Insn.Reg r) when Option.is_none report ->
+      let i = Reg.index r and e = ea ~next_rip m in
+      fun st -> Space.write_u64 st.space (e st) (Array.unsafe_get st.regs i)
+  | Insn.Mov (sz, dst, src) ->
+      let g = get sz src and p = set ~what:"mov to immediate" sz dst in
+      fun st -> p st (g st)
+  | Insn.Movabs (r, v) ->
+      let i = Reg.index r and v = Int64.to_int v in
+      fun st -> Array.unsafe_set st.regs i v
+  | Insn.Lea (r, m) ->
+      let i = Reg.index r and e = ea ~next_rip m in
+      fun st -> Array.unsafe_set st.regs i (e st)
+  | Insn.Alu ((Insn.Cmp | Insn.Test) as op, sz, dst, src) ->
+      (* Flags only: nothing is stored, not even to an immediate. *)
+      let f = alu_fn op sz in
+      (match (dst, src) with
+      | Insn.Reg r, Insn.Imm v ->
+          let a = reg_get sz r in
+          fun st -> ignore (f st (a st) v)
+      | _ ->
+          let a = get sz dst and b = get sz src in
+          fun st ->
+            let x = a st in
+            ignore (f st x (b st)))
   | Insn.Alu (op, sz, dst, src) -> (
-      let a = read_operand st sz ~next_rip dst in
-      let b = read_operand st sz ~next_rip src in
-      let m = mask_of sz in
-      let store r =
-        match dst with
-        | Insn.Reg reg -> set_reg st sz reg r
-        | Insn.Mem mem -> write_mem st sz (ea st mem ~next_rip) r
-        | Insn.Imm _ -> raise (Stop (Fault (here, "ALU to immediate")))
-      in
-      match op with
-      | Insn.Add ->
-          let r = (a + b) land m in
-          flags_add st sz a b r;
-          store r
-      | Insn.Adc ->
-          let carry = if st.cf then 1 else 0 in
-          let r = (a + b + carry) land m in
-          set_zsp st sz r;
-          (match sz with
-          | Insn.Q ->
-              (* carry out of a+b, or the +1 wrapping an all-ones sum *)
-              let s1 = a + b in
-              st.cf <- ult s1 a || (carry = 1 && s1 = -1)
-          | Insn.B | Insn.L ->
-              st.cf <- (a land m) + (b land m) + carry > m);
-          let msb = msb_of sz in
-          let sa = a land msb <> 0 and sb = b land msb <> 0 in
-          let sr = r land msb <> 0 in
-          st.o_f <- sa = sb && sr <> sa;
-          store r
-      | Insn.Sbb ->
-          let borrow = if st.cf then 1 else 0 in
-          let r = (a - b - borrow) land m in
-          set_zsp st sz r;
-          (match sz with
-          | Insn.Q -> st.cf <- ult a b || (borrow = 1 && a - b = 0)
-          | Insn.B | Insn.L -> st.cf <- a land m < (b land m) + borrow);
-          let msb = msb_of sz in
-          let sa = a land msb <> 0 and sb = b land msb <> 0 in
-          let sr = r land msb <> 0 in
-          st.o_f <- sa <> sb && sr <> sa;
-          store r
-      | Insn.Sub ->
-          let r = (a - b) land m in
-          flags_sub st sz a b r;
-          store r
-      | Insn.Cmp ->
-          let r = (a - b) land m in
-          flags_sub st sz a b r
-      | Insn.And ->
-          let r = a land b land m in
-          flags_logic st sz r;
-          store r
-      | Insn.Or ->
-          let r = (a lor b) land m in
-          flags_logic st sz r;
-          store r
-      | Insn.Xor ->
-          let r = (a lxor b) land m in
-          flags_logic st sz r;
-          store r
-      | Insn.Test ->
-          let r = a land b land m in
-          flags_logic st sz r)
+      let f = alu_fn op sz in
+      match (sz, dst, src) with
+      | Insn.Q, Insn.Reg r, Insn.Reg s ->
+          let i = Reg.index r and j = Reg.index s in
+          fun st ->
+            Array.unsafe_set st.regs i
+              (f st (Array.unsafe_get st.regs i) (Array.unsafe_get st.regs j))
+      | Insn.Q, Insn.Reg r, Insn.Imm v ->
+          let i = Reg.index r in
+          fun st -> Array.unsafe_set st.regs i (f st (Array.unsafe_get st.regs i) v)
+      | _ ->
+          let b = get sz src in
+          modify ~what:"ALU to immediate" sz dst (fun st a -> f st a (b st)))
   | Insn.Imul (r, src) ->
-      let a = get_reg st Insn.Q r in
-      let b = read_operand st Insn.Q ~next_rip src in
-      let v = a * b in
-      set_reg st Insn.Q r v;
-      set_zsp st Insn.Q v;
-      st.cf <- false;
-      st.o_f <- false
+      let i = Reg.index r and b = get Insn.Q src in
+      fun st ->
+        let v = Array.unsafe_get st.regs i * b st in
+        Array.unsafe_set st.regs i v;
+        set_zsp st Insn.Q v;
+        st.cf <- false;
+        st.o_f <- false
   | Insn.Movzx (r, src) ->
-      set_reg st Insn.Q r (read_operand st Insn.B ~next_rip src land 0xff)
+      let i = Reg.index r and b = get Insn.B src in
+      fun st -> Array.unsafe_set st.regs i (b st land 0xff)
   | Insn.Movsx (r, src) ->
-      let v = read_operand st Insn.B ~next_rip src land 0xff in
-      set_reg st Insn.Q r (if v land 0x80 <> 0 then v - 0x100 else v)
-  | Insn.Setcc (c, dst) -> (
-      let v = if cond st c then 1 else 0 in
-      match dst with
-      | Insn.Reg r -> set_reg st Insn.B r v
-      | Insn.Mem m -> write_mem st Insn.B (ea st m ~next_rip) v
-      | Insn.Imm _ -> raise (Stop (Fault (here, "setcc to immediate"))))
+      let i = Reg.index r and b = get Insn.B src in
+      fun st ->
+        let v = b st land 0xff in
+        Array.unsafe_set st.regs i (if v land 0x80 <> 0 then v - 0x100 else v)
+  | Insn.Setcc (c, dst) ->
+      let test = cond_fn c and p = set ~what:"setcc to immediate" Insn.B dst in
+      fun st -> p st (if test st then 1 else 0)
   | Insn.Cmov (c, r, src) ->
       (* The source is read unconditionally, as on hardware. *)
-      let v = read_operand st Insn.Q ~next_rip src in
-      if cond st c then set_reg st Insn.Q r v
-  | Insn.Neg (sz, dst) -> (
-      let a = read_operand st sz ~next_rip dst in
+      let test = cond_fn c and i = Reg.index r and b = get Insn.Q src in
+      fun st ->
+        let v = b st in
+        if test st then Array.unsafe_set st.regs i v
+  | Insn.Neg (sz, dst) ->
       let m = mask_of sz in
-      let r = -a land m in
-      flags_sub st sz 0 a r;
-      match dst with
-      | Insn.Reg reg -> set_reg st sz reg r
-      | Insn.Mem mem -> write_mem st sz (ea st mem ~next_rip) r
-      | Insn.Imm _ -> raise (Stop (Fault (here, "neg of immediate"))))
-  | Insn.Not (sz, dst) -> (
+      modify ~what:"neg of immediate" sz dst (fun st a ->
+          let r = -a land m in
+          flags_sub st sz 0 a r;
+          r)
+  | Insn.Not (sz, dst) ->
       (* not does not affect flags *)
-      let a = read_operand st sz ~next_rip dst in
-      let r = lnot a land mask_of sz in
-      match dst with
-      | Insn.Reg reg -> set_reg st sz reg r
-      | Insn.Mem mem -> write_mem st sz (ea st mem ~next_rip) r
-      | Insn.Imm _ -> raise (Stop (Fault (here, "not of immediate"))))
-  | Insn.Inc (sz, dst) | Insn.Dec (sz, dst) -> (
+      let m = mask_of sz in
+      modify ~what:"not of immediate" sz dst (fun _ a -> lnot a land m)
+  | Insn.Inc (sz, dst) ->
       (* inc/dec: add/sub 1 with CF preserved *)
-      let a = read_operand st sz ~next_rip dst in
       let m = mask_of sz in
-      let saved_cf = st.cf in
-      let r =
-        match d.insn with
-        | Insn.Inc _ ->
-            let r = (a + 1) land m in
-            flags_add st sz a 1 r;
-            r
-        | _ ->
-            let r = (a - 1) land m in
-            flags_sub st sz a 1 r;
-            r
-      in
-      st.cf <- saved_cf;
-      match dst with
-      | Insn.Reg reg -> set_reg st sz reg r
-      | Insn.Mem mem -> write_mem st sz (ea st mem ~next_rip) r
-      | Insn.Imm _ -> raise (Stop (Fault (here, "inc/dec of immediate"))))
+      modify ~what:"inc/dec of immediate" sz dst (fun st a ->
+          let saved_cf = st.cf in
+          let r = (a + 1) land m in
+          flags_add st sz a 1 r;
+          st.cf <- saved_cf;
+          r)
+  | Insn.Dec (sz, dst) ->
+      let m = mask_of sz in
+      modify ~what:"inc/dec of immediate" sz dst (fun st a ->
+          let saved_cf = st.cf in
+          let r = (a - 1) land m in
+          flags_sub st sz a 1 r;
+          st.cf <- saved_cf;
+          r)
   | Insn.Shift (sh, sz, dst, n) ->
-      let a = read_operand st sz ~next_rip dst in
-      let m = mask_of sz in
+      let m = mask_of sz and msb = msb_of sz in
       let n = n land (match sz with Insn.Q -> 63 | Insn.B | Insn.L -> 31) in
-      let r =
+      let result =
         match sh with
-        | Insn.Shl -> (a lsl n) land m
-        | Insn.Shr -> (a land m) lsr n
+        | Insn.Shl -> fun a -> (a lsl n) land m
+        | Insn.Shr -> fun a -> (a land m) lsr n
         | Insn.Sar -> (
             (* Arithmetic shift on the masked value's sign. *)
             match sz with
-            | Insn.Q -> a asr n
+            | Insn.Q -> fun a -> a asr n
             | Insn.B | Insn.L ->
-                let signed =
-                  if a land msb_of sz <> 0 then a land m - (m + 1) else a land m
-                in
-                signed asr n land m)
+                fun a ->
+                  let signed = if a land msb <> 0 then a land m - (m + 1) else a land m in
+                  signed asr n land m)
       in
-      if n <> 0 then begin
-        set_zsp st sz r;
-        (match sh with
-        | Insn.Shl -> st.cf <- (a lsl n) land m land msb_of sz <> 0 && n = 1
-        | Insn.Shr | Insn.Sar -> st.cf <- (a land m) lsr (n - 1) land 1 = 1);
-        st.o_f <- false
-      end;
-      (match dst with
-      | Insn.Reg reg -> set_reg st sz reg r
-      | Insn.Mem mem -> write_mem st sz (ea st mem ~next_rip) r
-      | Insn.Imm _ -> raise (Stop (Fault (here, "shift of immediate"))))
-  | Insn.Push r -> push st st.regs.(Reg.index r)
-  | Insn.Pop r -> st.regs.(Reg.index r) <- pop st
-  | Insn.Pushfq ->
-      (* x86 RFLAGS bit layout: CF=0, PF=2, ZF=6, SF=7, OF=11; bit 1 is
-         always set. *)
-      let v =
-        0x2
-        lor (if st.cf then 1 else 0)
-        lor (if st.pf then 4 else 0)
-        lor (if st.zf then 0x40 else 0)
-        lor (if st.sf then 0x80 else 0)
-        lor if st.o_f then 0x800 else 0
-      in
-      push st v
-  | Insn.Popfq ->
-      let v = pop st in
-      st.cf <- v land 1 <> 0;
-      st.pf <- v land 4 <> 0;
-      st.zf <- v land 0x40 <> 0;
-      st.sf <- v land 0x80 <> 0;
-      st.o_f <- v land 0x800 <> 0
+      modify ~what:"shift of immediate" sz dst (fun st a ->
+          let r = result a in
+          if n <> 0 then begin
+            set_zsp st sz r;
+            (match sh with
+            | Insn.Shl -> st.cf <- (a lsl n) land m land msb <> 0 && n = 1
+            | Insn.Shr | Insn.Sar -> st.cf <- (a land m) lsr (n - 1) land 1 = 1);
+            st.o_f <- false
+          end;
+          r)
+  | Insn.Push r ->
+      let i = Reg.index r in
+      fun st -> push st (Array.unsafe_get st.regs i)
+  | Insn.Pop r ->
+      let i = Reg.index r in
+      fun st ->
+        let v = pop st in
+        Array.unsafe_set st.regs i v
+  | Insn.Pushfq -> fun st -> push st (pushfq st)
+  | Insn.Popfq -> fun st -> popfq st (pop st)
   | Insn.Call rel ->
-      push st next_rip;
-      goto st ~from:here (next_rip + rel)
+      let jump = goto_const ~from:here (next_rip + rel) in
+      fun st ->
+        push st next_rip;
+        jump st
   | Insn.Call_ind op ->
-      let target = read_operand st Insn.Q ~next_rip op in
-      push st next_rip;
-      goto st ~from:here target
-  | Insn.Ret ->
-      let target = pop st in
-      goto st ~from:here target
-  | Insn.Jmp rel | Insn.Jmp_short rel -> goto st ~from:here (next_rip + rel)
-  | Insn.Jmp_ind op -> goto st ~from:here (read_operand st Insn.Q ~next_rip op)
+      let target = get Insn.Q op in
+      fun st ->
+        let t = target st in
+        push st next_rip;
+        goto st ~from:here t
+  | Insn.Ret -> fun st -> goto st ~from:here (pop st)
+  | Insn.Jmp rel | Insn.Jmp_short rel -> goto_const ~from:here (next_rip + rel)
+  | Insn.Jmp_ind op ->
+      let target = get Insn.Q op in
+      fun st -> goto st ~from:here (target st)
   | Insn.Jcc (c, rel) | Insn.Jcc_short (c, rel) ->
-      if cond st c then goto st ~from:here (next_rip + rel)
+      let test = cond_fn c and jump = goto_const ~from:here (next_rip + rel) in
+      fun st -> if test st then jump st
   | Insn.Int3 -> (
       (* B0: the SIGTRAP handler redirects to the patch trampoline. *)
       match Hashtbl.find_opt st.trap_table here with
       | Some trampoline ->
-          st.cycles <- st.cycles + st.cfg.trap_penalty;
-          st.trap_count <- st.trap_count + 1;
-          goto st ~from:here trampoline
-      | None -> raise (Stop (Fault (here, "int3 with no trap-table entry"))))
+          let jump = goto_const ~from:here trampoline in
+          fun st ->
+            st.cycles <- st.cycles + st.cfg.trap_penalty;
+            st.trap_count <- st.trap_count + 1;
+            jump st
+      | None -> fun _ -> fault_at here "int3 with no trap-table entry")
   | Insn.Int n ->
-      if Hostcall.is_hostcall n then hostcall st ~site:here n
-      else raise (Stop (Fault (here, Printf.sprintf "int 0x%x" n)))
-  | Insn.Syscall -> syscall st
-  | Insn.Ud2 -> raise (Stop (Fault (here, "ud2")))
+      if Hostcall.is_hostcall n then hostcall ~counters:st.counters ~site:here n
+      else fun _ -> fault_at here (Printf.sprintf "int 0x%x" n)
+  | Insn.Syscall -> syscall
+  | Insn.Ud2 -> fun _ -> fault_at here "ud2"
   | Insn.Unknown b ->
-      raise (Stop (Fault (here, Printf.sprintf "undecodable byte 0x%02x" b)))
+      fun _ -> fault_at here (Printf.sprintf "undecodable byte 0x%02x" b)
+
+let unwatched = { retire = false; stores = true }
+
+(* Lower the instruction [d] decoded at [here], asking the tracer once
+   whether its retire is reported and whether its stores are. *)
+let lower_op st ~here (d : Decode.decoded) =
+  let w =
+    match st.tracer with
+    | None -> unwatched
+    | Some t -> t.watch ~addr:here ~insn:d.Decode.insn
+  in
+  let report = if w.stores then st.tracer else None in
+  let next_rip = here + d.Decode.len in
+  { addr = here;
+    next = next_rip;
+    exec = lower st ~here ~next_rip ~report d.Decode.insn;
+    retire = w.retire }
 
 (* ------------------------------------------------------------------ *)
 (* The decoded-code cache and its invalidation                         *)
@@ -592,7 +719,7 @@ let exec st (d : Decode.decoded) =
 let check_code_gen st =
   let g = Space.generation st.space in
   if g <> st.cache_gen then begin
-    Hashtbl.reset st.bcache;
+    Itbl.reset st.bcache;
     st.cache_gen <- g;
     st.block_invalidations <- st.block_invalidations + 1
   end
@@ -631,48 +758,54 @@ let build_block st entry =
     | None -> stop := true
     | Some window ->
         let d = Decode.decode window 0 in
-        buf := d :: !buf;
+        buf := lower_op st ~here:!a d :: !buf;
         incr n;
         a := !a + d.Decode.len;
         if terminates d || !n >= max_block_len then stop := true
   done;
-  { entry; code = Array.of_list (List.rev !buf) }
+  Array.of_list (List.rev !buf)
 
 let block_at st addr =
-  match Hashtbl.find_opt st.bcache addr with
-  | Some b ->
+  match Itbl.find st.bcache addr with
+  | b ->
       st.block_hits <- st.block_hits + 1;
       b
-  | None ->
+  | exception Not_found ->
       let b = build_block st addr in
       st.block_misses <- st.block_misses + 1;
-      Hashtbl.replace st.bcache addr b;
+      Itbl.replace st.bcache addr b;
       b
 
+(* One retire: the counters, the RIP ring, the tracer's boundary event
+   when the lowered op carries the bit, then the op itself with RIP
+   already at the next instruction. *)
+let step st op =
+  st.ring.(st.insns land 31) <- op.addr;
+  st.insns <- st.insns + 1;
+  st.cycles <- st.cycles + 1;
+  (if op.retire then
+     match st.tracer with
+     | Some t -> t.on_retire ~addr:op.addr ~regs:st.regs
+     | None -> ());
+  st.rip <- op.next;
+  op.exec st
+
 (* Execute a whole superblock. The fuel check happened at block entry; per
-   instruction only the counters, the RIP ring and the generation check
-   remain. A mid-block write to executable memory (self-modifying code)
-   aborts the block after the writing instruction: the rest of the decoded
-   array may be stale, so control returns to the outer loop, which re-decodes
-   from the (already correct) RIP. *)
-let exec_block st b =
-  let n = Array.length b.code in
-  let i = ref 0 in
-  while !i < n do
-    let d = Array.unsafe_get b.code !i in
-    st.ring.(st.insns land 31) <- st.rip;
-    st.insns <- st.insns + 1;
-    st.cycles <- st.cycles + 1;
-    (match st.tracer with
-    | None -> ()
-    | Some t -> t.on_retire ~addr:st.rip ~insn:d.Decode.insn ~regs:st.regs);
-    exec st d;
-    if Space.generation st.space <> st.cache_gen then begin
-      check_code_gen st;
-      i := n
+   instruction only the retire and the generation check remain. A
+   mid-block write to executable memory (self-modifying code) aborts the
+   block after the writing instruction: the rest of the lowered array may
+   be stale, so control returns to the outer loop, which lowers again from
+   the (already correct) RIP. *)
+let exec_block st (b : block) =
+  let n = Array.length b in
+  let rec go i =
+    if i < n then begin
+      step st (Array.unsafe_get b i);
+      if Space.generation st.space <> st.cache_gen then check_code_gen st
+      else go (i + 1)
     end
-    else incr i
-  done
+  in
+  go 0
 
 let run ?(config = default_config) ?(files = []) ?tracer space ~entry
     ~stack_top ~traps ~allocator =
@@ -697,13 +830,13 @@ let run ?(config = default_config) ?(files = []) ?tracer space ~entry
       output = Buffer.create 256;
       files = file_table;
       ring = Array.make 32 (-1);
-      bcache = Hashtbl.create 1024;
+      bcache = Itbl.create 1024;
       cache_gen = Space.generation space;
       block_hits = 0;
       block_misses = 0;
       block_invalidations = 0;
       trap_table = traps;
-      counters = Hashtbl.create 64;
+      counters = Itbl.create 64;
       alloc = allocator;
       cfg = config;
       tracer }
@@ -714,21 +847,12 @@ let run ?(config = default_config) ?(files = []) ?tracer space ~entry
       while st.insns < config.fuel do
         check_code_gen st;
         let b = block_at st st.rip in
-        if st.insns + Array.length b.code <= config.fuel then exec_block st b
-        else begin
+        if st.insns + Array.length b <= config.fuel then exec_block st b
+        else
           (* Not enough fuel for the whole block: single-step its first
              instruction so that fuel exhaustion lands on the exact
              instruction count. *)
-          let d = b.code.(0) in
-          st.ring.(st.insns land 31) <- st.rip;
-          st.insns <- st.insns + 1;
-          st.cycles <- st.cycles + 1;
-          (match st.tracer with
-          | None -> ()
-          | Some t ->
-              t.on_retire ~addr:st.rip ~insn:d.Decode.insn ~regs:st.regs);
-          exec st d
-        end
+          step st b.(0)
       done;
       Out_of_fuel
     with
@@ -746,11 +870,13 @@ let run ?(config = default_config) ?(files = []) ?tracer space ~entry
     prints = List.rev st.prints;
     counters =
       List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.counters []);
+        (Itbl.fold
+           (fun k c acc -> if !c > 0 then (k, !c) :: acc else acc)
+           st.counters []);
     last_rips =
       (let n = min st.insns 32 in
        List.init n (fun i -> st.ring.((st.insns - n + i) land 31)));
     block_hits = st.block_hits;
     block_misses = st.block_misses;
     block_invalidations = st.block_invalidations;
-    blocks_cached = Hashtbl.length st.bcache }
+    blocks_cached = Itbl.length st.bcache }

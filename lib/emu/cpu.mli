@@ -16,9 +16,15 @@
     workload generator guarantees. 8- and 32-bit operations are exact.
 
     Execution is driven by a superblock cache: straight-line runs of
-    decoded instructions (ending at the first control transfer) are cached
-    by entry address and replayed as a tight array loop with one cache
-    lookup and one fuel check per block. The cache is invalidated whenever
+    instructions (ending at the first control transfer) are decoded and
+    {e lowered} once, when the block is built, each into a closure
+    specialised to its address (the next RIP, RIP-relative addresses and
+    branch targets are constants), its operand forms and its size. The
+    lowering is the one definition of every instruction's semantics;
+    blocks are cached by entry address in an int-keyed table and replayed
+    as a tight array loop with one cache lookup and one fuel check per
+    block (a block too long for the remaining fuel runs its first lowered
+    instruction alone). The cache is invalidated whenever
     {!E9_vm.Space.generation} advances, i.e. whenever executable memory is
     written or remapped, so self-modifying code executes correctly
     (DESIGN.md §7). *)
@@ -75,15 +81,26 @@ type result = {
   blocks_cached : int;  (** blocks resident when the run ended *)
 }
 
+(** What a tracer watches at one instruction address. *)
+type watch = {
+  retire : bool;  (** a retire here calls [on_retire] *)
+  stores : bool;  (** this instruction's data writes call [on_store] *)
+}
+
 (** Architectural-event hooks for the differential oracle ({!E9_check}).
-    [on_retire] fires once per instruction, before it executes, with the
-    pre-execution register file (the array is live — copy what you keep).
-    [on_store] fires after every successful data write, including stack
+    [watch] is asked once per instruction when its block is built (and
+    again only if the block is rebuilt after an invalidation); its answer
+    rides on the lowered instruction, so a retire it does not watch calls
+    no hook at all. [on_retire] fires before a watched instruction
+    executes, with the pre-execution register file (the array is live —
+    copy what you keep). [on_store] fires after every successful data
+    write of an instruction whose [stores] bit is set, including stack
     pushes, with the value truncated to the written width. Host-call and
     syscall side effects (allocator, output stream, [mmap]) do not raise
     events. *)
 type tracer = {
-  on_retire : addr:int -> insn:E9_x86.Insn.t -> regs:int array -> unit;
+  watch : addr:int -> insn:E9_x86.Insn.t -> watch;
+  on_retire : addr:int -> regs:int array -> unit;
   on_store : addr:int -> size:int -> value:int -> unit;
 }
 

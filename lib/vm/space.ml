@@ -15,23 +15,25 @@ type page = {
   mutable shared : bool;
 }
 
+module Itbl = E9_bits.Itbl
+
+let tlb_slots = 64
+
 type t = {
-  pages : (int, page) Hashtbl.t;
+  pages : page Itbl.t;
   (* Zero-filled regions are materialized lazily: a multi-GiB .bss must not
      allocate host memory until touched. Newest first (later maps win). *)
   mutable zero_regions : (int * int * Elf_file.prot) list;
-  (* One-entry cache of the last page touched: the hot path for both data
-     access and instruction fetch. *)
-  mutable last_pn : int;
-  mutable last_page : page option;
-  (* Protection-checked one-entry handles: a page that already passed the
-     read (resp. write) permission check. The CPU's block execution loop
-     hits these instead of re-walking the page table and re-checking
-     protections on every access. Invalidated by any mapping operation. *)
-  mutable rd_pn : int;
-  mutable rd_page : page option;
-  mutable wr_pn : int;
-  mutable wr_page : page option;
+  (* Protection-checked, direct-mapped TLBs, one for reads and one for
+     writes: slot [pn land (tlb_slots - 1)] holds page [pn] once it has
+     passed the read (resp. write) permission check, so a hit is one
+     compare and no page-table walk. Stack, data and text pages sit in
+     different slots instead of evicting one another. Every mapping
+     operation flushes both (a tag of -1 matches no page number). *)
+  rd_tag : int array;
+  rd_page : page array;
+  wr_tag : int array;
+  wr_page : page array;
   (* Bumped whenever the contents or protections of executable memory may
      have changed: any data write to an executable page and any mapping
      operation that creates, replaces or re-protects an executable page.
@@ -45,33 +47,29 @@ type t = {
      [share_src] identifies the buffer (physical equality) — a map from a
      different buffer resets the table. *)
   mutable share_src : Bytes.t;
-  share_pages : (int, page) Hashtbl.t;
+  share_pages : page Itbl.t;
 }
 
+let no_page = { bytes = Bytes.empty; prot = Elf_file.prot_r; shared = false }
+
 let create () =
-  { pages = Hashtbl.create 1024;
+  { pages = Itbl.create 1024;
     zero_regions = [];
-    last_pn = -1;
-    last_page = None;
-    rd_pn = -1;
-    rd_page = None;
-    wr_pn = -1;
-    wr_page = None;
+    rd_tag = Array.make tlb_slots (-1);
+    rd_page = Array.make tlb_slots no_page;
+    wr_tag = Array.make tlb_slots (-1);
+    wr_page = Array.make tlb_slots no_page;
     code_gen = 0;
     share_src = Bytes.empty;
-    share_pages = Hashtbl.create 64 }
+    share_pages = Itbl.create 64 }
 
 let generation t = t.code_gen
 
 let fault addr msg = raise (Fault (addr, msg))
 
-let invalidate_handles t =
-  t.last_pn <- -1;
-  t.last_page <- None;
-  t.rd_pn <- -1;
-  t.rd_page <- None;
-  t.wr_pn <- -1;
-  t.wr_page <- None
+let flush_tlbs t =
+  Array.fill t.rd_tag 0 tlb_slots (-1);
+  Array.fill t.wr_tag 0 tlb_slots (-1)
 
 let materialize_zero t pn =
   (* A page is backed by a zero region when any of its bytes fall inside
@@ -82,22 +80,14 @@ let materialize_zero t pn =
   with
   | Some (_, _, prot) ->
       let p = { bytes = Bytes.make page_size '\000'; prot; shared = false } in
-      Hashtbl.replace t.pages pn p;
+      Itbl.replace t.pages pn p;
       Some p
   | None -> None
 
 let page_of t pn =
-  if t.last_pn = pn then t.last_page
-  else begin
-    let p =
-      match Hashtbl.find_opt t.pages pn with
-      | Some _ as p -> p
-      | None -> materialize_zero t pn
-    in
-    t.last_pn <- pn;
-    t.last_page <- p;
-    p
-  end
+  match Itbl.find_opt t.pages pn with
+  | Some _ as p -> p
+  | None -> materialize_zero t pn
 
 let ensure_page t pn prot =
   match page_of t pn with
@@ -112,24 +102,20 @@ let ensure_page t pn prot =
       if p.prot.Elf_file.x || prot.Elf_file.x then
         t.code_gen <- t.code_gen + 1;
       let q = { bytes = Bytes.copy p.bytes; prot; shared = false } in
-      Hashtbl.replace t.pages pn q;
-      t.last_pn <- pn;
-      t.last_page <- Some q;
+      Itbl.replace t.pages pn q;
       q
   | None ->
       if prot.Elf_file.x then t.code_gen <- t.code_gen + 1;
       let p = { bytes = Bytes.make page_size '\000'; prot; shared = false } in
-      Hashtbl.replace t.pages pn p;
-      t.last_pn <- pn;
-      t.last_page <- Some p;
+      Itbl.replace t.pages pn p;
       p
 
 let map_sub t ~vaddr ~prot content ~src_off ~len =
   if src_off < 0 || len < 0 || src_off + len > Bytes.length content then
     invalid_arg "Space.map_sub";
-  invalidate_handles t;
+  flush_tlbs t;
   if t.share_src != content then begin
-    Hashtbl.reset t.share_pages;
+    Itbl.reset t.share_pages;
     t.share_src <- content
   end;
   let pos = ref 0 in
@@ -149,16 +135,16 @@ let map_sub t ~vaddr ~prot content ~src_off ~len =
       | Some _ | None -> ());
       if prot.Elf_file.x then t.code_gen <- t.code_gen + 1;
       let canon =
-        match Hashtbl.find_opt t.share_pages src with
+        match Itbl.find_opt t.share_pages src with
         | Some p when p.prot = prot -> p
         | Some _ | None ->
             let p =
               { bytes = Bytes.sub content src page_size; prot; shared = true }
             in
-            Hashtbl.replace t.share_pages src p;
+            Itbl.replace t.share_pages src p;
             p
       in
-      Hashtbl.replace t.pages pn canon
+      Itbl.replace t.pages pn canon
     end
     else begin
       let p = ensure_page t pn prot in
@@ -172,7 +158,7 @@ let map_bytes t ~vaddr ~prot content =
 
 let map_zero t ~vaddr ~len ~prot =
   if len > 0 then begin
-    invalidate_handles t;
+    flush_tlbs t;
     if prot.Elf_file.x then t.code_gen <- t.code_gen + 1;
     (* Pages already materialized are zeroed eagerly (the covered part);
        untouched pages wait in [zero_regions]. *)
@@ -186,7 +172,7 @@ let map_zero t ~vaddr ~len ~prot =
       done
     else begin
       for pn = first to last do
-        match Hashtbl.find_opt t.pages pn with
+        match Itbl.find_opt t.pages pn with
         | Some p ->
             if p.prot.Elf_file.x then t.code_gen <- t.code_gen + 1;
             let p =
@@ -195,7 +181,7 @@ let map_zero t ~vaddr ~len ~prot =
                 let q =
                   { bytes = Bytes.copy p.bytes; prot; shared = false }
                 in
-                Hashtbl.replace t.pages pn q;
+                Itbl.replace t.pages pn q;
                 q
               end
             in
@@ -219,33 +205,31 @@ let get_page_for t addr ~write ~exec =
         fault addr "read from unreadable page";
       p
 
-(* Permission-checked handle lookups. A hit means the page already passed
-   the corresponding check since the last mapping operation, so the common
-   case is one compare. Writes to executable pages bump [code_gen] on every
-   store (not just the first): decoded-code caches must observe each
+(* TLB lookups. A hit means the page already passed the corresponding
+   check since the last mapping operation, so the common case is one
+   compare. Writes to executable pages bump [code_gen] on every store
+   (not just the first): decoded-code caches must observe each
    modification, including ones made after their last revalidation. *)
 let read_page t addr =
   let pn = addr lsr page_bits in
-  if t.rd_pn = pn then
-    match t.rd_page with
-    | Some p -> p
-    | None -> fault addr "unmapped"
+  let s = pn land (tlb_slots - 1) in
+  if Array.unsafe_get t.rd_tag s = pn then Array.unsafe_get t.rd_page s
   else begin
     let p = get_page_for t addr ~write:false ~exec:false in
-    t.rd_pn <- pn;
-    t.rd_page <- Some p;
+    Array.unsafe_set t.rd_tag s pn;
+    Array.unsafe_set t.rd_page s p;
     p
   end
 
 let write_page t addr =
   let pn = addr lsr page_bits in
+  let s = pn land (tlb_slots - 1) in
   let p =
-    if t.wr_pn = pn then
-      match t.wr_page with Some p -> p | None -> fault addr "unmapped"
+    if Array.unsafe_get t.wr_tag s = pn then Array.unsafe_get t.wr_page s
     else begin
       let p = get_page_for t addr ~write:true ~exec:false in
-      t.wr_pn <- pn;
-      t.wr_page <- Some p;
+      Array.unsafe_set t.wr_tag s pn;
+      Array.unsafe_set t.wr_page s p;
       p
     end
   in
@@ -260,42 +244,74 @@ let write_u8 t addr v =
   let p = write_page t addr in
   Bytes.unsafe_set p.bytes (addr land (page_size - 1)) (Char.chr (v land 0xff))
 
-(* Fast path: access that stays within one page. *)
-let read_multi t addr n =
-  let off = addr land (page_size - 1) in
-  if off + n <= page_size then begin
-    let p = read_page t addr in
-    let v = ref 0 in
-    for i = n - 1 downto 0 do
-      v := (!v lsl 8) lor Char.code (Bytes.unsafe_get p.bytes (off + i))
-    done;
-    !v
-  end
-  else begin
-    let v = ref 0 in
-    for i = n - 1 downto 0 do
-      v := (!v lsl 8) lor read_u8 t (addr + i)
-    done;
-    !v
-  end
+(* An access that crosses a page goes byte by byte, reads from the
+   highest byte down and writes from the lowest up, so a fault names
+   the same byte it always has. *)
+let read_bytewise t addr n =
+  let v = ref 0 in
+  for i = n - 1 downto 0 do
+    v := (!v lsl 8) lor read_u8 t (addr + i)
+  done;
+  !v
 
-let write_multi t addr n v =
-  let off = addr land (page_size - 1) in
-  if off + n <= page_size then begin
-    let p = write_page t addr in
-    for i = 0 to n - 1 do
-      Bytes.unsafe_set p.bytes (off + i) (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
-    done
-  end
-  else
-    for i = 0 to n - 1 do
-      write_u8 t (addr + i) ((v lsr (8 * i)) land 0xff)
-    done
+let write_bytewise t addr n v =
+  for i = 0 to n - 1 do
+    write_u8 t (addr + i) ((v lsr (8 * i)) land 0xff)
+  done
 
-let read_u32 t addr = read_multi t addr 4
-let read_u64 t addr = read_multi t addr 8
-let write_u32 t addr v = write_multi t addr 4 v
-let write_u64 t addr v = write_multi t addr 8 v
+(* Within one page a word is one load or store. Values are 63-bit: a
+   64-bit read drops byte 7's top bit, a 64-bit write stores it clear. *)
+let read_u32 t addr =
+  let off = addr land (page_size - 1) in
+  if off <= page_size - 4 then
+    Int32.to_int (Bytes.get_int32_le (read_page t addr).bytes off)
+    land 0xffff_ffff
+  else read_bytewise t addr 4
+
+let read_u64 t addr =
+  let off = addr land (page_size - 1) in
+  if off <= page_size - 8 then
+    Int64.to_int (Bytes.get_int64_le (read_page t addr).bytes off)
+  else read_bytewise t addr 8
+
+let write_u32 t addr v =
+  let off = addr land (page_size - 1) in
+  if off <= page_size - 4 then
+    Bytes.set_int32_le (write_page t addr).bytes off (Int32.of_int v)
+  else write_bytewise t addr 4 v
+
+let write_u64 t addr v =
+  let off = addr land (page_size - 1) in
+  if off <= page_size - 8 then
+    Bytes.set_int64_le (write_page t addr).bytes off
+      (Int64.logand (Int64.of_int v) Int64.max_int)
+  else write_bytewise t addr 8 v
+
+(* One page lookup per page touched: the bytes up to the NUL, the cap
+   or the page end, whichever comes first, then on into the next page.
+   A string of [max] bytes still reads the byte after them, as a byte
+   loop would, so the same byte faults. *)
+let read_cstring t addr ~max =
+  let buf = Buffer.create 32 in
+  let rec go a =
+    let p = read_page t a in
+    let off = a land (page_size - 1) in
+    let room = max - Buffer.length buf in
+    let limit = min page_size (off + room + 1) in
+    let rec scan i =
+      if i < limit && Bytes.unsafe_get p.bytes i <> '\000' then scan (i + 1)
+      else i
+    in
+    let i = scan off in
+    if i < limit then Buffer.add_subbytes buf p.bytes off (i - off)
+    else if limit = off + room + 1 then Buffer.add_subbytes buf p.bytes off room
+    else begin
+      Buffer.add_subbytes buf p.bytes off (page_size - off);
+      go (a + page_size - off)
+    end
+  in
+  go addr;
+  Buffer.contents buf
 
 let read_bytes t addr len =
   let out = Bytes.create len in
@@ -304,19 +320,28 @@ let read_bytes t addr len =
   done;
   out
 
+(* Instruction bytes: up to 16 from [addr], stopping at the first page
+   that is unmapped or not executable. *)
 let fetch_window t addr =
-  let pn = addr lsr page_bits in
-  (match page_of t pn with
+  let executable a =
+    match page_of t (a lsr page_bits) with
+    | Some p when p.prot.x -> Some p
+    | Some _ | None -> None
+  in
+  (match page_of t (addr lsr page_bits) with
   | None -> fault addr "fetch from unmapped page"
   | Some p -> if not p.prot.x then fault addr "fetch from non-executable page");
   let out = Buffer.create 16 in
-  (try
-     for i = 0 to 15 do
-       let a = addr + i in
-       match page_of t (a lsr page_bits) with
-       | Some p when p.prot.x ->
-           Buffer.add_char out (Bytes.get p.bytes (a land (page_size - 1)))
-       | Some _ | None -> raise Exit
-     done
-   with Exit -> ());
+  let rec go a =
+    let want = 16 - Buffer.length out in
+    if want > 0 then
+      match executable a with
+      | Some p ->
+          let off = a land (page_size - 1) in
+          let n = min want (page_size - off) in
+          Buffer.add_subbytes out p.bytes off n;
+          go (a + n)
+      | None -> ()
+  in
+  go addr;
   Buffer.to_bytes out

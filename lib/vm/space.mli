@@ -31,7 +31,18 @@ val map_sub :
 val map_zero : t -> vaddr:int -> len:int -> prot:Elf_file.prot -> unit
 
 (** Data accesses. Multi-byte accesses are little-endian and may cross page
-    boundaries. Reads require [r], writes require [w]. *)
+    boundaries. Reads require [r], writes require [w]. Values are OCaml's
+    63-bit ints: [read_u64] drops byte 7's top bit and [write_u64] stores
+    it clear. An access inside one page is one word load or store; one
+    that crosses a page goes byte by byte (reads from the highest byte,
+    writes from the lowest), so a fault names the first byte that
+    fails.
+
+    Permission-checked pages are remembered in two direct-mapped TLBs of
+    {!tlb_slots} entries, one for reads and one for writes, indexed by
+    the low bits of the page number; every mapping operation
+    ([map_bytes], [map_sub], [map_zero]) flushes both, so an access after
+    one sees the new bytes or protection. *)
 val read_u8 : t -> int -> int
 
 val read_u32 : t -> int -> int
@@ -42,6 +53,17 @@ val write_u64 : t -> int -> int -> unit
 
 (** [read_bytes t addr len] copies out a range (requires [r]). *)
 val read_bytes : t -> int -> int -> bytes
+
+(** [read_cstring t addr ~max] is the NUL-terminated string at [addr],
+    cut at [max] bytes (requires [r]). It reads the bytes a byte loop
+    would — up to the NUL, or [max + 1] bytes when there is none in the
+    first [max] — one page lookup per page, so an unreadable page faults
+    at the first byte of it the string reaches. *)
+val read_cstring : t -> int -> max:int -> string
+
+(** The number of entries in each TLB (a power of two): pages [pn] and
+    [pn + tlb_slots] share a slot. *)
+val tlb_slots : int
 
 (** [fetch_window t addr] returns up to 16 bytes starting at [addr] for
     instruction decoding (requires [x] on the first page; a window is

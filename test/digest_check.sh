@@ -2,17 +2,21 @@
 # Diff the pinned output digests (test/digests.txt) against a fresh run of
 # the digests program, and, given a third
 # argument, the pinned verifier reports (test/verify_digests.txt)
-# against a fresh `digests.exe --verify`, and given a fourth, the
+# against a fresh `digests.exe --verify`, given a fourth, the
 # pinned trace-oracle verdicts (test/trace_digests.txt) against a fresh
-# `digests.exe --trace`, naming every entry that moved, appeared or
-# disappeared. Exits non-zero if any did.
+# `digests.exe --trace`, and given a fifth, the pinned emulator runs
+# (test/emu_digests.txt) against a fresh `digests.exe --emu`, naming
+# every entry that moved, appeared or disappeared. Exits non-zero if
+# any did.
 # Usage: digest_check.sh PATH/TO/digests.exe PATH/TO/digests.txt
-#          [PATH/TO/verify_digests.txt [PATH/TO/trace_digests.txt]]
+#          [PATH/TO/verify_digests.txt [PATH/TO/trace_digests.txt
+#          [PATH/TO/emu_digests.txt]]]
 set -eu
 exe=$1
 pinned=$2
 verify_pinned=${3:-}
 trace_pinned=${4:-}
+emu_pinned=${5:-}
 status=0
 # compare LABEL PINNED ARGS...: run the program with ARGS, diff by name.
 compare() {
@@ -50,6 +54,13 @@ fi
 if [ -n "$trace_pinned" ]; then
   if compare "trace" "$trace_pinned" --trace; then
     echo "digest-check: $(wc -l < "$trace_pinned") trace verdicts unchanged"
+  else
+    status=1
+  fi
+fi
+if [ -n "$emu_pinned" ]; then
+  if compare "emu" "$emu_pinned" --emu; then
+    echo "digest-check: $(wc -l < "$emu_pinned") emulator runs unchanged"
   else
     status=1
   fi

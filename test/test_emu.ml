@@ -126,8 +126,8 @@ let test_space_map_zero_newest_wins () =
   with Space.Fault (_, _) -> ()
 
 let test_space_last_page_cache_map_zero () =
-  (* A read primes the one-entry page cache; map_zero over the same page
-     must not leave the cached handle serving stale bytes. *)
+  (* A read primes the page's TLB slot; map_zero over the same page must
+     not leave the slot serving stale bytes. *)
   let s = Space.create () in
   Space.map_bytes s ~vaddr:0x3000 ~prot:Elf_file.prot_rw
     (Bytes.of_string "abcdef");
@@ -157,6 +157,117 @@ let test_space_shared_alias_privatizes () =
   Alcotest.(check int) "zeroed alias" 0 (Space.read_u8 s 0x10000);
   Alcotest.(check int) "sibling untouched by map_zero" (Char.code 'A')
     (Space.read_u8 s 0x30000)
+
+let test_space_tlb_collision () =
+  (* Pages [pn] and [pn + tlb_slots] share one direct-mapped slot in each
+     TLB: alternating accesses evict each other and must still read and
+     write their own page. *)
+  let s = Space.create () in
+  let a = 0x40_0000 and b = 0x40_0000 + (Space.tlb_slots * 4096) in
+  Space.map_zero s ~vaddr:a ~len:4096 ~prot:Elf_file.prot_rw;
+  Space.map_zero s ~vaddr:b ~len:4096 ~prot:Elf_file.prot_r;
+  for i = 0 to 9 do
+    Space.write_u64 s (a + (8 * i)) (i + 1);
+    Alcotest.(check int) "b reads zero" 0 (Space.read_u64 s (b + (8 * i)));
+    Alcotest.(check int) "a reads its store" (i + 1)
+      (Space.read_u64 s (a + (8 * i)))
+  done;
+  Alcotest.(check int) "a u32" 7 (Space.read_u32 s (a + 48));
+  (try
+     Space.write_u8 s b 1;
+     Alcotest.fail "a write to read-only b hit a's write slot"
+   with Space.Fault (addr, _) -> Alcotest.(check int) "fault address" b addr);
+  Space.write_u32 s (a + 4) 0xdead_beef;
+  Alcotest.(check int) "a after the fault" 0xdead_beef (Space.read_u32 s (a + 4))
+
+let test_space_tlb_flush () =
+  (* Page [a] is cached in both TLBs, then page [b] (another slot) is
+     the last one used; every mapping operation over [a] must still be
+     seen by the next access to [a]. *)
+  let s = Space.create () in
+  let a = 0x10_0000 and b = 0x20_3000 in
+  Space.map_bytes s ~vaddr:a ~prot:Elf_file.prot_rw (Bytes.make 4096 'a');
+  Space.map_zero s ~vaddr:b ~len:4096 ~prot:Elf_file.prot_rw;
+  let touch () =
+    Space.write_u8 s (a + 1) (Char.code 'w');
+    ignore (Space.read_u8 s a);
+    Space.write_u8 s b 1;
+    ignore (Space.read_u8 s b)
+  in
+  touch ();
+  Space.map_zero s ~vaddr:a ~len:16 ~prot:Elf_file.prot_rw;
+  Alcotest.(check int) "map_zero seen" 0 (Space.read_u8 s (a + 1));
+  touch ();
+  Space.map_sub s ~vaddr:a ~prot:Elf_file.prot_rw (Bytes.of_string "xyz")
+    ~src_off:1 ~len:2;
+  Alcotest.(check int) "map_sub seen" (Char.code 'z') (Space.read_u8 s (a + 1));
+  touch ();
+  Space.map_bytes s ~vaddr:a ~prot:Elf_file.prot_r (Bytes.of_string "r");
+  Alcotest.(check int) "re-protect keeps bytes" (Char.code 'r')
+    (Space.read_u8 s a);
+  (try
+     Space.write_u8 s (a + 1) 0;
+     Alcotest.fail "write after re-protect to read-only"
+   with Space.Fault (addr, _) -> Alcotest.(check int) "fault" (a + 1) addr);
+  ignore (Space.read_u8 s b);
+  Space.map_bytes s ~vaddr:a
+    ~prot:{ Elf_file.r = false; w = false; x = true }
+    (Bytes.of_string "x");
+  try
+    ignore (Space.read_u8 s a);
+    Alcotest.fail "read after re-protect to execute-only"
+  with Space.Fault (addr, _) -> Alcotest.(check int) "fault" a addr
+
+let test_space_exec_store_generation () =
+  (* Every store to an executable page advances the generation, the
+     second one too (it hits the TLB). *)
+  let s = Space.create () in
+  Space.map_bytes s ~vaddr:0x5000
+    ~prot:{ Elf_file.r = true; w = true; x = true }
+    (Bytes.make 64 '\x90');
+  let g0 = Space.generation s in
+  Space.write_u8 s 0x5000 0xcc;
+  let g1 = Space.generation s in
+  Space.write_u64 s 0x5008 1;
+  let g2 = Space.generation s in
+  Alcotest.(check bool) "first store" true (g1 > g0);
+  Alcotest.(check bool) "second store" true (g2 > g1)
+
+let test_space_word_truncation () =
+  (* Words are 63-bit: a 64-bit read drops byte 7's top bit, a 64-bit
+     write stores it clear, and 32-bit accesses are exact. *)
+  let s = Space.create () in
+  Space.map_bytes s ~vaddr:0x1000 ~prot:Elf_file.prot_rw (Bytes.make 16 '\xff');
+  Alcotest.(check int) "u64 of all ones" (-1) (Space.read_u64 s 0x1000);
+  Alcotest.(check int) "u32 of all ones" 0xffff_ffff (Space.read_u32 s 0x1000);
+  Space.write_u64 s 0x1000 (-2);
+  Alcotest.(check int) "byte 0" 0xfe (Space.read_u8 s 0x1000);
+  Alcotest.(check int) "byte 7 top bit clear" 0x7f (Space.read_u8 s 0x1007);
+  Space.write_u32 s 0x1008 (-1);
+  Alcotest.(check int) "u32 store" 0xffff_ffff (Space.read_u32 s 0x1008);
+  Alcotest.(check int) "byte after u32" 0xff (Space.read_u8 s 0x100c)
+
+let test_space_cstring () =
+  let s = Space.create () in
+  let text = Bytes.make 8192 'a' in
+  Bytes.set text 4100 '\000';
+  Space.map_bytes s ~vaddr:0x10000 ~prot:Elf_file.prot_rw text;
+  Alcotest.(check string) "across a page" (String.make 10 'a')
+    (Space.read_cstring s (0x10000 + 4090) ~max:256);
+  Alcotest.(check int) "capped" 256
+    (String.length (Space.read_cstring s 0x10000 ~max:256));
+  (* The 257th byte is read: at the first byte of an unmapped page it
+     faults there, one byte earlier it does not. *)
+  Alcotest.(check int) "cap at the end" 256
+    (String.length (Space.read_cstring s (0x12000 - 257) ~max:256));
+  (try
+     ignore (Space.read_cstring s (0x12000 - 256) ~max:256);
+     Alcotest.fail "the 257th byte is unmapped"
+   with Space.Fault (addr, _) -> Alcotest.(check int) "fault" 0x12000 addr);
+  try
+    ignore (Space.read_cstring s (0x12000 - 20) ~max:256);
+    Alcotest.fail "a string into an unmapped page"
+  with Space.Fault (addr, _) -> Alcotest.(check int) "fault" 0x12000 addr
 
 (* ------------------------------------------------------------------ *)
 (* Basic execution                                                     *)
@@ -495,6 +606,40 @@ let test_counter_hostcall () =
       Alcotest.failf "expected one site with 5 hits, got %d entries"
         (List.length other)
 
+(* [print] of the C string at [addr] in a program whose data are two
+   pages at 0x600000 holding [text] then nothing. *)
+let print_at text addr =
+  let asm = Asm.create ~base in
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Imm addr));
+  Asm.ins asm (Insn.Int Hostcall.print);
+  exit_with asm 0;
+  let data = Bytes.make 8192 'p' in
+  Bytes.blit_string text 0 data 0 (String.length text);
+  run_elf
+    (elf_of_asm asm ~extra:(fun elf ->
+         ignore
+           (Elf_file.add_segment elf
+              { Elf_file.ptype = Elf_file.Load;
+                prot = Elf_file.prot_rw;
+                vaddr = 0x600000;
+                offset = 0;
+                filesz = 0;
+                memsz = 8192;
+                align = 4096 }
+              ~content:data)))
+
+let test_print_cstring_pages () =
+  let text = String.make 4090 'x' ^ "across\000" in
+  let r = print_at text (0x600000 + 4080) in
+  check_exit 0 r;
+  Alcotest.(check (list string)) "string across a page"
+    [ String.make 10 'x' ^ "across" ] r.Cpu.prints;
+  (* No NUL before the unmapped page: the read faults at its first byte. *)
+  let r = print_at "" (0x602000 - 100) in
+  match r.Cpu.outcome with
+  | Cpu.Fault (0x602000, _) -> ()
+  | _ -> Alcotest.fail "expected a fault at the unmapped page"
+
 (* ------------------------------------------------------------------ *)
 (* B0 trap model                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -636,7 +781,13 @@ let suites =
         Alcotest.test_case "page cache after map_zero" `Quick
           test_space_last_page_cache_map_zero;
         Alcotest.test_case "shared alias privatizes" `Quick
-          test_space_shared_alias_privatizes ] );
+          test_space_shared_alias_privatizes;
+        Alcotest.test_case "tlb slot collision" `Quick test_space_tlb_collision;
+        Alcotest.test_case "tlb flush on mapping" `Quick test_space_tlb_flush;
+        Alcotest.test_case "exec store generation" `Quick
+          test_space_exec_store_generation;
+        Alcotest.test_case "63-bit words" `Quick test_space_word_truncation;
+        Alcotest.test_case "C strings by page" `Quick test_space_cstring ] );
     ( "emu.basic",
       [ Alcotest.test_case "exit code" `Quick test_exit_code;
         Alcotest.test_case "write syscall" `Quick test_write_syscall;
@@ -659,7 +810,8 @@ let suites =
           test_self_modifying_code ] );
     ( "emu.hostcalls",
       [ Alcotest.test_case "malloc" `Quick test_malloc_hostcall;
-        Alcotest.test_case "counter" `Quick test_counter_hostcall ] );
+        Alcotest.test_case "counter" `Quick test_counter_hostcall;
+        Alcotest.test_case "print across pages" `Quick test_print_cstring_pages ] );
     ( "emu.b0",
       [ Alcotest.test_case "int3 trap redirect" `Quick test_int3_trap_redirect ]
     );
