@@ -95,11 +95,15 @@ robust-smoke: build
 	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- robust --json robust_matrix.json | tee robust_output.txt
 
 # Daemon end-to-end smoke (DESIGN.md §13): boot `serve` in stdio mode with
-# per-session telemetry, replay a canned five-message session (load, patch,
-# emit to a file, status, shutdown), then verify the emitted binary against
-# the input with the independent checker. Asserts the emit was verified,
-# the checker accepts the output, and the session left an obs trace
-# (serve-smoke/session-0.ndjson — CI uploads it).
+# per-session telemetry and replay a canned session: load, patch, emit to
+# a file; then load the same binary again on the same daemon with
+# another spec (`patch heap-writes with empty`) and emit that to a second
+# file, a decode-cache hit (the cached index of the input's text); then
+# status and shutdown. Verifies both emitted binaries against the input
+# with the independent checker. Asserts both emits were verified, the
+# checker accepts both outputs, the status reply counts one decode hit,
+# and the session left an obs trace (serve-smoke/session-0.ndjson — CI
+# uploads it).
 serve-smoke: build
 	rm -rf serve-smoke && mkdir -p serve-smoke
 	$(DUNE) exec bin/e9patch_cli.exe -- generate -o serve-smoke/input.elf --functions 25 --iterations 40 --seed 7
@@ -107,12 +111,18 @@ serve-smoke: build
 	  '{"jsonrpc":"2.0","id":1,"method":"binary","params":{"filename":"serve-smoke/input.elf"}}' \
 	  '{"jsonrpc":"2.0","id":2,"method":"patch","params":{"spec":"patch jumps with counter"}}' \
 	  '{"jsonrpc":"2.0","id":3,"method":"emit","params":{"filename":"serve-smoke/out.elf"}}' \
-	  '{"jsonrpc":"2.0","id":4,"method":"status"}' \
-	  '{"jsonrpc":"2.0","id":5,"method":"shutdown"}' \
+	  '{"jsonrpc":"2.0","id":4,"method":"binary","params":{"filename":"serve-smoke/input.elf"}}' \
+	  '{"jsonrpc":"2.0","id":5,"method":"patch","params":{"spec":"patch heap-writes with empty"}}' \
+	  '{"jsonrpc":"2.0","id":6,"method":"emit","params":{"filename":"serve-smoke/out2.elf"}}' \
+	  '{"jsonrpc":"2.0","id":7,"method":"status"}' \
+	  '{"jsonrpc":"2.0","id":8,"method":"shutdown"}' \
 	  > serve-smoke/session.jsonl
 	timeout $(SMOKE_TIMEOUT) $(DUNE) exec bin/e9patch_cli.exe -- serve --trace-dir serve-smoke < serve-smoke/session.jsonl | tee serve_output.txt
-	grep -q '"verified":true' serve_output.txt
+	test "$$(grep -o '"verified":true' serve_output.txt | wc -l)" -eq 2
+	grep -q '"decode_cache":{"hits":1,' serve_output.txt
 	$(DUNE) exec bin/e9patch_cli.exe -- check serve-smoke/input.elf serve-smoke/out.elf | tee -a serve_output.txt
+	$(DUNE) exec bin/e9patch_cli.exe -- check serve-smoke/input.elf serve-smoke/out2.elf | tee -a serve_output.txt
+	test "$$(grep -c '^static: OK' serve_output.txt)" -eq 2
 	test -s serve-smoke/session-0.ndjson
 
 # Tool-frontend smoke (DESIGN.md §15): one matcher x patch pair per

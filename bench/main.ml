@@ -158,12 +158,12 @@ let options_for (row : Suite.row) =
    ([verify.failed]) fails the whole bench run. The Reloc-based
    robustness benches deliberately produce broken binaries and are
    exempt. *)
-let verify name ?holes ~original output =
+let verify name ?holes ?index ~original output =
   rolled (fun obs ->
       Obs.counter obs ~name:"verify.checked" ~value:1;
       match
         Obs.span obs "verify" (fun () ->
-            E9_check.Static.verify ?holes ~original output)
+            E9_check.Static.verify ?holes ?index ~original output)
       with
       | Ok _ -> None
       | Error e ->
@@ -173,8 +173,8 @@ let verify name ?holes ~original output =
           Some msg)
 
 (* Every bench rewrite: [Rewriter.run] under the experiment's rollup,
-   then statically verified against its input with the holes the
-   rewrite itself decoded around ([verify]; [name] labels a rejection).
+   then statically verified against its input through the sweep the
+   rewrite itself made ([verify]; [name] labels a rejection).
    [timed] receives the wall time of each of the two steps. *)
 let traced_run ?options ?holes ?(timed = fun ~rewrite_s:_ ~verify_s:_ -> ())
     name elf ~select ~template =
@@ -183,7 +183,7 @@ let traced_run ?options ?holes ?(timed = fun ~rewrite_s:_ ~verify_s:_ -> ())
     rolled (fun obs -> Rewriter.run ?options ~obs ?holes elf ~select ~template)
   in
   let t1 = Unix.gettimeofday () in
-  ignore (verify name ?holes ~original:elf r.Rewriter.output);
+  ignore (verify name ~index:r.Rewriter.index ~original:elf r.Rewriter.output);
   timed ~rewrite_s:(t1 -. t0) ~verify_s:(Unix.gettimeofday () -. t1);
   r
 
@@ -194,13 +194,13 @@ let traced_run ?options ?holes ?(timed = fun ~rewrite_s:_ ~verify_s:_ -> ())
    span, two [emu.runs], and the instructions both retired and their
    block-cache counters (the oracle reports them only when the traces
    agree). *)
-let trace_verify ?config ?instr_ranges name ~holes ~original output =
+let trace_verify ?config ?instr_ranges name ~index ~original output =
   rolled (fun obs ->
       Obs.counter obs ~name:"verify.traced" ~value:1;
       Obs.counter obs ~name:"emu.runs" ~value:2;
       match
         Obs.span obs "emulate" (fun () ->
-            E9_check.Trace.compare_runs ?config ~holes ?instr_ranges
+            E9_check.Trace.compare_runs ?config ~index ?instr_ranges
               ~original output)
       with
       | Ok st ->
@@ -229,8 +229,8 @@ let measure_app ?(options = Rewriter.default_options) ?make_allocator rules
   let select, template = Tool.lower rt rules in
   let r = traced_run ~options ~holes "measure_app" input ~select ~template in
   ignore
-    (trace_verify ~instr_ranges:rt.Tool.instr_ranges "measure_app" ~holes
-       ~original:input r.Rewriter.output);
+    (trace_verify ~instr_ranges:rt.Tool.instr_ranges "measure_app"
+       ~index:r.Rewriter.index ~original:input r.Rewriter.output);
   let patched = run_emu ?make_allocator r.Rewriter.output in
   expect_exit "patched" patched;
   let s = r.Rewriter.stats in
@@ -835,7 +835,7 @@ let bench_scalability () =
         let emu_dt = Unix.gettimeofday () -. t1 in
         expect_exit "patched" patched;
         ignore
-          (trace_verify name ~holes:(Codegen.holes elf) ~original:elf
+          (trace_verify name ~index:r.Rewriter.index ~original:elf
              r.Rewriter.output);
         (functions, text, r, !dt, !verify_dt, patched, emu_dt))
       sizes
@@ -1191,10 +1191,11 @@ let bench_tool () =
     | exception Rewriter.Error e -> (m, p, f.Adversary.name, Error e)
     | res ->
         let out = res.Tool.rewrite.Rewriter.output in
+        let index = res.Tool.rewrite.Rewriter.index in
         let rt = res.Tool.runtime in
-        let serr = verify name ~holes ~original:rt.Tool.augmented out in
+        let serr = verify name ~index ~original:rt.Tool.augmented out in
         let terr =
-          trace_verify ~config ~instr_ranges:rt.Tool.instr_ranges name ~holes
+          trace_verify ~config ~instr_ranges:rt.Tool.instr_ranges name ~index
             ~original:rt.Tool.augmented out
         in
         (m, p, f.Adversary.name,

@@ -65,17 +65,19 @@ let setup_logs =
             ~doc:"Verbosity (-v progress, -v -v per-site tactic decisions)."))
 
 (* The verdict lines of [check] and [tool --check]: the static
-   verifier's, then (with [dynamic]) the trace oracle's. The first
-   failure exits 1. *)
-let print_verdicts ?holes ?instr_ranges ~dynamic ~original rewritten =
-  (match E9_check.Static.verify ?holes ~original rewritten with
+   verifier's, then (with [dynamic]) the trace oracle's, both reading
+   [index] when the rewrite's sweep is at hand. The first failure exits
+   1. *)
+let print_verdicts ?holes ?index ?instr_ranges ~dynamic ~original rewritten =
+  (match E9_check.Static.verify ?holes ?index ~original rewritten with
   | Ok report -> printf "static: OK — %a@." E9_check.Static.pp_report report
   | Error e ->
       printf "static: %a@." E9_check.Static.pp_error e;
       exit 1);
   if dynamic then
     match
-      E9_check.Trace.compare_runs ?holes ?instr_ranges ~original rewritten
+      E9_check.Trace.compare_runs ?holes ?index ?instr_ranges ~original
+        rewritten
     with
     | Ok stats -> printf "dynamic: OK — %a@." E9_check.Trace.pp_stats stats
     | Error msg ->
@@ -102,9 +104,17 @@ let rewrite_and_write ?options ?obs ?(fault = Fault.none) ?(check = false)
     elf rules output =
   let res = Tool.run ?options ?obs ~fault elf rules in
   let r = res.Tool.rewrite and rt = res.Tool.runtime in
-  if check then
-    print_verdicts ~instr_ranges:rt.Tool.instr_ranges ~dynamic:true
-      ~original:rt.Tool.augmented r.Rewriter.output;
+  if check then begin
+    (* The rewrite's sweep is the original's, unless a [Decode] fault cut
+       it short: the oracles then sweep the whole text themselves. *)
+    let index =
+      Option.map
+        (fun _ -> r.Rewriter.index)
+        (Frontend.swept_holes r.Rewriter.index)
+    in
+    print_verdicts ?index ~instr_ranges:rt.Tool.instr_ranges ~dynamic:true
+      ~original:rt.Tool.augmented r.Rewriter.output
+  end;
   Elf_file.write_file
     ~fault:(fun () -> Fault.fires fault Fault.Write)
     r.Rewriter.output output;

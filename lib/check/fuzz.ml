@@ -101,12 +101,13 @@ let rewrite case =
   (elf, holes, r)
 
 let run_case case =
-  let elf, holes, r = rewrite case in
-  match Static.verify ~holes ~original:elf r.Rewriter.output with
+  let elf, _, r = rewrite case in
+  let index = r.Rewriter.index in
+  match Static.verify ~index ~original:elf r.Rewriter.output with
   | Error e -> Error (Format.asprintf "static: %a" Static.pp_error e)
   | Ok report -> (
       match
-        Trace.compare_runs ~config:fuzz_config ~holes ~original:elf
+        Trace.compare_runs ~config:fuzz_config ~index ~original:elf
           r.Rewriter.output
       with
       | Error msg -> Error ("trace: " ^ msg)

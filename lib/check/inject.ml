@@ -78,7 +78,13 @@ let run_leg f =
   | exception Rewriter.Error m -> Ok (Typed ("rewriter: " ^ m), None)
   | exception Frontend.Error m -> Ok (Typed ("frontend: " ^ m), None)
   | r -> (
-      match Static.verify ~holes ~original:elf r.Rewriter.output with
+      (* A sweep a [Decode] rule cut short is not the original's sweep:
+         the verifier then sweeps the whole text itself. *)
+      let index =
+        Option.map (fun _ -> r.Rewriter.index)
+          (Frontend.swept_holes r.Rewriter.index)
+      in
+      match Static.verify ~holes ?index ~original:elf r.Rewriter.output with
       | Error e ->
           Error
             (Format.asprintf "output rejected by Static.verify: %a"
@@ -122,7 +128,9 @@ let run_b0_exhaustion_leg case =
               alloc exhaustion"
              (Stats.succeeded s) s.Stats.b0)
       else
-        match Static.verify ~holes ~original:elf r.Rewriter.output with
+        match
+          Static.verify ~index:r.Rewriter.index ~original:elf r.Rewriter.output
+        with
         | Error e ->
             Error
               (Format.asprintf "b0 leg: output rejected: %a" Static.pp_error e)

@@ -65,14 +65,16 @@ let score_family (f : Adversary.family) =
     Rewriter.run ~options ~obs ~holes elf ~select
       ~template:(fun _ -> Trampoline.Empty)
   in
+  (* The one sweep of the original: both oracles and the anchors read it. *)
+  let index = r.Rewriter.index in
   let static_err =
-    match Static.verify ~holes ~original:elf r.Rewriter.output with
+    match Static.verify ~index ~original:elf r.Rewriter.output with
     | Ok _ -> None
     | Error e -> Some (Format.asprintf "%a" Static.pp_error e)
   in
   let trace_err =
     match
-      Trace.compare_runs ~config:trace_config ~holes ~original:elf
+      Trace.compare_runs ~config:trace_config ~index ~original:elf
         r.Rewriter.output
     with
     | Ok _ -> None
@@ -83,9 +85,8 @@ let score_family (f : Adversary.family) =
   let anchors_ok =
     if not f.Adversary.profile.Codegen.endbr64_entries then true
     else
-      let _, anchors =
-        Frontend.fold ~holes elf ~init:(fun _ -> 0)
-          (fun n (s : Frontend.site) ->
+      let anchors =
+        Frontend.sites index ~init:0 (fun n (s : Frontend.site) ->
             if s.Frontend.insn = E9_x86.Insn.Endbr64 then n + 1 else n)
       in
       anchors = f.Adversary.profile.Codegen.functions + 1

@@ -66,7 +66,7 @@ type jmp_div = { start : int; jlen : int; target : int }
 let e9_sections =
   [ ".e9patch.tramp"; Elf_file.mmap_section_name; Elf_file.trap_section_name ]
 
-let verify ?(holes = []) ~original rewritten =
+let verify ?holes ?index ~original rewritten =
   try
     (* ---- structural prelude ------------------------------------- *)
     let otext =
@@ -328,8 +328,9 @@ let verify ?(holes = []) ~original rewritten =
        boundary set the rewriting itself used. *)
     (* The length of the original instruction starting at each text
        byte (0 where none starts); a served site alone is decoded again,
-       to check its trampoline. *)
-    let index = Frontend.index ~holes original in
+       to check its trampoline. A given index is that sweep, made once
+       by the rewrite. *)
+    let index, holes = Frontend.linear_sweep ?holes ?index original in
     let orig_len a = Frontend.length_at index a in
     let is_bound a = orig_len a > 0 in
     (* A code byte lies in the text and in no hole. The hole map is one

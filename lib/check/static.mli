@@ -50,18 +50,23 @@ type error = { addr : int; reason : string }
 val pp_report : Format.formatter -> report -> unit
 val pp_error : Format.formatter -> error -> unit
 
-(** [verify ?holes ~original rewritten] re-derives and checks the
-    rewriting contract. [holes] are the data extents inside the text the
-    rewrite used (see {!Frontend.fold}): a leading pool
-    ({!Frontend.leading_hole}, the ChromeMain workaround), interior
-    islands. The sweep skips them, so the verifier's boundary map (the
-    original's {!Frontend.index}) matches the one the rewriting used
-    instead of growing phantoms inside them; and since the rewriter
-    never patches data, a changed byte or a trap entry inside any hole
-    is rejected. A served site alone is decoded again, to check its
-    trampoline. *)
+(** [verify ?holes ?index ~original rewritten] re-derives and checks
+    the rewriting contract. Its boundary map is the linear sweep of
+    [original]'s text ({!Frontend.linear_sweep}): [index] when given —
+    the rewrite's own [result.index], so the text is not swept again —
+    else a sweep under [holes]. The holes are the data extents inside
+    the text the rewrite used (see {!Frontend.index_fold}): a leading
+    pool ({!Frontend.leading_hole}, the ChromeMain workaround), interior
+    islands; an [index] carries its own. The sweep skips them, so the
+    boundary map matches the one the rewriting used instead of growing
+    phantoms inside them; and since the rewriter never patches data, a
+    changed byte or a trap entry inside any hole is rejected. A served
+    site alone is decoded again, to check its trampoline. Raises
+    [Invalid_argument] when [index] is not the linear sweep of
+    [original]'s text (under [holes], when given). *)
 val verify :
   ?holes:(int * int) list ->
+  ?index:Frontend.index ->
   original:Elf_file.t ->
   Elf_file.t ->
   (report, error) result

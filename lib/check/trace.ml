@@ -71,10 +71,10 @@ let rec in_ranges addr = function
   | [] -> false
   | (lo, hi) :: rest -> (addr >= lo && addr < hi) || in_ranges addr rest
 
-(* What both runs are filtered by. [boundary] holds one bit per text byte
-   from [base]: the original instruction boundaries outside
-   [instr_ranges], so lowering an instruction asks one bounds check and one
-   bit test (and a retire at a non-boundary asks nothing).
+(* What both runs are filtered by. The boundaries are the starts
+   [index] records outside [instr_ranges], so lowering an instruction
+   asks one length byte (and a retire at a non-boundary asks nothing);
+   the hole-aware sweep keeps them dense after each hole.
    [start] is the original program's entry: events before the first
    retire at that address belong to the injected loader stub (stub mode),
    which is part of the loading process, not of the program's
@@ -86,36 +86,21 @@ let rec in_ranges addr = function
    ranges, so the comparison stays one-to-one for everything
    program-visible. *)
 type filter = {
-  boundary : Bytes.t;
-  base : int;
-  size : int;
+  index : Frontend.index;
   instr_ranges : (int * int) list;
   start : int;
 }
 
-let filter ~holes ~instr_ranges original =
-  (* [holes]: the data extents the rewrite excluded. The boundary set
-     is only a filter applied identically to both runs, so phantom entries
-     from a desynchronized sweep are harmless (data bytes never retire)
-     — but the hole-aware sweep also recovers the real boundaries {e
-     after} each hole that a desynchronized sweep would miss, keeping
-     the comparison dense there. *)
-  let init (text : Frontend.text) =
-    { boundary = Bytes.make ((text.Frontend.size + 7) lsr 3) '\000';
-      base = text.Frontend.base;
-      size = text.Frontend.size;
-      instr_ranges;
-      start = original.Elf_file.entry }
-  in
-  let mark f (s : Frontend.site) =
-    if not (in_ranges s.Frontend.addr instr_ranges) then begin
-      let i = s.Frontend.addr - f.base in
-      Bytes.set_uint8 f.boundary (i lsr 3)
-        (Bytes.get_uint8 f.boundary (i lsr 3) lor (1 lsl (i land 7)))
-    end;
-    f
-  in
-  snd (Frontend.fold ~holes original ~init mark)
+let filter ?holes ?index ~instr_ranges original =
+  { index = fst (Frontend.linear_sweep ?holes ?index original);
+    instr_ranges;
+    start = original.Elf_file.entry }
+
+let is_boundary f addr =
+  Frontend.length_at f.index addr > 0 && not (in_ranges addr f.instr_ranges)
+
+let boundary ?holes ?index ?(instr_ranges = []) ~original =
+  is_boundary (filter ?holes ?index ~instr_ranges original)
 
 (* One run of [elf] under [f], hashing every event; with [record] the
    first [record_cap] events are also kept. *)
@@ -135,11 +120,7 @@ let traced_run ?config ~record f elf =
       incr nrec
     end
   in
-  let boundary addr =
-    let i = addr - f.base in
-    i >= 0 && i < f.size
-    && Bytes.get_uint8 f.boundary (i lsr 3) land (1 lsl (i land 7)) <> 0
-  in
+  let boundary = is_boundary f in
   (* Asked once per instruction, when the emulator lowers it. Retires are
      watched at the boundaries and at [start], whose first retire opens
      the gate. Stores retired by call-class instructions are dropped: a
@@ -210,9 +191,9 @@ let first_divergence ta tb =
   in
   go 0
 
-let compare_runs ?config ?(holes = []) ?(instr_ranges = []) ~original
+let compare_runs ?config ?holes ?index ?(instr_ranges = []) ~original
     rewritten =
-  let f = filter ~holes ~instr_ranges original in
+  let f = filter ?holes ?index ~instr_ranges original in
   let ta = traced_run ?config ~record:false f original in
   let tb = traced_run ?config ~record:false f rewritten in
   if ta.result.Cpu.outcome <> tb.result.Cpu.outcome then
@@ -252,8 +233,10 @@ let compare_runs ?config ?(holes = []) ?(instr_ranges = []) ~original
           ta.result.Cpu.block_invalidations + tb.result.Cpu.block_invalidations
       }
 
-let run_digest ?config ?(holes = []) ?(instr_ranges = []) ~original elf =
+let run_digest ?config ?holes ?index ?(instr_ranges = []) ~original elf =
   let t =
-    traced_run ?config ~record:false (filter ~holes ~instr_ranges original) elf
+    traced_run ?config ~record:false
+      (filter ?holes ?index ~instr_ranges original)
+      elf
   in
   (t.result, t.count, t.hash)

@@ -43,11 +43,16 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** [compare_runs ?config ?holes ~original rewritten] executes both
-    binaries and compares their traces; [Error] describes the first
-    divergence. [holes] (the data extents inside the text, see
-    {!Frontend.fold}) must match the ones the rewriting used, so
-    the boundary sets agree.
+(** [compare_runs ?config ?holes ?index ~original rewritten] executes
+    both binaries and compares their traces; [Error] describes the first
+    divergence. The original instruction boundaries are the starts of
+    the linear sweep of [original]'s text ({!Frontend.linear_sweep}):
+    [index] when given — the rewrite's own [result.index], so the text
+    is not swept again — else a sweep under [holes] (the data extents
+    inside the text, see {!Frontend.index_fold}). The holes must match
+    the ones the rewriting used, so the boundary sets agree; an [index]
+    carries its own. Raises [Invalid_argument] when [index] is not the
+    linear sweep of [original]'s text (under [holes], when given).
     [instr_ranges] declares instrumentation-private [(lo, hi)] address
     ranges (the tool's injected scratch/code segments): retires inside
     them and stores targeting them are dropped — symmetrically in both
@@ -57,10 +62,24 @@ val pp_stats : Format.formatter -> stats -> unit
 val compare_runs :
   ?config:E9_emu.Cpu.config ->
   ?holes:(int * int) list ->
+  ?index:Frontend.index ->
   ?instr_ranges:(int * int) list ->
   original:Elf_file.t ->
   Elf_file.t ->
   (stats, string) result
+
+(** [boundary ?holes ?index ?instr_ranges ~original] is the boundary
+    test {!compare_runs} filters both runs by: [boundary addr] holds iff
+    an instruction of the linear sweep of [original]'s text starts at
+    [addr] (under [holes], or [index] as in {!compare_runs}) and [addr]
+    lies in no [instr_ranges] range. *)
+val boundary :
+  ?holes:(int * int) list ->
+  ?index:Frontend.index ->
+  ?instr_ranges:(int * int) list ->
+  original:Elf_file.t ->
+  int ->
+  bool
 
 (** [regs_hash regs] is the register-file hash a boundary retire
     contributes (printed as [regs %x] in a divergence): the 16
@@ -68,14 +87,16 @@ val compare_runs :
     [h <- (h * 0x100000001b3 + r) land max_int]. *)
 val regs_hash : int array -> int
 
-(** [run_digest ?config ?holes ?instr_ranges ~original elf] runs [elf]
-    alone under the filter {!compare_runs} builds from [original],
-    [holes] and [instr_ranges], and returns the run's result, its event
-    count and its rolling event hash: one side of a comparison, for
-    pinning the emulator's behaviour (test/emu_digests.txt). *)
+(** [run_digest ?config ?holes ?index ?instr_ranges ~original elf] runs
+    [elf] alone under the filter {!compare_runs} builds from [original],
+    [holes], [index] and [instr_ranges], and returns the run's result,
+    its event count and its rolling event hash: one side of a
+    comparison, for pinning the emulator's behaviour
+    (test/emu_digests.txt). *)
 val run_digest :
   ?config:E9_emu.Cpu.config ->
   ?holes:(int * int) list ->
+  ?index:Frontend.index ->
   ?instr_ranges:(int * int) list ->
   original:Elf_file.t ->
   Elf_file.t ->

@@ -57,6 +57,7 @@ type result = {
   shards : int;
   setup_s : float;
   occupancy : Layout.occupancy;
+  index : Frontend.index;
 }
 
 (* A trampoline the encoder cannot build (a rel32 out of range, an
@@ -105,25 +106,8 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
         match frontend with
         | None -> Frontend.index_fold ~holes ~fault output ~init:[] pick
         | Some f ->
-            let text, sites = f output in
-            (* S1 reads its order off the list: a frontend must report
-               each instruction once, in ascending address order. *)
-            let _, selected =
-              List.fold_left
-                (fun (prev, acc) (s : Frontend.site) ->
-                  if s.addr <= prev then
-                    error
-                      "Rewriter: frontend sites are not strictly ascending: \
-                       0x%x follows 0x%x"
-                      s.addr prev;
-                  (s.addr, pick acc s))
-                (min_int, []) sites
-            in
-            ( Frontend.index_of_sites text
-                (Buf.sub output.Elf_file.data ~pos:text.Frontend.offset
-                   ~len:text.Frontend.size)
-                sites,
-              selected ))
+            let index = f output in
+            (index, Frontend.sites index ~init:[] pick))
   in
   let text = Frontend.index_text index in
   let base = text.Frontend.base in
@@ -276,7 +260,8 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
     patched_sites = List.rev !patched;
     shards = 1;
     setup_s;
-    occupancy = occ }
+    occupancy = occ;
+    index }
 
 let size_pct r =
   if r.input_size = 0 then 0.0

@@ -74,6 +74,10 @@ type result = {
   setup_s : float;
       (** tactic-context setup time (lock tables), wall clock *)
   occupancy : Layout.occupancy;  (** final allocator occupancy gauges *)
+  index : Frontend.index;
+      (** the input's text as the frontend handed it over: the sweep the
+          rewrite patched by, which the oracles take instead of sweeping
+          the original again ({!Frontend.linear_sweep}) *)
 }
 
 (** [run ?options ?holes elf ~select ~template] rewrites [elf]. The
@@ -85,16 +89,23 @@ type result = {
     ({!Frontend.index_fold}) and they are pre-locked next to
     [options.keep_ranges], so no byte inside one changes. The sweep runs
     [select] as it goes: a selected site keeps its decoded record, every
-    other instruction only its length ({!Frontend.index}). [frontend]
-    substitutes a different disassembler entirely (e.g.
-    {!Frontend.disassemble_recursive}) — E9Patch only consumes instruction
+    other instruction only its length ({!Frontend.index}).
+    [result.index] is that index.
+
+    [frontend] substitutes a different disassembler entirely (e.g.
+    {!Frontend.disassemble_recursive}, or an outside one through
+    {!Frontend.index_of_sites}): E9Patch only consumes instruction
     locations and sizes, so any frontend that reports them correctly
     works, and partial frontends yield partial instrumentation, never
-    incorrectness; [holes] are still locked, but decoding around them is
-    then the frontend's job. [obs] (default {!E9_obs.Obs.null}) receives
-    per-tactic attempt records, phase spans ([decode], [tactic_search],
-    [layout], [serialize]) and allocator occupancy gauges; with the null
-    sink every emission point is a single branch.
+    incorrectness. Its index is [result.index]; [select] sees its starts
+    in address order ({!Frontend.sites}); [holes] are still locked, but
+    decoding around them is then the frontend's job. Its lengths must
+    match the decoder's: the tactics decode a neighbour (T2's successor,
+    T3's victims) again from the original bytes ({!Frontend.decode_at}).
+    [obs] (default {!E9_obs.Obs.null}) receives per-tactic attempt
+    records, phase spans ([decode], [tactic_search], [layout],
+    [serialize]) and allocator occupancy gauges; with the null sink
+    every emission point is a single branch.
 
     [fault] (default {!E9_fault.Fault.none}) threads the deterministic
     fault-injection capability through the pipeline: [Decode] rules
@@ -110,27 +121,19 @@ type result = {
     [result.shards] is always 1: it is kept only for callers that still
     pass it.
 
-    [frontend] must report each instruction once, in strictly ascending
-    address order, as {!Frontend.disassemble} and
-    {!Frontend.disassemble_recursive} do, and its lengths must match the
-    decoder's: the tactics decode a neighbour (T2's successor, T3's
-    victims) again from the original bytes ({!Frontend.decode_at}).
-
-    Raises {!Error} on a refused stub-mode input, a frontend whose sites
-    are not strictly ascending (naming the first out-of-order address),
-    a frontend length that disagrees with the decoder where a tactic
-    reads a neighbour (naming the site and that address), an injected
-    [Search] fault, or a trampoline that cannot be encoded for a
-    selected site (e.g. a displaced [call] whose target is out of rel32
-    reach from the trampoline); the last names the site address.
-    Raises {!Frontend.Error} on a frontend site outside the text. *)
+    Raises {!Error} on a refused stub-mode input, a frontend length that
+    disagrees with the decoder where a tactic reads a neighbour (naming
+    the site and that address), an injected [Search] fault, or a
+    trampoline that cannot be encoded for a selected site (e.g. a
+    displaced [call] whose target is out of rel32 reach from the
+    trampoline); the last names the site address. *)
 val run :
   ?options:options ->
   ?obs:E9_obs.Obs.t ->
   ?fault:E9_fault.Fault.t ->
   ?jobs:int ->
   ?holes:(int * int) list ->
-  ?frontend:(Elf_file.t -> Frontend.text * Frontend.site list) ->
+  ?frontend:(Elf_file.t -> Frontend.index) ->
   Elf_file.t ->
   select:(Frontend.site -> bool) ->
   template:(Frontend.site -> Trampoline.template) ->

@@ -35,6 +35,24 @@ let leading_hole elf addr =
           addr text.base (text.base + text.size)
       else (text.base, addr - text.base)
 
+(* ------------------------------------------------------------------ *)
+(* The text index                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* One length byte per text byte (0: no instruction starts there), the
+   original bytes, from which any instruction is decoded again, and the
+   sorted holes of a full linear sweep ([None] if cut or foreign). *)
+type index = {
+  itext : text;
+  lens : Bytes.t;
+  code : Bytes.t;
+  swept : (int * int) list option;
+}
+
+let sorted_holes holes =
+  List.filter (fun (_, l) -> l > 0) holes
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
 (* The holes as one cursor over their starts. The sweep position only
    grows, so a hole that ends at or below it can never hold a later
    position and is passed for good; the first hole left holds [addr]
@@ -42,12 +60,8 @@ let leading_hole elf addr =
    instructions the sweep decodes, and overlapping or adjacent holes
    resume at their union's end in any order, as one scan of the list
    per position would. *)
-let hole_cursor holes =
-  let sorted =
-    List.filter (fun (_, l) -> l > 0) holes
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> Array.of_list
-  in
+let hole_cursor sorted =
+  let sorted = Array.of_list sorted in
   let n = Array.length sorted and i = ref 0 in
   (* The end of a hole holding [addr], or [-1] when no hole holds it;
      [addr] must not decrease from one call to the next. *)
@@ -58,13 +72,12 @@ let hole_cursor holes =
     if !i < n && fst sorted.(!i) <= addr then fst sorted.(!i) + snd sorted.(!i)
     else -1
 
-(* The sweep behind {!fold} and {!index_fold}; it also returns the copy
-   of the text it decoded, which the index keeps. *)
-let sweep ?(holes = []) ?(fault = Fault.none) elf ~init f =
+let index_fold ?(holes = []) ?(fault = Fault.none) elf ~init f =
   match find_text elf with
   | None -> no_text ()
   | Some text ->
-      let bytes = Buf.sub elf.Elf_file.data ~pos:text.offset ~len:text.size in
+      let code = Buf.sub elf.Elf_file.data ~pos:text.offset ~len:text.size in
+      let lens = Bytes.make text.size '\000' in
       (* An injected decode failure is a sweep that stops early, at the
          first instruction whose text offset reaches the cut: a strict
          prefix of the true decode is exactly the partial-disassembly
@@ -72,62 +85,38 @@ let sweep ?(holes = []) ?(fault = Fault.none) elf ~init f =
          instrumented sites, never incorrect ones. The fault counts as
          fired only when an instruction was dropped. *)
       let cut = Option.value (Fault.decode_cut fault) ~default:max_int in
+      let holes = sorted_holes holes in
       let hole_end = hole_cursor holes in
       (* Any sweep position inside a hole — including one reached by a
          decode that overran into it — resumes at the hole's end, so the
          sweep is self-correcting at both edges. *)
       let rec go p acc =
-        if p >= text.size then acc
+        if p >= text.size then (true, acc)
         else
           let e = hole_end (text.base + p) in
           if e >= 0 then go (e - text.base) acc
           else if p >= cut then begin
             Fault.record_fire fault Fault.Decode;
-            acc
+            (false, acc)
           end
           else
-            let d = Decode.decode bytes p in
+            let d = Decode.decode code p in
+            Bytes.set lens p (Char.chr d.Decode.len);
             go (p + d.Decode.len)
               (f acc
                  { addr = text.base + p; len = d.Decode.len;
                    insn = d.Decode.insn })
       in
-      (text, bytes, go 0 (init text))
-
-let fold ?holes ?fault elf ~init f =
-  let text, _, acc = sweep ?holes ?fault elf ~init f in
-  (text, acc)
-
-let disassemble ?holes ?fault elf =
-  let text, rev =
-    fold ?holes ?fault elf ~init:(fun _ -> []) (fun acc s -> s :: acc)
-  in
-  (text, List.rev rev)
-
-(* ------------------------------------------------------------------ *)
-(* The text index                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* One length byte per text byte (0: no instruction starts there) and
-   the original bytes, from which any instruction is decoded again. *)
-type index = { itext : text; lens : Bytes.t; code : Bytes.t }
-
-let index_fold ?holes ?fault elf ~init f =
-  let lens = ref Bytes.empty and base = ref 0 in
-  let text, code, acc =
-    sweep ?holes ?fault elf
-      ~init:(fun text ->
-        lens := Bytes.make text.size '\000';
-        base := text.base;
-        init)
-      (fun acc s ->
-        Bytes.set !lens (s.addr - !base) (Char.chr s.len);
-        f acc s)
-  in
-  ({ itext = text; lens = !lens; code }, acc)
+      let whole, acc = go 0 init in
+      ( { itext = text; lens; code; swept = (if whole then Some holes else None) },
+        acc )
 
 let index ?holes ?fault elf =
   fst (index_fold ?holes ?fault elf ~init:() (fun () _ -> ()))
+
+let disassemble ?holes ?fault elf =
+  let idx, rev = index_fold ?holes ?fault elf ~init:[] (fun acc s -> s :: acc) in
+  (idx.itext, List.rev rev)
 
 let index_of_sites text code sites =
   let lens = Bytes.make text.size '\000' in
@@ -141,9 +130,10 @@ let index_of_sites text code sites =
         error "Frontend: site 0x%x has length %d" s.addr s.len
       else Bytes.set lens i (Char.chr s.len))
     sites;
-  { itext = text; lens; code }
+  { itext = text; lens; code; swept = None }
 
 let index_text idx = idx.itext
+let swept_holes idx = idx.swept
 
 let length_at idx addr =
   let i = addr - idx.itext.base in
@@ -159,6 +149,35 @@ let decode_at idx addr =
        reported %d"
       addr d.Decode.len len;
   { addr; len; insn = d.Decode.insn }
+
+let sites idx ~init f =
+  let acc = ref init in
+  Bytes.iteri
+    (fun i c ->
+      if c <> '\000' then
+        acc :=
+          f !acc
+            { addr = idx.itext.base + i; len = Char.code c;
+              insn = (Decode.decode idx.code i).Decode.insn })
+    idx.lens;
+  !acc
+
+let linear_sweep ?holes ?index:idx elf =
+  match idx with
+  | None ->
+      let idx = index ?holes elf in
+      (idx, Option.get idx.swept)
+  | Some idx ->
+      let refuse why = invalid_arg ("Frontend.linear_sweep: " ^ why) in
+      let t = idx.itext in
+      if find_text elf <> Some t then refuse "the index covers another text";
+      if not (Bytes.equal idx.code (Buf.sub elf.Elf_file.data ~pos:t.offset ~len:t.size))
+      then refuse "the index holds other code bytes";
+      (match (idx.swept, holes) with
+      | None, _ -> refuse "the index is not a full linear sweep"
+      | Some swept, Some holes when sorted_holes holes <> swept ->
+          refuse "the index was swept with other holes"
+      | Some swept, _ -> (idx, swept))
 
 let select_jumps site = Classify.is_jump site.insn
 let select_heap_writes site = Classify.is_heap_write site.insn
@@ -185,8 +204,7 @@ let disassemble_recursive elf =
       while not (Queue.is_empty work) do
         let addr = Queue.pop work in
         let d = Decode.decode bytes (addr - text.base) in
-        let site = { addr; len = d.Decode.len; insn = d.Decode.insn } in
-        sites := site :: !sites;
+        sites := { addr; len = d.Decode.len; insn = d.Decode.insn } :: !sites;
         let next = addr + d.Decode.len in
         (match Classify.branch_rel d.Decode.insn with
         | Some rel -> push (next + rel)
@@ -199,7 +217,4 @@ let disassemble_recursive elf =
             ()
         | _ -> push next
       done;
-      let sites =
-        List.sort (fun a b -> compare a.addr b.addr) !sites
-      in
-      (text, sites)
+      index_of_sites text bytes !sites

@@ -1,14 +1,17 @@
 (** The disassembler frontend.
 
     E9Patch itself does not disassemble: it consumes instruction locations
-    and sizes produced by a frontend and trusts them (paper §2.2). This
-    module is the paper's "basic wrapper frontend that applies linear
-    disassembly to the (.text) section of the input binary". Any other
-    frontend (superset, probabilistic, partial) could be substituted: the
-    rewriter only consumes {!site} values, and keeps only their lengths
-    ({!index}). A frontend's lengths must match the decoder's: a
-    neighbour the tactics displace is decoded again from the original
-    bytes ({!decode_at}), and a length that disagrees is an error. *)
+    and sizes produced by a frontend and trusts them (paper §2.2). That
+    is the whole contract: an {!index}, the length of each instruction
+    start over the text's original bytes. This module is the paper's
+    "basic wrapper frontend that applies linear disassembly to the
+    (.text) section of the input binary" ({!index_fold}); any other
+    frontend (recursive descent, superset, partial, an outside
+    disassembler) hands its locations and sizes over through
+    {!index_of_sites}. A length must match the decoder's where an
+    instruction is read ({!decode_at}). The rewrite returns its index,
+    and the oracles and the daemon read it instead of sweeping the text
+    again ({!linear_sweep}). *)
 
 type site = {
   addr : int;  (** virtual address of the instruction *)
@@ -40,11 +43,20 @@ val find_text : Elf_file.t -> text option
     cannot be found or [addr] lies outside it. *)
 val leading_hole : Elf_file.t -> int -> int * int
 
-(** [fold ?holes ?fault elf ~init f] is the serial linear sweep of the
-    text: [f] sees every instruction in address order, starting from
-    [init text]. It builds nothing of its own, so a caller that only
-    indexes the instructions (a boundary bitmap, a per-byte table, a
-    count) allocates no site list.
+(** {1 The text index}
+
+    What the rewriter and the oracles keep of a sweep: one length byte
+    per text byte (0 where no instruction starts) and the original
+    bytes, about two bytes per text byte in all, instead of one decoded
+    {!site} per instruction. An instruction is decoded again, from the
+    original bytes, only when it is read ({!decode_at}, {!sites}). *)
+
+type index
+
+(** [index_fold ?holes ?fault elf ~init f] is the serial linear sweep of
+    the text: [f] sees every instruction in address order, starting from
+    [init], and the returned index records every instruction's length.
+    [f] is the only place a {!site} can outlive the sweep.
 
     [holes] (default none) are the [(addr, len)] extents of data inside
     the text: a leading constant pool ({!leading_hole}), mid-function
@@ -60,30 +72,6 @@ val leading_hole : Elf_file.t -> int -> int * int
     strict prefix of the true decode, i.e. partial disassembly, which
     the rewriter turns into partial instrumentation (§2.2). Raises
     {!Error} if the text cannot be found. *)
-val fold :
-  ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
-  Elf_file.t -> init:(text -> 'a) -> ('a -> site -> 'a) -> text * 'a
-
-(** [disassemble ?holes ?fault elf] is {!fold} collecting every
-    instruction, in address order. *)
-val disassemble :
-  ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
-  Elf_file.t -> text * site list
-
-(** {1 The text index}
-
-    What the rewriter and the verifier keep of a sweep: one length byte
-    per text byte (0 where no instruction starts) and the original
-    bytes, about two bytes per text byte in all, instead of one decoded
-    {!site} per instruction. An instruction is decoded again, from the
-    original bytes, only when it is read ({!decode_at}). *)
-
-type index
-
-(** [index_fold ?holes ?fault elf ~init f] is {!fold} (same holes, same
-    fault cut, same instructions in the same order) that also records
-    every instruction's length in the returned index. [f] is the only
-    place a {!site} can outlive the sweep. *)
 val index_fold :
   ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
   Elf_file.t -> init:'a -> ('a -> site -> 'a) -> index * 'a
@@ -91,6 +79,12 @@ val index_fold :
 (** [index ?holes ?fault elf] is {!index_fold} keeping nothing else. *)
 val index :
   ?holes:(int * int) list -> ?fault:E9_fault.Fault.t -> Elf_file.t -> index
+
+(** [disassemble ?holes ?fault elf] is {!index_fold} collecting every
+    instruction, in address order. *)
+val disassemble :
+  ?holes:(int * int) list -> ?fault:E9_fault.Fault.t ->
+  Elf_file.t -> text * site list
 
 (** [index_of_sites text code sites] is the index of another frontend's
     [sites] over [text], whose original bytes are [code] (kept by the
@@ -103,6 +97,11 @@ val index_of_sites : text -> Bytes.t -> site list -> index
 (** The text the index covers. *)
 val index_text : index -> text
 
+(** [swept_holes idx] is [Some holes] (sorted, empty ones dropped) when
+    [idx] is a full linear sweep ({!index_fold}) under [holes], and
+    [None] when a [Decode] fault cut it or {!index_of_sites} built it. *)
+val swept_holes : index -> (int * int) list option
+
 (** [length_at idx addr] is the length of the instruction starting at
     [addr], or 0 when none does (or [addr] lies outside the text). *)
 val length_at : index -> int -> int
@@ -112,6 +111,21 @@ val length_at : index -> int -> int
     instruction starts there or when the decoder's length differs from
     the recorded one. *)
 val decode_at : index -> int -> site
+
+(** [sites idx ~init f] folds [f] over the starts [idx] records in
+    ascending address order, each decoded again with its recorded
+    length (trusted here; {!decode_at} checks one it reads). *)
+val sites : index -> init:'a -> ('a -> site -> 'a) -> 'a
+
+(** [linear_sweep ?holes ?index elf] is the linear sweep of [elf]'s text
+    an oracle reads, with its holes: [index ?holes elf], or [index]
+    itself when it is exactly that sweep — its text is [find_text elf]
+    with the same bytes, it is a full linear sweep ({!swept_holes}), and
+    under [holes] when given. Raises [Invalid_argument] when [index] is
+    not that sweep, {!Error} if the text cannot be found. *)
+val linear_sweep :
+  ?holes:(int * int) list -> ?index:index -> Elf_file.t ->
+  index * (int * int) list
 
 (** Patch-location selectors for the paper's two applications. *)
 
@@ -123,9 +137,9 @@ val select_heap_writes : site -> bool
 
 (** [disassemble_recursive elf] is an alternative frontend: recursive
     descent from the entry point, following direct branches and calls and
-    stopping at indirect control flow. It discovers only a {e subset} of
-    the instructions (indirect targets stay invisible) — which is fine for
-    E9Patch: its patching is local, so partial disassembly information
-    yields partial instrumentation, never incorrectness (§2.2). Returned
-    sites are in address order. *)
-val disassemble_recursive : Elf_file.t -> text * site list
+    stopping at indirect control flow ({!index_of_sites}). It discovers
+    only a {e subset} of the instructions (indirect targets stay
+    invisible) — which is fine for E9Patch: its patching is local, so
+    partial disassembly information yields partial instrumentation,
+    never incorrectness (§2.2). *)
+val disassemble_recursive : Elf_file.t -> index

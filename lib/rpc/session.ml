@@ -7,8 +7,6 @@ module Tool = E9_tool.Tool
 module Fault = E9_fault.Fault
 module Static = E9_check.Static
 
-type decoded = Frontend.text * Frontend.site list
-
 type emit_entry = {
   bytes : bytes;
   stats : Stats.t;
@@ -19,7 +17,7 @@ type emit_entry = {
 }
 
 type ctx = {
-  decode_cache : decoded Cache.t;
+  decode_cache : Frontend.index Cache.t;
   result_cache : emit_entry Cache.t;
   raw_cache : bytes Cache.t;
   bypassed : int Atomic.t;
@@ -311,31 +309,30 @@ let do_emit t params =
         Obs.counter t.obs ~name:"rpc_cache_misses" ~value:1;
         let rt = Tool.rewrite_input elf rules in
         let input = rt.Tool.augmented in
-        let dkey =
-          Printf.sprintf "d:%s:%s:%s" bhash
-            (if rt.Tool.pages = None then "-" else "rt")
-            holes_tag
-        in
-        let decoded =
+        (* One index per input text and holes: injecting the runtime
+           appends pages and never touches the text, so the raw and the
+           augmented input share it. *)
+        let dkey = Printf.sprintf "d:%s:%s" bhash holes_tag in
+        let index =
           match Cache.find t.ctx.decode_cache dkey with
-          | Some d -> d
+          | Some idx -> idx
           | None ->
-              let d =
+              let idx =
                 Obs.span t.obs "rpc_decode" (fun () ->
-                    Frontend.disassemble ~holes input)
+                    Frontend.index ~holes input)
               in
-              Cache.add t.ctx.decode_cache dkey d;
-              d
+              Cache.add t.ctx.decode_cache dkey idx;
+              idx
         in
         let select, template = Tool.lower rt rules in
         let r =
           Obs.span t.obs "rpc_rewrite" (fun () ->
               Rewriter.run ~options:opts ~obs:t.obs ~holes
-                ~frontend:(fun _ -> decoded) input ~select ~template)
+                ~frontend:(fun _ -> index) input ~select ~template)
         in
         (match
            Obs.span t.obs "rpc_verify" (fun () ->
-               Static.verify ~holes ~original:input r.Rewriter.output)
+               Static.verify ~index ~original:input r.Rewriter.output)
          with
         | Ok _ -> ()
         | Error e ->

@@ -29,8 +29,6 @@
 
 module Json = E9_obs.Json
 
-type decoded = Frontend.text * Frontend.site list
-
 (** A served emit, as cached: the serialized output plus the summary the
     response repeats. A cache hit replays exactly these bytes, so a hit
     is byte-identical to recomputation by construction. *)
@@ -52,7 +50,7 @@ type emit_entry = {
     the decode cache never saw, so its hit rate under a hot result cache
     reads honestly as "bypassed", not "useless". *)
 type ctx = {
-  decode_cache : decoded Cache.t;
+  decode_cache : Frontend.index Cache.t;
   result_cache : emit_entry Cache.t;
   raw_cache : bytes Cache.t;
   bypassed : int Atomic.t;

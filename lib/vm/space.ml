@@ -17,7 +17,18 @@ type page = {
 
 module Itbl = E9_bits.Itbl
 
-let tlb_slots = 64
+let tlb_bits = 7
+let tlb_slots = 1 lsl tlb_bits
+
+(* The low bits of the page number, xored with a multiplicative hash
+   (the top bits of a product) of the bits above them: the pages of one
+   aligned run of [tlb_slots] take one slot each, and runs far apart —
+   the grouped trampoline pages of a rewrite, the runtime's pages, the
+   stack above the data — take unrelated slots, where the low bits alone
+   made pages a multiple of [tlb_slots] apart share one. *)
+let tlb_slot pn =
+  (pn lxor (((pn lsr tlb_bits) * 0x2545F4914F6CDD1D) lsr (63 - tlb_bits)))
+  land (tlb_slots - 1)
 
 type t = {
   pages : page Itbl.t;
@@ -25,7 +36,7 @@ type t = {
      allocate host memory until touched. Newest first (later maps win). *)
   mutable zero_regions : (int * int * Elf_file.prot) list;
   (* Protection-checked, direct-mapped TLBs, one for reads and one for
-     writes: slot [pn land (tlb_slots - 1)] holds page [pn] once it has
+     writes: slot [tlb_slot pn] holds page [pn] once it has
      passed the read (resp. write) permission check, so a hit is one
      compare and no page-table walk. Stack, data and text pages sit in
      different slots instead of evicting one another. Every mapping
@@ -212,7 +223,7 @@ let get_page_for t addr ~write ~exec =
    modification, including ones made after their last revalidation. *)
 let read_page t addr =
   let pn = addr lsr page_bits in
-  let s = pn land (tlb_slots - 1) in
+  let s = tlb_slot pn in
   if Array.unsafe_get t.rd_tag s = pn then Array.unsafe_get t.rd_page s
   else begin
     let p = get_page_for t addr ~write:false ~exec:false in
@@ -223,7 +234,7 @@ let read_page t addr =
 
 let write_page t addr =
   let pn = addr lsr page_bits in
-  let s = pn land (tlb_slots - 1) in
+  let s = tlb_slot pn in
   let p =
     if Array.unsafe_get t.wr_tag s = pn then Array.unsafe_get t.wr_page s
     else begin

@@ -40,7 +40,7 @@ val map_zero : t -> vaddr:int -> len:int -> prot:Elf_file.prot -> unit
 
     Permission-checked pages are remembered in two direct-mapped TLBs of
     {!tlb_slots} entries, one for reads and one for writes, indexed by
-    the low bits of the page number; every mapping operation
+    {!tlb_slot}; every mapping operation
     ([map_bytes], [map_sub], [map_zero]) flushes both, so an access after
     one sees the new bytes or protection. *)
 val read_u8 : t -> int -> int
@@ -61,9 +61,14 @@ val read_bytes : t -> int -> int -> bytes
     at the first byte of it the string reaches. *)
 val read_cstring : t -> int -> max:int -> string
 
-(** The number of entries in each TLB (a power of two): pages [pn] and
-    [pn + tlb_slots] share a slot. *)
+(** The number of entries in each TLB (a power of two). *)
 val tlb_slots : int
+
+(** [tlb_slot pn] is the TLB slot of page number [pn]: its low bits
+    xored with a multiplicative hash of the bits above them, so the
+    pages of one aligned run of {!tlb_slots} take one slot each, and
+    pages a multiple of {!tlb_slots} apart mostly take different ones. *)
+val tlb_slot : int -> int
 
 (** [fetch_window t addr] returns up to 16 bytes starting at [addr] for
     instruction decoding (requires [x] on the first page; a window is

@@ -9,7 +9,8 @@
    diffing the two outputs shows exactly which digests a change moved.
 
    With --verify it instead runs the static verifier on every rewrite,
-   with the data holes that rewrite used, and pins its report:
+   through the sweep that rewrite made (its index, or for a served emit
+   a sweep of the rewrite input), and pins its report:
    test/verify_digests.txt holds those lines. A verifier change
    that must not move a verdict keeps that file unchanged.
 
@@ -62,8 +63,8 @@ let digest_bytes b = Fnv.hex b ~pos:0 ~len:(Bytes.length b)
 let text_size elf =
   match Frontend.find_text elf with Some t -> t.Frontend.size | None -> 0
 
-let verify_line name ?holes ~original out =
-  match Static.verify ?holes ~original out with
+let verify_line name ?holes ?index ~original out =
+  match Static.verify ?holes ?index ~original out with
   | Ok r ->
       let b = Buffer.create 4096 in
       List.iter
@@ -77,8 +78,8 @@ let verify_line name ?holes ~original out =
       Printf.printf "verify/%s rejected 0x%x:%s\n%!" name e.Static.addr
         (Fnv.to_hex (Fnv.hash64_string e.Static.reason))
 
-let trace_line name ?holes ?instr_ranges ~original out =
-  match Trace.compare_runs ?holes ?instr_ranges ~original out with
+let trace_line name ?holes ?index ?instr_ranges ~original out =
+  match Trace.compare_runs ?holes ?index ?instr_ranges ~original out with
   | Ok s ->
       Printf.printf "trace/%s ok %d/%d/%d/%d/%d\n%!" name s.Trace.events
         s.Trace.boundary_retires s.Trace.stores s.Trace.insns_original
@@ -115,27 +116,28 @@ let run_fields (r : Cpu.result) =
    cCOUNTERS.oOUTPUT.pPRINTS.tHASH/EVENTS. The traced run must agree
    with the plain one on every pinned field; where it does not, the
    line says so. *)
-let emu_run name ?holes ?instr_ranges ~original elf =
+let emu_run name ?holes ?index ?instr_ranges ~original elf =
   let plain = run_fields (Machine.run elf) in
   let traced, events, hash =
-    Trace.run_digest ?holes ?instr_ranges ~original elf
+    Trace.run_digest ?holes ?index ?instr_ranges ~original elf
   in
   let fields, hashes = plain in
   Printf.printf "emu/%s %s %s.t%x/%d%s\n%!" name fields hashes hash events
     (if run_fields traced = plain then "" else ".traced-differs")
 
-let emu_line name ?holes ?instr_ranges original out =
-  emu_run ("original/" ^ name) ?holes ?instr_ranges ~original original;
-  emu_run ("rewrite/" ^ name) ?holes ?instr_ranges ~original out
+let emu_line name ?holes ?index ?instr_ranges original out =
+  emu_run ("original/" ^ name) ?holes ?index ?instr_ranges ~original original;
+  emu_run ("rewrite/" ^ name) ?holes ?index ?instr_ranges ~original out
 
-(* One pinned rewrite of [original] into [out]; [holes] are what the
-   rewrite itself used, [instr_ranges] the pages of the runtime it
+(* One pinned rewrite of [original] into [out]; [index] is the sweep the
+   rewrite itself made (or [holes] what it swept around, where the
+   rewrite is not at hand), [instr_ranges] the pages of the runtime it
    carries. *)
-let line name ?holes ?instr_ranges original out =
+let line name ?holes ?index ?instr_ranges original out =
   match !mode with
-  | Verify -> verify_line name ?holes ~original out
-  | Oracle -> trace_line name ?holes ?instr_ranges ~original out
-  | Emu -> emu_line name ?holes ?instr_ranges original out
+  | Verify -> verify_line name ?holes ?index ~original out
+  | Oracle -> trace_line name ?holes ?index ?instr_ranges ~original out
+  | Emu -> emu_line name ?holes ?index ?instr_ranges original out
   | Output ->
       Printf.printf "%s text=%d %s\n%!" name (text_size original)
         (digest_bytes (Elf_file.to_bytes out))
@@ -169,10 +171,10 @@ let corpus () =
       let holes = Codegen.holes elf in
       List.iter
         (fun (tag, select) ->
+          let r = rewrite ~options ~holes elf ~select in
           line
             (Printf.sprintf "corpus/%s/%s" p.Codegen.name tag)
-            ~holes elf
-            (rewrite ~options ~holes elf ~select).Rewriter.output)
+            ~index:r.Rewriter.index elf r.Rewriter.output)
         [ ("a1", Frontend.select_jumps); ("a2", Frontend.select_heap_writes) ])
     Suite.rows
 
@@ -187,9 +189,9 @@ let robust () =
         | Adversary.Jumps -> Frontend.select_jumps
         | Adversary.Heap_writes -> Frontend.select_heap_writes
       in
-      line ("robust/" ^ f.Adversary.name) ~holes elf
-        (rewrite ~options:(Matrix.options_of f) ~holes elf ~select)
-          .Rewriter.output)
+      let r = rewrite ~options:(Matrix.options_of f) ~holes elf ~select in
+      line ("robust/" ^ f.Adversary.name) ~index:r.Rewriter.index elf
+        r.Rewriter.output)
     Adversary.families
 
 (* The fuzz campaign's case stream (the fuzz-smoke seed); cases whose
@@ -199,8 +201,9 @@ let fuzz () =
   for i = 1 to fuzz_cases do
     let case = QCheck2.Gen.generate1 ~rand Fuzz.gen_case in
     match Fuzz.rewrite case with
-    | elf, holes, r ->
-        line (Printf.sprintf "fuzz/%02d" i) ~holes elf r.Rewriter.output
+    | elf, _, r ->
+        line (Printf.sprintf "fuzz/%02d" i) ~index:r.Rewriter.index elf
+          r.Rewriter.output
     | exception Codegen.Error _ ->
         missing (Printf.sprintf "fuzz/%02d" i) "skipped"
   done
@@ -224,6 +227,7 @@ let tool () =
       let res = Tool.run elf [ Tool.rule_of ~m ~p () ] in
       let rt = res.Tool.runtime in
       line (Printf.sprintf "tool/%s|%s" m p)
+        ~index:res.Tool.rewrite.Rewriter.index
         ~instr_ranges:rt.Tool.instr_ranges rt.Tool.augmented
         res.Tool.rewrite.Rewriter.output)
     [ ("jumps", "print"); ("all", "count"); ("returns", "trap");

@@ -568,6 +568,110 @@ let test_inject_campaign_deterministic () =
 let prop_fuzz = Fuzz.property ~count:25 ()
 let prop_inject = Inject.property ~count:15 ()
 
+(* ------------------------------------------------------------------ *)
+(* The rewrite's index, read by both oracles                           *)
+(* ------------------------------------------------------------------ *)
+
+let islands_input ~seed ~pool_kb ~islands =
+  Codegen.generate
+    { Codegen.default_profile with
+      Codegen.seed = Int64.of_int seed; functions = 12; iterations = 2;
+      data_in_text_kb = pool_kb;
+      island_bias = (if islands then 0.3 else 0.0) }
+
+let refused what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+(* An oracle reuses only the sweep it would have made itself: an index
+   swept with other holes, one a decode fault cut short and one another
+   frontend handed over are each refused by both oracles. *)
+let test_foreign_index_refused () =
+  let elf = islands_input ~seed:31 ~pool_kb:1 ~islands:true in
+  let holes = Codegen.holes elf in
+  let r =
+    Rewriter.run ~holes elf ~select:Frontend.select_jumps
+      ~template:(fun _ -> Trampoline.Empty)
+  in
+  let out = r.Rewriter.output in
+  let both what index =
+    refused ("static, " ^ what) (fun () ->
+        Static.verify ~holes ~index ~original:elf out);
+    refused ("trace, " ^ what) (fun () ->
+        Trace.compare_runs ~holes ~index ~original:elf out)
+  in
+  check_bool "the rewrite's own index is accepted" true
+    (Result.is_ok (Static.verify ~holes ~index:r.Rewriter.index ~original:elf out)
+    && Result.is_ok
+         (Trace.compare_runs ~holes ~index:r.Rewriter.index ~original:elf out));
+  both "other holes" (Frontend.index elf);
+  let text = Option.get (Frontend.find_text elf) in
+  let cut =
+    Frontend.index ~holes
+      ~fault:
+        (E9_fault.Fault.create
+           (E9_fault.Fault.parse
+              (Printf.sprintf "decode@%d" (text.Frontend.size / 2))))
+      elf
+  in
+  check_bool "the cut index records no holes" true
+    (Frontend.swept_holes cut = None);
+  both "cut by a decode fault" cut;
+  let _, sites = Frontend.disassemble ~holes elf in
+  both "built from sites"
+    (Frontend.index_of_sites text
+       (E9_bits.Buf.sub elf.Elf_file.data ~pos:text.Frontend.offset
+          ~len:text.Frontend.size)
+       sites)
+
+(* With the rewrite's own index both oracles return what they return
+   after sweeping the original themselves, and the trace filter's
+   boundaries are the sweep's starts outside the instrumentation
+   ranges: over generated inputs with a leading pool and islands. *)
+let prop_oracles_read_the_index =
+  let gen =
+    QCheck2.Gen.(
+      quad (int_range 1 10_000) (int_range 0 2) bool
+        (pair bool (opt (pair (int_range 0 6000) (int_range 1 400)))))
+  in
+  QCheck2.Test.make ~name:"oracles: the rewrite's index = their own sweep"
+    ~count:12 gen (fun (seed, pool_kb, islands, (writes, range)) ->
+      let elf = islands_input ~seed ~pool_kb ~islands in
+      let holes = Codegen.holes elf in
+      let select =
+        if writes then Frontend.select_heap_writes else Frontend.select_jumps
+      in
+      let r =
+        Rewriter.run ~holes elf ~select ~template:(fun _ -> Trampoline.Empty)
+      in
+      let out = r.Rewriter.output and index = r.Rewriter.index in
+      let text = Option.get (Frontend.find_text elf) in
+      let base = text.Frontend.base in
+      let instr_ranges =
+        match range with
+        | None -> []
+        | Some (off, len) -> [ (base + off, base + off + len) ]
+      in
+      let starts = Hashtbl.create 4096 in
+      List.iter
+        (fun (s : Frontend.site) -> Hashtbl.replace starts s.Frontend.addr ())
+        (snd (Frontend.disassemble ~holes elf));
+      let boundary = Trace.boundary ~index ~instr_ranges ~original:elf in
+      let in_ranges a =
+        List.exists (fun (lo, hi) -> a >= lo && a < hi) instr_ranges
+      in
+      let rec same a =
+        a >= base + text.Frontend.size + 8
+        || boundary a = (Hashtbl.mem starts a && not (in_ranges a))
+           && same (a + 1)
+      in
+      Static.verify ~index ~original:elf out
+      = Static.verify ~holes ~original:elf out
+      && Trace.compare_runs ~index ~original:elf out
+         = Trace.compare_runs ~holes ~original:elf out
+      && same (base - 8))
+
 let suites =
   [ ( "check",
       [ Alcotest.test_case "regression corpus verifies" `Quick test_corpus;
@@ -599,6 +703,9 @@ let suites =
           test_hash_divergence_named;
         Alcotest.test_case "end of trace on the side that ended" `Quick
           test_end_of_trace_orientation;
+        Alcotest.test_case "oracles refuse a foreign index" `Quick
+          test_foreign_index_refused;
+        QCheck_alcotest.to_alcotest prop_oracles_read_the_index;
         QCheck_alcotest.to_alcotest prop_regs_hash;
         QCheck_alcotest.to_alcotest prop_fuzz;
         QCheck_alcotest.to_alcotest prop_inject ] ) ]

@@ -1099,6 +1099,14 @@ let test_rewrite_frontend_length_mismatch () =
         { Tactics.default_options with
           Tactics.enable_base = false; enable_t1 = false } }
   in
+  (* The foreign frontend's index, as an outside disassembler hands it
+     over: its locations and sizes over the original bytes. *)
+  let frontend sites _ =
+    Frontend.index_of_sites text
+      (E9_bits.Buf.sub elf.Elf_file.data ~pos:text.Frontend.offset
+         ~len:text.Frontend.size)
+      sites
+  in
   Alcotest.check_raises "typed error at the successor"
     (Rewriter.Error
        (Printf.sprintf
@@ -1108,12 +1116,12 @@ let test_rewrite_frontend_length_mismatch () =
           (s.Frontend.len + 1)))
     (fun () ->
       ignore
-        (Rewriter.run ~options ~frontend:(fun _ -> (text, lying)) elf
+        (Rewriter.run ~options ~frontend:(frontend lying) elf
            ~select:Frontend.select_jumps
            ~template:(fun _ -> Trampoline.Empty)));
   check_bool "the true lengths rewrite" true
     (Stats.total
-       (Rewriter.run ~options ~frontend:(fun _ -> (text, sites)) elf
+       (Rewriter.run ~options ~frontend:(frontend sites) elf
           ~select:Frontend.select_jumps
           ~template:(fun _ -> Trampoline.Empty))
          .Rewriter.stats
@@ -1476,7 +1484,11 @@ let test_recursive_frontend_partial_but_correct () =
   let elf = Codegen.generate (profile ~seed:70L ()) in
   let orig = run elf in
   let _, linear_sites = Frontend.disassemble elf in
-  let _, rec_sites = Frontend.disassemble_recursive elf in
+  let rec_sites =
+    List.rev
+      (Frontend.sites (Frontend.disassemble_recursive elf) ~init:[]
+         (fun acc s -> s :: acc))
+  in
   check_bool "recursive finds a real subset" true
     (List.length rec_sites > 50
     && List.length rec_sites < List.length linear_sites);
@@ -1498,51 +1510,17 @@ let test_recursive_frontend_partial_but_correct () =
       ~template:(fun _ -> Trampoline.Empty)
   in
   check_bool "patched something" true (Stats.total r.Rewriter.stats > 0);
+  check_bool "the result carries the frontend's index" true
+    (Frontend.length_at r.Rewriter.index elf.Elf_file.entry > 0
+    && Frontend.swept_holes r.Rewriter.index = None);
   check_bool "partial info, still equivalent" true
     (Machine.equivalent orig (run r.Rewriter.output))
-
-let test_unordered_frontend_refused () =
-  (* The tactics binary-search the sites and S1 reads its order off them,
-     so a frontend reporting them out of order is a typed error naming
-     the first out-of-order address, not a silent sort. *)
-  let elf = Codegen.generate (profile ~seed:71L ()) in
-  let text, sites = Frontend.disassemble elf in
-  let a = List.nth sites 10 and b = List.nth sites 11 in
-  let swapped =
-    List.map (fun s -> if s == a then b else if s == b then a else s) sites
-  in
-  let rewrite frontend =
-    Rewriter.run ~frontend elf ~select:Frontend.select_jumps
-      ~template:(fun _ -> Trampoline.Empty)
-  in
-  Alcotest.check_raises "swapped pair"
-    (Rewriter.Error
-       (Printf.sprintf
-          "Rewriter: frontend sites are not strictly ascending: 0x%x \
-           follows 0x%x"
-          a.Frontend.addr b.Frontend.addr))
-    (fun () -> ignore (rewrite (fun _ -> (text, swapped))));
-  Alcotest.check_raises "duplicate site"
-    (Rewriter.Error
-       (Printf.sprintf
-          "Rewriter: frontend sites are not strictly ascending: 0x%x \
-           follows 0x%x"
-          a.Frontend.addr a.Frontend.addr))
-    (fun () ->
-      let doubled =
-        List.concat_map (fun s -> if s == a then [ s; s ] else [ s ]) sites
-      in
-      ignore (rewrite (fun _ -> (text, doubled))));
-  check_bool "the ordered list rewrites" true
-    (Stats.total (rewrite (fun _ -> (text, sites))).Rewriter.stats > 0)
 
 let suites =
   suites
   @ [ ( "core.frontends",
         [ Alcotest.test_case "recursive descent: partial but correct" `Quick
-            test_recursive_frontend_partial_but_correct;
-          Alcotest.test_case "unordered frontend refused" `Quick
-            test_unordered_frontend_refused ] ) ]
+            test_recursive_frontend_partial_but_correct ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* §5.1: mixing patched and non-patched binaries in one process        *)

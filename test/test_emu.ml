@@ -159,11 +159,16 @@ let test_space_shared_alias_privatizes () =
     (Space.read_u8 s 0x30000)
 
 let test_space_tlb_collision () =
-  (* Pages [pn] and [pn + tlb_slots] share one direct-mapped slot in each
-     TLB: alternating accesses evict each other and must still read and
-     write their own page. *)
+  (* Pages [a] and [b] share one direct-mapped slot in each TLB (the
+     first page above [a] that does): alternating accesses evict each
+     other and must still read and write their own page. *)
   let s = Space.create () in
-  let a = 0x40_0000 and b = 0x40_0000 + (Space.tlb_slots * 4096) in
+  let a = 0x40_0000 in
+  let rec colliding pn =
+    if Space.tlb_slot pn = Space.tlb_slot (a / 4096) then pn * 4096
+    else colliding (pn + 1)
+  in
+  let b = colliding ((a / 4096) + 1) in
   Space.map_zero s ~vaddr:a ~len:4096 ~prot:Elf_file.prot_rw;
   Space.map_zero s ~vaddr:b ~len:4096 ~prot:Elf_file.prot_r;
   for i = 0 to 9 do
@@ -186,6 +191,8 @@ let test_space_tlb_flush () =
      seen by the next access to [a]. *)
   let s = Space.create () in
   let a = 0x10_0000 and b = 0x20_3000 in
+  Alcotest.(check bool) "a and b take different slots" true
+    (Space.tlb_slot (a / 4096) <> Space.tlb_slot (b / 4096));
   Space.map_bytes s ~vaddr:a ~prot:Elf_file.prot_rw (Bytes.make 4096 'a');
   Space.map_zero s ~vaddr:b ~len:4096 ~prot:Elf_file.prot_rw;
   let touch () =

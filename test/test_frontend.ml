@@ -338,7 +338,14 @@ let prop_index_matches_sweep =
            (List.init (text.Frontend.size + 2) (fun i -> base - 1 + i))
       && List.for_all
            (fun (s : Frontend.site) -> Frontend.decode_at idx s.Frontend.addr = s)
-           sites)
+           sites
+      && List.rev (Frontend.sites idx ~init:[] (fun acc s -> s :: acc)) = sites
+      && Frontend.swept_holes idx
+         = (if List.length sites < List.length (snd (Frontend.disassemble ~holes elf))
+            then None
+            else
+              Some
+                (List.sort compare (List.filter (fun (_, l) -> l > 0) holes))))
 
 let site insn = { Frontend.addr = 0x401000; len = 5; insn }
 

@@ -455,6 +455,32 @@ let test_cache_hit_identity () =
   check_int "result hit counted as decode bypass" 1
     (Atomic.get (Server.ctx server).E9_rpc.Session.bypassed)
 
+(* Injecting the runtime never touches the text, so a raw input and the
+   same input augmented with the runtime share one decode-cache entry:
+   the index of that text. A [lowfat] emit (which injects the runtime)
+   after a [counter] emit (which does not) of one binary is a decode hit,
+   and serves the bytes a one-shot rewrite writes. *)
+let test_decode_shared_across_runtime () =
+  let raw = Lazy.force raw in
+  let server = Server.create () in
+  let counter = "patch jumps with counter"
+  and lowfat = "patch heap-writes with lowfat" in
+  let rs1, _ = Harness.run_session server (Harness.script ~spec:counter raw) in
+  let rs2, _ = Harness.run_session server (Harness.script ~spec:lowfat raw) in
+  let e1 = List.nth rs1 2 and e2 = List.nth rs2 2 in
+  check_bool "both verified" true
+    (field (result_of e1) "verified" = Json.Bool true
+    && field (result_of e2) "verified" = Json.Bool true);
+  let dc = Cache.stats (Server.ctx server).E9_rpc.Session.decode_cache in
+  check_int "decode hits" 1 dc.Cache.hits;
+  check_int "decode misses" 1 dc.Cache.misses;
+  check_str "counter emit = one-shot rewrite"
+    (Proto.hex_of_bytes (Harness.reference ~spec:counter raw))
+    (emit_data e1);
+  check_str "lowfat emit from the cached index = one-shot rewrite"
+    (Proto.hex_of_bytes (Harness.reference ~spec:lowfat raw))
+    (emit_data e2)
+
 let test_flush_forces_recompute () =
   let raw = Lazy.force raw in
   let server = Server.create () in
@@ -1448,6 +1474,8 @@ let suites =
           test_duplicate_binary;
         Alcotest.test_case "cache hit is byte-identical" `Quick
           test_cache_hit_identity;
+        Alcotest.test_case "decode shared across the runtime" `Quick
+          test_decode_shared_across_runtime;
         Alcotest.test_case "flush forces recompute" `Quick
           test_flush_forces_recompute;
         Alcotest.test_case "options partition the cache" `Quick
