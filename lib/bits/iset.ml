@@ -98,9 +98,8 @@ let first_geq t x =
   in
   go t.root None
 
-(* [insert]/[delete] assume the caller ([add]/[remove]) already cleared
-   any interval that would collide with the key, exactly as the previous
-   Map-based code did with [M.add]/[M.remove]. *)
+(* [insert]/[delete] assume the caller ([add]) already cleared any
+   interval that would collide with the key. *)
 let rec insert tree lo hi =
   match tree with
   | E -> mk E lo hi E
@@ -151,25 +150,6 @@ let add t ~lo ~hi =
       | Some _ | None -> continue := false
     done;
     t.root <- insert t.root lo !hi
-  end
-
-let remove t ~lo ~hi =
-  if hi > lo then begin
-    (* Split any interval straddling [lo]. *)
-    (match floor t lo with
-    | Some (l, h) when l < lo && h > lo ->
-        t.root <- delete t.root l;
-        t.root <- insert t.root l lo;
-        t.root <- insert t.root lo h
-    | _ -> ());
-    let continue = ref true in
-    while !continue do
-      match first_geq t lo with
-      | Some (l, h) when l < hi ->
-          t.root <- delete t.root l;
-          if h > hi then t.root <- insert t.root hi h
-      | Some _ | None -> continue := false
-    done
   end
 
 let mem t x = match floor t x with Some (_, h) -> h > x | None -> false

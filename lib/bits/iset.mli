@@ -19,11 +19,10 @@ val create : unit -> t
 val copy : t -> t
 
 (** [add t ~lo ~hi] marks [lo, hi) occupied. Overlapping or adjacent
-    intervals are merged. No-op when [hi <= lo]. *)
+    intervals are merged. No-op when [hi <= lo]. The set only grows:
+    the allocator queries before it claims, so it never hands a range
+    back. *)
 val add : t -> lo:int -> hi:int -> unit
-
-(** [remove t ~lo ~hi] marks [lo, hi) free, splitting intervals as needed. *)
-val remove : t -> lo:int -> hi:int -> unit
 
 (** [mem t x] is true when byte [x] is occupied. *)
 val mem : t -> int -> bool

@@ -22,7 +22,7 @@ type denial = Dead_window | Conflict
 type t = {
   base : Iset.t;  (* create-time occupancy, never mutated afterwards *)
   occupied : Iset.t;
-  mutable trampoline_bytes : int;  (* bytes claimed by alloc/alloc_at *)
+  mutable trampoline_bytes : int;  (* bytes claimed *)
   cursors : int array;
   mutable cursor_hits : int;
   mutable cursor_misses : int;
@@ -75,13 +75,18 @@ let cursor_misses t = t.cursor_misses
 
 (* Failure classification (see {!denial}) runs only on the failure
    path: one extra O(log n) query against the base occupancy. *)
-let find_free t ~size ~lo ~hi =
-  match Iset.find_free t.occupied ~size ~lo ~hi with
-  | Some addr -> Ok addr
-  | None ->
-      Error
-        (if Iset.find_free t.base ~size ~lo ~hi = None then Dead_window
-         else Conflict)
+let classify t ~size ~lo ~hi =
+  if Iset.find_free t.base ~size ~lo ~hi = None then Dead_window else Conflict
+
+(* First fit in [lo, hi] as if [t_lo, t_hi) were occupied too. A fit
+   that overlaps the taken range can only be followed by one past its
+   end: every start between the two would overlap it as well. The empty
+   range [min_int, min_int) overlaps nothing. *)
+let find_beside set ~t_lo ~t_hi ~size ~lo ~hi =
+  match Iset.find_free set ~size ~lo ~hi with
+  | Some a when a < t_hi && t_lo < a + size ->
+      Iset.find_free set ~size ~lo:t_hi ~hi
+  | found -> found
 
 let span_class ~lo ~hi =
   let rec go n c =
@@ -89,29 +94,51 @@ let span_class ~lo ~hi =
   in
   go (max (hi - lo) 1) 0
 
-let alloc t ~size ~lo ~hi =
+let claim t ~addr ~size =
+  Iset.add t.occupied ~lo:addr ~hi:(addr + size);
+  t.trampoline_bytes <- t.trampoline_bytes + size
+
+let first_fit t ~t_lo ~t_hi ~size ~lo ~hi =
+  match find_beside t.occupied ~t_lo ~t_hi ~size ~lo ~hi with
+  | Some addr -> Ok addr
+  | None -> Error (classify t ~size ~lo ~hi)
+
+(* The next-fit search of [alloc] and [alloc_beside]; the cursor rule and
+   its hit and miss counts do not depend on the taken range. *)
+let next_fit t ~t_lo ~t_hi ~size ~lo ~hi =
   let c = span_class ~lo ~hi in
   let hint = t.cursors.(c) in
   let found =
     if hint > lo && hint <= hi then
-      match Iset.find_free t.occupied ~size ~lo:hint ~hi with
+      match find_beside t.occupied ~t_lo ~t_hi ~size ~lo:hint ~hi with
       | Some addr ->
           t.cursor_hits <- t.cursor_hits + 1;
           Ok addr
       | None ->
           t.cursor_misses <- t.cursor_misses + 1;
-          find_free t ~size ~lo ~hi
-    else find_free t ~size ~lo ~hi
+          first_fit t ~t_lo ~t_hi ~size ~lo ~hi
+    else first_fit t ~t_lo ~t_hi ~size ~lo ~hi
   in
   (match found with
   | Ok addr ->
-      Iset.add t.occupied ~lo:addr ~hi:(addr + size);
-      t.trampoline_bytes <- t.trampoline_bytes + size;
+      claim t ~addr ~size;
       t.cursors.(c) <- addr + size
   | Error _ -> ());
   found
 
-let probe t ~size ~lo ~hi = find_free t ~size ~lo ~hi
+let alloc t ~size ~lo ~hi =
+  next_fit t ~t_lo:min_int ~t_hi:min_int ~size ~lo ~hi
+
+let alloc_beside t ~taken:(addr, tsize) ~size ~lo ~hi =
+  let found = next_fit t ~t_lo:addr ~t_hi:(addr + tsize) ~size ~lo ~hi in
+  if Result.is_ok found then claim t ~addr ~size:tsize;
+  found
+
+let probe t ~size ~lo ~hi =
+  first_fit t ~t_lo:min_int ~t_hi:min_int ~size ~lo ~hi
+
+let probe_beside t ~taken:(addr, tsize) ~size ~lo ~hi =
+  first_fit t ~t_lo:addr ~t_hi:(addr + tsize) ~size ~lo ~hi
 
 let probe_strided t ~size ~lo ~hi ~stride =
   match Iset.find_free_strided t.occupied ~size ~lo ~hi ~stride with
@@ -121,21 +148,6 @@ let probe_strided t ~size ~lo ~hi ~stride =
         (if Iset.find_free_strided t.base ~size ~lo ~hi ~stride = None then
            Dead_window
          else Conflict)
-
-let release t ~addr ~size =
-  Iset.remove t.occupied ~lo:addr ~hi:(addr + size);
-  t.trampoline_bytes <- t.trampoline_bytes - size
-
-let alloc_at t ~addr ~size =
-  if Iset.is_free t.occupied ~lo:addr ~hi:(addr + size) then begin
-    Iset.add t.occupied ~lo:addr ~hi:(addr + size);
-    t.trampoline_bytes <- t.trampoline_bytes + size;
-    Ok ()
-  end
-  else
-    Error
-      (if Iset.is_free t.base ~lo:addr ~hi:(addr + size) then Conflict
-       else Dead_window)
 
 let reserve t ~addr ~size = Iset.add t.occupied ~lo:addr ~hi:(addr + size)
 

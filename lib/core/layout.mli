@@ -21,12 +21,11 @@ type t
     with original content. Pass the page-grouping granularity in bytes. *)
 val create : ?reserve_below_base:bool -> ?block_size:int -> Elf_file.t -> t
 
-(** Why a query ({!alloc}, {!probe}, {!probe_strided}, {!alloc_at})
-    failed. [Dead_window]: the create-time base occupancy (guards +
-    segments) alone blocks every position, so retrying is pointless.
-    [Conflict]: a genuine dynamic collision with previously allocated
-    trampolines or {!reserve}d ranges. Classification runs only on
-    failure paths. *)
+(** Why a query failed. [Dead_window]: the create-time base occupancy
+    (guards + segments) alone blocks every position, so retrying is
+    pointless. [Conflict]: a genuine dynamic collision with previously
+    allocated trampolines or {!reserve}d ranges. Classification runs
+    only on failure paths. *)
 type denial = Dead_window | Conflict
 
 (** Next-fit cursor telemetry: allocations that resumed from the
@@ -37,18 +36,27 @@ val cursor_hits : t -> int
 
 val cursor_misses : t -> int
 
-(** [alloc t ~size ~lo ~hi] reserves [size] bytes whose start lies in
-    [lo, hi] (inclusive), preferring the lowest address; returns the start,
-    or why the window has no free gap. A per-window-class next-fit
-    cursor resumes the scan where the previous same-class allocation
-    ended, falling back to a full first-fit scan on a miss — so the set of
-    windows that allocate successfully is exactly first-fit's. *)
-val alloc : t -> size:int -> lo:int -> hi:int -> (int, denial) result
+(** {2 Queries}
 
-(** [probe t ~size ~lo ~hi] is like {!alloc} but reserves nothing: T2
-    and T3 probe an evictee home or a candidate, then claim it with
-    {!alloc_at} once the rest of the commit is known to fit. *)
+    A tactic that needs two homes asks pure queries first and claims
+    only once the whole commit is known to fit, so nothing is ever
+    handed back: there is no release. The [_beside] queries answer as
+    if a range [taken = (addr, size)] the caller is about to claim were
+    already occupied. *)
+
+(** [probe t ~size ~lo ~hi] is the lowest start in [lo, hi] (inclusive)
+    with [size] free bytes, or why the window has none. Reserves
+    nothing. *)
 val probe : t -> size:int -> lo:int -> hi:int -> (int, denial) result
+
+(** [probe_beside t ~taken ~size ~lo ~hi] is {!probe} as if [taken] were
+    occupied: first fit, resumed past the taken range. When the first fit
+    overlaps [taken], the answer is the first fit from [taken]'s end
+    (every start in between would overlap it too). A denial is classified
+    as {!probe}'s: [taken] is not part of the base occupancy. T3 asks it
+    for J_victim's home beside J_patch's. *)
+val probe_beside :
+  t -> taken:int * int -> size:int -> lo:int -> hi:int -> (int, denial) result
 
 (** [probe_strided t ~size ~lo ~hi ~stride] finds a free range whose start
     is congruent to [lo] modulo [stride] — the query shape of T3's
@@ -57,19 +65,35 @@ val probe : t -> size:int -> lo:int -> hi:int -> (int, denial) result
 val probe_strided :
   t -> size:int -> lo:int -> hi:int -> stride:int -> (int, denial) result
 
-(** [alloc_at t ~addr ~size] claims the exact range as a trampoline if it
-    is free, or says why it is not. *)
-val alloc_at : t -> addr:int -> size:int -> (unit, denial) result
+(** {2 Claims} *)
 
-(** [release t ~addr ~size] rolls back a reservation made by {!alloc} /
-    {!alloc_at} (used when the second half of a T2 or T3 commit fails). *)
-val release : t -> addr:int -> size:int -> unit
+(** [alloc t ~size ~lo ~hi] reserves [size] bytes whose start lies in
+    [lo, hi] (inclusive), preferring the lowest address; returns the start,
+    or why the window has no free gap. A per-window-class next-fit
+    cursor resumes the scan where the previous same-class allocation
+    ended, falling back to a full first-fit scan on a miss — so the set of
+    windows that allocate successfully is exactly first-fit's. *)
+val alloc : t -> size:int -> lo:int -> hi:int -> (int, denial) result
+
+(** [alloc_beside t ~taken ~size ~lo ~hi] is {!alloc} as if [taken] were
+    occupied (the search is {!probe_beside}'s, from the cursor, with
+    {!alloc}'s cursor rule and hit and miss counts); on success it claims
+    [taken] and the found range together, on failure neither. T2 claims
+    its evictee home and its patch home with it. *)
+val alloc_beside :
+  t -> taken:int * int -> size:int -> lo:int -> hi:int -> (int, denial) result
+
+(** [claim t ~addr ~size] claims a range as a trampoline without checking
+    it: the caller's own query ({!probe}, {!probe_strided},
+    {!probe_beside}) has found it free, and it overlaps nothing claimed
+    since. *)
+val claim : t -> addr:int -> size:int -> unit
 
 (** [reserve t ~addr ~size] marks a range occupied unconditionally. *)
 val reserve : t -> addr:int -> size:int -> unit
 
-(** [trampoline_bytes t] is the total size of the trampolines claimed by
-    {!alloc} and {!alloc_at} and not {!release}d: a counter, O(1). *)
+(** [trampoline_bytes t] is the total size of the trampolines claimed
+    ({!alloc}, {!alloc_beside}, {!claim}): a counter, O(1). *)
 val trampoline_bytes : t -> int
 
 (** Point-in-time allocator gauges for the observability layer:

@@ -88,14 +88,19 @@ let reason_of_denial = function
    its own [B0_alloc] site in [try_b0]): the paper's always-succeeds
    fallback must keep succeeding when the jump tactics are starved, or
    injected exhaustion could never be degraded to a verified rewrite.
-   [Layout.release] is never guarded — refusing to give memory back
-   models no real failure and would corrupt the arena's books. *)
+   A commit claims a home that its own query has just found free without
+   asking again, but passes [alloc_fault] at that claim, so each claim
+   is still an [Alloc] occurrence a schedule can refuse. *)
+let alloc_fault ctx =
+  if Fault.fires ctx.fault Fault.Alloc then Error Obs.Injected else Ok ()
+
 let guarded ctx query =
-  if Fault.fires ctx.fault Fault.Alloc then Error Obs.Injected
-  else
-    match query ctx.layout with
-    | Ok v -> Ok v
-    | Error d -> Error (reason_of_denial d)
+  match alloc_fault ctx with
+  | Error r -> Error r
+  | Ok () -> (
+      match query ctx.layout with
+      | Ok v -> Ok v
+      | Error d -> Error (reason_of_denial d))
 
 (* ------------------------------------------------------------------ *)
 (* Text access                                                         *)
@@ -308,7 +313,9 @@ let try_t2 ctx pl =
           | Ok (s_lo, s_hi) ->
               (* Commit with S evicted to [t_s] and the patch jump at
                  [pad]: the patch pun's fixed bytes are then [e9] plus
-                 the low bytes of S's new displacement. *)
+                 the low bytes of S's new displacement. The patch home
+                 is found beside [t_s], and both are claimed together
+                 only once it is. *)
               let commit ~pad t_s =
                 let rel_s =
                   Pun.rel32_bytes
@@ -321,13 +328,15 @@ let try_t2 ctx pl =
                   window ~reach:pl.reach ~jmp_end:(site.addr + pad + 5)
                     ~free:(k - pad - 1) ~fixed
                 in
-                match guarded ctx (Layout.alloc_at ~addr:t_s ~size:ev.size) with
+                match alloc_fault ctx with
                 | Error r -> Error r
                 | Ok () -> (
-                    match guarded ctx (Layout.alloc ~size:pl.size ~lo ~hi) with
-                    | Error r ->
-                        Layout.release ctx.layout ~addr:t_s ~size:ev.size;
-                        Error r
+                    match
+                      guarded ctx
+                        (Layout.alloc_beside ~taken:(t_s, ev.size)
+                           ~size:pl.size ~lo ~hi)
+                    with
+                    | Error r -> Error r
                     | Ok t_p ->
                         (* Evict S first so the patch pun's fixed bytes
                            read S's final representation. *)
@@ -451,30 +460,30 @@ let t3_position ctx pl ev j ~budget =
       let v_lo, v_hi =
         window ~reach:ev.reach ~jmp_end:(v.addr + 5) ~free:fv ~fixed
       in
-      match guarded ctx (Layout.alloc_at ~addr:t_p ~size:pl.size) with
+      (* Queries first, claims last: [t_p] is free (the strided probe
+         found it), and J_victim's home is found as if it were taken. *)
+      match alloc_fault ctx with
       | Error r -> Error r
       | Ok () -> (
-          let victim_home =
-            match
-              guarded ctx (Layout.probe ~size:ev.size ~lo:v_lo ~hi:v_hi)
-            with
-            | Error r -> Error r
-            | Ok t_v ->
-                Result.map (fun () -> t_v)
-                  (guarded ctx (Layout.alloc_at ~addr:t_v ~size:ev.size))
-          in
-          match victim_home with
-          | Error r ->
-              Layout.release ctx.layout ~addr:t_p ~size:pl.size;
-              Error r
-          | Ok t_v ->
-              (* Write J_patch first: J_victim puns over it. *)
-              write_jump ctx ~addr:jp ~len:(v.len - j) ~pad:0 ~target:t_p;
-              write_jump ctx ~addr:v.addr ~len:j ~pad:0 ~target:t_v;
-              write_short_jump ctx site ~jp;
-              add_trampoline ctx pl ~at:t_p;
-              add_trampoline ctx ev ~at:t_v;
-              Ok t_p)
+          match
+            guarded ctx
+              (Layout.probe_beside ~taken:(t_p, pl.size) ~size:ev.size
+                 ~lo:v_lo ~hi:v_hi)
+          with
+          | Error r -> Error r
+          | Ok t_v -> (
+              match alloc_fault ctx with
+              | Error r -> Error r
+              | Ok () ->
+                  Layout.claim ctx.layout ~addr:t_v ~size:ev.size;
+                  Layout.claim ctx.layout ~addr:t_p ~size:pl.size;
+                  (* Write J_patch first: J_victim puns over it. *)
+                  write_jump ctx ~addr:jp ~len:(v.len - j) ~pad:0 ~target:t_p;
+                  write_jump ctx ~addr:v.addr ~len:j ~pad:0 ~target:t_v;
+                  write_short_jump ctx site ~jp;
+                  add_trampoline ctx pl ~at:t_p;
+                  add_trampoline ctx ev ~at:t_v;
+                  Ok t_p))
     in
     let rec candidate i ~budget =
       if i >= tries then Error budget

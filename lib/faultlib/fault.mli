@@ -15,7 +15,8 @@
 
 (** Where a fault can be injected. *)
 type site =
-  | Alloc      (** jump-tactic [Layout] queries (alloc/probe/alloc_at) *)
+  | Alloc      (** jump-tactic [Layout] queries ([alloc*], [probe*]) and
+                   the claims of homes they found free *)
   | B0_alloc   (** the B0 fallback's own trampoline allocation *)
   | Decode     (** disassembly: truncate the site list at a text offset *)
   | Search     (** abort the rewriter's tactic search; the search

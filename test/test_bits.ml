@@ -95,14 +95,6 @@ let test_iset_mem () =
   check_bool "inside" true (Iset.mem s 15);
   check_bool "hi exclusive" false (Iset.mem s 20)
 
-let test_iset_remove_split () =
-  let s = Iset.create () in
-  Iset.add s ~lo:0 ~hi:100;
-  Iset.remove s ~lo:40 ~hi:60;
-  Alcotest.(check (list (pair int int)))
-    "split" [ (0, 40); (60, 100) ] (Iset.intervals s);
-  check_int "occupied" 80 (Iset.occupied s)
-
 let test_iset_find_free () =
   let s = Iset.create () in
   Iset.add s ~lo:0 ~hi:10;
@@ -162,25 +154,47 @@ let prop_iset_matches_model =
       in
       Iset.find_free s ~size ~lo ~hi = naive ())
 
-(* Property: an arbitrary interleaving of add and remove leaves the set
-   agreeing with a naive boolean-array model on every point query, on
-   total occupancy, and on the interval count (the fragmentation gauge
-   the obs layer reports). *)
+(* A fragmented occupancy from disjoint adds alone: runs of [len]
+   bytes laid out left to right from 0 with gaps of at least one byte,
+   kept while they end by [limit], and added in the order of their keys,
+   so the tree is built by inserts in every order. Ranges are half-open
+   [(lo, hi)]. *)
+let disjoint_runs ~limit runs =
+  let _, placed =
+    List.fold_left
+      (fun (pos, acc) (gap, len, key) ->
+        (* QCheck's int_range shrinker can escape its bounds; clamp. *)
+        let lo = pos + max 1 gap in
+        let hi = lo + max 1 len in
+        (hi, if hi <= limit then (key, (lo, hi)) :: acc else acc))
+      (0, []) runs
+  in
+  List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) placed)
+
+let gen_runs =
+  QCheck.(small_list (triple (int_range 1 12) (int_range 1 20) small_nat))
+
+(* [disjoint_runs] and then random, merging adds, applied to a set and
+   to a boolean-array model of [size] bytes. *)
+let build_fragmented ~size runs adds =
+  let s = Iset.create () in
+  let model = Array.make size false in
+  let add (lo, hi) =
+    Iset.add s ~lo ~hi;
+    Array.fill model lo (hi - lo) true
+  in
+  List.iter add (disjoint_runs ~limit:(size - 20) runs);
+  List.iter (fun (lo, len) -> add (lo, lo + max 1 (min len 20))) adds;
+  (s, model)
+
+(* Property: a fragmented set, then random adds, agrees with a naive
+   boolean-array model on every point query, on total occupancy, and on
+   the interval count (the fragmentation gauge the obs layer reports). *)
 let prop_iset_op_sequence_model =
-  QCheck.Test.make ~name:"Iset add/remove/mem agree with naive model"
-    ~count:400
-    QCheck.(small_list (triple bool (int_bound 250) (int_range 1 20)))
-    (fun ops ->
-      let s = Iset.create () in
-      let model = Array.make 300 false in
-      List.iter
-        (fun (is_add, lo, len) ->
-          (* QCheck's int_range shrinker can escape its bounds; clamp. *)
-          let len = max 1 (min len 20) in
-          let hi = lo + len in
-          if is_add then Iset.add s ~lo ~hi else Iset.remove s ~lo ~hi;
-          Array.fill model lo len is_add)
-        ops;
+  QCheck.Test.make ~name:"Iset add/mem agree with naive model" ~count:400
+    QCheck.(pair gen_runs (small_list (pair (int_bound 250) (int_range 1 20))))
+    (fun (runs, adds) ->
+      let s, model = build_fragmented ~size:300 runs adds in
       let mem_agrees = ref true in
       for i = 0 to 299 do
         if Iset.mem s i <> model.(i) then mem_agrees := false
@@ -194,15 +208,6 @@ let prop_iset_op_sequence_model =
           end)
         model;
       !mem_agrees && Iset.occupied s = !occupied && Iset.count s = !runs)
-
-let prop_iset_add_remove_inverse =
-  QCheck.Test.make ~name:"Iset.remove undoes add" ~count:300
-    QCheck.(small_list (pair (int_bound 1000) (int_range 1 20)))
-    (fun ranges ->
-      let s = Iset.create () in
-      List.iter (fun (lo, len) -> Iset.add s ~lo ~hi:(lo + len)) ranges;
-      List.iter (fun (lo, len) -> Iset.remove s ~lo ~hi:(lo + len)) ranges;
-      Iset.occupied s = 0)
 
 (* Naive reference queries over a boolean occupancy array (true =
    occupied; indexes beyond the array are free). *)
@@ -239,8 +244,8 @@ let model_find_free_strided model ~size ~lo ~hi ~stride =
    with Exit -> ());
   !result
 
-(* Property: after an arbitrary add/remove interleaving the augmented
-   tree agrees with the naive model on every query the allocator issues —
+(* Property: on a fragmented set plus random adds the augmented tree
+   agrees with the naive model on every query the allocator issues —
    point membership, window freeness and both find_free variants —
    for arbitrary windows, sizes and strides (the gap-descent structure is
    cross-checked against brute force, not trusted). *)
@@ -249,21 +254,13 @@ let prop_iset_queries_match_model =
     ~name:"Iset queries agree with naive model (all find_free variants)"
     ~count:600
     QCheck.(
-      pair
-        (small_list (triple bool (int_bound 250) (int_range 1 25)))
+      triple gen_runs
+        (small_list (pair (int_bound 250) (int_range 1 20)))
         (quad (int_bound 12) (int_bound 280) (int_bound 280) (int_range 1 40)))
-    (fun (ops, (size, lo, hi, stride)) ->
+    (fun (runs, adds, (size, lo, hi, stride)) ->
       (* QCheck's int_range shrinker can escape its bounds; clamp. *)
       let stride = max 1 stride in
-      let s = Iset.create () in
-      let model = Array.make 300 false in
-      List.iter
-        (fun (is_add, olo, len) ->
-          let len = max 1 (min len 25) in
-          if is_add then Iset.add s ~lo:olo ~hi:(olo + len)
-          else Iset.remove s ~lo:olo ~hi:(olo + len);
-          Array.fill model olo len is_add)
-        ops;
+      let s, model = build_fragmented ~size:300 runs adds in
       let free_agrees =
         Iset.is_free s ~lo ~hi
         = (hi <= lo || model_free model lo (hi - lo))
@@ -332,21 +329,13 @@ let prop_iset_strided_non_pow2 =
     ~name:"find_free_strided honors congruence/minimality at non-pow2 strides"
     ~count:500
     QCheck.(
-      pair
-        (small_list (triple (int_bound 400) (int_range 1 30) bool))
+      triple gen_runs
+        (small_list (pair (int_bound 400) (int_range 1 20)))
         (quad (int_range 1 15) (int_bound 380) (int_bound 380) (int_bound 7)))
-    (fun (ops, (size, lo, hi, k)) ->
+    (fun (runs, adds, (size, lo, hi, k)) ->
       let stride = [| 3; 5; 6; 7; 9; 11; 13; 24 |].(abs k mod 8) in
       let size = max 1 size in
-      let s = Iset.create () in
-      let model = Array.make 440 false in
-      List.iter
-        (fun (olo, len, is_add) ->
-          let len = max 1 (min len 30) in
-          if is_add then Iset.add s ~lo:olo ~hi:(olo + len)
-          else Iset.remove s ~lo:olo ~hi:(olo + len);
-          Array.fill model olo len is_add)
-        ops;
+      let s, model = build_fragmented ~size:440 runs adds in
       match Iset.find_free_strided s ~size ~lo ~hi ~stride with
       | None -> model_find_free_strided model ~size ~lo ~hi ~stride = None
       | Some r ->
@@ -571,13 +560,11 @@ let suites =
       [ Alcotest.test_case "add merges adjacent" `Quick test_iset_add_merge;
         Alcotest.test_case "add merges overlap" `Quick test_iset_add_overlap;
         Alcotest.test_case "mem" `Quick test_iset_mem;
-        Alcotest.test_case "remove splits" `Quick test_iset_remove_split;
         Alcotest.test_case "find_free" `Quick test_iset_find_free;
         Alcotest.test_case "copy independent" `Quick test_iset_copy_independent;
         Alcotest.test_case "stride corners" `Quick test_iset_stride_corners;
         QCheck_alcotest.to_alcotest prop_iset_matches_model;
         QCheck_alcotest.to_alcotest prop_iset_op_sequence_model;
-        QCheck_alcotest.to_alcotest prop_iset_add_remove_inverse;
         QCheck_alcotest.to_alcotest prop_iset_queries_match_model;
         QCheck_alcotest.to_alcotest prop_iset_strided_non_pow2;
         QCheck_alcotest.to_alcotest prop_strided_precheck_sound ] );

@@ -187,8 +187,6 @@ let test_layout_avoids_segments () =
   check_denied "segment occupied (strided)" Layout.Dead_window
     (Layout.probe_strided layout ~size:16 ~lo:0x400000 ~hi:0x401fff
        ~stride:0x100);
-  check_denied "segment occupied (alloc_at)" Layout.Dead_window
-    (Layout.alloc_at layout ~addr:0x401ff0 ~size:32);
   check_int "denials claim nothing" 0 (Layout.trampoline_bytes layout);
   (* ...and succeed right after it. *)
   match Layout.alloc layout ~size:16 ~lo:0x400000 ~hi:0x500000 with
@@ -201,8 +199,8 @@ let test_layout_rejects_negative_and_null () =
     (Layout.probe layout ~size:16 ~lo:(-0x1000_0000) ~hi:(-1));
   check_denied "null page" Layout.Dead_window
     (Layout.probe layout ~size:16 ~lo:0 ~hi:0xefff);
-  check_denied "null page (alloc_at)" Layout.Dead_window
-    (Layout.alloc_at layout ~addr:0x100 ~size:16)
+  check_denied "null page (strided)" Layout.Dead_window
+    (Layout.probe_strided layout ~size:16 ~lo:0x100 ~hi:0xefff ~stride:0x100)
 
 let test_layout_reserve_below_base () =
   let elf = mini_elf ~vaddr:0x5555_5555_4000 () in
@@ -236,28 +234,33 @@ let test_layout_alloc_reserves () =
   check_denied "alloc over reserve" Layout.Conflict
     (Layout.alloc layout ~size:16 ~lo:0x700000 ~hi:0x700fe0)
 
-let test_layout_alloc_at_and_release () =
+let test_layout_claim () =
   let layout = Layout.create (mini_elf ()) in
-  check_bool "claim" true
-    (Result.is_ok (Layout.alloc_at layout ~addr:0x500000 ~size:64));
-  check_denied "double-claim fails" Layout.Conflict
-    (Layout.alloc_at layout ~addr:0x500020 ~size:64);
+  check_bool "free" true
+    (Result.is_ok (Layout.probe layout ~size:64 ~lo:0x500000 ~hi:0x500000));
+  check_int "probing claims nothing" 0 (Layout.trampoline_bytes layout);
+  Layout.claim layout ~addr:0x500000 ~size:64;
+  check_denied "overlapping a claim" Layout.Conflict
+    (Layout.probe layout ~size:64 ~lo:0x4fffc1 ~hi:0x50003f);
+  check_denied "overlapping a claim (strided)" Layout.Conflict
+    (Layout.probe_strided layout ~size:64 ~lo:0x4fffe0 ~hi:0x500020
+       ~stride:0x20);
   check_int "claimed bytes" 64 (Layout.trampoline_bytes layout);
-  Layout.release layout ~addr:0x500000 ~size:64;
-  check_int "release gives the bytes back" 0 (Layout.trampoline_bytes layout);
-  check_bool "after release" true
-    (Result.is_ok (Layout.alloc_at layout ~addr:0x500020 ~size:64));
-  check_int "reclaimed bytes" 64 (Layout.trampoline_bytes layout);
+  check_bool "abutting range free" true
+    (Layout.probe layout ~size:64 ~lo:0x4fffc1 ~hi:0x500040 = Ok 0x500040);
+  Layout.claim layout ~addr:0x500040 ~size:64;
+  check_int "claimed bytes" 128 (Layout.trampoline_bytes layout);
   Layout.reserve layout ~addr:0x600000 ~size:0x100;
-  check_denied "claim over reserve" Layout.Conflict
-    (Layout.alloc_at layout ~addr:0x6000f0 ~size:64);
+  check_denied "overlapping a reserve" Layout.Conflict
+    (Layout.probe layout ~size:64 ~lo:0x5fffc1 ~hi:0x6000ff);
   (* Straddling the segment's edge: blocked in the base occupancy. *)
-  check_denied "claim over segment" Layout.Dead_window
-    (Layout.alloc_at layout ~addr:0x401ff0 ~size:64)
+  check_denied "overlapping the segment" Layout.Dead_window
+    (Layout.probe_strided layout ~size:64 ~lo:0x401fc0 ~hi:0x401ff0
+       ~stride:0x10)
 
 let test_layout_strided_probe () =
   let layout = Layout.create (mini_elf ()) in
-  ignore (Layout.alloc_at layout ~addr:0x500000 ~size:0x300);
+  Layout.claim layout ~addr:0x500000 ~size:0x300;
   (* Candidates at 0x500000 + k*0x100: first free candidate is 0x500300. *)
   (match
      Layout.probe_strided layout ~size:16 ~lo:0x500000 ~hi:0x5fffff
@@ -296,19 +299,254 @@ let test_layout_next_fit_cursor () =
     | Error _ -> Alcotest.fail "allocation failed"
   done;
   check_bool "cursor mostly hits" true (Layout.cursor_hits layout >= 40);
-  (* Make the cursor stale: fill the window from the cursor up, then free
-     a gap below it. The resumed scan fails (a recorded miss) and the
-     fallback first-fit rescan must still find the low gap. *)
+  (* Make the cursor stale: fill a window from the cursor up, then ask a
+     same-class window that also reaches below it. The resumed scan
+     fails (a recorded miss) and the fallback first-fit rescan must
+     still find the low gap. *)
   let misses0 = Layout.cursor_misses layout in
   (match Layout.alloc layout ~size:64 ~lo:0x700000 ~hi:0x700fff with
   | Ok a -> check_int "first in fresh window" 0x700000 a
   | Error _ -> Alcotest.fail "window alloc failed");
   Layout.reserve layout ~addr:0x700040 ~size:0xfc0;
-  Layout.release layout ~addr:0x700000 ~size:64;
-  (match Layout.alloc layout ~size:64 ~lo:0x700000 ~hi:0x700fff with
-  | Ok a -> check_int "fallback rescan finds the freed gap" 0x700000 a
+  (match Layout.alloc layout ~size:64 ~lo:0x6ff800 ~hi:0x700fff with
+  | Ok a -> check_int "fallback rescan finds the gap below" 0x6ff800 a
   | Error _ -> Alcotest.fail "fallback rescan failed");
   check_bool "miss recorded" true (Layout.cursor_misses layout > misses0)
+
+(* The allocator as the tactics drove it before they queried first, as
+   a model over a boolean byte map of [origin, origin + n) (bytes outside
+   it are free): T3 claimed J_patch's home with [alloc_at], probed
+   J_victim's window, claimed that home, and released J_patch's when the
+   victim's failed; T2 claimed the evictee home and released it when the
+   patch home's next-fit [alloc] failed. The cursor rule, the span
+   classes and the denial classification are [Layout]'s. *)
+module Claim_release = struct
+  type t = {
+    origin : int;
+    occ : bool array;
+    base : bool array;
+    cursors : int array;
+    mutable bytes : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~origin ~n ~base =
+    let b = Array.make n false in
+    List.iter (fun (lo, hi) -> Array.fill b (lo - origin) (hi - lo) true) base;
+    { origin;
+      occ = Array.copy b;
+      base = b;
+      cursors = Array.make 64 min_int;
+      bytes = 0;
+      hits = 0;
+      misses = 0 }
+
+  let free m map addr size =
+    let ok = ref true in
+    for a = addr to addr + size - 1 do
+      let i = a - m.origin in
+      if i >= 0 && i < Array.length map && map.(i) then ok := false
+    done;
+    !ok
+
+  let find m map ~size ~lo ~hi =
+    let rec go s =
+      if s > hi then None else if free m map s size then Some s else go (s + 1)
+    in
+    go lo
+
+  let mark m ~addr ~size v = Array.fill m.occ (addr - m.origin) size v
+
+  let deny_at m ~addr ~size =
+    if free m m.base addr size then Layout.Conflict else Layout.Dead_window
+
+  let probe m ~size ~lo ~hi =
+    match find m m.occ ~size ~lo ~hi with
+    | Some a -> Ok a
+    | None ->
+        Error
+          (if find m m.base ~size ~lo ~hi = None then Layout.Dead_window
+           else Layout.Conflict)
+
+  let alloc_at m ~addr ~size =
+    if free m m.occ addr size then begin
+      mark m ~addr ~size true;
+      m.bytes <- m.bytes + size;
+      Ok ()
+    end
+    else Error (deny_at m ~addr ~size)
+
+  let release m ~addr ~size =
+    mark m ~addr ~size false;
+    m.bytes <- m.bytes - size
+
+  let span_class ~lo ~hi =
+    let rec go n c = if n <= 1 || c >= 63 then c else go (n lsr 2) (c + 1) in
+    go (max (hi - lo) 1) 0
+
+  let alloc m ~size ~lo ~hi =
+    let c = span_class ~lo ~hi in
+    let hint = m.cursors.(c) in
+    let found =
+      if hint > lo && hint <= hi then
+        match find m m.occ ~size ~lo:hint ~hi with
+        | Some a ->
+            m.hits <- m.hits + 1;
+            Ok a
+        | None ->
+            m.misses <- m.misses + 1;
+            probe m ~size ~lo ~hi
+      else probe m ~size ~lo ~hi
+    in
+    (match found with
+    | Ok a ->
+        mark m ~addr:a ~size true;
+        m.bytes <- m.bytes + size;
+        m.cursors.(c) <- a + size
+    | Error _ -> ());
+    found
+
+  let t3 m ~t_p ~psize ~vsize ~lo ~hi =
+    match alloc_at m ~addr:t_p ~size:psize with
+    | Error d -> Error d
+    | Ok () -> (
+        match
+          Result.bind (probe m ~size:vsize ~lo ~hi) (fun t_v ->
+              Result.map (fun () -> t_v) (alloc_at m ~addr:t_v ~size:vsize))
+        with
+        | Ok t_v -> Ok t_v
+        | Error d ->
+            release m ~addr:t_p ~size:psize;
+            Error d)
+
+  let t2 m ~t_s ~ssize ~psize ~lo ~hi =
+    match alloc_at m ~addr:t_s ~size:ssize with
+    | Error d -> Error d
+    | Ok () -> (
+        match alloc m ~size:psize ~lo ~hi with
+        | Ok t_p -> Ok t_p
+        | Error d ->
+            release m ~addr:t_s ~size:ssize;
+            Error d)
+
+  let runs m =
+    let n = ref 0 in
+    Array.iteri
+      (fun i v -> if v && (i = 0 || not m.occ.(i - 1)) then incr n)
+      m.occ;
+    !n
+end
+
+(* Property: the query-then-claim commits (a home a probe found free,
+   then [probe_beside] and [claim], or [alloc_beside]) answer every T3-
+   and T2-shaped commit exactly as claim, probe or alloc, release did,
+   on a fragmented
+   occupancy (disjoint claims and reserves around a segment) with
+   next-fit runs of touching claims in between; afterwards every byte of
+   the region, the interval count, [trampoline_bytes] and the cursor
+   counts agree. *)
+let prop_layout_query_then_claim =
+  let origin = 0x500000 and n = 600 in
+  QCheck.Test.make ~name:"query-then-claim = claim, probe, release" ~count:300
+    QCheck.(
+      pair
+        (small_list (triple (int_range 1 24) (int_range 1 24) bool))
+        (small_list
+           (quad (int_bound 3) (int_bound 400)
+              (pair (int_range 1 24) (int_range 1 24))
+              (pair (int_bound 400) (int_bound 120)))))
+    (fun (frags, ops) ->
+      (* QCheck's int_range shrinker can escape its bounds; clamp. *)
+      let clamp x = max 1 (min 24 (abs x)) in
+      let segment = (origin + 0x80, origin + 0xb0) in
+      let layout =
+        Layout.create ~block_size:16
+          (mini_elf ~vaddr:(fst segment) ~memsz:(snd segment - fst segment) ())
+      in
+      let m = Claim_release.create ~origin ~n ~base:[ segment ] in
+      let count () =
+        (Layout.occupancy layout ~trampolines:[]).Layout.occupied_intervals
+      in
+      let outside = count () - Claim_release.runs m in
+      let claim_if_free ~addr ~size =
+        let free =
+          Result.map ignore (Layout.probe layout ~size ~lo:addr ~hi:addr)
+        in
+        if Result.is_ok free then Layout.claim layout ~addr ~size;
+        free
+      in
+      let _ =
+        List.fold_left
+          (fun pos (gap, len, claim) ->
+            let addr = pos + clamp gap and size = clamp len in
+            if addr + size <= origin + 540 then
+              if claim then (
+                ignore (claim_if_free ~addr ~size);
+                ignore (Claim_release.alloc_at m ~addr ~size))
+              else if Claim_release.free m m.occ addr size then (
+                Layout.reserve layout ~addr ~size;
+                Claim_release.mark m ~addr ~size true);
+            addr + size)
+          origin frags
+      in
+      let step (kind, x, (sa, sb), (y, span)) =
+        let sa = clamp sa and sb = clamp sb in
+        let at = origin + abs x and lo = origin + abs y in
+        let hi = lo + abs span in
+        (* The first home of a two-home commit is one a probe found
+           free, as the tactics' is. *)
+        let home () =
+          let h = Layout.probe layout ~size:sa ~lo:at ~hi:(at + 16) in
+          (h, h = Claim_release.probe m ~size:sa ~lo:at ~hi:(at + 16))
+        in
+        match abs kind mod 4 with
+        | 0 -> (
+            match home () with
+            | _, false -> false
+            | Error _, true -> true
+            | Ok t_p, true ->
+                let fresh =
+                  match
+                    Layout.probe_beside layout ~taken:(t_p, sa) ~size:sb ~lo ~hi
+                  with
+                  | Error d -> Error d
+                  | Ok t_v ->
+                      Layout.claim layout ~addr:t_v ~size:sb;
+                      Layout.claim layout ~addr:t_p ~size:sa;
+                      Ok t_v
+                in
+                fresh = Claim_release.t3 m ~t_p ~psize:sa ~vsize:sb ~lo ~hi)
+        | 1 -> (
+            match home () with
+            | _, false -> false
+            | Error _, true -> true
+            | Ok t_s, true ->
+                Layout.alloc_beside layout ~taken:(t_s, sa) ~size:sb ~lo ~hi
+                = Claim_release.t2 m ~t_s ~ssize:sa ~psize:sb ~lo ~hi)
+        | 2 ->
+            (* A next-fit run: each claim abuts the one before. *)
+            List.for_all
+              (fun _ ->
+                Layout.alloc layout ~size:sa ~lo ~hi
+                = Claim_release.alloc m ~size:sa ~lo ~hi)
+              (List.init (1 + (abs x mod 8)) Fun.id)
+        | _ ->
+            claim_if_free ~addr:at ~size:sa
+            = Claim_release.alloc_at m ~addr:at ~size:sa
+      in
+      List.for_all step ops
+      && List.for_all
+           (fun i ->
+             let addr = origin + i in
+             Layout.probe layout ~size:1 ~lo:addr ~hi:addr
+             = (if m.occ.(i) then Error (Claim_release.deny_at m ~addr ~size:1)
+                else Ok addr))
+           (List.init n Fun.id)
+      && count () = outside + Claim_release.runs m
+      && Layout.trampoline_bytes layout = m.bytes
+      && Layout.cursor_hits layout = m.hits
+      && Layout.cursor_misses layout = m.misses)
 
 (* ------------------------------------------------------------------ *)
 (* Tactics                                                             *)
@@ -1149,11 +1387,11 @@ let suites =
         Alcotest.test_case "DSO reserve below base" `Quick
           test_layout_reserve_below_base;
         Alcotest.test_case "alloc reserves" `Quick test_layout_alloc_reserves;
-        Alcotest.test_case "alloc_at/release" `Quick
-          test_layout_alloc_at_and_release;
+        Alcotest.test_case "claim" `Quick test_layout_claim;
         Alcotest.test_case "strided probe" `Quick test_layout_strided_probe;
         Alcotest.test_case "block rounding" `Quick test_layout_block_rounding;
-        Alcotest.test_case "next-fit cursor" `Quick test_layout_next_fit_cursor ]
+        Alcotest.test_case "next-fit cursor" `Quick test_layout_next_fit_cursor;
+        QCheck_alcotest.to_alcotest prop_layout_query_then_claim ]
     );
     ( "core.tactics",
       [ Alcotest.test_case "T2 reason from its own queries" `Quick
