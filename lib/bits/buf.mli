@@ -26,7 +26,8 @@ val contents : t -> bytes
 val sub : t -> pos:int -> len:int -> bytes
 
 (** [raw b] is the underlying storage, valid in [0, length b). Read-only
-    use by zero-copy consumers (the loader); do not mutate. *)
+    use by zero-copy consumers (the loader, the static verifier); do not
+    mutate. *)
 val raw : t -> bytes
 
 (** [blit_in b ~pos s] overwrites bytes of [b] at [pos] with [s]. *)

@@ -54,6 +54,14 @@ let fail addr fmt =
    accepts exactly the prefixes that do not change [jmp rel32]. *)
 let pad_set = [ 0x48; 0x26; 0x2e; 0x36; 0x3e; 0x64; 0x65 ]
 
+(* The first bytes of a padded [jmp rel32]: its opcode, or a prefix from
+   [pad_set] (the decoder reports every prefix it consumes, so a jump
+   that starts with any other byte is not one the verifier accepts). *)
+let can_start_jump =
+  let first = Bytes.make 256 '\000' in
+  List.iter (fun b -> Bytes.set first b '\001') (0xe9 :: pad_set);
+  fun b -> Bytes.get first b <> '\000'
+
 (* A prefixed jump is at most 7 distinct prefixes + cycle slack; instruction
    encodings in the subset never exceed 15 bytes + padding, so a diversion
    covering byte [a] starts no earlier than [a - 18]. *)
@@ -95,8 +103,8 @@ let verify ?holes ?index ~original rewritten =
     let rd = Buf.length rewritten.Elf_file.data in
     if rd < od then fail 0 "rewritten image is smaller than the original";
     (* Every original byte outside the text must be preserved. *)
-    let obytes = Buf.sub original.Elf_file.data ~pos:0 ~len:od in
-    let rbytes = Buf.sub rewritten.Elf_file.data ~pos:0 ~len:od in
+    let obytes = Buf.raw original.Elf_file.data in
+    let rbytes = Buf.raw rewritten.Elf_file.data in
     let t_lo = otext.Frontend.offset
     and t_hi = otext.Frontend.offset + otext.Frontend.size in
     (* ELF header and program-header-table bytes are regenerated at
@@ -123,8 +131,8 @@ let verify ?holes ?index ~original rewritten =
     for i = 0 to od - 1 do
       if
         (i < t_lo || i >= t_hi)
-        && (not (header_managed i))
         && Bytes.get obytes i <> Bytes.get rbytes i
+        && not (header_managed i)
       then fail i "non-text byte at file offset %d changed" i
     done;
     (* Original segments must survive verbatim; the only permitted extra is
@@ -368,9 +376,9 @@ let verify ?holes ?index ~original rewritten =
     (* Decode the rewritten bytes at [s]: a valid diversion jump is a
        (possibly pad-prefixed) [jmp rel32] whose target lands inside a
        trampoline mapping — the strong disambiguator that rules out stray
-       byte patterns. *)
+       byte patterns. Only a start whose byte can begin one is decoded. *)
     let diversion_at s =
-      if not (is_code s) then None
+      if not (is_code s && can_start_jump (rbyte s)) then None
       else
         let d = decode_after s in
         match d.Decode.insn with
@@ -548,11 +556,30 @@ let verify ?holes ?index ~original rewritten =
       !jmps;
     let jmps = !jmps and shorts = !shorts in
     (* ---- trampoline verification --------------------------------- *)
-    let tramp_window va =
-      Bytes.init 16 (fun i ->
-          match tramp_byte (va + i) with
-          | Some b -> Char.chr b
-          | None -> '\xcc')
+    (* An instruction is at most 16 bytes to the decoder here. One whose
+       mapping holds all 16 from [va] decodes in place from the file; one
+       nearer its mapping's end decodes from a copy padded with [int3]
+       past the mapped bytes, and must not reach into the padding. *)
+    let rdata = Buf.raw rewritten.Elf_file.data in
+    let decode_tramp va =
+      match mapping_at va with
+      | Some m when va + 16 <= m.Loadmap.vaddr + m.Loadmap.len ->
+          let off = m.Loadmap.file_off + (va - m.Loadmap.vaddr) in
+          Decode.decode ~limit:(off + 16) rdata off
+      | _ ->
+          let d =
+            Decode.decode
+              (Bytes.init 16 (fun i ->
+                   match tramp_byte (va + i) with
+                   | Some b -> Char.chr b
+                   | None -> '\xcc'))
+              0
+          in
+          for i = 0 to d.Decode.len - 1 do
+            if tramp_byte (va + i) = None then
+              fail va "trampoline decoding left the mapped region"
+          done;
+          d
     in
     (* A trampoline's call targets and RIP-relative operands must land
        in memory the rewrite maps: an output segment or a trampoline
@@ -597,11 +624,7 @@ let verify ?holes ?index ~original rewritten =
         if n > max_tramp_insns then
           fail t "trampoline has no terminal transfer within %d instructions"
             max_tramp_insns;
-        let d = Decode.decode (tramp_window va) 0 in
-        for i = 0 to d.Decode.len - 1 do
-          if tramp_byte (va + i) = None then
-            fail va "trampoline decoding left the mapped region"
-        done;
+        let d = decode_tramp va in
         List.iter
           (function
             | Insn.Mem m when m.Insn.rip_rel ->
@@ -709,20 +732,50 @@ let verify ?holes ?index ~original rewritten =
       && ((match div s with Some j -> p j | None -> false)
          || probe_up (s + 1) hi p)
     in
+    (* One flag per text byte: either byte of a T3 short jump, or a
+       trap's [int3] (set last, as a trap wins; every trap entry marks an
+       [int3] in the code by now). *)
+    let flag_short = '\001' and flag_trap = '\002' in
+    let flags = Bytes.make otext.Frontend.size '\000' in
+    Hashtbl.iter
+      (fun s _ -> Bytes.fill flags (s - base) 2 flag_short)
+      short_target;
+    Hashtbl.iter (fun p _ -> Bytes.set flags (p - base) flag_trap) trap_tbl;
+    (* What each covering diversion is, decided once, at its start: a T3
+       victim, a T2 evictee, or a boundary jump whose bytes read as a
+       patch jump up to the original instruction's length and as its
+       overhang past it. *)
+    let kind_victim = '\001' and kind_evictee = '\002'
+    and kind_boundary = '\003' in
+    let kinds = Bytes.make otext.Frontend.size '\000' in
+    let kind_of j =
+      let i = j.start - base in
+      let k = Bytes.get kinds i in
+      if k <> '\000' then k
+      else
+        let k =
+          if not (is_bound j.start) then kind_victim
+          else if probe_down j.start (j.start - 1) <> None then kind_evictee
+          else if
+            probe_up (j.start + 1) (j.start + j.jlen) (fun j' ->
+                not (is_bound j'.start))
+          then kind_victim
+          else kind_boundary
+        in
+        Bytes.set kinds i k;
+        k
+    in
     let classify a =
-      if rbyte a = 0xcc && Hashtbl.mem trap_tbl a then Trap
-      else if Hashtbl.mem short_target a || Hashtbl.mem short_target (a - 1)
-      then Short_jump
+      let f = Bytes.get flags (a - base) in
+      if f = flag_trap then Trap
+      else if f = flag_short then Short_jump
       else
         match probe_down a a with
         | None -> fail a "internal: changed byte lost its classification"
         | Some j ->
-            if not (is_bound j.start) then T3_victim
-            else if probe_down j.start (j.start - 1) <> None then T2_evictee
-            else if
-              probe_up (j.start + 1) (j.start + j.jlen) (fun j' ->
-                  not (is_bound j'.start))
-            then T3_victim
+            let k = kind_of j in
+            if k = kind_victim then T3_victim
+            else if k = kind_evictee then T2_evictee
             else if a - j.start >= orig_len j.start then Pun_overhang
             else Patch_jump
     in

@@ -35,6 +35,15 @@ type byte_class =
 
 val class_name : byte_class -> string
 
+(** The prefixes a diversion's [jmp rel32] may carry: the T1 padding,
+    inert on a near jump. *)
+val pad_set : int list
+
+(** [can_start_jump b] is whether a padded [jmp rel32] can begin with
+    byte [b]: [b] is its opcode [0xe9] or in {!pad_set}. The verifier
+    decodes a candidate diversion start only where this holds. *)
+val can_start_jump : int -> bool
+
 type report = {
   changed_bytes : int;  (** text bytes that differ from the original *)
   diversions : int;  (** [jmp rel32] diversions discovered and followed *)
@@ -63,7 +72,15 @@ val pp_error : Format.formatter -> error -> unit
     changed byte or a trap entry inside any hole is rejected. A served
     site alone is decoded again, to check its trampoline. Raises
     [Invalid_argument] when [index] is not the linear sweep of
-    [original]'s text (under [holes], when given). *)
+    [original]'s text (under [holes], when given).
+
+    Cost: linear in the text. A candidate diversion start is decoded
+    only where {!can_start_jump} holds of its byte; a trampoline
+    instruction costs one mapping lookup and is decoded in place, from
+    a padded copy only within 16 bytes of its mapping's end; each
+    diversion's kind is decided once, and each changed byte is then
+    classified by a probe over at most the longest diversion's length
+    of starts below it. *)
 val verify :
   ?holes:(int * int) list ->
   ?index:Frontend.index ->

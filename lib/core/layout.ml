@@ -138,16 +138,10 @@ let probe t ~size ~lo ~hi =
   first_fit t ~t_lo:min_int ~t_hi:min_int ~size ~lo ~hi
 
 let probe_beside t ~taken:(addr, tsize) ~size ~lo ~hi =
-  first_fit t ~t_lo:addr ~t_hi:(addr + tsize) ~size ~lo ~hi
+  find_beside t.occupied ~t_lo:addr ~t_hi:(addr + tsize) ~size ~lo ~hi
 
 let probe_strided t ~size ~lo ~hi ~stride =
-  match Iset.find_free_strided t.occupied ~size ~lo ~hi ~stride with
-  | Some addr -> Ok addr
-  | None ->
-      Error
-        (if Iset.find_free_strided t.base ~size ~lo ~hi ~stride = None then
-           Dead_window
-         else Conflict)
+  Iset.find_free_strided t.occupied ~size ~lo ~hi ~stride
 
 let reserve t ~addr ~size = Iset.add t.occupied ~lo:addr ~hi:(addr + size)
 

@@ -49,21 +49,21 @@ val cursor_misses : t -> int
     nothing. *)
 val probe : t -> size:int -> lo:int -> hi:int -> (int, denial) result
 
-(** [probe_beside t ~taken ~size ~lo ~hi] is {!probe} as if [taken] were
-    occupied: first fit, resumed past the taken range. When the first fit
-    overlaps [taken], the answer is the first fit from [taken]'s end
-    (every start in between would overlap it too). A denial is classified
-    as {!probe}'s: [taken] is not part of the base occupancy. T3 asks it
-    for J_victim's home beside J_patch's. *)
+(** [probe_beside t ~taken ~size ~lo ~hi] is the start {!probe} would
+    find as if [taken] were occupied: first fit, resumed past the taken
+    range. When the first fit overlaps [taken], the answer is the first
+    fit from [taken]'s end (every start in between would overlap it too).
+    T3 asks it for J_victim's home beside J_patch's. Its one caller needs
+    no reason for a miss, so none is classified: [None]. *)
 val probe_beside :
-  t -> taken:int * int -> size:int -> lo:int -> hi:int -> (int, denial) result
+  t -> taken:int * int -> size:int -> lo:int -> hi:int -> int option
 
 (** [probe_strided t ~size ~lo ~hi ~stride] finds a free range whose start
     is congruent to [lo] modulo [stride] — the query shape of T3's
     J_patch, whose low displacement bytes J_victim pins to a residue.
-    Reserves nothing. *)
+    Reserves nothing, and like {!probe_beside} classifies no miss. *)
 val probe_strided :
-  t -> size:int -> lo:int -> hi:int -> stride:int -> (int, denial) result
+  t -> size:int -> lo:int -> hi:int -> stride:int -> int option
 
 (** {2 Claims} *)
 

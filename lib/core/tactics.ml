@@ -79,15 +79,16 @@ let reason_of_denial = function
   | Layout.Dead_window -> Obs.Dead_window
   | Layout.Conflict -> Obs.Alloc_conflict
 
-(* Every jump-tactic Layout query runs through [guarded], so an [Alloc]
-   rule can deterministically refuse "the Nth allocation" whatever
-   tactic issues it; a refused query never reaches the allocator. A
-   failure comes back as the reject reason it stands for, and each
-   tactic derives its own reason from its own queries alone. B0's
-   allocation is deliberately NOT guarded by the [Alloc] site (it has
-   its own [B0_alloc] site in [try_b0]): the paper's always-succeeds
-   fallback must keep succeeding when the jump tactics are starved, or
-   injected exhaustion could never be degraded to a verified rewrite.
+(* Every jump-tactic Layout query runs through [guarded] (T3's through
+   [probe_unfaulted], below), so an [Alloc] rule can deterministically
+   refuse "the Nth allocation" whatever tactic issues it; a refused
+   query never reaches the allocator. A failure comes back as the reject
+   reason it stands for, and each tactic derives its own reason from its
+   own queries alone. B0's allocation is deliberately NOT guarded by the
+   [Alloc] site (it has its own [B0_alloc] site in [try_b0]): the
+   paper's always-succeeds fallback must keep succeeding when the jump
+   tactics are starved, or injected exhaustion could never be degraded
+   to a verified rewrite.
    A commit claims a home that its own query has just found free without
    asking again, but passes [alloc_fault] at that claim, so each claim
    is still an [Alloc] occurrence a schedule can refuse. *)
@@ -101,6 +102,11 @@ let guarded ctx query =
       match query ctx.layout with
       | Ok v -> Ok v
       | Error d -> Error (reason_of_denial d))
+
+(* T3's queries: its verdict reads only its budget and whether an [Alloc]
+   fault fired, so they answer where, never why. *)
+let probe_unfaulted ctx query =
+  if Result.is_ok (alloc_fault ctx) then query ctx.layout else None
 
 (* ------------------------------------------------------------------ *)
 (* Text access                                                         *)
@@ -462,42 +468,38 @@ let t3_position ctx pl ev j ~budget =
       in
       (* Queries first, claims last: [t_p] is free (the strided probe
          found it), and J_victim's home is found as if it were taken. *)
-      match alloc_fault ctx with
-      | Error r -> Error r
-      | Ok () -> (
-          match
-            guarded ctx
-              (Layout.probe_beside ~taken:(t_p, pl.size) ~size:ev.size
-                 ~lo:v_lo ~hi:v_hi)
-          with
-          | Error r -> Error r
-          | Ok t_v -> (
-              match alloc_fault ctx with
-              | Error r -> Error r
-              | Ok () ->
-                  Layout.claim ctx.layout ~addr:t_v ~size:ev.size;
-                  Layout.claim ctx.layout ~addr:t_p ~size:pl.size;
-                  (* Write J_patch first: J_victim puns over it. *)
-                  write_jump ctx ~addr:jp ~len:(v.len - j) ~pad:0 ~target:t_p;
-                  write_jump ctx ~addr:v.addr ~len:j ~pad:0 ~target:t_v;
-                  write_short_jump ctx site ~jp;
-                  add_trampoline ctx pl ~at:t_p;
-                  add_trampoline ctx ev ~at:t_v;
-                  Ok t_p))
+      if Result.is_error (alloc_fault ctx) then None
+      else
+        match
+          probe_unfaulted ctx
+            (Layout.probe_beside ~taken:(t_p, pl.size) ~size:ev.size ~lo:v_lo
+               ~hi:v_hi)
+        with
+        | Some t_v when Result.is_ok (alloc_fault ctx) ->
+            Layout.claim ctx.layout ~addr:t_v ~size:ev.size;
+            Layout.claim ctx.layout ~addr:t_p ~size:pl.size;
+            (* Write J_patch first: J_victim puns over it. *)
+            write_jump ctx ~addr:jp ~len:(v.len - j) ~pad:0 ~target:t_p;
+            write_jump ctx ~addr:v.addr ~len:j ~pad:0 ~target:t_v;
+            write_short_jump ctx site ~jp;
+            add_trampoline ctx pl ~at:t_p;
+            add_trampoline ctx ev ~at:t_v;
+            Some t_p
+        | _ -> None
     in
     let rec candidate i ~budget =
       if i >= tries then Error budget
       else
         let w = candidate_seq ~combos ~tries i in
         match
-          Result.bind
-            (guarded ctx
+          Option.bind
+            (probe_unfaulted ctx
                (Layout.probe_strided ~size:pl.size ~lo:(jp_lo + w) ~hi:jp_hi
                   ~stride:combos))
             commit
         with
-        | Ok t_p -> Ok t_p
-        | Error _ -> candidate (i + 1) ~budget:(budget - 1)
+        | Some t_p -> Ok t_p
+        | None -> candidate (i + 1) ~budget:(budget - 1)
     in
     (* Every strided start lies in [jp_lo, jp_hi]: when no start there
        fits at all, each probe would fail, so charge the position's

@@ -292,13 +292,15 @@ let decode_cursor c =
     c.pos <- start + 1;
     { insn = Insn.Unknown (c.get start); len = 1; prefixes = [] }
 
-let decode bytes pos =
-  if pos < 0 || pos >= Bytes.length bytes then invalid_arg "Decode.decode";
+let decode ?limit bytes pos =
+  let limit =
+    match limit with
+    | None -> Bytes.length bytes
+    | Some l -> min l (Bytes.length bytes)
+  in
+  if pos < 0 || pos >= limit then invalid_arg "Decode.decode";
   decode_cursor
-    { get = (fun i -> Char.code (Bytes.get bytes i));
-      limit = Bytes.length bytes;
-      start = pos;
-      pos }
+    { get = (fun i -> Char.code (Bytes.get bytes i)); limit; start = pos; pos }
 
 let decode_string s pos =
   if pos < 0 || pos >= String.length s then invalid_arg "Decode.decode_string";

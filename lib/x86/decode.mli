@@ -12,10 +12,13 @@ type decoded = {
   prefixes : int list;  (** consumed prefix bytes, in order *)
 }
 
-(** [decode bytes pos] decodes the instruction starting at [pos].
-    Raises [Invalid_argument] when [pos] is outside [bytes]; a truncated
-    instruction at the end of [bytes] decodes as [Unknown]. *)
-val decode : Bytes.t -> int -> decoded
+(** [decode ?limit bytes pos] decodes the instruction starting at [pos],
+    reading no byte at or past [limit] (default and at most
+    [Bytes.length bytes]): the decode of a copy of [bytes] truncated at
+    [limit]. Raises [Invalid_argument] when [pos] is negative or not
+    below the limit; an instruction the limit truncates decodes as
+    [Unknown]. *)
+val decode : ?limit:int -> Bytes.t -> int -> decoded
 
 (** [decode_string s pos] is [decode] on a string. *)
 val decode_string : string -> int -> decoded

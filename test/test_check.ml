@@ -380,28 +380,35 @@ let test_unreachable_scratch_rejected () =
    trampoline copies the call faithfully, so its target resolving
    outside every segment is the original's, not a wrapped displacement:
    the reach rule exempts the displaced instruction's own targets. *)
-let test_displaced_wild_call_verifies () =
+(* A one-segment executable whose text at [exit_base] is [exit(0)]
+   ([mov rax, 60; mov rdi, 0; syscall]) followed by [tail]. *)
+let exit_base = 0x400000
+
+let exit_elf tail =
   let module Asm = E9_x86.Asm in
   let module Reg = E9_x86.Reg in
-  let base = 0x400000 in
-  let asm = Asm.create ~base in
-  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 60));
-  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 0));
-  Asm.ins asm Insn.Syscall;
-  (* Never executed: a call 256 MiB below the only segment. *)
-  Asm.ins asm (Insn.Call (-0x1000_0000));
-  Asm.ins asm Insn.Ret;
+  let asm = Asm.create ~base:exit_base in
+  List.iter (Asm.ins asm)
+    (Insn.Mov (Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 60)
+    :: Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 0)
+    :: Insn.Syscall :: tail);
   let code = Asm.assemble asm in
-  let elf = Elf_file.create ~etype:Elf_file.Exec ~entry:base in
+  let elf = Elf_file.create ~etype:Elf_file.Exec ~entry:exit_base in
   let off =
     Elf_file.add_segment elf
-      { Elf_file.ptype = Elf_file.Load; prot = Elf_file.prot_rx; vaddr = base;
-        offset = 0; filesz = 0; memsz = Bytes.length code; align = 4096 }
+      { Elf_file.ptype = Elf_file.Load; prot = Elf_file.prot_rx;
+        vaddr = exit_base; offset = 0; filesz = 0;
+        memsz = Bytes.length code; align = 4096 }
       ~content:code
   in
   elf.Elf_file.sections <-
-    [ { Elf_file.name = ".text"; sh_type = 1; sh_flags = 6; addr = base;
+    [ { Elf_file.name = ".text"; sh_type = 1; sh_flags = 6; addr = exit_base;
         offset = off; size = Bytes.length code } ];
+  elf
+
+let test_displaced_wild_call_verifies () =
+  (* Never executed: a call 256 MiB below the only segment. *)
+  let elf = exit_elf [ Insn.Call (-0x1000_0000); Insn.Ret ] in
   let r =
     Rewriter.run elf
       ~select:(fun s ->
@@ -413,6 +420,115 @@ let test_displaced_wild_call_verifies () =
   match Static.verify ~original:elf r.Rewriter.output with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "rejected: %a" Static.pp_error e
+
+(* A one-site rewrite: the first [mov] of [exit_elf []], patched with an
+   empty template, so its one trampoline (the displaced mov, then the
+   jump back) lies in one mapping. [cut delta] is the serialized output
+   with that mapping ending [delta] bytes after the trampoline. Returns
+   the original, [cut] and the address of the trampoline's terminal
+   jump. *)
+let one_trampoline () =
+  let original = Elf_file.of_bytes (Elf_file.to_bytes (exit_elf [])) in
+  let r =
+    Rewriter.run original
+      ~select:(fun s -> s.Frontend.addr = exit_base)
+      ~template:(fun _ -> Trampoline.Empty)
+  in
+  let out = Elf_file.to_bytes r.Rewriter.output in
+  let rewritten = Elf_file.of_bytes out in
+  let sec =
+    Option.get (Elf_file.find_section rewritten Elf_file.mmap_section_name)
+  in
+  let mappings =
+    Loadmap.decode_mappings (Elf_file.section_bytes rewritten sec)
+  in
+  let text = Option.get (Frontend.find_text rewritten) in
+  let tramp =
+    match Decode.decode out text.Frontend.offset with
+    | { Decode.insn = Insn.Jmp rel; len; _ } -> exit_base + len + rel
+    | _ -> Alcotest.fail "patched site does not decode as jmp rel32"
+  in
+  let m =
+    List.find
+      (fun (m : Loadmap.mapping) ->
+        tramp >= m.Loadmap.vaddr && tramp < m.Loadmap.vaddr + m.Loadmap.len)
+      mappings
+  in
+  let file a = m.Loadmap.file_off + (a - m.Loadmap.vaddr) in
+  let rec terminal va =
+    let d = Decode.decode out (file va) in
+    match d.Decode.insn with
+    | Insn.Jmp _ -> (va, va + d.Decode.len)
+    | _ -> terminal (va + d.Decode.len)
+  in
+  let jmp, tramp_end = terminal tramp in
+  let cut delta =
+    let b = Bytes.copy out in
+    let len = tramp_end + delta - m.Loadmap.vaddr in
+    Bytes.blit
+      (Loadmap.encode_mappings
+         (List.map
+            (fun (m' : Loadmap.mapping) ->
+              if m' = m then { m with Loadmap.len } else m')
+            mappings))
+      0 b sec.Elf_file.offset sec.Elf_file.size;
+    Elf_file.of_bytes b
+  in
+  (original, cut, jmp)
+
+(* A trampoline whose mapping ends exactly where its terminal jump ends,
+   five bytes after the jump starts: the jump decodes from the padded
+   copy and reaches none of its padding. *)
+let test_tramp_ending_at_mapping_end_verifies () =
+  let original, cut, _ = one_trampoline () in
+  match Static.verify ~original (cut 0) with
+  | Ok r -> Alcotest.(check int) "one trampoline" 1 r.Static.trampolines_checked
+  | Error e -> Alcotest.failf "rejected: %a" Static.pp_error e
+
+(* The same mapping one byte shorter: the terminal jump's last byte lies
+   past its mapping's end. *)
+let test_tramp_past_mapping_end_rejected () =
+  let original, cut, jmp = one_trampoline () in
+  let e =
+    rejected "trampoline cut by its mapping"
+      (Static.verify ~original (cut (-1)))
+  in
+  Alcotest.(check int) "reported at the terminal jump" jmp e.Static.addr;
+  Alcotest.(check string) "reason" "trampoline decoding left the mapped region"
+    e.Static.reason
+
+(* The verifier decodes a candidate diversion start only where
+   [Static.can_start_jump] holds of its byte, so that must be necessary:
+   for each of the 256 first bytes it rejects, whatever follows, the
+   decoder yields no [jmp rel32] whose prefixes all lie in the pad set.
+   The tails open with prefix runs, pad-set and not, and mostly an
+   [e9], so a jump a rejected byte could front is there to be found. *)
+let prop_jump_start_filter =
+  let gen =
+    QCheck.Gen.(
+      let* run = int_range 0 18 in
+      let* pre =
+        list_repeat run
+          (oneofl (0x66 :: 0x67 :: 0xf2 :: 0xf3 :: Static.pad_set))
+      in
+      let* op = frequency [ (3, return 0xe9); (1, int_bound 255) ] in
+      let* rest = list_repeat 8 (int_bound 255) in
+      return
+        (String.of_seq
+           (List.to_seq (List.map Char.chr (pre @ (op :: rest))))))
+  in
+  QCheck.Test.make ~name:"no padded jmp starts where the filter rejects"
+    ~count:500 (QCheck.make ~print:String.escaped gen) (fun tail ->
+      List.for_all
+        (fun b ->
+          Static.can_start_jump b
+          ||
+          let code = String.make 1 (Char.chr b) ^ tail in
+          match Decode.decode (Bytes.of_string code) 0 with
+          | { Decode.insn = Insn.Jmp _; prefixes; _ } ->
+              not (List.for_all (fun p -> List.mem p Static.pad_set) prefixes)
+          | _ -> true)
+        (List.init 256 Fun.id))
 
 (* Through a full file round trip both sides carry serialized ELF headers;
    the verifier must exempt exactly the fields serialization regenerates
@@ -695,6 +811,11 @@ let suites =
           test_second_short_rejected;
         Alcotest.test_case "file round trip verifies" `Quick
           test_file_roundtrip_verifies;
+        Alcotest.test_case "trampoline ending at its mapping's end verifies"
+          `Quick test_tramp_ending_at_mapping_end_verifies;
+        Alcotest.test_case "trampoline past its mapping's end rejected" `Quick
+          test_tramp_past_mapping_end_rejected;
+        QCheck_alcotest.to_alcotest prop_jump_start_filter;
         Alcotest.test_case "B0-degraded rewrite is trace-equivalent" `Quick
           test_b0_degraded_trace_equivalent;
         Alcotest.test_case "inject campaign deterministic" `Quick

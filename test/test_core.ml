@@ -184,9 +184,10 @@ let test_layout_avoids_segments () =
     (Layout.probe layout ~size:16 ~lo:0x400000 ~hi:0x401fff);
   check_denied "segment occupied (alloc)" Layout.Dead_window
     (Layout.alloc layout ~size:16 ~lo:0x400000 ~hi:0x401fff);
-  check_denied "segment occupied (strided)" Layout.Dead_window
+  check_bool "segment occupied (strided)" true
     (Layout.probe_strided layout ~size:16 ~lo:0x400000 ~hi:0x401fff
-       ~stride:0x100);
+       ~stride:0x100
+    = None);
   check_int "denials claim nothing" 0 (Layout.trampoline_bytes layout);
   (* ...and succeed right after it. *)
   match Layout.alloc layout ~size:16 ~lo:0x400000 ~hi:0x500000 with
@@ -199,8 +200,11 @@ let test_layout_rejects_negative_and_null () =
     (Layout.probe layout ~size:16 ~lo:(-0x1000_0000) ~hi:(-1));
   check_denied "null page" Layout.Dead_window
     (Layout.probe layout ~size:16 ~lo:0 ~hi:0xefff);
-  check_denied "null page (strided)" Layout.Dead_window
-    (Layout.probe_strided layout ~size:16 ~lo:0x100 ~hi:0xefff ~stride:0x100)
+  check_denied "null page from 0x100" Layout.Dead_window
+    (Layout.probe layout ~size:16 ~lo:0x100 ~hi:0xefff);
+  check_bool "null page (strided)" true
+    (Layout.probe_strided layout ~size:16 ~lo:0x100 ~hi:0xefff ~stride:0x100
+    = None)
 
 let test_layout_reserve_below_base () =
   let elf = mini_elf ~vaddr:0x5555_5555_4000 () in
@@ -242,9 +246,12 @@ let test_layout_claim () =
   Layout.claim layout ~addr:0x500000 ~size:64;
   check_denied "overlapping a claim" Layout.Conflict
     (Layout.probe layout ~size:64 ~lo:0x4fffc1 ~hi:0x50003f);
-  check_denied "overlapping a claim (strided)" Layout.Conflict
+  check_denied "overlapping a claim, strided window" Layout.Conflict
+    (Layout.probe layout ~size:64 ~lo:0x4fffe0 ~hi:0x500020);
+  check_bool "overlapping a claim (strided)" true
     (Layout.probe_strided layout ~size:64 ~lo:0x4fffe0 ~hi:0x500020
-       ~stride:0x20);
+       ~stride:0x20
+    = None);
   check_int "claimed bytes" 64 (Layout.trampoline_bytes layout);
   check_bool "abutting range free" true
     (Layout.probe layout ~size:64 ~lo:0x4fffc1 ~hi:0x500040 = Ok 0x500040);
@@ -255,8 +262,11 @@ let test_layout_claim () =
     (Layout.probe layout ~size:64 ~lo:0x5fffc1 ~hi:0x6000ff);
   (* Straddling the segment's edge: blocked in the base occupancy. *)
   check_denied "overlapping the segment" Layout.Dead_window
+    (Layout.probe layout ~size:64 ~lo:0x401fc0 ~hi:0x401ff0);
+  check_bool "overlapping the segment (strided)" true
     (Layout.probe_strided layout ~size:64 ~lo:0x401fc0 ~hi:0x401ff0
-       ~stride:0x10)
+       ~stride:0x10
+    = None)
 
 let test_layout_strided_probe () =
   let layout = Layout.create (mini_elf ()) in
@@ -266,16 +276,24 @@ let test_layout_strided_probe () =
      Layout.probe_strided layout ~size:16 ~lo:0x500000 ~hi:0x5fffff
        ~stride:0x100
    with
-  | Ok a -> check_int "aligned to stride" 0x500300 a
-  | Error _ -> Alcotest.fail "no strided slot");
-  (* Every candidate start up to 0x500200 lies in the claimed range. *)
-  check_denied "strided over earlier claim" Layout.Conflict
+  | Some a -> check_int "aligned to stride" 0x500300 a
+  | None -> Alcotest.fail "no strided slot");
+  (* Every candidate start up to 0x500200 lies in the claimed range: the
+     strided query finds none, and the window is a conflict, not a dead
+     one. *)
+  check_bool "strided over earlier claim" true
     (Layout.probe_strided layout ~size:16 ~lo:0x500000 ~hi:0x500200
-       ~stride:0x100);
+       ~stride:0x100
+    = None);
+  check_denied "window over earlier claim" Layout.Conflict
+    (Layout.probe layout ~size:16 ~lo:0x500000 ~hi:0x500200);
   Layout.reserve layout ~addr:0x800000 ~size:0x1000;
-  check_denied "strided over reserve" Layout.Conflict
+  check_bool "strided over reserve" true
     (Layout.probe_strided layout ~size:16 ~lo:0x800010 ~hi:0x800fef
-       ~stride:0x100)
+       ~stride:0x100
+    = None);
+  check_denied "window over reserve" Layout.Conflict
+    (Layout.probe layout ~size:16 ~lo:0x800010 ~hi:0x800fef)
 
 let test_layout_block_rounding () =
   (* With a 64-page block size, reservations round out much further. *)
@@ -440,8 +458,9 @@ end
 
 (* Property: the query-then-claim commits (a home a probe found free,
    then [probe_beside] and [claim], or [alloc_beside]) answer every T3-
-   and T2-shaped commit exactly as claim, probe or alloc, release did,
-   on a fragmented
+   and T2-shaped commit exactly as claim, probe or alloc, release did
+   (T3's with the home found, as [probe_beside] gives no reason for a
+   miss), on a fragmented
    occupancy (disjoint claims and reserves around a segment) with
    next-fit runs of touching claims in between; afterwards every byte of
    the region, the interval count, [trampoline_bytes] and the cursor
@@ -510,13 +529,15 @@ let prop_layout_query_then_claim =
                   match
                     Layout.probe_beside layout ~taken:(t_p, sa) ~size:sb ~lo ~hi
                   with
-                  | Error d -> Error d
-                  | Ok t_v ->
+                  | None -> None
+                  | Some t_v ->
                       Layout.claim layout ~addr:t_v ~size:sb;
                       Layout.claim layout ~addr:t_p ~size:sa;
-                      Ok t_v
+                      Some t_v
                 in
-                fresh = Claim_release.t3 m ~t_p ~psize:sa ~vsize:sb ~lo ~hi)
+                fresh
+                = Result.to_option
+                    (Claim_release.t3 m ~t_p ~psize:sa ~vsize:sb ~lo ~hi))
         | 1 -> (
             match home () with
             | _, false -> false

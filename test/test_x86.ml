@@ -373,6 +373,35 @@ let test_decoder_never_raises_on_garbage () =
     go 0
   done
 
+(* Decoding under a limit reads as decoding a copy cut at the limit. The
+   bytes open with a run of prefixes (up to 24, beyond the 15-byte
+   instruction bound, so some decodes are prefix runs the limit cuts)
+   before random bytes, and the limit falls anywhere from one byte past
+   [pos] to beyond the end, so most cut an instruction. *)
+let prop_decode_limit =
+  let prefixes =
+    [ 0x26; 0x2e; 0x36; 0x3e; 0x64; 0x65; 0x66; 0x67; 0xf0; 0xf2; 0xf3; 0x40;
+      0x48; 0x4f ]
+  in
+  let gen =
+    QCheck.Gen.(
+      let* run = int_range 0 24 in
+      let* pre = list_repeat run (oneofl prefixes) in
+      let* tail = list_size (int_range 1 16) (int_bound 255) in
+      let code = String.of_seq (List.to_seq (List.map Char.chr (pre @ tail))) in
+      let* pos = int_bound (String.length code - 1) in
+      let* limit = int_range (pos + 1) (String.length code + 2) in
+      return (code, pos, limit))
+  in
+  let print (code, pos, limit) =
+    Printf.sprintf "[%s] pos %d limit %d" (hex code) pos limit
+  in
+  QCheck.Test.make ~name:"decode under a limit = decode of the cut copy"
+    ~count:5000 (QCheck.make ~print gen) (fun (code, pos, limit) ->
+      let bytes = Bytes.of_string code in
+      let cut = Bytes.sub bytes 0 (min limit (Bytes.length bytes)) in
+      Decode.decode ~limit bytes pos = Decode.decode cut pos)
+
 let suites =
   [ ( "x86.encode",
       [ Alcotest.test_case "mov reg,reg" `Quick test_encode_mov_reg_reg;
@@ -394,7 +423,8 @@ let suites =
           test_decode_paper_sequence;
         Alcotest.test_case "prefixed jump" `Quick test_decode_prefixed_jump;
         Alcotest.test_case "garbage is total" `Quick test_decode_unknown_total;
-        Alcotest.test_case "truncated" `Quick test_decode_truncated ] );
+        Alcotest.test_case "truncated" `Quick test_decode_truncated;
+        QCheck_alcotest.to_alcotest prop_decode_limit ] );
     ( "x86.classify",
       [ Alcotest.test_case "jumps (A1)" `Quick test_classify_jumps;
         Alcotest.test_case "heap writes (A2)" `Quick test_classify_heap_writes ] );
