@@ -102,22 +102,36 @@ let is_boundary f addr =
 let boundary ?holes ?index ?(instr_ranges = []) ~original =
   is_boundary (filter ?holes ?index ~instr_ranges original)
 
+(* What one traced run accumulates: the rolling hash (reduced to 62
+   bits when it is read: every step is a ring operation, so masking once
+   at the end gives the value masking each step would), the retire and
+   store counts, whether the gate at [start] has opened, and, when
+   recording, the first [record_cap] events, newest first. *)
+type acc = {
+  mutable h : int;
+  mutable retires : int;
+  mutable stores : int;
+  mutable started : bool;
+  mutable kept : (int * int * int * int) list;
+  mutable nkept : int;
+}
+
+(* An event's kind is its first field, mixed in times [p3]. *)
+let retire_p3 = kind_retire * p3
+let store_p3 = kind_store * p3
+
 (* One run of [elf] under [f], hashing every event; with [record] the
-   first [record_cap] events are also kept. *)
+   first [record_cap] events are also kept. Each event's four fields are
+   mixed into the hash in order, as one sum. *)
 let traced_run ?config ~record f elf =
-  let h = ref 0 in
-  let count = ref 0 in
-  let retires = ref 0 in
-  let store_count = ref 0 in
-  let recorded = ref [] in
-  let nrec = ref 0 in
-  (* The four fields mixed into [h] in order, as one sum. *)
-  let emit k a b c =
-    h := ((!h * p4) + (k * p3) + (a * p2) + (b * p1) + c) land max_int;
-    incr count;
-    if record && !nrec < record_cap then begin
-      recorded := (k, a, b, c) :: !recorded;
-      incr nrec
+  let a =
+    { h = 0; retires = 0; stores = 0; started = false; kept = [];
+      nkept = 0 }
+  in
+  let keep ev =
+    if a.nkept < record_cap then begin
+      a.kept <- ev :: a.kept;
+      a.nkept <- a.nkept + 1
     end
   in
   let boundary = is_boundary f in
@@ -133,29 +147,32 @@ let traced_run ?config ~record f elf =
         (match insn with Insn.Call _ | Insn.Call_ind _ -> false | _ -> true) }
   in
   let start_is_boundary = boundary f.start in
-  let started = ref false in
-  let on_retire ~addr ~regs =
-    if not !started then started := addr = f.start;
-    if !started && (addr <> f.start || start_is_boundary) then begin
-      emit kind_retire addr (regs_hash regs) 0;
-      incr retires
+  (* The emulator hands each watched retire its register digest, the
+     value [regs_hash] computes from [regs]. *)
+  let on_retire ~addr ~regs:_ ~digest =
+    if not a.started then a.started <- addr = f.start;
+    if a.started && (addr <> f.start || start_is_boundary) then begin
+      a.h <- (a.h * p4) + retire_p3 + (addr * p2) + (digest * p1);
+      a.retires <- a.retires + 1;
+      if record then keep (kind_retire, addr, digest, 0)
     end
   in
   let on_store ~addr ~size ~value =
-    if !started && not (in_ranges addr f.instr_ranges) then begin
-      emit kind_store addr size value;
-      incr store_count
+    if a.started && not (in_ranges addr f.instr_ranges) then begin
+      a.h <- (a.h * p4) + store_p3 + (addr * p2) + (size * p1) + value;
+      a.stores <- a.stores + 1;
+      if record then keep (kind_store, addr, size, value)
     end
   in
   let result =
     Machine.run ?config ~tracer:{ Cpu.watch; on_retire; on_store } elf
   in
   { result;
-    hash = !h;
-    count = !count;
-    retires = !retires;
-    store_count = !store_count;
-    recorded = Array.of_list (List.rev !recorded) }
+    hash = a.h land max_int;
+    count = a.retires + a.stores;
+    retires = a.retires;
+    store_count = a.stores;
+    recorded = Array.of_list (List.rev a.kept) }
 
 let outcome_str = function
   | Cpu.Exited n -> Printf.sprintf "exited %d" n

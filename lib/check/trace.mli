@@ -84,7 +84,11 @@ val boundary :
 (** [regs_hash regs] is the register-file hash a boundary retire
     contributes (printed as [regs %x] in a divergence): the 16
     general-purpose registers of [regs] mixed in order from 0 by
-    [h <- (h * 0x100000001b3 + r) land max_int]. *)
+    [h <- (h * 0x100000001b3 + r) land max_int]. The oracle does not
+    compute it: it mixes in the digest {!E9_emu.Cpu.tracer}'s
+    [on_retire] receives, which the emulator keeps up to date from the
+    registers each instruction writes. This is the reference that digest
+    must equal at every watched retire. *)
 val regs_hash : int array -> int
 
 (** [run_digest ?config ?holes ?index ?instr_ranges ~original elf] runs

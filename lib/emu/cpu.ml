@@ -53,7 +53,6 @@ type result = {
   sigtraps : int;
   prints : string list;  (** instrumentation log, in emission order *)
   counters : (int * int) list;
-  last_rips : int list;  (** most recent instruction addresses, oldest first *)
   block_hits : int;
   block_misses : int;
   block_invalidations : int;
@@ -64,7 +63,7 @@ type watch = { retire : bool; stores : bool }
 
 type tracer = {
   watch : addr:int -> insn:Insn.t -> watch;
-  on_retire : addr:int -> regs:int array -> unit;
+  on_retire : addr:int -> regs:int array -> digest:int -> unit;
   on_store : addr:int -> size:int -> value:int -> unit;
 }
 
@@ -86,7 +85,13 @@ type state = {
   mutable prints : string list;  (* reversed *)
   output : Buffer.t;
   files : (int, bytes Lazy.t) Hashtbl.t;  (* open file descriptors (mmap source) *)
-  ring : int array;  (* recent RIP trace for fault diagnostics *)
+  (* The register digest a tracer's retires receive: [snap] is the
+     register file as last folded into [digest] (kept modulo 2^63, masked
+     when handed out), [dirty] a superset of the registers written since
+     that fold, one bit per [Reg.index]. *)
+  mutable digest : int;
+  snap : int array;
+  mutable dirty : int;
   bcache : block Itbl.t;
   (* Space.generation the block cache was filled under; a mismatch means
      executable memory changed and every cached decode is suspect. *)
@@ -106,14 +111,35 @@ type state = {
 (* A lowered instruction: its semantics as one closure, specialised when
    its block is built to its address, operand forms and size, so a retire
    runs no decode and no dispatch on the instruction. [retire] is the
-   tracer's boundary bit for [addr]. *)
-and op = { addr : int; next : int; exec : state -> unit; retire : bool }
+   tracer's boundary bit for [addr]; [seg], on a retired op, the registers
+   written by it and by the unwatched ops after it in its block (up to
+   the next watched one). [stores] holds when it can write memory or
+   remap it, the only ops after which the code generation can move. *)
+and op = {
+  addr : int;
+  next : int;
+  exec : state -> unit;
+  retire : bool;
+  seg : int;
+  stores : bool;
+}
 
 (* A superblock: a straight-line run of lowered instructions ending at the
    first instruction that can transfer control (or at [max_block_len]).
-   Executing one costs a single cache lookup and a single fuel check
-   instead of one of each per instruction. *)
-and block = op array
+   Executing one costs a single fuel check and one bookkeeping step
+   instead of one of each per instruction. [head] is the registers its ops
+   write before the first watched retire. [fall] and [taken] are the
+   blocks that last followed it at its fall-through address and anywhere
+   else: a transition whose successor has the right entry and was built
+   under the current cache generation skips the cache lookup. *)
+and block = {
+  entry : int;
+  gen : int;  (* the cache generation the block was lowered under *)
+  ops : op array;
+  head : int;
+  mutable fall : block;
+  mutable taken : block;
+}
 
 exception Stop of outcome
 
@@ -374,6 +400,33 @@ let goto_const ~from target : state -> unit =
 (* ------------------------------------------------------------------ *)
 
 let rsp = Reg.index Reg.RSP
+
+(* The register digest a tracer's retires receive is
+   [sum regs.(i) * digest_weight.(i)] in wrapping arithmetic, masked to
+   62 bits: the powers of the FNV prime make it the hash
+   [Trace.regs_hash] defines as a mix chain. It is linear in every
+   register, so a write moves it by (new - old) times that register's
+   weight, and a fold touches only the registers written. *)
+let digest_weight =
+  let w = Array.make 16 1 in
+  for i = 14 downto 0 do
+    w.(i) <- w.(i + 1) * 0x100000001b3
+  done;
+  w
+
+(* [bit_index b] for [b] a power of two below 2^32: a de Bruijn
+   multiply and a table. *)
+let debruijn = 0x077C_B531
+
+let bit_table =
+  let t = Array.make 32 0 in
+  for i = 0 to 31 do
+    t.((((1 lsl i) * debruijn) land 0xffff_ffff) lsr 27) <- i
+  done;
+  t
+
+let[@inline] bit_index b =
+  Array.unsafe_get bit_table (((b * debruijn) land 0xffff_ffff) lsr 27)
 
 let push_fn (report : tracer option) : state -> int -> unit =
   match report with
@@ -691,22 +744,69 @@ let lower st ~here ~next_rip ~report (insn : Insn.t) : state -> unit =
   | Insn.Unknown b ->
       fun _ -> fault_at here (Printf.sprintf "undecodable byte 0x%02x" b)
 
+(* [writes insn] is the set of registers [lower]'s closure for [insn] can
+   write, one bit per [Reg.index]: what a tracer's register digest folds
+   after it. Host calls and syscalls name every register they can write;
+   a form that faults instead of writing names none. *)
+let writes (insn : Insn.t) =
+  let bit r = 1 lsl Reg.index r in
+  let dst = function Insn.Reg r -> bit r | Insn.Mem _ | Insn.Imm _ -> 0 in
+  match insn with
+  | Insn.Mov (_, d, _) | Insn.Setcc (_, d) | Insn.Neg (_, d) | Insn.Not (_, d)
+  | Insn.Inc (_, d) | Insn.Dec (_, d) | Insn.Shift (_, _, d, _) ->
+      dst d
+  | Insn.Alu ((Insn.Cmp | Insn.Test), _, _, _) -> 0
+  | Insn.Alu (_, _, d, _) -> dst d
+  | Insn.Movabs (r, _) | Insn.Lea (r, _) | Insn.Imul (r, _) | Insn.Movzx (r, _)
+  | Insn.Movsx (r, _) | Insn.Cmov (_, r, _) ->
+      bit r
+  | Insn.Push _ | Insn.Pushfq | Insn.Popfq | Insn.Call _ | Insn.Call_ind _
+  | Insn.Ret ->
+      1 lsl rsp
+  | Insn.Pop r -> bit r lor (1 lsl rsp)
+  | Insn.Int n -> if n = Hostcall.malloc then 1 lsl rax else 0
+  | Insn.Syscall -> 1 lsl rax
+  | Insn.Nop _ | Insn.Endbr64 | Insn.Jmp _ | Insn.Jmp_short _ | Insn.Jmp_ind _
+  | Insn.Jcc _ | Insn.Jcc_short _ | Insn.Int3 | Insn.Ud2 | Insn.Unknown _ ->
+      0
+
+(* Whether [insn] can write memory or remap it: a memory destination, a
+   push, a host call or a syscall. Only after these can the code
+   generation move. *)
+let stores (insn : Insn.t) =
+  match insn with
+  | Insn.Mov (_, Insn.Mem _, _) | Insn.Setcc (_, Insn.Mem _)
+  | Insn.Neg (_, Insn.Mem _) | Insn.Not (_, Insn.Mem _)
+  | Insn.Inc (_, Insn.Mem _) | Insn.Dec (_, Insn.Mem _)
+  | Insn.Shift (_, _, Insn.Mem _, _) ->
+      true
+  | Insn.Alu ((Insn.Cmp | Insn.Test), _, _, _) -> false
+  | Insn.Alu (_, _, Insn.Mem _, _) -> true
+  | Insn.Push _ | Insn.Pushfq | Insn.Call _ | Insn.Call_ind _ | Insn.Int _
+  | Insn.Syscall ->
+      true
+  | _ -> false
+
 let unwatched = { retire = false; stores = true }
 
 (* Lower the instruction [d] decoded at [here], asking the tracer once
-   whether its retire is reported and whether its stores are. *)
+   whether its retire is reported and whether its stores are. [seg]
+   starts as its own writes, empty without a tracer (no digest is kept);
+   [build_block] regroups them. *)
 let lower_op st ~here (d : Decode.decoded) =
-  let w =
+  let w, seg =
     match st.tracer with
-    | None -> unwatched
-    | Some t -> t.watch ~addr:here ~insn:d.Decode.insn
+    | None -> (unwatched, 0)
+    | Some t -> (t.watch ~addr:here ~insn:d.Decode.insn, writes d.Decode.insn)
   in
   let report = if w.stores then st.tracer else None in
   let next_rip = here + d.Decode.len in
   { addr = here;
     next = next_rip;
     exec = lower st ~here ~next_rip ~report d.Decode.insn;
-    retire = w.retire }
+    retire = w.retire;
+    seg;
+    stores = stores d.Decode.insn }
 
 (* ------------------------------------------------------------------ *)
 (* The decoded-code cache and its invalidation                         *)
@@ -714,8 +814,7 @@ let lower_op st ~here (d : Decode.decoded) =
 
 (* The superblock cache is valid only while [Space.generation] is
    unchanged: a guest write to an executable page, or a syscall that
-   remaps one, must flush it or stale code would run silently. The check
-   is one load and compare. *)
+   remaps one, must flush it or stale code would run silently. *)
 let check_code_gen st =
   let g = Space.generation st.space in
   if g <> st.cache_gen then begin
@@ -727,7 +826,7 @@ let check_code_gen st =
 (* Instructions that may set RIP to anything other than the next address
    terminate a superblock. [Int] hostcalls and [Syscall] fall through
    sequentially, so they stay inside blocks (a syscall that remaps
-   executable memory is caught by the generation check after each step). *)
+   executable memory is caught by the generation check after it). *)
 let terminates (d : Decode.decoded) =
   match d.insn with
   | Insn.Call _ | Insn.Call_ind _ | Insn.Ret
@@ -737,6 +836,29 @@ let terminates (d : Decode.decoded) =
   | _ -> false
 
 let max_block_len = 128
+
+(* No block: the successor slots of a fresh block. Its generation
+   matches no cache generation, so it is never entered, not even by a
+   jump to address -1. *)
+let rec no_block =
+  { entry = -1; gen = -1; ops = [||]; head = 0; fall = no_block;
+    taken = no_block }
+
+(* The write sets of [ops] regrouped by watched retire: each retired op's
+   [seg] becomes its own writes and those of the unwatched ops after it;
+   the result is the writes before the first retired op (the block's
+   [head]). *)
+let segment ops =
+  let acc = ref 0 in
+  for i = Array.length ops - 1 downto 0 do
+    let op = ops.(i) in
+    acc := !acc lor op.seg;
+    if op.retire then begin
+      ops.(i) <- { op with seg = !acc };
+      acc := 0
+    end
+  done;
+  !acc
 
 let build_block st entry =
   let buf = ref [] in
@@ -763,7 +885,9 @@ let build_block st entry =
         a := !a + d.Decode.len;
         if terminates d || !n >= max_block_len then stop := true
   done;
-  Array.of_list (List.rev !buf)
+  let ops = Array.of_list (List.rev !buf) in
+  let head = segment ops in
+  { entry; gen = st.cache_gen; ops; head; fall = no_block; taken = no_block }
 
 let block_at st addr =
   match Itbl.find st.bcache addr with
@@ -776,36 +900,102 @@ let block_at st addr =
       Itbl.replace st.bcache addr b;
       b
 
-(* One retire: the counters, the RIP ring, the tracer's boundary event
-   when the lowered op carries the bit, then the op itself with RIP
-   already at the next instruction. *)
-let step st op =
-  st.ring.(st.insns land 31) <- op.addr;
-  st.insns <- st.insns + 1;
-  st.cycles <- st.cycles + 1;
-  (if op.retire then
-     match st.tracer with
-     | Some t -> t.on_retire ~addr:op.addr ~regs:st.regs
-     | None -> ());
-  st.rip <- op.next;
-  op.exec st
-
-(* Execute a whole superblock. The fuel check happened at block entry; per
-   instruction only the retire and the generation check remain. A
-   mid-block write to executable memory (self-modifying code) aborts the
-   block after the writing instruction: the rest of the lowered array may
-   be stale, so control returns to the outer loop, which lowers again from
-   the (already correct) RIP. *)
-let exec_block st (b : block) =
-  let n = Array.length b in
-  let rec go i =
-    if i < n then begin
-      step st (Array.unsafe_get b i);
-      if Space.generation st.space <> st.cache_gen then check_code_gen st
-      else go (i + 1)
+(* The block at RIP after [b] ran to its end: one of [b]'s remembered
+   successors when its entry is RIP and it was built under the current
+   cache generation (a block hit, as the lookup would have been), else
+   the cache's, remembered for next time in the slot it belongs to. *)
+let next_block st b =
+  let rip = st.rip in
+  let f = b.fall in
+  if f.entry = rip && f.gen = st.cache_gen then begin
+    st.block_hits <- st.block_hits + 1;
+    f
+  end
+  else
+    let t = b.taken in
+    if t.entry = rip && t.gen = st.cache_gen then begin
+      st.block_hits <- st.block_hits + 1;
+      t
     end
-  in
-  go 0
+    else begin
+      let nb = block_at st rip in
+      if rip = b.ops.(Array.length b.ops - 1).next then b.fall <- nb
+      else b.taken <- nb;
+      nb
+    end
+
+(* Fold register [i] into the digest: its change since the last fold
+   times its weight. A register outside [dirty] has not changed, so
+   folding it adds nothing. *)
+let[@inline] fold_reg st i =
+  let v = Array.unsafe_get st.regs i in
+  let w = Array.unsafe_get digest_weight i in
+  st.digest <- st.digest + ((v - Array.unsafe_get st.snap i) * w);
+  Array.unsafe_set st.snap i v
+
+let rec fold_rest st m =
+  if m <> 0 then begin
+    fold_reg st (bit_index (m land -m));
+    fold_rest st (m land (m - 1))
+  end
+
+(* Fold the registers written since the last fold into the digest and
+   hand it, masked to 62 bits as [Trace.regs_hash] is, to the tracer.
+   Most retires follow one write or none: the first dirty register is
+   folded inline, and only the rest take a call. *)
+let[@inline] fold_digest st =
+  let m = st.dirty in
+  if m <> 0 then begin
+    fold_reg st (bit_index (m land -m));
+    let m = m land (m - 1) in
+    if m <> 0 then fold_rest st m
+  end;
+  st.digest land max_int
+
+let uncount st k =
+  st.insns <- st.insns - k;
+  st.cycles <- st.cycles - k
+
+(* Run the first [n] ops of [b] (all of them, or one when the fuel
+   left is short of the block), with RIP already at each op's next
+   instruction when it runs. The retire counts are added once, up
+   front, and the ops that did not run are taken off again when a
+   fault, an exit or a self-modifying store ends the block early. The
+   generation is checked only after an op that can store or remap: a
+   write to executable memory there aborts the block, since the rest of
+   the lowered array may be stale, and control returns to the outer
+   loop, which lowers again from the (already correct) RIP. The result
+   says whether all [n] ran. *)
+let exec_block st b n =
+  st.insns <- st.insns + n;
+  st.cycles <- st.cycles + n;
+  st.dirty <- st.dirty lor b.head;
+  let ops = b.ops in
+  let i = ref 0 in
+  match
+    while !i < n do
+      let op = Array.unsafe_get ops !i in
+      (if op.retire then
+         match st.tracer with
+         | Some t ->
+             let digest = fold_digest st in
+             st.dirty <- op.seg;
+             t.on_retire ~addr:op.addr ~regs:st.regs ~digest
+         | None -> ());
+      st.rip <- op.next;
+      op.exec st;
+      incr i;
+      if op.stores && Space.generation st.space <> st.cache_gen then begin
+        check_code_gen st;
+        uncount st (n - !i);
+        i := n + 1 (* abandon the rest of the block *)
+      end
+    done
+  with
+  | () -> !i = n
+  | exception e ->
+      uncount st (n - !i - 1);
+      raise e
 
 let run ?(config = default_config) ?(files = []) ?tracer space ~entry
     ~stack_top ~traps ~allocator =
@@ -829,7 +1019,9 @@ let run ?(config = default_config) ?(files = []) ?tracer space ~entry
       prints = [];
       output = Buffer.create 256;
       files = file_table;
-      ring = Array.make 32 (-1);
+      digest = 0;
+      snap = Array.make 16 0;
+      dirty = 1 lsl rsp;
       bcache = Itbl.create 1024;
       cache_gen = Space.generation space;
       block_hits = 0;
@@ -844,15 +1036,24 @@ let run ?(config = default_config) ?(files = []) ?tracer space ~entry
   st.regs.(rsp) <- stack_top;
   let outcome =
     try
+      (* [prev] is the block that last ran to its end, whose remembered
+         successors may stand in for the lookup; [no_block] after a block
+         cut short. *)
+      let prev = ref no_block in
       while st.insns < config.fuel do
-        check_code_gen st;
-        let b = block_at st st.rip in
-        if st.insns + Array.length b <= config.fuel then exec_block st b
-        else
+        let b =
+          if !prev == no_block then block_at st st.rip else next_block st !prev
+        in
+        let n = Array.length b.ops in
+        if st.insns + n <= config.fuel then
+          prev := if exec_block st b n then b else no_block
+        else begin
           (* Not enough fuel for the whole block: single-step its first
              instruction so that fuel exhaustion lands on the exact
              instruction count. *)
-          step st b.(0)
+          ignore (exec_block st b 1);
+          prev := no_block
+        end
       done;
       Out_of_fuel
     with
@@ -873,9 +1074,6 @@ let run ?(config = default_config) ?(files = []) ?tracer space ~entry
         (Itbl.fold
            (fun k c acc -> if !c > 0 then (k, !c) :: acc else acc)
            st.counters []);
-    last_rips =
-      (let n = min st.insns 32 in
-       List.init n (fun i -> st.ring.((st.insns - n + i) land 31)));
     block_hits = st.block_hits;
     block_misses = st.block_misses;
     block_invalidations = st.block_invalidations;

@@ -22,11 +22,17 @@
     branch targets are constants), its operand forms and its size. The
     lowering is the one definition of every instruction's semantics;
     blocks are cached by entry address in an int-keyed table and replayed
-    as a tight array loop with one cache lookup and one fuel check per
-    block (a block too long for the remaining fuel runs its first lowered
-    instruction alone). The cache is invalidated whenever
+    as a tight array loop with one fuel check and one count of
+    instructions and cycles per block (a block too long for the remaining
+    fuel runs its first lowered instruction alone; a block cut short by a
+    fault, an exit or a self-modifying store takes back the instructions
+    it did not run). A block remembers the blocks that last followed it,
+    at its fall-through address and elsewhere, so most transitions skip
+    the cache lookup. The cache is invalidated whenever
     {!E9_vm.Space.generation} advances, i.e. whenever executable memory is
-    written or remapped, so self-modifying code executes correctly
+    written or remapped, which is checked after every instruction that
+    can store or remap; a remembered successor built under an older
+    generation is not followed, so self-modifying code executes correctly
     (DESIGN.md §7). *)
 
 type config = {
@@ -70,10 +76,9 @@ type result = {
       (** instrumentation log from {!Hostcall.print}, in emission order —
           a host-side side channel, never part of [output] *)
   counters : (int * int) list;  (** per-site hit counts, sorted by site *)
-  last_rips : int list;
-      (** the up-to-32 most recent instruction addresses, oldest first —
-          fault diagnostics *)
-  block_hits : int;  (** superblock cache hits (one per block executed) *)
+  block_hits : int;
+      (** superblock cache hits (one per block executed, a chained
+          transition included) *)
   block_misses : int;  (** superblock cache misses (blocks decoded) *)
   block_invalidations : int;
       (** generation-mismatch flushes of the superblock cache (SMC or
@@ -93,14 +98,20 @@ type watch = {
     rides on the lowered instruction, so a retire it does not watch calls
     no hook at all. [on_retire] fires before a watched instruction
     executes, with the pre-execution register file (the array is live —
-    copy what you keep). [on_store] fires after every successful data
-    write of an instruction whose [stores] bit is set, including stack
-    pushes, with the value truncated to the written width. Host-call and
-    syscall side effects (allocator, output stream, [mmap]) do not raise
-    events. *)
+    copy what you keep) and its [digest]:
+    [sum regs.(i) * 0x100000001b3{^15-i}] over the 16 registers, modulo
+    2{^62} — the value [Trace.regs_hash regs] computes. The emulator keeps
+    the digest up to date from each lowered instruction's written
+    registers (host calls and syscalls name every register they can
+    write), folding only those written since the last watched retire;
+    an untraced run does no digest work. [on_store] fires after every
+    successful data write of an instruction whose [stores] bit is set,
+    including stack pushes, with the value truncated to the written
+    width. Host-call and syscall side effects (allocator, output stream,
+    [mmap]) do not raise events. *)
 type tracer = {
   watch : addr:int -> insn:E9_x86.Insn.t -> watch;
-  on_retire : addr:int -> regs:int array -> unit;
+  on_retire : addr:int -> regs:int array -> digest:int -> unit;
   on_store : addr:int -> size:int -> value:int -> unit;
 }
 

@@ -24,7 +24,8 @@
    EVENTS/BOUNDARY_RETIRES/STORES/INSNS_ORIGINAL/INSNS_REWRITTEN, or
    trace/NAME error MESSAGE with the oracle's full message. With --emu:
    the emulator's own behaviour on both sides of every rewrite and on
-   seeded random straight-line programs (see [emu_line] and [random]);
+   seeded random straight-line programs (see [emu_line] and [random]),
+   each also checked for the register digest a tracer receives;
    test/emu_digests.txt holds those lines. *)
 
 module Codegen = E9_workload.Codegen
@@ -111,19 +112,44 @@ let run_fields (r : Cpu.result) =
       r.Cpu.cycles r.Cpu.far_jumps r.Cpu.traps,
     Printf.sprintf "c%s.o%s.p%s" (fnv counters) (fnv r.Cpu.output) (fnv prints) )
 
+(* A third run of [elf] watching what the oracle watches, checking at
+   every watched retire that the register digest the emulator hands over
+   equals [Trace.regs_hash] of the register file: "" when it always
+   does, else where it first did not. *)
+let digest_check ?holes ?index ?instr_ranges ~original elf =
+  let boundary = Trace.boundary ?holes ?index ?instr_ranges ~original in
+  let start = original.Elf_file.entry in
+  let first_bad = ref None in
+  let tracer =
+    { Cpu.watch =
+        (fun ~addr ~insn:_ ->
+          { Cpu.retire = addr = start || boundary addr; stores = false });
+      on_retire =
+        (fun ~addr ~regs ~digest ->
+          if !first_bad = None && digest <> Trace.regs_hash regs then
+            first_bad := Some addr);
+      on_store = (fun ~addr:_ ~size:_ ~value:_ -> ()) }
+  in
+  ignore (Machine.run ~tracer elf);
+  match !first_bad with
+  | None -> ""
+  | Some a -> Printf.sprintf ".digest-differs@0x%x" a
+
 (* One run of [elf], plainly and under the trace filter built from
    [original]: emu/NAME OUTCOME/INSNS/CYCLES/FAR/TRAPS
    cCOUNTERS.oOUTPUT.pPRINTS.tHASH/EVENTS. The traced run must agree
-   with the plain one on every pinned field; where it does not, the
-   line says so. *)
+   with the plain one on every pinned field, and the register digest
+   with [Trace.regs_hash] at every watched retire; where either does
+   not, the line says so. *)
 let emu_run name ?holes ?index ?instr_ranges ~original elf =
   let plain = run_fields (Machine.run elf) in
   let traced, events, hash =
     Trace.run_digest ?holes ?index ?instr_ranges ~original elf
   in
   let fields, hashes = plain in
-  Printf.printf "emu/%s %s %s.t%x/%d%s\n%!" name fields hashes hash events
+  Printf.printf "emu/%s %s %s.t%x/%d%s%s\n%!" name fields hashes hash events
     (if run_fields traced = plain then "" else ".traced-differs")
+    (digest_check ?holes ?index ?instr_ranges ~original elf)
 
 let emu_line name ?holes ?index ?instr_ranges original out =
   emu_run ("original/" ^ name) ?holes ?index ?instr_ranges ~original original;

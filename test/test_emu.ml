@@ -8,6 +8,10 @@ module Asm = E9_x86.Asm
 module Cpu = E9_emu.Cpu
 module Machine = E9_emu.Machine
 module Hostcall = E9_emu.Hostcall
+module Codegen = E9_workload.Codegen
+module Tool = E9_tool.Tool
+module Rewriter = E9_core.Rewriter
+module Trace = E9_check.Trace
 
 let base = 0x400000
 
@@ -528,14 +532,9 @@ let test_neg_sets_flags () =
 (* Self-modifying code                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Place [f: movabs rbx, 1; f_end: ret] after [asm]'s code and load it
-   all into one read-write-execute segment, so the guest can rewrite
-   [f]'s immediate. *)
-let writable_code_elf asm ~f ~f_end =
-  Asm.place asm f;
-  Asm.ins asm (Insn.Movabs (Reg.RBX, 1L));
-  Asm.place asm f_end;
-  Asm.ins asm Insn.Ret;
+(* [asm]'s code in one read-write-execute segment, so the guest can
+   rewrite its own instructions. *)
+let rwx_elf asm =
   let code = Asm.assemble asm in
   let elf = Elf_file.create ~etype:Elf_file.Exec ~entry:base in
   ignore
@@ -549,6 +548,15 @@ let writable_code_elf asm ~f ~f_end =
          align = 4096 }
        ~content:code);
   elf
+
+(* Place [f: movabs rbx, 1; f_end: ret] after [asm]'s code, all of it
+   writable, so the guest can rewrite [f]'s immediate. *)
+let writable_code_elf asm ~f ~f_end =
+  Asm.place asm f;
+  Asm.ins asm (Insn.Movabs (Reg.RBX, 1L));
+  Asm.place asm f_end;
+  Asm.ins asm Insn.Ret;
+  rwx_elf asm
 
 let test_self_modifying_code () =
   (* Call f (movabs rbx, 1; ret), overwrite the immediate in place, call f
@@ -775,6 +783,271 @@ let test_fault_reported () =
   | Cpu.Fault (0x10, _) -> ()
   | _ -> Alcotest.fail "expected fault at 0x10"
 
+(* ------------------------------------------------------------------ *)
+(* Blocks cut short: exact counts                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A block's instructions and cycles are counted once, when it is
+   entered; a block that ends early must take back the ones that did not
+   run. Each program below is one block of straight-line code. *)
+let check_counts what (r : Cpu.result) ~insns ~cycles =
+  Alcotest.(check int) (what ^ ": insns") insns r.Cpu.insns;
+  Alcotest.(check int) (what ^ ": cycles") cycles r.Cpu.cycles
+
+let test_fault_mid_block () =
+  (* A fault on the 3rd of 5 instructions. *)
+  let asm = Asm.create ~base in
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 1));
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RBX, Insn.Imm 2));
+  Asm.ins asm
+    (Insn.Mov (Insn.Q, Insn.Reg Reg.RCX, Insn.Mem (Insn.mem ~disp:0x10 ())));
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDX, Insn.Imm 3));
+  Asm.ins asm Insn.Ret;
+  let r = run_elf (elf_of_asm asm) in
+  (match r.Cpu.outcome with
+  | Cpu.Fault (0x10, _) -> ()
+  | _ -> Alcotest.fail "expected a fault at 0x10");
+  check_counts "fault" r ~insns:3 ~cycles:3
+
+let test_exit_mid_block () =
+  let asm = Asm.create ~base in
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 60));
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 7));
+  Asm.ins asm Insn.Syscall;
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RBX, Insn.Imm 1));
+  Asm.ins asm Insn.Ret;
+  let r = run_elf (elf_of_asm asm) in
+  check_exit 7 r;
+  check_counts "exit" r ~insns:3 ~cycles:3
+
+let test_store_into_own_block () =
+  (* The third instruction rewrites the immediate of the fifth, in the
+     block that is executing: the rest of the block must be lowered
+     again, and the fifth must run its new bytes. *)
+  let asm = Asm.create ~base in
+  let f = Asm.fresh_label asm "f" and f_end = Asm.fresh_label asm "f_end" in
+  Asm.lea_label asm Reg.RDI f_end;
+  Asm.ins asm (Insn.Alu (Insn.Sub, Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 8));
+  Asm.ins asm
+    (Insn.Mov (Insn.B, Insn.Mem (Insn.mem ~base:Reg.RDI ()), Insn.Imm 11));
+  Asm.ins asm (Insn.Nop 1);
+  Asm.place asm f;
+  Asm.ins asm (Insn.Movabs (Reg.RBX, 1L));
+  Asm.place asm f_end;
+  exit_rbx asm;
+  let r = run_elf (rwx_elf asm) in
+  check_exit 11 r;
+  check_counts "store into own block" r ~insns:8 ~cycles:8;
+  Alcotest.(check int) "one flush" 1 r.Cpu.block_invalidations
+
+let test_fuel_mid_block () =
+  let asm = Asm.create ~base in
+  List.iter
+    (fun r -> Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg r, Insn.Imm 1)))
+    [ Reg.RAX; Reg.RBX; Reg.RCX; Reg.RDX ];
+  Asm.ins asm Insn.Ret;
+  let r =
+    run_elf ~config:{ Cpu.default_config with Cpu.fuel = 3 } (elf_of_asm asm)
+  in
+  Alcotest.(check bool) "out of fuel" true (r.Cpu.outcome = Cpu.Out_of_fuel);
+  check_counts "fuel" r ~insns:3 ~cycles:3
+
+(* Small generated programs and their [jumps|count] rewrites (a host
+   call inside most trampoline blocks): a run with fuel one short of the
+   full run's instruction count stops out of fuel at exactly that count,
+   and a run with exactly that fuel ends as the full run did. *)
+let prop_fuel_exact =
+  QCheck.Test.make ~name:"fuel n-1 stops at n-1, fuel n ends as the full run"
+    ~count:15
+    QCheck.(pair (int_range 1 10_000) (pair (int_range 2 6) (int_range 1 4)))
+    (fun (seed, (functions, iterations)) ->
+      let elf =
+        Codegen.generate
+          { Codegen.default_profile with
+            Codegen.seed = Int64.of_int seed; functions; iterations }
+      in
+      let rewrite =
+        (Tool.run elf [ Tool.rule_of ~m:"jumps" ~p:"count" () ]).Tool.rewrite
+          .Rewriter.output
+      in
+      List.for_all
+        (fun elf ->
+          let full = run_elf elf in
+          let n = full.Cpu.insns in
+          let fuel f = { Cpu.default_config with Cpu.fuel = f } in
+          let short = run_elf ~config:(fuel (n - 1)) elf in
+          let exact = run_elf ~config:(fuel n) elf in
+          short.Cpu.outcome = Cpu.Out_of_fuel
+          && short.Cpu.insns = n - 1
+          && exact.Cpu.outcome = full.Cpu.outcome
+          && exact.Cpu.insns = n
+          && exact.Cpu.cycles = full.Cpu.cycles)
+        [ elf; rewrite ])
+
+(* ------------------------------------------------------------------ *)
+(* Chained blocks and invalidation                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Six trips of a loop that calls [b] ([movabs rbx, 1; ret]) and adds
+   rbx up; after the third, [change asm] runs, which must make [b]
+   return 10, so the exit code is 3 * 1 + 3 * 10 = 33. The loop's call
+   block links to [b] on its first trip. *)
+let chain_loop asm ~call_b ~change =
+  let loop = Asm.fresh_label asm "loop" in
+  let done_ = Asm.fresh_label asm "done" and keep = Asm.fresh_label asm "keep" in
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.R12, Insn.Imm 0));
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.R13, Insn.Imm 0));
+  Asm.place asm loop;
+  call_b asm;
+  Asm.ins asm (Insn.Alu (Insn.Add, Insn.Q, Insn.Reg Reg.R13, Insn.Reg Reg.RBX));
+  Asm.ins asm (Insn.Inc (Insn.Q, Insn.Reg Reg.R12));
+  Asm.ins asm (Insn.Alu (Insn.Cmp, Insn.Q, Insn.Reg Reg.R12, Insn.Imm 6));
+  Asm.jcc asm Insn.E done_;
+  Asm.ins asm (Insn.Alu (Insn.Cmp, Insn.Q, Insn.Reg Reg.R12, Insn.Imm 3));
+  Asm.jcc asm Insn.NE keep;
+  change asm;
+  Asm.place asm keep;
+  Asm.jmp asm loop;
+  Asm.place asm done_;
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RBX, Insn.Reg Reg.R13));
+  exit_rbx asm
+
+let test_chain_store () =
+  (* [b] is rewritten in place by a store. *)
+  let asm = Asm.create ~base in
+  let f = Asm.fresh_label asm "f" and f_end = Asm.fresh_label asm "f_end" in
+  chain_loop asm
+    ~call_b:(fun asm -> Asm.call asm f)
+    ~change:(fun asm ->
+      Asm.lea_label asm Reg.RDI f_end;
+      Asm.ins asm (Insn.Alu (Insn.Sub, Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 8));
+      Asm.ins asm
+        (Insn.Mov (Insn.B, Insn.Mem (Insn.mem ~base:Reg.RDI ()), Insn.Imm 10)));
+  let r = run_elf (writable_code_elf asm ~f ~f_end) in
+  check_exit 33 r;
+  Alcotest.(check int) "one flush" 1 r.Cpu.block_invalidations
+
+let test_chain_mmap () =
+  (* [b] is alone on its page, which an executable file-backed [mmap]
+     replaces with a copy returning 10. *)
+  let b_page = base + 0x1000 in
+  let b_code v =
+    let asm = Asm.create ~base:b_page in
+    Asm.ins asm (Insn.Movabs (Reg.RBX, Int64.of_int v));
+    Asm.ins asm Insn.Ret;
+    let code = Asm.assemble asm in
+    Bytes.cat code (Bytes.make (4096 - Bytes.length code) '\000')
+  in
+  let fd = 5 in
+  let asm = Asm.create ~base in
+  chain_loop asm
+    ~call_b:(fun asm ->
+      Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.R14, Insn.Imm b_page));
+      Asm.ins asm (Insn.Call_ind (Insn.Reg Reg.R14)))
+    ~change:(fun asm ->
+      List.iter
+        (fun (r, v) -> Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg r, Insn.Imm v)))
+        [ (Reg.RAX, 9); (Reg.RDI, b_page); (Reg.RSI, 4096);
+          (Reg.RDX, 5 (* r-x *)); (Reg.R10, 0x12 (* MAP_FIXED|MAP_PRIVATE *));
+          (Reg.R8, fd); (Reg.R9, 0) ];
+      Asm.ins asm Insn.Syscall);
+  let space = Space.create () in
+  Space.map_bytes space ~vaddr:base ~prot:Elf_file.prot_rx (Asm.assemble asm);
+  Space.map_bytes space ~vaddr:b_page ~prot:Elf_file.prot_rx (b_code 1);
+  let stack_top = 0x7000_0000 in
+  Space.map_zero space ~vaddr:(stack_top - 0x10000) ~len:0x10000
+    ~prot:Elf_file.prot_rw;
+  let r =
+    Cpu.run ~files:[ (fd, lazy (b_code 10)) ] space ~entry:base ~stack_top
+      ~traps:(Hashtbl.create 1)
+      ~allocator:(Cpu.bump_allocator space ~heap_base:0x6000_0000)
+  in
+  check_exit 33 r;
+  Alcotest.(check int) "one flush" 1 r.Cpu.block_invalidations
+
+(* ------------------------------------------------------------------ *)
+(* The register digest a tracer receives                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [elf] watching the retires [watch] names and count them, and the
+   ones whose digest is not [Trace.regs_hash] of the register file. *)
+let digest_run ~watch elf =
+  let retires = ref 0 and wrong = ref 0 in
+  let tracer =
+    { Cpu.watch =
+        (fun ~addr ~insn:_ -> { Cpu.retire = watch addr; stores = false });
+      on_retire =
+        (fun ~addr:_ ~regs ~digest ->
+          incr retires;
+          if digest <> Trace.regs_hash regs then incr wrong);
+      on_store = (fun ~addr:_ ~size:_ ~value:_ -> ()) }
+  in
+  let r = Machine.run ~tracer elf in
+  (r, !retires, !wrong)
+
+let test_digest_every_retire () =
+  (* Every instruction watched: stack traffic, a call and return, flags
+     through the stack, a malloc host call and syscalls. *)
+  let asm = Asm.create ~base in
+  let f = Asm.fresh_label asm "f" and msg = Asm.fresh_label asm "msg" in
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 64));
+  Asm.ins asm (Insn.Int Hostcall.malloc);
+  Asm.ins asm
+    (Insn.Mov
+       (Insn.Q, Insn.Mem (Insn.mem ~base:Reg.RAX ~disp:8 ()), Insn.Imm 5));
+  Asm.ins asm (Insn.Push Reg.RBX);
+  Asm.ins asm (Insn.Push Reg.RAX);
+  Asm.ins asm (Insn.Pop Reg.RCX);
+  Asm.ins asm (Insn.Pop Reg.RDX);
+  Asm.call asm f;
+  Asm.lea_label asm Reg.RSI msg;
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 1));
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDI, Insn.Imm 1));
+  Asm.ins asm (Insn.Mov (Insn.Q, Insn.Reg Reg.RDX, Insn.Imm 3));
+  Asm.ins asm Insn.Syscall;
+  Asm.ins asm (Insn.Alu (Insn.Add, Insn.Q, Insn.Reg Reg.RBX, Insn.Reg Reg.RAX));
+  exit_rbx asm;
+  Asm.place asm f;
+  Asm.ins asm (Insn.Movabs (Reg.RBX, 4L));
+  Asm.ins asm Insn.Pushfq;
+  Asm.ins asm (Insn.Pop Reg.R9);
+  Asm.ins asm (Insn.Push Reg.R9);
+  Asm.ins asm Insn.Popfq;
+  Asm.ins asm Insn.Ret;
+  Asm.place asm msg;
+  Asm.ins_raw asm "hi\n";
+  let r, retires, wrong = digest_run ~watch:(fun _ -> true) (elf_of_asm asm) in
+  check_exit 7 r;
+  Alcotest.(check int) "every retire watched" r.Cpu.insns retires;
+  Alcotest.(check int) "digests that are not regs_hash" 0 wrong
+
+let test_digest_oracle_watch () =
+  (* Both sides of a rewrite that carries the runtime, watched where the
+     trace oracle watches: original boundaries only, so the unwatched
+     trampoline code between two retires is folded in one step. *)
+  let elf =
+    Codegen.generate
+      { Codegen.default_profile with
+        Codegen.seed = 7L; functions = 12; iterations = 20 }
+  in
+  let res = Tool.run elf [ Tool.rule_of ~m:"jumps" ~p:"print" () ] in
+  let rt = res.Tool.runtime in
+  let original = rt.Tool.augmented in
+  let boundary =
+    Trace.boundary ~index:res.Tool.rewrite.Rewriter.index
+      ~instr_ranges:rt.Tool.instr_ranges ~original
+  in
+  let watch addr = addr = original.Elf_file.entry || boundary addr in
+  List.iter
+    (fun (side, elf) ->
+      let r, retires, wrong = digest_run ~watch elf in
+      Alcotest.(check bool) (side ^ ": exited") true
+        (match r.Cpu.outcome with Cpu.Exited _ -> true | _ -> false);
+      Alcotest.(check bool) (side ^ ": retires watched") true (retires > 1000);
+      Alcotest.(check int) (side ^ ": digests that are not regs_hash") 0 wrong)
+    [ ("original", original);
+      ("rewrite", res.Tool.rewrite.Rewriter.output) ]
+
 let suites =
   [ ( "vm.space",
       [ Alcotest.test_case "read/write" `Quick test_space_rw;
@@ -825,4 +1098,20 @@ let suites =
     ( "emu.cost",
       [ Alcotest.test_case "far jump penalty" `Quick test_far_jump_penalty;
         Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion;
-        Alcotest.test_case "fault reported" `Quick test_fault_reported ] ) ]
+        Alcotest.test_case "fault reported" `Quick test_fault_reported ] );
+    ( "emu.blocks",
+      [ Alcotest.test_case "fault on the 3rd of 5" `Quick test_fault_mid_block;
+        Alcotest.test_case "exit mid-block" `Quick test_exit_mid_block;
+        Alcotest.test_case "store into its own block" `Quick
+          test_store_into_own_block;
+        Alcotest.test_case "fuel out mid-block" `Quick test_fuel_mid_block;
+        QCheck_alcotest.to_alcotest prop_fuel_exact;
+        Alcotest.test_case "chain: store into the successor" `Quick
+          test_chain_store;
+        Alcotest.test_case "chain: mmap over the successor" `Quick
+          test_chain_mmap ] );
+    ( "emu.digest",
+      [ Alcotest.test_case "every retire, every write kind" `Quick
+          test_digest_every_retire;
+        Alcotest.test_case "oracle's watch, runtime rewrite" `Quick
+          test_digest_oracle_watch ] ) ]
