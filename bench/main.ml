@@ -966,10 +966,10 @@ let bench_iset () =
       done;
       let hi = 0x10000 + (n * 48) + 0x10000 in
       let tree_query () =
-        E9_bits.Iset.find_free_strided tree ~size:16 ~lo:0x10000 ~hi ~stride:64
+        E9_bits.Iset.find_free tree ~size:16 ~lo:0x10000 ~hi ~stride:64
       in
       let linear_query () =
-        Iset_linear.find_free_strided lin ~size:16 ~lo:0x10000 ~hi ~stride:64
+        Iset_linear.find_free lin ~size:16 ~lo:0x10000 ~hi ~stride:64
       in
       if tree_query () <> linear_query () then
         failwith (Printf.sprintf "iset@%d: tree and linear disagree" n);
@@ -1023,7 +1023,7 @@ let bench_bechamel () =
     [ ("iset-find-free-strided",
        fun () ->
          ignore
-           (E9_bits.Iset.find_free_strided strided_set ~size:16 ~lo:0x10000
+           (E9_bits.Iset.find_free strided_set ~size:16 ~lo:0x10000
               ~hi:0x40000 ~stride:64));
       ("table1-A1-rewrite", rewrite elf Frontend.select_jumps Trampoline.Empty);
       ("table1-A2-rewrite",

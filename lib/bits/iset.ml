@@ -7,19 +7,16 @@
        consecutive intervals of the subtree (0 when the subtree holds
        fewer than two intervals).
 
-   The free-gap queries ([find_free], [find_free_strided]) walk the gap sequence in address order but prune
-   every branch whose aggregates show it cannot contain an answer — a
-   subtree is entered only when its widest gap (including the gap to its
-   in-order predecessor/successor, which the walk threads through the
-   recursion) is at least [size] and its span reaches the query window.
+   The free-gap query [find_free] walks the gap sequence in address
+   order but prunes every branch whose aggregates show it cannot contain
+   an answer — a subtree is entered only when its widest gap (including
+   the gap to its in-order predecessor/successor, which the walk threads
+   through the recursion) is at least [size] and its span reaches the
+   query window.
    The first gap that qualifies terminates the walk, so a query costs
    O(log n) descent plus O(log n) per oversized-but-unusable gap it must
-   step over (misaligned gaps for the strided variant, the single gap
-   containing the window edge otherwise).
-
-   The tree is persistent (path copying): [copy] is O(1) and snapshots
-   never alias mutations, which is what lets [Layout] keep its
-   create-time base occupancy beside the live one for free. *)
+   step over (misaligned gaps at a stride above 1, the single gap
+   containing the window edge otherwise). *)
 
 type tree =
   | E
@@ -38,7 +35,6 @@ type tree =
 type t = { mutable root : tree }
 
 let create () = { root = E }
-let copy t = { root = t.root }
 let height = function E -> 0 | N nd -> nd.h
 let count_tree = function E -> 0 | N nd -> nd.n
 
@@ -165,60 +161,20 @@ exception Found of int
 let gap_after pred_hi next_lo =
   if pred_hi = min_int || next_lo = max_int then max_int else next_lo - pred_hi
 
-(* The forward queries walk gaps [g, next_lo) left to right, testing each
-   for the first usable start; the walk raises [Found] on a hit and
-   [Exit] once every later gap is past the window, and prunes a branch
-   when its widest gap (threading the in-order predecessor through
-   [pred_hi]) is under [size] or its span ends below the window. The
-   walkers are deliberately first-order direct recursions — explicit
-   arguments instead of a shared higher-order skeleton — because these
-   run millions of times per rewrite and per-call closure construction
-   and indirect [qualify] calls are measurable there. *)
+(* The query walks gaps [g, next_lo) left to right, testing each for
+   the first usable start; the walk raises [Found] on a hit and [Exit]
+   once every later gap is past the window, and prunes a branch when its
+   widest gap (threading the in-order predecessor through [pred_hi]) is
+   under [size] or its span ends below the window. The walker is
+   deliberately a first-order direct recursion — explicit arguments
+   instead of a higher-order skeleton — because it runs millions of
+   times per rewrite and per-call closure construction and indirect
+   calls are measurable there. *)
 
-(* [ff_gap g next_lo]: first-fit test of one gap for [find_free]. *)
-let ff_gap g next_lo ~size ~lo ~hi =
-  let s = if g > lo then g else lo in
-  if s > hi then raise Exit;
-  if (next_lo = max_int || next_lo - size >= s) && gap_after g next_lo >= size
-  then raise (Found s)
-
-let rec ff_go tree pred_hi ~size ~lo ~hi =
-  match tree with
-  | E -> ()
-  | N { l; lo = ilo; hi = ihi; r; _ } ->
-      (match l with
-      | E -> ff_gap pred_hi ilo ~size ~lo ~hi
-      | N nl ->
-          if
-            nl.max_hi >= lo
-            && (nl.max_gap >= size || gap_after pred_hi nl.min_lo >= size)
-          then ff_go l pred_hi ~size ~lo ~hi;
-          ff_gap nl.max_hi ilo ~size ~lo ~hi);
-      (match r with
-      | E -> ()
-      | N nr ->
-          if
-            nr.max_hi >= lo
-            && (nr.max_gap >= size || gap_after ihi nr.min_lo >= size)
-          then ff_go r ihi ~size ~lo ~hi)
-
-let find_free t ~size ~lo ~hi =
-  if size <= 0 || hi < lo then None
-  else
-    try
-      (match t.root with
-      | E -> ff_gap min_int max_int ~size ~lo ~hi
-      | N nd ->
-          ff_go t.root min_int ~size ~lo ~hi;
-          ff_gap nd.max_hi max_int ~size ~lo ~hi);
-      None
-    with
-    | Found s -> Some s
-    | Exit -> None
-
-(* [fs_gap]: lowest start in [g, next_lo) that is >= lo and ≡ lo
-   (mod stride), for [find_free_strided]. *)
-let fs_gap g next_lo ~size ~lo ~hi ~stride =
+(* [gap g next_lo]: lowest start in [g, next_lo) that is >= lo and
+   ≡ lo (mod stride). Stride 1 takes the mask path, where the rounding
+   is the identity. *)
+let gap g next_lo ~size ~lo ~hi ~stride =
   let s0 = if g > lo then g else lo in
   (* Joint-pun strides are powers of two; round by mask there, the
      integer division costs more than the rest of the gap test. *)
@@ -231,36 +187,36 @@ let fs_gap g next_lo ~size ~lo ~hi ~stride =
   if (next_lo = max_int || next_lo - size >= s) && gap_after g next_lo >= size
   then raise (Found s)
 
-let rec fs_go tree pred_hi ~size ~lo ~hi ~stride =
+let rec walk tree pred_hi ~size ~lo ~hi ~stride =
   match tree with
   | E -> ()
   | N { l; lo = ilo; hi = ihi; r; _ } ->
       (match l with
-      | E -> fs_gap pred_hi ilo ~size ~lo ~hi ~stride
+      | E -> gap pred_hi ilo ~size ~lo ~hi ~stride
       | N nl ->
           if
             nl.max_hi >= lo
             && (nl.max_gap >= size || gap_after pred_hi nl.min_lo >= size)
-          then fs_go l pred_hi ~size ~lo ~hi ~stride;
-          fs_gap nl.max_hi ilo ~size ~lo ~hi ~stride);
+          then walk l pred_hi ~size ~lo ~hi ~stride;
+          gap nl.max_hi ilo ~size ~lo ~hi ~stride);
       (match r with
       | E -> ()
       | N nr ->
           if
             nr.max_hi >= lo
             && (nr.max_gap >= size || gap_after ihi nr.min_lo >= size)
-          then fs_go r ihi ~size ~lo ~hi ~stride)
+          then walk r ihi ~size ~lo ~hi ~stride)
 
-let find_free_strided t ~size ~lo ~hi ~stride =
-  if stride < 1 then invalid_arg "Iset.find_free_strided";
+let find_free t ~size ~lo ~hi ~stride =
+  if stride < 1 then invalid_arg "Iset.find_free";
   if size <= 0 || hi < lo then None
   else
     try
       (match t.root with
-      | E -> fs_gap min_int max_int ~size ~lo ~hi ~stride
+      | E -> gap min_int max_int ~size ~lo ~hi ~stride
       | N nd ->
-          fs_go t.root min_int ~size ~lo ~hi ~stride;
-          fs_gap nd.max_hi max_int ~size ~lo ~hi ~stride);
+          walk t.root min_int ~size ~lo ~hi ~stride;
+          gap nd.max_hi max_int ~size ~lo ~hi ~stride);
       None
     with
     | Found s -> Some s

@@ -20,7 +20,7 @@ let cursor_classes = 64
 type denial = Dead_window | Conflict
 
 type t = {
-  base : Iset.t;  (* create-time occupancy, never mutated afterwards *)
+  base : Iset.t;  (* create-time occupancy alone *)
   occupied : Iset.t;
   mutable trampoline_bytes : int;  (* bytes claimed *)
   cursors : int array;
@@ -38,15 +38,21 @@ let stack_home = 0x7fff_f000_0000
 let stack_span = 1 lsl 28
 
 let create ?(reserve_below_base = false) ?(block_size = 4096) (elf : Elf_file.t) =
-  let occupied = Iset.create () in
+  let base = Iset.create () and occupied = Iset.create () in
+  (* Every create-time interval goes into both sets; only [occupied]
+     grows afterwards. *)
+  let add ~lo ~hi =
+    Iset.add base ~lo ~hi;
+    Iset.add occupied ~lo ~hi
+  in
   let floor_b x = x / block_size * block_size in
   let ceil_b x = (x + block_size - 1) / block_size * block_size in
   (* Negative displacements below the image and the NULL guard, out to a
      whole block: a trampoline's block is mapped whole. *)
-  Iset.add occupied ~lo:(-0x1_0000_0000_0000) ~hi:(ceil_b low_guard);
-  Iset.add occupied ~lo:canonical_limit ~hi:(canonical_limit * 2);
-  Iset.add occupied ~lo:heap_home ~hi:(heap_home + heap_span);
-  Iset.add occupied ~lo:stack_home ~hi:(stack_home + stack_span);
+  add ~lo:(-0x1_0000_0000_0000) ~hi:(ceil_b low_guard);
+  add ~lo:canonical_limit ~hi:(canonical_limit * 2);
+  add ~lo:heap_home ~hi:(heap_home + heap_span);
+  add ~lo:stack_home ~hi:(stack_home + stack_span);
   let min_base =
     List.fold_left
       (fun acc (s : Elf_file.segment) ->
@@ -54,16 +60,14 @@ let create ?(reserve_below_base = false) ?(block_size = 4096) (elf : Elf_file.t)
       max_int elf.segments
   in
   if reserve_below_base && min_base < max_int then
-    Iset.add occupied ~lo:(-0x1_0000_0000_0000) ~hi:(floor_b min_base);
+    add ~lo:(-0x1_0000_0000_0000) ~hi:(floor_b min_base);
   List.iter
     (fun (s : Elf_file.segment) ->
       match s.ptype with
-      | Load ->
-          Iset.add occupied ~lo:(floor_b s.vaddr)
-            ~hi:(ceil_b (s.vaddr + s.memsz))
+      | Load -> add ~lo:(floor_b s.vaddr) ~hi:(ceil_b (s.vaddr + s.memsz))
       | Note | Other _ -> ())
     elf.segments;
-  { base = Iset.copy occupied;
+  { base;
     occupied;
     trampoline_bytes = 0;
     cursors = Array.make cursor_classes min_int;
@@ -76,16 +80,17 @@ let cursor_misses t = t.cursor_misses
 (* Failure classification (see {!denial}) runs only on the failure
    path: one extra O(log n) query against the base occupancy. *)
 let classify t ~size ~lo ~hi =
-  if Iset.find_free t.base ~size ~lo ~hi = None then Dead_window else Conflict
+  if Iset.find_free t.base ~size ~lo ~hi ~stride:1 = None then Dead_window
+  else Conflict
 
 (* First fit in [lo, hi] as if [t_lo, t_hi) were occupied too. A fit
    that overlaps the taken range can only be followed by one past its
    end: every start between the two would overlap it as well. The empty
    range [min_int, min_int) overlaps nothing. *)
 let find_beside set ~t_lo ~t_hi ~size ~lo ~hi =
-  match Iset.find_free set ~size ~lo ~hi with
+  match Iset.find_free set ~size ~lo ~hi ~stride:1 with
   | Some a when a < t_hi && t_lo < a + size ->
-      Iset.find_free set ~size ~lo:t_hi ~hi
+      Iset.find_free set ~size ~lo:t_hi ~hi ~stride:1
   | found -> found
 
 let span_class ~lo ~hi =
@@ -141,17 +146,13 @@ let probe_beside t ~taken:(addr, tsize) ~size ~lo ~hi =
   find_beside t.occupied ~t_lo:addr ~t_hi:(addr + tsize) ~size ~lo ~hi
 
 let probe_strided t ~size ~lo ~hi ~stride =
-  Iset.find_free_strided t.occupied ~size ~lo ~hi ~stride
+  Iset.find_free t.occupied ~size ~lo ~hi ~stride
 
 let reserve t ~addr ~size = Iset.add t.occupied ~lo:addr ~hi:(addr + size)
 
 let trampoline_bytes t = t.trampoline_bytes
 
-type occupancy = {
-  occupied_intervals : int;
-  trampoline_extents : int;
-  trampoline_bytes : int;
-}
+type occupancy = { occupied_intervals : int; trampoline_extents : int }
 
 (* Trampolines never overlap (and are never empty: a size-0 query finds
    no room), so their extents are the emitted ones sorted by address,
@@ -166,8 +167,4 @@ let occupancy t ~trampolines =
       (fun (prev_hi, n) (lo, hi) -> (hi, if lo = prev_hi then n else n + 1))
       (min_int, 0) extents
   in
-  {
-    occupied_intervals = Iset.count t.occupied;
-    trampoline_extents = runs;
-    trampoline_bytes = t.trampoline_bytes;
-  }
+  { occupied_intervals = Iset.count t.occupied; trampoline_extents = runs }

@@ -61,6 +61,7 @@ val probe_beside :
 (** [probe_strided t ~size ~lo ~hi ~stride] finds a free range whose start
     is congruent to [lo] modulo [stride] — the query shape of T3's
     J_patch, whose low displacement bytes J_victim pins to a residue.
+    At [~stride:1] it is {!probe}'s search without a reason for a miss.
     Reserves nothing, and like {!probe_beside} classifies no miss. *)
 val probe_strided :
   t -> size:int -> lo:int -> hi:int -> stride:int -> int option
@@ -93,17 +94,14 @@ val claim : t -> addr:int -> size:int -> unit
 val reserve : t -> addr:int -> size:int -> unit
 
 (** [trampoline_bytes t] is the total size of the trampolines claimed
-    ({!alloc}, {!alloc_beside}, {!claim}): a counter, O(1). *)
+    ({!alloc}, {!alloc_beside}, {!claim}): a counter, O(1), and the one
+    count of trampoline bytes a rewrite reports. *)
 val trampoline_bytes : t -> int
 
 (** Point-in-time allocator gauges for the observability layer:
     [occupied_intervals] counts disjoint occupied ranges (fragmentation),
     [trampoline_extents] the disjoint allocated trampoline ranges. *)
-type occupancy = {
-  occupied_intervals : int;
-  trampoline_extents : int;
-  trampoline_bytes : int;
-}
+type occupancy = { occupied_intervals : int; trampoline_extents : int }
 
 (** [occupancy t ~trampolines] reads the gauges after a search.
     [trampolines] is the emitted [(address, code)] list

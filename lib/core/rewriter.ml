@@ -161,7 +161,7 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
     E9_obs.Obs.gauge obs ~name:"layout.trampoline_extents"
       ~value:occ.Layout.trampoline_extents;
     E9_obs.Obs.gauge obs ~name:"layout.trampoline_bytes"
-      ~value:occ.Layout.trampoline_bytes;
+      ~value:(Layout.trampoline_bytes layout);
     E9_obs.Obs.gauge obs ~name:"text.locked_bytes"
       ~value:(Lock.locked_count (Tactics.locks ctx));
     (* Next-fit allocator cursor effectiveness. *)
@@ -252,8 +252,7 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
     stats;
     input_size;
     output_size;
-    trampoline_bytes =
-      List.fold_left (fun acc (_, b) -> acc + Bytes.length b) 0 tramps;
+    trampoline_bytes = Layout.trampoline_bytes layout;
     virtual_blocks = grouped.Pagegroup.virtual_blocks;
     physical_blocks = grouped.Pagegroup.physical_blocks;
     mappings = List.length grouped.Pagegroup.mappings;

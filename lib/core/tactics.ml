@@ -507,8 +507,9 @@ let t3_position ctx pl ev j ~budget =
        fault occurrences, so a fault schedule fires on the same queries
        either way. *)
     if
-      Result.is_error
-        (Layout.probe ctx.layout ~size:pl.size ~lo:jp_lo ~hi:jp_hi)
+      Layout.probe_strided ctx.layout ~size:pl.size ~lo:jp_lo ~hi:jp_hi
+        ~stride:1
+      = None
     then begin
       if not (Fault.is_none ctx.fault) then
         for _ = 1 to tries do

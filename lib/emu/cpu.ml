@@ -4,18 +4,12 @@ module Reg = E9_x86.Reg
 module Decode = E9_x86.Decode
 module Itbl = E9_bits.Itbl
 
-type config = {
-  far_jump_penalty : int;
-  trap_penalty : int;
-  fuel : int;
-  abort_on_violation : bool;
-}
+let far_jump_penalty = 3
+let trap_penalty = 3000
 
-let default_config =
-  { far_jump_penalty = 3;
-    trap_penalty = 3000;
-    fuel = 200_000_000;
-    abort_on_violation = true }
+type config = { fuel : int; abort_on_violation : bool }
+
+let default_config = { fuel = 200_000_000; abort_on_violation = true }
 
 type allocator = {
   name : string;
@@ -77,7 +71,6 @@ type state = {
   mutable o_f : bool;
   mutable pf : bool;
   mutable insns : int;
-  mutable cycles : int;
   mutable far_jumps : int;
   mutable trap_count : int;
   mutable violations : int;
@@ -383,10 +376,7 @@ let modify ~next_rip ~here ~what sz report dst (f : state -> int -> int) :
 (* ------------------------------------------------------------------ *)
 
 let goto st ~from target =
-  if target lsr 12 <> from lsr 12 then begin
-    st.cycles <- st.cycles + st.cfg.far_jump_penalty;
-    st.far_jumps <- st.far_jumps + 1
-  end;
+  if target lsr 12 <> from lsr 12 then st.far_jumps <- st.far_jumps + 1;
   st.rip <- target
 
 (* A transfer to a constant target: whether it crosses a page is known
@@ -732,7 +722,6 @@ let lower st ~here ~next_rip ~report (insn : Insn.t) : state -> unit =
       | Some trampoline ->
           let jump = goto_const ~from:here trampoline in
           fun st ->
-            st.cycles <- st.cycles + st.cfg.trap_penalty;
             st.trap_count <- st.trap_count + 1;
             jump st
       | None -> fun _ -> fault_at here "int3 with no trap-table entry")
@@ -952,13 +941,9 @@ let[@inline] fold_digest st =
   end;
   st.digest land max_int
 
-let uncount st k =
-  st.insns <- st.insns - k;
-  st.cycles <- st.cycles - k
-
 (* Run the first [n] ops of [b] (all of them, or one when the fuel
    left is short of the block), with RIP already at each op's next
-   instruction when it runs. The retire counts are added once, up
+   instruction when it runs. The instruction count is added once, up
    front, and the ops that did not run are taken off again when a
    fault, an exit or a self-modifying store ends the block early. The
    generation is checked only after an op that can store or remap: a
@@ -968,7 +953,6 @@ let uncount st k =
    says whether all [n] ran. *)
 let exec_block st b n =
   st.insns <- st.insns + n;
-  st.cycles <- st.cycles + n;
   st.dirty <- st.dirty lor b.head;
   let ops = b.ops in
   let i = ref 0 in
@@ -987,14 +971,14 @@ let exec_block st b n =
       incr i;
       if op.stores && Space.generation st.space <> st.cache_gen then begin
         check_code_gen st;
-        uncount st (n - !i);
+        st.insns <- st.insns - (n - !i);
         i := n + 1 (* abandon the rest of the block *)
       end
     done
   with
   | () -> !i = n
   | exception e ->
-      uncount st (n - !i - 1);
+      st.insns <- st.insns - (n - !i - 1);
       raise e
 
 let run ?(config = default_config) ?(files = []) ?tracer space ~entry
@@ -1011,7 +995,6 @@ let run ?(config = default_config) ?(files = []) ?tracer space ~entry
       o_f = false;
       pf = false;
       insns = 0;
-      cycles = 0;
       far_jumps = 0;
       trap_count = 0;
       violations = 0;
@@ -1063,7 +1046,9 @@ let run ?(config = default_config) ?(files = []) ?tracer space ~entry
   { outcome;
     output = Buffer.contents st.output;
     insns = st.insns;
-    cycles = st.cycles;
+    cycles =
+      st.insns + (far_jump_penalty * st.far_jumps)
+      + (trap_penalty * st.trap_count);
     far_jumps = st.far_jumps;
     traps = st.trap_count;
     violations = st.violations;

@@ -5,11 +5,14 @@
 
     - every instruction costs 1 cycle;
     - a control transfer whose target lies in a different 4 KiB page costs
-      an extra [far_jump_penalty] cycles (an I-cache/BTB locality proxy —
+      an extra {!far_jump_penalty} cycles (an I-cache/BTB locality proxy —
       this is what makes trampoline round-trips cost what they cost on real
       hardware);
-    - a B0 [int3] trap costs [trap_penalty] cycles (kernel/user context
+    - a B0 [int3] trap costs {!trap_penalty} cycles (kernel/user context
       switch plus signal dispatch).
+
+    So a run's [cycles] is derived, not counted: [insns +
+    far_jump_penalty * far_jumps + trap_penalty * traps].
 
     Arithmetic is performed on OCaml's 63-bit native integers; guest
     programs must keep 64-bit values below 2^62, which the synthetic
@@ -23,7 +26,7 @@
     lowering is the one definition of every instruction's semantics;
     blocks are cached by entry address in an int-keyed table and replayed
     as a tight array loop with one fuel check and one count of
-    instructions and cycles per block (a block too long for the remaining
+    instructions per block (a block too long for the remaining
     fuel runs its first lowered instruction alone; a block cut short by a
     fault, an exit or a self-modifying store takes back the instructions
     it did not run). A block remembers the blocks that last followed it,
@@ -35,9 +38,13 @@
     generation is not followed, so self-modifying code executes correctly
     (DESIGN.md §7). *)
 
+(** Extra cycles of a control transfer that crosses a 4 KiB page. *)
+val far_jump_penalty : int
+
+(** Cycles of a B0 [int3] trap. *)
+val trap_penalty : int
+
 type config = {
-  far_jump_penalty : int;
-  trap_penalty : int;
   fuel : int;  (** maximum instructions before giving up *)
   abort_on_violation : bool;
       (** stop at the first LowFat redzone violation (hardening mode) *)
@@ -67,7 +74,9 @@ type result = {
   outcome : outcome;
   output : string;  (** concatenation of all [write] syscalls *)
   insns : int;  (** instructions executed *)
-  cycles : int;  (** modeled cycles *)
+  cycles : int;
+      (** modeled cycles: [insns + far_jump_penalty * far_jumps +
+          trap_penalty * traps] *)
   far_jumps : int;  (** control transfers that crossed a page *)
   traps : int;  (** B0 int3 traps taken *)
   violations : int;  (** redzone violations observed *)

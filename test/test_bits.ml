@@ -100,21 +100,13 @@ let test_iset_find_free () =
   Iset.add s ~lo:0 ~hi:10;
   Iset.add s ~lo:14 ~hi:30;
   Alcotest.(check (option int)) "gap of 4" (Some 10)
-    (Iset.find_free s ~size:4 ~lo:0 ~hi:100);
+    (Iset.find_free s ~size:4 ~lo:0 ~hi:100 ~stride:1);
   Alcotest.(check (option int)) "gap of 5 skips small gap" (Some 30)
-    (Iset.find_free s ~size:5 ~lo:0 ~hi:100);
+    (Iset.find_free s ~size:5 ~lo:0 ~hi:100 ~stride:1);
   Alcotest.(check (option int)) "window excludes" None
-    (Iset.find_free s ~size:5 ~lo:0 ~hi:25);
+    (Iset.find_free s ~size:5 ~lo:0 ~hi:25 ~stride:1);
   Alcotest.(check (option int)) "empty window" None
-    (Iset.find_free s ~size:1 ~lo:50 ~hi:40)
-
-let test_iset_copy_independent () =
-  let s = Iset.create () in
-  Iset.add s ~lo:0 ~hi:10;
-  let c = Iset.copy s in
-  Iset.add c ~lo:100 ~hi:110;
-  check_int "original untouched" 10 (Iset.occupied s);
-  check_int "copy extended" 20 (Iset.occupied c)
+    (Iset.find_free s ~size:1 ~lo:50 ~hi:40 ~stride:1)
 
 (* Property: find_free agrees with a naive boolean-array model, including
    returning the lowest viable start. *)
@@ -152,7 +144,7 @@ let prop_iset_matches_model =
          with Exit -> ());
         !result
       in
-      Iset.find_free s ~size ~lo ~hi = naive ())
+      Iset.find_free s ~size ~lo ~hi ~stride:1 = naive ())
 
 (* A fragmented occupancy from disjoint adds alone: runs of [len]
    bytes laid out left to right from 0 with gaps of at least one byte,
@@ -218,19 +210,7 @@ let model_free model s size =
   done;
   !ok
 
-let model_find_free model ~size ~lo ~hi =
-  let result = ref None in
-  (try
-     for s = lo to hi do
-       if model_free model s size then begin
-         result := Some s;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !result
-
-let model_find_free_strided model ~size ~lo ~hi ~stride =
+let model_find_free model ~size ~lo ~hi ~stride =
   let result = ref None in
   (try
      let s = ref lo in
@@ -246,12 +226,13 @@ let model_find_free_strided model ~size ~lo ~hi ~stride =
 
 (* Property: on a fragmented set plus random adds the augmented tree
    agrees with the naive model on every query the allocator issues —
-   point membership, window freeness and both find_free variants —
-   for arbitrary windows, sizes and strides (the gap-descent structure is
-   cross-checked against brute force, not trusted). *)
+   point membership, window freeness and find_free at stride 1 (first
+   fit) and at a random stride — for arbitrary windows and sizes (the
+   gap-descent structure is cross-checked against brute force, not
+   trusted). *)
 let prop_iset_queries_match_model =
   QCheck.Test.make
-    ~name:"Iset queries agree with naive model (all find_free variants)"
+    ~name:"Iset queries agree with naive model (first fit and strided)"
     ~count:600
     QCheck.(
       triple gen_runs
@@ -265,26 +246,25 @@ let prop_iset_queries_match_model =
         Iset.is_free s ~lo ~hi
         = (hi <= lo || model_free model lo (hi - lo))
       in
-      (* size = 0 must yield None from every variant, like the old scan. *)
-      let zero_agrees =
-        Iset.find_free s ~size:0 ~lo ~hi = None
-        && Iset.find_free_strided s ~size:0 ~lo ~hi ~stride = None
-      in
       size = 0
-      || (free_agrees && zero_agrees
-         && Iset.find_free s ~size ~lo ~hi = model_find_free model ~size ~lo ~hi
-         && Iset.find_free_strided s ~size ~lo ~hi ~stride
-            = model_find_free_strided model ~size ~lo ~hi ~stride))
+      || free_agrees
+         && List.for_all
+              (fun stride ->
+                (* size = 0 finds nothing, like the old scan. *)
+                Iset.find_free s ~size:0 ~lo ~hi ~stride = None
+                && Iset.find_free s ~size ~lo ~hi ~stride
+                   = model_find_free model ~size ~lo ~hi ~stride)
+              [ 1; stride ])
 
 (* Property: the T3 window pre-check is sound. When no start in
-   [lo, hi] fits [size] bytes, no strided start in [lo + w, hi] does
-   either, whatever the offset [w] and the stride — every such start is
-   one of the plain query's candidates. Checked on the naive model and
-   on the tree, over dense random occupancy so the plain query often
-   fails. *)
+   [lo, hi] fits [size] bytes at stride 1, no start in [lo + w, hi]
+   does at any stride, whatever the offset [w] — every such start is
+   one of the stride-1 query's candidates. Checked on the naive model
+   and on the tree, over dense random occupancy so the stride-1 query
+   often fails. *)
 let prop_strided_precheck_sound =
   QCheck.Test.make
-    ~name:"find_free = None implies every find_free_strided inside is None"
+    ~name:"find_free = None implies None at every stride inside"
     ~count:400
     QCheck.(
       pair
@@ -303,17 +283,15 @@ let prop_strided_precheck_sound =
           Iset.add s ~lo:olo ~hi:(olo + len);
           Array.fill model olo len true)
         adds;
-      let plain = model_find_free model ~size ~lo ~hi in
-      Iset.find_free s ~size ~lo ~hi = plain
+      let plain = model_find_free model ~size ~lo ~hi ~stride:1 in
+      Iset.find_free s ~size ~lo ~hi ~stride:1 = plain
       && (plain <> None
          || List.for_all
               (fun w ->
                 List.for_all
                   (fun stride ->
-                    model_find_free_strided model ~size ~lo:(lo + w) ~hi ~stride
-                    = None
-                    && Iset.find_free_strided s ~size ~lo:(lo + w) ~hi ~stride
-                       = None)
+                    model_find_free model ~size ~lo:(lo + w) ~hi ~stride = None
+                    && Iset.find_free s ~size ~lo:(lo + w) ~hi ~stride = None)
                   (List.init (span + 1) (fun k -> k + 1)))
               (List.init (span + 1) Fun.id)))
 
@@ -326,7 +304,7 @@ let prop_strided_precheck_sound =
    nothing earlier). *)
 let prop_iset_strided_non_pow2 =
   QCheck.Test.make
-    ~name:"find_free_strided honors congruence/minimality at non-pow2 strides"
+    ~name:"find_free honors congruence/minimality at non-pow2 strides"
     ~count:500
     QCheck.(
       triple gen_runs
@@ -336,13 +314,13 @@ let prop_iset_strided_non_pow2 =
       let stride = [| 3; 5; 6; 7; 9; 11; 13; 24 |].(abs k mod 8) in
       let size = max 1 size in
       let s, model = build_fragmented ~size:440 runs adds in
-      match Iset.find_free_strided s ~size ~lo ~hi ~stride with
-      | None -> model_find_free_strided model ~size ~lo ~hi ~stride = None
+      match Iset.find_free s ~size ~lo ~hi ~stride with
+      | None -> model_find_free model ~size ~lo ~hi ~stride = None
       | Some r ->
           r >= lo && r <= hi
           && (r - lo) mod stride = 0
           && model_free model r size
-          && model_find_free_strided model ~size ~lo ~hi ~stride = Some r)
+          && model_find_free model ~size ~lo ~hi ~stride = Some r)
 
 (* Deterministic stride corners the property may not hit often enough:
    a stride wider than the window (only candidate is [lo]), and a blocker
@@ -352,19 +330,19 @@ let test_iset_stride_corners () =
   Iset.add s ~lo:10 ~hi:20;
   Alcotest.(check (option int))
     "stride > hi-lo, lo free" (Some 0)
-    (Iset.find_free_strided s ~size:4 ~lo:0 ~hi:5 ~stride:100);
+    (Iset.find_free s ~size:4 ~lo:0 ~hi:5 ~stride:100);
   Alcotest.(check (option int))
     "stride > hi-lo, lo blocked" None
-    (Iset.find_free_strided s ~size:4 ~lo:12 ~hi:15 ~stride:100);
+    (Iset.find_free s ~size:4 ~lo:12 ~hi:15 ~stride:100);
   Alcotest.(check (option int))
     "blocker ends at hi: only start left is hi itself" (Some 20)
-    (Iset.find_free_strided s ~size:4 ~lo:10 ~hi:20 ~stride:5);
+    (Iset.find_free s ~size:4 ~lo:10 ~hi:20 ~stride:5);
   Alcotest.(check (option int))
     "blocker covering hi leaves nothing" None
-    (Iset.find_free s ~size:1 ~lo:10 ~hi:19);
+    (Iset.find_free s ~size:1 ~lo:10 ~hi:19 ~stride:1);
   Alcotest.check_raises "stride < 1 rejected"
-    (Invalid_argument "Iset.find_free_strided") (fun () ->
-      ignore (Iset.find_free_strided s ~size:1 ~lo:0 ~hi:10 ~stride:0))
+    (Invalid_argument "Iset.find_free") (fun () ->
+      ignore (Iset.find_free s ~size:1 ~lo:0 ~hi:10 ~stride:0))
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
@@ -561,7 +539,6 @@ let suites =
         Alcotest.test_case "add merges overlap" `Quick test_iset_add_overlap;
         Alcotest.test_case "mem" `Quick test_iset_mem;
         Alcotest.test_case "find_free" `Quick test_iset_find_free;
-        Alcotest.test_case "copy independent" `Quick test_iset_copy_independent;
         Alcotest.test_case "stride corners" `Quick test_iset_stride_corners;
         QCheck_alcotest.to_alcotest prop_iset_matches_model;
         QCheck_alcotest.to_alcotest prop_iset_op_sequence_model;

@@ -569,6 +569,82 @@ let prop_layout_query_then_claim =
       && Layout.cursor_hits layout = m.hits
       && Layout.cursor_misses layout = m.misses)
 
+(* Property: [probe] reads [Dead_window] exactly when a set built from
+   the create-time intervals alone has no fit. Random load and note
+   segments (notes occupy nothing), with and without the below-base
+   reserve, then random claims and reserves, so that windows the base
+   leaves open can also be denied as a [Conflict]. The create-time set
+   is a boolean model of the block-rounded load segments and the
+   reserve below the lowest one; the guards lie far from the region. *)
+let prop_layout_dead_window_is_base_only =
+  let origin = 0x500000 and n = 640 and block = 16 in
+  QCheck.Test.make ~name:"Dead_window iff the create-time set has no fit"
+    ~count:300
+    QCheck.(
+      quad bool
+        (small_list (triple (int_bound 480) (int_range 1 40) bool))
+        (small_list (triple bool (int_bound 560) (int_range 1 24)))
+        (small_list (triple (int_range 1 24) (int_bound 560) (int_bound 48))))
+    (fun (below_base, segs, claims, windows) ->
+      (* QCheck's int_range shrinker can escape its bounds; clamp. *)
+      let clamp hi x = max 1 (min hi (abs x)) in
+      let elf = Elf_file.create ~etype:Elf_file.Exec ~entry:origin in
+      let base = Array.make n false in
+      let mark lo hi = Array.fill base lo (hi - lo) true in
+      List.iter
+        (fun (off, len, load) ->
+          let off = abs off and len = clamp 40 len in
+          ignore
+            (Elf_file.add_segment elf
+               { Elf_file.ptype =
+                   (if load then Elf_file.Load else Elf_file.Note);
+                 prot = Elf_file.prot_r;
+                 vaddr = origin + off;
+                 offset = 0;
+                 filesz = 0;
+                 memsz = len;
+                 align = block }
+               ~content:Bytes.empty);
+          if load then
+            mark (off / block * block)
+              ((off + len + block - 1) / block * block))
+        segs;
+      (match List.filter (fun (_, _, load) -> load) segs with
+      | (off, _, _) :: _ as loads when below_base ->
+          let low =
+            List.fold_left (fun m (o, _, _) -> min m (abs o)) (abs off) loads
+          in
+          mark 0 (low / block * block)
+      | _ -> ());
+      let layout =
+        Layout.create ~reserve_below_base:below_base ~block_size:block elf
+      in
+      List.iter
+        (fun (claim, off, size) ->
+          let addr = origin + abs off and size = clamp 24 size in
+          if claim then
+            ignore (Layout.alloc layout ~size ~lo:addr ~hi:(addr + 32))
+          else Layout.reserve layout ~addr ~size)
+        claims;
+      let base_fits ~size ~lo ~hi =
+        List.exists
+          (fun s ->
+            List.for_all
+              (fun i -> i >= n || not base.(i))
+              (List.init size (( + ) s)))
+          (List.init (hi - lo + 1) (( + ) lo))
+      in
+      List.for_all
+        (fun (size, off, span) ->
+          let size = clamp 24 size and lo = abs off in
+          let hi = lo + abs span in
+          let denied_dead =
+            Layout.probe layout ~size ~lo:(origin + lo) ~hi:(origin + hi)
+            = Error Layout.Dead_window
+          in
+          denied_dead = not (base_fits ~size ~lo ~hi))
+        windows)
+
 (* ------------------------------------------------------------------ *)
 (* Tactics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1412,7 +1488,8 @@ let suites =
         Alcotest.test_case "strided probe" `Quick test_layout_strided_probe;
         Alcotest.test_case "block rounding" `Quick test_layout_block_rounding;
         Alcotest.test_case "next-fit cursor" `Quick test_layout_next_fit_cursor;
-        QCheck_alcotest.to_alcotest prop_layout_query_then_claim ]
+        QCheck_alcotest.to_alcotest prop_layout_query_then_claim;
+        QCheck_alcotest.to_alcotest prop_layout_dead_window_is_base_only ]
     );
     ( "core.tactics",
       [ Alcotest.test_case "T2 reason from its own queries" `Quick

@@ -702,7 +702,7 @@ let test_int3_trap_redirect () =
   check_exit 99 r;
   Alcotest.(check int) "one trap taken" 1 r.Cpu.traps;
   Alcotest.(check bool) "traps are expensive" true
-    (r.Cpu.cycles > Cpu.default_config.Cpu.trap_penalty)
+    (r.Cpu.cycles > Cpu.trap_penalty)
 
 (* ------------------------------------------------------------------ *)
 (* Cost model                                                          *)

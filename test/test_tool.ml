@@ -400,6 +400,50 @@ let test_spec_key_stability () =
   check_bool "call mode reaches the key" true
     (Spec.fragment_key v1 <> Spec.fragment_key v2)
 
+(* One count of trampoline bytes: a rewrite's [trampoline_bytes] is the
+   total length of the trampolines its tactic pass emits. The pass is
+   run again here, as [Rewriter.run] runs it, over the same rewrite
+   input, and its [Tactics.trampolines] summed. *)
+let test_trampoline_bytes_counted_once () =
+  let elf = Lazy.force elf in
+  List.iter
+    (fun p ->
+      let rules = [ Tool.rule_of ~m:"jumps" ~p () ] in
+      let r = Tool.run elf rules in
+      let select, template = Tool.lower r.Tool.runtime rules in
+      let input = Elf_file.copy r.Tool.runtime.Tool.augmented in
+      let options = Rewriter.default_options in
+      let index, selected =
+        Frontend.index_fold input ~init:[] (fun acc site ->
+            if select site then site :: acc else acc)
+      in
+      let text = Frontend.index_text index in
+      let ctx =
+        E9_core.Tactics.create_ctx
+          ~text:
+            (Buf.of_bytes
+               (Buf.sub input.Elf_file.data ~pos:text.Frontend.offset
+                  ~len:text.Frontend.size))
+          ~text_base:text.Frontend.base
+          ~layout:
+            (E9_core.Layout.create
+               ~reserve_below_base:options.Rewriter.reserve_below_base
+               ~block_size:(options.Rewriter.granularity * 4096) input)
+          ~index ~options:options.Rewriter.tactics ()
+      in
+      List.iter
+        (fun site -> ignore (E9_core.Tactics.patch ctx site (template site)))
+        selected;
+      let emitted =
+        List.fold_left
+          (fun acc (_, code) -> acc + Bytes.length code)
+          0 (E9_core.Tactics.trampolines ctx)
+      in
+      check_bool (p ^ ": trampolines emitted") true (emitted > 0);
+      check_int (p ^ ": trampoline bytes") emitted
+        r.Tool.rewrite.Rewriter.trampoline_bytes)
+    [ "empty"; "count"; "print"; "call:clean record(addr,size,3)" ]
+
 let suites =
   [ ( "tool.parse",
       [ Alcotest.test_case "patch builtins" `Quick test_parse_patch_builtins;
@@ -429,7 +473,9 @@ let suites =
         Alcotest.test_case "runtime out of reach fails per site" `Quick
           test_runtime_out_of_reach;
         Alcotest.test_case "runtime injected only when a rule uses it" `Quick
-          test_runtime_only_when_used ] );
+          test_runtime_only_when_used;
+        Alcotest.test_case "trampoline bytes counted once" `Quick
+          test_trampoline_bytes_counted_once ] );
     ( "tool.fragment",
       [ Alcotest.test_case "spec key stability" `Quick test_spec_key_stability ]
     ) ]
