@@ -14,14 +14,16 @@ let ensure b n =
     b.data <- data
   end
 
-let of_bytes s =
-  let b = create (Bytes.length s) in
-  ensure b (Bytes.length s);
-  Bytes.blit s 0 b.data 0 (Bytes.length s);
-  b.len <- Bytes.length s;
+(* A fresh buffer holding a copy of [s[0, len)], in one allocation. *)
+let of_prefix s len =
+  let b = create len in
+  Bytes.blit s 0 b.data 0 len;
+  b.len <- len;
   b
 
+let of_bytes s = of_prefix s (Bytes.length s)
 let of_string s = of_bytes (Bytes.of_string s)
+let copy b = of_prefix b.data b.len
 let contents b = Bytes.sub b.data 0 b.len
 
 let check b pos len =
@@ -34,6 +36,14 @@ let sub b ~pos ~len =
   Bytes.sub b.data pos len
 
 let raw b = b.data
+
+let borrow b ~pos ~len =
+  check b pos len;
+  b.data
+
+let truncate b n =
+  check b 0 n;
+  b.len <- n
 
 let blit_in b ~pos s =
   check b pos (Bytes.length s);

@@ -19,6 +19,9 @@ val of_bytes : bytes -> t
 (** [of_string s] copies [s] into a fresh buffer. *)
 val of_string : string -> t
 
+(** [copy b] is a fresh buffer holding a copy of [b]'s valid bytes. *)
+val copy : t -> t
+
 (** [contents b] is a copy of the valid bytes of [b]. *)
 val contents : t -> bytes
 
@@ -29,6 +32,14 @@ val sub : t -> pos:int -> len:int -> bytes
     use by zero-copy consumers (the loader, the static verifier); do not
     mutate. *)
 val raw : t -> bytes
+
+(** [borrow b ~pos ~len] is [raw b] once the range is checked as {!sub}
+    checks it: the range read where it lies. Do not mutate. *)
+val borrow : t -> pos:int -> len:int -> bytes
+
+(** [truncate b n] drops the bytes from [n] on ([n <= length b]); the
+    storage is kept, and later appends overwrite it. *)
+val truncate : t -> int -> unit
 
 (** [blit_in b ~pos s] overwrites bytes of [b] at [pos] with [s]. *)
 val blit_in : t -> pos:int -> bytes -> unit

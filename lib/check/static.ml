@@ -357,22 +357,18 @@ let verify ?holes ?index ~original rewritten =
       in_text a && (no_holes || Bytes.get data (a - base) = '\000')
     in
     (* ---- text diff ----------------------------------------------- *)
-    let before =
-      Buf.sub original.Elf_file.data ~pos:otext.Frontend.offset
-        ~len:otext.Frontend.size
-    in
-    let after =
-      Buf.sub rewritten.Elf_file.data ~pos:otext.Frontend.offset
-        ~len:otext.Frontend.size
-    in
+    (* Both texts read where they lie, at [t_lo] (the sweep checked the
+       original's range; the rewritten image is no shorter). *)
+    let at a = t_lo + a - base in
+    let ochar a = Bytes.get obytes (at a)
+    and rchar a = Bytes.get rbytes (at a) in
     let changed = ref [] in
-    for i = otext.Frontend.size - 1 downto 0 do
-      if Bytes.get before i <> Bytes.get after i then
-        changed := (base + i) :: !changed
+    for a = text_hi - 1 downto base do
+      if ochar a <> rchar a then changed := a :: !changed
     done;
     let changed = !changed in
-    let rbyte a = Char.code (Bytes.get after (a - base)) in
-    let decode_after a = Decode.decode after (a - base) in
+    let rbyte a = Char.code (rchar a) in
+    let decode_after a = Decode.decode ~limit:t_hi rbytes (at a) in
     (* Decode the rewritten bytes at [s]: a valid diversion jump is a
        (possibly pad-prefixed) [jmp rel32] whose target lands inside a
        trampoline mapping — the strong disambiguator that rules out stray
@@ -488,7 +484,7 @@ let verify ?holes ?index ~original rewritten =
                   "unaccounted changed byte 0x%02x (original 0x%02x); no \
                    diversion explains it"
                   (rbyte a)
-                  (Char.code (Bytes.get before (a - base)))
+                  (Char.code (ochar a))
           end)
       changed;
     (* A short jump's target must itself be a registered diversion, even in
@@ -512,9 +508,7 @@ let verify ?holes ?index ~original rewritten =
        whether a start is registered), so each round scans only the jumps
        the previous one added, newest first: the same jumps are found in
        the same order as rescanning the whole list each round. *)
-    let changed_at a =
-      Bytes.get before (a - base) <> Bytes.get after (a - base)
-    in
+    let changed_at a = ochar a <> rchar a in
     let any_changed lo len =
       let any = ref false in
       for i = lo to min (lo + len - 1) (text_hi - 1) do

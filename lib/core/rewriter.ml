@@ -1,4 +1,3 @@
-module Buf = E9_bits.Buf
 module Fault = E9_fault.Fault
 
 type loader_mode = Table | Stub
@@ -99,18 +98,19 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
   (* Strategy S1: patch from highest to lowest address so that puns only
      ever depend on bytes that are already final. Consing the selected
      sites in ascending order yields that order. Only they are kept past
-     the sweep; of every other instruction the index keeps the length. *)
+     the sweep; of every other instruction the index keeps the length.
+     The sweep reads the input, which is never patched (the index borrows
+     its bytes); the tactics patch the output in place. *)
   let pick acc site = if select site then site :: acc else acc in
   let index, selected =
     E9_obs.Obs.span obs "decode" (fun () ->
         match frontend with
-        | None -> Frontend.index_fold ~holes ~fault output ~init:[] pick
+        | None -> Frontend.index_fold ~holes ~fault input ~init:[] pick
         | Some f ->
-            let index = f output in
+            let index = f input in
             (index, Frontend.sites index ~init:[] pick))
   in
   let text = Frontend.index_text index in
-  let base = text.Frontend.base in
   let layout =
     Layout.create ~reserve_below_base:options.reserve_below_base
       ~block_size:(options.granularity * 4096) output
@@ -120,9 +120,6 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
      appended after all tactics ran. *)
   if options.loader = Stub then
     Layout.reserve layout ~addr:Loader_stub.home ~size:Loader_stub.home_span;
-  let text_buf =
-    Buf.of_bytes (Buf.sub output.Elf_file.data ~pos:text.Frontend.offset ~len:text.Frontend.size)
-  in
   let stats = Stats.create () in
   let patched = ref [] in
   let ctx, setup_s =
@@ -133,7 +130,8 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
           error "injected fault: search raised mid-run";
         let t0 = Unix.gettimeofday () in
         let ctx =
-          Tactics.create_ctx ~obs ~fault ~text:text_buf ~text_base:base
+          Tactics.create_ctx ~obs ~fault ~text:output.Elf_file.data
+            ~text_base:(text.Frontend.base - text.Frontend.offset)
             ~layout ~index ~options:options.tactics ()
         in
         (* Immutable byte ranges (the data holes, reserved ranges):
@@ -176,8 +174,6 @@ let run ?(options = default_options) ?(obs = E9_obs.Obs.null)
           E9_obs.Obs.fault obs ~site:(Fault.site_name s) ~fires:n)
       Fault.sites
   end;
-  (* Blit the patched text back — strictly in place. *)
-  Buf.blit_in output.Elf_file.data ~pos:text.Frontend.offset (Buf.contents text_buf);
   (* Physical page grouping over the emitted trampolines, then append. *)
   let grouped =
     E9_obs.Obs.span obs "layout" (fun () ->

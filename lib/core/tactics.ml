@@ -23,7 +23,7 @@ let t3_budget = 8192
 
 type ctx = {
   text : Buf.t;
-  text_base : int;
+  text_base : int;  (* the address of [text]'s byte 0 *)
   layout : Layout.t;
   index : Frontend.index;
       (* The original text's instruction lengths: T2's successor and T3's
@@ -55,12 +55,13 @@ let create_ctx ?(obs = Obs.null) ?(fault = Fault.none) ~text ~text_base
           (Array.to_list sites)
     | None, None -> invalid_arg "Tactics.create_ctx: no index and no sites"
   in
+  let { Frontend.base; size; _ } = Frontend.index_text index in
   { text;
     text_base;
     layout;
     index;
-    locks = Lock.create ~base:text_base ~len:(Buf.length text);
-    dead = Lock.create ~base:text_base ~len:(Buf.length text);
+    locks = Lock.create ~base ~len:size;
+    dead = Lock.create ~base ~len:size;
     trampolines = [];
     traps = [];
     opts = options;
@@ -113,7 +114,8 @@ let probe_unfaulted ctx query =
 (* ------------------------------------------------------------------ *)
 
 let in_text ctx addr =
-  addr >= ctx.text_base && addr < ctx.text_base + Buf.length ctx.text
+  let { Frontend.base; size; _ } = Frontend.index_text ctx.index in
+  addr >= base && addr < base + size
 
 let byte ctx addr = Buf.get_u8 ctx.text (addr - ctx.text_base)
 let set_byte ctx addr v = Buf.set_u8 ctx.text (addr - ctx.text_base) v

@@ -24,15 +24,17 @@ val default_options : options
 (** The rewriting context shared by all tactics over one binary. *)
 type ctx
 
-(** [create_ctx ~text ~text_base ~layout ~index ~options] — [text] is a
-    mutable copy of the text section (mutated in place as patches land);
-    [index] is the original text's {!Frontend.index}: T2's successor and
+(** [create_ctx ~text ~text_base ~layout ~index ~options] — [text] is
+    the buffer being patched (in place, as patches land) and [text_base]
+    the address of its byte 0: the output image's data, or a copy of the
+    text alone. [index] is the original text's {!Frontend.index}, which
+    must not read [text], and its text is the one patched. T2's successor and
     T3's victims are the starts it records, decoded from the original
     bytes when a tactic reads them ({!Frontend.decode_at}). Its lengths
     must therefore match the decoder's; a neighbour whose length does
     not raises {!Frontend.Error} from {!patch}, naming its address.
     [sites], the full disassembly, may be given instead of [index]: the
-    index is then built from it over [text] as it is at the call
+    index is then built from it over a copy of [text] as it is at the call
     ([index] wins when both are given; [Invalid_argument] without
     either). [obs]
     (default {!E9_obs.Obs.null}) receives one [Attempt] record per tactic

@@ -77,7 +77,7 @@ let add_section t ~name ~addr ~sh_type ~sh_flags ~content =
 
 let find_section t name = List.find_opt (fun s -> s.name = name) t.sections
 
-(* Independent clone: one content blit, no serialize/re-parse round trip.
+(* Independent clone: one content copy, no serialize/re-parse round trip.
    Segments and sections are immutable records, so sharing the list spines
    is safe; only the lists themselves and the data buffer are fresh. *)
 let copy t =
@@ -85,7 +85,7 @@ let copy t =
     entry = t.entry;
     segments = t.segments;
     sections = t.sections;
-    data = Buf.of_bytes (Buf.contents t.data) }
+    data = Buf.copy t.data }
 
 let section_bytes t s = Buf.sub t.data ~pos:s.offset ~len:s.size
 
@@ -102,18 +102,41 @@ let prot_of_flags f = { x = f land 1 <> 0; w = f land 2 <> 0; r = f land 4 <> 0 
 let ptype_code = function Load -> 1 | Note -> 4 | Other n -> n
 let ptype_of_code = function 1 -> Load | 4 -> Note | n -> Other n
 
-(* Size [to_bytes t] would have, without materializing it: content, then
-   .shstrtab, padding to 8, then the section header table (null + sections
-   + shstrtab). Must mirror the layout arithmetic of [to_bytes] exactly. *)
-let serialized_size t =
-  let shstrtab_len =
-    List.fold_left
-      (fun acc s -> acc + String.length s.name + 1)
-      (1 + String.length ".shstrtab" + 1)
-      t.sections
+(* What [to_bytes t] writes after the content: the section name table
+   ([.shstrtab]: each header's name), padding to 8, then the section
+   header table at [shoff]: [headers], each with its name's offset in the
+   table (the null header, the sections, the name table's own). *)
+type layout = {
+  shstrtab : Buffer.t;
+  headers : (section * int) list;
+  shoff : int;
+  file_size : int;
+}
+
+let layout t =
+  let shstrtab = Buffer.create 64 in
+  let add name =
+    let idx = Buffer.length shstrtab in
+    Buffer.add_string shstrtab name;
+    Buffer.add_char shstrtab '\000';
+    idx
   in
-  let shoff = (Buf.length t.data + shstrtab_len + 7) / 8 * 8 in
-  shoff + ((List.length t.sections + 2) * shent_size)
+  let null =
+    { name = ""; sh_type = 0; sh_flags = 0; addr = 0; offset = 0; size = 0 }
+  in
+  let named = List.map (fun s -> (s, add s.name)) (null :: t.sections) in
+  let own_name = add ".shstrtab" in
+  let own =
+    { null with
+      name = ".shstrtab"; sh_type = 3; offset = Buf.length t.data;
+      size = Buffer.length shstrtab }
+  in
+  let headers = named @ [ (own, own_name) ] in
+  let shoff = (own.offset + own.size + 7) / 8 * 8 in
+  { shstrtab; headers; shoff;
+    file_size = shoff + (List.length headers * shent_size) }
+
+let serialized_size t = (layout t).file_size
 
 (* The first file offset past the ELF header that holds content: a
    section's bytes, or a segment's that does not start inside the ELF
@@ -136,7 +159,15 @@ let phdr_overlap t ~phnum =
   let start = content_start t in
   if ehdr_size + (phnum * phent_size) > start then Some start else None
 
-let to_bytes t =
+let set16 img i v = Bytes.set_uint16_le img i (v land 0xffff)
+let set32 img i v = Bytes.set_int32_le img i (Int32.of_int v)
+let set64 img i v = Bytes.set_int64_le img i (Int64.of_int v)
+
+(* The image [t]'s content in a buffer of [size] bytes (zeros past the
+   content), headed by the ELF header, which places [shnum] section
+   headers at [shoff], and the program headers. Raises [Failure] instead
+   of writing program headers over content. *)
+let headed t ~size ~shoff ~shnum =
   let phnum = List.length t.segments in
   (match phdr_overlap t ~phnum with
   | Some off ->
@@ -146,108 +177,67 @@ let to_bytes t =
             offset 0x%x"
            phnum off)
   | None -> ());
-  (* Work on a copy so serialization is repeatable. *)
-  let img = Buf.of_bytes (Buf.contents t.data) in
-  (* Section header string table. *)
-  let shstrtab = Buffer.create 64 in
-  Buffer.add_char shstrtab '\000';
-  let strtab_index name =
-    let idx = Buffer.length shstrtab in
-    Buffer.add_string shstrtab name;
-    Buffer.add_char shstrtab '\000';
-    idx
-  in
-  let sec_names = List.map (fun s -> (s, strtab_index s.name)) t.sections in
-  let shstrtab_name_idx = strtab_index ".shstrtab" in
-  let shstrtab_off = Buf.add_bytes img (Buffer.to_bytes shstrtab) in
-  (* Section header table: null + sections + shstrtab. *)
-  Buf.pad_to img ((Buf.length img + 7) / 8 * 8);
-  let shoff = Buf.length img in
-  let shnum = List.length t.sections + 2 in
-  let emit_shdr ~name_idx ~sh_type ~sh_flags ~addr ~offset ~size =
-    ignore (Buf.add_u32 img name_idx);
-    ignore (Buf.add_u32 img sh_type);
-    ignore (Buf.add_u64 img (Int64.of_int sh_flags));
-    ignore (Buf.add_u64 img (Int64.of_int addr));
-    ignore (Buf.add_u64 img (Int64.of_int offset));
-    ignore (Buf.add_u64 img (Int64.of_int size));
-    ignore (Buf.add_u32 img 0);
-    (* sh_link *)
-    ignore (Buf.add_u32 img 0);
-    (* sh_info *)
-    ignore (Buf.add_u64 img 1L);
-    (* sh_addralign *)
-    ignore (Buf.add_u64 img 0L)
-    (* sh_entsize *)
-  in
-  emit_shdr ~name_idx:0 ~sh_type:0 ~sh_flags:0 ~addr:0 ~offset:0 ~size:0;
-  List.iter
-    (fun (s, name_idx) ->
-      emit_shdr ~name_idx ~sh_type:s.sh_type ~sh_flags:s.sh_flags ~addr:s.addr
-        ~offset:s.offset ~size:s.size)
-    sec_names;
-  emit_shdr ~name_idx:shstrtab_name_idx ~sh_type:3 ~sh_flags:0 ~addr:0
-    ~offset:shstrtab_off
-    ~size:(Buffer.length shstrtab);
-  (* ELF header. *)
-  Buf.set_u32 img 0 0x464c457f;
-  (* \x7fELF *)
-  Buf.set_u8 img 4 2;
-  (* ELFCLASS64 *)
-  Buf.set_u8 img 5 1;
-  (* little endian *)
-  Buf.set_u8 img 6 1;
-  (* EV_CURRENT *)
-  Buf.set_u16 img 16 (match t.etype with Exec -> 2 | Dyn -> 3);
-  Buf.set_u16 img 18 62;
+  let img = Bytes.make size '\000' in
+  Bytes.blit (Buf.raw t.data) 0 img 0 (Buf.length t.data);
+  Bytes.blit_string "\x7fELF\002\001\001" 0 img 0 7;
+  (* ELFCLASS64, little endian, EV_CURRENT *)
+  set16 img 16 (match t.etype with Exec -> 2 | Dyn -> 3);
+  set16 img 18 62;
   (* EM_X86_64 *)
-  Buf.set_u32 img 20 1;
-  Buf.set_u64 img 24 (Int64.of_int t.entry);
-  Buf.set_u64 img 32 (Int64.of_int ehdr_size);
+  set32 img 20 1;
+  set64 img 24 t.entry;
+  set64 img 32 ehdr_size;
   (* e_phoff *)
-  Buf.set_u64 img 40 (Int64.of_int shoff);
-  Buf.set_u32 img 48 0;
+  set64 img 40 shoff;
+  set32 img 48 0;
   (* e_flags *)
-  Buf.set_u16 img 52 ehdr_size;
-  Buf.set_u16 img 54 phent_size;
-  Buf.set_u16 img 56 phnum;
-  Buf.set_u16 img 58 shent_size;
-  Buf.set_u16 img 60 shnum;
-  Buf.set_u16 img 62 (shnum - 1);
-  (* e_shstrndx *)
-  (* Program headers. *)
+  set16 img 52 ehdr_size;
+  set16 img 54 phent_size;
+  set16 img 56 phnum;
+  set16 img 58 (if shnum = 0 then 0 else shent_size);
+  set16 img 60 shnum;
+  set16 img 62 (max 0 (shnum - 1));
+  (* e_shstrndx: the name table's header is the last *)
   List.iteri
     (fun i seg ->
       let base = ehdr_size + (i * phent_size) in
-      Buf.set_u32 img base (ptype_code seg.ptype);
-      Buf.set_u32 img (base + 4) (prot_flags seg.prot);
-      Buf.set_u64 img (base + 8) (Int64.of_int seg.offset);
-      Buf.set_u64 img (base + 16) (Int64.of_int seg.vaddr);
-      Buf.set_u64 img (base + 24) (Int64.of_int seg.vaddr);
+      set32 img base (ptype_code seg.ptype);
+      set32 img (base + 4) (prot_flags seg.prot);
+      set64 img (base + 8) seg.offset;
+      set64 img (base + 16) seg.vaddr;
+      set64 img (base + 24) seg.vaddr;
       (* p_paddr *)
-      Buf.set_u64 img (base + 32) (Int64.of_int seg.filesz);
-      Buf.set_u64 img (base + 40) (Int64.of_int seg.memsz);
-      Buf.set_u64 img (base + 48) (Int64.of_int seg.align))
+      set64 img (base + 32) seg.filesz;
+      set64 img (base + 40) seg.memsz;
+      set64 img (base + 48) seg.align)
     t.segments;
-  Buf.contents img
+  img
 
-(* Serialize without a section header table: keep the header + program
-   headers + content that [to_bytes] lays out, cut the generated string
-   table and section headers off the tail, and zero the header fields
-   pointing at them. The result is what a fully stripped toolchain leaves
-   behind — parsing it back exercises the program-header fallback. *)
+let to_bytes t =
+  let l = layout t in
+  let img =
+    headed t ~size:l.file_size ~shoff:l.shoff ~shnum:(List.length l.headers)
+  in
+  Buffer.blit l.shstrtab 0 img (Buf.length t.data) (Buffer.length l.shstrtab);
+  List.iteri
+    (fun i (s, name) ->
+      let at = l.shoff + (i * shent_size) in
+      set32 img at name;
+      set32 img (at + 4) s.sh_type;
+      set64 img (at + 8) s.sh_flags;
+      set64 img (at + 16) s.addr;
+      set64 img (at + 24) s.offset;
+      set64 img (at + 32) s.size;
+      (* sh_link, sh_info: 0; sh_addralign: 1; sh_entsize: 0 *)
+      set64 img (at + 48) 1)
+    l.headers;
+  img
+
+(* What a fully stripped toolchain leaves behind: [to_bytes] without the
+   section header table; parsing it back exercises the program-header
+   fallback. *)
 let to_bytes_stripped t =
-  let full = to_bytes t in
-  let img = Buf.of_bytes (Bytes.sub full 0 (Buf.length t.data)) in
-  Buf.set_u64 img 40 0L;
-  (* e_shoff *)
-  Buf.set_u16 img 58 0;
-  (* e_shentsize *)
-  Buf.set_u16 img 60 0;
-  (* e_shnum *)
-  Buf.set_u16 img 62 0;
-  (* e_shstrndx *)
-  Buf.contents img
+  headed t ~size:(Buf.length t.data) ~shoff:0 ~shnum:0
 
 exception Malformed of string
 
@@ -403,8 +393,8 @@ let of_bytes bytes =
         st.offset
     | _ -> content_len
   in
-  let data = Buf.of_bytes (Buf.sub img ~pos:0 ~len:content_len) in
-  { etype; entry; segments; sections; data }
+  Buf.truncate img content_len;
+  { etype; entry; segments; sections; data = img }
 
 exception Io_error of string
 

@@ -77,13 +77,12 @@ val add_section :
 val find_section : t -> string -> section option
 
 (** [copy t] is an independent clone of [t]: edits to either file image do
-    not affect the other. One content blit — much cheaper than the
-    [of_bytes (to_bytes t)] round trip (no header re-emission or
-    re-parse). *)
+    not affect the other. Its one allocation is the new image's storage,
+    a copy of the content (no header re-emission or re-parse). *)
 val copy : t -> t
 
-(** [serialized_size t] is [Bytes.length (to_bytes t)] without
-    materializing the serialization. *)
+(** [serialized_size t] is [Bytes.length (to_bytes t)], read from the
+    layout {!to_bytes} itself writes, without materializing it. *)
 val serialized_size : t -> int
 
 (** [section_bytes t s] copies a section's content out of the image. *)
@@ -102,10 +101,11 @@ val segment_at : t -> int -> segment option
 val phdr_overlap : t -> phnum:int -> int option
 
 (** [to_bytes t] serializes: ELF header, program headers, section headers
-    (with a generated [.shstrtab]) and all content. The layout places
-    headers in a leading header block and never moves content: raises
-    [Failure] instead of writing program headers over content (see
-    {!phdr_overlap}). *)
+    (with a generated [.shstrtab]) and all content, into one buffer of
+    {!serialized_size} bytes, its only allocation of that size. The
+    layout places headers in a leading header block and never moves
+    content: raises [Failure] instead of writing program headers over
+    content (see {!phdr_overlap}). *)
 val to_bytes : t -> bytes
 
 (** [to_bytes_stripped t] serializes like {!to_bytes} but without a
@@ -129,6 +129,7 @@ exception Malformed of string
     padding after it (the layout {!to_bytes} emits), where that table
     starts: both are regenerated on serialization, so [of_bytes (to_bytes
     t)] keeps [t]'s content length and round trips reach a fixed point.
+    The image is [b] copied once (and [b] is not kept).
     Raises {!Malformed} on anything that is not a structurally valid
     little-endian ELF64 file. *)
 val of_bytes : bytes -> t

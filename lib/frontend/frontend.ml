@@ -40,14 +40,20 @@ let leading_hole elf addr =
 (* ------------------------------------------------------------------ *)
 
 (* One length byte per text byte (0: no instruction starts there), the
-   original bytes, from which any instruction is decoded again, and the
-   sorted holes of a full linear sweep ([None] if cut or foreign). *)
+   storage holding the original bytes at [itext.offset] (the swept
+   image's, borrowed), from which any instruction is decoded again, and
+   the sorted holes of a full linear sweep ([None] if cut or foreign). *)
 type index = {
   itext : text;
   lens : Bytes.t;
   code : Bytes.t;
   swept : (int * int) list option;
 }
+
+(* The instruction at text offset [i], decoded as from a copy of the
+   text alone: no byte past its end is read. *)
+let decode_in text code i =
+  Decode.decode ~limit:(text.offset + text.size) code (text.offset + i)
 
 let sorted_holes holes =
   List.filter (fun (_, l) -> l > 0) holes
@@ -76,7 +82,7 @@ let index_fold ?(holes = []) ?(fault = Fault.none) elf ~init f =
   match find_text elf with
   | None -> no_text ()
   | Some text ->
-      let code = Buf.sub elf.Elf_file.data ~pos:text.offset ~len:text.size in
+      let code = Buf.borrow elf.Elf_file.data ~pos:text.offset ~len:text.size in
       let lens = Bytes.make text.size '\000' in
       (* An injected decode failure is a sweep that stops early, at the
          first instruction whose text offset reaches the cut: a strict
@@ -100,7 +106,7 @@ let index_fold ?(holes = []) ?(fault = Fault.none) elf ~init f =
             (false, acc)
           end
           else
-            let d = Decode.decode code p in
+            let d = decode_in text code p in
             Bytes.set lens p (Char.chr d.Decode.len);
             go (p + d.Decode.len)
               (f acc
@@ -119,6 +125,9 @@ let disassemble ?holes ?fault elf =
   (idx.itext, List.rev rev)
 
 let index_of_sites text code sites =
+  if text.offset < 0 || text.offset + text.size > Bytes.length code then
+    error "Frontend: the code bytes end before the text [0x%x, 0x%x)"
+      text.base (text.base + text.size);
   let lens = Bytes.make text.size '\000' in
   List.iter
     (fun s ->
@@ -142,7 +151,7 @@ let length_at idx addr =
 let decode_at idx addr =
   let len = length_at idx addr in
   if len = 0 then error "Frontend: no instruction starts at 0x%x" addr;
-  let d = Decode.decode idx.code (addr - idx.itext.base) in
+  let d = decode_in idx.itext idx.code (addr - idx.itext.base) in
   if d.Decode.len <> len then
     error
       "Frontend: the instruction at 0x%x decodes to %d bytes, the frontend \
@@ -158,7 +167,7 @@ let sites idx ~init f =
         acc :=
           f !acc
             { addr = idx.itext.base + i; len = Char.code c;
-              insn = (Decode.decode idx.code i).Decode.insn })
+              insn = (decode_in idx.itext idx.code i).Decode.insn })
     idx.lens;
   !acc
 
@@ -171,8 +180,15 @@ let linear_sweep ?holes ?index:idx elf =
       let refuse why = invalid_arg ("Frontend.linear_sweep: " ^ why) in
       let t = idx.itext in
       if find_text elf <> Some t then refuse "the index covers another text";
-      if not (Bytes.equal idx.code (Buf.sub elf.Elf_file.data ~pos:t.offset ~len:t.size))
-      then refuse "the index holds other code bytes";
+      (* The index swept this very image, or one with equal text. *)
+      let code = Buf.borrow elf.Elf_file.data ~pos:t.offset ~len:t.size in
+      let rec same i =
+        i = t.offset + t.size
+        || Bytes.unsafe_get code i = Bytes.unsafe_get idx.code i
+           && same (i + 1)
+      in
+      if not (code == idx.code || same t.offset) then
+        refuse "the index holds other code bytes";
       (match (idx.swept, holes) with
       | None, _ -> refuse "the index is not a full linear sweep"
       | Some swept, Some holes when sorted_holes holes <> swept ->
@@ -186,7 +202,7 @@ let disassemble_recursive elf =
   match find_text elf with
   | None -> no_text ()
   | Some text ->
-      let bytes = Buf.sub elf.Elf_file.data ~pos:text.offset ~len:text.size in
+      let code = Buf.borrow elf.Elf_file.data ~pos:text.offset ~len:text.size in
       let seen = Hashtbl.create 4096 in
       let work = Queue.create () in
       let push addr =
@@ -203,7 +219,7 @@ let disassemble_recursive elf =
       let sites = ref [] in
       while not (Queue.is_empty work) do
         let addr = Queue.pop work in
-        let d = Decode.decode bytes (addr - text.base) in
+        let d = decode_in text code (addr - text.base) in
         sites := { addr; len = d.Decode.len; insn = d.Decode.insn } :: !sites;
         let next = addr + d.Decode.len in
         (match Classify.branch_rel d.Decode.insn with
@@ -217,4 +233,4 @@ let disassemble_recursive elf =
             ()
         | _ -> push next
       done;
-      index_of_sites text bytes !sites
+      index_of_sites text code !sites

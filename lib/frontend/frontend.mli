@@ -46,17 +46,20 @@ val leading_hole : Elf_file.t -> int -> int * int
 (** {1 The text index}
 
     What the rewriter and the oracles keep of a sweep: one length byte
-    per text byte (0 where no instruction starts) and the original
-    bytes, about two bytes per text byte in all, instead of one decoded
-    {!site} per instruction. An instruction is decoded again, from the
-    original bytes, only when it is read ({!decode_at}, {!sites}). *)
+    per text byte (0 where no instruction starts) instead of one decoded
+    {!site} per instruction, and the swept image's own bytes, borrowed,
+    not copied. An instruction is decoded again where it lies, never
+    past the text's end, only when it is read ({!decode_at}, {!sites}),
+    so the swept image must not be patched while its index is in use:
+    the rewriter sweeps its input and patches a copy. *)
 
 type index
 
 (** [index_fold ?holes ?fault elf ~init f] is the serial linear sweep of
     the text: [f] sees every instruction in address order, starting from
-    [init], and the returned index records every instruction's length.
-    [f] is the only place a {!site} can outlive the sweep.
+    [init], and the returned index, which borrows [elf]'s bytes, records
+    every instruction's length. [f] is the only place a {!site} can
+    outlive the sweep.
 
     [holes] (default none) are the [(addr, len)] extents of data inside
     the text: a leading constant pool ({!leading_hole}), mid-function
@@ -87,11 +90,12 @@ val disassemble :
   Elf_file.t -> text * site list
 
 (** [index_of_sites text code sites] is the index of another frontend's
-    [sites] over [text], whose original bytes are [code] (kept by the
-    index, so the caller must not mutate them). Raises {!Error} on a
-    site outside the text or with a length outside [1, 255]. The lengths
-    are not checked against the decoder here: {!decode_at} checks each
-    one it reads. *)
+    [sites] over [text], whose original bytes [code] holds from
+    [text.offset] on ([E9_bits.Buf.raw] of the image's data). The index
+    keeps [code], so the caller must not mutate it. Raises {!Error} when
+    [code] ends before the text, on a site outside the text or with a
+    length outside [1, 255]. The lengths are not checked against the
+    decoder here: {!decode_at} checks each one it reads. *)
 val index_of_sites : text -> Bytes.t -> site list -> index
 
 (** The text the index covers. *)
@@ -120,9 +124,9 @@ val sites : index -> init:'a -> ('a -> site -> 'a) -> 'a
 (** [linear_sweep ?holes ?index elf] is the linear sweep of [elf]'s text
     an oracle reads, with its holes: [index ?holes elf], or [index]
     itself when it is exactly that sweep — its text is [find_text elf]
-    with the same bytes, it is a full linear sweep ({!swept_holes}), and
-    under [holes] when given. Raises [Invalid_argument] when [index] is
-    not that sweep, {!Error} if the text cannot be found. *)
+    with the same bytes (the very bytes it borrows, or equal ones), it
+    is a full linear sweep ({!swept_holes}), and under [holes] when
+    given. Raises [Invalid_argument] when [index] is not that sweep, {!Error} if the text cannot be found. *)
 val linear_sweep :
   ?holes:(int * int) list -> ?index:index -> Elf_file.t ->
   index * (int * int) list

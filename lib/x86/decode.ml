@@ -2,13 +2,14 @@ type decoded = { insn : Insn.t; len : int; prefixes : int list }
 
 exception Truncated
 
-(* A cursor over the byte source. Reads past the end raise [Truncated],
-   which the toplevel decoder converts into a one-byte [Unknown]. *)
-type cursor = { get : int -> int; limit : int; start : int; mutable pos : int }
+(* A cursor over the bytes, whose [limit] is at most their length. Reads
+   at or past the limit raise [Truncated], which the toplevel decoder
+   converts into a one-byte [Unknown]. *)
+type cursor = { bytes : Bytes.t; limit : int; start : int; mutable pos : int }
 
 let byte c =
   if c.pos >= c.limit then raise Truncated;
-  let v = c.get c.pos in
+  let v = Char.code (Bytes.unsafe_get c.bytes c.pos) in
   c.pos <- c.pos + 1;
   v
 
@@ -260,7 +261,7 @@ let decode_cursor c =
     let continue = ref true in
     while !continue do
       if c.pos >= c.limit then raise Truncated;
-      let b = c.get c.pos in
+      let b = Char.code (Bytes.unsafe_get c.bytes c.pos) in
       if is_legacy_prefix b then begin
         prefixes := b :: !prefixes;
         rex := 0;
@@ -286,11 +287,11 @@ let decode_cursor c =
     match insn with
     | Insn.Unknown _ when prefixes <> [] ->
         c.pos <- start + 1;
-        { insn = Insn.Unknown (c.get start); len = 1; prefixes = [] }
+        { insn = Insn.Unknown (Char.code (Bytes.get c.bytes start)); len = 1; prefixes = [] }
     | _ -> { insn; len = c.pos - start; prefixes }
   with Truncated ->
     c.pos <- start + 1;
-    { insn = Insn.Unknown (c.get start); len = 1; prefixes = [] }
+    { insn = Insn.Unknown (Char.code (Bytes.get c.bytes start)); len = 1; prefixes = [] }
 
 let decode ?limit bytes pos =
   let limit =
@@ -299,29 +300,4 @@ let decode ?limit bytes pos =
     | Some l -> min l (Bytes.length bytes)
   in
   if pos < 0 || pos >= limit then invalid_arg "Decode.decode";
-  decode_cursor
-    { get = (fun i -> Char.code (Bytes.get bytes i)); limit; start = pos; pos }
-
-let decode_string s pos =
-  if pos < 0 || pos >= String.length s then invalid_arg "Decode.decode_string";
-  decode_cursor
-    { get = (fun i -> Char.code (String.get s i));
-      limit = String.length s;
-      start = pos;
-      pos }
-
-let linear bytes ~pos ~len =
-  let stop = pos + len in
-  let rec go acc p =
-    if p >= stop then List.rev acc
-    else
-      let d =
-        decode_cursor
-          { get = (fun i -> Char.code (Bytes.get bytes i));
-            limit = stop;
-            start = p;
-            pos = p }
-      in
-      go ((p, d) :: acc) (p + d.len)
-  in
-  go [] pos
+  decode_cursor { bytes; limit; start = pos; pos }

@@ -19,11 +19,3 @@ type decoded = {
     below the limit; an instruction the limit truncates decodes as
     [Unknown]. *)
 val decode : ?limit:int -> Bytes.t -> int -> decoded
-
-(** [decode_string s pos] is [decode] on a string. *)
-val decode_string : string -> int -> decoded
-
-(** [linear bytes ~pos ~len] decodes [bytes[pos, pos+len)] linearly,
-    returning [(offset, decoded)] pairs. This is the paper's "basic wrapper
-    frontend that applies linear disassembly". *)
-val linear : Bytes.t -> pos:int -> len:int -> (int * decoded) list

@@ -110,10 +110,13 @@ let test_stub_decodes_cleanly () =
     Bytes.sub stub.Loader_stub.content code_off
       (Bytes.length stub.Loader_stub.content - code_off - 8)
   in
-  let insns =
-    Decode.linear code ~pos:0 ~len:(Bytes.length code)
-    |> List.map (fun (_, d) -> d.Decode.insn)
+  let rec linear p =
+    if p >= Bytes.length code then []
+    else
+      let d = Decode.decode code p in
+      d.Decode.insn :: linear (p + d.Decode.len)
   in
+  let insns = linear 0 in
   check_bool "no undecodable bytes" true
     (List.for_all (function Insn.Unknown _ -> false | _ -> true) insns);
   check_int "three syscalls" 3

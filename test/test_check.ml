@@ -736,10 +736,7 @@ let test_foreign_index_refused () =
   both "cut by a decode fault" cut;
   let _, sites = Frontend.disassemble ~holes elf in
   both "built from sites"
-    (Frontend.index_of_sites text
-       (E9_bits.Buf.sub elf.Elf_file.data ~pos:text.Frontend.offset
-          ~len:text.Frontend.size)
-       sites)
+    (Frontend.index_of_sites text (E9_bits.Buf.raw elf.Elf_file.data) sites)
 
 (* With the rewrite's own index both oracles return what they return
    after sweeping the original themselves, and the trace filter's

@@ -892,8 +892,13 @@ let prop_group_matches_naive =
 (* ------------------------------------------------------------------ *)
 
 let decode_all bytes =
-  E9_x86.Decode.linear bytes ~pos:0 ~len:(Bytes.length bytes)
-  |> List.map (fun (_, d) -> d.E9_x86.Decode.insn)
+  let rec go p =
+    if p >= Bytes.length bytes then []
+    else
+      let d = E9_x86.Decode.decode bytes p in
+      d.E9_x86.Decode.insn :: go (p + d.E9_x86.Decode.len)
+  in
+  go 0
 
 let test_trampoline_empty_plain () =
   (* A displaced register mov: [mov; jmp back]. *)
@@ -1437,10 +1442,7 @@ let test_rewrite_frontend_length_mismatch () =
   (* The foreign frontend's index, as an outside disassembler hands it
      over: its locations and sizes over the original bytes. *)
   let frontend sites _ =
-    Frontend.index_of_sites text
-      (E9_bits.Buf.sub elf.Elf_file.data ~pos:text.Frontend.offset
-         ~len:text.Frontend.size)
-      sites
+    Frontend.index_of_sites text (E9_bits.Buf.raw elf.Elf_file.data) sites
   in
   Alcotest.check_raises "typed error at the successor"
     (Rewriter.Error
@@ -1461,6 +1463,48 @@ let test_rewrite_frontend_length_mismatch () =
           ~template:(fun _ -> Trampoline.Empty))
          .Rewriter.stats
     > 0)
+
+(* The rewrite sweeps its input and patches a copy: the input's bytes
+   are untouched, and the index it returns, which borrows the input's
+   storage, still decodes the original instruction at every site the
+   tactics overwrote in the output. With B1/B2/T1 off, every site is
+   placed by T2 or T3, which also overwrite a neighbour. *)
+let test_rewrite_keeps_input_and_index () =
+  let elf = Codegen.generate (profile ~seed:73L ()) in
+  let serialized = Elf_file.to_bytes elf in
+  let options =
+    { Rewriter.default_options with
+      Rewriter.tactics =
+        { Tactics.default_options with
+          Tactics.enable_base = false; enable_t1 = false } }
+  in
+  let r =
+    Rewriter.run ~options elf ~select:Frontend.select_jumps
+      ~template:(fun _ -> Trampoline.Empty)
+  in
+  let st = r.Rewriter.stats in
+  check_bool "T2 and T3 both place sites" true
+    (st.Stats.t2 > 0 && st.Stats.t3 > 0);
+  check_bool "the input serializes to the same bytes" true
+    (Bytes.equal serialized (Elf_file.to_bytes elf));
+  let text = Option.get (Frontend.find_text elf) in
+  let input =
+    Buf.sub elf.Elf_file.data ~pos:text.Frontend.offset ~len:text.Frontend.size
+  and output =
+    Buf.sub r.Rewriter.output.Elf_file.data ~pos:text.Frontend.offset
+      ~len:text.Frontend.size
+  in
+  List.iter
+    (fun (a, _) ->
+      let i = a - text.Frontend.base in
+      let d = E9_x86.Decode.decode input i in
+      let len = d.E9_x86.Decode.len in
+      if Frontend.decode_at r.Rewriter.index a
+         <> { Frontend.addr = a; len; insn = d.E9_x86.Decode.insn }
+      then Alcotest.failf "the index decodes 0x%x otherwise than the input" a;
+      if Bytes.sub input i len = Bytes.sub output i len then
+        Alcotest.failf "the output's bytes at 0x%x are the input's" a)
+    r.Rewriter.patched_sites
 
 let suites =
   [ ( "core.pun",
@@ -1551,6 +1595,8 @@ let suites =
           test_b0_skips_undisplaceable;
         Alcotest.test_case "frontend length disagrees: typed error" `Quick
           test_rewrite_frontend_length_mismatch;
+        Alcotest.test_case "input and index stay original" `Quick
+          test_rewrite_keeps_input_and_index;
         QCheck_alcotest.to_alcotest prop_rewrite_equivalence ] ) ]
 
 (* ------------------------------------------------------------------ *)

@@ -347,6 +347,144 @@ let prop_index_matches_sweep =
               Some
                 (List.sort compare (List.filter (fun (_, l) -> l > 0) holes))))
 
+(* An image whose text is [text] at 0x401000, followed in the same
+   segment by the bytes of another section, [tail]. *)
+let text_then ~text ~tail =
+  let base = 0x401000 in
+  let elf = Elf_file.create ~etype:Elf_file.Exec ~entry:base in
+  let off =
+    Elf_file.add_section elf ~name:".text" ~addr:base ~sh_type:1 ~sh_flags:6
+      ~content:text
+  in
+  let n = Bytes.length text + Bytes.length tail in
+  ignore
+    (Elf_file.add_section elf ~name:".rodata" ~addr:(base + Bytes.length text)
+       ~sh_type:1 ~sh_flags:2 ~content:tail);
+  elf.Elf_file.segments <-
+    [ { Elf_file.ptype = Elf_file.Load; prot = Elf_file.prot_rx; vaddr = base;
+        offset = off; filesz = n; memsz = n; align = 4096 } ];
+  elf
+
+(* The index, the oracle and the rewrite read the text where it lies in
+   the image, never past its end: over random text bytes (biased to
+   opcodes and prefixes that start long instructions) followed by random
+   bytes of another section, the index's lengths and [decode_at] are
+   those of decoding a copy of the text alone, and the rewrite and
+   [Static.verify] (sweeping, and reading the rewrite's index) come out
+   the same when every byte outside the text differs. [linear_sweep]
+   takes an index swept over another image with the same text, and
+   refuses it once one text byte differs. *)
+let prop_reads_stop_at_text_end =
+  (* The text holds none of the prefixes a padded jump may start with
+     (REX.W, the segment overrides): left as a one-byte instruction in
+     front of a patched one, such a byte reads to the verifier as the
+     start of a padded jump there, and it refuses the rewrite, wherever
+     it reads the bytes from. *)
+  let pads = [ 0x48; 0x26; 0x2e; 0x36; 0x3e; 0x64; 0x65 ] in
+  let random_bytes ?(avoid = []) len =
+    QCheck2.Gen.(
+      map
+        (fun l ->
+          Bytes.of_seq
+            (List.to_seq
+               (List.map
+                  (fun b -> Char.chr (if List.mem b avoid then 0x90 else b))
+                  l)))
+        (list_size len
+           (oneof
+              [ oneofl
+                  [ 0xe9; 0xeb; 0xe8; 0x0f; 0x84; 0x74; 0x66; 0x41; 0xf3;
+                    0x89; 0x8b; 0xc7; 0x80; 0xff; 0xc3; 0x90 ];
+                int_range 0 255 ])))
+  in
+  let gen =
+    QCheck2.Gen.(
+      triple
+        (random_bytes ~avoid:pads (int_range 1 48))
+        (random_bytes (int_range 1 16))
+        nat)
+  in
+  let hex b =
+    String.concat " "
+      (List.map
+         (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (Bytes.to_seq b)))
+  in
+  let print (text, tail, k) =
+    Printf.sprintf "text [%s] tail [%s] k %d" (hex text) (hex tail) k
+  in
+  QCheck2.Test.make ~name:"in-place reads stop at the text end" ~count:300
+    ~print gen
+    (fun (text, tail, k) ->
+      let base = 0x401000 and n = Bytes.length text in
+      let elf = text_then ~text ~tail in
+      let rec sweep p acc =
+        if p >= n then List.rev acc
+        else
+          let d = E9_x86.Decode.decode text p in
+          sweep (p + d.E9_x86.Decode.len)
+            ({ Frontend.addr = base + p; len = d.E9_x86.Decode.len;
+               insn = d.E9_x86.Decode.insn }
+            :: acc)
+      in
+      let sites = sweep 0 [] in
+      let idx = Frontend.index elf in
+      (* The same text with every other byte of the image changed: the
+         header block before it, the section after it. *)
+      let other =
+        text_then ~text
+          ~tail:(Bytes.map (fun c -> Char.chr (255 - Char.code c)) tail)
+      in
+      E9_bits.Buf.blit_in other.Elf_file.data ~pos:0 (Bytes.make 4096 '\255');
+      let flipped = Bytes.copy text in
+      Bytes.set flipped (k mod n)
+        (Char.chr (Char.code (Bytes.get text (k mod n)) lxor 1));
+      let outcome elf =
+        match
+          E9_core.Rewriter.run elf ~select:(fun _ -> true)
+            ~template:(fun _ -> E9_core.Trampoline.Empty)
+        with
+        | exception e -> Error (Printexc.to_string e)
+        | r ->
+            let out = r.E9_core.Rewriter.output in
+            let patched = E9_bits.Buf.sub out.Elf_file.data ~pos:4096 ~len:n in
+            (* Whether the changed bytes are the copies' differences. *)
+            let verify ?index () =
+              E9_check.Static.verify ?index ~original:elf out
+              |> Result.map (fun rep ->
+                     List.map fst rep.E9_check.Static.classified
+                     = List.filter_map
+                         (fun i ->
+                           if Bytes.get text i <> Bytes.get patched i then
+                             Some (base + i)
+                           else None)
+                         (List.init n Fun.id)
+                     && rep.E9_check.Static.changed_bytes
+                        = List.length rep.E9_check.Static.classified)
+            in
+            Ok (patched, verify (), verify ~index:r.E9_core.Rewriter.index ())
+      in
+      let result = outcome elf in
+      List.init n (fun i -> Frontend.length_at idx (base + i))
+      = List.init n (fun i ->
+            match List.find_opt (fun s -> s.Frontend.addr = base + i) sites with
+            | Some s -> s.Frontend.len
+            | None -> 0)
+      && List.for_all
+           (fun s -> Frontend.decode_at idx s.Frontend.addr = s)
+           sites
+      && List.rev (Frontend.sites idx ~init:[] (fun acc s -> s :: acc)) = sites
+      && fst (Frontend.linear_sweep ~index:idx other) == idx
+      && (match
+            Frontend.linear_sweep ~index:idx (text_then ~text:flipped ~tail)
+          with
+         | _ -> false
+         | exception Invalid_argument _ -> true)
+      && (match result with
+         | Ok (_, Ok true, Ok true) | Error _ -> true
+         | Ok _ -> false)
+      && result = outcome other)
+
 let site insn = { Frontend.addr = 0x401000; len = 5; insn }
 
 let test_select_jumps () =
@@ -401,6 +539,7 @@ let suites =
         Alcotest.test_case "20,000 holes: one pass over them" `Quick
           test_many_holes_sweep;
         QCheck_alcotest.to_alcotest prop_index_matches_sweep;
+        QCheck_alcotest.to_alcotest prop_reads_stop_at_text_end;
         Alcotest.test_case "select_jumps" `Quick test_select_jumps;
         Alcotest.test_case "select_heap_writes" `Quick test_select_heap_writes
       ] ) ]

@@ -143,7 +143,7 @@ let test_encode_nops () =
 let test_nop_roundtrip () =
   for n = 1 to 15 do
     let code = Encode.encode (Insn.Nop n) in
-    let d = Decode.decode_string code 0 in
+    let d = Decode.decode (Bytes.of_string code) 0 in
     Alcotest.(check int) (Printf.sprintf "nop%d length" n) n (String.length code);
     Alcotest.(check int) (Printf.sprintf "nop%d decoded length" n) n d.Decode.len;
     Alcotest.(check bool) (Printf.sprintf "nop%d decodes to itself" n) true
@@ -175,10 +175,16 @@ let test_decode_paper_sequence () =
     Bytes.of_string
       "\x48\x89\x03\x48\x83\xc0\x20\x48\x31\xc1\x83\x7b\xfc\x4d"
   in
-  let insns = Decode.linear bytes ~pos:0 ~len:(Bytes.length bytes) in
-  let lens = List.map (fun (_, d) -> d.Decode.len) insns in
+  let rec linear p =
+    if p >= Bytes.length bytes then []
+    else
+      let d = Decode.decode bytes p in
+      d :: linear (p + d.Decode.len)
+  in
+  let insns = linear 0 in
+  let lens = List.map (fun d -> d.Decode.len) insns in
   Alcotest.(check (list int)) "lengths" [ 3; 4; 3; 4 ] lens;
-  match List.map (fun (_, d) -> d.Decode.insn) insns with
+  match List.map (fun d -> d.Decode.insn) insns with
   | [ Insn.Mov (Insn.Q, Insn.Mem _, Insn.Reg Reg.RAX);
       Insn.Alu (Insn.Add, Insn.Q, Insn.Reg Reg.RAX, Insn.Imm 32);
       Insn.Alu (Insn.Xor, Insn.Q, Insn.Reg Reg.RCX, Insn.Reg Reg.RAX);
@@ -348,7 +354,7 @@ let test_roundtrip_property () =
   for i = 1 to 20_000 do
     let insn = random_insn rng in
     let code = Encode.encode insn in
-    let d = Decode.decode_string code 0 in
+    let d = Decode.decode (Bytes.of_string code) 0 in
     if not (Insn.equal d.Decode.insn insn) then
       Alcotest.failf "roundtrip %d failed: %s -> [%s] -> %s" i
         (Insn.to_string insn) (hex code)
@@ -446,7 +452,7 @@ let test_decode_prefix_orders () =
   in
   List.iter
     (fun (bytes, len) ->
-      let d = Decode.decode_string bytes 0 in
+      let d = Decode.decode (Bytes.of_string bytes) 0 in
       Alcotest.(check int) "length" len d.Decode.len;
       match d.Decode.insn with
       | Insn.Jmp 1 -> ()
@@ -456,7 +462,7 @@ let test_decode_prefix_orders () =
 let test_decode_rex_dropped_by_legacy_prefix () =
   (* A REX before a legacy prefix must not take effect: 48 26 89 c3 is
      (es) mov %eax,%ebx — 32-bit, not 64-bit. *)
-  let d = Decode.decode_string "\x48\x26\x89\xc3" 0 in
+  let d = Decode.decode (Bytes.of_string "\x48\x26\x89\xc3") 0 in
   match d.Decode.insn with
   | Insn.Mov (Insn.L, Insn.Reg Reg.RBX, Insn.Reg Reg.RAX) -> ()
   | i -> Alcotest.failf "REX leaked through: %s" (Insn.to_string i)
